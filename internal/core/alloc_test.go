@@ -6,15 +6,44 @@ import (
 	"testing"
 
 	"wavnet/internal/ether"
+	"wavnet/internal/nat"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/sim"
 )
 
-// The zero-alloc invariant of the forwarding fast path, pinned as unit
-// tests: the VNI tag/untag codec and the relay-envelope wrap must not
-// allocate when given caller-owned scratch. (The live path's residual
-// allocations are only the per-frame wire buffer and decap Frame whose
-// ownership transfers to the network and bridge.)
+// The zero-alloc invariant of the forwarding path, pinned as unit
+// tests: the live path between two hosts first, then its parts — the
+// VNI tag/untag codec and the relay-envelope wrap must not allocate
+// when given caller-owned scratch.
+
+// TestFramePathSteadyStateAllocs drives the path the alloc-budget
+// benchmarks drive (bench_test.go) — vif to vif across two hosts, their
+// NAT gateways and the WAN, direct and broker-relayed — and requires
+// that a frame costs no allocation once the world's free lists are
+// warm: batch buffer, packet, decapsulated frame and every hop event
+// are leased and recycled. The allowance of one object per burst is
+// for the keepalives that tick while the frames cross.
+func TestFramePathSteadyStateAllocs(t *testing.T) {
+	for name, types := range map[string][]nat.Type{
+		"direct":  {nat.FullCone, nat.FullCone},
+		"relayed": {nat.Symmetric, nat.Symmetric},
+	} {
+		p := newBenchPath(t, 42, types)
+		big, small := benchFrame(benchMACb, benchMACa, 1400), benchFrame(benchMACb, benchMACa, 64)
+		burst := func() { p.send(big, small, small, small) }
+		for i := 0; i < 8; i++ {
+			burst()
+		}
+		p.got = 0
+		allocs := testing.AllocsPerRun(50, burst)
+		if p.got != 51*4 {
+			t.Fatalf("%s: %d of %d frames delivered", name, p.got, 51*4)
+		}
+		if allocs >= 1 {
+			t.Errorf("%s: %.2f allocs per four-frame burst, want < 1", name, allocs)
+		}
+	}
+}
 
 func allocTestFrame() *ether.Frame {
 	return &ether.Frame{

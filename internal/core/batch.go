@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"wavnet/internal/ether"
+	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
-	"wavnet/internal/rendezvous"
 )
 
 // Tunnel egress batching.
@@ -34,10 +32,11 @@ import (
 //   - Flood determinism: destinations flush in first-enqueue order,
 //     which for a flood is sortedTunnels order; frames within a batch
 //     keep admission order, and the receive loop unbatches in order.
-//   - Steady-state zero-alloc: the per-flush allocation is the batch
-//     buffer itself, whose ownership transfers to the network (receive
-//     frames alias it — the same amortized residual as PR 8's one
-//     decap Frame), while the flush list and scratch are reused.
+//   - Steady-state zero-alloc: the batch buffer is leased from the
+//     world's pool (netsim.Buf) — the network retains it for the flight,
+//     the receiver's decapsulated frames are views on it, and it is
+//     recycled when the last of them is released — while the flush
+//     list and scratch are reused.
 
 const (
 	// batchLenBytes is the size of each entry's big-endian length prefix.
@@ -55,12 +54,12 @@ func appendBatchFrame(dst []byte, vni uint32, f *ether.Frame) []byte {
 	return AppendVNIFrame(dst, vni, f)
 }
 
-// enqueueFrame adds one admitted frame to t's egress batch, starting a
-// fresh batch buffer when none is open and registering the
-// end-of-timestamp flush hook on first use in this instant. Caps flush
-// the open batch early so no wire packet exceeds the configured size.
+// enqueueFrame adds one admitted frame to t's egress batch, leasing a
+// batch buffer when none is open and registering the end-of-timestamp
+// flush hook on first use in this instant. Caps flush the open batch
+// early so no wire packet exceeds the configured size.
 func (h *Host) enqueueFrame(t *Tunnel, vni uint32, f *ether.Frame) {
-	const headroom = rendezvous.RelayHeaderLen
+	const headroom = wireHeadroom
 	need := batchLenBytes + VNIEncapLen(vni) + f.WireLen()
 	if t.egressFrames > 0 &&
 		(len(t.egress)+need > headroom+batchHeaderLen+h.cfg.BatchMaxBytes ||
@@ -68,15 +67,14 @@ func (h *Host) enqueueFrame(t *Tunnel, vni uint32, f *ether.Frame) {
 		h.flushTunnel(t, true)
 	}
 	if t.egressFrames == 0 {
-		// Fresh buffer per batch: the previous one's ownership moved to
-		// the network at flush (in-flight transit closures and receiver
-		// frames alias it), so it can never be reused. Sized for the
-		// byte cap up front so appends within one batch never grow it.
+		// Sized for the byte cap up front so appends within one batch
+		// never outgrow the lease.
 		capBytes := headroom + batchHeaderLen + h.cfg.BatchMaxBytes
 		if capBytes < headroom+batchHeaderLen+need {
 			capBytes = headroom + batchHeaderLen + need // jumbo frame
 		}
-		t.egress = make([]byte, headroom+batchHeaderLen, capBytes)
+		t.egressBuf = h.pool.Get(capBytes)
+		t.egress = t.egressBuf.Data[:headroom+batchHeaderLen]
 		t.egress[headroom] = paFrameBatch
 	}
 	t.egress = appendBatchFrame(t.egress, vni, f)
@@ -107,19 +105,14 @@ func (h *Host) flushEgress() {
 	h.pendingFlush = pend[:0]
 }
 
-// flushTunnel emits t's open batch as one wire packet and hands the
-// buffer to the network. A single-frame batch is sent in the legacy
-// per-frame format; multi-frame batches go out as paFrameBatch. Either
-// way a relayed tunnel's envelope is written in place into headroom —
-// every relayed send is in-place, including the flood-across-two-relays
-// case that used to copy.
+// flushTunnel emits t's open batch as one wire packet and lets go of
+// the buffer (the network holds it for the flight). A single-frame
+// batch is sent in the legacy per-frame format; multi-frame batches go
+// out as paFrameBatch. Either way a relayed tunnel's envelope is
+// written in place into headroom (sendWire).
 func (h *Host) flushTunnel(t *Tunnel, capped bool) {
-	const headroom = rendezvous.RelayHeaderLen
-	wire := t.egress
-	frames := t.egressFrames
-	t.egress = nil
-	t.egressFrames = 0
-	if frames == 0 || len(wire) <= headroom+batchHeaderLen {
+	buf, wire, frames := t.takeEgress()
+	if buf == nil {
 		return
 	}
 	h.BatchFlushes++
@@ -128,35 +121,31 @@ func (h *Host) flushTunnel(t *Tunnel, capped bool) {
 	}
 	t.BatchesOut++
 	h.batchSizes.Observe(float64(frames))
+	off := wireHeadroom
 	if frames == 1 {
 		// Legacy single-frame format: skip the container byte and the
 		// length prefix; the bytes ahead of the frame image are spare
 		// headroom for the relay envelope.
-		frame := wire[headroom+batchHeaderLen+batchLenBytes:]
-		if !t.Relayed {
-			h.sock.SendTo(t.Remote, frame)
-			return
-		}
-		env := wire[batchHeaderLen+batchLenBytes:]
-		env[0] = rendezvous.RelayMagic
-		binary.BigEndian.PutUint64(env[1:], t.relayChan)
-		h.sock.SendTo(t.Remote, env)
-		return
+		off += batchHeaderLen + batchLenBytes
 	}
-	if !t.Relayed {
-		h.sock.SendTo(t.Remote, wire[headroom:])
-		return
-	}
-	wire[0] = rendezvous.RelayMagic
-	binary.BigEndian.PutUint64(wire[1:], t.relayChan)
-	h.sock.SendTo(t.Remote, wire)
+	h.sendWire(t, buf, off, len(wire)-off)
+	buf.Release()
+}
+
+// takeEgress detaches t's open batch: its lease (nil when none is
+// open), the bytes filled so far and how many frames they hold. The
+// caller releases the lease.
+func (t *Tunnel) takeEgress() (buf *netsim.Buf, wire []byte, frames int) {
+	buf, wire, frames = t.egressBuf, t.egress, t.egressFrames
+	t.egressBuf, t.egress, t.egressFrames = nil, nil, 0
+	return buf, wire, frames
 }
 
 // onTunnelBatch unbatches an aggregated paFrameBatch payload into the
 // per-frame receive path. Each entry runs through the same zero-alloc
 // decode, isolation check, learn and tap injection as a lone frame;
 // a malformed entry ends the walk (frames before it still count).
-func (h *Host) onTunnelBatch(t *Tunnel, payload []byte) {
+func (h *Host) onTunnelBatch(t *Tunnel, payload []byte, lease *netsim.Buf) {
 	t.BatchesIn++
 	off := batchHeaderLen
 	for off+batchLenBytes <= len(payload) {
@@ -165,7 +154,7 @@ func (h *Host) onTunnelBatch(t *Tunnel, payload []byte) {
 		if n == 0 || off+n > len(payload) {
 			return
 		}
-		h.onTunnelFrame(t, payload[off:off+n])
+		h.onTunnelFrame(t, payload[off:off+n], lease)
 		off += n
 	}
 }

@@ -20,7 +20,7 @@ import (
 // batchPair builds a two-host world with an established a→b tunnel and
 // a collector port on b's default bridge recording frame payloads in
 // arrival order.
-func batchPair(t *testing.T, seed int64, types []nat.Type) (*world, *[]string) {
+func batchPair(t testing.TB, seed int64, types []nat.Type) (*world, *[]string) {
 	t.Helper()
 	w := buildWorld(t, seed, types,
 		[]sim.Duration{10 * time.Millisecond, 15 * time.Millisecond})

@@ -25,15 +25,18 @@ type world struct {
 
 // buildWorld creates n hosts behind the given NAT types (cycled), each at
 // its own site with rttMS[i] round-trip to the server site.
-func buildWorld(t *testing.T, seed int64, types []nat.Type, rtts []sim.Duration) *world {
+func buildWorld(t testing.TB, seed int64, types []nat.Type, rtts []sim.Duration) *world {
 	return buildWorldCfg(t, seed, types, rtts, rendezvous.Config{})
 }
 
 // buildWorldCfg is buildWorld with an explicit rendezvous configuration.
-func buildWorldCfg(t *testing.T, seed int64, types []nat.Type, rtts []sim.Duration, rcfg rendezvous.Config) *world {
+func buildWorldCfg(t testing.TB, seed int64, types []nat.Type, rtts []sim.Duration, rcfg rendezvous.Config) *world {
 	t.Helper()
 	w := &world{eng: sim.NewEngine(seed)}
 	w.nw = netsim.New(w.eng)
+	// Poisoned leases: a payload read after its last Release is 0xDB
+	// garbage and a second Release panics, in every test on this world.
+	w.nw.Pool().SetPoison(true)
 	hub := w.nw.NewSite("hub")
 
 	rdvHost := w.nw.NewPublicHost("rdv", hub, netsim.MustParseIP("50.0.0.1"), 100e6, time.Millisecond)
@@ -72,7 +75,7 @@ func buildWorldCfg(t *testing.T, seed int64, types []nat.Type, rtts []sim.Durati
 func hostName(i int) string { return string(rune('a'+i)) + "-host" }
 
 // joinAll joins every host, failing the test on error.
-func (w *world) joinAll(t *testing.T) {
+func (w *world) joinAll(t testing.TB) {
 	t.Helper()
 	errs := make([]error, len(w.hosts))
 	for i, h := range w.hosts {

@@ -33,12 +33,12 @@ func (h *Host) onPacket(pkt netsim.Packet) {
 		h.onPulse(pkt.Src)
 	case paFrame, paFrameVNI:
 		if t, ok := h.byAddr[pkt.Src]; ok {
-			h.onTunnelFrame(t, pkt.Payload)
+			h.onTunnelFrame(t, pkt.Payload, pkt.Lease())
 		}
 	case paFrameBatch:
 		if t, ok := h.byAddr[pkt.Src]; ok {
 			t.lastHeard = h.eng.Now()
-			h.onTunnelBatch(t, pkt.Payload)
+			h.onTunnelBatch(t, pkt.Payload, pkt.Lease())
 		}
 	case paPunch, paPunchAck:
 		h.onPunch(pkt)
@@ -76,10 +76,10 @@ func (h *Host) onRelayEnvelope(pkt netsim.Packet) {
 		t.PulsesIn++
 		t.lastHeard = h.eng.Now()
 	case paFrame, paFrameVNI:
-		h.onTunnelFrame(t, inner)
+		h.onTunnelFrame(t, inner, pkt.Lease())
 	case paFrameBatch:
 		t.lastHeard = h.eng.Now()
-		h.onTunnelBatch(t, inner)
+		h.onTunnelBatch(t, inner, pkt.Lease())
 	case paEcho:
 		h.bounceEcho(t, pkt.Src, inner)
 	case paEchoResp:
@@ -91,56 +91,53 @@ func (h *Host) onRelayEnvelope(pkt netsim.Packet) {
 	}
 }
 
-// tunnelSend transmits one Packet Assembler packet over a tunnel,
-// wrapping it in the relay envelope when the tunnel is brokered. The
-// envelope is freshly allocated because the broker retains and
-// forwards it; the frame fast path avoids this copy entirely by
-// encoding with headroom (see switchFrame).
+// Everything a host sends over a tunnel leaves in a leased buffer with
+// rendezvous.RelayHeaderLen spare bytes in front of it: a direct tunnel
+// sends the bytes as they are, a brokered one fills the relay envelope
+// into the spare bytes in place (the broker forwards by retaining the
+// lease), and the buffer goes back to the world's pool after the last
+// receiver's handler returns.
+const wireHeadroom = rendezvous.RelayHeaderLen
+
+// tunnelSend transmits one Packet Assembler packet over a tunnel. b is
+// copied, so the caller may reuse it.
 func (h *Host) tunnelSend(t *Tunnel, b []byte) {
-	if !t.Relayed {
-		h.sock.SendTo(t.Remote, b)
-		return
-	}
-	wire := make([]byte, rendezvous.RelayHeaderLen+len(b))
-	wire[0] = rendezvous.RelayMagic
-	binary.BigEndian.PutUint64(wire[1:], t.relayChan)
-	copy(wire[rendezvous.RelayHeaderLen:], b)
-	h.sock.SendTo(t.Remote, wire)
+	buf := h.pool.Get(wireHeadroom + len(b))
+	copy(buf.Data[wireHeadroom:], b)
+	h.sendWire(t, buf, wireHeadroom, len(b))
+	buf.Release()
 }
 
-// tunnelSendPooled is tunnelSend for control packets built in a pooled
-// buffer whose receive handler does not retain the payload (pulses,
-// echo bounces): the buffer is recycled at delivery on the direct path,
-// or immediately after the envelope copy on the relayed path.
-func (h *Host) tunnelSendPooled(t *Tunnel, buf *[]byte) {
-	if !t.Relayed {
-		h.sock.SendToPooled(t.Remote, buf)
-		return
+// sendWire sends the n bytes at buf.Data[off:] over t, off leaving at
+// least wireHeadroom in front of them for the relay envelope.
+func (h *Host) sendWire(t *Tunnel, buf *netsim.Buf, off, n int) {
+	if t.Relayed {
+		off -= wireHeadroom
+		n += wireHeadroom
+		buf.Data[off] = rendezvous.RelayMagic
+		binary.BigEndian.PutUint64(buf.Data[off+1:], t.relayChan)
 	}
-	h.tunnelSend(t, *buf)
-	netsim.PutBuf(buf)
+	h.sock.SendLease(t.Remote, buf, buf.Data[off:off+n])
 }
 
-// bounceEcho answers a paEcho in place: the payload is copied into a
-// pooled buffer with only the type byte flipped, so both bounce paths
-// (direct socket, relayed tunnel) share one allocation-free branch.
+// bounceEcho answers a paEcho: the payload is copied into a leased
+// buffer with only the type byte flipped, and goes back over the
+// tunnel it came in on (or straight to src when it came in on none).
 func (h *Host) bounceEcho(t *Tunnel, src netsim.Addr, payload []byte) {
-	buf := netsim.GetBuf()
-	*buf = append(*buf, payload...)
-	(*buf)[0] = paEchoResp
+	buf := h.pool.Get(wireHeadroom + len(payload))
+	resp := buf.Data[wireHeadroom : wireHeadroom+len(payload)]
+	copy(resp, payload)
+	resp[0] = paEchoResp
 	if t == nil {
-		h.sock.SendToPooled(src, buf)
-		return
+		h.sock.SendLease(src, buf, resp)
+	} else {
+		h.sendWire(t, buf, wireHeadroom, len(resp))
 	}
-	h.tunnelSendPooled(t, buf)
+	buf.Release()
 }
 
-// pulsePacket builds the 2-byte CONNECT_PULSE in a pooled buffer.
-func pulsePacket() *[]byte {
-	buf := netsim.GetBuf()
-	*buf = append(*buf, paPulse, 0x00)
-	return buf
-}
+// pulsePacket is the 2-byte CONNECT_PULSE.
+var pulsePacket = []byte{paPulse, 0x00}
 
 // startRelay establishes a brokered tunnel from a relay-order: no
 // punching is needed, but an immediate pulse registers our (possibly
@@ -159,7 +156,7 @@ func (h *Host) startRelay(rec rendezvous.HostRecord, ch uint64, relay netsim.Add
 	t.relayChan = ch
 	h.byChan[ch] = t
 	t.PulsesOut++
-	h.tunnelSendPooled(t, pulsePacket())
+	h.tunnelSend(t, pulsePacket)
 	h.establish(t)
 }
 
@@ -294,7 +291,7 @@ func (h *Host) pulse(t *Tunnel) {
 		return
 	}
 	t.PulsesOut++
-	h.tunnelSendPooled(t, pulsePacket())
+	h.tunnelSend(t, pulsePacket)
 	// Ride the keepalive tick to recover lost VNI announcements: resent
 	// immediately when the segment set changed, else only every
 	// vniRefreshPulses (the keepalive itself stays 2 bytes).
@@ -382,11 +379,38 @@ func (h *Host) onTapFrame(seg *segment, f *ether.Frame) {
 	if f.WireLen() > h.SegmentMTU(seg.vni)+ether.HeaderLen {
 		return // oversized for the tunnel
 	}
-	if h.cfg.PacketCost > 0 {
-		h.eng.Schedule(h.cfg.PacketCost, func() { h.switchFrame(seg, f) })
-		return
-	}
-	h.switchFrame(seg, f)
+	// The Packet Assembler's processing time (Config.PacketCost, never
+	// zero), then the switch.
+	f.Retain()
+	h.eng.Post(h.cfg.PacketCost, (*tapOut)(seg), f)
+}
+
+// tapOut and tapIn are segment as the receiver of the Packet
+// Assembler's two processing delays: a frame on its way out to the
+// tunnels, and a decapsulated one on its way in to the bridge. Each
+// holds a reference on the frame for the wait.
+type (
+	tapOut segment
+	tapIn  segment
+)
+
+func (s *tapOut) HandleEvent(arg any) {
+	f := arg.(*ether.Frame)
+	s.host.switchFrame((*segment)(s), f)
+	f.Release()
+}
+
+func (s *tapIn) HandleEvent(arg any) {
+	f := arg.(*ether.Frame)
+	s.tap.Send(f)
+	f.Release()
+}
+
+// inject hands a decapsulated frame to the segment's bridge after the
+// Packet Assembler's processing time.
+func (h *Host) inject(seg *segment, f *ether.Frame) {
+	f.Retain()
+	h.eng.Post(h.cfg.PacketCost, (*tapIn)(seg), f)
 }
 
 // switchFrame encapsulates one outbound frame and forwards it: known
@@ -464,13 +488,13 @@ func (h *Host) sortedTunnels() []*Tunnel {
 // [paFrame][frame bytes] or [paFrameVNI][vni][frame bytes]), applies
 // the tenant isolation check, teaches the VNI's WAV-Switch table where
 // the source MAC lives, and injects the frame into the matching
-// segment's bridge through its tap.
-func (h *Host) onTunnelFrame(t *Tunnel, payload []byte) {
+// segment's bridge through its tap. lease backs payload (nil when the
+// sender's bytes were caller-owned): the decapsulated frame is a view
+// on it — struct and payload both — that whoever keeps it past this
+// call retains.
+func (h *Host) onTunnelFrame(t *Tunnel, payload []byte, lease *netsim.Buf) {
 	t.lastHeard = h.eng.Now()
-	// The frame itself is the one decap allocation: its payload aliases
-	// the wire buffer and the bridge retains both past this event, so
-	// neither can come from a pool. The untag decode is allocation-free.
-	f := new(ether.Frame)
+	f := ether.NewFrame(lease)
 	vni, err := UnmarshalVNIFrameInto(f, payload)
 	if err != nil {
 		return
@@ -492,9 +516,5 @@ func (h *Host) onTunnelFrame(t *Tunnel, payload []byte) {
 	}
 	h.flowRx(vni, f, len(payload))
 	h.wswitch.Learn(vni, f.Src, t)
-	if h.cfg.PacketCost > 0 {
-		h.eng.Schedule(h.cfg.PacketCost, func() { seg.tap.Send(f) })
-		return
-	}
-	seg.tap.Send(f)
+	h.inject(seg, f)
 }

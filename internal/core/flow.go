@@ -13,13 +13,14 @@ import (
 
 // Flow accounting on the hot path.
 //
-// The table is fixed-size and preallocated: one cache-friendly slot
-// array indexed by a mixed hash of the packed flow key, probed linearly
-// over a bounded window. All fields are accessed with atomic ops only —
-// no locks, no allocation, nothing variable-cost — so the encap/decap/
-// drop sites can update it inline without disturbing the ALLOC_BUDGET
-// gate, and scrapers may read concurrently from test goroutines while
-// the simulation forwards.
+// The table is one cache-friendly slot array indexed by a mixed hash of
+// the packed flow key, probed linearly over a bounded window. It starts
+// small and doubles as flows arrive, up to Config.FlowSlots; between
+// doublings nothing allocates. All fields are accessed with atomic ops
+// only — no locks, nothing variable-cost — so the encap/decap/drop
+// sites can update it inline without disturbing the ALLOC_BUDGET gate,
+// and scrapers may read concurrently from test goroutines while the
+// simulation forwards.
 //
 // Concurrency model (the same split as ether.MACTable's fast path): the
 // sim event loop is the only writer — forwarding, drop attribution and
@@ -30,13 +31,16 @@ import (
 // the writer makes it odd around any key change, and readers retry when
 // the generation moved or was odd. Stats reads between generations may
 // be minutely torn (bytes updated, frames not yet) — fine for
-// telemetry, never for identity.
+// telemetry, never for identity. Readers reach the slot array through
+// one atomic pointer: a doubling fills the new array before publishing
+// it and never touches the old one again, so a reader still walking the
+// old array sees a consistent, slightly stale table.
 //
 // Eviction is swept off the fast path on a self-arming sim-time timer:
 // flows idle past Config.FlowIdle are emitted to the configured
 // obs.FlowLog as closed flow-log records and their slots freed. A full
-// probe window counts an overflow and drops the sample rather than
-// evicting inline — the hot path never does O(table) work.
+// probe window in a table already at its bound counts an overflow and
+// drops the sample rather than evicting inline.
 
 // FlowKey identifies one flow: (VNI, src/dst MAC, src/dst IP, proto).
 type FlowKey struct {
@@ -154,15 +158,20 @@ func (st *FlowStat) Record(host string) obs.FlowRecord {
 
 const (
 	defaultFlowSlots = 1024
+	// initialFlowSlots is the size a table starts at (when its bound
+	// allows): most hosts carry a handful of flows.
+	initialFlowSlots = 64
 	// flowProbeLimit bounds the linear probe: a lookup touches at most
 	// this many slots before declaring overflow.
 	flowProbeLimit = 16
 )
 
-// FlowTable is the fixed-size flow accounting table of one host.
+// FlowTable is the flow accounting table of one host.
 type FlowTable struct {
-	slots []flowSlot
-	mask  uint64
+	// slots is the current slot array, a power of two long. Only the
+	// writer replaces it (grow); readers load it once per walk.
+	slots atomic.Pointer[[]flowSlot]
+	max   int // bound on len(*slots)
 
 	active    atomic.Int64
 	overflows atomic.Uint64
@@ -174,8 +183,8 @@ type FlowTable struct {
 	dropTotals [obs.FlowDropReasons]atomic.Uint64
 }
 
-// NewFlowTable preallocates a table of at least the given slot count
-// (rounded up to a power of two; <=0 uses the default).
+// NewFlowTable returns a table that grows on demand up to the given
+// slot count (rounded up to a power of two; <=0 uses the default).
 func NewFlowTable(slots int) *FlowTable {
 	if slots <= 0 {
 		slots = defaultFlowSlots
@@ -184,19 +193,23 @@ func NewFlowTable(slots int) *FlowTable {
 	for n < slots {
 		n <<= 1
 	}
-	return &FlowTable{slots: make([]flowSlot, n), mask: uint64(n - 1)}
+	ft := &FlowTable{max: n}
+	if n > initialFlowSlots {
+		n = initialFlowSlots
+	}
+	first := make([]flowSlot, n)
+	ft.slots.Store(&first)
+	return ft
 }
 
-// find returns the live slot for k, inserting into a free slot within
-// the probe window when absent. nil means the window is saturated
-// (counted as an overflow; the sample is shed, never the latency).
-// Writer-side only: must run on the sim event loop.
-func (ft *FlowTable) find(k *FlowKey, now sim.Time) *flowSlot {
-	k0, k1, k2, k3 := k.pack()
+// probe walks the window of key (k0..k3) in slots and returns the live
+// slot holding the key, if any, and the window's first free slot, if
+// any.
+func probe(slots []flowSlot, k0, k1, k2, k3 uint64) (hit, free *flowSlot) {
 	idx := mix64(k0 ^ mix64(k1^mix64(k2^mix64(k3))))
-	var free *flowSlot
+	mask := uint64(len(slots) - 1)
 	for i := uint64(0); i < flowProbeLimit; i++ {
-		s := &ft.slots[(idx+i)&ft.mask]
+		s := &slots[(idx+i)&mask]
 		if s.live.Load() == 0 {
 			if free == nil {
 				free = s
@@ -204,7 +217,75 @@ func (ft *FlowTable) find(k *FlowKey, now sim.Time) *flowSlot {
 			continue
 		}
 		if s.k0.Load() == k0 && s.k1.Load() == k1 && s.k2.Load() == k2 && s.k3.Load() == k3 {
-			return s
+			return s, free
+		}
+	}
+	return nil, free
+}
+
+// grow replaces slots with an array twice the size holding every live
+// flow, counters and all. It reports false when the table is at its
+// bound. Writer-side; the one place the table allocates.
+func (ft *FlowTable) grow(slots []flowSlot) bool {
+	for n := 2 * len(slots); n <= ft.max; n *= 2 {
+		if next := rehash(slots, n); next != nil {
+			ft.slots.Store(&next)
+			return true
+		}
+	}
+	return false
+}
+
+// rehash copies the live slots of old into a fresh array of n slots,
+// each to the first free slot of its probe window; nil if some window
+// is full even so.
+func rehash(old []flowSlot, n int) []flowSlot {
+	next := make([]flowSlot, n)
+	for i := range old {
+		src := &old[i]
+		if src.live.Load() == 0 {
+			continue
+		}
+		k0, k1, k2, k3 := src.k0.Load(), src.k1.Load(), src.k2.Load(), src.k3.Load()
+		_, dst := probe(next, k0, k1, k2, k3)
+		if dst == nil {
+			return nil
+		}
+		// next is unpublished: no reader, so no seqlock dance.
+		dst.k0.Store(k0)
+		dst.k1.Store(k1)
+		dst.k2.Store(k2)
+		dst.k3.Store(k3)
+		dst.bytes.Store(src.bytes.Load())
+		dst.frames.Store(src.frames.Load())
+		for r := range dst.drops {
+			dst.drops[r].Store(src.drops[r].Load())
+		}
+		dst.first.Store(src.first.Load())
+		dst.last.Store(src.last.Load())
+		dst.live.Store(1)
+	}
+	return next
+}
+
+// find returns the live slot for k, inserting into a free slot within
+// the probe window when absent — after doubling the table if the
+// window is saturated or the new flow would take the load past 1/2.
+// nil means the window is saturated in a table at its bound (counted
+// as an overflow; the sample is shed, never the latency). Writer-side
+// only: must run on the sim event loop.
+func (ft *FlowTable) find(k *FlowKey, now sim.Time) *flowSlot {
+	k0, k1, k2, k3 := k.pack()
+	var free *flowSlot
+	for {
+		slots := *ft.slots.Load()
+		var hit *flowSlot
+		if hit, free = probe(slots, k0, k1, k2, k3); hit != nil {
+			return hit
+		}
+		roomy := free != nil && 2*(int(ft.active.Load())+1) <= len(slots)
+		if roomy || !ft.grow(slots) {
+			break
 		}
 	}
 	if free == nil {
@@ -255,8 +336,9 @@ func (ft *FlowTable) Drop(k *FlowKey, now sim.Time, reason obs.FlowDropReason) {
 // emit with each evicted flow's final state, and reports how many stay
 // live. Writer-side: runs on the sim event loop, off the fast path.
 func (ft *FlowTable) sweep(now sim.Time, idle sim.Duration, emit func(FlowStat)) int {
-	for i := range ft.slots {
-		s := &ft.slots[i]
+	slots := *ft.slots.Load()
+	for i := range slots {
+		s := &slots[i]
 		if s.live.Load() == 0 {
 			continue
 		}
@@ -296,8 +378,9 @@ func (s *flowSlot) stat() FlowStat {
 // (the flow shows up in the next scrape).
 func (ft *FlowTable) Snapshot() []FlowStat {
 	out := make([]FlowStat, 0, ft.active.Load())
-	for i := range ft.slots {
-		s := &ft.slots[i]
+	slots := *ft.slots.Load()
+	for i := range slots {
+		s := &slots[i]
 		for attempt := 0; attempt < 4; attempt++ {
 			g := s.gen.Load()
 			if g&1 != 0 {

@@ -142,6 +142,84 @@ func TestFlowTableOverflowShedsSamples(t *testing.T) {
 	}
 }
 
+// TestFlowTableGrowsOnDemand: a table starts small and doubles as flows
+// arrive — every counter, first/last stamp and drop array carried over,
+// nothing shed below the bound — while a scraper walks it from another
+// goroutine (run under -race); at the bound a saturated window sheds
+// and counts an overflow as a fixed-size table always did.
+func TestFlowTableGrowsOnDemand(t *testing.T) {
+	ft := NewFlowTable(1024)
+	if n := len(*ft.slots.Load()); n != initialFlowSlots {
+		t.Fatalf("a fresh table holds %d slots, want %d", n, initialFlowSlots)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, st := range ft.Snapshot() {
+				// First is written once, with the identity, and must
+				// travel with it through every doubling.
+				if st.First != sim.Time(st.Key.VNI) {
+					t.Errorf("flow %d read with first-seen %v", st.Key.VNI, st.First)
+					return
+				}
+			}
+		}
+	}()
+	const flows = 400
+	k := FlowKey{Src: ether.SeqMAC(1), Dst: ether.SeqMAC(2), Proto: 6}
+	for round := 0; round < 3; round++ {
+		for v := uint32(0); v < flows; v++ {
+			k.VNI = v
+			ft.Add(&k, sim.Time(v)+sim.Time(round), uint64(v)+1)
+			if v%7 == 0 {
+				ft.Drop(&k, sim.Time(v)+sim.Time(round), obs.FlowDropQuota)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := len(*ft.slots.Load()); n != 1024 {
+		t.Fatalf("%d flows left the table at %d slots, want 1024 (load <= 1/2)", flows, n)
+	}
+	if ft.Overflows() != 0 || ft.Active() != flows {
+		t.Fatalf("overflows %d, active %d below the bound; want 0 and %d", ft.Overflows(), ft.Active(), flows)
+	}
+	snap := ft.Snapshot()
+	if len(snap) != flows {
+		t.Fatalf("snapshot holds %d flows, want %d", len(snap), flows)
+	}
+	for _, st := range snap {
+		v := uint64(st.Key.VNI)
+		wantDrops := uint64(0)
+		if v%7 == 0 {
+			wantDrops = 3
+		}
+		if st.Bytes != 3*(v+1) || st.Frames != 3 || st.Drops[obs.FlowDropQuota] != wantDrops ||
+			st.First != sim.Time(v) || st.Last != sim.Time(v)+2 {
+			t.Fatalf("flow %d after growth: %+v", v, st)
+		}
+	}
+	// Past the bound nothing grows: windows fill and samples are shed.
+	for v := uint32(flows); v < 4096; v++ {
+		k.VNI = v
+		ft.Add(&k, 0, 1)
+	}
+	if n := len(*ft.slots.Load()); n != 1024 {
+		t.Fatalf("table grew past its bound to %d slots", n)
+	}
+	if ft.Overflows() == 0 || ft.Active() > 1024 {
+		t.Fatalf("overflows %d, active %d at the bound", ft.Overflows(), ft.Active())
+	}
+}
+
 // TestFlowRaceScrapeVsForwarding drives writer-side accounting from one
 // goroutine (standing in for the sim event loop) while scrapers
 // snapshot concurrently — the seqlock contract the race job checks.

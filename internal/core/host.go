@@ -107,12 +107,13 @@ type Config struct {
 	// disables tracing.
 	Tracer *obs.Trace
 
-	// FlowSlots sizes the preallocated flow accounting table (flow.go),
-	// rounded up to a power of two (default 1024). FlowSweepPeriod and
-	// FlowIdle drive the off-path eviction sweep: a flow with no
-	// activity for FlowIdle is closed and emitted to FlowLog on the next
-	// sweep tick. FlowLog is the shared flow-log sink (nil discards
-	// closed-flow records; live flows stay scrapeable either way).
+	// FlowSlots bounds the flow accounting table (flow.go), which grows
+	// on demand up to it, rounded up to a power of two (default 1024).
+	// FlowSweepPeriod and FlowIdle drive the off-path eviction sweep: a
+	// flow with no activity for FlowIdle is closed and emitted to
+	// FlowLog on the next sweep tick. FlowLog is the shared flow-log
+	// sink (nil discards closed-flow records; live flows stay
+	// scrapeable either way).
 	FlowSlots       int
 	FlowSweepPeriod sim.Duration
 	FlowIdle        sim.Duration
@@ -206,9 +207,11 @@ type Tunnel struct {
 
 	// egress is this destination's pending batch (batch.go): relay
 	// headroom, the paFrameBatch type byte, then length-prefixed frame
-	// images appended in admission order. egressFrames counts them;
-	// egressQueued marks the tunnel as already on the host's flush
-	// list. The buffer's ownership transfers to the network at flush.
+	// images appended in admission order, all inside the leased
+	// egressBuf. egressFrames counts them; egressQueued marks the tunnel
+	// as already on the host's flush list. The tunnel's reference on
+	// the lease is released at flush, or when the tunnel is dropped.
+	egressBuf    *netsim.Buf
 	egress       []byte
 	egressFrames int
 	egressQueued bool
@@ -234,6 +237,7 @@ func (t *Tunnel) Established() bool { return t.established }
 // untagged) virtual LAN; every VPC a host participates in gets its own
 // segment, so broadcast and ARP flooding is scoped per tenant.
 type segment struct {
+	host   *Host
 	vni    uint32
 	bridge *ether.Bridge
 	tap    *ether.BridgePort
@@ -253,6 +257,9 @@ type Host struct {
 	cfg  Config
 
 	sock *netsim.UDPSocket
+	// pool is the world's buffer pool: batch buffers and control
+	// packets are leased from it.
+	pool *netsim.Pool
 
 	// segments are the per-VNI virtual LAN attachments (bridge + tap);
 	// segment 0 always exists and is the default network.
@@ -398,6 +405,7 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		phys:        phys,
 		eng:         phys.Engine(),
 		cfg:         cfg,
+		pool:        phys.Network().Pool(),
 		segments:    make(map[uint32]*segment),
 		tunnels:     make(map[string]*Tunnel),
 		byAddr:      make(map[netsim.Addr]*Tunnel),
@@ -432,7 +440,7 @@ func (h *Host) addSegment(vni uint32) *segment {
 	if vni != 0 {
 		suffix = fmt.Sprintf(".%d", vni)
 	}
-	seg := &segment{vni: vni}
+	seg := &segment{host: h, vni: vni}
 	seg.flood = h.vniCounters.Handle(fmt.Sprintf("flood.vni%d", vni))
 	seg.suppress = h.vniCounters.Handle(fmt.Sprintf("suppress.vni%d", vni))
 	seg.bridge = ether.NewBridge(h.eng, h.name+"-br0"+suffix, h.cfg.BridgeLatency)
@@ -491,6 +499,10 @@ func (h *Host) Name() string { return h.name }
 
 // Phys returns the underlying physical machine.
 func (h *Host) Phys() *netsim.Host { return h.phys }
+
+// Pool returns the world's buffer pool, for stacks attached to this
+// host's bridges.
+func (h *Host) Pool() *netsim.Pool { return h.pool }
 
 // Bridge returns the host's default-network software bridge.
 func (h *Host) Bridge() *ether.Bridge { return h.segments[0].bridge }
@@ -598,7 +610,7 @@ func (h *Host) CreateDom0On(vni uint32, ip netsim.IP) (*ipstack.Stack, error) {
 	h.macSeq++
 	nic := seg.bridge.AddPort(name)
 	seg.dom0 = ipstack.New(h.eng, stackName, nic, h.newMAC(), ip,
-		ipstack.Config{MTU: h.SegmentMTU(vni)})
+		ipstack.Config{MTU: h.SegmentMTU(vni), Pool: h.pool})
 	return seg.dom0, nil
 }
 
@@ -1138,8 +1150,9 @@ func (h *Host) dropTunnel(t *Tunnel) {
 	}
 	// Abandon any pending egress: the peer is gone. The tunnel may
 	// still sit on pendingFlush; the flush skips empty queues.
-	t.egress = nil
-	t.egressFrames = 0
+	if buf, _, _ := t.takeEgress(); buf != nil {
+		buf.Release()
+	}
 	h.wswitch.ForgetPort(t)
 }
 

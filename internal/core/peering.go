@@ -82,12 +82,7 @@ func (h *Host) gatewayInject(t *Tunnel, vni uint32, f *ether.Frame) bool {
 		h.wswitch.Learn(vni, f.Src, t)
 		h.wswitch.Learn(into, f.Src, t)
 		h.PeeredForwards++
-		inject := func() { seg.tap.Send(f) }
-		if h.cfg.PacketCost > 0 {
-			h.eng.Schedule(h.cfg.PacketCost, inject)
-		} else {
-			inject()
-		}
+		h.inject(seg, f)
 	}
 	return consumed
 }

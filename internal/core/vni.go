@@ -40,8 +40,12 @@ func MarshalVNIFrame(vni uint32, f *ether.Frame) []byte {
 // beyond its length) makes the tag path allocation-free — the form the
 // forwarding fast path uses with pooled buffers.
 func AppendVNIFrame(dst []byte, vni uint32, f *ether.Frame) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, VNIEncapLen(vni)+f.WireLen())...)
+	off, n := len(dst), VNIEncapLen(vni)+f.WireLen()
+	if cap(dst)-off >= n {
+		dst = dst[:off+n] // every byte is written below
+	} else {
+		dst = append(dst, make([]byte, n)...)
+	}
 	wire := dst[off:]
 	if vni == 0 {
 		wire[0] = paFrame

@@ -22,6 +22,7 @@ import (
 func TestDHCPAcrossWAVNetTunnel(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
+	nw.Pool().SetPoison(true) // catch use-after-release in every test on this network
 	hub := nw.NewSite("hub")
 	rdvHost := nw.NewPublicHost("rdv", hub, netsim.MustParseIP("50.0.0.1"), 100e6, time.Millisecond)
 	rdv, err := rendezvous.NewServer(rdvHost, netsim.MustParseIP("50.0.0.2"), rendezvous.Config{})

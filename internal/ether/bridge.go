@@ -8,9 +8,11 @@ import (
 // transmit frames into the link layer and registers a callback for
 // frames delivered to it.
 type NIC interface {
-	// Send injects a frame into the link layer.
+	// Send injects a frame into the link layer. The frame is borrowed
+	// for the call (see Frame).
 	Send(f *Frame)
-	// SetRecv registers the handler for frames arriving at this NIC.
+	// SetRecv registers the handler for frames arriving at this NIC;
+	// each frame is valid only while the handler runs.
 	SetRecv(fn func(f *Frame))
 }
 
@@ -101,13 +103,6 @@ func (p *BridgePort) Send(f *Frame) {
 // input learns, then forwards or floods after the forwarding latency.
 func (b *Bridge) input(in *BridgePort, f *Frame) {
 	b.fdb.Learn(f.Src, in)
-	deliver := func(out *BridgePort) {
-		b.eng.Schedule(b.fwdLat, func() {
-			if !out.dead && out.recv != nil {
-				out.recv(f)
-			}
-		})
-	}
 	if !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
 		if out, ok := b.fdb.Lookup(f.Dst); ok {
 			if out == in {
@@ -115,7 +110,7 @@ func (b *Bridge) input(in *BridgePort, f *Frame) {
 				return
 			}
 			b.Forwarded++
-			deliver(out)
+			b.deliver(out, f)
 			return
 		}
 	}
@@ -123,9 +118,38 @@ func (b *Bridge) input(in *BridgePort, f *Frame) {
 	b.Flooded++
 	for _, out := range b.ports {
 		if out != in {
-			deliver(out)
+			b.deliver(out, f)
 		}
 	}
+}
+
+// deliver hands f to out after the forwarding latency, holding a
+// reference for the wait.
+func (b *Bridge) deliver(out *BridgePort, f *Frame) {
+	f.Retain()
+	b.eng.Post(b.fwdLat, (*portRx)(out), f)
+}
+
+// portRx is BridgePort as the receiver of its delivery events.
+type portRx BridgePort
+
+func (rx *portRx) HandleEvent(arg any) {
+	recv := rx.recv
+	if rx.dead {
+		recv = nil
+	}
+	handOff(recv, arg)
+}
+
+// handOff ends a frame's wait in a delivery event: the frame goes to
+// recv, if the receiving end still has one, and the reference held for
+// the wait is dropped.
+func handOff(recv func(*Frame), arg any) {
+	f := arg.(*Frame)
+	if recv != nil {
+		recv(f)
+	}
+	f.Release()
 }
 
 // Pipe is a direct point-to-point NIC pair (a crossover cable), useful in
@@ -136,27 +160,25 @@ type Pipe struct {
 }
 
 type pipeEnd struct {
-	eng   *sim.Engine
-	lat   sim.Duration
-	peer  *pipeEnd
-	recv  func(*Frame)
-	alive bool
+	eng  *sim.Engine
+	lat  sim.Duration
+	peer *pipeEnd
+	recv func(*Frame)
 }
 
 func (e *pipeEnd) Send(f *Frame) {
-	peer := e.peer
-	e.eng.Schedule(e.lat, func() {
-		if peer.alive && peer.recv != nil {
-			peer.recv(f)
-		}
-	})
+	f.Retain()
+	e.eng.Post(e.lat, e.peer, f)
 }
+
+// HandleEvent delivers a frame that crossed the pipe to this end.
+func (e *pipeEnd) HandleEvent(arg any)     { handOff(e.recv, arg) }
 func (e *pipeEnd) SetRecv(fn func(*Frame)) { e.recv = fn }
 
 // NewPipe returns two NICs wired back-to-back with the given latency.
 func NewPipe(eng *sim.Engine, latency sim.Duration) *Pipe {
-	a := &pipeEnd{eng: eng, lat: latency, alive: true}
-	b := &pipeEnd{eng: eng, lat: latency, alive: true}
+	a := &pipeEnd{eng: eng, lat: latency}
+	b := &pipeEnd{eng: eng, lat: latency}
 	a.peer, b.peer = b, a
 	return &Pipe{A: a, B: b}
 }

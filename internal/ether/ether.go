@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"wavnet/internal/netsim"
 	"wavnet/internal/sim"
@@ -49,11 +50,92 @@ const (
 const HeaderLen = 14
 
 // Frame is a link-layer frame. Payload is not copied by the bridge;
-// receivers must treat frames as immutable.
+// receivers must treat frames as immutable. A frame passed to NIC.Send
+// or to a receive handler is valid only for that call: a callee that
+// needs it later calls Retain before returning and Release when done,
+// or keeps a Clone (see netsim.Buf for the ownership rule). Frames built
+// as plain literals carry no lease, stay caller-owned and are never
+// recycled, so for them Retain and Release do nothing.
 type Frame struct {
 	Dst, Src MAC
 	Type     uint16
 	Payload  []byte
+
+	// lease backs Payload — and holds this struct — for frames made by
+	// NewFrame; nil for caller-owned literals. It is never cleared: a
+	// Release that comes after the lease has ended reaches the buffer
+	// and panics there as the double release it is.
+	lease *netsim.Buf
+}
+
+// parked is what ether leaves on a leased buffer (netsim.Buf.Parked):
+// the Frame structs carved from it so far. They stay with the buffer
+// when it goes back to its pool and are handed out again, in order,
+// under its next lease, so steady-state framing allocates nothing.
+type parked struct {
+	gen    uint32 // lease the first used frames were handed out under
+	used   int
+	frames []*Frame
+
+	// Most buffers carry one packet: the first frame and its slot are
+	// part of this struct, so parking costs one allocation.
+	first Frame
+	slot  [1]*Frame
+}
+
+// frameBytes is what one more parked frame adds to a buffer's weight.
+const frameBytes = int(unsafe.Sizeof(Frame{}) + unsafe.Sizeof((*Frame)(nil)))
+
+// NewFrame returns a zero frame whose payload will lie inside the
+// leased buffer b. The struct is parked on the buffer and recycled with
+// it, so the frame lives exactly as long as the caller (or whoever
+// Retains it) holds b. A nil b gives an ordinary caller-owned frame.
+func NewFrame(b *netsim.Buf) *Frame {
+	if b == nil {
+		return new(Frame)
+	}
+	p, _ := b.Parked.(*parked)
+	if p == nil {
+		p = new(parked)
+		p.slot[0] = &p.first
+		p.frames = p.slot[:]
+		b.Parked = p
+		b.ParkedBytes += int(unsafe.Sizeof(*p))
+	}
+	if g := b.Gen(); p.gen != g {
+		p.gen, p.used = g, 0
+	}
+	if p.used == len(p.frames) {
+		p.frames = append(p.frames, new(Frame))
+		b.ParkedBytes += frameBytes
+	}
+	f := p.frames[p.used]
+	p.used++
+	*f = Frame{lease: b}
+	return f
+}
+
+// Lease returns the lease backing the frame, nil for caller-owned ones.
+func (f *Frame) Lease() *netsim.Buf { return f.lease }
+
+// Retain keeps the frame valid past the current call.
+func (f *Frame) Retain() {
+	if f.lease != nil {
+		f.lease.Retain()
+	}
+}
+
+// Release ends one Retain (or the creator's own hold).
+func (f *Frame) Release() {
+	if f.lease != nil {
+		f.lease.Release()
+	}
+}
+
+// Clone returns a caller-owned deep copy, for consumers that keep
+// frames indefinitely (captures, logs).
+func (f *Frame) Clone() *Frame {
+	return &Frame{Dst: f.Dst, Src: f.Src, Type: f.Type, Payload: append([]byte(nil), f.Payload...)}
 }
 
 // WireLen returns the frame's size on the wire.

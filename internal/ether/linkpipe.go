@@ -24,14 +24,15 @@ type linkEnd struct {
 }
 
 func (e *linkEnd) Send(f *Frame) {
-	if !e.link.Send(f.WireLen(), func() {
-		if e.peer.recv != nil {
-			e.peer.recv(f)
-		}
-	}) {
+	if !e.link.Post(f.WireLen(), e.peer, f) {
 		e.Drops++
+		return
 	}
+	f.Retain()
 }
+
+// HandleEvent delivers a frame that crossed the link to this end.
+func (e *linkEnd) HandleEvent(arg any) { handOff(e.recv, arg) }
 
 func (e *linkEnd) SetRecv(fn func(*Frame)) { e.recv = fn }
 

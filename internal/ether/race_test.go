@@ -73,22 +73,3 @@ func TestTableRaceForwardingVsLearning(t *testing.T) {
 		t.Fatalf("post-race lookup = %v %v, want 9 true", p, ok)
 	}
 }
-
-// BenchmarkForwardTableSteadyState is the switch's per-frame table work
-// — one refresh learn plus one unicast lookup on the COW tables —
-// pinned at 0 allocs/op by the alloc-budget CI job.
-func BenchmarkForwardTableSteadyState(b *testing.B) {
-	eng := sim.NewEngine(1)
-	table := NewVNITable[int](eng, 0)
-	src, dst := SeqMAC(1), SeqMAC(2)
-	table.Learn(42, src, 1)
-	table.Learn(42, dst, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table.Learn(42, src, 1)
-		if _, ok := table.Lookup(42, dst); !ok {
-			b.Fatal("miss")
-		}
-	}
-}

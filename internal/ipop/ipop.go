@@ -170,6 +170,9 @@ func (n *Node) VirtualMTU() int {
 	return 1472 - 12 - overlayHeaderExtra - ether.HeaderLen
 }
 
+// Pool returns the world's buffer pool.
+func (n *Node) Pool() *netsim.Pool { return n.phys.Network().Pool() }
+
 // AttachVIF adds a local bridge port (VM NIC).
 func (n *Node) AttachVIF(name string) ether.NIC { return n.bridge.AddPort(name) }
 
@@ -185,7 +188,7 @@ func (n *Node) CreateDom0(ip netsim.IP) *ipstack.Stack {
 	n.macSeq++
 	mac := ether.MAC{0x02, 0x49, byte(n.ringID >> 16), byte(n.ringID >> 8), byte(n.ringID), byte(n.macSeq)}
 	n.dom0 = ipstack.New(n.nw.eng, n.name+"-ipop-dom0", n.AttachVIF("vnet0"), mac, ip,
-		ipstack.Config{MTU: n.VirtualMTU()})
+		ipstack.Config{MTU: n.VirtualMTU(), Pool: n.Pool()})
 	n.nw.RegisterIP(ip, n)
 	return n.dom0
 }
@@ -362,14 +365,16 @@ func (n *Node) onPacket(pkt netsim.Packet) {
 			l.addr = pkt.Src
 		}
 	case opData:
+		pkt = pkt.Keep() // held until the daemon gets to it
 		n.process(func() { n.onOverlayData(pkt) })
 	}
 }
 
 // process applies the node's user-level packet cost: fixed delay plus a
 // service-rate queue. Packets beyond one second of backlog are dropped —
-// the overloaded-daemon behaviour behind Figure 7.
-func (n *Node) process(fn func()) {
+// the overloaded-daemon behaviour behind Figure 7 — and process reports
+// false.
+func (n *Node) process(fn func()) bool {
 	now := n.nw.eng.Now()
 	if n.busyUntil < now {
 		n.busyUntil = now
@@ -378,10 +383,11 @@ func (n *Node) process(fn func()) {
 	if n.busyUntil.Sub(now) > sim.Second {
 		n.ProcDrops++
 		n.nw.Dropped++
-		return
+		return false
 	}
 	n.busyUntil = n.busyUntil.Add(service)
 	n.nw.eng.At(n.busyUntil.Add(n.nw.cfg.ProcDelay), fn)
+	return true
 }
 
 // ---- data path ----
@@ -423,7 +429,13 @@ func (n *Node) onTapFrame(f *ether.Frame) {
 		dst := netsim.IP(binary.BigEndian.Uint32(f.Payload[16:20]))
 		src := netsim.IP(binary.BigEndian.Uint32(f.Payload[12:16]))
 		n.learnLocal(src, f.Src)
-		n.process(func() { n.route(dst, f) })
+		f.Retain() // held until the daemon gets to it
+		if !n.process(func() {
+			n.route(dst, f)
+			f.Release()
+		}) {
+			f.Release()
+		}
 	}
 }
 

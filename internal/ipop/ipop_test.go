@@ -25,6 +25,7 @@ func buildRig(t *testing.T, seed int64, n int, cfg Config) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(seed)}
 	r.nw = netsim.New(r.eng)
+	r.nw.Pool().SetPoison(true) // catch use-after-release in every test on this network
 	hub := r.nw.NewSite("hub")
 	stunHost := r.nw.NewPublicHost("stun", hub, netsim.MustParseIP("70.0.0.1"), 0, time.Millisecond)
 	if _, err := stun.NewServer(stunHost, netsim.MustParseIP("70.0.0.2"), 3478, 3479); err != nil {

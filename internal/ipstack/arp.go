@@ -24,9 +24,16 @@ type arpEntry struct {
 }
 
 type arpPending struct {
-	queue [][]byte // marshalled IPv4 packets awaiting the MAC
+	queue []queuedIP // IPv4 packets awaiting the MAC
 	tries int
 	timer *sim.Timer
+}
+
+// queuedIP is one packet parked during resolution: the stack's own
+// reference on its buffer, and the packet's length in it.
+type queuedIP struct {
+	b *netsim.Buf
+	n int
 }
 
 const (
@@ -56,11 +63,13 @@ func (a *arpCache) lookup(ip netsim.IP) (ether.MAC, bool) {
 	return e.mac, true
 }
 
-// sendResolved transmits an IPv4 packet, resolving the MAC first if
-// needed.
-func (a *arpCache) sendResolved(dst netsim.IP, ipPkt []byte) {
+// sendResolved transmits the n-byte IPv4 packet at the front of b,
+// resolving the MAC first if needed. It takes over the caller's
+// reference: released once sent, or held while the packet is queued.
+func (a *arpCache) sendResolved(dst netsim.IP, b *netsim.Buf, n int) {
 	if mac, ok := a.lookup(dst); ok {
-		a.stack.sendFrame(&ether.Frame{Dst: mac, Src: a.stack.mac, Type: ether.TypeIPv4, Payload: ipPkt})
+		a.stack.sendIPFrame(mac, b, n)
+		b.Release()
 		return
 	}
 	p, inFlight := a.pending[dst]
@@ -70,9 +79,10 @@ func (a *arpCache) sendResolved(dst netsim.IP, ipPkt []byte) {
 		a.request(dst, p)
 	}
 	if len(p.queue) < arpMaxQueue {
-		p.queue = append(p.queue, ipPkt)
+		p.queue = append(p.queue, queuedIP{b, n})
 	} else {
 		a.stack.Drops++
+		b.Release()
 	}
 }
 
@@ -90,6 +100,9 @@ func (a *arpCache) request(dst netsim.IP, p *arpPending) {
 		if p.tries >= arpMaxTries {
 			a.Failures++
 			a.stack.Drops += uint64(len(p.queue))
+			for _, q := range p.queue {
+				q.b.Release()
+			}
 			delete(a.pending, dst)
 			return
 		}
@@ -130,8 +143,9 @@ func (a *arpCache) learn(ip netsim.IP, mac ether.MAC) {
 		if p.timer != nil {
 			p.timer.Stop()
 		}
-		for _, pkt := range p.queue {
-			a.stack.sendFrame(&ether.Frame{Dst: mac, Src: a.stack.mac, Type: ether.TypeIPv4, Payload: pkt})
+		for _, q := range p.queue {
+			a.stack.sendIPFrame(mac, q.b, q.n)
+			q.b.Release()
 		}
 	}
 }

@@ -12,32 +12,69 @@ import (
 	"wavnet/internal/sim"
 )
 
+// poisoned is the configuration every stack in these tests runs with:
+// its own buffer pool in poison mode, so a payload read after its last
+// Release is 0xDB garbage (the transfer tests check content) and a
+// second Release panics.
+func poisoned() Config {
+	pool := netsim.NewPool()
+	pool.SetPoison(true)
+	return Config{Pool: pool}
+}
+
 // twoStacks wires two stacks over a LinkPipe with the given rate/delay.
 func twoStacks(seed int64, rateBps float64, delay sim.Duration) (*sim.Engine, *Stack, *Stack) {
 	eng := sim.NewEngine(seed)
 	pipe := ether.NewLinkPipe(eng, rateBps, delay, 0)
-	a := New(eng, "a", pipe.A, ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), Config{})
-	b := New(eng, "b", pipe.B, ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), Config{})
+	a := New(eng, "a", pipe.A, ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), poisoned())
+	b := New(eng, "b", pipe.B, ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), poisoned())
 	return eng, a, b
 }
 
 func TestHeaderRoundTrips(t *testing.T) {
-	ip := &ipv4Header{TTL: 64, Proto: ProtoTCP, Src: netsim.MustParseIP("1.2.3.4"), Dst: netsim.MustParseIP("5.6.7.8")}
-	h, payload, err := unmarshalIPv4(marshalIPv4(ip, []byte("data")))
+	// Every put* must write each header byte: encode into dirty buffers
+	// and look for what is left of the dirt.
+	dirty := func(n int) []byte { return bytes.Repeat([]byte{0xDB}, n) }
+	clean := func(name string, hdr []byte) {
+		t.Helper()
+		if bytes.IndexByte(hdr, 0xDB) >= 0 {
+			t.Fatalf("%s header left dirty bytes: % x", name, hdr)
+		}
+	}
+	ip := &ipv4Header{TotalLen: IPHeaderLen + 4, TTL: 64, Proto: ProtoTCP, Src: netsim.MustParseIP("1.2.3.4"), Dst: netsim.MustParseIP("5.6.7.8")}
+	b := dirty(IPHeaderLen + 4)
+	putIPv4(b, ip)
+	clean("ipv4", b[:IPHeaderLen])
+	copy(b[IPHeaderLen:], "data")
+	h, payload, err := unmarshalIPv4(b)
 	if err != nil || h.Src != ip.Src || h.Dst != ip.Dst || h.Proto != ProtoTCP || string(payload) != "data" {
 		t.Fatalf("ipv4 round trip: %+v %q %v", h, payload, err)
 	}
-	seg := &tcpSegment{SrcPort: 80, DstPort: 8080, Seq: 42, Ack: 17, Flags: flagACK | flagPSH, Wnd: 1 << 20, Payload: []byte("xyz")}
-	got, err := unmarshalTCP(marshalTCP(seg))
+	seg := &tcpSegment{SrcPort: 80, DstPort: 8080, Seq: 42, Ack: 17, Flags: flagACK | flagPSH, Wnd: 1 << 20,
+		Payload: []byte("xy"), More: []byte("z")}
+	seg.addSACK(100, 200)
+	b = dirty(seg.wireLen())
+	putTCP(b, seg)
+	clean("tcp", b)
+	var got tcpSegment
+	err = unmarshalTCP(&got, b)
 	if err != nil || got.SrcPort != 80 || got.Seq != 42 || got.Ack != 17 || !got.has(flagPSH) ||
-		got.Wnd != 1<<20 || string(got.Payload) != "xyz" {
+		got.Wnd != 1<<20 || string(got.Payload) != "xyz" || len(got.SACK()) != 1 || got.SACK()[0] != [2]uint32{100, 200} {
 		t.Fatalf("tcp round trip: %+v %v", got, err)
 	}
-	u, data, err := unmarshalUDP(marshalUDP(53, 5353, []byte("q")))
+	b = dirty(UDPHeaderLen + 1)
+	putUDP(b, 53, 5353, 1)
+	clean("udp", b[:UDPHeaderLen])
+	b[UDPHeaderLen] = 'q'
+	u, data, err := unmarshalUDP(b)
 	if err != nil || u.Src != 53 || u.Dst != 5353 || string(data) != "q" {
 		t.Fatalf("udp round trip: %+v %v", u, err)
 	}
-	ic, err := unmarshalICMP(marshalICMP(&icmpEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Data: []byte("p")}))
+	b = dirty(ICMPHeaderLen + 1)
+	putICMP(b, ICMPEchoRequest, 7, 9)
+	clean("icmp", b[:ICMPHeaderLen])
+	b[ICMPHeaderLen] = 'p'
+	ic, err := unmarshalICMP(b)
 	if err != nil || ic.ID != 7 || ic.Seq != 9 || string(ic.Data) != "p" {
 		t.Fatalf("icmp round trip: %+v %v", ic, err)
 	}
@@ -45,8 +82,9 @@ func TestHeaderRoundTrips(t *testing.T) {
 
 func TestPropertyCodecsNeverPanic(t *testing.T) {
 	f := func(b []byte) bool {
+		var seg tcpSegment
 		unmarshalIPv4(b)
-		unmarshalTCP(b)
+		unmarshalTCP(&seg, b)
 		unmarshalUDP(b)
 		unmarshalICMP(b)
 		return true
@@ -111,8 +149,8 @@ func TestPingTimeout(t *testing.T) {
 func TestGratuitousARPUpdatesCache(t *testing.T) {
 	eng := sim.NewEngine(3)
 	br := ether.NewBridge(eng, "br", time.Microsecond)
-	a := New(eng, "a", br.AddPort("p0"), ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), Config{})
-	b := New(eng, "b", br.AddPort("p1"), ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), Config{})
+	a := New(eng, "a", br.AddPort("p0"), ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), poisoned())
+	b := New(eng, "b", br.AddPort("p1"), ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), poisoned())
 	eng.Spawn("ping", func(p *sim.Proc) {
 		if _, err := a.Ping(p, b.IP(), 8, time.Second); err != nil {
 			t.Errorf("ping: %v", err)
@@ -120,7 +158,7 @@ func TestGratuitousARPUpdatesCache(t *testing.T) {
 	})
 	eng.Run()
 	// A "new host" claims b's IP with a different MAC via gratuitous ARP.
-	c := New(eng, "c", br.AddPort("p2"), ether.SeqMAC(3), netsim.MustParseIP("10.0.0.2"), Config{})
+	c := New(eng, "c", br.AddPort("p2"), ether.SeqMAC(3), netsim.MustParseIP("10.0.0.2"), poisoned())
 	_ = c
 	c.AnnounceGratuitousARP()
 	eng.Run()
@@ -249,8 +287,8 @@ func transferQueued(t *testing.T, seed int64, rateBps float64, delay sim.Duratio
 	if lossRate > 0 {
 		nicA = ether.Impair(pipe.A, lossRate, eng.Rand())
 	}
-	a := New(eng, "a", nicA, ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), Config{})
-	b := New(eng, "b", pipe.B, ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), Config{})
+	a := New(eng, "a", nicA, ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), poisoned())
+	b := New(eng, "b", pipe.B, ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), poisoned())
 
 	var done sim.Time
 	var rxBytes int
@@ -495,8 +533,8 @@ func TestTCPDataIntegrityUnderLoss(t *testing.T) {
 	eng := sim.NewEngine(15)
 	pipe := ether.NewLinkPipe(eng, 20e6, 5*time.Millisecond, 0)
 	lossy := ether.Impair(pipe.A, 0.03, eng.Rand())
-	a := New(eng, "a", lossy, ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), Config{})
-	b := New(eng, "b", pipe.B, ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), Config{})
+	a := New(eng, "a", lossy, ether.SeqMAC(1), netsim.MustParseIP("10.0.0.1"), poisoned())
+	b := New(eng, "b", pipe.B, ether.SeqMAC(2), netsim.MustParseIP("10.0.0.2"), poisoned())
 	total := 512 << 10
 	pattern := func(i int) byte { return byte(i*31 + i>>8) }
 	var bad bool

@@ -49,26 +49,43 @@ type ipv4Header struct {
 
 const defaultTTL = 64
 
-func marshalIPv4(h *ipv4Header, payload []byte) []byte {
-	b := make([]byte, IPHeaderLen+len(payload))
-	b[0] = 0x45
-	binary.BigEndian.PutUint16(b[2:], uint16(IPHeaderLen+len(payload)))
+// Every put* below writes its header into the front of b, which may be
+// a recycled (dirty) buffer: each header byte is written, the unused
+// ones as zero.
+
+// putIPv4 writes the header of a packet whose total length is
+// h.TotalLen into b[:IPHeaderLen].
+func putIPv4(b []byte, h *ipv4Header) {
+	b[0], b[1] = 0x45, 0
+	binary.BigEndian.PutUint16(b[2:], uint16(h.TotalLen))
+	binary.BigEndian.PutUint32(b[4:], 0)
 	b[8] = h.TTL
 	b[9] = h.Proto
+	b[10], b[11] = 0, 0
 	binary.BigEndian.PutUint32(b[12:], uint32(h.Src))
 	binary.BigEndian.PutUint32(b[16:], uint32(h.Dst))
-	copy(b[IPHeaderLen:], payload)
-	return b
 }
 
-func unmarshalIPv4(b []byte) (*ipv4Header, []byte, error) {
+var (
+	errShortIPv4 = errors.New("ipstack: short IPv4 packet")
+	errNotIPv4   = errors.New("ipstack: not IPv4")
+	errIPv4Len   = errors.New("ipstack: bad IPv4 length")
+	errShortICMP = errors.New("ipstack: short ICMP")
+	errShortUDP  = errors.New("ipstack: short UDP")
+	errUDPLen    = errors.New("ipstack: bad UDP length")
+	errShortTCP  = errors.New("ipstack: short TCP segment")
+	errSACKCount = errors.New("ipstack: bad SACK count")
+	errTCPLen    = errors.New("ipstack: bad TCP payload length")
+)
+
+func unmarshalIPv4(b []byte) (ipv4Header, []byte, error) {
 	if len(b) < IPHeaderLen {
-		return nil, nil, errors.New("ipstack: short IPv4 packet")
+		return ipv4Header{}, nil, errShortIPv4
 	}
 	if b[0]>>4 != 4 {
-		return nil, nil, errors.New("ipstack: not IPv4")
+		return ipv4Header{}, nil, errNotIPv4
 	}
-	h := &ipv4Header{
+	h := ipv4Header{
 		TotalLen: int(binary.BigEndian.Uint16(b[2:])),
 		TTL:      b[8],
 		Proto:    b[9],
@@ -76,7 +93,7 @@ func unmarshalIPv4(b []byte) (*ipv4Header, []byte, error) {
 		Dst:      netsim.IP(binary.BigEndian.Uint32(b[16:])),
 	}
 	if h.TotalLen < IPHeaderLen || h.TotalLen > len(b) {
-		return nil, nil, errors.New("ipstack: bad IPv4 length")
+		return ipv4Header{}, nil, errIPv4Len
 	}
 	return h, b[IPHeaderLen:h.TotalLen], nil
 }
@@ -93,20 +110,19 @@ type icmpEcho struct {
 	Data    []byte
 }
 
-func marshalICMP(m *icmpEcho) []byte {
-	b := make([]byte, ICMPHeaderLen+len(m.Data))
-	b[0] = m.Type
-	binary.BigEndian.PutUint16(b[4:], m.ID)
-	binary.BigEndian.PutUint16(b[6:], m.Seq)
-	copy(b[ICMPHeaderLen:], m.Data)
-	return b
+// putICMP writes the echo header into b[:ICMPHeaderLen]; the data
+// follows it.
+func putICMP(b []byte, typ uint8, id, seq uint16) {
+	b[0], b[1], b[2], b[3] = typ, 0, 0, 0
+	binary.BigEndian.PutUint16(b[4:], id)
+	binary.BigEndian.PutUint16(b[6:], seq)
 }
 
-func unmarshalICMP(b []byte) (*icmpEcho, error) {
+func unmarshalICMP(b []byte) (icmpEcho, error) {
 	if len(b) < ICMPHeaderLen {
-		return nil, errors.New("ipstack: short ICMP")
+		return icmpEcho{}, errShortICMP
 	}
-	return &icmpEcho{
+	return icmpEcho{
 		Type: b[0],
 		ID:   binary.BigEndian.Uint16(b[4:]),
 		Seq:  binary.BigEndian.Uint16(b[6:]),
@@ -119,26 +135,26 @@ type udpHeader struct {
 	Len      int
 }
 
-func marshalUDP(src, dst uint16, payload []byte) []byte {
-	b := make([]byte, UDPHeaderLen+len(payload))
+// putUDP writes the header of a datagram carrying n payload bytes into
+// b[:UDPHeaderLen].
+func putUDP(b []byte, src, dst uint16, n int) {
 	binary.BigEndian.PutUint16(b[0:], src)
 	binary.BigEndian.PutUint16(b[2:], dst)
-	binary.BigEndian.PutUint16(b[4:], uint16(UDPHeaderLen+len(payload)))
-	copy(b[UDPHeaderLen:], payload)
-	return b
+	binary.BigEndian.PutUint16(b[4:], uint16(UDPHeaderLen+n))
+	b[6], b[7] = 0, 0
 }
 
-func unmarshalUDP(b []byte) (*udpHeader, []byte, error) {
+func unmarshalUDP(b []byte) (udpHeader, []byte, error) {
 	if len(b) < UDPHeaderLen {
-		return nil, nil, errors.New("ipstack: short UDP")
+		return udpHeader{}, nil, errShortUDP
 	}
-	h := &udpHeader{
+	h := udpHeader{
 		Src: binary.BigEndian.Uint16(b[0:]),
 		Dst: binary.BigEndian.Uint16(b[2:]),
 		Len: int(binary.BigEndian.Uint16(b[4:])),
 	}
 	if h.Len < UDPHeaderLen || h.Len > len(b) {
-		return nil, nil, errors.New("ipstack: bad UDP length")
+		return udpHeader{}, nil, errUDPLen
 	}
 	return h, b[UDPHeaderLen:h.Len], nil
 }
@@ -160,71 +176,87 @@ const maxSACKBlocks = 16
 
 // tcpSegment is the decoded form of this stack's TCP header: standard
 // fields, a 32-bit advertised window in place of window scaling, and up
-// to four SACK blocks carried inline (8 bytes each, after the fixed
-// header).
+// to maxSACKBlocks SACK blocks carried inline (8 bytes each, after the
+// fixed header). The blocks are held by value, sack[:nsack], so that a
+// segment decoded on the stack stays there. A decoded segment's Payload
+// aliases the wire; on output the payload is Payload followed by More
+// (the two spans of a send ring).
 type tcpSegment struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
 	Flags            uint8
 	Wnd              uint32
-	SACK             [][2]uint32
-	Payload          []byte
+	Payload, More    []byte
+
+	nsack int
+	sack  [maxSACKBlocks][2]uint32
 }
 
-func marshalTCP(s *tcpSegment) []byte {
-	ns := len(s.SACK)
-	if ns > maxSACKBlocks {
-		ns = maxSACKBlocks
+// SACK returns the segment's SACK blocks.
+func (s *tcpSegment) SACK() [][2]uint32 { return s.sack[:s.nsack] }
+
+// addSACK appends one block; blocks past maxSACKBlocks are dropped.
+func (s *tcpSegment) addSACK(start, end uint32) {
+	if s.nsack < maxSACKBlocks {
+		s.sack[s.nsack] = [2]uint32{start, end}
+		s.nsack++
 	}
-	b := make([]byte, TCPHeaderLen+8*ns+len(s.Payload))
+}
+
+// wireLen is the segment's encoded size.
+func (s *tcpSegment) wireLen() int {
+	return TCPHeaderLen + 8*s.nsack + len(s.Payload) + len(s.More)
+}
+
+// putTCP encodes the segment into b[:s.wireLen()].
+func putTCP(b []byte, s *tcpSegment) {
 	binary.BigEndian.PutUint16(b[0:], s.SrcPort)
 	binary.BigEndian.PutUint16(b[2:], s.DstPort)
 	binary.BigEndian.PutUint32(b[4:], s.Seq)
 	binary.BigEndian.PutUint32(b[8:], s.Ack)
 	b[12] = s.Flags
-	b[13] = byte(ns)
+	b[13] = byte(s.nsack)
 	binary.BigEndian.PutUint32(b[14:], s.Wnd)
-	binary.BigEndian.PutUint16(b[18:], uint16(len(s.Payload)))
+	binary.BigEndian.PutUint16(b[18:], uint16(len(s.Payload)+len(s.More)))
 	off := TCPHeaderLen
-	for i := 0; i < ns; i++ {
-		binary.BigEndian.PutUint32(b[off:], s.SACK[i][0])
-		binary.BigEndian.PutUint32(b[off+4:], s.SACK[i][1])
+	for _, blk := range s.SACK() {
+		binary.BigEndian.PutUint32(b[off:], blk[0])
+		binary.BigEndian.PutUint32(b[off+4:], blk[1])
 		off += 8
 	}
-	copy(b[off:], s.Payload)
-	return b
+	off += copy(b[off:], s.Payload)
+	copy(b[off:], s.More)
 }
 
-func unmarshalTCP(b []byte) (*tcpSegment, error) {
+// unmarshalTCP decodes b into the caller's segment.
+func unmarshalTCP(s *tcpSegment, b []byte) error {
 	if len(b) < TCPHeaderLen {
-		return nil, errors.New("ipstack: short TCP segment")
+		return errShortTCP
 	}
-	s := &tcpSegment{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Seq:     binary.BigEndian.Uint32(b[4:]),
-		Ack:     binary.BigEndian.Uint32(b[8:]),
-		Flags:   b[12],
-		Wnd:     binary.BigEndian.Uint32(b[14:]),
-	}
-	ns := int(b[13])
-	if ns > maxSACKBlocks {
-		return nil, errors.New("ipstack: bad SACK count")
+	s.SrcPort = binary.BigEndian.Uint16(b[0:])
+	s.DstPort = binary.BigEndian.Uint16(b[2:])
+	s.Seq = binary.BigEndian.Uint32(b[4:])
+	s.Ack = binary.BigEndian.Uint32(b[8:])
+	s.Flags = b[12]
+	s.Wnd = binary.BigEndian.Uint32(b[14:])
+	s.nsack = int(b[13])
+	if s.nsack > maxSACKBlocks {
+		return errSACKCount
 	}
 	plen := int(binary.BigEndian.Uint16(b[18:]))
 	off := TCPHeaderLen
-	if off+8*ns+plen > len(b) {
-		return nil, errors.New("ipstack: bad TCP payload length")
+	if off+8*s.nsack+plen > len(b) {
+		return errTCPLen
 	}
-	for i := 0; i < ns; i++ {
-		s.SACK = append(s.SACK, [2]uint32{
+	for i := 0; i < s.nsack; i++ {
+		s.sack[i] = [2]uint32{
 			binary.BigEndian.Uint32(b[off:]),
 			binary.BigEndian.Uint32(b[off+4:]),
-		})
+		}
 		off += 8
 	}
-	s.Payload = b[off : off+plen]
-	return s, nil
+	s.Payload, s.More = b[off:off+plen], nil
+	return nil
 }
 
 func (s *tcpSegment) has(flag uint8) bool { return s.Flags&flag != 0 }
@@ -240,7 +272,7 @@ func (s *tcpSegment) String() string {
 		}
 	}
 	return fmt.Sprintf("tcp %d->%d seq=%d ack=%d [%s] len=%d wnd=%d",
-		s.SrcPort, s.DstPort, s.Seq, s.Ack, fl, len(s.Payload), s.Wnd)
+		s.SrcPort, s.DstPort, s.Seq, s.Ack, fl, len(s.Payload)+len(s.More), s.Wnd)
 }
 
 // Modular 32-bit sequence comparisons.

@@ -20,6 +20,9 @@ type Config struct {
 	RecvBuf, SendBuf int
 	// ARPTimeout ages resolution cache entries (default 60 s).
 	ARPTimeout sim.Duration
+	// Pool is the world's buffer pool (netsim.Network.Pool) the stack
+	// leases its packet buffers from; nil gives the stack one of its own.
+	Pool *netsim.Pool
 }
 
 func (c Config) withDefaults() Config {
@@ -34,6 +37,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ARPTimeout <= 0 {
 		c.ARPTimeout = 60 * sim.Second
+	}
+	if c.Pool == nil {
+		c.Pool = netsim.NewPool()
 	}
 	return c
 }
@@ -173,11 +179,12 @@ func (s *Stack) onFrame(f *ether.Frame) {
 }
 
 func (s *Stack) onIPv4(f *ether.Frame) {
-	h, payload, err := unmarshalIPv4(f.Payload)
+	hdr, payload, err := unmarshalIPv4(f.Payload)
 	if err != nil {
 		s.Drops++
 		return
 	}
+	h := &hdr
 	if h.Dst == netsim.BroadcastIP {
 		// Limited broadcast reaches every stack on the segment, including
 		// unconfigured ones (the DHCP client case). Only UDP listens on
@@ -199,32 +206,48 @@ func (s *Stack) onIPv4(f *ether.Frame) {
 	case ProtoUDP:
 		s.onUDP(h, payload)
 	case ProtoTCP:
-		s.onTCP(h, payload)
+		s.onTCP(h, payload, f.Lease())
 	default:
 		s.Drops++
 	}
 }
 
-// sendIP resolves the destination and emits an IPv4 packet. Packets are
-// queued while ARP resolution is in flight; broadcast skips ARP entirely.
-func (s *Stack) sendIP(dst netsim.IP, proto uint8, payload []byte) {
-	s.sendIPFrom(s.ip, dst, proto, payload)
+// ipBuf leases a buffer for an IPv4 packet carrying n bytes of L4
+// header and payload, and returns it with the L4 region for the caller
+// to fill; the IPv4 header's room is in front of it. The buffer is
+// dirty: every byte of the region must be written.
+func (s *Stack) ipBuf(n int) (*netsim.Buf, []byte) {
+	if n+IPHeaderLen > s.cfg.MTU {
+		panic(fmt.Sprintf("ipstack %s: packet exceeds MTU: %d", s.name, n+IPHeaderLen))
+	}
+	b := s.cfg.Pool.Get(IPHeaderLen + n)
+	return b, b.Data[IPHeaderLen : IPHeaderLen+n]
 }
 
-// sendIPFrom is sendIP with an explicit source address: traffic owed to
-// an alias (a VIP-addressed connection or echo) must reply from the
-// alias, or the far end's demux would never match it.
-func (s *Stack) sendIPFrom(src, dst netsim.IP, proto uint8, payload []byte) {
-	if len(payload)+IPHeaderLen > s.cfg.MTU {
-		panic(fmt.Sprintf("ipstack %s: packet exceeds MTU: %d", s.name, len(payload)+IPHeaderLen))
-	}
-	pkt := marshalIPv4(&ipv4Header{TTL: defaultTTL, Proto: proto, Src: src, Dst: dst}, payload)
+// sendIP writes the IPv4 header in front of the n L4 bytes already in b
+// (from ipBuf), resolves the destination and emits the packet, taking
+// over the caller's reference. Packets are queued while ARP resolution
+// is in flight; broadcast skips ARP entirely. The source address is
+// explicit: traffic owed to an alias (a VIP-addressed connection or
+// echo) must reply from the alias, or the far end's demux would never
+// match it.
+func (s *Stack) sendIP(src, dst netsim.IP, proto uint8, b *netsim.Buf, n int) {
+	putIPv4(b.Data, &ipv4Header{TotalLen: IPHeaderLen + n, TTL: defaultTTL, Proto: proto, Src: src, Dst: dst})
 	s.IPOut++
 	if dst == netsim.BroadcastIP {
-		s.sendFrame(&ether.Frame{Dst: ether.Broadcast, Src: s.mac, Type: ether.TypeIPv4, Payload: pkt})
+		s.sendIPFrame(ether.Broadcast, b, IPHeaderLen+n)
+		b.Release()
 		return
 	}
-	s.arp.sendResolved(dst, pkt)
+	s.arp.sendResolved(dst, b, IPHeaderLen+n)
+}
+
+// sendIPFrame emits the n-byte IPv4 packet at the front of b as one
+// frame; the frame struct rides on the lease too.
+func (s *Stack) sendIPFrame(dst ether.MAC, b *netsim.Buf, n int) {
+	f := ether.NewFrame(b)
+	f.Dst, f.Src, f.Type, f.Payload = dst, s.mac, ether.TypeIPv4, b.Data[:n]
+	s.sendFrame(f)
 }
 
 // ---- ICMP ----
@@ -244,11 +267,12 @@ func (s *Stack) onICMP(h *ipv4Header, payload []byte) {
 	}
 	switch m.Type {
 	case ICMPEchoRequest:
-		reply := *m
-		reply.Type = ICMPEchoReply
 		// Reply from the address the request was sent to — the primary or
 		// an alias — so pinging a VIP looks like pinging a real host.
-		s.sendIPFrom(h.Dst, h.Src, ProtoICMP, marshalICMP(&reply))
+		b, l4 := s.ipBuf(ICMPHeaderLen + len(m.Data))
+		putICMP(l4, ICMPEchoReply, m.ID, m.Seq)
+		copy(l4[ICMPHeaderLen:], m.Data)
+		s.sendIP(h.Dst, h.Src, ProtoICMP, b, len(l4))
 	case ICMPEchoReply:
 		key := uint32(m.ID)<<16 | uint32(m.Seq)
 		if w, ok := s.pingWait[key]; ok {
@@ -280,9 +304,10 @@ func (s *Stack) Ping(p *sim.Proc, dst netsim.IP, payloadLen int, timeout sim.Dur
 	if payloadLen < 0 {
 		payloadLen = 56
 	}
-	s.sendIP(dst, ProtoICMP, marshalICMP(&icmpEcho{
-		Type: ICMPEchoRequest, ID: id, Seq: seq, Data: make([]byte, payloadLen),
-	}))
+	b, l4 := s.ipBuf(ICMPHeaderLen + payloadLen)
+	putICMP(l4, ICMPEchoRequest, id, seq)
+	clear(l4[ICMPHeaderLen:])
+	s.sendIP(s.ip, dst, ProtoICMP, b, len(l4))
 	timer := sim.NewTimer(s.eng, func() {
 		if _, still := s.pingWait[key]; still {
 			delete(s.pingWait, key)

@@ -74,11 +74,11 @@ type Conn struct {
 
 	mss int
 
-	// Send side. sndBuf[0] corresponds to sequence sndUna once
-	// established (the SYN consumed iss).
+	// Send side. The first byte of snd corresponds to sequence sndUna
+	// once established (the SYN consumed iss).
 	iss            uint32
 	sndUna, sndNxt uint32
-	sndBuf         []byte
+	snd            ring
 	sndClosed      bool
 	finSent        bool
 	finAcked       bool
@@ -110,9 +110,11 @@ type Conn struct {
 	rtxUntil  uint32
 
 	// Receive side.
-	rcvNxt      uint32
-	rcvBuf      []byte
-	ooo         []oooSeg
+	rcvNxt uint32
+	rcv    ring
+	// ooo is the out-of-order stash: sorted, disjoint, non-adjacent runs,
+	// so it doubles as the SACK block set.
+	ooo         []oooRun
 	peerFin     bool
 	peerFinSeq  uint32
 	peerFinDone bool
@@ -134,10 +136,18 @@ type Conn struct {
 	timeWaitEv        *sim.Event
 }
 
-type oooSeg struct {
-	seq  uint32
-	data []byte
-	fin  bool
+// oooRun is one contiguous range [seq, end) of out-of-order bytes, held
+// as the pieces of the segments that brought them, in order. A piece
+// holds a reference on the lease its bytes lie in — the stash keeps
+// segments, it does not copy them.
+type oooRun struct {
+	seq, end uint32
+	pieces   []oooPiece
+}
+
+type oooPiece struct {
+	data  []byte
+	lease *netsim.Buf
 }
 
 // Listener accepts inbound TCP connections on a port.
@@ -257,7 +267,7 @@ func (c *Conn) MSS() int { return c.mss }
 func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 func (c *Conn) advWnd() uint32 {
-	free := c.stack.cfg.RecvBuf - len(c.rcvBuf)
+	free := c.stack.cfg.RecvBuf - c.rcv.Len()
 	if free < 0 {
 		free = 0
 	}
@@ -276,35 +286,38 @@ func (c *Conn) sendSeg(seg *tcpSegment) {
 	// Source from the connection's own local address: connections
 	// accepted on an alias (a service VIP) must answer as the VIP, or
 	// the client's demux key would never match.
-	c.stack.sendIPFrom(c.local.IP, c.remote.IP, ProtoTCP, marshalTCP(seg))
+	c.stack.sendTCP(c.local.IP, c.remote.IP, seg)
+}
+
+// sendTCP encodes seg straight into a leased packet buffer and emits it.
+func (s *Stack) sendTCP(src, dst netsim.IP, seg *tcpSegment) {
+	b, l4 := s.ipBuf(seg.wireLen())
+	putTCP(l4, seg)
+	s.sendIP(src, dst, ProtoTCP, b, len(l4))
 }
 
 func (c *Conn) sendACK() {
-	c.sendSeg(&tcpSegment{Flags: flagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Wnd: c.advWnd(), SACK: c.sackBlocks()})
+	ack := &tcpSegment{Flags: flagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Wnd: c.advWnd()}
+	c.fillSACK(ack)
+	c.sendSeg(ack)
 }
 
-// sackBlocks reports the receiver's out-of-order ranges (already
-// coalesced by stashOOO) as SACK blocks: the lowest blocks (the frontier
-// the sender must fill first) plus always the highest block, so the
-// sender can bound the truly-lost span.
-func (c *Conn) sackBlocks() [][2]uint32 {
-	if len(c.ooo) == 0 {
-		return nil
-	}
-	var blocks [][2]uint32
+// fillSACK reports the receiver's out-of-order ranges (already
+// coalesced by stashOOO) as the ACK's SACK blocks: the lowest blocks
+// (the frontier the sender must fill first) plus always the highest
+// block, so the sender can bound the truly-lost span.
+func (c *Conn) fillSACK(ack *tcpSegment) {
 	n := len(c.ooo)
 	take := n
 	if take > maxSACKBlocks {
 		take = maxSACKBlocks - 1
 	}
-	for _, s := range c.ooo[:take] {
-		blocks = append(blocks, [2]uint32{s.seq, s.seq + uint32(len(s.data))})
+	for _, r := range c.ooo[:take] {
+		ack.addSACK(r.seq, r.end)
 	}
 	if take < n {
-		last := c.ooo[n-1]
-		blocks = append(blocks, [2]uint32{last.seq, last.seq + uint32(len(last.data))})
+		ack.addSACK(c.ooo[n-1].seq, c.ooo[n-1].end)
 	}
-	return blocks
 }
 
 // pump transmits as much pending data as the congestion and peer windows
@@ -323,8 +336,8 @@ func (c *Conn) pump() {
 		if c.finSent {
 			break
 		}
-		sentData := int(c.sndNxt - c.sndUna) // bytes of sndBuf already sent
-		avail := len(c.sndBuf) - sentData
+		sentData := int(c.sndNxt - c.sndUna) // bytes of snd already sent
+		avail := c.snd.Len() - sentData
 		if avail <= 0 {
 			break
 		}
@@ -347,15 +360,13 @@ func (c *Conn) pump() {
 		if n < c.mss && n < avail {
 			break
 		}
-		payload := make([]byte, n)
-		copy(payload, c.sndBuf[sentData:sentData+n])
 		seg := &tcpSegment{
-			Flags:   flagACK | flagPSH,
-			Seq:     c.sndNxt,
-			Ack:     c.rcvNxt,
-			Wnd:     c.advWnd(),
-			Payload: payload,
+			Flags: flagACK | flagPSH,
+			Seq:   c.sndNxt,
+			Ack:   c.rcvNxt,
+			Wnd:   c.advWnd(),
 		}
+		seg.Payload, seg.More = c.snd.slices(sentData, n)
 		if !c.rttPending {
 			c.rttPending = true
 			c.rttSeq = c.sndNxt + uint32(n)
@@ -366,7 +377,7 @@ func (c *Conn) pump() {
 		c.sendSeg(seg)
 	}
 	// FIN once everything is sent.
-	if c.sndClosed && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sndBuf) {
+	if c.sndClosed && !c.finSent && int(c.sndNxt-c.sndUna) == c.snd.Len() {
 		c.finSeq = c.sndNxt
 		c.finSent = true
 		c.sndNxt++
@@ -386,7 +397,7 @@ func (c *Conn) pump() {
 		c.tlpTimer.Stop()
 	}
 	// Zero-window probing.
-	if c.peerWnd == 0 && len(c.sndBuf) > 0 && c.flight() == 0 {
+	if c.peerWnd == 0 && c.snd.Len() > 0 && c.flight() == 0 {
 		if !c.persistTimer.Active() {
 			c.persistTimer.Reset(c.rto)
 		}
@@ -394,17 +405,17 @@ func (c *Conn) pump() {
 }
 
 func (c *Conn) onPersist() {
-	if c.state == stateClosed || c.peerWnd > 0 || len(c.sndBuf) == 0 {
+	if c.state == stateClosed || c.peerWnd > 0 || c.snd.Len() == 0 {
 		return
 	}
 	// Probe with one byte beyond the window.
 	probe := &tcpSegment{
-		Flags:   flagACK,
-		Seq:     c.sndNxt,
-		Ack:     c.rcvNxt,
-		Wnd:     c.advWnd(),
-		Payload: c.sndBuf[int(c.sndNxt-c.sndUna):][:1],
+		Flags: flagACK,
+		Seq:   c.sndNxt,
+		Ack:   c.rcvNxt,
+		Wnd:   c.advWnd(),
 	}
+	probe.Payload, _ = c.snd.slices(int(c.sndNxt-c.sndUna), 1)
 	c.sendSeg(probe)
 	c.persistTimer.Reset(c.rto)
 }
@@ -524,16 +535,19 @@ func (c *Conn) onRTO() {
 
 // ---- input ----
 
-func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
-	seg, err := unmarshalTCP(payload)
-	if err != nil {
+// onTCP handles one inbound segment. lease backs payload (nil when the
+// frame was caller-owned): the out-of-order stash retains it instead of
+// copying the bytes.
+func (s *Stack) onTCP(h *ipv4Header, payload []byte, lease *netsim.Buf) {
+	var seg tcpSegment
+	if err := unmarshalTCP(&seg, payload); err != nil {
 		s.Drops++
 		return
 	}
 	key := connKey{seg.DstPort, h.Src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
 		c.SegsIn++
-		c.onSegment(seg)
+		c.onSegment(&seg, lease)
 		return
 	}
 	// New connection to a listener?
@@ -562,11 +576,11 @@ func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
 		if seg.has(flagSYN) {
 			rst.Ack++
 		}
-		s.sendIPFrom(h.Dst, h.Src, ProtoTCP, marshalTCP(rst))
+		s.sendTCP(h.Dst, h.Src, rst)
 	}
 }
 
-func (c *Conn) onSegment(seg *tcpSegment) {
+func (c *Conn) onSegment(seg *tcpSegment, lease *netsim.Buf) {
 	if seg.has(flagRST) {
 		if c.state == stateSynSent {
 			c.teardown(ErrRefused)
@@ -612,7 +626,7 @@ func (c *Conn) onSegment(seg *tcpSegment) {
 		c.processAck(seg)
 	}
 	if len(seg.Payload) > 0 || seg.has(flagFIN) {
-		c.processData(seg)
+		c.processData(seg, lease)
 	}
 }
 
@@ -626,20 +640,26 @@ func (c *Conn) addSacked(start, end uint32) {
 	if seqLT(start, c.sndUna) {
 		start = c.sndUna
 	}
-	c.sacked = append(c.sacked, [2]uint32{start, end})
-	sort.Slice(c.sacked, func(i, j int) bool { return seqLT(c.sacked[i][0], c.sacked[j][0]) })
-	merged := c.sacked[:1]
-	for _, r := range c.sacked[1:] {
-		last := &merged[len(merged)-1]
-		if seqLEQ(r[0], last[1]) {
-			if seqGT(r[1], last[1]) {
-				last[1] = r[1]
-			}
-		} else {
-			merged = append(merged, r)
+	// First range the new one touches (overlaps or abuts): ends are
+	// sorted like starts, so binary search on them.
+	lo := sort.Search(len(c.sacked), func(k int) bool { return seqGEQ(c.sacked[k][1], start) })
+	// Swallow every range it touches, widening it as we go.
+	j := lo
+	for ; j < len(c.sacked) && seqLEQ(c.sacked[j][0], end); j++ {
+		if seqLT(c.sacked[j][0], start) {
+			start = c.sacked[j][0]
+		}
+		if seqGT(c.sacked[j][1], end) {
+			end = c.sacked[j][1]
 		}
 	}
-	c.sacked = merged
+	if j == lo {
+		c.sacked = append(c.sacked, [2]uint32{})
+		copy(c.sacked[lo+1:], c.sacked[lo:])
+	} else {
+		c.sacked = append(c.sacked[:lo+1], c.sacked[j:]...)
+	}
+	c.sacked[lo] = [2]uint32{start, end}
 }
 
 // trimSacked drops scoreboard ranges at or below sndUna.
@@ -752,10 +772,10 @@ func (c *Conn) retransmitRange(seq, limit uint32) int {
 		return 1
 	}
 	off := int(seq - c.sndUna)
-	if off < 0 || off >= len(c.sndBuf) {
+	if off < 0 || off >= c.snd.Len() {
 		return 0
 	}
-	n := len(c.sndBuf) - off
+	n := c.snd.Len() - off
 	if n > c.mss {
 		n = c.mss
 	}
@@ -765,9 +785,9 @@ func (c *Conn) retransmitRange(seq, limit uint32) int {
 	if n <= 0 {
 		return 0
 	}
-	payload := make([]byte, n)
-	copy(payload, c.sndBuf[off:off+n])
-	c.sendSeg(&tcpSegment{Flags: flagACK | flagPSH, Seq: seq, Ack: c.rcvNxt, Wnd: c.advWnd(), Payload: payload})
+	rtx := &tcpSegment{Flags: flagACK | flagPSH, Seq: seq, Ack: c.rcvNxt, Wnd: c.advWnd()}
+	rtx.Payload, rtx.More = c.snd.slices(off, n)
+	c.sendSeg(rtx)
 	c.Retransmits++
 	return n
 }
@@ -814,7 +834,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 	if seqGT(ack, c.sndNxt) {
 		return // acks data we never sent
 	}
-	for _, blk := range seg.SACK {
+	for _, blk := range seg.SACK() {
 		c.addSacked(blk[0], blk[1])
 	}
 	if seqGT(ack, c.sndUna) {
@@ -823,10 +843,10 @@ func (c *Conn) processAck(seg *tcpSegment) {
 			c.finAcked = true
 			ackedData--
 		}
-		if int(ackedData) > len(c.sndBuf) {
-			ackedData = uint32(len(c.sndBuf))
+		if int(ackedData) > c.snd.Len() {
+			ackedData = uint32(c.snd.Len())
 		}
-		c.sndBuf = c.sndBuf[ackedData:]
+		c.snd.discard(int(ackedData))
 		c.sndUna = ack
 		c.trimSacked()
 		c.peerWnd = seg.Wnd
@@ -905,7 +925,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 	// and either an unchanged window (RFC 5681) or SACK info present.
 	if ack == c.sndUna && len(seg.Payload) == 0 && c.flight() > 0 &&
 		!seg.has(flagSYN) && !seg.has(flagFIN) &&
-		(seg.Wnd == c.peerWnd || len(seg.SACK) > 0) {
+		(seg.Wnd == c.peerWnd || seg.nsack > 0) {
 		c.dupAcks++
 		c.DupAcksSeen++
 		c.peerWnd = seg.Wnd
@@ -914,7 +934,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 			// window of data. Dup ACKs for losses inside a window we
 			// already responded to resume recovery at the current cwnd.
 			c.enterRecovery(seqGEQ(c.sndUna, c.recover))
-		} else if c.tlpOut && !c.inRecovery && len(seg.SACK) > 0 {
+		} else if c.tlpOut && !c.inRecovery && seg.nsack > 0 {
 			// The tail probe was SACKed while the hole below it persists:
 			// the tail of the flight was genuinely lost, and no further
 			// dup ACKs are coming to reach the usual threshold of three.
@@ -934,7 +954,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 	}
 }
 
-func (c *Conn) processData(seg *tcpSegment) {
+func (c *Conn) processData(seg *tcpSegment, lease *netsim.Buf) {
 	seq := seg.Seq
 	data := seg.Payload
 	if seg.has(flagFIN) {
@@ -948,7 +968,7 @@ func (c *Conn) processData(seg *tcpSegment) {
 			// Entirely old: re-ACK.
 		case seqGT(seq, c.rcvNxt):
 			// Out of order: stash, dup-ACK.
-			c.stashOOO(seq, data, false)
+			c.stashOOO(seq, data, lease)
 		default:
 			if seqLT(seq, c.rcvNxt) {
 				data = data[c.rcvNxt-seq:]
@@ -965,62 +985,111 @@ func (c *Conn) processData(seg *tcpSegment) {
 
 // admit appends in-order data to the receive buffer.
 func (c *Conn) admit(data []byte) {
-	free := c.stack.cfg.RecvBuf - len(c.rcvBuf)
+	free := c.stack.cfg.RecvBuf - c.rcv.Len()
 	if len(data) > free {
 		data = data[:free] // peer overran our advertised window
 	}
-	c.rcvBuf = append(c.rcvBuf, data...)
+	c.rcv.write(data)
 	c.rcvNxt += uint32(len(data))
 	c.BytesIn += uint64(len(data))
 }
 
-// stashOOO stores an out-of-order segment, keeping the list sorted and
-// coalesced so it doubles as the SACK block set.
-func (c *Conn) stashOOO(seq uint32, data []byte, fin bool) {
-	if len(c.ooo) >= 256 {
+// maxOOORuns bounds the stash: a segment arriving with this many runs
+// already held is dropped.
+const maxOOORuns = 256
+
+// stashOOO stores an out-of-order segment, keeping the runs sorted and
+// coalesced so they double as the SACK block set. The segment's bytes
+// are not copied: each piece it contributes retains lease (a segment
+// that arrived without one is copied into a lease of its own first).
+// Bytes the stash already holds are kept and the new copy of them is
+// ignored, so a run's pieces never overlap.
+func (c *Conn) stashOOO(seq uint32, data []byte, lease *netsim.Buf) {
+	if len(c.ooo) >= maxOOORuns {
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.ooo = append(c.ooo, oooSeg{seq: seq, data: cp, fin: fin})
-	sort.Slice(c.ooo, func(i, j int) bool { return seqLT(c.ooo[i].seq, c.ooo[j].seq) })
-	// Coalesce overlapping/adjacent runs.
-	merged := c.ooo[:1]
-	for _, s := range c.ooo[1:] {
-		last := &merged[len(merged)-1]
-		lastEnd := last.seq + uint32(len(last.data))
-		if seqLEQ(s.seq, lastEnd) {
-			sEnd := s.seq + uint32(len(s.data))
-			if seqGT(sEnd, lastEnd) {
-				last.data = append(last.data, s.data[lastEnd-s.seq:]...)
-			}
-			last.fin = last.fin || s.fin
-		} else {
-			merged = append(merged, s)
-		}
+	own := lease == nil
+	if own {
+		lease = c.stack.cfg.Pool.Get(len(data))
+		data = lease.Data[:copy(lease.Data, data)]
 	}
-	c.ooo = merged
+	c.insertOOO(seq, data, lease)
+	if own {
+		lease.Release()
+	}
 }
 
+func (c *Conn) insertOOO(seq uint32, data []byte, lease *netsim.Buf) {
+	end := seq + uint32(len(data))
+	piece := func(from, to uint32) oooPiece {
+		return oooPiece{data: data[from-seq : to-seq], lease: lease.Retain()}
+	}
+	// First run the segment touches (overlaps or abuts): run ends are
+	// sorted like run starts, so binary search on them.
+	i := sort.Search(len(c.ooo), func(k int) bool { return seqGEQ(c.ooo[k].end, seq) })
+	if i == len(c.ooo) || seqLT(end, c.ooo[i].seq) {
+		// Touches nothing: a new run.
+		c.ooo = append(c.ooo, oooRun{})
+		copy(c.ooo[i+1:], c.ooo[i:])
+		c.ooo[i] = oooRun{seq: seq, end: end, pieces: []oooPiece{piece(seq, end)}}
+		return
+	}
+	r := &c.ooo[i]
+	if seqLT(seq, r.seq) {
+		r.pieces = append(r.pieces, oooPiece{})
+		copy(r.pieces[1:], r.pieces)
+		r.pieces[0] = piece(seq, r.seq)
+		r.seq = seq
+	}
+	// Extend the run's tail with whatever the segment adds beyond it,
+	// swallowing each following run the tail reaches.
+	for {
+		next := i + 1
+		if seqGT(end, r.end) {
+			to := end
+			if next < len(c.ooo) && seqLT(c.ooo[next].seq, to) {
+				to = c.ooo[next].seq
+			}
+			r.pieces = append(r.pieces, piece(r.end, to))
+			r.end = to
+		}
+		if next == len(c.ooo) || seqLT(r.end, c.ooo[next].seq) {
+			return
+		}
+		r.pieces = append(r.pieces, c.ooo[next].pieces...)
+		r.end = c.ooo[next].end
+		c.ooo = append(c.ooo[:next], c.ooo[next+1:]...)
+		r = &c.ooo[i]
+	}
+}
+
+// drainOOO admits every run the in-order point has reached and lets go
+// of its leases.
 func (c *Conn) drainOOO() {
-	changed := true
-	for changed {
-		changed = false
-		for i, s := range c.ooo {
-			end := s.seq + uint32(len(s.data))
-			if seqLEQ(end, c.rcvNxt) {
-				c.ooo = append(c.ooo[:i], c.ooo[i+1:]...)
-				changed = true
-				break
+	n := 0
+	for ; n < len(c.ooo) && seqLEQ(c.ooo[n].seq, c.rcvNxt); n++ {
+		at := c.ooo[n].seq
+		for _, p := range c.ooo[n].pieces {
+			pieceEnd := at + uint32(len(p.data))
+			if seqGT(pieceEnd, c.rcvNxt) && seqLEQ(at, c.rcvNxt) {
+				c.admit(p.data[c.rcvNxt-at:])
 			}
-			if seqLEQ(s.seq, c.rcvNxt) {
-				c.admit(s.data[c.rcvNxt-s.seq:])
-				c.ooo = append(c.ooo[:i], c.ooo[i+1:]...)
-				changed = true
-				break
-			}
+			at = pieceEnd
+			p.lease.Release()
+		}
+		c.ooo[n].pieces = nil
+	}
+	c.ooo = c.ooo[:copy(c.ooo, c.ooo[n:])]
+}
+
+// dropOOO discards the stash.
+func (c *Conn) dropOOO() {
+	for _, r := range c.ooo {
+		for _, p := range r.pieces {
+			p.lease.Release()
 		}
 	}
+	c.ooo = nil
 }
 
 // consumeFin advances past the peer's FIN once all data before it has
@@ -1077,12 +1146,17 @@ func (c *Conn) enterTimeWait() {
 
 func (c *Conn) setState(s connState) { c.state = s }
 
-// remove deletes the connection from the stack's demux table.
+// remove deletes the connection from the stack's demux table and lets
+// go of what only a live connection needs — the send ring and the
+// out-of-order stash — so a finished Conn someone still holds does not
+// pin megabytes. Unread received data stays readable.
 func (c *Conn) remove() {
 	c.setState(stateClosed)
 	c.rtxTimer.Stop()
 	c.tlpTimer.Stop()
 	c.persistTimer.Stop()
+	c.snd.free()
+	c.dropOOO()
 	delete(c.stack.conns, c.key)
 	c.readWq.Broadcast()
 	c.writeWq.Broadcast()
@@ -1127,9 +1201,8 @@ func (c *Conn) SRTT() sim.Duration { return c.srtt }
 // Read copies received bytes into buf, blocking until data, EOF or error.
 func (c *Conn) Read(p *sim.Proc, buf []byte) (int, error) {
 	for {
-		if len(c.rcvBuf) > 0 {
-			n := copy(buf, c.rcvBuf)
-			c.rcvBuf = c.rcvBuf[n:]
+		if c.rcv.Len() > 0 {
+			n := c.rcv.read(buf)
 			// Window update if we freed a meaningful amount.
 			if adv := c.advWnd(); adv >= uint32(c.mss) && adv-c.lastAdvWnd >= uint32(c.mss) && c.state != stateClosed {
 				c.sendACK()
@@ -1175,7 +1248,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if c.sndClosed || c.state == stateClosed {
 			return written, ErrConnClosed
 		}
-		space := c.stack.cfg.SendBuf - len(c.sndBuf)
+		space := c.stack.cfg.SendBuf - c.snd.Len()
 		if space <= 0 {
 			if !c.writeWq.Wait(p) {
 				return written, ErrConnClosed
@@ -1186,7 +1259,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if n > space {
 			n = space
 		}
-		c.sndBuf = append(c.sndBuf, data[written:written+n]...)
+		c.snd.write(data[written : written+n])
 		written += n
 		c.pump()
 	}

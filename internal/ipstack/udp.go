@@ -7,7 +7,9 @@ import (
 	"wavnet/internal/sim"
 )
 
-// Datagram is a received virtual-UDP datagram.
+// Datagram is a received virtual-UDP datagram. The payload handed to a
+// socket's handler is valid only for that call (see netsim.Buf);
+// datagrams queued for Recv hold their own copy.
 type Datagram struct {
 	From    netsim.Addr
 	Payload []byte
@@ -52,7 +54,8 @@ func (u *UDPSock) Port() uint16 { return u.port }
 func (u *UDPSock) Addr() netsim.Addr { return netsim.Addr{IP: u.stack.ip, Port: u.port} }
 
 // SendTo emits a datagram. Payloads larger than MTU−28 return an error
-// (no fragmentation).
+// (no fragmentation). The payload is copied into the packet's buffer —
+// the one copy this hop makes — so the caller may reuse it at once.
 func (u *UDPSock) SendTo(dst netsim.Addr, payload []byte) error {
 	if u.closed {
 		return fmt.Errorf("ipstack: send on closed socket")
@@ -61,7 +64,10 @@ func (u *UDPSock) SendTo(dst netsim.Addr, payload []byte) error {
 		return fmt.Errorf("ipstack: datagram of %d bytes exceeds MTU", len(payload))
 	}
 	u.Out++
-	u.stack.sendIP(dst.IP, ProtoUDP, marshalUDP(u.port, dst.Port, payload))
+	b, l4 := u.stack.ipBuf(UDPHeaderLen + len(payload))
+	putUDP(l4, u.port, dst.Port, len(payload))
+	copy(l4[UDPHeaderLen:], payload)
+	u.stack.sendIP(u.stack.ip, dst.IP, ProtoUDP, b, len(l4))
 	return nil
 }
 
@@ -144,6 +150,7 @@ func (s *Stack) onUDP(h *ipv4Header, payload []byte) {
 		sock.QueueDrops++
 		return
 	}
+	d.Payload = append([]byte(nil), data...)
 	sock.queue = append(sock.queue, d)
 	sock.wq.Signal()
 }

@@ -154,7 +154,8 @@ func (g *Gateway) drop(m *mapping) {
 	delete(g.byInternal, internalKey{m.internal, m.dst})
 }
 
-// handle is the raw packet hook: true = consumed by NAT processing.
+// handle is the raw packet hook: true = consumed by NAT processing. A
+// consumed packet is rewritten in place and sent on, or released.
 func (g *Gateway) handle(pkt *netsim.Packet) bool {
 	fromLan := g.host.Lan() != nil && pkt.Src.IP.IsPrivate()
 	toSelf := pkt.Dst.IP == g.host.IP()
@@ -210,9 +211,8 @@ func (g *Gateway) outbound(pkt *netsim.Packet) {
 	m.peerIPs[pkt.Dst.IP] = true
 	m.peers[pkt.Dst] = true
 	g.Translated++
-	out := *pkt
-	out.Src = netsim.Addr{IP: g.host.IP(), Port: m.external}
-	g.host.SendRaw(&out)
+	pkt.Src = netsim.Addr{IP: g.host.IP(), Port: m.external}
+	g.host.SendRaw(pkt)
 }
 
 // inbound filters and translates a WAN packet addressed to our public IP.
@@ -238,9 +238,8 @@ func (g *Gateway) inbound(pkt *netsim.Packet) {
 		m.lastRefresh = g.now()
 	}
 	g.InboundOK++
-	in := *pkt
-	in.Dst = m.internal
-	g.host.SendLan(m.internal.IP, &in)
+	pkt.Dst = m.internal
+	g.host.SendLan(m.internal.IP, pkt)
 }
 
 func (g *Gateway) admit(m *mapping, src netsim.Addr) bool {

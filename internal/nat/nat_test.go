@@ -32,6 +32,7 @@ func newRig(t Type) *rig {
 	r := &rig{}
 	r.eng = sim.NewEngine(1)
 	r.nw = netsim.New(r.eng)
+	r.nw.Pool().SetPoison(true) // catch use-after-release in every test on this network
 	siteA := r.nw.NewSite("A")
 	siteB := r.nw.NewSite("B")
 	r.nw.SetRTT(siteA, siteB, 10*time.Millisecond)

@@ -89,12 +89,25 @@ func (a Addr) IsZero() bool { return a.IP == 0 && a.Port == 0 }
 const udpIPHeaderBytes = 28
 
 // Packet is a UDP datagram in flight. Payload is the application bytes;
-// Wire is the total size on the wire (set automatically when sent).
+// Wire is the total size on the wire (set automatically when sent). A
+// Packet passed to a receive handler, raw handler or hook is valid only
+// for that call (see Buf for the ownership rule); Keep makes a copy
+// that lasts.
 type Packet struct {
 	Src, Dst Addr
 	Payload  []byte
 	Wire     int
-	// pooled, when non-nil, is the pool-owned buffer backing Payload;
-	// it is recycled after final delivery (see SendToPooled).
-	pooled *[]byte
+
+	// lease backs Payload when the sender leased its buffer; nil means
+	// the bytes are caller-owned and never recycled.
+	lease *Buf
+	// pool is the free list a network-built Packet returns to; nil for
+	// a literal handed to SendRaw, which is never recycled either.
+	pool *Pool
+
+	// Hop state: the transit the packet is on and how far along it is,
+	// so each link crossing posts the packet itself instead of a
+	// closure (see hop).
+	from, to *Host
+	stage    hopStage
 }

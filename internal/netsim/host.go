@@ -80,7 +80,9 @@ func (h *Host) Downlink() *Link { return h.down }
 
 func (h *Host) isPublic() bool { return h.up != nil }
 
-// SetRawHandler installs fn as the raw packet hook (see Host docs).
+// SetRawHandler installs fn as the raw packet hook (see Host docs). A
+// handler that returns true owns the packet: it passes it on through
+// SendRaw or SendLan, or ends it with Release.
 func (h *Host) SetRawHandler(fn func(pkt *Packet) bool) { h.rawHandler = fn }
 
 // ownsIP reports whether addr is one of the host's addresses on any side.
@@ -98,23 +100,24 @@ func (h *Host) ownsIP(ip IP) bool {
 
 func (h *Host) deliverLocal(pkt *Packet) {
 	if h.rawHandler != nil && h.rawHandler(pkt) {
-		// Consumed by NAT: the rewritten copy now owns any pooled buffer.
+		// Consumed by NAT, which now owns the packet: it re-emits it
+		// rewritten or releases it.
 		return
 	}
 	h.RecvPackets++
 	h.RecvBytes += uint64(pkt.Wire)
 	if s, ok := h.udpPorts[pkt.Dst.Port]; ok {
-		s.handler(*pkt)
-		pkt.release()
-		return
+		s.handler(Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: pkt.Payload, Wire: pkt.Wire, lease: pkt.lease})
+	} else {
+		h.NoSocketDrops++
 	}
-	h.NoSocketDrops++
-	pkt.release()
+	pkt.Release()
 }
 
 // SendRaw injects a fully-formed packet into the network from this host;
-// NAT gateways use it to emit rewritten packets. The source address is
-// taken from the packet as-is.
+// NAT gateways use it to re-emit, rewritten in place, the packet their
+// raw handler consumed. The source address is taken from the packet
+// as-is. The network owns the packet from here to its Release.
 func (h *Host) SendRaw(pkt *Packet) {
 	if pkt.Wire == 0 {
 		pkt.Wire = len(pkt.Payload) + udpIPHeaderBytes
@@ -132,7 +135,7 @@ func (h *Host) SendLan(dstLanIP IP, pkt *Packet) {
 	dst, ok := h.lan.byIP[dstLanIP]
 	if !ok {
 		h.net.NoRoute++
-		pkt.release()
+		pkt.Release()
 		return
 	}
 	h.SentPackets++
@@ -190,35 +193,37 @@ func (s *UDPSocket) LocalAddr() Addr { return Addr{IP: s.host.ip, Port: s.port} 
 // Host returns the owning host.
 func (s *UDPSocket) Host() *Host { return s.host }
 
-// SendTo transmits payload to dst. The payload is not copied; callers
-// must not mutate it afterwards.
-func (s *UDPSocket) SendTo(dst Addr, payload []byte) {
-	if s.closed {
-		return
-	}
-	pkt := &Packet{
-		Src:     Addr{IP: s.host.ip, Port: s.port},
-		Dst:     dst,
-		Payload: payload,
-	}
-	s.host.SendRaw(pkt)
-}
+// SendTo transmits payload to dst. The payload is not copied and stays
+// caller-owned: callers must not mutate it afterwards, and the network
+// never recycles it.
+func (s *UDPSocket) SendTo(dst Addr, payload []byte) { s.send(dst, nil, payload, 0) }
+
+// SendLease transmits payload, which lies inside the leased buffer b.
+// The buffer is borrowed like any other argument: the network retains
+// it for the flight and releases it after the final receiver's handler
+// returns or at the drop site, and the caller still releases its own
+// reference. A nil b makes it SendTo.
+func (s *UDPSocket) SendLease(dst Addr, b *Buf, payload []byte) { s.send(dst, b, payload, 0) }
 
 // SendToSized is SendTo with an explicit wire size, for protocols whose
 // real-world encapsulation carries more header bytes than the simulated
 // payload (e.g. the IPOP baseline's overlay header).
 func (s *UDPSocket) SendToSized(dst Addr, payload []byte, wire int) {
-	if s.closed {
-		return
-	}
 	if wire < len(payload)+udpIPHeaderBytes {
 		wire = len(payload) + udpIPHeaderBytes
 	}
-	pkt := &Packet{
-		Src:     Addr{IP: s.host.ip, Port: s.port},
-		Dst:     dst,
-		Payload: payload,
-		Wire:    wire,
+	s.send(dst, nil, payload, wire)
+}
+
+func (s *UDPSocket) send(dst Addr, b *Buf, payload []byte, wire int) {
+	if s.closed {
+		return
+	}
+	pkt := s.host.net.pool.packet()
+	pkt.Src = Addr{IP: s.host.ip, Port: s.port}
+	pkt.Dst, pkt.Payload, pkt.Wire = dst, payload, wire
+	if b != nil {
+		pkt.lease = b.Retain()
 	}
 	s.host.SendRaw(pkt)
 }
@@ -252,7 +257,7 @@ func (h *Host) BindUDPQueue(port uint16, capacity int) (*UDPQueue, error) {
 		if len(q.queue) >= q.cap {
 			return
 		}
-		q.queue = append(q.queue, p)
+		q.queue = append(q.queue, p.Keep())
 		q.wq.Signal()
 	})
 	if err != nil {

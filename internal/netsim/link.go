@@ -43,16 +43,16 @@ func (l *Link) Backlog() int {
 	return int(l.busyUntil.Sub(now).Seconds() * l.RateBps / 8)
 }
 
-// Send serializes size bytes through the link and invokes then when the
-// last bit (plus the link's fixed delay) arrives at the far end. It
-// reports false — and does not invoke then — when the drop-tail queue is
-// full.
-func (l *Link) Send(size int, then func()) bool {
+// Post serializes size bytes through the link and delivers
+// h.HandleEvent(arg) when the last bit (plus the link's fixed delay)
+// arrives at the far end. It reports false — and delivers nothing —
+// when the drop-tail queue is full.
+func (l *Link) Post(size int, h sim.Handler, arg any) bool {
 	now := l.eng.Now()
 	if l.RateBps <= 0 {
 		l.SentPackets++
 		l.SentBytes += uint64(size)
-		l.eng.Schedule(l.Delay, then)
+		l.eng.PostAt(now.Add(l.Delay), h, arg)
 		return true
 	}
 	// Drop-tail: refuse new packets once the backlog exceeds the queue
@@ -69,6 +69,6 @@ func (l *Link) Send(size int, then func()) bool {
 	l.busyUntil = l.busyUntil.Add(tx)
 	l.SentPackets++
 	l.SentBytes += uint64(size)
-	l.eng.At(l.busyUntil.Add(l.Delay), then)
+	l.eng.PostAt(l.busyUntil.Add(l.Delay), h, arg)
 	return true
 }

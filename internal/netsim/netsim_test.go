@@ -79,6 +79,40 @@ func TestPublicHostLatency(t *testing.T) {
 	}
 }
 
+// TestLatencyMatrixKeepsValuesAsItGrows adds sites one at a time, past
+// several regrowths of the flat matrix and one explicit reservation,
+// and checks every pair still reads what was set (and unset pairs 0).
+func TestLatencyMatrixKeepsValuesAsItGrows(t *testing.T) {
+	_, nw := newTestNet()
+	want := func(i, j int) sim.Duration {
+		if i == j {
+			return 0
+		}
+		return sim.Duration(i*1000+j*1000+1) * time.Microsecond
+	}
+	var sites []*Site
+	for i := 0; i < 40; i++ {
+		if i == 20 {
+			nw.ReserveSites(30)
+		}
+		sites = append(sites, nw.NewSite("s"))
+		for j := 0; j < i; j += 2 { // odd partners stay unset
+			nw.SetLatency(sites[i], sites[j], want(i, j))
+		}
+	}
+	for i, a := range sites {
+		for j, b := range sites {
+			w := want(i, j)
+			if hi, lo := max(i, j), min(i, j); lo%2 == 1 && hi != lo {
+				w = 0
+			}
+			if got := nw.Latency(a, b); got != w {
+				t.Fatalf("latency %d->%d = %v, want %v", i, j, got, w)
+			}
+		}
+	}
+}
+
 func TestLinkSerialization(t *testing.T) {
 	eng, nw := newTestNet()
 	s := nw.NewSite("S")
@@ -104,13 +138,18 @@ func TestLinkSerialization(t *testing.T) {
 	}
 }
 
+// counter counts the events it handles.
+type counter int
+
+func (c *counter) HandleEvent(any) { *c++ }
+
 func TestLinkQueueDrop(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l := NewLink(eng, 8e6, 0, 2000) // queue capacity 2000 bytes
-	delivered := 0
-	ok1 := l.Send(1500, func() { delivered++ })
-	ok2 := l.Send(1500, func() { delivered++ })
-	ok3 := l.Send(1500, func() { delivered++ }) // backlog 3000 > 2000: drop
+	var delivered counter
+	ok1 := l.Post(1500, &delivered, nil)
+	ok2 := l.Post(1500, &delivered, nil)
+	ok3 := l.Post(1500, &delivered, nil) // backlog 3000 > 2000: drop
 	eng.Run()
 	if !ok1 || !ok2 {
 		t.Fatal("first two sends should be accepted")

@@ -19,11 +19,17 @@ type Network struct {
 	eng   *sim.Engine
 	sites []*Site
 
-	// oneWay[a][b] is the one-way propagation delay between sites a and b.
-	oneWay [][]sim.Duration
+	// oneWay holds the one-way propagation delay between every pair of
+	// sites: delays are symmetric, so it is the lower triangle of the
+	// matrix, row by row, in one flat slice (see pair). A new site
+	// appends its row.
+	oneWay []sim.Duration
 
 	byIP  map[IP]*Host // public routing table (includes gateway aliases)
 	hosts []*Host
+
+	// pool is the world's free lists of buffers and packets.
+	pool *Pool
 
 	// LossRate is the probability a WAN transit drops a packet.
 	LossRate float64
@@ -74,8 +80,13 @@ func New(eng *sim.Engine) *Network {
 	return &Network{
 		eng:  eng,
 		byIP: make(map[IP]*Host),
+		pool: NewPool(),
 	}
 }
+
+// Pool returns the world's buffer pool: every component of one world
+// leases from it, so one bound covers what the whole world retains.
+func (n *Network) Pool() *Pool { return n.pool }
 
 // Engine returns the simulation engine this network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
@@ -85,18 +96,29 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 func (n *Network) NewSite(name string) *Site {
 	s := &Site{Index: len(n.sites), Name: name}
 	n.sites = append(n.sites, s)
-	for i := range n.oneWay {
-		n.oneWay[i] = append(n.oneWay[i], 0)
-	}
-	n.oneWay = append(n.oneWay, make([]sim.Duration, len(n.sites)))
+	n.oneWay = append(n.oneWay, make([]sim.Duration, s.Index+1)...)
 	return s
+}
+
+// ReserveSites makes room in the latency matrix for k sites, so a
+// builder that knows how many it will add sizes the matrix once
+// instead of letting append grow it.
+func (n *Network) ReserveSites(k int) {
+	if need := k * (k + 1) / 2; need > cap(n.oneWay) {
+		n.oneWay = append(make([]sim.Duration, 0, need), n.oneWay...)
+	}
+}
+
+// pair is where the delay between two sites sits in oneWay.
+func pair(a, b *Site) int {
+	p := sitePair(a, b)
+	return p[1]*(p[1]+1)/2 + p[0]
 }
 
 // SetLatency sets the symmetric one-way propagation delay between two
 // sites. Use SetRTT for round-trip values as the paper reports them.
 func (n *Network) SetLatency(a, b *Site, oneWay sim.Duration) {
-	n.oneWay[a.Index][b.Index] = oneWay
-	n.oneWay[b.Index][a.Index] = oneWay
+	n.oneWay[pair(a, b)] = oneWay
 }
 
 // SetRTT sets the symmetric propagation so that the round trip between
@@ -107,7 +129,7 @@ func (n *Network) SetRTT(a, b *Site, rtt sim.Duration) {
 
 // Latency reports the configured one-way delay between two sites.
 func (n *Network) Latency(a, b *Site) sim.Duration {
-	return n.oneWay[a.Index][b.Index]
+	return n.oneWay[pair(a, b)]
 }
 
 // Sites returns all registered sites.
@@ -146,7 +168,8 @@ func (n *Network) Hosts() []*Host { return n.hosts }
 func (n *Network) HostByIP(ip IP) *Host { return n.byIP[ip] }
 
 // SetDeliverHook installs a tap invoked for every packet that reaches any
-// host, before local processing. Used by tests and tracing.
+// host, before local processing. Used by tests and tracing. The packet
+// is only valid for the duration of the call.
 func (n *Network) SetDeliverHook(fn func(*Packet)) { n.deliverHook = fn }
 
 // SetDropHook installs a tap invoked for every packet the network
@@ -164,7 +187,7 @@ func (n *Network) drop(from *Host, pkt *Packet, reason DropReason) {
 	if n.dropHook != nil {
 		n.dropHook(from, pkt, reason)
 	}
-	pkt.release()
+	pkt.Release()
 }
 
 // NewPublicHost attaches a host with a routable IP directly to the WAN
@@ -300,15 +323,28 @@ func (n *Network) route(from *Host, pkt *Packet) {
 	n.drop(from, pkt, DropNoRoute)
 }
 
+// hopStage is how far along its current transit a packet is: what the
+// event it is posted with has to do next.
+type hopStage uint8
+
+const (
+	hopLanRx   hopStage = iota + 1 // crossed the sender's LAN adapter; the receiver's is next
+	hopWanCore                     // crossed the uplink; loss, jitter and propagation are next
+	hopWanRx                       // crossed the core; the receiver's downlink is next
+	hopDeliver                     // crossed the last link
+	hopFree                        // released (see Packet.Release)
+)
+
+// hop is Packet as the receiver of its own link-crossing events: the
+// transit's state rides in the packet (from, to, stage), so a crossing
+// posts the packet and captures nothing.
+type hop Packet
+
 // lanTransit carries a packet one hop across a LAN: serialize on the
 // sender's adapter, then on the receiver's, then deliver.
 func (n *Network) lanTransit(from, to *Host, pkt *Packet) {
-	if !from.lanUp.Send(pkt.Wire, func() {
-		if !to.lanDown.Send(pkt.Wire, func() { n.deliver(to, pkt) }) {
-			n.QueueDrops++
-			n.drop(from, pkt, DropQueue)
-		}
-	}) {
+	pkt.from, pkt.to, pkt.stage = from, to, hopLanRx
+	if !from.lanUp.Post(pkt.Wire, (*hop)(pkt), nil) {
 		n.QueueDrops++
 		n.drop(from, pkt, DropQueue)
 	}
@@ -328,25 +364,43 @@ func (n *Network) wanTransit(from *Host, pkt *Packet) {
 		n.drop(from, pkt, DropPartition)
 		return
 	}
-	if !from.up.Send(pkt.Wire, func() {
+	pkt.from, pkt.to, pkt.stage = from, dst, hopWanCore
+	if !from.up.Post(pkt.Wire, (*hop)(pkt), nil) {
+		n.QueueDrops++
+		n.drop(from, pkt, DropQueue)
+	}
+}
+
+// HandleEvent advances the packet past the link it just crossed.
+func (h *hop) HandleEvent(any) {
+	pkt := (*Packet)(h)
+	from, to := pkt.from, pkt.to
+	n := from.net
+	next := to.lanDown
+	switch pkt.stage {
+	case hopDeliver:
+		n.deliver(to, pkt)
+		return
+	case hopWanCore:
 		// Core propagation with optional jitter and loss.
 		if n.LossRate > 0 && n.eng.Rand().Float64() < n.LossRate {
 			n.LostWAN++
 			n.drop(from, pkt, DropWANLoss)
 			return
 		}
-		lat := n.oneWay[from.site.Index][dst.site.Index]
+		lat := n.Latency(from.site, to.site)
 		if n.JitterFrac > 0 && lat > 0 {
 			j := (n.eng.Rand().Float64()*2 - 1) * n.JitterFrac * float64(lat)
 			lat += sim.Duration(j)
 		}
-		n.eng.Schedule(lat, func() {
-			if !dst.down.Send(pkt.Wire, func() { n.deliver(dst, pkt) }) {
-				n.QueueDrops++
-				n.drop(from, pkt, DropQueue)
-			}
-		})
-	}) {
+		pkt.stage = hopWanRx
+		n.eng.Post(lat, h, nil)
+		return
+	case hopWanRx:
+		next = to.down
+	}
+	pkt.stage = hopDeliver
+	if !next.Post(pkt.Wire, h, nil) {
 		n.QueueDrops++
 		n.drop(from, pkt, DropQueue)
 	}

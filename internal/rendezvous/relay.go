@@ -55,9 +55,11 @@ func (s *Server) newRelayChannel(aName, bName string, aAddr, bAddr netsim.Addr) 
 	return ch
 }
 
-// onRelay forwards one relay envelope to the channel's other endpoint.
-// The source address refreshes (or fills in) the sender's endpoint slot,
-// which is how NAT rebinds and initially-unknown mappings are absorbed.
+// onRelay forwards one relay envelope to the channel's other endpoint —
+// the same bytes in the same leased buffer, retained by the network for
+// the second flight, never copied. The source address refreshes (or
+// fills in) the sender's endpoint slot, which is how NAT rebinds and
+// initially-unknown mappings are absorbed.
 func (s *Server) onRelay(pkt netsim.Packet) {
 	if len(pkt.Payload) < RelayHeaderLen {
 		return
@@ -96,7 +98,7 @@ func (s *Server) onRelay(pkt netsim.Packet) {
 	ch.Bytes += uint64(len(pkt.Payload))
 	s.RelayFrames++
 	s.RelayBytes += uint64(len(pkt.Payload))
-	s.sock.SendTo(to, pkt.Payload)
+	s.sock.SendLease(to, pkt.Lease(), pkt.Payload)
 }
 
 // expireRelays drops channels idle longer than the configured TTL.

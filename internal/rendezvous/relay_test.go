@@ -146,6 +146,7 @@ func TestRelayChannelExpiresWhenIdle(t *testing.T) {
 func TestDisableRelayRestoresRefusal(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
+	nw.Pool().SetPoison(true) // catch use-after-release in every test on this network
 	site := nw.NewSite("hub")
 	host := nw.NewPublicHost("rdv", site, netsim.MustParseIP("50.0.0.1"), 0, time.Millisecond)
 	s, err := NewServer(host, netsim.MustParseIP("50.0.0.2"), Config{DisableRelay: true})

@@ -1,0 +1,309 @@
+package scenario
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"wavnet/internal/ether"
+	"wavnet/internal/ipstack"
+	"wavnet/internal/nat"
+	"wavnet/internal/netsim"
+	"wavnet/internal/sim"
+)
+
+// leaseRun is what one run of the small seeded world below cost and did.
+// Every figure is counted by the world itself — its pool, its engine —
+// so it depends on the seed alone, never on the Go runtime underneath.
+type leaseRun struct {
+	misses, fresh uint64 // buffers and packets, events the free lists could not supply
+	events        uint64
+	end           sim.Time
+	retained      int
+}
+
+// runLeaseWorld builds a three-machine mesh (one pair behind symmetric
+// NATs, so one tunnel is broker-relayed), establishes a TCP connection
+// and then measures a fixed traffic phase: open-loop UDP bursts on every
+// edge of the ring from engine callbacks, and a 2 MiB transfer on the
+// connection. Everything that spawns a goroutine or grows a map happens
+// before the measured phase.
+func runLeaseWorld(t *testing.T) leaseRun {
+	t.Helper()
+	specs := EmulatedWANSpecs(3, 100e6)
+	specs[0].NAT, specs[1].NAT = nat.Symmetric, nat.Symmetric
+	w, err := Build(7, specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Eng.Stop()
+	w.Net.Pool().SetPoison(false) // recycling is what is measured here
+	if err := w.WAVNetUp(); err != nil {
+		t.Fatal(err)
+	}
+	if tun, ok := w.Machines[0].WAV.Tunnel(w.Machines[1].Key); !ok || !tun.Relayed {
+		t.Fatal("symmetric pair is not relayed")
+	}
+	const port, total = 7000, 2 << 20
+	pattern := bytes.Repeat([]byte{0xA5}, 64)
+	var udpGot, udpBad, tcpGot int
+	socks := make([]*ipstack.UDPSock, len(w.Machines))
+	for i, m := range w.Machines {
+		socks[i], err = m.Dom0().BindUDP(port, func(d ipstack.Datagram) {
+			if udpGot++; !bytes.Equal(d.Payload[8:], pattern[8:]) {
+				udpBad++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, dst := w.Machines[0].Dom0(), w.Machines[2].Dom0()
+	lis, err := dst.Listen(5001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, tcpErr := false, error(nil)
+	w.Eng.Spawn("sink", func(p *sim.Proc) {
+		conn, err := lis.Accept(p)
+		if err != nil {
+			tcpErr = err
+			return
+		}
+		buf := make([]byte, 32<<10)
+		for tcpGot < total {
+			n, err := conn.Read(p, buf)
+			if tcpGot += n; err != nil {
+				tcpErr = err
+				return
+			}
+		}
+	})
+	w.Eng.Spawn("source", func(p *sim.Proc) {
+		conn, err := src.Dial(p, netsim.Addr{IP: dst.IP(), Port: 5001})
+		if err != nil {
+			tcpErr = err
+			return
+		}
+		for !start {
+			p.Sleep(time.Millisecond)
+		}
+		chunk := make([]byte, 16<<10)
+		for sent := 0; sent < total; sent += len(chunk) {
+			if _, err := conn.Write(p, chunk); err != nil {
+				tcpErr = err
+				return
+			}
+		}
+	})
+	// Warm up: ARP, switch tables, the connection, one burst per edge.
+	burst := func(i int) {
+		dst := netsim.Addr{IP: w.Machines[(i+1)%len(socks)].Dom0().IP(), Port: port}
+		for j := 0; j < 8; j++ {
+			binary.BigEndian.PutUint64(pattern, uint64(j))
+			if err := socks[i].SendTo(dst, pattern); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	for i := range socks {
+		burst(i)
+	}
+	w.Eng.RunFor(5 * time.Second)
+	if tcpErr != nil || udpGot != 8*len(socks) {
+		t.Fatalf("warm-up: tcp %v, %d datagrams", tcpErr, udpGot)
+	}
+
+	pool := w.Net.Pool()
+	ev0, miss0, fresh0 := w.Eng.Dispatched(), pool.Misses(), w.Eng.FreshEvents()
+	const bursts = 500
+	for i := range socks {
+		i, k := i, 0
+		var tick func()
+		tick = func() {
+			burst(i)
+			if k++; k < bursts {
+				w.Eng.Schedule(time.Millisecond, tick)
+			}
+		}
+		w.Eng.Schedule(time.Duration(i)*100*time.Microsecond, tick)
+	}
+	start = true
+	w.Eng.RunFor(2 * time.Second)
+	run := leaseRun{
+		misses: pool.Misses() - miss0,
+		fresh:  w.Eng.FreshEvents() - fresh0,
+		events: w.Eng.Dispatched() - ev0,
+	}
+
+	if want := 8 * len(socks) * (bursts + 1); udpGot != want || udpBad != 0 || tcpGot != total || tcpErr != nil {
+		t.Fatalf("traffic: %d of %d datagrams (%d corrupt), %d of %d TCP bytes, err %v", udpGot, want, udpBad, tcpGot, total, tcpErr)
+	}
+	// Drain: let everything in flight land, then see what the world keeps.
+	w.Eng.RunFor(time.Second)
+	run.end = w.Eng.Now()
+	run.retained = pool.Retained() + w.Eng.Retained()
+	return run
+}
+
+// TestLeaseWorldRepeatsExactly runs the same seeded world twice in one
+// process. World-owned LIFO free lists make what a run has to allocate
+// afresh a function of its (deterministic) event order alone, so the
+// two runs must agree to the object — which no pool of package sync,
+// whose contents depend on when the collector last ran, could promise.
+func TestLeaseWorldRepeatsExactly(t *testing.T) {
+	a, b := runLeaseWorld(t), runLeaseWorld(t)
+	if a != b {
+		t.Fatalf("two runs of one seeded world differ: %+v, then %+v", a, b)
+	}
+	// 12 000 datagrams and ~1 500 MTU segments (plus their ACKs) crossed
+	// the mesh; with every buffer, packet, frame and hop event recycled
+	// what is left is the test's own 1 500 scheduled bursts and whatever
+	// the free lists' bounds could not absorb.
+	perFrame := float64(a.misses+a.fresh) / float64(12000+1500)
+	t.Logf("%d pool misses, %d fresh events over %d events: %.2f objects per frame", a.misses, a.fresh, a.events, perFrame)
+	if perFrame > 0.5 {
+		t.Fatalf("%.2f buffers, packets and events allocated per frame; the leased path should need well under one", perFrame)
+	}
+}
+
+// TestDrainedWorldRetainsAtMost64KB: the free lists are bounded, so
+// once its traffic has landed a world keeps at most 64 KB of idle
+// buffers, packets and events however busy it was.
+func TestDrainedWorldRetainsAtMost64KB(t *testing.T) {
+	r := runLeaseWorld(t)
+	if r.retained == 0 || r.retained > 64<<10 {
+		t.Fatalf("drained world retains %d bytes in its free lists, want (0, 64 KB]", r.retained)
+	}
+	t.Logf("drained world retains %d bytes", r.retained)
+}
+
+// TestLeaseReleasedOnEveryDropPath pushes leased payloads down every way
+// a packet or frame can die short of delivery and checks, path by path,
+// that the world's count of outstanding leases returns to zero — with
+// the pool poisoned (TestMain), so a path that released twice would
+// panic instead.
+func TestLeaseReleasedOnEveryDropPath(t *testing.T) {
+	w, err := Build(3, EmulatedWANSpecs(3, 100e6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Eng.Stop()
+	if err := w.WAVNetUp(); err != nil {
+		t.Fatal(err)
+	}
+	pool := w.Net.Pool()
+	m0, m1 := w.Machines[0], w.Machines[1]
+	src, dst := m0.Dom0(), m1.Dom0()
+	delivered := 0
+	if _, err := dst.BindUDP(7000, func(ipstack.Datagram) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := src.BindUDP(7000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// overlay sends n datagrams through the whole frame path: stack,
+	// bridge, WAV-Switch, egress batch, LAN, NAT, WAN.
+	overlay := func(to netsim.IP, n int) {
+		for i := 0; i < n; i++ {
+			if err := tx.SendTo(netsim.Addr{IP: to, Port: 7000}, make([]byte, 1200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// wire sends one leased payload straight from a substrate socket.
+	wire := func(from *netsim.Host, to netsim.Addr) {
+		s, err := from.BindUDP(4999, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		b := pool.Get(1200)
+		s.SendLease(to, b, b.Data[:1200])
+		b.Release()
+	}
+	stranger := w.Net.NewPublicHost("stranger", w.Hub, netsim.MustParseIP("50.9.9.9"), 1e9, 100*time.Microsecond)
+	settle := func(name string) {
+		for i := 0; i < 10000 && pool.Leased() != 0; i++ {
+			w.Eng.RunFor(time.Millisecond)
+		}
+		if n := pool.Leased(); n != 0 {
+			t.Fatalf("%s: %d leases never came back", name, n)
+		}
+	}
+	overlay(dst.IP(), 1)
+	settle("delivery")
+	if delivered != 1 {
+		t.Fatalf("warm-up datagram not delivered")
+	}
+
+	siteA, siteB := m0.GW.Host().Site(), m1.GW.Host().Site()
+	vifSeen := 0
+	var paused *ipstack.Stack
+	cases := []struct {
+		name    string
+		provoke func()
+		hits    func() uint64
+	}{
+		{"no_socket", func() { wire(stranger, netsim.Addr{IP: w.Rdv.Addr().IP, Port: 9}) },
+			func() uint64 { return w.Net.HostByIP(w.Rdv.Addr().IP).NoSocketDrops }},
+		{"no_route", func() { wire(m0.Phys, netsim.Addr{IP: netsim.MustParseIP("9.9.9.9"), Port: 9}) },
+			func() uint64 { return w.Net.NoRoute }},
+		{"nat_refusal", func() { wire(stranger, netsim.Addr{IP: m1.GW.PublicIP(), Port: 9}) },
+			func() uint64 { return m1.GW.NoMapDrops + m1.GW.FilteredDrops }},
+		{"partition", func() {
+			w.Net.Partition(siteA, siteB)
+			overlay(dst.IP(), 4)
+			w.Eng.RunFor(100 * time.Millisecond)
+			w.Net.Heal(siteA, siteB)
+		}, func() uint64 { return w.Net.PartitionDrops }},
+		{"queue_overflow", func() { overlay(dst.IP(), 400) }, // 480 KB at once against 256 KB queues
+			func() uint64 { return w.Net.QueueDrops }},
+		{"wan_loss", func() {
+			w.Net.LossRate = 1
+			overlay(dst.IP(), 4)
+			w.Eng.RunFor(100 * time.Millisecond)
+			w.Net.LossRate = 0
+		}, func() uint64 { return w.Net.LostWAN }},
+		{"dead_bridge_port", func() {
+			vif := m0.WAV.AttachVIF("doomed")
+			vif.SetRecv(func(*ether.Frame) { vifSeen++ })
+			overlay(netsim.BroadcastIP, 1) // flooded: one delivery is in flight to the vif
+			m0.WAV.DetachVIF(vif)
+		}, func() uint64 { return m0.WAV.Bridge().Flooded }},
+		{"arp_give_up", func() { overlay(netsim.MustParseIP("10.1.0.200"), 70) }, // 64 queue, 6 overflow, nobody answers
+			func() uint64 { return src.Drops }},
+		{"detached_nic", func() {
+			paused = ipstack.New(w.Eng, "paused", nil, ether.SeqMAC(0xfffe), netsim.MustParseIP("10.1.0.201"), ipstack.Config{Pool: pool})
+			s, err := paused.BindUDP(9, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SendTo(netsim.Addr{IP: netsim.BroadcastIP, Port: 9}, []byte("into the void")); err != nil {
+				t.Fatal(err)
+			}
+		}, func() uint64 { return paused.Drops }},
+	}
+	for _, c := range cases {
+		var before uint64
+		if c.name != "detached_nic" {
+			before = c.hits()
+		}
+		c.provoke()
+		settle(c.name)
+		if c.hits() == before {
+			t.Errorf("%s: the drop path was not exercised", c.name)
+		}
+	}
+	if vifSeen != 0 || src.Drops < 70 {
+		t.Fatalf("unplugged vif saw %d frames, stack dropped %d of 70 unresolvable datagrams", vifSeen, src.Drops)
+	}
+	// The world still works after all that.
+	overlay(dst.IP(), 1)
+	settle("delivery after the drops")
+	if delivered < 2 {
+		t.Fatal("no delivery after the drop paths were exercised")
+	}
+}

@@ -183,6 +183,12 @@ func (w *World) M(key string) *Machine {
 	return m
 }
 
+// poisonLeases makes every world built run its buffer pool in poison
+// mode (netsim.Pool.SetPoison). Only this package's TestMain sets it,
+// so that every scenario test — the chaos tests above all — doubles as
+// a use-after-release and double-release check.
+var poisonLeases bool
+
 // Build constructs a world from specs: a hub site holding the rendezvous
 // server, plus one NATed machine per spec at its own site.
 func Build(seed int64, specs []Spec, overrides map[[2]string]sim.Duration) (*World, error) {
@@ -198,6 +204,8 @@ func Build(seed int64, specs []Spec, overrides map[[2]string]sim.Duration) (*Wor
 		vms:          make(map[string]*vm.VM),
 	}
 	w.Net = netsim.New(w.Eng)
+	w.Net.Pool().SetPoison(poisonLeases)
+	w.Net.ReserveSites(len(specs) + 1)
 	w.Hub = w.Net.NewSite("hub")
 	w.Obs = obs.NewTrace(w.Eng, 0)
 	w.FlowLog = obs.NewFlowLog(0)
@@ -247,7 +255,7 @@ func Build(seed int64, specs []Spec, overrides map[[2]string]sim.Duration) (*Wor
 		gwIP := netsim.MakeIP(60, byte(i+1), 0, 1)
 		gw := w.Net.NewPublicHost("gw-"+sp.Key, site, gwIP, sp.AccessBps, 100*time.Microsecond)
 		lan := w.Net.NewLan("lan-"+sp.Key, site, 1e9, 50*time.Microsecond)
-		lan.AttachGateway(gw, netsim.MustParseIP("192.168.0.1"))
+		lan.AttachGateway(gw, netsim.MakeIP(192, 168, 0, 1))
 		m := &Machine{
 			Key:        sp.Key,
 			Index:      i,
@@ -257,7 +265,7 @@ func Build(seed int64, specs []Spec, overrides map[[2]string]sim.Duration) (*Wor
 			IPOPVIP:    netsim.MakeIP(10, 2, byte(i/250), byte(i%250+1)),
 			physStacks: make(map[string]*ipstack.Stack),
 		}
-		m.Phys = lan.NewHost("pc-"+sp.Key, netsim.MustParseIP("192.168.0.2"))
+		m.Phys = lan.NewHost("pc-"+sp.Key, netsim.MakeIP(192, 168, 0, 2))
 		w.Machines = append(w.Machines, m)
 		w.byKey[sp.Key] = m
 		w.machineOf[m.Phys] = m
@@ -1061,9 +1069,9 @@ func (w *World) PhysicalPair(a, b *Machine) (*ipstack.Stack, *ipstack.Stack, err
 	}
 	mtu := 1472 - ether.HeaderLen
 	sa := ipstack.New(w.Eng, a.Key+"-phys", la, ether.SeqMAC(uint32(1000+a.Index)),
-		netsim.MakeIP(10, 9, byte(a.Index), 1), ipstack.Config{MTU: mtu})
+		netsim.MakeIP(10, 9, byte(a.Index), 1), ipstack.Config{MTU: mtu, Pool: w.Net.Pool()})
 	sb := ipstack.New(w.Eng, b.Key+"-phys", lb, ether.SeqMAC(uint32(1000+b.Index)),
-		netsim.MakeIP(10, 9, byte(a.Index), 2), ipstack.Config{MTU: mtu})
+		netsim.MakeIP(10, 9, byte(a.Index), 2), ipstack.Config{MTU: mtu, Pool: w.Net.Pool()})
 	a.physStacks[b.Key] = sa
 	b.physStacks[a.Key] = sb
 	return sa, sb, nil

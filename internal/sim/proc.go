@@ -23,8 +23,9 @@ type Proc struct {
 	parked bool
 	dead   bool
 
-	// wake event for Sleep, so Interrupt can cancel it.
-	sleepEv *Event
+	// wakeEv starts the process and ends each Sleep; it is re-armed in
+	// place, and cancelled when an interrupt cuts a sleep short.
+	wakeEv Event
 
 	// interrupted is the sticky interrupt flag: set by Interrupt, it
 	// makes every Park/Sleep return false — without blocking — until
@@ -53,6 +54,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan procSignal),
 		yield:  make(chan struct{}),
 	}
+	p.wakeEv.fn, p.wakeEv.index = func() { p.activate(sigRun) }, -1
 	e.procs[p] = struct{}{}
 	go func() {
 		sig := <-p.resume // wait for first activation
@@ -72,7 +74,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		delete(e.procs, p)
 		p.yield <- struct{}{} // give control back to the engine
 	}()
-	e.Schedule(0, func() { p.activate(sigRun) })
+	e.arm(&p.wakeEv, e.now)
 	return p
 }
 
@@ -131,16 +133,10 @@ func (p *Proc) Sleep(d Duration) bool {
 	if p.interrupted {
 		return false
 	}
-	p.sleepEv = p.eng.Schedule(d, func() {
-		p.sleepEv = nil
-		p.activate(sigRun)
-	})
+	p.eng.arm(&p.wakeEv, p.eng.now.Add(d))
 	p.park()
 	if p.interrupted {
-		if p.sleepEv != nil {
-			p.eng.Cancel(p.sleepEv)
-			p.sleepEv = nil
-		}
+		p.eng.Cancel(&p.wakeEv)
 		return false
 	}
 	return true
@@ -167,11 +163,30 @@ func (p *Proc) Unpark() {
 	if p.dead || !p.parked {
 		return
 	}
-	p.eng.Schedule(0, func() {
-		if !p.dead && p.parked {
-			p.activate(sigRun)
-		}
-	})
+	p.eng.Post(0, (*procWake)(p), nil)
+}
+
+// procWake is Proc as the receiver of the wake-up Unpark posts.
+type procWake Proc
+
+func (pw *procWake) HandleEvent(any) {
+	p := (*Proc)(pw)
+	if !p.dead && p.parked {
+		p.activate(sigRun)
+	}
+}
+
+// procInterrupt is Proc as the receiver of the wake-up Interrupt posts.
+type procInterrupt Proc
+
+func (pi *procInterrupt) HandleEvent(any) {
+	p := (*Proc)(pi)
+	// Re-check the flag: if the process consumed the interrupt
+	// (ClearInterrupt) after being woken by its real signal, this
+	// stale wake-up must not interrupt an unrelated later park.
+	if !p.dead && p.parked && p.interrupted {
+		p.activate(sigInterrupt)
+	}
 }
 
 // Interrupt asks the process to wind down: the sticky interrupted flag
@@ -189,14 +204,7 @@ func (p *Proc) Interrupt() {
 	if !p.parked {
 		return // the flag is observed at the next Park/Sleep
 	}
-	p.eng.Schedule(0, func() {
-		// Re-check the flag: if the process consumed the interrupt
-		// (ClearInterrupt) after being woken by its real signal, this
-		// stale wake-up must not interrupt an unrelated later park.
-		if !p.dead && p.parked && p.interrupted {
-			p.activate(sigInterrupt)
-		}
-	})
+	p.eng.Post(0, (*procInterrupt)(p), nil)
 }
 
 // Interrupted reports whether an interrupt is pending on the process.
@@ -221,20 +229,31 @@ func (p *Proc) checkContext(op string) {
 
 // WaitQueue is a FIFO of parked processes, the building block for
 // condition-style blocking (socket buffers, channels, semaphores).
-// The zero value is ready to use.
+// The zero value is ready to use. The oldest waiter leaves by advancing
+// head, and the slice starts over from its front whenever the queue
+// runs empty, so a queue that is waited on and signalled for ever keeps
+// the one small backing array.
 type WaitQueue struct {
 	waiters []*Proc
+	head    int // waiters[:head] have left
 }
 
 // Wait parks the calling process until Signal/Broadcast wakes it.
 // Returns false if the wait was interrupted.
 func (q *WaitQueue) Wait(p *Proc) bool {
+	if q.head > 0 && len(q.waiters) == cap(q.waiters) {
+		// Never empty at a Signal since it filled: close the gap
+		// instead of growing past it.
+		n := copy(q.waiters, q.waiters[q.head:])
+		clear(q.waiters[n:])
+		q.waiters, q.head = q.waiters[:n], 0
+	}
 	q.waiters = append(q.waiters, p)
 	ok := p.Park()
 	if !ok {
 		// Remove ourselves if still queued (interrupt before signal).
-		for i, w := range q.waiters {
-			if w == p {
+		for i := q.head; i < len(q.waiters); i++ {
+			if q.waiters[i] == p {
 				q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
 				break
 			}
@@ -245,9 +264,12 @@ func (q *WaitQueue) Wait(p *Proc) bool {
 
 // Signal wakes the oldest waiter, if any.
 func (q *WaitQueue) Signal() {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	for q.head < len(q.waiters) {
+		w := q.waiters[q.head]
+		q.waiters[q.head] = nil
+		if q.head++; q.head == len(q.waiters) {
+			q.waiters, q.head = q.waiters[:0], 0
+		}
 		if !w.dead {
 			w.Unpark()
 			return
@@ -257,17 +279,20 @@ func (q *WaitQueue) Signal() {
 
 // Broadcast wakes all current waiters.
 func (q *WaitQueue) Broadcast() {
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
+	// Unpark only posts the wake-up, so nothing re-enters the queue
+	// while it is walked.
+	for i := q.head; i < len(q.waiters); i++ {
+		w := q.waiters[i]
+		q.waiters[i] = nil
 		if !w.dead {
 			w.Unpark()
 		}
 	}
+	q.waiters, q.head = q.waiters[:0], 0
 }
 
 // Len reports the number of parked waiters.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return len(q.waiters) - q.head }
 
 // Semaphore is a counting semaphore for processes.
 type Semaphore struct {

@@ -14,10 +14,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
+	"unsafe"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -49,45 +49,104 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
 // Event is a scheduled callback. The zero value is invalid; events are
-// created by Engine.Schedule and friends.
+// created by Engine.Schedule and friends. An Event returned by At or
+// Schedule is a handle: it is freshly allocated and never recycled, so
+// it stays valid to Cancel for as long as the caller keeps it.
 type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	index     int // heap index, -1 when not queued
-	cancelled bool
+	at    Time
+	fn    func()
+	index int // position in the queue, -1 when not queued
 }
 
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventHeap []*Event
+// entry is one queued event. The ordering key rides inline, so sifting
+// compares entries without touching the events they point at.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// queue is a 4-ary min-heap of entries on (at, seq): half the depth of a
+// binary heap and four children in adjacent cache lines. Sequence
+// numbers are unique, so the order is total and the pop order does not
+// depend on the heap's shape. Every placement goes through set, which
+// keeps Event.index current.
+type queue []entry
+
+func (q queue) set(i int, x entry) {
+	q[i] = x
+	x.ev.index = i
+}
+
+// up places x at hole i or above it.
+func (q queue) up(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(q[p]) {
+			break
+		}
+		q.set(i, q[p])
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q.set(i, x)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down places x at hole i or below it.
+func (q queue) down(i int, x entry) {
+	for {
+		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
+		kids := q[c:min(c+4, len(q))]
+		m, least := 0, kids[0]
+		for j := 1; j < len(kids); j++ {
+			if kids[j].before(least) {
+				m, least = j, kids[j]
+			}
+		}
+		if !least.before(x) {
+			break
+		}
+		q.set(i, least)
+		i = c + m
+	}
+	q.set(i, x)
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+
+// fix puts x, whose key may lie either way of its neighbours', in the
+// place of the entry at i.
+func (q queue) fix(i int, x entry) {
+	if i > 0 && x.before(q[(i-1)/4]) {
+		q.up(i, x)
+		return
+	}
+	q.down(i, x)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+func (q *queue) push(x entry) {
+	*q = append(*q, x)
+	q.up(len(*q)-1, x)
+}
+
+// remove takes the entry at i out; remove(0) is pop.
+func (q *queue) remove(i int) {
+	old := *q
+	old[i].ev.index = -1
+	n := len(old) - 1
+	last := old[n]
+	old[n] = entry{}
+	*q = old[:n]
+	if i < n {
+		old[:n].fix(i, last)
+	}
 }
 
 // Engine is a discrete-event simulator. Create one with NewEngine; it is
@@ -95,7 +154,7 @@ func (h *eventHeap) Pop() any {
 // layer serializes everything internally).
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   queue
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -110,7 +169,43 @@ type Engine struct {
 	// timestamp, before the clock advances (see AtTimeEnd).
 	flushers []func()
 
+	// freePosts is the LIFO free list of handle-less events (see Post).
+	freePosts []*post
+
 	dispatched uint64
+	fresh      uint64
+}
+
+// Handler receives a handle-less event (see Engine.Post). Long-lived
+// objects on the frame path — bridge ports, in-flight packets, procs —
+// implement it so that scheduling work for them captures no closure.
+type Handler interface {
+	HandleEvent(arg any)
+}
+
+// post is a handle-less event: the receiver and its argument ride in
+// the event itself, nobody outside the engine ever sees it, and so it
+// goes back to the engine's free list the moment it is dispatched. The
+// embedded Event's fn is bound to run once, when the post is first
+// allocated, and survives every reuse.
+type post struct {
+	Event
+	eng *Engine
+	h   Handler
+	arg any
+}
+
+// maxFreePosts bounds the free list: a drained engine keeps at most
+// this many idle events (8 KB).
+const maxFreePosts = 128
+
+func (p *post) run() {
+	h, arg := p.h, p.arg
+	p.h, p.arg = nil, nil
+	if e := p.eng; len(e.freePosts) < maxFreePosts {
+		e.freePosts = append(e.freePosts, p)
+	}
+	h.HandleEvent(arg)
 }
 
 // NewEngine returns an engine with its virtual clock at zero and a
@@ -146,50 +241,86 @@ func (e *Engine) Schedule(d Duration, fn func()) *Event {
 
 // At queues fn to run at absolute time t (clamped to now).
 func (e *Engine) At(t Time, fn func()) *Event {
+	e.fresh++
+	ev := &Event{fn: fn, index: -1}
+	e.arm(ev, t)
+	return ev
+}
+
+// Post queues h.HandleEvent(arg) to run after delay d (clamped to zero)
+// without returning a handle: the event cannot be cancelled and is
+// recycled after dispatch, so steady-state posting allocates nothing.
+// A pointer-shaped arg is stored in the interface without boxing. Post
+// takes its place in the (time, sequence) order exactly as Schedule
+// would.
+func (e *Engine) Post(d Duration, h Handler, arg any) { e.PostAt(e.now.Add(d), h, arg) }
+
+// PostAt is Post at absolute time t (clamped to now).
+func (e *Engine) PostAt(t Time, h Handler, arg any) {
+	var p *post
+	if n := len(e.freePosts); n > 0 {
+		p = e.freePosts[n-1]
+		e.freePosts[n-1] = nil
+		e.freePosts = e.freePosts[:n-1]
+	} else {
+		e.fresh++
+		p = &post{eng: e}
+		p.fn, p.index = p.run, -1
+	}
+	p.h, p.arg = h, arg
+	e.arm(&p.Event, t)
+}
+
+// Retained reports the bytes of idle handle-less events the engine's
+// free list holds.
+func (e *Engine) Retained() int { return len(e.freePosts) * int(unsafe.Sizeof(post{})) }
+
+// FreshEvents reports how many events the engine has allocated: one per
+// At or Schedule, and one per Post that found the free list empty. For
+// a given seed the count repeats exactly.
+func (e *Engine) FreshEvents() uint64 { return e.fresh }
+
+// arm (re)queues an event for time t (clamped to now), consuming one
+// sequence number. An event still queued is moved in place.
+func (e *Engine) arm(ev *Event, t Time) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
+	ev.at = t
+	x := entry{at: t, seq: e.seq, ev: ev}
+	if ev.index >= 0 {
+		e.queue.fix(ev.index, x)
+		return
+	}
+	e.queue.push(x)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled || ev.index < 0 {
-		if ev != nil {
-			ev.cancelled = true
-		}
-		return
+	if ev != nil && ev.index >= 0 {
+		e.queue.remove(ev.index)
 	}
-	ev.cancelled = true
-	heap.Remove(&e.queue, ev.index)
 }
 
 // Step executes the single next event. It reports false when the queue is
 // empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	if e.stopped {
+	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.cancelled {
-			continue
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.dispatched++
-		ev.fn()
-		if len(e.flushers) > 0 {
-			e.runTimeEndFlushers()
-		}
-		return true
+	ev := e.queue[0].ev
+	e.queue.remove(0)
+	if ev.at > e.now {
+		e.now = ev.at
 	}
-	return false
+	e.dispatched++
+	ev.fn()
+	if len(e.flushers) > 0 {
+		e.runTimeEndFlushers()
+	}
+	return true
 }
 
 // AtTimeEnd registers fn to run once after the last already-queued event
@@ -204,13 +335,10 @@ func (e *Engine) AtTimeEnd(fn func()) {
 }
 
 // runTimeEndFlushers runs the pending AtTimeEnd hooks if no runnable
-// event remains at the current timestamp.
+// event remains at the current timestamp. A cancelled event has already
+// left the queue, so a dead same-instant head cannot defer the flush
+// past the timestamp boundary.
 func (e *Engine) runTimeEndFlushers() {
-	// Drop cancelled heads so a dead same-instant event cannot defer
-	// the flush past the timestamp boundary.
-	for len(e.queue) > 0 && e.queue[0].cancelled {
-		heap.Pop(&e.queue)
-	}
 	if len(e.queue) > 0 && e.queue[0].at <= e.now {
 		return // more events still due at this instant
 	}
@@ -235,16 +363,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.running = true
 	defer func() { e.running = false }()
-	for !e.stopped && len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.cancelled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= t {
 		e.Step()
 	}
 	if !e.stopped && e.now < t {

@@ -2,75 +2,69 @@ package sim
 
 // Timer is a restartable one-shot timer, the building block for protocol
 // retransmission and keepalive logic. The zero value is invalid; create
-// with NewTimer.
+// with NewTimer. A timer owns one embedded Event and re-arms it in
+// place, so Reset and Stop allocate nothing.
 type Timer struct {
 	eng *Engine
-	fn  func()
-	ev  *Event
+	ev  Event
 }
 
 // NewTimer returns a stopped timer that will run fn when it fires.
 func NewTimer(e *Engine, fn func()) *Timer {
-	return &Timer{eng: e, fn: fn}
+	t := &Timer{eng: e}
+	t.ev.fn, t.ev.index = fn, -1
+	return t
 }
 
 // Reset (re)arms the timer to fire after d. Any previously pending firing
 // is cancelled.
-func (t *Timer) Reset(d Duration) {
-	t.Stop()
-	t.ev = t.eng.Schedule(d, func() {
-		t.ev = nil
-		t.fn()
-	})
-}
+func (t *Timer) Reset(d Duration) { t.eng.arm(&t.ev, t.eng.now.Add(d)) }
 
 // Stop cancels a pending firing, if any. It reports whether a firing was
 // pending.
 func (t *Timer) Stop() bool {
-	if t.ev == nil {
+	if t.ev.index < 0 {
 		return false
 	}
-	t.eng.Cancel(t.ev)
-	t.ev = nil
+	t.eng.Cancel(&t.ev)
 	return true
 }
 
 // Active reports whether the timer is armed.
-func (t *Timer) Active() bool { return t.ev != nil }
+func (t *Timer) Active() bool { return t.ev.index >= 0 }
 
 // Ticker invokes fn every period until stopped. Create with NewTicker.
+// Like Timer it re-arms one embedded Event in place.
 type Ticker struct {
 	eng    *Engine
 	period Duration
 	fn     func()
-	ev     *Event
+	ev     Event
 	stop   bool
 }
 
 // NewTicker starts a ticker whose first tick is one period from now.
 func NewTicker(e *Engine, period Duration, fn func()) *Ticker {
 	t := &Ticker{eng: e, period: period, fn: fn}
+	t.ev.fn, t.ev.index = t.tick, -1
 	t.schedule()
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.eng.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn()
-		if !t.stop {
-			t.schedule()
-		}
-	})
+func (t *Ticker) schedule() { t.eng.arm(&t.ev, t.eng.now.Add(t.period)) }
+
+func (t *Ticker) tick() {
+	if t.stop {
+		return
+	}
+	t.fn()
+	if !t.stop {
+		t.schedule()
+	}
 }
 
 // Stop halts the ticker.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-		t.ev = nil
-	}
+	t.eng.Cancel(&t.ev)
 }

@@ -161,7 +161,7 @@ type client struct {
 func newClient(p *sim.Proc, host *netsim.Host, cfg Config) (*client, error) {
 	c := &client{p: p, host: host, cfg: cfg}
 	sock, err := host.BindUDP(0, func(pkt netsim.Packet) {
-		c.inbx = append(c.inbx, pkt)
+		c.inbx = append(c.inbx, pkt.Keep())
 		c.wq.Signal()
 	})
 	if err != nil {

@@ -313,6 +313,8 @@ func (t *Tracer) record(d Dir, f *ether.Frame) {
 		t.Dropped++
 		return
 	}
+	// The frame is only borrowed for this call: a capture keeps a copy.
+	r.Frame = f.Clone()
 	t.records = append(t.records, r)
 }
 

@@ -35,6 +35,8 @@ type HostPort interface {
 	Dom0() *ipstack.Stack
 	NewMAC() ether.MAC
 	VirtualMTU() int
+	// Pool is the world's buffer pool the guest stack leases from.
+	Pool() *netsim.Pool
 }
 
 // Config tunes a VM.
@@ -162,7 +164,7 @@ func New(host HostPort, name string, ip netsim.IP, cfg Config) *VM {
 		ip:   ip,
 	}
 	v.vif = host.AttachVIF("vif-" + name)
-	v.stack = ipstack.New(v.eng, name, v.vif, v.mac, ip, ipstack.Config{MTU: host.VirtualMTU()})
+	v.stack = ipstack.New(v.eng, name, v.vif, v.mac, ip, ipstack.Config{MTU: host.VirtualMTU(), Pool: host.Pool()})
 	v.running = true
 	return v
 }

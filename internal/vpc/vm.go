@@ -55,6 +55,7 @@ func (pt *vmPort) DetachVIF(nic ether.NIC) { pt.h.DetachVIF(nic) }
 func (pt *vmPort) Dom0() *ipstack.Stack    { return pt.dom0 }
 func (pt *vmPort) NewMAC() ether.MAC       { return pt.h.NewMAC() }
 func (pt *vmPort) VirtualMTU() int         { return pt.h.SegmentMTU(pt.vni) }
+func (pt *vmPort) Pool() *netsim.Pool      { return pt.h.Pool() }
 
 // vmRec is the reconciler's memory of one placed VM.
 type vmRec struct {

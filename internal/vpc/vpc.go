@@ -572,13 +572,13 @@ func (n *Network) address(p *sim.Proc, m *Member) error {
 		}
 		n.nextIP++
 		m.Stack = ipstack.New(h.Phys().Engine(), stackName, vif, h.NewMAC(), ip,
-			ipstack.Config{MTU: h.SegmentMTU(n.VNI)})
+			ipstack.Config{MTU: h.SegmentMTU(n.VNI), Pool: h.Pool()})
 		m.IP = ip
 		return nil
 	}
 	// Lease over the virtual LAN with the unmodified DHCP client.
 	m.Stack = ipstack.New(h.Phys().Engine(), stackName, vif, h.NewMAC(), 0,
-		ipstack.Config{MTU: h.SegmentMTU(n.VNI)})
+		ipstack.Config{MTU: h.SegmentMTU(n.VNI), Pool: h.Pool()})
 	cl, err := dhcp.NewClient(m.Stack, dhcp.ClientConfig{})
 	if err != nil {
 		h.DetachVIF(vif)
