@@ -27,18 +27,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Two isolated virtual networks with identical CIDRs.
-	if _, err := world.CreateVPC("red", "10.0.0.0/24"); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := world.CreateVPC("blue", "10.0.0.0/24"); err != nil {
-		log.Fatal(err)
-	}
-	if err := world.JoinVPC("red", "pc00", "pc01"); err != nil {
-		log.Fatal(err)
-	}
-	if err := world.JoinVPC("blue", "pc02", "pc03", "pc04"); err != nil {
-		log.Fatal(err)
+	// Two isolated virtual networks with identical CIDRs, one tenant each.
+	for _, ns := range []wavnet.NetworkSpec{
+		{Name: "red", CIDR: "10.0.0.0/24", Members: []string{"pc00", "pc01"}},
+		{Name: "blue", CIDR: "10.0.0.0/24", Members: []string{"pc02", "pc03", "pc04"}},
+	} {
+		spec := wavnet.TenantSpec{Tenant: ns.Name, Networks: []wavnet.NetworkSpec{ns}}
+		if _, err := world.ApplySync(spec); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	red, _ := world.VPC().Get("red")

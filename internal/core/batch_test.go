@@ -219,8 +219,8 @@ func TestBatchCodecSteadyStateAllocs(t *testing.T) {
 
 // TestBatchRaceEncodeVsLearning proves the batched encode path keeps
 // the COW-table contract: batch encoding plus forwarding lookups never
-// contend with concurrent learning (wired into the CI race job by
-// name).
+// contend with concurrent learning (the CI race job's `./...` runs
+// it under the detector).
 func TestBatchRaceEncodeVsLearning(t *testing.T) {
 	eng := sim.NewEngine(1)
 	table := ether.NewVNITable[int](eng, 0)

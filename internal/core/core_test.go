@@ -2,12 +2,14 @@ package core
 
 import (
 	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"wavnet/internal/ipstack"
 	"wavnet/internal/nat"
 	"wavnet/internal/netsim"
+	"wavnet/internal/obs"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/sim"
 	"wavnet/internal/stun"
@@ -375,6 +377,61 @@ func TestBroadcastFloodsAllTunnels(t *testing.T) {
 	}
 	if rtt1 <= 0 || rtt2 <= 0 || rtt2 < rtt1 {
 		t.Fatalf("rtts: %v / %v (farther peer must not be faster)", rtt1, rtt2)
+	}
+}
+
+// TestPerVNISeries pins the per-network flood breakdown ScrapeInto
+// exports: flood.vni<N> / suppress.vni<N> exist only for networks that
+// flooded or suppressed something, and a network's totals survive
+// LeaveVNI and resume when the same VNI is joined again.
+func TestPerVNISeries(t *testing.T) {
+	w := buildWorld(t, 9, []nat.Type{nat.FullCone, nat.FullCone},
+		[]sim.Duration{10 * time.Millisecond, 15 * time.Millisecond})
+	w.joinAll(t)
+	a := w.hosts[0]
+	a.JoinVNI(12) // idle: never shows up
+	// Every ARP for an address nobody owns floods VNI 7, and is
+	// suppressed toward the one tunnel whose far end lacks the segment.
+	flood := func() {
+		a.JoinVNI(7)
+		st, err := a.CreateDom0On(7, netsim.MustParseIP("10.7.0.1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.eng.Spawn("flood", func(p *sim.Proc) {
+			if _, err := a.ConnectTo(p, hostName(1)); err != nil {
+				t.Error(err)
+				return
+			}
+			st.Ping(p, netsim.MustParseIP("10.7.0.99"), 56, time.Second)
+		})
+		w.eng.RunFor(30 * time.Second)
+	}
+	scrape := func() (flooded, suppressed uint64, text string) {
+		r := obs.NewRegistry()
+		a.ScrapeInto(r, obs.Labels{})
+		flooded, _ = r.CounterValue("flood.vni7", obs.Labels{})
+		suppressed, _ = r.CounterValue("suppress.vni7", obs.Labels{})
+		return flooded, suppressed, r.String()
+	}
+	if _, _, text := scrape(); strings.Contains(text, ".vni") {
+		t.Fatalf("per-VNI series before any flood:\n%s", text)
+	}
+	flood()
+	f1, s1, text := scrape()
+	if f1 == 0 || s1 == 0 {
+		t.Fatalf("flood.vni7=%d suppress.vni7=%d, want both > 0\n%s", f1, s1, text)
+	}
+	if strings.Contains(text, ".vni12") || strings.Contains(text, ".vni0") {
+		t.Fatalf("idle networks exported per-VNI series:\n%s", text)
+	}
+	a.LeaveVNI(7)
+	if f, s, _ := scrape(); f != f1 || s != s1 {
+		t.Fatalf("totals after LeaveVNI: flood %d suppress %d, want %d and %d", f, s, f1, s1)
+	}
+	flood()
+	if f, s, _ := scrape(); f <= f1 || s <= s1 {
+		t.Fatalf("totals after re-join: flood %d suppress %d, want above %d and %d", f, s, f1, s1)
 	}
 }
 

@@ -446,7 +446,7 @@ func (h *Host) switchFrame(seg *segment, f *ether.Frame) {
 		}
 	}
 	h.FloodedFrames++
-	atomicBump(seg.flood)
+	atomic.AddUint64(&seg.stat.flood, 1)
 	for _, t := range h.sortedTunnels() {
 		if !t.established {
 			continue
@@ -456,15 +456,12 @@ func (h *Host) switchFrame(seg *segment, f *ether.Frame) {
 		// frame could only die at their isolation check.
 		if !h.floodUseful(t, seg.vni) {
 			h.SuppressedFloods++
-			atomicBump(seg.suppress)
+			atomic.AddUint64(&seg.stat.suppress, 1)
 			continue
 		}
 		send(t)
 	}
 }
-
-// atomicBump increments a pre-resolved CounterSet handle.
-func atomicBump(ctr *uint64) { atomic.AddUint64(ctr, 1) }
 
 // sortedTunnels returns tunnels in deterministic order for flooding.
 // The returned slice is a reused scratch: it is only valid until the

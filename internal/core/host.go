@@ -21,7 +21,6 @@ import (
 	"wavnet/internal/can"
 	"wavnet/internal/ether"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/rendezvous"
@@ -242,12 +241,15 @@ type segment struct {
 	bridge *ether.Bridge
 	tap    *ether.BridgePort
 	dom0   *ipstack.Stack
-	// flood / suppress are pre-resolved handles into the host's per-VNI
-	// counter set, so the flood path bumps them with one atomic add
-	// instead of a string-keyed locked map probe.
-	flood    *uint64
-	suppress *uint64
+	// stat is the pre-resolved pointer to the host's record for this
+	// VNI, so the flood path bumps it with one atomic add.
+	stat *vniStat
 }
+
+// vniStat is one virtual network's flood / suppression totals. The
+// record belongs to the host, not the segment: it outlives LeaveVNI and
+// a later JoinVNI of the same VNI resumes it.
+type vniStat struct{ flood, suppress uint64 }
 
 // Host is a WAVNet participant.
 type Host struct {
@@ -363,10 +365,10 @@ type Host struct {
 	VIPSteers       uint64
 	VIPAnnouncesOut uint64
 	VIPAnnouncesIn  uint64
-	// vniCounters breaks floods and suppressions down per virtual
-	// network ("flood.vni<N>" / "suppress.vni<N>"); the data path bumps
-	// pre-resolved handles cached on each segment (see segment).
-	vniCounters *metrics.CounterSet
+	// vniStats breaks floods and suppressions down per virtual network
+	// (scraped as "flood.vni<N>" / "suppress.vni<N>"); the data path
+	// bumps the pointer cached on each segment (see segment).
+	vniStats map[uint32]*vniStat
 	// floodScratch is the reusable tunnel ordering of sortedTunnels.
 	floodScratch []*Tunnel
 
@@ -416,7 +418,7 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		peering:     ether.NewPeeringTable(),
 		vniTenant:   make(map[uint32]string),
 		tenantQuota: make(map[string]QuotaConfig),
-		vniCounters: metrics.NewCounterSet(),
+		vniStats:    make(map[uint32]*vniStat),
 		vips:        make(map[uint32]map[netsim.IP]*vipTableEntry),
 		vipRecords:  make(map[string]rendezvous.VIPRecord),
 		batchSizes:  obs.NewHistogram(),
@@ -440,9 +442,12 @@ func (h *Host) addSegment(vni uint32) *segment {
 	if vni != 0 {
 		suffix = fmt.Sprintf(".%d", vni)
 	}
-	seg := &segment{host: h, vni: vni}
-	seg.flood = h.vniCounters.Handle(fmt.Sprintf("flood.vni%d", vni))
-	seg.suppress = h.vniCounters.Handle(fmt.Sprintf("suppress.vni%d", vni))
+	st := h.vniStats[vni]
+	if st == nil {
+		st = new(vniStat)
+		h.vniStats[vni] = st
+	}
+	seg := &segment{host: h, vni: vni, stat: st}
 	seg.bridge = ether.NewBridge(h.eng, h.name+"-br0"+suffix, h.cfg.BridgeLatency)
 	seg.tap = seg.bridge.AddPort("wav0" + suffix)
 	seg.tap.SetRecv(func(f *ether.Frame) { h.onTapFrame(seg, f) })

@@ -2,11 +2,11 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
+	"strconv"
+	"sync/atomic"
 
 	"wavnet/internal/ether"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 )
@@ -193,52 +193,46 @@ func (h *Host) onVNISet(t *Tunnel, payload []byte) {
 	t.vniKnown = true
 }
 
-// ---- uniform counter export ----
+// ---- counter export ----
 
-// VPCCounters exports the host's multi-tenant data-plane counters as a
-// metrics.CounterSet: isolation drops, gateway decisions, quota drops,
-// and per-VNI flood/suppression breakdowns. Experiments aggregate these
-// instead of poking struct fields.
-func (h *Host) VPCCounters() *metrics.CounterSet {
-	c := metrics.NewCounterSet()
-	c.Set("cross_vni_drops", h.CrossVNIDrops)
-	c.Set("peered_forwards", h.PeeredForwards)
-	c.Set("peer_policy_drops", h.PeerPolicyDrops)
-	c.Set("quota_drops", h.QuotaDrops)
-	c.Set("flooded_frames", h.FloodedFrames)
-	c.Set("suppressed_floods", h.SuppressedFloods)
-	c.Set("rehomes", h.Rehomes)
-	c.Set("rehome_failures", h.RehomeFailures)
-	c.Set("reregisters", h.Reregisters)
-	c.Set("vip_arp_proxied", h.VIPARPProxied)
-	c.Set("vip_steers", h.VIPSteers)
-	c.Set("vip_announces_out", h.VIPAnnouncesOut)
-	c.Set("vip_announces_in", h.VIPAnnouncesIn)
-	c.Set("batch_flushes", h.BatchFlushes)
-	c.Set("batch_cap_flushes", h.BatchCapFlushes)
-	c.Set("batched_frames", h.BatchedFrames)
-	c.Set("flows_active", uint64(h.flows.Active()))
-	c.Set("flow_evictions", h.flows.Evictions())
-	c.Set("flow_overflows", h.flows.Overflows())
+// ScrapeInto copies the host's multi-tenant data-plane counters into r
+// under l: isolation drops, gateway decisions, quota drops, re-homing,
+// VIP steering, batching, flow-table totals, and the per-VNI flood /
+// suppression breakdown in VNI order for networks with activity.
+func (h *Host) ScrapeInto(r *obs.Registry, l obs.Labels) {
+	add := func(name string, v uint64) { r.Counter(name, l).Add(v) }
+	add("cross_vni_drops", h.CrossVNIDrops)
+	add("peered_forwards", h.PeeredForwards)
+	add("peer_policy_drops", h.PeerPolicyDrops)
+	add("quota_drops", h.QuotaDrops)
+	add("flooded_frames", h.FloodedFrames)
+	add("suppressed_floods", h.SuppressedFloods)
+	add("rehomes", h.Rehomes)
+	add("rehome_failures", h.RehomeFailures)
+	add("reregisters", h.Reregisters)
+	add("vip_arp_proxied", h.VIPARPProxied)
+	add("vip_steers", h.VIPSteers)
+	add("vip_announces_out", h.VIPAnnouncesOut)
+	add("vip_announces_in", h.VIPAnnouncesIn)
+	add("batch_flushes", h.BatchFlushes)
+	add("batch_cap_flushes", h.BatchCapFlushes)
+	add("batched_frames", h.BatchedFrames)
+	add("flows_active", uint64(h.flows.Active()))
+	add("flow_evictions", h.flows.Evictions())
+	add("flow_overflows", h.flows.Overflows())
 	for reason, n := range h.flows.DropTotals() {
-		c.Set("flow_drops."+obs.FlowDropReason(reason).String(), n)
+		add("flow_drops."+obs.FlowDropReason(reason).String(), n)
 	}
-	// Per-VNI breakdowns, sorted, only for networks with activity (the
-	// handles exist from segment creation even when never bumped).
 	var vnis []uint32
-	for _, name := range h.vniCounters.Names() {
-		var vni uint32
-		if _, err := fmt.Sscanf(name, "flood.vni%d", &vni); err != nil {
-			continue
-		}
-		if h.vniCounters.Get(name) > 0 || h.vniCounters.Get(fmt.Sprintf("suppress.vni%d", vni)) > 0 {
+	for vni, st := range h.vniStats {
+		if atomic.LoadUint64(&st.flood) > 0 || atomic.LoadUint64(&st.suppress) > 0 {
 			vnis = append(vnis, vni)
 		}
 	}
 	sort.Slice(vnis, func(i, j int) bool { return vnis[i] < vnis[j] })
 	for _, vni := range vnis {
-		c.Set(fmt.Sprintf("flood.vni%d", vni), h.vniCounters.Get(fmt.Sprintf("flood.vni%d", vni)))
-		c.Set(fmt.Sprintf("suppress.vni%d", vni), h.vniCounters.Get(fmt.Sprintf("suppress.vni%d", vni)))
+		st, n := h.vniStats[vni], strconv.FormatUint(uint64(vni), 10)
+		add("flood.vni"+n, atomic.LoadUint64(&st.flood))
+		add("suppress.vni"+n, atomic.LoadUint64(&st.suppress))
 	}
-	return c
 }

@@ -11,8 +11,8 @@ import (
 // lookups, refresh learns, new-MAC learns and port flushes against the
 // copy-on-write MACTable/VNITable. The simulation proper is
 // single-threaded, but the COW design's contract is that lookups never
-// contend with learning — this is the race-detector proof (wired into
-// the CI race job by name).
+// contend with learning — this is the race-detector proof (the CI race
+// job's `./...` runs it under the detector).
 func TestTableRaceForwardingVsLearning(t *testing.T) {
 	eng := sim.NewEngine(1)
 	table := NewVNITable[int](eng, 0)

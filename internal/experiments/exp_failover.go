@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wavnet/internal/core"
-	"wavnet/internal/metrics"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
@@ -33,7 +32,7 @@ type FailoverRow struct {
 	BaseOK, BaseN int
 	PostOK, PostN int
 
-	// Cleanup proof, from the survivors' uniform counter export:
+	// Cleanup proof, from the surviving brokers' counters:
 	// replicas superseded by re-homing sessions plus replicas withdrawn
 	// for the dead broker (TTL expiry or liveness sweep).
 	Cleanup uint64
@@ -252,12 +251,9 @@ func FailoverOnce(o Options, brokers int, killAt sim.Duration) (*FailoverRow, er
 	// Post-failover: every pair re-brokers through the survivors.
 	row.PostOK, row.PostN = connectSweep("post", func(i, j int) bool { return true })
 
-	cleanup := metrics.NewCounterSet()
 	for _, s := range servers[1:] {
-		cleanup.Merge(s.Counters())
+		row.Cleanup += s.ReplicaAdoptions + s.DeadBrokerReplicaDrops + s.ReplicaExpiries
 	}
-	row.Cleanup = cleanup.Get("replica_adopted") +
-		cleanup.Get("replica_dead_broker") + cleanup.Get("replica_expired")
 	row.Stray = witness.RecordsFor("fonet")
 	// One quiet window after the wave: the rehome rate falls back to
 	// zero and the alert must resolve, closing its span.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"wavnet/internal/metrics"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
@@ -37,7 +36,7 @@ type FederationRow struct {
 	// on another broker of the set (0 when only one broker).
 	Visibility sim.Duration
 
-	// Broker-side counters, from the uniform metrics export.
+	// Broker-side counters, read from rendezvous.Server's fields.
 	Replications uint64 // replications_out, summed over the set
 	Forwards     uint64 // fwd_connects_out during the connect phase
 	Stray        int    // tenant records held by the unnamed witness broker
@@ -197,12 +196,15 @@ func FederationOnce(o Options, brokers int, lag sim.Duration) (*FederationRow, e
 	}
 
 	// Connect sweep: tear each pair's tunnel down and re-broker it,
-	// classifying by same- vs cross-broker homing. Counters from the
-	// uniform export, snapshotted around the phase.
-	before := metrics.NewCounterSet()
-	for _, s := range servers {
-		before.Merge(s.Counters())
+	// classifying by same- vs cross-broker homing. The forward count is
+	// the brokers' total, read around the phase.
+	fwdOut := func() (n uint64) {
+		for _, s := range servers {
+			n += s.FwdConnectsOut
+		}
+		return n
 	}
+	before := fwdOut()
 	var sameSum, crossSum sim.Duration
 	done = false
 	w.Eng.Spawn("connect-sweep", func(p *sim.Proc) {
@@ -241,11 +243,7 @@ func FederationOnce(o Options, brokers int, lag sim.Duration) (*FederationRow, e
 	if row.CrossOK > 0 {
 		row.CrossLat = crossSum / sim.Duration(row.CrossOK)
 	}
-	phase := metrics.NewCounterSet()
-	for _, s := range servers {
-		phase.Merge(s.Counters())
-	}
-	row.Forwards = phase.Delta(before).Get("fwd_connects_out")
+	row.Forwards = fwdOut() - before
 
 	// Visibility probe: admit the spare member on the last broker and
 	// watch for its session at home and its replica on broker 0.
@@ -275,11 +273,9 @@ func FederationOnce(o Options, brokers int, lag sim.Duration) (*FederationRow, e
 		row.Visibility = replicated.Sub(homed)
 	}
 
-	totals := metrics.NewCounterSet()
 	for _, s := range servers {
-		totals.Merge(s.Counters())
+		row.Replications += s.ReplicationsOut
 	}
-	row.Replications = totals.Get("replications_out")
 	row.Stray = witness.RecordsFor("fednet")
 	if err := o.finish(w); err != nil {
 		return nil, err

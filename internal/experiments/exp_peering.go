@@ -139,12 +139,10 @@ func peeringOnce(o Options, name string, peerings []vpc.PeeringSpec) (*PeeringRo
 		row.ToMemberOK = ping(p, blue.Members()[1].IP)
 	})
 	w.Eng.RunFor(time.Minute)
-	counters := metrics.NewCounterSet()
 	for _, m := range blue.Members() {
-		counters.Merge(m.Host.VPCCounters())
+		row.Forwards += m.Host.PeeredForwards
+		row.PolicyDrops += m.Host.PeerPolicyDrops
 	}
-	row.Forwards = counters.Get("peered_forwards")
-	row.PolicyDrops = counters.Get("peer_policy_drops")
 	if err := o.finish(w); err != nil {
 		return nil, err
 	}
@@ -210,11 +208,9 @@ func quotaOnce(o Options, quotaBps float64) (*QuotaRow, error) {
 	if opnErr != nil {
 		return nil, fmt.Errorf("open tenant transfer: %w", opnErr)
 	}
-	counters := metrics.NewCounterSet()
 	for _, m := range lim.Members() {
-		counters.Merge(m.Host.VPCCounters())
+		row.QuotaDrops += m.Host.QuotaDrops
 	}
-	row.QuotaDrops = counters.Get("quota_drops")
 	if err := o.finish(w); err != nil {
 		return nil, err
 	}

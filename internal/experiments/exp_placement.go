@@ -217,7 +217,7 @@ func PlacementOnce(o Options, brokers, memMB int, spread string) (*PlacementRow,
 	mrep := v.Migrations[len(v.Migrations)-1]
 	row.Migration = mrep.Total()
 	row.Downtime = mrep.Downtime
-	row.Rounds = v.Counters().Get("rounds")
+	row.Rounds = v.Rounds
 
 	row.PostOK, row.PostN = pingSweep("post")
 	row.Stray = witness.RecordsFor("pnet")

@@ -237,9 +237,8 @@ func ServiceOnce(o Options, backends, fall, brokers int) (*ServiceRow, error) {
 		return nil, fmt.Errorf("VIP never recovered after the kill (%d/%d pings ok)", row.OK, row.Pings)
 	}
 	row.Failover = firstOK.Sub(killTime)
-	c := svc.Counters()
-	row.Withdrawals = c.Get("withdrawals")
-	row.Failovers = c.Get("failovers")
+	row.Withdrawals = svc.Withdrawals
+	row.Failovers = svc.Failovers
 	row.Stray = witness.VIPRecordsFor("snet")
 	// Flow telemetry: the client's accounting must carry the ICMP flow
 	// into the VIP itself (steering happens under the VIP's address, so

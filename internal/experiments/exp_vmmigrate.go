@@ -153,10 +153,9 @@ func MigrationOnce(o Options, memMB int, dirtyRate float64, fault string) (*Migr
 		}
 	}
 
-	c := v.Counters()
-	row.Rounds = c.Get("rounds")
-	row.Pages = c.Get("pages_copied")
-	row.Aborts = c.Get("aborts")
+	row.Rounds = v.Rounds
+	row.Pages = v.PagesCopied
+	row.Aborts = v.Aborts
 	switch {
 	case migErr == nil:
 		row.Outcome = "ok"

@@ -109,18 +109,22 @@ func vpcOnce(o Options, tenants, hostsPer int) (*VPCRow, error) {
 	start := w.Eng.Now()
 	nets := make([]*vpc.Network, tenants)
 	for tnt := 0; tnt < tenants; tnt++ {
-		n, err := w.CreateVPC(fmt.Sprintf("tenant%02d", tnt), "10.0.0.0/24")
-		if err != nil {
+		// Network first, members second: the Setup column times these
+		// two converges per tenant.
+		name := fmt.Sprintf("tenant%02d", tnt)
+		spec := vpc.TenantSpec{Tenant: name, Networks: []vpc.NetworkSpec{{Name: name, CIDR: "10.0.0.0/24"}}}
+		if _, err := w.ApplySync(spec); err != nil {
 			return nil, err
 		}
-		nets[tnt] = n
 		keys := make([]string, hostsPer)
 		for i := range keys {
 			keys[i] = key(tnt, i)
 		}
-		if err := w.JoinVPC(n.Name, keys...); err != nil {
+		spec.Networks[0].Members = keys
+		if _, err := w.ApplySync(spec); err != nil {
 			return nil, err
 		}
+		nets[tnt], _ = w.VPC().Get(name)
 	}
 	row := &VPCRow{Tenants: tenants, HostsPerTenant: hostsPer, Setup: w.Eng.Now().Sub(start)}
 
@@ -194,9 +198,9 @@ func vpcOnce(o Options, tenants, hostsPer int) (*VPCRow, error) {
 		// Layer 1 — smarter flooding: the attacker's host knows (from
 		// VNI announcements) that the victim carries a different tenant
 		// and suppresses the tagged broadcast before the wire.
-		suppressedBefore := attacker.Host.VPCCounters().Get("suppressed_floods")
+		suppressedBefore := attacker.Host.SuppressedFloods
 		flood()
-		row.FloodSuppressed = attacker.Host.VPCCounters().Get("suppressed_floods") - suppressedBefore
+		row.FloodSuppressed = attacker.Host.SuppressedFloods - suppressedBefore
 		if row.FloodSuppressed == 0 {
 			return nil, fmt.Errorf("no floods were suppressed toward the forced tunnel")
 		}
@@ -204,9 +208,9 @@ func vpcOnce(o Options, tenants, hostsPer int) (*VPCRow, error) {
 		// Layer 2 — receiver-side tag check: disable suppression so the
 		// frames really cross, and count them dying at the victim.
 		attacker.Host.SetFloodAll(true)
-		dropsBefore := victim.VPCCounters().Get("cross_vni_drops")
+		dropsBefore := victim.CrossVNIDrops
 		flood()
-		row.CrossDropped = victim.VPCCounters().Get("cross_vni_drops") - dropsBefore
+		row.CrossDropped = victim.CrossVNIDrops - dropsBefore
 		row.CrossDelivered = delivered
 		if row.CrossDropped == 0 {
 			return nil, fmt.Errorf("no frames crossed the forced tunnel; leak counters are vacuous")

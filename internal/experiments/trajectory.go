@@ -219,8 +219,7 @@ func benchFloodSuppress(o Options, add func(string, string, float64, string)) er
 	}
 	n, _ := w.VPC().Get("net-t0")
 	attacker := n.Members()[0]
-	suppressedBefore := attacker.Host.VPCCounters().Get("suppressed_floods")
-	floodedBefore := attacker.Host.VPCCounters().Get("flooded_frames")
+	suppressedBefore, floodedBefore := attacker.Host.SuppressedFloods, attacker.Host.FloodedFrames
 	w.Eng.Spawn("flood", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			// Inside the CIDR but owned by no one: every attempt floods
@@ -229,8 +228,8 @@ func benchFloodSuppress(o Options, add func(string, string, float64, string)) er
 		}
 	})
 	w.Eng.RunFor(30 * time.Second)
-	suppressed := attacker.Host.VPCCounters().Get("suppressed_floods") - suppressedBefore
-	flooded := attacker.Host.VPCCounters().Get("flooded_frames") - floodedBefore
+	suppressed := attacker.Host.SuppressedFloods - suppressedBefore
+	flooded := attacker.Host.FloodedFrames - floodedBefore
 	if suppressed == 0 {
 		return fmt.Errorf("no floods were suppressed toward the forced tunnel")
 	}

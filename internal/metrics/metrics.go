@@ -1,15 +1,13 @@
 // Package metrics provides the small measurement toolkit used by the
 // WAVNet experiment harness: time series of samples, summary statistics
-// and fixed-width histograms. Everything operates on float64 values and
+// and unit conversions. Everything operates on float64 values and
 // sim.Time timestamps so that any experiment (RTT probes, interval
 // bandwidth reports, request rates) records through one API.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"wavnet/internal/sim"
 )
@@ -129,62 +127,6 @@ type Counter struct {
 
 // Inc adds one event carrying value v (e.g. packet size).
 func (c *Counter) Inc(v float64) { c.N++; c.Total += v }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); values
-// outside the range land in the under/overflow buckets.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []uint64
-	Under     uint64
-	Over      uint64
-	CountN    uint64
-	width     float64
-	populated bool
-}
-
-// NewHistogram creates a histogram with n equal buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n), width: (hi - lo) / float64(n)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.CountN++
-	switch {
-	case v < h.Lo:
-		h.Under++
-	case v >= h.Hi:
-		h.Over++
-	default:
-		h.Buckets[int((v-h.Lo)/h.width)]++
-	}
-}
-
-// String renders a compact textual histogram.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	max := uint64(1)
-	for _, c := range h.Buckets {
-		if c > max {
-			max = c
-		}
-	}
-	for i, c := range h.Buckets {
-		lo := h.Lo + float64(i)*h.width
-		bar := strings.Repeat("#", int(40*c/max))
-		fmt.Fprintf(&b, "%12.3f |%-40s %d\n", lo, bar, c)
-	}
-	if h.Under > 0 {
-		fmt.Fprintf(&b, "   underflow: %d\n", h.Under)
-	}
-	if h.Over > 0 {
-		fmt.Fprintf(&b, "    overflow: %d\n", h.Over)
-	}
-	return b.String()
-}
 
 // Rate converts a byte count and a duration to megabits per second.
 func Rate(bytes int64, d sim.Duration) float64 {

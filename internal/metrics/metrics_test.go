@@ -57,22 +57,6 @@ func TestSeriesBetween(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, v := range []float64{-1, 0, 0.5, 5, 9.99, 10, 42} {
-		h.Observe(v)
-	}
-	if h.Under != 1 || h.Over != 2 || h.CountN != 7 {
-		t.Fatalf("histogram %+v", h)
-	}
-	if h.Buckets[0] != 2 || h.Buckets[5] != 1 || h.Buckets[9] != 1 {
-		t.Fatalf("buckets %v", h.Buckets)
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestRateAndMs(t *testing.T) {
 	if r := Rate(1250000, sim.Second); r != 10 {
 		t.Fatalf("rate %v, want 10 Mbps", r)

@@ -145,7 +145,7 @@ func (e *AlertEngine) score(rule AlertRule, snap *Registry, view *RateView) (flo
 	}
 	var sum float64
 	var worst float64
-	for _, s := range src.sorted() {
+	for _, s := range src.all() {
 		if !matchMetric(rule.Metric, s.key.name) || !matchLabels(rule.Labels, s.key.labels) {
 			continue
 		}

@@ -2,12 +2,13 @@
 // metrics registry (counters, gauges, log-scale histograms) and a
 // sim-time span tracer.
 //
-// The registry generalizes metrics.CounterSet — every subsystem keeps
-// exporting a flat CounterSet, and scrapers (scenario.World.Scrape)
-// plug those sets into a Registry under a {tenant, net, broker, host}
-// label set so per-layer series survive aggregation. One snapshot /
-// delta / merge API covers the whole registry, with a stable text and
-// JSON render for experiment tables and the BENCH_* trajectory files.
+// The registry is the one export format: every subsystem keeps its
+// statistics in plain fields and copies them into a Registry through
+// one ScrapeInto method, under the {tenant, net, broker, host} label
+// set its scraper (scenario.World.Scrape) hands it, so per-layer series
+// survive aggregation. One snapshot / delta / merge API covers the
+// whole registry, with a stable text and JSON render for experiment
+// tables and the BENCH_* trajectory files.
 //
 // The tracer records spans stamped with sim.Time and threaded by a
 // causality (trace) ID through the fabric's multi-step flows — Apply

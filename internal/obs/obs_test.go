@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"wavnet/internal/metrics"
 	"wavnet/internal/sim"
 )
 
@@ -103,10 +104,8 @@ func TestRegistryLabeledSeries(t *testing.T) {
 		t.Fatalf("len = %d, want 4", r.Len())
 	}
 
-	cs := metrics.NewCounterSet()
-	cs.Add("quota_drops", 5)
-	r.AddCounterSet(acme, cs)
-	r.AddCounterSet(acme, cs) // same labels: sums
+	r.Counter("quota_drops", acme).Add(5)
+	r.Counter("quota_drops", acme).Add(5) // two sources on the same labels: sums
 	if v, _ := r.CounterValue("quota_drops", acme); v != 10 {
 		t.Fatalf("quota_drops = %d, want 10", v)
 	}
@@ -125,6 +124,44 @@ func TestRegistryLabeledSeries(t *testing.T) {
 	}
 	if len(rows) != r.Len() {
 		t.Fatalf("json rows = %d, want %d", len(rows), r.Len())
+	}
+
+	// Render order is (name, rendered label string), whatever the
+	// registration order: with empty dimensions '}' sorts after ',', so
+	// {tenant=a} follows {tenant=a,net=b}, and a bare name leads.
+	o := NewRegistry()
+	for _, l := range []Labels{
+		{Tenant: "a"}, {Host: "z"}, {Tenant: "a", Net: "b"}, {}, {Net: "b", Host: "a"}, {Tenant: "a", Host: "c"}, {Broker: "rdv"},
+	} {
+		o.Counter("n", l).Inc()
+	}
+	o.Counter("m", Labels{Host: "z"}).Inc()
+	want := []string{"m{host=z}", "n", "n{broker=rdv}", "n{host=z}", "n{net=b,host=a}",
+		"n{tenant=a,host=c}", "n{tenant=a,net=b}", "n{tenant=a}"}
+	if !sort.StringsAreSorted(want[1:]) {
+		t.Fatalf("fixture: %q is not in string order", want[1:])
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(o.String()), "\n") {
+		got = append(got, strings.TrimSuffix(line, " 1"))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("text order %q, want %q", got, want)
+	}
+	b, _ = json.Marshal(o)
+	rows = nil
+	if err := json.Unmarshal(b, &rows); err != nil {
+		t.Fatalf("json round-trip: %v", err)
+	}
+	for i, row := range rows {
+		var l Labels
+		if m, ok := row["labels"].(map[string]any); ok {
+			get := func(k string) string { s, _ := m[k].(string); return s }
+			l = Labels{get("tenant"), get("net"), get("broker"), get("host")}
+		}
+		if name := row["name"].(string) + l.String(); name != want[i] {
+			t.Fatalf("json row %d is %s, want %s", i, name, want[i])
+		}
 	}
 }
 

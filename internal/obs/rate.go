@@ -3,8 +3,8 @@ package obs
 import "wavnet/internal/sim"
 
 // RateView is a registry delta bound to the interval it covers, so
-// per-second rates fall out without every caller hand-rolling
-// CounterSet.Delta loops. Built by Registry.Since.
+// per-second rates fall out without every caller hand-rolling delta
+// loops. Built by Registry.Since.
 type RateView struct {
 	// Delta holds current-minus-previous per series: counters clamp at
 	// zero across source restarts (see Registry.Delta), gauges carry

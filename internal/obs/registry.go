@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"wavnet/internal/metrics"
 )
 
 // Kind discriminates the series types a Registry holds.
@@ -151,26 +149,6 @@ func (r *Registry) AddHistogram(name string, labels Labels, h *Histogram) {
 	r.Histogram(name, labels).merge(h)
 }
 
-// AddCounterSet plugs a subsystem's flat CounterSet into the registry
-// under one label set: every counter of the set is added into the
-// like-named labeled counter (so scraping two sources onto the same
-// labels sums them).
-func (r *Registry) AddCounterSet(labels Labels, cs *metrics.CounterSet) {
-	r.AddCounterSetPrefix("", labels, cs)
-}
-
-// AddCounterSetPrefix is AddCounterSet with every counter name
-// prefixed — scrapers use it to namespace subsystems whose flat
-// counter names would otherwise collide (e.g. "placement.").
-func (r *Registry) AddCounterSetPrefix(prefix string, labels Labels, cs *metrics.CounterSet) {
-	if cs == nil {
-		return
-	}
-	for _, name := range cs.Names() {
-		r.Counter(prefix+name, labels).Add(cs.Get(name))
-	}
-}
-
 // Len reports the number of series.
 func (r *Registry) Len() int {
 	r.mu.Lock()
@@ -200,11 +178,11 @@ func (r *Registry) GaugeValue(name string, labels Labels) (float64, bool) {
 	return s.gauge.Value(), true
 }
 
-// Total sums a counter name across every label set — the registry
-// analogue of merging per-host CounterSets before reading one name.
+// Total sums a counter name across every label set (per-host or
+// per-broker series folded into one fabric-wide figure).
 func (r *Registry) Total(name string) uint64 {
 	var sum uint64
-	for _, s := range r.sorted() {
+	for _, s := range r.all() {
 		if s.key.name == name && s.kind == KindCounter {
 			sum += s.counter.Value()
 		}
@@ -212,17 +190,35 @@ func (r *Registry) Total(name string) uint64 {
 	return sum
 }
 
-// sorted snapshots the series ordered by (name, labels) — the stable
-// render order, independent of registration order.
-func (r *Registry) sorted() []*series {
+// all returns the series in registration order for read paths that only
+// sum or look up. order is append-only, so the prefix handed out here
+// stays valid after the lock is released.
+func (r *Registry) all() []*series {
 	r.mu.Lock()
-	out := append([]*series(nil), r.order...)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.order
+}
+
+// rendered pairs a series with its label string for the renders.
+type rendered struct {
+	*series
+	labels string
+}
+
+// sorted snapshots the series ordered by (name, rendered labels) — the
+// stable render order, independent of registration order. Each label
+// string is built once per sort, not once per comparison.
+func (r *Registry) sorted() []rendered {
+	all := r.all()
+	out := make([]rendered, len(all))
+	for i, s := range all {
+		out[i] = rendered{s, s.key.labels.String()}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].key.name != out[j].key.name {
 			return out[i].key.name < out[j].key.name
 		}
-		return out[i].key.labels.String() < out[j].key.labels.String()
+		return out[i].labels < out[j].labels
 	})
 	return out
 }
@@ -238,7 +234,7 @@ func (r *Registry) Snapshot() *Registry {
 // Merge folds other into r: counters and gauges sum, histograms merge
 // bucket-wise, series absent from r are created.
 func (r *Registry) Merge(other *Registry) {
-	for _, s := range other.sorted() {
+	for _, s := range other.all() {
 		switch s.kind {
 		case KindCounter:
 			r.Counter(s.key.name, s.key.labels).Add(s.counter.Value())
@@ -251,12 +247,13 @@ func (r *Registry) Merge(other *Registry) {
 }
 
 // Delta returns a new registry holding r minus prev per series:
-// counters subtract clamped at zero (a restarted source reset its
-// totals; see metrics.CounterSet.Delta), histograms subtract
-// bucket-wise, gauges keep their current (instantaneous) value.
+// counters subtract clamped at zero (a restarted broker or host starts
+// its totals over, and a wrapped uint64 would be a garbage delta),
+// histograms subtract bucket-wise, gauges keep their current
+// (instantaneous) value.
 func (r *Registry) Delta(prev *Registry) *Registry {
 	out := NewRegistry()
-	for _, s := range r.sorted() {
+	for _, s := range r.all() {
 		switch s.kind {
 		case KindCounter:
 			cur := s.counter.Value()
@@ -290,7 +287,7 @@ func (r *Registry) Delta(prev *Registry) *Registry {
 func (r *Registry) String() string {
 	var b strings.Builder
 	for _, s := range r.sorted() {
-		fmt.Fprintf(&b, "%s%s ", s.key.name, s.key.labels)
+		fmt.Fprintf(&b, "%s%s ", s.key.name, s.labels)
 		switch s.kind {
 		case KindCounter:
 			fmt.Fprintf(&b, "%d", s.counter.Value())

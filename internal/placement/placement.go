@@ -28,7 +28,7 @@ import (
 	"sort"
 
 	"wavnet/internal/grouping"
-	"wavnet/internal/metrics"
+	"wavnet/internal/obs"
 	"wavnet/internal/sim"
 )
 
@@ -92,23 +92,29 @@ type Decision struct {
 	Group []string
 }
 
-// Scheduler scores candidates and exports its decisions as counters.
+// Scheduler scores candidates and counts its decisions.
 type Scheduler struct {
 	cfg Config
-	c   *metrics.CounterSet
+
+	// Decision statistics (ScrapeInto exports them): placements made,
+	// choices that landed inside the locality core, decisions taken with
+	// no RTT data at all, decisions where data existed but no usable
+	// core emerged, and candidates excluded by the federation scope.
+	Placements, GroupHits, NoMatrix, CoreUnusable, FilteredBroker uint64
 }
 
 // New returns a scheduler.
-func New(cfg Config) *Scheduler {
-	return &Scheduler{cfg: cfg, c: metrics.NewCounterSet()}
-}
+func New(cfg Config) *Scheduler { return &Scheduler{cfg: cfg} }
 
-// Counters exports the scheduler's decision statistics: placements
-// made, choices that landed inside the locality core (group_hits),
-// decisions taken with no RTT data at all (no_matrix), decisions where
-// data existed but no usable core emerged (core_unusable), and
-// candidates excluded by the federation scope (filtered_broker).
-func (s *Scheduler) Counters() *metrics.CounterSet { return s.c }
+// ScrapeInto copies the decision statistics into r under l as
+// "placement.*" counters.
+func (s *Scheduler) ScrapeInto(r *obs.Registry, l obs.Labels) {
+	r.Counter("placement.placements", l).Add(s.Placements)
+	r.Counter("placement.group_hits", l).Add(s.GroupHits)
+	r.Counter("placement.no_matrix", l).Add(s.NoMatrix)
+	r.Counter("placement.core_unusable", l).Add(s.CoreUnusable)
+	r.Counter("placement.filtered_broker", l).Add(s.FilteredBroker)
+}
 
 // score is one candidate's evaluated standing.
 type score struct {
@@ -133,7 +139,7 @@ func (s *Scheduler) Choose(req Request, cands []Candidate, names []string, rtts 
 			if named[c.Broker] {
 				eligible = append(eligible, c)
 			} else {
-				s.c.Add("filtered_broker", 1)
+				s.FilteredBroker++
 			}
 		}
 	} else {
@@ -187,9 +193,9 @@ func (s *Scheduler) Choose(req Request, cands []Candidate, names []string, rtts 
 		// RTT data existed but the grouping produced no usable core:
 		// distinct from having no data at all, which usually means RTT
 		// reporting is not wired up.
-		s.c.Add("core_unusable", 1)
+		s.CoreUnusable++
 	default:
-		s.c.Add("no_matrix", 1)
+		s.NoMatrix++
 	}
 
 	sort.SliceStable(scores, func(a, b int) bool {
@@ -212,9 +218,9 @@ func (s *Scheduler) Choose(req Request, cands []Candidate, names []string, rtts 
 		return x.cand.Key < y.cand.Key
 	})
 	best := scores[0]
-	s.c.Add("placements", 1)
+	s.Placements++
 	if best.inGroup {
-		s.c.Add("group_hits", 1)
+		s.GroupHits++
 	}
 	return Decision{
 		Host:    best.cand.Key,

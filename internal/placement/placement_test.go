@@ -58,8 +58,8 @@ func TestChoosePrefersLocalityCore(t *testing.T) {
 	if len(d.Group) != 3 {
 		t.Fatalf("core %v, want 3 hosts", d.Group)
 	}
-	if s.Counters().Get("group_hits") != 1 || s.Counters().Get("placements") != 1 {
-		t.Fatalf("counters: %s", s.Counters())
+	if s.GroupHits != 1 || s.Placements != 1 {
+		t.Fatalf("group_hits=%d placements=%d, want 1 and 1", s.GroupHits, s.Placements)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestChooseFiltersByBrokerScope(t *testing.T) {
 	if d.Host == "b" {
 		t.Fatal("chose a host homed outside the network's broker set")
 	}
-	if s.Counters().Get("filtered_broker") != 1 {
-		t.Fatalf("counters: %s", s.Counters())
+	if s.FilteredBroker != 1 {
+		t.Fatalf("filtered_broker=%d, want 1", s.FilteredBroker)
 	}
 	// All candidates out of scope: a hard error, never a fallback.
 	if _, err := s.Choose(Request{VM: "vm2", Brokers: []string{"b9"}}, cs, names, rtts); !errors.Is(err, ErrNoCandidates) {
@@ -121,8 +121,8 @@ func TestChooseWithoutMatrixFallsBackToLoad(t *testing.T) {
 	if d.Host != "y" || d.InGroup || d.Group != nil {
 		t.Fatalf("decision %+v, want least-loaded y with no locality claim", d)
 	}
-	if s.Counters().Get("no_matrix") != 1 {
-		t.Fatalf("counters: %s", s.Counters())
+	if s.NoMatrix != 1 {
+		t.Fatalf("no_matrix=%d, want 1", s.NoMatrix)
 	}
 }
 

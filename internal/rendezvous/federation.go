@@ -3,8 +3,8 @@ package rendezvous
 import (
 	"sort"
 
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
+	"wavnet/internal/obs"
 	"wavnet/internal/sim"
 )
 
@@ -376,49 +376,47 @@ func (s *Server) RecordsFor(net string) int {
 	return count
 }
 
-// Counters exports the broker's control-plane counters as a uniform
-// metrics.CounterSet (like core.Host.VPCCounters for the data plane):
+// ScrapeInto copies the broker's control-plane counters into r under l:
 // session traffic, relay usage, and the federation's replication,
 // forwarding and expiry activity.
-func (s *Server) Counters() *metrics.CounterSet {
-	c := metrics.NewCounterSet()
-	c.Set("joins", s.Joins)
-	c.Set("pulses", s.Pulses)
-	c.Set("lookups", s.Lookups)
-	c.Set("connects", s.Connects)
-	c.Set("relayed_introductions", s.RelayedIntroductions)
-	c.Set("relay_channels", s.RelayChannels)
-	c.Set("relay_frames", s.RelayFrames)
-	c.Set("replications_out", s.ReplicationsOut)
-	c.Set("replications_in", s.ReplicationsIn)
-	c.Set("withdrawals_out", s.WithdrawalsOut)
-	c.Set("withdrawals_in", s.WithdrawalsIn)
-	c.Set("fwd_connects_out", s.FwdConnectsOut)
-	c.Set("fwd_connects_in", s.FwdConnectsIn)
-	c.Set("peer_allows_out", s.PeerAllowsOut)
-	c.Set("peer_allows_in", s.PeerAllowsIn)
-	c.Set("peer_revokes_out", s.PeerRevokesOut)
-	c.Set("peer_revokes_in", s.PeerRevokesIn)
-	c.Set("session_expiries", s.SessionExpiries)
-	c.Set("replica_expired", s.ReplicaExpiries)
-	c.Set("rejected_federation", s.RejectedFederation)
-	c.Set("broker_pulses_out", s.BrokerPulsesOut)
-	c.Set("broker_pulses_in", s.BrokerPulsesIn)
-	c.Set("replica_dead_broker", s.DeadBrokerReplicaDrops)
-	c.Set("replica_adopted", s.ReplicaAdoptions)
-	c.Set("session_superseded", s.SessionsSuperseded)
-	c.Set("stale_fwd_rejects", s.StaleFwdRejects)
-	c.Set("vip_announces_in", s.VIPAnnouncesIn)
-	c.Set("vip_withdrawals_in", s.VIPWithdrawalsIn)
-	c.Set("vip_replications_out", s.VIPReplicationsOut)
-	c.Set("vip_replications_in", s.VIPReplicationsIn)
-	c.Set("vip_retracts_out", s.VIPRetractsOut)
-	c.Set("vip_retracts_in", s.VIPRetractsIn)
-	c.Set("vip_lookups", s.VIPLookups)
-	c.Set("vip_expiries", s.VIPExpiries)
-	c.Set("vip_dead_broker", s.DeadBrokerVIPDrops)
-	c.Set("vip_rejected", s.RejectedVIP)
-	return c
+func (s *Server) ScrapeInto(r *obs.Registry, l obs.Labels) {
+	add := func(name string, v uint64) { r.Counter(name, l).Add(v) }
+	add("joins", s.Joins)
+	add("pulses", s.Pulses)
+	add("lookups", s.Lookups)
+	add("connects", s.Connects)
+	add("relayed_introductions", s.RelayedIntroductions)
+	add("relay_channels", s.RelayChannels)
+	add("relay_frames", s.RelayFrames)
+	add("replications_out", s.ReplicationsOut)
+	add("replications_in", s.ReplicationsIn)
+	add("withdrawals_out", s.WithdrawalsOut)
+	add("withdrawals_in", s.WithdrawalsIn)
+	add("fwd_connects_out", s.FwdConnectsOut)
+	add("fwd_connects_in", s.FwdConnectsIn)
+	add("peer_allows_out", s.PeerAllowsOut)
+	add("peer_allows_in", s.PeerAllowsIn)
+	add("peer_revokes_out", s.PeerRevokesOut)
+	add("peer_revokes_in", s.PeerRevokesIn)
+	add("session_expiries", s.SessionExpiries)
+	add("replica_expired", s.ReplicaExpiries)
+	add("rejected_federation", s.RejectedFederation)
+	add("broker_pulses_out", s.BrokerPulsesOut)
+	add("broker_pulses_in", s.BrokerPulsesIn)
+	add("replica_dead_broker", s.DeadBrokerReplicaDrops)
+	add("replica_adopted", s.ReplicaAdoptions)
+	add("session_superseded", s.SessionsSuperseded)
+	add("stale_fwd_rejects", s.StaleFwdRejects)
+	add("vip_announces_in", s.VIPAnnouncesIn)
+	add("vip_withdrawals_in", s.VIPWithdrawalsIn)
+	add("vip_replications_out", s.VIPReplicationsOut)
+	add("vip_replications_in", s.VIPReplicationsIn)
+	add("vip_retracts_out", s.VIPRetractsOut)
+	add("vip_retracts_in", s.VIPRetractsIn)
+	add("vip_lookups", s.VIPLookups)
+	add("vip_expiries", s.VIPExpiries)
+	add("vip_dead_broker", s.DeadBrokerVIPDrops)
+	add("vip_rejected", s.RejectedVIP)
 }
 
 // PeerDead reports whether a federated peer broker has been silent past

@@ -146,7 +146,7 @@ func TestChaosBrokerFailoverMidTraffic(t *testing.T) {
 	if got := b2.ReplicaCount(); got != 0 {
 		t.Fatalf("b2 still holds %d replicas naming the dead broker", got)
 	}
-	if b2.Counters().Get("replica_adopted") == 0 {
+	if b2.ReplicaAdoptions == 0 {
 		t.Fatal("no replica was superseded by a re-homing session")
 	}
 	// Mid-traffic: the data plane rode out the control-plane failure.
@@ -318,8 +318,7 @@ func TestChaosReplicaExpiryOnDeadBroker(t *testing.T) {
 	if connErr == nil {
 		t.Fatal("connect toward a dead broker's host succeeded unexpectedly")
 	}
-	c := b2.Counters()
-	if c.Get("stale_fwd_rejects") == 0 {
+	if b2.StaleFwdRejects == 0 {
 		t.Fatal("no stale fwd-connect was rejected")
 	}
 	// Replica cleanup is no longer silent: the dead broker's replicas
@@ -328,8 +327,7 @@ func TestChaosReplicaExpiryOnDeadBroker(t *testing.T) {
 	if b2.HasReplica("pc00") || b2.HasReplica("pc01") {
 		t.Fatal("b2 still holds replicas of the dead broker's hosts")
 	}
-	c = b2.Counters()
-	if c.Get("replica_dead_broker")+c.Get("replica_expired") == 0 {
+	if b2.DeadBrokerReplicaDrops+b2.ReplicaExpiries == 0 {
 		t.Fatal("replica cleanup left no counter trace")
 	}
 }
@@ -465,7 +463,7 @@ func TestChaosHostBrokerPartitionSupersedesStaleSession(t *testing.T) {
 	if !b1.HasReplica("pc00") {
 		t.Fatal("b1 holds no replica of re-homed pc00")
 	}
-	if b1.Counters().Get("session_superseded") == 0 {
+	if b1.SessionsSuperseded == 0 {
 		t.Fatal("no session was superseded on the old home broker")
 	}
 	// The host that stayed on b1 keeps its live session (its constant

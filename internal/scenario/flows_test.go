@@ -171,8 +171,8 @@ func TestChaosPartitionAlertFiresAndResolves(t *testing.T) {
 // TestRestartBrokerCounterDeltaSinceRate is the registry-level restart
 // regression: rates derived through Registry.Since across a broker
 // crash-restart must clamp at zero instead of wrapping uint64 into
-// astronomical values — the same contract CounterSet.Delta holds,
-// asserted through the Since view the alert engine's rate rules use.
+// astronomical values, asserted through the Since view the alert
+// engine's rate rules use.
 func TestRestartBrokerCounterDeltaSinceRate(t *testing.T) {
 	w, err := Build(73, EmulatedWANSpecs(2, 100e6), nil)
 	if err != nil {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,31 @@ func TestObsScrapeTenantLabels(t *testing.T) {
 	l := obs.Labels{Tenant: "acme", Net: "red", Broker: PrimaryBroker, Host: "pc00"}
 	if _, ok := r.CounterValue("flooded_frames", l); !ok {
 		t.Fatalf("no tenant-labeled series for pc00; scrape:\n%s", r)
+	}
+}
+
+// TestScrapeAllocsPerSeries bounds what World.Scrape allocates per
+// series it returns on a two-tenant world, alert evaluation included,
+// from the second scrape on. A label string rendered per sort
+// comparison or a per-host counter map rebuilt per scrape costs
+// hundreds per series; the snapshot itself costs under ten.
+func TestScrapeAllocsPerSeries(t *testing.T) {
+	w, err := Build(66, EmulatedWANSpecs(6, 100e6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tenant := range []string{"acme", "beta"} {
+		keys := []string{w.Machines[3*i].Key, w.Machines[3*i+1].Key, w.Machines[3*i+2].Key}
+		if _, err := w.ApplySync(vpc.TenantSpec{Tenant: tenant, Networks: []vpc.NetworkSpec{{
+			Name: tenant + "-net", CIDR: "10.92.0.0/24", StaticAddressing: true, Members: keys,
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := w.Scrape().Len()
+	allocs := testing.AllocsPerRun(5, func() { w.Scrape() })
+	if per := allocs / float64(series); per > 16 {
+		t.Fatalf("Scrape: %.0f allocations for %d series = %.1f per series, want <= 16", allocs, series, per)
 	}
 }
 
@@ -236,9 +262,11 @@ func TestRestartBrokerCounterDeltaClamped(t *testing.T) {
 	if err := w.WAVNetUp(); err != nil {
 		t.Fatal(err)
 	}
-	prev := w.Rdv.Counters()
-	if prev.Get("joins") < 2 {
-		t.Fatalf("primary broker saw %d joins, want >= 2", prev.Get("joins"))
+	l := obs.Labels{Broker: PrimaryBroker}
+	prev := obs.NewRegistry()
+	w.Rdv.ScrapeInto(prev, l)
+	if v, _ := prev.CounterValue("joins", l); v < 2 {
+		t.Fatalf("primary broker saw %d joins, want >= 2", v)
 	}
 	if err := w.KillBroker(PrimaryBroker); err != nil {
 		t.Fatal(err)
@@ -248,13 +276,16 @@ func TestRestartBrokerCounterDeltaClamped(t *testing.T) {
 	}
 	// The fresh server's totals restart from zero: every delta entry
 	// clamps instead of wrapping.
-	d := w.Rdv.Counters().Delta(prev)
-	for _, name := range d.Names() {
-		if v := d.Get(name); v > 1<<62 {
-			t.Fatalf("delta %s = %d: uint64 wraparound", name, v)
+	cur := obs.NewRegistry()
+	w.Rdv.ScrapeInto(cur, l)
+	d := cur.Delta(prev)
+	for _, line := range strings.Split(strings.TrimSpace(d.String()), "\n") {
+		f := strings.Fields(line)
+		if v, err := strconv.ParseUint(f[len(f)-1], 10, 64); err != nil || v > 1<<62 {
+			t.Fatalf("delta line %q: uint64 wraparound (%v)", line, err)
 		}
 	}
-	if v := d.Get("joins"); v != 0 {
-		t.Fatalf("joins delta after restart = %d, want 0 (clamped)", v)
+	if v, ok := d.CounterValue("joins", l); !ok || v != 0 {
+		t.Fatalf("joins delta after restart = %d (present=%v), want 0 (clamped)", v, ok)
 	}
 }

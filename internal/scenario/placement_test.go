@@ -132,8 +132,8 @@ func TestPlacementApplyPlacesAndMigrates(t *testing.T) {
 	}
 	// Only members carry the tenant's segment — the vif cannot have
 	// visited a host outside the network.
-	if c := v.Counters(); c.Get("migrations") != 1 || c.Get("aborts") != 0 {
-		t.Fatalf("VM counters %s, want migrations=1 aborts=0", c)
+	if v.MigrationsDone != 1 || v.Aborts != 0 {
+		t.Fatalf("VM migrations=%d aborts=%d, want 1 and 0", v.MigrationsDone, v.Aborts)
 	}
 
 	// Drain the stream to completion: every byte crossed the migration.
@@ -220,9 +220,9 @@ func TestPlacementSchedulerUsesLocality(t *testing.T) {
 	if !isNear {
 		t.Fatalf("scheduler placed the VM on %q, want a tight-cluster host %v", host, near)
 	}
-	pc := w.VPC().PlacementCounters()
-	if pc.Get("placements") == 0 || pc.Get("group_hits") == 0 {
-		t.Fatalf("placement counters %s: want a locality-core hit", pc)
+	reg := w.Scrape()
+	if reg.Total("placement.placements") == 0 || reg.Total("placement.group_hits") == 0 {
+		t.Fatalf("placement counters: want a locality-core hit\n%s", reg)
 	}
 	// A scheduler choice is sticky: re-applying does not move the VM.
 	again, err := w.ApplySync(spec)

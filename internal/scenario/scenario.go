@@ -929,84 +929,6 @@ func (w *World) ApplySync(spec vpc.TenantSpec) (*vpc.ApplyReport, error) {
 	return rep, nil
 }
 
-// CreateVPC registers a new isolated virtual network on the world's
-// control plane, e.g. CreateVPC("red", "10.0.0.0/24").
-//
-// Deprecated: declare the network in a wavnet.TenantSpec and call
-// World.Apply; CreateVPC is a shim that applies a one-network spec for
-// a tenant of the same name.
-func (w *World) CreateVPC(name, cidr string) (*vpc.Network, error) {
-	if _, ok := w.VPC().Get(name); ok {
-		return nil, vpc.ErrNetworkExists
-	}
-	spec := w.VPC().SnapshotTenant(name)
-	spec.Networks = append(spec.Networks, vpc.NetworkSpec{Name: name, CIDR: cidr})
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	n, _ := w.VPC().Get(name)
-	return n, nil
-}
-
-// JoinVPC admits the listed machines (all, when none given) into a
-// virtual network: each joins the rendezvous server if it has not yet,
-// is scoped to the network, meshes with its co-tenants only, and gets
-// an address from the network's pool (DHCP-leased past the anchor).
-// It drives the engine internally. Unlike WAVNetUp, no cross-tenant
-// tunnels are built.
-//
-// Deprecated: list the members in a wavnet.TenantSpec and call
-// World.Apply; JoinVPC is a shim that snapshots the owning tenant's
-// live state, appends the machines to the network's member list and
-// re-applies.
-func (w *World) JoinVPC(network string, keys ...string) error {
-	n, ok := w.VPC().Get(network)
-	if !ok {
-		if network == "" {
-			return vpc.ErrNoDefault
-		}
-		return vpc.ErrNoSuchNetwork
-	}
-	tenant := n.Tenant
-	if tenant == "" {
-		tenant = n.Name
-	}
-	spec := w.VPC().SnapshotTenant(tenant)
-	idx := -1
-	for i := range spec.Networks {
-		if spec.Networks[i].Name == n.Name {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		// Unowned network (created imperatively on the manager): the
-		// apply below adopts it into the tenant. Its existing members
-		// must ride along or the declarative diff would evict them.
-		ns := vpc.NetworkSpec{
-			Name: n.Name, CIDR: n.CIDR.String(), VNI: n.VNI,
-			StaticAddressing: n.Config().StaticAddressing, Lease: n.Config().Lease,
-		}
-		for _, m := range n.Members() {
-			ns.Members = append(ns.Members, m.Host.Name())
-		}
-		spec.Networks = append(spec.Networks, ns)
-		idx = len(spec.Networks) - 1
-	}
-	ns := &spec.Networks[idx]
-	have := make(map[string]bool, len(ns.Members))
-	for _, k := range ns.Members {
-		have[k] = true
-	}
-	for _, m := range w.pick(keys) {
-		if !have[m.Key] {
-			ns.Members = append(ns.Members, m.Key)
-			have[m.Key] = true
-		}
-	}
-	_, err := w.ApplySync(spec)
-	return err
-}
-
 // IPOPUp brings the IPOP baseline up on the listed machines.
 func (w *World) IPOPUp(keys ...string) error {
 	ms := w.pick(keys)
@@ -1094,7 +1016,7 @@ func (w *World) Scrape() *obs.Registry {
 			continue
 		}
 		l := w.machineLabels(m)
-		r.AddCounterSet(l, m.WAV.VPCCounters())
+		m.WAV.ScrapeInto(r, l)
 		r.Gauge("tunnels", l).Set(float64(len(m.WAV.Tunnels())))
 		r.AddHistogram("batch_frames", l, m.WAV.BatchSizes())
 	}
@@ -1103,10 +1025,10 @@ func (w *World) Scrape() *obs.Registry {
 		if name == "" || w.deadBrokers[name] {
 			continue
 		}
-		r.AddCounterSet(obs.Labels{Broker: name}, s.Counters())
+		s.ScrapeInto(r, obs.Labels{Broker: name})
 	}
 	for _, v := range w.vms {
-		r.AddCounterSetPrefix("vm.", obs.Labels{Host: v.Host().Name()}, v.Counters())
+		v.ScrapeInto(r, obs.Labels{Host: v.Host().Name()})
 	}
 	if w.vpcMgr != nil {
 		w.vpcMgr.ScrapeInto(r)

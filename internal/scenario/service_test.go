@@ -208,8 +208,8 @@ func TestChaosServiceVIPSurvivesFailures(t *testing.T) {
 	if err := dialVIP("pc02"); err != nil {
 		t.Fatalf("TCP via VIP after backend death: %v", err)
 	}
-	if c := svc.Counters(); c.Get("withdrawals") < 1 || c.Get("failovers") < 1 {
-		t.Fatalf("counters %s, want withdrawals>=1 failovers>=1", c)
+	if svc.Withdrawals < 1 || svc.Failovers < 1 {
+		t.Fatalf("withdrawals=%d failovers=%d, want both >=1", svc.Withdrawals, svc.Failovers)
 	}
 
 	// The failover left a span whose duration — first missed probe to
@@ -264,8 +264,8 @@ func TestChaosServiceVIPSurvivesFailures(t *testing.T) {
 	if got, _ := svc.Active(); got != "pc01" {
 		t.Fatalf("active backend = %q after recovery, want pc01", got)
 	}
-	if c := svc.Counters(); c.Get("recoveries") < 1 {
-		t.Fatalf("counters %s, want recoveries>=1", c)
+	if svc.Recoveries < 1 {
+		t.Fatalf("recoveries=%d, want >=1", svc.Recoveries)
 	}
 	if err := dialVIP("pc02"); err != nil {
 		t.Fatalf("TCP via VIP after recovery: %v", err)

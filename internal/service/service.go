@@ -29,7 +29,6 @@ import (
 	"wavnet/internal/core"
 	"wavnet/internal/ether"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/rendezvous"
@@ -136,9 +135,13 @@ type Service struct {
 	members  []*core.Host
 	backends []Backend
 	state    map[string]*backendState
-	counters *metrics.CounterSet
 	proc     *sim.Proc
 	running  bool
+
+	// Probe-loop statistics (ScrapeInto exports them): probes issued and
+	// missed, backends withdrawn and recovered, and moves of the active
+	// choice.
+	ProbesSent, ProbesFailed, Withdrawals, Recoveries, Failovers uint64
 }
 
 // New builds a service instance. anchor is the host that announces VIP
@@ -156,7 +159,6 @@ func New(eng *sim.Engine, cfg Config, anchor *core.Host, prober *ipstack.Stack, 
 		members:  append([]*core.Host(nil), members...),
 		backends: append([]Backend(nil), backends...),
 		state:    make(map[string]*backendState, len(backends)),
-		counters: metrics.NewCounterSet(),
 	}
 	sort.Slice(s.backends, func(i, j int) bool { return s.backends[i].Name < s.backends[j].Name })
 	sort.Slice(s.members, func(i, j int) bool { return s.members[i].Name() < s.members[j].Name() })
@@ -264,9 +266,16 @@ func (s *Service) Active() (string, bool) {
 	return "", false
 }
 
-// Counters exports the probe loop's counters: probes_sent,
-// probes_failed, withdrawals, recoveries, failovers.
-func (s *Service) Counters() *metrics.CounterSet { return s.counters }
+// ScrapeInto copies the probe loop's statistics into r under l as
+// "service.<name>.*" counters.
+func (s *Service) ScrapeInto(r *obs.Registry, l obs.Labels) {
+	prefix := "service." + s.cfg.Name + "."
+	r.Counter(prefix+"probes_sent", l).Add(s.ProbesSent)
+	r.Counter(prefix+"probes_failed", l).Add(s.ProbesFailed)
+	r.Counter(prefix+"withdrawals", l).Add(s.Withdrawals)
+	r.Counter(prefix+"recoveries", l).Add(s.Recoveries)
+	r.Counter(prefix+"failovers", l).Add(s.Failovers)
+}
 
 // record builds the rendezvous-layer VIP record for one backend.
 func (s *Service) record(b Backend) rendezvous.VIPRecord {
@@ -341,7 +350,7 @@ func (s *Service) probeRound(p *sim.Proc) {
 	for _, b := range s.backends {
 		st := s.state[b.Name]
 		var err error
-		s.counters.Add("probes_sent", 1)
+		s.ProbesSent++
 		if b.Stack != s.prober {
 			_, err = s.prober.Ping(p, b.IP, 32, s.cfg.Timeout)
 		}
@@ -349,7 +358,7 @@ func (s *Service) probeRound(p *sim.Proc) {
 			return // stopped while parked in a probe
 		}
 		if err != nil {
-			s.counters.Add("probes_failed", 1)
+			s.ProbesFailed++
 			st.oks = 0
 			st.fails++
 			if st.fails == 1 && st.healthy {
@@ -388,16 +397,16 @@ func (s *Service) transition(b Backend, st *backendState, healthy bool) {
 	s.programHosts()
 	s.anchor.AnnounceVIP(s.cfg.VNI, s.cfg.VIP, b.MAC, b.Name, healthy)
 	if healthy {
-		s.counters.Add("recoveries", 1)
+		s.Recoveries++
 		s.anchor.AnnounceVIPRecord(s.record(b))
 	} else {
-		s.counters.Add("withdrawals", 1)
+		s.Withdrawals++
 		s.anchor.WithdrawVIPRecord(s.record(b))
 	}
 	newMAC, newOK := s.anchor.VIPChoice(s.cfg.VNI, s.cfg.VIP)
 	moved := prevOK != newOK || prevMAC != newMAC
 	if moved && newOK {
-		s.counters.Add("failovers", 1)
+		s.Failovers++
 		if next, ok := s.backendByMAC(newMAC); ok && s.cfg.Policy == rendezvous.PolicyFailoverOrdered {
 			next.Stack.AnnounceGratuitousARPFor(s.cfg.VIP)
 		}

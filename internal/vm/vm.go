@@ -20,7 +20,6 @@ import (
 
 	"wavnet/internal/ether"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/sim"
@@ -132,12 +131,15 @@ type VM struct {
 	// Migrations lists completed migration reports.
 	Migrations []*MigrationReport
 
-	// Cumulative migration statistics; Counters exports them.
-	statMigrations uint64
-	statRounds     uint64
-	statPages      uint64
-	statDowntimeUs uint64
-	statAborts     uint64
+	// Cumulative migration statistics (ScrapeInto exports them):
+	// completed migrations, pre-copy rounds, pages copied (re-sent dirty
+	// pages included), stop-and-copy downtime in microseconds, and
+	// aborted migrations (failures that left the VM at the source).
+	MigrationsDone uint64
+	Rounds         uint64
+	PagesCopied    uint64
+	DowntimeUs     uint64
+	Aborts         uint64
 }
 
 // Errors returned by VM operations.
@@ -210,19 +212,14 @@ func (v *VM) Resume() {
 	v.running = true
 }
 
-// Counters exports the VM's cumulative migration statistics as a
-// metrics.CounterSet, the uniform export format every other subsystem
-// uses: completed migrations, pre-copy rounds, pages copied (re-sent
-// dirty pages included), stop-and-copy downtime in microseconds, and
-// aborted migrations (failures that left the VM at the source).
-func (v *VM) Counters() *metrics.CounterSet {
-	c := metrics.NewCounterSet()
-	c.Set("migrations", v.statMigrations)
-	c.Set("rounds", v.statRounds)
-	c.Set("pages_copied", v.statPages)
-	c.Set("downtime_us", v.statDowntimeUs)
-	c.Set("aborts", v.statAborts)
-	return c
+// ScrapeInto copies the VM's cumulative migration statistics into r
+// under l as "vm.*" counters.
+func (v *VM) ScrapeInto(r *obs.Registry, l obs.Labels) {
+	r.Counter("vm.migrations", l).Add(v.MigrationsDone)
+	r.Counter("vm.rounds", l).Add(v.Rounds)
+	r.Counter("vm.pages_copied", l).Add(v.PagesCopied)
+	r.Counter("vm.downtime_us", l).Add(v.DowntimeUs)
+	r.Counter("vm.aborts", l).Add(v.Aborts)
 }
 
 // SetTraceParent makes sp the parent of the VM's next migration span,
@@ -305,7 +302,7 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 
 	conn, err := src.Dom0().Dial(p, netsim.Addr{IP: dst.Dom0().IP(), Port: v.cfg.MigrationPort})
 	if err != nil {
-		v.statAborts++
+		v.Aborts++
 		sp.Event("aborted: migration channel: %v", err)
 		return nil, fmt.Errorf("vm: migration channel: %w", err)
 	}
@@ -389,7 +386,7 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 		rs := v.cfg.Tracer.Start(sp, "migrate.round", obs.Labels{Host: src.Name()})
 		rs.Event("round %d: %d pages", round, toSend)
 		if err := sendRound(toSend); err != nil {
-			v.statAborts++
+			v.Aborts++
 			rs.Event("aborted: %v", err)
 			rs.End()
 			sp.Event("aborted in round %d: %v", round, err)
@@ -425,7 +422,7 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 	if err := sendRound(toSend); err != nil {
 		// Roll back: resume at the source.
 		v.Resume()
-		v.statAborts++
+		v.Aborts++
 		sc.Event("aborted, resumed at source: %v", err)
 		sc.End()
 		sp.Event("aborted in stop-and-copy: %v", err)
@@ -456,9 +453,9 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 		dst.Name(), rep.Downtime, rep.Rounds, rep.BytesSent)
 	rep.End = p.Now()
 	v.Migrations = append(v.Migrations, rep)
-	v.statMigrations++
-	v.statRounds += uint64(rep.Rounds)
-	v.statPages += uint64(rep.BytesSent / pageSize)
-	v.statDowntimeUs += uint64(rep.Downtime / sim.Microsecond)
+	v.MigrationsDone++
+	v.Rounds += uint64(rep.Rounds)
+	v.PagesCopied += uint64(rep.BytesSent / pageSize)
+	v.DowntimeUs += uint64(rep.Downtime / sim.Microsecond)
 	return rep, nil
 }

@@ -135,19 +135,18 @@ func TestMigrationMovesVMAndPreservesConnectivity(t *testing.T) {
 	// Host2 is nearer host1 (8+12? hub spokes: h2->h0 = 12+5=17ms,
 	// h2->h1 = 12+8=20ms)... just require both pings sane.
 	_ = after
-	// The uniform counter export agrees with the report.
-	c := v.Counters()
-	if c.Get("migrations") != 1 || c.Get("aborts") != 0 {
-		t.Fatalf("counters %s: want migrations=1 aborts=0", c)
+	// The cumulative statistics agree with the report.
+	if v.MigrationsDone != 1 || v.Aborts != 0 {
+		t.Fatalf("migrations=%d aborts=%d: want 1, 0", v.MigrationsDone, v.Aborts)
 	}
-	if c.Get("rounds") != uint64(rep.Rounds) {
-		t.Fatalf("counters rounds=%d, report says %d", c.Get("rounds"), rep.Rounds)
+	if v.Rounds != uint64(rep.Rounds) {
+		t.Fatalf("rounds=%d, report says %d", v.Rounds, rep.Rounds)
 	}
-	if c.Get("pages_copied") < uint64(64<<20/4096) {
-		t.Fatalf("counters pages_copied=%d < image pages", c.Get("pages_copied"))
+	if v.PagesCopied < uint64(64<<20/4096) {
+		t.Fatalf("pages_copied=%d < image pages", v.PagesCopied)
 	}
-	if c.Get("downtime_us") == 0 {
-		t.Fatal("counters downtime_us=0 after a stop-and-copy")
+	if v.DowntimeUs == 0 {
+		t.Fatal("downtime_us=0 after a stop-and-copy")
 	}
 }
 
@@ -309,9 +308,8 @@ func TestMigrationAbortsCleanlyWhenDestinationUnreachable(t *testing.T) {
 	if !v.Running() {
 		t.Fatal("VM not running at the source after the abort")
 	}
-	c := v.Counters()
-	if c.Get("aborts") != 1 || c.Get("migrations") != 0 {
-		t.Fatalf("counters %s: want aborts=1 migrations=0", c)
+	if v.Aborts != 1 || v.MigrationsDone != 0 {
+		t.Fatalf("aborts=%d migrations=%d: want 1, 0", v.Aborts, v.MigrationsDone)
 	}
 	if len(v.Migrations) != 0 {
 		t.Fatalf("aborted migration left %d reports", len(v.Migrations))

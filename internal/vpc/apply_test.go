@@ -147,9 +147,9 @@ func TestApplyMovesMemberBetweenNetworks(t *testing.T) {
 	}
 }
 
-// TestJoinVPCAdoptsExistingMembers: the deprecated JoinVPC shim on an
-// imperatively created network must keep the members that were already
-// admitted outside the spec machinery.
+// TestJoinVPCAdoptsExistingMembers: a spec that joins a machine to an
+// imperatively created network adopts the network and keeps the member
+// that was already admitted outside the spec machinery.
 func TestJoinVPCAdoptsExistingMembers(t *testing.T) {
 	w, err := scenario.Build(17, scenario.EmulatedWANSpecs(2, 100e6), nil)
 	if err != nil {
@@ -172,15 +172,21 @@ func TestJoinVPCAdoptsExistingMembers(t *testing.T) {
 	if admitErr != nil {
 		t.Fatal(admitErr)
 	}
-	if err := w.JoinVPC("legacy", "pc01"); err != nil {
+	rep, err := w.ApplySync(vpc.TenantSpec{Tenant: "legacy", Networks: []vpc.NetworkSpec{{
+		Name: "legacy", CIDR: "10.7.0.0/24", StaticAddressing: true, Members: []string{"pc00", "pc01"},
+	}}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := ops(rep); got != "adopt-network,admit" {
+		t.Fatalf("ops = %q, want adopt-network,admit", got)
 	}
 	n, _ := w.VPC().Get("legacy")
 	if len(n.Members()) != 2 {
 		t.Fatalf("members = %d, want 2 (adoption evicted the pre-existing member?)", len(n.Members()))
 	}
 	if _, in := n.Member("pc00"); !in {
-		t.Fatal("pc00 was evicted by the JoinVPC shim")
+		t.Fatal("pc00 was evicted by the adoption")
 	}
 	if n.Tenant != "legacy" {
 		t.Fatalf("network not adopted: tenant %q", n.Tenant)

@@ -7,6 +7,7 @@ import (
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
+	"wavnet/internal/obs"
 	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
 	"wavnet/internal/vpc"
@@ -126,8 +127,10 @@ func TestCrossTenantTrafficNeverDelivered(t *testing.T) {
 	if a.SuppressedFloods < warmup {
 		t.Fatalf("SuppressedFloods = %d, want >= %d", a.SuppressedFloods, warmup)
 	}
-	if c := a.VPCCounters(); c.Get("suppress.vni1") < warmup {
-		t.Fatalf("counter suppress.vni1 = %d, want >= %d", c.Get("suppress.vni1"), warmup)
+	reg := obs.NewRegistry()
+	a.ScrapeInto(reg, obs.Labels{})
+	if v, _ := reg.CounterValue("suppress.vni1", obs.Labels{}); v < warmup {
+		t.Fatalf("counter suppress.vni1 = %d, want >= %d", v, warmup)
 	}
 
 	// Layer 2 — receiver-side isolation check: disable the sender
@@ -427,7 +430,7 @@ func TestPeeringPolicyProperty(t *testing.T) {
 	// Policy refusals must be visible on the receiving gateway.
 	var policyDrops uint64
 	for _, m := range blue.Members() {
-		policyDrops += m.Host.VPCCounters().Get("peer_policy_drops")
+		policyDrops += m.Host.PeerPolicyDrops
 	}
 	if policyDrops == 0 {
 		t.Error("no peer_policy_drops recorded; the denied pings never hit the policy check (vacuous)")

@@ -85,10 +85,10 @@ func TestServiceProbeStopsWhileParkedInPing(t *testing.T) {
 	}
 	// Watcher: the probes_sent bump happens just before the ping parks;
 	// stopping at the next 10 ms tick catches the proc mid-ping.
-	sent0 := svc.Counters().Get("probes_sent")
+	sent0 := svc.ProbesSent
 	var stoppedAt sim.Time
 	w.Eng.Spawn("watcher", func(p *sim.Proc) {
-		for svc.Counters().Get("probes_sent") == sent0 {
+		for svc.ProbesSent == sent0 {
 			p.Sleep(10 * time.Millisecond)
 		}
 		svc.Stop()
@@ -102,9 +102,9 @@ func TestServiceProbeStopsWhileParkedInPing(t *testing.T) {
 		t.Fatal("probe loop survives Stop")
 	}
 	// The loop must not have run another round after the stop landed.
-	sentAtStop := svc.Counters().Get("probes_sent")
+	sentAtStop := svc.ProbesSent
 	w.Eng.RunFor(10 * time.Second)
-	if got := svc.Counters().Get("probes_sent"); got != sentAtStop {
+	if got := svc.ProbesSent; got != sentAtStop {
 		t.Fatalf("probes kept flowing after Stop: %d -> %d", sentAtStop, got)
 	}
 }

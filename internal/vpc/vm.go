@@ -17,7 +17,6 @@ import (
 	"wavnet/internal/core"
 	"wavnet/internal/ether"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/placement"
@@ -70,12 +69,6 @@ func (mg *Manager) scheduler() *placement.Scheduler {
 		mg.sched = placement.New(placement.Config{})
 	}
 	return mg.sched
-}
-
-// PlacementCounters exports the placement scheduler's decision
-// statistics (placements, locality-core hits, broker filtering).
-func (mg *Manager) PlacementCounters() *metrics.CounterSet {
-	return mg.scheduler().Counters()
 }
 
 // vmRecByName resolves a managed VM record by name. Tenants are
@@ -331,9 +324,7 @@ func (mg *Manager) ScrapeInto(r *obs.Registry) {
 		sort.Strings(names)
 		for _, name := range names {
 			rec := ts.vms[name]
-			r.AddCounterSetPrefix("vm.",
-				obs.Labels{Tenant: t, Net: rec.spec.Network, Host: rec.host},
-				rec.vm.Counters())
+			rec.vm.ScrapeInto(r, obs.Labels{Tenant: t, Net: rec.spec.Network, Host: rec.host})
 		}
 		svcNames := make([]string, 0, len(ts.services))
 		for name := range ts.services {
@@ -341,17 +332,13 @@ func (mg *Manager) ScrapeInto(r *obs.Registry) {
 		}
 		sort.Strings(svcNames)
 		for _, name := range svcNames {
-			rec := ts.services[name]
-			if rec.svc == nil {
-				continue
+			if rec := ts.services[name]; rec.svc != nil {
+				rec.svc.ScrapeInto(r, obs.Labels{Tenant: t, Net: rec.spec.Network})
 			}
-			r.AddCounterSetPrefix("service."+name+".",
-				obs.Labels{Tenant: t, Net: rec.spec.Network},
-				rec.svc.Counters())
 		}
 	}
 	if mg.sched != nil {
-		r.AddCounterSetPrefix("placement.", obs.Labels{}, mg.sched.Counters())
+		mg.sched.ScrapeInto(r, obs.Labels{})
 	}
 }
 

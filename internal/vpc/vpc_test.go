@@ -94,6 +94,17 @@ func TestManagerCRUD(t *testing.T) {
 	}
 }
 
+// applyNet declares a one-network tenant named after its network and
+// converges the world onto it.
+func applyNet(t *testing.T, w *scenario.World, name, cidr string, members ...string) {
+	t.Helper()
+	if _, err := w.ApplySync(vpc.TenantSpec{Tenant: name, Networks: []vpc.NetworkSpec{{
+		Name: name, CIDR: cidr, Members: members,
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTwoTenantsOverlappingCIDR is the subsystem's acceptance test: two
 // VPCs with the SAME 10.0.0.0/24 address space run concurrently over
 // one shared physical WAN. Intra-tenant ping succeeds, cross-tenant
@@ -105,18 +116,8 @@ func TestTwoTenantsOverlappingCIDR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.CreateVPC("red", "10.0.0.0/24"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.CreateVPC("blue", "10.0.0.0/24"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JoinVPC("red", "pc00", "pc01"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JoinVPC("blue", "pc02", "pc03", "pc04"); err != nil {
-		t.Fatal(err)
-	}
+	applyNet(t, w, "red", "10.0.0.0/24", "pc00", "pc01")
+	applyNet(t, w, "blue", "10.0.0.0/24", "pc02", "pc03", "pc04")
 	red, _ := w.VPC().Get("red")
 	blue, _ := w.VPC().Get("blue")
 
@@ -241,12 +242,7 @@ func TestEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.CreateVPC("solo", "10.5.0.0/24"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JoinVPC("solo"); err != nil {
-		t.Fatal(err)
-	}
+	applyNet(t, w, "solo", "10.5.0.0/24", "pc00", "pc01")
 	n, _ := w.VPC().Get("solo")
 	anchor := n.Members()[0]
 	other := n.Members()[1]
@@ -275,12 +271,7 @@ func TestEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And a fresh admission of an evicted host works end to end.
-	if _, err := w.CreateVPC("next", "10.6.0.0/24"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JoinVPC("next"); err != nil {
-		t.Fatal(err)
-	}
+	applyNet(t, w, "next", "10.6.0.0/24", "pc00", "pc01")
 	next, _ := w.VPC().Get("next")
 	if len(next.Members()) != 2 {
 		t.Fatalf("re-admission got %d members", len(next.Members()))

@@ -197,8 +197,8 @@ const BroadcastIP = netsim.BroadcastIP
 type (
 	// VPCManager is the multi-tenant control plane: create/delete
 	// networks, admit and evict hosts. Worlds expose one via
-	// World.VPC(); World.CreateVPC and World.JoinVPC are the
-	// high-level path.
+	// World.VPC(); World.Apply with a TenantSpec is the high-level
+	// path.
 	VPCManager = vpc.Manager
 	// VPCNetwork is one isolated virtual network (name, VNI, CIDR).
 	VPCNetwork = vpc.Network
