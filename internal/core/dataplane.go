@@ -13,17 +13,15 @@ import (
 )
 
 // onPacket demultiplexes everything arriving on the WAVNet socket by the
-// first payload byte: JSON control ('{'), STUN (0x00/0x01), or one of
-// the Packet Assembler types.
+// first payload byte: rendezvous control (rendezvous.Magic), STUN
+// (0x00/0x01), or one of the Packet Assembler types.
 func (h *Host) onPacket(pkt netsim.Packet) {
 	if len(pkt.Payload) == 0 {
 		return
 	}
 	switch pkt.Payload[0] {
-	case '{':
-		if m, err := rendezvous.Decode(pkt.Payload); err == nil {
-			h.onControl(pkt.Src, m)
-		}
+	case rendezvous.Magic:
+		h.onControl(pkt.Src, pkt.Payload)
 	case 0x00, 0x01:
 		if m, err := stun.Unmarshal(pkt.Payload); err == nil &&
 			m.Type == stun.TypeBindingResponse && h.stunWait != nil {
@@ -163,32 +161,49 @@ func (h *Host) startRelay(rec rendezvous.HostRecord, ch uint64, relay netsim.Add
 // onControl handles broker messages: RPC replies and unsolicited punch
 // or relay orders. Anything arriving from the home broker's address
 // refreshes its liveness clock (home-broker silence drives re-homing).
-func (h *Host) onControl(src netsim.Addr, m *rendezvous.Msg) {
+// The header says which it is before anything is decoded: an
+// unsolicited kind is decoded into the host's reused message and
+// handled before the next one overwrites it, a reply is decoded afresh
+// — its waiter keeps it — and only when a waiter is still there.
+func (h *Host) onControl(src netsim.Addr, b []byte) {
+	kind, id, ok := rendezvous.Peek(b)
+	if !ok {
+		return
+	}
 	if src == h.rdv {
 		h.brokerSeen = h.eng.Now()
 	}
-	if m.Kind == "pulse-ack" {
-		// The keepalive round trip. A broker that restarted answers with
-		// an unknown-session code: our registration is gone and must be
-		// re-asserted or lookups and connects toward us start failing.
-		if src == h.rdv && m.Code == rendezvous.CodeUnknownSession {
-			h.reregister()
+	switch kind {
+	case rendezvous.KindPulseAck, rendezvous.KindPunchOrder, rendezvous.KindRelayOrder:
+		m, err := h.ctl.Decode(b)
+		if err != nil {
+			return
 		}
-		return
-	}
-	if m.Kind == "punch-order" && m.Peer != nil {
-		h.startPunch(*m.Peer)
-		// A punch-order may double as the reply to our connect RPC; the
-		// connect waiter resolves on tunnel establishment instead.
-		return
-	}
-	if m.Kind == "relay-order" && m.Peer != nil && m.RelayChan != 0 {
-		h.startRelay(*m.Peer, m.RelayChan, m.RelayAddr)
-		return
-	}
-	if w, ok := h.waiters[m.ID]; ok {
-		delete(h.waiters, m.ID)
-		w(m)
+		switch {
+		case kind == rendezvous.KindPulseAck:
+			// The keepalive round trip. A broker that restarted answers with
+			// an unknown-session code: our registration is gone and must be
+			// re-asserted or lookups and connects toward us start failing.
+			if src == h.rdv && m.Code == rendezvous.CodeUnknownSession {
+				h.reregister()
+			}
+		case kind == rendezvous.KindPunchOrder && m.Peer != nil:
+			// A punch-order may double as the reply to our connect RPC; the
+			// connect waiter resolves on tunnel establishment instead.
+			h.startPunch(*m.Peer)
+		case kind == rendezvous.KindRelayOrder && m.Peer != nil && m.RelayChan != 0:
+			h.startRelay(*m.Peer, m.RelayChan, m.RelayAddr)
+		}
+		if h.pool.Poisoned() {
+			h.ctl.Poison()
+		}
+	default:
+		if w, ok := h.waiters[id]; ok {
+			if m, err := rendezvous.Decode(b); err == nil {
+				delete(h.waiters, id)
+				w(m)
+			}
+		}
 	}
 }
 

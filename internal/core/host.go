@@ -28,9 +28,10 @@ import (
 	"wavnet/internal/stun"
 )
 
-// Packet Assembler type identifiers (first payload byte). They are
-// chosen to collide with neither STUN (0x00/0x01 first byte) nor JSON
-// ('{' = 0x7B) so one socket can carry everything.
+// Packet Assembler type identifiers (first payload byte). STUN's first
+// byte is 0x00/0x01; 0x16 is rendezvous.RelayMagic and 0x1B
+// rendezvous.Magic, the control messages — the three protocols share
+// this number space so one socket can carry everything.
 const (
 	paPulse       = 0x10 // CONNECT_PULSE: 2-byte keepalive
 	paFrame       = 0x11 // encapsulated Ethernet frame
@@ -318,8 +319,11 @@ type Host struct {
 	brokerSeen   sim.Time
 	recovering   bool
 
-	nextID   uint64
-	waiters  map[uint64]func(*rendezvous.Msg)
+	nextID  uint64
+	waiters map[uint64]func(*rendezvous.Msg)
+	// ctl decodes the broker's unsolicited messages, which onControl
+	// handles on the spot; a reply is decoded afresh for its waiter.
+	ctl      rendezvous.Decoder
 	stunWait func(*stun.Message)
 	// connWaiters fire when a tunnel to the named peer establishes;
 	// entries carry an ID so a ConnectTo that gives up can remove
@@ -666,7 +670,7 @@ func (h *Host) rpc(p *sim.Proc, m *rendezvous.Msg) (*rendezvous.Msg, error) {
 		p.Unpark()
 	})
 	m.ID = id
-	h.sock.SendTo(h.rdv, rendezvous.Encode(m))
+	rendezvous.Send(h.sock, h.rdv, m)
 	timer := sim.NewTimer(h.eng, func() {
 		if _, live := h.waiters[id]; live {
 			delete(h.waiters, id)
@@ -688,7 +692,7 @@ func (h *Host) rpc(p *sim.Proc, m *rendezvous.Msg) (*rendezvous.Msg, error) {
 	if resp == nil {
 		return nil, ErrTimeout
 	}
-	if resp.Kind == "error" || resp.Error != "" {
+	if resp.Kind == rendezvous.KindError || resp.Error != "" {
 		return nil, fmt.Errorf("core: rendezvous: %s", resp.Error)
 	}
 	return resp, nil
@@ -719,7 +723,7 @@ func (h *Host) Join(p *sim.Proc, rdv netsim.Addr) error {
 
 	// 3. Register with the broker.
 	rec := h.record()
-	resp, err := h.rpc(p, &rendezvous.Msg{Kind: "join", Rec: &rec})
+	resp, err := h.rpc(p, &rendezvous.Msg{Kind: rendezvous.KindJoin, Rec: &rec})
 	if err != nil {
 		return err
 	}
@@ -737,7 +741,7 @@ func (h *Host) Join(p *sim.Proc, rdv netsim.Addr) error {
 		h.rdvTick.Stop()
 	}
 	h.rdvTick = sim.NewTicker(h.eng, h.cfg.RendezvousPulsePeriod, func() {
-		h.sock.SendTo(h.rdv, rendezvous.Encode(&rendezvous.Msg{Kind: "pulse", Name: h.name}))
+		rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindPulse, Name: h.name})
 		h.checkBrokerLiveness()
 	})
 	return nil
@@ -860,7 +864,7 @@ func (h *Host) JoinVPC(p *sim.Proc, network string, vni uint32) error {
 	prevNet, prevVNI := h.network, h.vni
 	h.network, h.vni = network, vni
 	rec := h.record()
-	if _, err := h.rpc(p, &rendezvous.Msg{Kind: "join", Rec: &rec}); err != nil {
+	if _, err := h.rpc(p, &rendezvous.Msg{Kind: rendezvous.KindJoin, Rec: &rec}); err != nil {
 		// Roll the whole join back: a host whose registration failed
 		// must not keep a data-plane segment that would pass the
 		// isolation check for a tenant it never entered.
@@ -978,7 +982,7 @@ func (h *Host) Lookup(p *sim.Proc, name string) ([]rendezvous.HostRecord, error)
 	if !h.joined {
 		return nil, ErrNotJoined
 	}
-	resp, err := h.rpc(p, &rendezvous.Msg{Kind: "lookup", Name: name, Net: h.network})
+	resp, err := h.rpc(p, &rendezvous.Msg{Kind: rendezvous.KindLookup, Name: name, Net: h.network})
 	if err != nil {
 		return nil, err
 	}
@@ -990,7 +994,7 @@ func (h *Host) LookupAttrs(p *sim.Proc, attrs can.Point) ([]rendezvous.HostRecor
 	if !h.joined {
 		return nil, ErrNotJoined
 	}
-	resp, err := h.rpc(p, &rendezvous.Msg{Kind: "lookup", Attrs: attrs, Net: h.network})
+	resp, err := h.rpc(p, &rendezvous.Msg{Kind: rendezvous.KindLookup, Attrs: attrs, Net: h.network})
 	if err != nil {
 		return nil, err
 	}
@@ -1003,7 +1007,7 @@ func (h *Host) GroupQuery(p *sim.Proc, k int) ([]string, error) {
 	if !h.joined {
 		return nil, ErrNotJoined
 	}
-	resp, err := h.rpc(p, &rendezvous.Msg{Kind: "group-query", Name: h.name, K: k, Net: h.network})
+	resp, err := h.rpc(p, &rendezvous.Msg{Kind: rendezvous.KindGroupQuery, Name: h.name, K: k, Net: h.network})
 	if err != nil {
 		return nil, err
 	}
@@ -1015,11 +1019,12 @@ func (h *Host) ReportRTTs(rtts map[string]sim.Duration) {
 	if !h.joined {
 		return
 	}
-	m := &rendezvous.Msg{Kind: "rtt-report", Name: h.name, RTTs: make(map[string]int64, len(rtts))}
+	m := &rendezvous.Msg{Kind: rendezvous.KindRTTReport, Name: h.name}
 	for peer, d := range rtts {
-		m.RTTs[peer] = int64(d)
+		m.RTTs = append(m.RTTs, rendezvous.PeerRTT{Peer: peer, NS: int64(d)})
 	}
-	h.sock.SendTo(h.rdv, rendezvous.Encode(m))
+	sort.Slice(m.RTTs, func(i, j int) bool { return m.RTTs[i].Peer < m.RTTs[j].Peer })
+	rendezvous.Send(h.sock, h.rdv, m)
 }
 
 // ConnectTo establishes a direct tunnel to the named peer via the
@@ -1058,10 +1063,10 @@ func (h *Host) ConnectTo(p *sim.Proc, peer string) (*Tunnel, error) {
 				p.Unpark()
 			}
 		})
-		h.sock.SendTo(h.rdv, rendezvous.Encode(&rendezvous.Msg{
-			Kind: "connect", ID: id, Name: h.name,
+		rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{
+			Kind: rendezvous.KindConnect, ID: id, Name: h.name,
 			Peer: &rendezvous.HostRecord{Name: peer},
-		}))
+		})
 		deadline := sim.NewTimer(h.eng, func() {
 			if !done {
 				p.Unpark()

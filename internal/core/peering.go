@@ -153,7 +153,7 @@ const vniRefreshPulses = 12
 func (h *Host) announceVNIs() {
 	h.vniGen++
 	pkt := h.vniSetPacket()
-	for _, t := range h.tunnels {
+	for _, t := range h.sortedTunnels() {
 		if t.established {
 			h.tunnelSend(t, pkt)
 			t.announcedGen = h.vniGen

@@ -258,9 +258,7 @@ func (h *Host) AnnounceVIPRecord(rec rendezvous.VIPRecord) {
 		return
 	}
 	h.vipRecords[rec.Net+"/"+rec.Service+"/"+rec.Backend] = rec
-	h.sock.SendTo(h.rdv, rendezvous.Encode(&rendezvous.Msg{
-		Kind: "vip-announce", Name: h.name, VIP: &rec,
-	}))
+	rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPAnnounce, Name: h.name, VIP: &rec})
 }
 
 // WithdrawVIPRecord retracts a previously announced record (probe
@@ -270,9 +268,7 @@ func (h *Host) WithdrawVIPRecord(rec rendezvous.VIPRecord) {
 	if !h.joined {
 		return
 	}
-	h.sock.SendTo(h.rdv, rendezvous.Encode(&rendezvous.Msg{
-		Kind: "vip-withdraw", Name: h.name, VIP: &rec,
-	}))
+	rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPWithdraw, Name: h.name, VIP: &rec})
 }
 
 // reannounceVIPRecords re-asserts every announced VIP record with the
@@ -287,9 +283,7 @@ func (h *Host) reannounceVIPRecords() {
 	sort.Strings(keys)
 	for _, k := range keys {
 		rec := h.vipRecords[k]
-		h.sock.SendTo(h.rdv, rendezvous.Encode(&rendezvous.Msg{
-			Kind: "vip-announce", Name: h.name, VIP: &rec,
-		}))
+		rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPAnnounce, Name: h.name, VIP: &rec})
 	}
 }
 
@@ -301,7 +295,7 @@ func (h *Host) LookupVIP(p *sim.Proc, service string) ([]rendezvous.VIPRecord, e
 		return nil, ErrNotJoined
 	}
 	resp, err := h.rpc(p, &rendezvous.Msg{
-		Kind: "vip-lookup", Name: h.name, Net: h.network, Service: service,
+		Kind: rendezvous.KindVIPLookup, Name: h.name, Net: h.network, Service: service,
 	})
 	if err != nil {
 		return nil, err

@@ -86,6 +86,11 @@ func NewPool() *Pool { return &Pool{} }
 // the buffer — always panics.
 func (p *Pool) SetPoison(on bool) { p.poison = on }
 
+// Poisoned reports whether SetPoison is on, for the layers above that
+// keep reusable state of their own and scribble over it in the same
+// mode.
+func (p *Pool) Poisoned() bool { return p.poison }
+
 // Misses reports how many buffers and packets the pool had to allocate
 // because a free list was empty (one-off oversize buffers included).
 // For a given seed the count repeats exactly.

@@ -94,8 +94,12 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[seriesKey]*series)}
+func NewRegistry() *Registry { return NewRegistrySized(0) }
+
+// NewRegistrySized returns an empty registry with room for n series, for
+// scrapers that know how many the last scrape produced.
+func NewRegistrySized(n int) *Registry {
+	return &Registry{byKey: make(map[seriesKey]*series, n), order: make([]*series, 0, n)}
 }
 
 // lookup finds or creates a series of the given kind.

@@ -19,12 +19,12 @@ import (
 // NAT session to the target; peering allowances propagate so inter-VNI
 // gateway connects keep working across the federation.
 
-// replica is one host record received from a federated peer. rec.Server
-// names the home broker the punch orchestration must be forwarded to.
-type replica struct {
-	rec      HostRecord
-	lastSeen sim.Time
-}
+// fedPeer is the state kept per trusted peer broker beside its liveness
+// clock (the entry's lastSeen). swept says the peer was found dead, the
+// replicas and VIP records homed on it were dropped, and none naming it
+// has been stored since (homedOn): nothing to look for when it is found
+// dead again.
+type fedPeer struct{ swept bool }
 
 // Federate registers a trusted peer broker. Broker-to-broker messages
 // (replication, withdrawal, forwarded connects, peering propagation)
@@ -32,12 +32,11 @@ type replica struct {
 // Federating (or re-federating) a peer also resets its liveness clock,
 // granting a fresh BrokerTTL of grace before it can be declared dead.
 func (s *Server) Federate(peer netsim.Addr) {
-	s.federated[peer] = true
-	s.peerSeen[peer] = s.eng.Now()
+	s.peers.put(peer, fedPeer{}, s.eng.Now())
 }
 
 // Federated reports whether the address is a trusted peer broker.
-func (s *Server) Federated(peer netsim.Addr) bool { return s.federated[peer] }
+func (s *Server) Federated(peer netsim.Addr) bool { return s.peers.get(peer) != nil }
 
 // SetNetBrokers installs the replication set of one virtual network:
 // the federated brokers (excluding this one) that must hold replicas of
@@ -57,7 +56,7 @@ func (s *Server) SetNetBrokers(net string, peers []netsim.Addr) {
 	for _, a := range peers {
 		newSet[a] = true
 	}
-	for _, ses := range s.sessions {
+	for ses := s.sessions.head; ses != nil; ses = ses.next {
 		if ses.rec.Net != net {
 			continue
 		}
@@ -80,9 +79,9 @@ func (s *Server) SetNetBrokers(net string, peers []netsim.Addr) {
 func (s *Server) ClearNetBrokers(net string) {
 	s.SetNetBrokers(net, nil)
 	delete(s.netBrokers, net)
-	for name, rep := range s.replicas {
+	for rep := s.replicas.head; rep != nil; rep = rep.next {
 		if rep.rec.Net == net {
-			delete(s.replicas, name)
+			s.dropReplica(rep)
 		}
 	}
 }
@@ -113,21 +112,22 @@ func (s *Server) replicate(rec HostRecord) {
 // flushReplication sends every batched record (the replication-lag knob
 // of the federation experiment).
 func (s *Server) flushReplication() {
-	for name := range s.dirty {
-		delete(s.dirty, name)
-		ses, ok := s.sessions[name]
-		if !ok {
-			continue
-		}
-		for _, peer := range s.netBrokers[ses.rec.Net] {
-			s.sendReplicate(peer, ses.rec)
+	if len(s.dirty) == 0 {
+		return
+	}
+	for ses := s.sessions.head; ses != nil; ses = ses.next {
+		if s.dirty[ses.key] {
+			for _, peer := range s.netBrokers[ses.rec.Net] {
+				s.sendReplicate(peer, ses.rec)
+			}
 		}
 	}
+	clear(s.dirty)
 }
 
 func (s *Server) sendReplicate(peer netsim.Addr, rec HostRecord) {
 	s.ReplicationsOut++
-	s.sock.SendTo(peer, Encode(&Msg{Kind: kindReplicate, Rec: &rec}))
+	s.send(peer, &Msg{Kind: KindReplicate, Rec: &rec})
 }
 
 // withdraw retracts a record from the network's replication set
@@ -143,7 +143,7 @@ func (s *Server) withdraw(rec HostRecord) {
 
 func (s *Server) sendWithdraw(peer netsim.Addr, rec HostRecord) {
 	s.WithdrawalsOut++
-	s.sock.SendTo(peer, Encode(&Msg{Kind: kindWithdraw, Name: rec.Name, Net: rec.Net}))
+	s.send(peer, &Msg{Kind: KindWithdraw, Name: rec.Name, Net: rec.Net})
 }
 
 // brokerOfNet reports whether src is one of the brokers this server
@@ -164,7 +164,7 @@ func (s *Server) brokerOfNet(net string, src netsim.Addr) bool {
 // this broker was explicitly configured to serve, and only from the
 // brokers of that network's own replication set.
 func (s *Server) onReplicate(src netsim.Addr, m *Msg) {
-	if m.Rec == nil || m.Rec.Name == "" || !s.federated[src] ||
+	if m.Rec == nil || m.Rec.Name == "" || !s.Federated(src) ||
 		!s.ServesNet(m.Rec.Net) || !s.brokerOfNet(m.Rec.Net, src) {
 		s.RejectedFederation++
 		return
@@ -173,7 +173,7 @@ func (s *Server) onReplicate(src netsim.Addr, m *Msg) {
 	// network's replica of the same name: the old network's home broker
 	// withdraws (or lets expire) its record first; until then the
 	// existing replica stands.
-	if rep, ok := s.replicas[m.Rec.Name]; ok && rep.rec.Net != m.Rec.Net {
+	if rep := s.replicas.get(m.Rec.Name); rep != nil && rep.rec.Net != m.Rec.Net {
 		s.RejectedFederation++
 		return
 	}
@@ -186,39 +186,46 @@ func (s *Server) onReplicate(src netsim.Addr, m *Msg) {
 	// than the refresh interval is superseded: a host truly homed here
 	// pulses far more often, so a live session can never be evicted by
 	// a peer's (possibly stale) refresh replication.
-	if ses, ok := s.sessions[m.Rec.Name]; ok && ses.rec.Net == m.Rec.Net &&
+	if ses := s.sessions.get(m.Rec.Name); ses != nil && ses.rec.Net == m.Rec.Net &&
 		m.Rec.Server != s.Addr() &&
 		ses.lastSeen < s.eng.Now().Add(-s.cfg.SessionTTL/2) {
-		delete(s.sessions, m.Rec.Name)
+		s.dropSession(ses)
 		s.SessionsSuperseded++
 	}
 	s.ReplicationsIn++
-	s.replicas[m.Rec.Name] = &replica{rec: *m.Rec, lastSeen: s.eng.Now()}
+	s.replicas.put(m.Rec.Name, m.Rec.clone(), s.eng.Now())
+	s.homedOn(m.Rec.Server)
+}
+
+// homedOn notes that a record naming home as its broker was just stored:
+// if that peer is dead and already swept, the next expiry sweeps again.
+func (s *Server) homedOn(home netsim.Addr) {
+	if p := s.peers.get(home); p != nil {
+		p.rec.swept = false
+	}
 }
 
 // onWithdraw drops a replica at its home broker's request.
 func (s *Server) onWithdraw(src netsim.Addr, m *Msg) {
-	rep, ok := s.replicas[m.Name]
-	if !ok || rep.rec.Net != m.Net {
+	rep := s.replicas.get(m.Name)
+	if rep == nil || rep.rec.Net != m.Net {
 		return
 	}
-	if !s.federated[src] || !s.brokerOfNet(m.Net, src) {
+	if !s.Federated(src) || !s.brokerOfNet(m.Net, src) {
 		s.RejectedFederation++
 		return
 	}
 	s.WithdrawalsIn++
-	delete(s.replicas, m.Name)
+	s.dropReplica(rep)
 }
 
 // expireReplicas drops replicas that stopped being refreshed — the
 // home broker re-replicates live sessions at half the TTL, so a replica
 // older than a full TTL belongs to a dead host or a dead broker.
 func (s *Server) expireReplicas(cutoff sim.Time) {
-	for name, rep := range s.replicas {
-		if rep.lastSeen < cutoff {
-			delete(s.replicas, name)
-			s.ReplicaExpiries++
-		}
+	for rep := s.replicas.head; rep != nil && rep.lastSeen < cutoff; rep = rep.next {
+		s.dropReplica(rep)
+		s.ReplicaExpiries++
 	}
 }
 
@@ -229,14 +236,14 @@ func (s *Server) expireReplicas(cutoff sim.Time) {
 func (s *Server) pulsePeers() {
 	for _, peer := range s.FederatedPeers() {
 		s.BrokerPulsesOut++
-		s.sock.SendTo(peer, Encode(&Msg{Kind: kindBrokerPulse}))
+		s.send(peer, &Msg{Kind: KindBrokerPulse})
 	}
 }
 
 // onBrokerPulse counts an inbound keepalive; the liveness clock itself
 // was already bumped centrally in onPacket for any federated source.
 func (s *Server) onBrokerPulse(src netsim.Addr) {
-	if !s.federated[src] {
+	if !s.Federated(src) {
 		s.RejectedFederation++
 		return
 	}
@@ -248,10 +255,8 @@ func (s *Server) onBrokerPulse(src netsim.Addr) {
 // broker's own) are never "dead": staleness only makes sense for peers
 // we expect keepalives from.
 func (s *Server) brokerDead(peer netsim.Addr) bool {
-	if !s.federated[peer] {
-		return false
-	}
-	return s.peerSeen[peer] < s.eng.Now().Add(-s.cfg.BrokerTTL)
+	p := s.peers.get(peer)
+	return p != nil && p.lastSeen < s.eng.Now().Add(-s.cfg.BrokerTTL)
 }
 
 // expireDeadBrokers withdraws the replicas of federated peers that went
@@ -259,15 +264,26 @@ func (s *Server) brokerDead(peer netsim.Addr) bool {
 // survivors, and a record naming a dead home broker would keep steering
 // forwarded connects into a black hole. The peer stays federated — if
 // it restarts at the same address it is trusted (and pulsing) again.
-func (s *Server) expireDeadBrokers() {
-	now := s.eng.Now()
-	cutoff := now.Add(-s.cfg.BrokerTTL)
-	for name, rep := range s.replicas {
-		if s.federated[rep.rec.Server] && s.peerSeen[rep.rec.Server] < cutoff {
-			delete(s.replicas, name)
+// Dead peers are the head of the peer table; the replicas are walked
+// only when one of them has not been swept since it died, and sweep
+// tells expireVIPs to do the same for its records.
+func (s *Server) expireDeadBrokers() (sweep bool) {
+	cutoff := s.eng.Now().Add(-s.cfg.BrokerTTL)
+	for p := s.peers.head; p != nil && p.lastSeen < cutoff; p = p.next {
+		if !p.rec.swept {
+			p.rec.swept, sweep = true, true
+		}
+	}
+	if !sweep {
+		return false
+	}
+	for rep := s.replicas.head; rep != nil; rep = rep.next {
+		if s.brokerDead(rep.rec.Server) {
+			s.dropReplica(rep)
 			s.DeadBrokerReplicaDrops++
 		}
 	}
+	return true
 }
 
 // onFwdConnect serves a forwarded connect at the target's home broker:
@@ -282,20 +298,20 @@ func (s *Server) onFwdConnect(src netsim.Addr, m *Msg) {
 		reqNet = m.Rec.Net
 	}
 	targetNet := ""
-	if ses, ok := s.sessions[m.Name]; ok {
+	if ses := s.sessions.get(m.Name); ses != nil {
 		targetNet = ses.rec.Net
 	}
-	if !s.federated[src] || !(s.brokerOfNet(reqNet, src) || s.brokerOfNet(targetNet, src)) {
+	if !s.Federated(src) || !(s.brokerOfNet(reqNet, src) || s.brokerOfNet(targetNet, src)) {
 		s.RejectedFederation++
 		return
 	}
 	s.FwdConnectsIn++
-	s.introduceLocal(src, m, kindFwdConnectAck)
+	s.introduceLocal(src, m, KindFwdConnectAck)
 }
 
 // propagatePeering pushes a peering allowance (or revocation) to every
 // federated broker serving either network.
-func (s *Server) propagatePeering(kind, netA, netB string) {
+func (s *Server) propagatePeering(kind Kind, netA, netB string) {
 	sent := make(map[netsim.Addr]bool)
 	for _, net := range []string{netA, netB} {
 		for _, peer := range s.netBrokers[net] {
@@ -303,12 +319,12 @@ func (s *Server) propagatePeering(kind, netA, netB string) {
 				continue
 			}
 			sent[peer] = true
-			if kind == kindPeerAllow {
+			if kind == KindPeerAllow {
 				s.PeerAllowsOut++
 			} else {
 				s.PeerRevokesOut++
 			}
-			s.sock.SendTo(peer, Encode(&Msg{Kind: kind, Nets: []string{netA, netB}}))
+			s.send(peer, &Msg{Kind: kind, Nets: []string{netA, netB}})
 		}
 	}
 }
@@ -318,13 +334,13 @@ func (s *Server) propagatePeering(kind, netA, netB string) {
 // itself, which keeps the exchange loop-free. The sender must be in a
 // replication set of one of the two networks.
 func (s *Server) onPeerPropagation(src netsim.Addr, m *Msg) {
-	if !s.federated[src] || len(m.Nets) != 2 ||
+	if !s.Federated(src) || len(m.Nets) != 2 ||
 		!(s.brokerOfNet(m.Nets[0], src) || s.brokerOfNet(m.Nets[1], src)) {
 		s.RejectedFederation++
 		return
 	}
 	key := peerKey(m.Nets[0], m.Nets[1])
-	if m.Kind == kindPeerAllow {
+	if m.Kind == KindPeerAllow {
 		s.PeerAllowsIn++
 		s.peered[key] = true
 	} else {
@@ -338,22 +354,16 @@ func (s *Server) onPeerPropagation(src netsim.Addr, m *Msg) {
 func (s *Server) PeeringAllowed(netA, netB string) bool { return s.netsLinked(netA, netB) }
 
 // HasSession reports whether the named host is homed on this broker.
-func (s *Server) HasSession(name string) bool {
-	_, ok := s.sessions[name]
-	return ok
-}
+func (s *Server) HasSession(name string) bool { return s.sessions.get(name) != nil }
 
 // HasReplica reports whether this broker holds a federated replica of
 // the named host.
-func (s *Server) HasReplica(name string) bool {
-	_, ok := s.replicas[name]
-	return ok
-}
+func (s *Server) HasReplica(name string) bool { return s.replicas.get(name) != nil }
 
 // ReplicaCount reports the number of replicas held (after expiry).
 func (s *Server) ReplicaCount() int {
 	s.expire()
-	return len(s.replicas)
+	return s.replicas.len()
 }
 
 // RecordsFor counts every record of one virtual network this broker
@@ -363,12 +373,12 @@ func (s *Server) ReplicaCount() int {
 func (s *Server) RecordsFor(net string) int {
 	s.expire()
 	count := 0
-	for _, ses := range s.sessions {
+	for ses := s.sessions.head; ses != nil; ses = ses.next {
 		if ses.rec.Net == net {
 			count++
 		}
 	}
-	for _, rep := range s.replicas {
+	for rep := s.replicas.head; rep != nil; rep = rep.next {
 		if rep.rec.Net == net {
 			count++
 		}
@@ -426,9 +436,9 @@ func (s *Server) PeerDead(peer netsim.Addr) bool { return s.brokerDead(peer) }
 // FederatedPeers lists the trusted peer brokers, sorted for stable
 // iteration in tests and diagnostics.
 func (s *Server) FederatedPeers() []netsim.Addr {
-	out := make([]netsim.Addr, 0, len(s.federated))
-	for a := range s.federated {
-		out = append(out, a)
+	out := make([]netsim.Addr, 0, s.peers.len())
+	for p := s.peers.head; p != nil; p = p.next {
+		out = append(out, p.key)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].IP < out[j].IP || (out[i].IP == out[j].IP && out[i].Port < out[j].Port)

@@ -40,7 +40,7 @@ func federate(brokers ...*Server) {
 }
 
 // TestFederationCodecRoundTrips covers the broker-to-broker message
-// kinds on the shared JSON codec.
+// kinds on the shared codec.
 func TestFederationCodecRoundTrips(t *testing.T) {
 	rec := HostRecord{
 		Name:   "alpha",
@@ -49,12 +49,12 @@ func TestFederationCodecRoundTrips(t *testing.T) {
 		Net:    "red", VNI: 7,
 	}
 	cases := []*Msg{
-		{Kind: kindReplicate, Rec: &rec},
-		{Kind: kindWithdraw, Name: "alpha", Net: "red"},
-		{Kind: kindFwdConnect, ID: 42, Name: "beta", Rec: &rec},
-		{Kind: kindFwdConnectAck, ID: 42, Rec: &rec},
-		{Kind: kindPeerAllow, Nets: []string{"red", "blue"}},
-		{Kind: kindPeerRevoke, Nets: []string{"red", "blue"}},
+		{Kind: KindReplicate, Rec: &rec},
+		{Kind: KindWithdraw, Name: "alpha", Net: "red"},
+		{Kind: KindFwdConnect, ID: 42, Name: "beta", Rec: &rec},
+		{Kind: KindFwdConnectAck, ID: 42, Rec: &rec},
+		{Kind: KindPeerAllow, Nets: []string{"red", "blue"}},
+		{Kind: KindPeerRevoke, Nets: []string{"red", "blue"}},
 	}
 	for _, m := range cases {
 		got, err := Decode(Encode(m))
@@ -95,7 +95,7 @@ func TestReplicationIsScopedByNetwork(t *testing.T) {
 	// c is never told about red.
 
 	cl := newClient(t, nw, "60.0.0.1")
-	cl.send(a, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red", VNI: 3}})
+	cl.send(a, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red", VNI: 3}})
 	eng.RunFor(2 * time.Second)
 
 	if !a.HasSession("alpha") {
@@ -124,7 +124,7 @@ func TestReplicationIsScopedByNetwork(t *testing.T) {
 		t.Fatal("unserved-network replica accepted")
 	}
 	stranger := newClient(t, nw, "60.0.0.9")
-	stranger.sock.SendTo(c.Addr(), Encode(&Msg{Kind: kindReplicate, Rec: &rec}))
+	stranger.sock.SendTo(c.Addr(), Encode(&Msg{Kind: KindReplicate, Rec: &rec}))
 	eng.RunFor(time.Second)
 	if c.HasReplica("mallory") {
 		t.Fatal("unfederated replica accepted")
@@ -136,12 +136,12 @@ func TestReplicationIsScopedByNetwork(t *testing.T) {
 	// Cross-broker lookup resolves through the replica, scoped: visible
 	// to a co-tenant querier on b, invisible outside the network.
 	q := newClient(t, nw, "60.0.0.2")
-	q.send(b, &Msg{Kind: "lookup", ID: 5, Name: "alpha", Net: "red"})
-	q.send(b, &Msg{Kind: "lookup", ID: 6, Name: "alpha", Net: "blue"})
+	q.send(b, &Msg{Kind: KindLookup, ID: 5, Name: "alpha", Net: "red"})
+	q.send(b, &Msg{Kind: KindLookup, ID: 6, Name: "alpha", Net: "blue"})
 	eng.RunFor(2 * time.Second)
 	replies := 0
 	for _, m := range q.got {
-		if m.Kind != "lookup-reply" {
+		if m.Kind != KindLookupReply {
 			continue
 		}
 		replies++
@@ -173,16 +173,16 @@ func TestCrossBrokerConnectForwards(t *testing.T) {
 
 	alpha := newClient(t, nw, "60.0.0.1")
 	beta := newClient(t, nw, "60.0.0.2")
-	alpha.send(a, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
-	beta.send(b, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta", Net: "red"}})
+	alpha.send(a, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
+	beta.send(b, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta", Net: "red"}})
 	eng.RunFor(2 * time.Second)
 	if !a.HasReplica("beta") || !b.HasReplica("alpha") {
 		t.Fatal("replicas did not converge")
 	}
 
-	alpha.send(a, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	alpha.send(a, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	oa, ob := alpha.last("punch-order"), beta.last("punch-order")
+	oa, ob := alpha.last(KindPunchOrder), beta.last(KindPunchOrder)
 	if oa == nil || ob == nil {
 		t.Fatalf("punch orders missing: a=%v b=%v", oa, ob)
 	}
@@ -201,18 +201,18 @@ func TestCrossBrokerConnectForwards(t *testing.T) {
 	gamma := newClient(t, nw, "60.0.0.3")
 	a.SetNetBrokers("blue", []netsim.Addr{b.Addr()})
 	b.SetNetBrokers("blue", []netsim.Addr{a.Addr()})
-	gamma.send(b, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "gamma", Net: "blue"}})
+	gamma.send(b, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "gamma", Net: "blue"}})
 	eng.RunFor(2 * time.Second)
-	alpha.send(a, &Msg{Kind: "connect", ID: 3, Name: "alpha", Peer: &HostRecord{Name: "gamma"}})
+	alpha.send(a, &Msg{Kind: KindConnect, ID: 3, Name: "alpha", Peer: &HostRecord{Name: "gamma"}})
 	eng.RunFor(2 * time.Second)
-	if e := alpha.last("error"); e == nil || e.ID != 3 {
+	if e := alpha.last(KindError); e == nil || e.ID != 3 {
 		t.Fatalf("cross-tenant forwarded connect not refused: %+v", e)
 	}
 }
 
 // TestFwdConnectFailureFastFails: when the target's home broker cannot
 // serve a forwarded connect (stale replica, session expired there), the
-// kindError travels back through the requester's broker and resolves
+// KindError travels back through the requester's broker and resolves
 // the pending introduction — the host gets a coded error instead of
 // waiting out its timeout.
 func TestFwdConnectFailureFastFails(t *testing.T) {
@@ -223,7 +223,7 @@ func TestFwdConnectFailureFastFails(t *testing.T) {
 	b.SetNetBrokers("red", []netsim.Addr{a.Addr()})
 
 	alpha := newClient(t, nw, "60.0.0.1")
-	alpha.send(a, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
+	alpha.send(a, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
 	eng.RunFor(time.Second)
 	// A stale replica: b advertises ghost but holds no session for it.
 	b.sendReplicate(a.Addr(), HostRecord{Name: "ghost", Net: "red", Server: b.Addr()})
@@ -231,9 +231,9 @@ func TestFwdConnectFailureFastFails(t *testing.T) {
 	if !a.HasReplica("ghost") {
 		t.Fatal("replica setup failed")
 	}
-	alpha.send(a, &Msg{Kind: "connect", ID: 7, Name: "alpha", Peer: &HostRecord{Name: "ghost"}})
+	alpha.send(a, &Msg{Kind: KindConnect, ID: 7, Name: "alpha", Peer: &HostRecord{Name: "ghost"}})
 	eng.RunFor(2 * time.Second)
-	e := alpha.last("error")
+	e := alpha.last(KindError)
 	if e == nil || e.ID != 7 {
 		t.Fatalf("no fast error for failed forwarded connect: %+v", e)
 	}
@@ -259,10 +259,10 @@ func TestFederatedButUnnamedBrokerRejected(t *testing.T) {
 	// replicate must not overwrite the genuine record, and its peering
 	// propagation must not open b.
 	cl := newClient(t, nw, "60.0.0.1")
-	cl.send(a, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
+	cl.send(a, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
 	eng.RunFor(2 * time.Second)
 	outsider.sendReplicate(b.Addr(), HostRecord{Name: "alpha", Net: "red", Server: outsider.Addr()})
-	outsider.sock.SendTo(b.Addr(), Encode(&Msg{Kind: kindPeerAllow, Nets: []string{"red", "blue"}}))
+	outsider.sock.SendTo(b.Addr(), Encode(&Msg{Kind: KindPeerAllow, Nets: []string{"red", "blue"}}))
 	outsider.sendWithdraw(b.Addr(), HostRecord{Name: "alpha", Net: "red"})
 	eng.RunFor(time.Second)
 	if b.PeeringAllowed("red", "blue") {
@@ -280,9 +280,9 @@ func TestFederatedButUnnamedBrokerRejected(t *testing.T) {
 	}
 	// The genuine replica must still name the true home broker.
 	q := newClient(t, nw, "60.0.0.2")
-	q.send(b, &Msg{Kind: "lookup", ID: 5, Name: "alpha", Net: "red"})
+	q.send(b, &Msg{Kind: KindLookup, ID: 5, Name: "alpha", Net: "red"})
 	eng.RunFor(time.Second)
-	lr := q.last("lookup-reply")
+	lr := q.last(KindLookupReply)
 	if lr == nil || len(lr.Records) != 1 || lr.Records[0].Server != a.Addr() {
 		t.Fatalf("replica corrupted: %+v", lr)
 	}
@@ -302,8 +302,8 @@ func TestPeeringAllowancePropagates(t *testing.T) {
 
 	alpha := newClient(t, nw, "60.0.0.1")
 	gamma := newClient(t, nw, "60.0.0.3")
-	alpha.send(a, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
-	gamma.send(b, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "gamma", Net: "blue"}})
+	alpha.send(a, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
+	gamma.send(b, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "gamma", Net: "blue"}})
 	eng.RunFor(2 * time.Second)
 
 	a.AllowPeering("red", "blue")
@@ -314,9 +314,9 @@ func TestPeeringAllowancePropagates(t *testing.T) {
 
 	// gamma (homed on b) connects to alpha (homed on a): b forwards, a
 	// must honor the propagated allowance when validating the intro.
-	gamma.send(b, &Msg{Kind: "connect", ID: 2, Name: "gamma", Peer: &HostRecord{Name: "alpha"}})
+	gamma.send(b, &Msg{Kind: KindConnect, ID: 2, Name: "gamma", Peer: &HostRecord{Name: "alpha"}})
 	eng.RunFor(2 * time.Second)
-	if o := gamma.last("punch-order"); o == nil || o.Peer.Name != "alpha" {
+	if o := gamma.last(KindPunchOrder); o == nil || o.Peer.Name != "alpha" {
 		t.Fatalf("peered cross-broker connect failed: %+v", o)
 	}
 
@@ -325,9 +325,9 @@ func TestPeeringAllowancePropagates(t *testing.T) {
 	if b.PeeringAllowed("red", "blue") {
 		t.Fatal("revocation did not propagate")
 	}
-	gamma.send(b, &Msg{Kind: "connect", ID: 4, Name: "gamma", Peer: &HostRecord{Name: "alpha"}})
+	gamma.send(b, &Msg{Kind: KindConnect, ID: 4, Name: "gamma", Peer: &HostRecord{Name: "alpha"}})
 	eng.RunFor(2 * time.Second)
-	if e := gamma.last("error"); e == nil || e.ID != 4 {
+	if e := gamma.last(KindError); e == nil || e.ID != 4 {
 		t.Fatal("connect after revocation not refused")
 	}
 }
@@ -344,14 +344,14 @@ func TestWithdrawOnExpiryAndRescope(t *testing.T) {
 	b.SetNetBrokers("blue", []netsim.Addr{a.Addr()})
 
 	cl := newClient(t, nw, "60.0.0.1")
-	cl.send(a, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
+	cl.send(a, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
 	eng.RunFor(2 * time.Second)
 	if !b.HasReplica("alpha") {
 		t.Fatal("no replica")
 	}
 
 	// Rescope to blue: the red replica is replaced, never duplicated.
-	cl.send(a, &Msg{Kind: "join", ID: 2, Rec: &HostRecord{Name: "alpha", Net: "blue"}})
+	cl.send(a, &Msg{Kind: KindJoin, ID: 2, Rec: &HostRecord{Name: "alpha", Net: "blue"}})
 	eng.RunFor(2 * time.Second)
 	if got := b.RecordsFor("red"); got != 0 {
 		t.Fatalf("rescoped record still replicated under red (%d)", got)
@@ -364,7 +364,7 @@ func TestWithdrawOnExpiryAndRescope(t *testing.T) {
 	// then stop pulsing and let it expire everywhere.
 	for i := 0; i < 4; i++ {
 		eng.RunFor(10 * time.Second)
-		cl.send(a, &Msg{Kind: "pulse", Name: "alpha"})
+		cl.send(a, &Msg{Kind: KindPulse, Name: "alpha"})
 	}
 	eng.RunFor(time.Second)
 	if !b.HasReplica("alpha") {
@@ -392,7 +392,7 @@ func TestBatchedReplicationLags(t *testing.T) {
 	b.SetNetBrokers("red", []netsim.Addr{lagged.Addr()})
 
 	cl := newClient(t, nw, "60.0.0.1")
-	cl.send(lagged, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
+	cl.send(lagged, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", Net: "red"}})
 	eng.RunFor(time.Second)
 	if b.HasReplica("alpha") {
 		t.Fatal("batched replication arrived before the flush interval")

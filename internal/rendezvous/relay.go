@@ -120,8 +120,8 @@ func (s *Server) RelayChannelCount() int {
 // orderRelay tells both (local) hosts to tunnel through this broker.
 func (s *Server) orderRelay(a, b HostRecord, id uint64, requester netsim.Addr) {
 	ch := s.newRelayChannel(a.Name, b.Name, a.Mapped, b.Mapped)
-	s.reply(a.Mapped, &Msg{Kind: kindRelayOrder, ID: id, Peer: &b,
+	s.send(a.Mapped, &Msg{Kind: KindRelayOrder, ID: id, Peer: &b,
 		RelayChan: ch.id, RelayAddr: s.Addr()})
-	s.reply(b.Mapped, &Msg{Kind: kindRelayOrder, Peer: &a,
+	s.send(b.Mapped, &Msg{Kind: KindRelayOrder, Peer: &a,
 		RelayChan: ch.id, RelayAddr: s.Addr()})
 }

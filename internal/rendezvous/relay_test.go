@@ -49,12 +49,12 @@ func TestConnectOrdersRelayForSymmetricPair(t *testing.T) {
 	eng, nw, s := newServer(t)
 	a := newRawClient(t, nw, "60.0.0.1")
 	b := newRawClient(t, nw, "60.0.0.2")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
-	b.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
+	b.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
 	eng.RunFor(2 * time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	oa, ob := a.last("relay-order"), b.last("relay-order")
+	oa, ob := a.last(KindRelayOrder), b.last(KindRelayOrder)
 	if oa == nil || ob == nil {
 		t.Fatalf("relay orders missing: a=%v b=%v", oa, ob)
 	}
@@ -64,7 +64,7 @@ func TestConnectOrdersRelayForSymmetricPair(t *testing.T) {
 	if oa.RelayAddr != s.Addr() {
 		t.Fatalf("relay addr %v, want broker %v", oa.RelayAddr, s.Addr())
 	}
-	if a.last("punch-order") != nil {
+	if a.last(KindPunchOrder) != nil {
 		t.Fatal("punch order issued for an unpunchable pair")
 	}
 }
@@ -73,12 +73,12 @@ func TestRelayForwardsBetweenEndpoints(t *testing.T) {
 	eng, nw, s := newServer(t)
 	a := newRawClient(t, nw, "60.0.0.1")
 	b := newRawClient(t, nw, "60.0.0.2")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
-	b.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
+	b.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
 	eng.RunFor(2 * time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	ch := a.last("relay-order").RelayChan
+	ch := a.last(KindRelayOrder).RelayChan
 
 	a.sock.SendTo(s.Addr(), envelope(ch, []byte{0x11, 'h', 'i'}))
 	eng.RunFor(2 * time.Second)
@@ -107,12 +107,12 @@ func TestRelayDropsUnknownChannelAndThirdParties(t *testing.T) {
 	a := newRawClient(t, nw, "60.0.0.1")
 	b := newRawClient(t, nw, "60.0.0.2")
 	mallory := newRawClient(t, nw, "60.0.0.66")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
-	b.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
+	b.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
 	eng.RunFor(2 * time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	ch := a.last("relay-order").RelayChan
+	ch := a.last(KindRelayOrder).RelayChan
 
 	// Unknown channel id: dropped.
 	a.sock.SendTo(s.Addr(), envelope(ch+1, []byte{0x11}))
@@ -129,10 +129,10 @@ func TestRelayChannelExpiresWhenIdle(t *testing.T) {
 	eng, nw, s := newServer(t)
 	a := newRawClient(t, nw, "60.0.0.1")
 	b := newRawClient(t, nw, "60.0.0.2")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
-	b.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
+	b.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
 	eng.RunFor(2 * time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
 	if s.RelayChannelCount() != 1 {
 		t.Fatalf("channels = %d, want 1", s.RelayChannelCount())
@@ -156,15 +156,15 @@ func TestDisableRelayRestoresRefusal(t *testing.T) {
 	s.Bootstrap()
 	a := newRawClient(t, nw, "60.0.0.1")
 	b := newRawClient(t, nw, "60.0.0.2")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
-	b.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha", NAT: nat.Symmetric}})
+	b.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta", NAT: nat.Symmetric}})
 	eng.RunFor(2 * time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	if a.last("error") == nil {
+	if a.last(KindError) == nil {
 		t.Fatal("no refusal with relay disabled")
 	}
-	if a.last("relay-order") != nil {
+	if a.last(KindRelayOrder) != nil {
 		t.Fatal("relay order issued despite DisableRelay")
 	}
 }

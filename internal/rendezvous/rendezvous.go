@@ -35,6 +35,8 @@ const CodeNotFound = "not-found"
 const CodeUnknownSession = "unknown-session"
 
 // HostRecord is what the rendezvous layer knows about a registered host.
+// The JSON tags are for the CAN index, which stores records as JSON
+// resource values (publish); control messages do not use them.
 type HostRecord struct {
 	Name   string      `json:"name"`
 	Mapped netsim.Addr `json:"mapped"` // NAT external address of the host's WAVNet socket
@@ -52,94 +54,59 @@ type HostRecord struct {
 	VNI uint32 `json:"vni,omitempty"`
 }
 
-// Wire message kinds between hosts and brokers, and between brokers.
-const (
-	kindJoin        = "join"
-	kindJoinAck     = "join-ack"
-	kindPulse       = "pulse"
-	kindPulseAck    = "pulse-ack" // broker -> host: session keepalive confirmed (or unknown)
-	kindLookup      = "lookup"
-	kindLookupReply = "lookup-reply"
-	kindConnect     = "connect"     // host -> its broker: connect me to <name>
-	kindIntroduce   = "introduce"   // broker -> broker: introduce my host to yours
-	kindIntroAck    = "intro-ack"   // broker -> broker: here is my host's record
-	kindPunchOrder  = "punch-order" // broker -> host: punch to this record
-	kindError       = "error"       // any -> requester
-	kindGroupQuery  = "group-query" // host -> broker: pick k mutually-near hosts
-	kindGroupReply  = "group-reply" //
-	kindRTTReport   = "rtt-report"  // host -> broker: measured RTTs to peers
-	kindRelayOrder  = "relay-order" // broker -> host: unpunchable pair, tunnel via relay
+// PeerRTT is one measured round trip in an rtt-report.
+type PeerRTT struct {
+	Peer string
+	NS   int64
+}
 
-	// Federation (broker <-> broker, see federation.go). Replication is
-	// scoped: a record for network N travels only to brokers N's tenant
-	// spec names, so a broker never learns about tenants it doesn't serve.
-	kindReplicate     = "replicate"       // home broker -> federated broker: scoped record copy
-	kindWithdraw      = "withdraw"        // home broker -> federated broker: record expired/rescoped
-	kindFwdConnect    = "fwd-connect"     // requester's broker -> target's home broker: broker the punch
-	kindFwdConnectAck = "fwd-connect-ack" // target's home broker -> requester's broker
-	kindPeerAllow     = "peer-allow"      // broker -> federated broker: peering allowance propagation
-	kindPeerRevoke    = "peer-revoke"     //
-	kindBrokerPulse   = "broker-pulse"    // broker -> federated broker: liveness keepalive
-)
+// clone copies the record with an Attrs array of its own.
+func (r *HostRecord) clone() HostRecord {
+	c := *r
+	c.Attrs = append(can.Point(nil), r.Attrs...)
+	return c
+}
 
-// Msg is the JSON envelope for all rendezvous traffic (it always starts
-// with '{', which keeps it distinguishable from the binary Packet
-// Assembler types on a shared socket).
+// Msg is every control message: one wide struct whose Kind says which
+// fields mean something (the kinds table in codec.go says which may be
+// set at all).
 type Msg struct {
-	Kind  string `json:"kind"`
-	ID    uint64 `json:"id,omitempty"`
-	Name  string `json:"name,omitempty"`
-	Error string `json:"error,omitempty"`
+	Kind  Kind
+	ID    uint64
+	Name  string
+	Error string
 	// Code machine-classifies an error ("not-found" marks the transient
 	// ones a federated fabric may retry: the target may exist on another
 	// broker whose replication has not converged yet).
-	Code string      `json:"code,omitempty"`
-	Rec  *HostRecord `json:"rec,omitempty"`
-	Peer *HostRecord `json:"peer,omitempty"`
+	Code string
+	Rec  *HostRecord
+	Peer *HostRecord
 
 	// Net scopes lookups and group queries to the requester's virtual
 	// network ("" = the default network).
-	Net string `json:"net,omitempty"`
+	Net string
 
 	// Nets carries the two virtual networks of a propagated peering
 	// allowance (peer-allow / peer-revoke).
-	Nets []string `json:"nets,omitempty"`
+	Nets []string
 
 	// Lookup / grouping.
-	Attrs   can.Point        `json:"attrs,omitempty"`
-	Records []HostRecord     `json:"records,omitempty"`
-	K       int              `json:"k,omitempty"`
-	Group   []string         `json:"group,omitempty"`
-	RTTs    map[string]int64 `json:"rtts,omitempty"` // peer name -> RTT ns
+	Attrs   can.Point
+	Records []HostRecord
+	K       int
+	Group   []string
+	RTTs    []PeerRTT // ascending by peer
 
 	// Relay fallback (unpunchable NAT pairs).
-	RelayChan uint64      `json:"relayChan,omitempty"`
-	RelayAddr netsim.Addr `json:"relayAddr,omitempty"`
+	RelayChan uint64
+	RelayAddr netsim.Addr
 
 	// Tenant service VIPs (vip.go): one record on announce/withdraw/
 	// replicate, the sorted backend list on a vip-lookup reply, and the
 	// service name a lookup asks for.
-	VIP     *VIPRecord  `json:"vip,omitempty"`
-	VIPs    []VIPRecord `json:"vips,omitempty"`
-	Service string      `json:"service,omitempty"`
-}
-
-// Encode serializes a message.
-func Encode(m *Msg) []byte {
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic("rendezvous: marshal: " + err.Error())
-	}
-	return b
-}
-
-// Decode parses a message.
-func Decode(b []byte) (*Msg, error) {
-	var m Msg
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	VIP     *VIPRecord
+	VIPs    []VIPRecord
+	Service string
 }
 
 // Config tunes a rendezvous server.
@@ -209,20 +176,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type session struct {
-	rec      HostRecord
-	lastSeen sim.Time
-}
-
 // pendingIntro is one in-flight cross-broker introduction. Entries are
-// swept after a session TTL: a remote broker that died mid-introduction
-// must not leak them forever (the requesting host gave up long before).
+// swept a session TTL after they were made: a remote broker that died
+// mid-introduction must not leak them forever (the requesting host gave
+// up long before).
 type pendingIntro struct {
-	host    netsim.Addr // requesting host
-	hostID  uint64      // the host's connect request ID
-	remote  netsim.Addr // the broker the intro was forwarded to; only it may resolve
-	created sim.Time
-	span    *obs.Span // the punch span, closed when the intro resolves
+	host   netsim.Addr // requesting host
+	hostID uint64      // the host's connect request ID
+	remote netsim.Addr // the broker the intro was forwarded to; only it may resolve
+	span   *obs.Span   // the punch span, closed when the intro resolves
 }
 
 // Server is one rendezvous server.
@@ -231,37 +193,43 @@ type Server struct {
 	eng  *sim.Engine
 	cfg  Config
 	sock *netsim.UDPSocket
+	dec  Decoder // onPacket's reused message
 
 	can  *can.Node
 	stun *stun.Server
 
-	sessions map[string]*session
+	// sessions are the hosts homed here, by name, aged by their pulses.
+	sessions aged[string, HostRecord]
 	locator  *Locator
 	relays   map[uint64]*relayChannel
 
 	// pendingIntro correlates broker-to-broker introductions (CAN and
 	// federated alike) back to the requesting host: the reply must go to
 	// its address carrying its original request ID, not the intro's.
-	pendingIntro map[uint64]pendingIntro
+	pendingIntro aged[uint64, pendingIntro]
 
 	// peered holds the network pairs the control plane may introduce
 	// hosts across (VPC peering); lookups stay strictly scoped.
 	peered map[[2]string]bool
 
-	// Federation state (federation.go): trusted peer brokers, the
-	// per-network replication sets, the replicas received from peers,
-	// and the dirty set pending a batched replication flush.
-	federated  map[netsim.Addr]bool
+	// Federation state (federation.go): trusted peer brokers aged by
+	// their liveness clock — bumped by any message from the peer (broker
+	// pulses cover idle links), silent past BrokerTTL is dead, see
+	// expireDeadBrokers — the per-network replication sets, the replicas
+	// received from peers (by host name, each naming its home broker in
+	// rec.Server), and the dirty set pending a batched replication flush.
+	peers      aged[netsim.Addr, fedPeer]
 	netBrokers map[string][]netsim.Addr
-	replicas   map[string]*replica
+	replicas   aged[string, HostRecord]
 	dirty      map[string]bool
 	// vipRecs holds the tenant-service VIP records (vip.go), locally
 	// announced and federated replicas alike, keyed net/service/backend.
-	vipRecs map[string]*vipEntry
-	// peerSeen is the liveness clock per federated peer: bumped by any
-	// message from it (broker pulses cover idle links). A peer silent
-	// past BrokerTTL is dead — see expireDeadBrokers.
-	peerSeen map[netsim.Addr]sim.Time
+	// vipsUngrounded is set by whatever can take a local record's host
+	// away (a session or replica dropped or rescoped, a record announced
+	// for a host unknown here); expireVIPs re-checks the local records
+	// only then.
+	vipRecs        aged[string, VIPRecord]
+	vipsUngrounded bool
 
 	// Tickers, kept so Close can stop them (a closed broker must not
 	// keep publishing or pulsing from beyond the grave).
@@ -315,20 +283,14 @@ type Server struct {
 func NewServer(host *netsim.Host, stunAltIP netsim.IP, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		host:         host,
-		eng:          host.Engine(),
-		cfg:          cfg,
-		sessions:     make(map[string]*session),
-		relays:       make(map[uint64]*relayChannel),
-		pendingIntro: make(map[uint64]pendingIntro),
-		peered:       make(map[[2]string]bool),
-		federated:    make(map[netsim.Addr]bool),
-		netBrokers:   make(map[string][]netsim.Addr),
-		replicas:     make(map[string]*replica),
-		dirty:        make(map[string]bool),
-		vipRecs:      make(map[string]*vipEntry),
-		peerSeen:     make(map[netsim.Addr]sim.Time),
-		locator:      NewLocator(),
+		host:       host,
+		eng:        host.Engine(),
+		cfg:        cfg,
+		relays:     make(map[uint64]*relayChannel),
+		peered:     make(map[[2]string]bool),
+		netBrokers: make(map[string][]netsim.Addr),
+		dirty:      make(map[string]bool),
+		locator:    NewLocator(),
 	}
 	if s.cfg.Name == "" {
 		s.cfg.Name = s.Addr().String()
@@ -353,7 +315,7 @@ func NewServer(host *netsim.Host, stunAltIP netsim.IP, cfg Config) (*Server, err
 	// put as long as the host keeps pulsing.
 	s.refreshTick = sim.NewTicker(s.eng, cfg.SessionTTL/2, func() {
 		s.expire()
-		for _, ses := range s.sessions {
+		for ses := s.sessions.head; ses != nil; ses = ses.next {
 			s.publish(ses.rec)
 			s.replicate(ses.rec)
 		}
@@ -434,124 +396,141 @@ func (s *Server) Closed() bool { return s.closed }
 // Sessions reports the number of live host sessions.
 func (s *Server) Sessions() int {
 	s.expire()
-	return len(s.sessions)
+	return s.sessions.len()
 }
 
+// expire drops what timed out. Every table is aged, so it looks at the
+// head of each and walks on only past entries that are due.
 func (s *Server) expire() {
 	cutoff := s.eng.Now().Add(-s.cfg.SessionTTL)
-	for name, ses := range s.sessions {
-		if ses.lastSeen < cutoff {
-			delete(s.sessions, name)
-			s.SessionExpiries++
-			// The federation must not keep advertising a dead host.
-			s.withdraw(ses.rec)
-		}
+	for ses := s.sessions.head; ses != nil && ses.lastSeen < cutoff; ses = ses.next {
+		s.dropSession(ses)
+		s.SessionExpiries++
+		// The federation must not keep advertising a dead host.
+		s.withdraw(ses.rec)
 	}
 	s.expireReplicas(cutoff)
-	s.expireDeadBrokers()
-	s.expireVIPs(cutoff)
-	for id, pi := range s.pendingIntro {
-		if pi.created < cutoff {
-			pi.span.Event("expired: intro never acked")
-			pi.span.End()
-			delete(s.pendingIntro, id)
-		}
+	sweep := s.expireDeadBrokers()
+	s.expireVIPs(cutoff, sweep)
+	for pi := s.pendingIntro.head; pi != nil && pi.lastSeen < cutoff; pi = pi.next {
+		pi.rec.span.Event("expired: intro never acked")
+		pi.rec.span.End()
+		s.pendingIntro.drop(pi)
 	}
 }
 
-func (s *Server) reply(to netsim.Addr, m *Msg) { s.sock.SendTo(to, Encode(m)) }
+// dropSession and dropReplica remove a host record; either may leave a
+// local VIP record without its host.
+func (s *Server) dropSession(ses *entry[string, HostRecord]) {
+	s.sessions.drop(ses)
+	s.vipsUngrounded = true
+}
+
+func (s *Server) dropReplica(rep *entry[string, HostRecord]) {
+	s.replicas.drop(rep)
+	s.vipsUngrounded = true
+}
+
+func (s *Server) send(to netsim.Addr, m *Msg) { Send(s.sock, to, m) }
 
 func (s *Server) onPacket(pkt netsim.Packet) {
 	if len(pkt.Payload) > 0 && pkt.Payload[0] == RelayMagic {
 		s.onRelay(pkt)
 		return
 	}
-	m, err := Decode(pkt.Payload)
+	// m is the server's one reused message, valid until this handler
+	// returns: a handler copies what it keeps (HostRecord.clone, the
+	// fields a later callback reads).
+	m, err := s.dec.Decode(pkt.Payload)
 	if err != nil {
 		return
 	}
 	// Any message from a federated peer proves it alive; the dedicated
 	// broker-pulse only covers otherwise idle links.
-	if s.federated[pkt.Src] {
-		s.peerSeen[pkt.Src] = s.eng.Now()
+	if p := s.peers.get(pkt.Src); p != nil {
+		s.peers.touch(p, s.eng.Now())
 	}
 	switch m.Kind {
-	case kindJoin:
+	case KindJoin:
 		s.onJoin(pkt.Src, m)
-	case kindPulse:
+	case KindPulse:
 		s.onPulse(pkt.Src, m)
-	case kindLookup:
+	case KindLookup:
 		s.onLookup(pkt.Src, m)
-	case kindConnect:
+	case KindConnect:
 		s.onConnect(pkt.Src, m)
-	case kindIntroduce:
+	case KindIntroduce:
 		s.onIntroduce(pkt.Src, m)
-	case kindIntroAck:
+	case KindIntroAck:
 		s.onIntroAck(pkt.Src, m)
-	case kindGroupQuery:
+	case KindGroupQuery:
 		s.onGroupQuery(pkt.Src, m)
-	case kindRTTReport:
+	case KindRTTReport:
 		s.onRTTReport(m)
-	case kindReplicate:
+	case KindReplicate:
 		s.onReplicate(pkt.Src, m)
-	case kindWithdraw:
+	case KindWithdraw:
 		s.onWithdraw(pkt.Src, m)
-	case kindFwdConnect:
+	case KindFwdConnect:
 		s.onFwdConnect(pkt.Src, m)
-	case kindFwdConnectAck:
+	case KindFwdConnectAck:
 		s.onIntroAck(pkt.Src, m) // same resolution path as a CAN introduction
-	case kindPeerAllow, kindPeerRevoke:
+	case KindPeerAllow, KindPeerRevoke:
 		s.onPeerPropagation(pkt.Src, m)
-	case kindBrokerPulse:
+	case KindBrokerPulse:
 		s.onBrokerPulse(pkt.Src)
-	case kindVIPAnnounce:
+	case KindVIPAnnounce:
 		s.onVIPAnnounce(pkt.Src, m)
-	case kindVIPWithdraw:
+	case KindVIPWithdraw:
 		s.onVIPWithdraw(pkt.Src, m)
-	case kindVIPLookup:
+	case KindVIPLookup:
 		s.onVIPLookup(pkt.Src, m)
-	case kindVIPReplicate:
+	case KindVIPReplicate:
 		s.onVIPReplicate(pkt.Src, m)
-	case kindVIPRetract:
+	case KindVIPRetract:
 		s.onVIPRetract(pkt.Src, m)
-	case kindError:
+	case KindError:
 		// A broker-to-broker failure (introduce or fwd-connect refused at
 		// the remote end): resolve the pending introduction so the
 		// requesting host fails fast instead of waiting out its timeout.
 		// Hosts never send errors to brokers; stray IDs are ignored.
 		s.onIntroAck(pkt.Src, m)
 	}
+	if s.host.Network().Pool().Poisoned() {
+		s.dec.Poison()
+	}
 }
 
 // onJoin registers a host and publishes its record into the CAN.
 func (s *Server) onJoin(src netsim.Addr, m *Msg) {
 	if m.Rec == nil || m.Rec.Name == "" {
-		s.reply(src, &Msg{Kind: kindError, ID: m.ID, Error: "bad join"})
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "bad join"})
 		return
 	}
 	s.Joins++
-	rec := *m.Rec
+	rec := m.Rec.clone()
 	// The observed source is authoritative for the host's reachable
 	// address (it is the NAT mapping of the host's WAVNet socket).
 	rec.Mapped = src
 	rec.Server = s.Addr()
 	// A re-registration that rescopes the host to another network must
 	// pull the stale record out of the old network's federation.
-	if prev, ok := s.sessions[rec.Name]; ok && prev.rec.Net != rec.Net {
+	if prev := s.sessions.get(rec.Name); prev != nil && prev.rec.Net != rec.Net {
 		s.withdraw(prev.rec)
+		s.vipsUngrounded = true
 	}
 	// A host re-homing HERE supersedes the replica its old broker pushed:
 	// the live session is authoritative, and keeping the replica would
 	// leave a record naming the (likely dead) old home as forwarding
 	// target.
-	if rep, ok := s.replicas[rec.Name]; ok && rep.rec.Net == rec.Net {
-		delete(s.replicas, rec.Name)
+	if rep := s.replicas.get(rec.Name); rep != nil && rep.rec.Net == rec.Net {
+		s.dropReplica(rep)
 		s.ReplicaAdoptions++
 	}
-	s.sessions[rec.Name] = &session{rec: rec, lastSeen: s.eng.Now()}
+	s.sessions.put(rec.Name, rec, s.eng.Now())
 	s.publish(rec)
 	s.replicate(rec)
-	s.reply(src, &Msg{Kind: kindJoinAck, ID: m.ID, Rec: &rec})
+	s.send(src, &Msg{Kind: KindJoinAck, ID: m.ID, Rec: &rec})
 }
 
 // recordPoint maps a host record to its CAN key: the attribute vector,
@@ -586,19 +565,19 @@ func namePoint(name string, dims int) can.Point {
 // host must re-register to become reachable again.
 func (s *Server) onPulse(src netsim.Addr, m *Msg) {
 	s.Pulses++
-	ses, ok := s.sessions[m.Name]
-	if !ok {
-		s.reply(src, &Msg{Kind: kindPulseAck, Name: m.Name, Code: CodeUnknownSession})
+	ses := s.sessions.get(m.Name)
+	if ses == nil {
+		s.send(src, &Msg{Kind: KindPulseAck, Name: m.Name, Code: CodeUnknownSession})
 		return
 	}
-	ses.lastSeen = s.eng.Now()
+	s.sessions.touch(ses, s.eng.Now())
 	ses.rec.Mapped = src
-	s.reply(src, &Msg{Kind: kindPulseAck, Name: m.Name})
+	s.send(src, &Msg{Kind: KindPulseAck, Name: m.Name})
 }
 
 func (s *Server) onRTTReport(m *Msg) {
-	for peer, ns := range m.RTTs {
-		s.locator.Report(m.Name, peer, sim.Duration(ns))
+	for _, r := range m.RTTs {
+		s.locator.Report(m.Name, r.Peer, sim.Duration(r.NS))
 	}
 }
 
@@ -611,80 +590,76 @@ func (s *Server) onLookup(src netsim.Addr, m *Msg) {
 	s.Lookups++
 	s.expire()
 	if m.Name != "" {
-		if ses, ok := s.sessions[m.Name]; ok {
-			recs := []HostRecord{}
-			if ses.rec.Net == m.Net {
-				recs = append(recs, ses.rec)
-			}
-			s.reply(src, &Msg{Kind: kindLookupReply, ID: m.ID, Records: recs})
-			return
+		// A session answers, else a federated replica does, locally:
+		// cross-broker names resolve without an extra hop. Both are scoped
+		// alike — a record from another network is invisible, not an error.
+		held := s.sessions.get(m.Name)
+		if held == nil {
+			held = s.replicas.get(m.Name)
 		}
-		// A federated replica answers locally: cross-broker names resolve
-		// without an extra hop (scoped exactly like sessions — a replica
-		// from another network is invisible, not an error).
-		if rep, ok := s.replicas[m.Name]; ok {
-			recs := []HostRecord{}
-			if rep.rec.Net == m.Net {
-				recs = append(recs, rep.rec)
+		if held != nil {
+			reply := Msg{Kind: KindLookupReply, ID: m.ID}
+			if held.rec.Net == m.Net {
+				reply.Records = []HostRecord{held.rec}
 			}
-			s.reply(src, &Msg{Kind: kindLookupReply, ID: m.ID, Records: recs})
+			s.send(src, &reply)
 			return
 		}
 		// Route through the CAN by name hash.
-		id := m.ID
-		s.can.Lookup(namePoint(m.Name, s.cfg.CANDims), func(res can.LookupResult, err error) {
+		id, name, net := m.ID, m.Name, m.Net
+		s.can.Lookup(namePoint(name, s.cfg.CANDims), func(res can.LookupResult, err error) {
 			if err != nil {
-				s.reply(src, &Msg{Kind: kindError, ID: id, Error: err.Error()})
+				s.send(src, &Msg{Kind: KindError, ID: id, Error: err.Error()})
 				return
 			}
 			var recs []HostRecord
 			for _, r := range res.Resources {
-				if r.ID != m.Name {
+				if r.ID != name {
 					continue
 				}
 				var rec HostRecord
-				if json.Unmarshal(r.Value, &rec) == nil && rec.Net == m.Net {
+				if json.Unmarshal(r.Value, &rec) == nil && rec.Net == net {
 					recs = append(recs, rec)
 				}
 			}
-			s.reply(src, &Msg{Kind: kindLookupReply, ID: id, Records: recs})
+			s.send(src, &Msg{Kind: KindLookupReply, ID: id, Records: recs})
 		})
 		return
 	}
-	if m.Attrs != nil {
-		id := m.ID
-		s.can.Lookup(m.Attrs, func(res can.LookupResult, err error) {
+	if len(m.Attrs) > 0 {
+		id, net := m.ID, m.Net
+		s.can.Lookup(append(can.Point(nil), m.Attrs...), func(res can.LookupResult, err error) {
 			if err != nil {
-				s.reply(src, &Msg{Kind: kindError, ID: id, Error: err.Error()})
+				s.send(src, &Msg{Kind: KindError, ID: id, Error: err.Error()})
 				return
 			}
 			var recs []HostRecord
 			for _, r := range res.Resources {
 				var rec HostRecord
-				if json.Unmarshal(r.Value, &rec) == nil && rec.Net == m.Net {
+				if json.Unmarshal(r.Value, &rec) == nil && rec.Net == net {
 					recs = append(recs, rec)
 				}
 			}
 			sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
-			s.reply(src, &Msg{Kind: kindLookupReply, ID: id, Records: recs})
+			s.send(src, &Msg{Kind: KindLookupReply, ID: id, Records: recs})
 		})
 		return
 	}
 	// No criteria: all co-tenant records this broker holds, homed and
 	// replicated alike (diagnostics).
 	var recs []HostRecord
-	for _, ses := range s.sessions {
+	for ses := s.sessions.head; ses != nil; ses = ses.next {
 		if ses.rec.Net == m.Net {
 			recs = append(recs, ses.rec)
 		}
 	}
-	for name, rep := range s.replicas {
-		if _, local := s.sessions[name]; !local && rep.rec.Net == m.Net {
+	for rep := s.replicas.head; rep != nil; rep = rep.next {
+		if s.sessions.get(rep.key) == nil && rep.rec.Net == m.Net {
 			recs = append(recs, rep.rec)
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
-	s.reply(src, &Msg{Kind: kindLookupReply, ID: m.ID, Records: recs})
+	s.send(src, &Msg{Kind: KindLookupReply, ID: m.ID, Records: recs})
 }
 
 // peerKey normalizes an unordered network pair.
@@ -703,13 +678,13 @@ func peerKey(a, b string) [2]string {
 // endpoints are homed on different brokers.
 func (s *Server) AllowPeering(netA, netB string) {
 	s.peered[peerKey(netA, netB)] = true
-	s.propagatePeering(kindPeerAllow, netA, netB)
+	s.propagatePeering(KindPeerAllow, netA, netB)
 }
 
 // RevokePeering withdraws a peering allowance (also federation-wide).
 func (s *Server) RevokePeering(netA, netB string) {
 	delete(s.peered, peerKey(netA, netB))
-	s.propagatePeering(kindPeerRevoke, netA, netB)
+	s.propagatePeering(KindPeerRevoke, netA, netB)
 }
 
 // netsLinked reports whether hosts of the two networks may be
@@ -722,9 +697,13 @@ func (s *Server) netsLinked(a, b string) bool {
 // own server), have both sides told to punch simultaneously.
 func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 	s.Connects++
-	requester, ok := s.sessions[m.Name]
-	if !ok {
-		s.reply(src, &Msg{Kind: kindError, ID: m.ID, Error: "requester not registered"})
+	requester := s.sessions.get(m.Name)
+	if requester == nil {
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "requester not registered"})
+		return
+	}
+	if m.Peer == nil {
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "bad connect"})
 		return
 	}
 	reqRec := requester.rec
@@ -732,13 +711,13 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 	sp := s.cfg.Tracer.Start(nil, "punch", obs.Labels{Broker: s.cfg.Name, Net: reqRec.Net})
 	sp.Event("connect %s -> %s", m.Name, target)
 
-	if ses, local := s.sessions[target]; local {
+	if ses := s.sessions.get(target); ses != nil {
 		if !s.netsLinked(ses.rec.Net, reqRec.Net) {
 			// Tenant isolation: the broker never introduces hosts across
 			// virtual networks unless an explicit peering allows it.
 			sp.Event("refused: cross-tenant")
 			sp.End()
-			s.reply(src, &Msg{Kind: kindError, ID: m.ID, Error: "cross-tenant connect refused"})
+			s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
 			return
 		}
 		// Both hosts are ours: order both to punch.
@@ -750,11 +729,11 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 	// A federated replica names the target's home broker directly:
 	// forward the punch orchestration there (the home broker holds the
 	// live NAT session to the target).
-	if rep, held := s.replicas[target]; held {
+	if rep := s.replicas.get(target); rep != nil {
 		if !s.netsLinked(rep.rec.Net, reqRec.Net) {
 			sp.Event("refused: cross-tenant")
 			sp.End()
-			s.reply(src, &Msg{Kind: kindError, ID: m.ID, Error: "cross-tenant connect refused"})
+			s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
 			return
 		}
 		if s.brokerDead(rep.rec.Server) {
@@ -765,7 +744,7 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 			s.StaleFwdRejects++
 			sp.Event("refused: stale replica, home broker %v dead", rep.rec.Server)
 			sp.End()
-			s.reply(src, &Msg{Kind: kindError, ID: m.ID, Code: CodeNotFound,
+			s.send(src, &Msg{Kind: KindError, ID: m.ID, Code: CodeNotFound,
 				Error: "home broker of " + target + " unresponsive"})
 			return
 		}
@@ -773,11 +752,9 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 		s.nextID++
 		introID := s.nextID
 		sp.Event("fwd-connect to home broker %v", rep.rec.Server)
-		s.pendingIntro[introID] = pendingIntro{host: src, hostID: m.ID,
-			remote: rep.rec.Server, created: s.eng.Now(), span: sp}
-		s.sock.SendTo(rep.rec.Server, Encode(&Msg{
-			Kind: kindFwdConnect, ID: introID, Name: target, Rec: &reqRec,
-		}))
+		s.pendingIntro.put(introID, pendingIntro{host: src, hostID: m.ID,
+			remote: rep.rec.Server, span: sp}, s.eng.Now())
+		s.send(rep.rec.Server, &Msg{Kind: KindFwdConnect, ID: introID, Name: target, Rec: &reqRec})
 		return
 	}
 	// Find the target's record through the CAN, then ask its server.
@@ -786,7 +763,7 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 		if err != nil {
 			sp.Event("refused: CAN lookup failed: %v", err)
 			sp.End()
-			s.reply(src, &Msg{Kind: kindError, ID: id, Error: "target lookup: " + err.Error()})
+			s.send(src, &Msg{Kind: KindError, ID: id, Error: "target lookup: " + err.Error()})
 			return
 		}
 		for _, r := range res.Resources {
@@ -800,7 +777,7 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 			if !s.netsLinked(rec.Net, reqRec.Net) {
 				sp.Event("refused: cross-tenant")
 				sp.End()
-				s.reply(src, &Msg{Kind: kindError, ID: id, Error: "cross-tenant connect refused"})
+				s.send(src, &Msg{Kind: KindError, ID: id, Error: "cross-tenant connect refused"})
 				return
 			}
 			// Relay through the target's own broker so it can notify the
@@ -809,16 +786,14 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 			s.nextID++
 			introID := s.nextID
 			sp.Event("CAN introduce via broker %v", rec.Server)
-			s.pendingIntro[introID] = pendingIntro{host: src, hostID: id,
-				remote: rec.Server, created: s.eng.Now(), span: sp}
-			s.sock.SendTo(rec.Server, Encode(&Msg{
-				Kind: kindIntroduce, ID: introID, Name: target, Rec: &reqRec,
-			}))
+			s.pendingIntro.put(introID, pendingIntro{host: src, hostID: id,
+				remote: rec.Server, span: sp}, s.eng.Now())
+			s.send(rec.Server, &Msg{Kind: KindIntroduce, ID: introID, Name: target, Rec: &reqRec})
 			return
 		}
 		sp.Event("refused: target not found")
 		sp.End()
-		s.reply(src, &Msg{Kind: kindError, ID: id, Code: CodeNotFound,
+		s.send(src, &Msg{Kind: KindError, ID: id, Code: CodeNotFound,
 			Error: "target not found: " + target})
 	})
 }
@@ -828,21 +803,21 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 func (s *Server) orderPunch(a, b HostRecord, id uint64, requester netsim.Addr) {
 	if !nat.Punchable(a.NAT, b.NAT) {
 		if s.cfg.DisableRelay {
-			s.reply(requester, &Msg{Kind: kindError, ID: id,
+			s.send(requester, &Msg{Kind: KindError, ID: id,
 				Error: fmt.Sprintf("unpunchable NAT pair %v/%v", a.NAT, b.NAT)})
 			return
 		}
 		s.orderRelay(a, b, id, requester)
 		return
 	}
-	s.reply(a.Mapped, &Msg{Kind: kindPunchOrder, ID: id, Peer: &b})
-	s.reply(b.Mapped, &Msg{Kind: kindPunchOrder, Peer: &a})
+	s.send(a.Mapped, &Msg{Kind: KindPunchOrder, ID: id, Peer: &b})
+	s.send(b.Mapped, &Msg{Kind: KindPunchOrder, Peer: &a})
 }
 
 // onIntroduce (at the target's server): notify our host and ack with its
 // record.
 func (s *Server) onIntroduce(src netsim.Addr, m *Msg) {
-	s.introduceLocal(src, m, kindIntroAck)
+	s.introduceLocal(src, m, KindIntroAck)
 }
 
 // introduceLocal brokers a connect whose requester lives on another
@@ -851,38 +826,38 @@ func (s *Server) onIntroduce(src netsim.Addr, m *Msg) {
 // channel hosted *here* (the target's broker), because only this server
 // has a live NAT session to the target; the requester reaches any
 // public address on its own.
-func (s *Server) introduceLocal(src netsim.Addr, m *Msg, ackKind string) {
-	ses, ok := s.sessions[m.Name]
-	if !ok {
-		s.reply(src, &Msg{Kind: kindError, ID: m.ID, Code: CodeNotFound,
+func (s *Server) introduceLocal(src netsim.Addr, m *Msg, ackKind Kind) {
+	ses := s.sessions.get(m.Name)
+	if ses == nil {
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Code: CodeNotFound,
 			Error: "unknown host " + m.Name})
 		return
 	}
 	if m.Rec != nil && !s.netsLinked(m.Rec.Net, ses.rec.Net) {
 		// The requester's broker should have refused already; enforce
 		// tenant isolation here too in case records were stale.
-		s.reply(src, &Msg{Kind: kindError, ID: m.ID, Error: "cross-tenant connect refused"})
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
 		return
 	}
 	if m.Rec != nil && !nat.Punchable(m.Rec.NAT, ses.rec.NAT) {
 		if s.cfg.DisableRelay {
-			s.reply(src, &Msg{Kind: kindError, ID: m.ID,
+			s.send(src, &Msg{Kind: KindError, ID: m.ID,
 				Error: fmt.Sprintf("unpunchable NAT pair %v/%v", m.Rec.NAT, ses.rec.NAT)})
 			return
 		}
 		// The requester's relay endpoint cannot be predicted (it may sit
 		// behind a symmetric NAT); it is learned from its first envelope.
 		ch := s.newRelayChannel(ses.rec.Name, m.Rec.Name, ses.rec.Mapped, netsim.Addr{})
-		s.reply(ses.rec.Mapped, &Msg{Kind: kindRelayOrder, Peer: m.Rec,
+		s.send(ses.rec.Mapped, &Msg{Kind: KindRelayOrder, Peer: m.Rec,
 			RelayChan: ch.id, RelayAddr: s.Addr()})
-		s.reply(src, &Msg{Kind: ackKind, ID: m.ID, Rec: &ses.rec,
+		s.send(src, &Msg{Kind: ackKind, ID: m.ID, Rec: &ses.rec,
 			RelayChan: ch.id, RelayAddr: s.Addr()})
 		return
 	}
 	// Tell our host to punch toward the requester.
-	s.reply(ses.rec.Mapped, &Msg{Kind: kindPunchOrder, Peer: m.Rec})
+	s.send(ses.rec.Mapped, &Msg{Kind: KindPunchOrder, Peer: m.Rec})
 	// Hand the record back to the requester's server.
-	s.reply(src, &Msg{Kind: ackKind, ID: m.ID, Rec: &ses.rec})
+	s.send(src, &Msg{Kind: ackKind, ID: m.ID, Rec: &ses.rec})
 }
 
 // onIntroAck (back at the requester's server): order our host to punch,
@@ -892,31 +867,32 @@ func (s *Server) introduceLocal(src netsim.Addr, m *Msg, ackKind string) {
 // IDs are sequential and guessable, so an unauthenticated ack could
 // otherwise steer the requester toward an attacker-chosen address.
 func (s *Server) onIntroAck(src netsim.Addr, m *Msg) {
-	pi, ok := s.pendingIntro[m.ID]
-	if !ok {
+	e := s.pendingIntro.get(m.ID)
+	if e == nil {
 		return
 	}
+	pi := e.rec
 	if src != pi.remote {
 		s.RejectedFederation++
 		return
 	}
-	delete(s.pendingIntro, m.ID)
+	s.pendingIntro.drop(e)
 	if m.Error != "" || m.Rec == nil {
 		pi.span.Event("intro-ack error: %s", m.Error)
 		pi.span.End()
-		s.reply(pi.host, &Msg{Kind: kindError, ID: pi.hostID, Error: m.Error, Code: m.Code})
+		s.send(pi.host, &Msg{Kind: KindError, ID: pi.hostID, Error: m.Error, Code: m.Code})
 		return
 	}
 	if m.RelayChan != 0 {
 		pi.span.Event("intro-ack: relay order")
 		pi.span.End()
-		s.reply(pi.host, &Msg{Kind: kindRelayOrder, ID: pi.hostID, Peer: m.Rec,
+		s.send(pi.host, &Msg{Kind: KindRelayOrder, ID: pi.hostID, Peer: m.Rec,
 			RelayChan: m.RelayChan, RelayAddr: m.RelayAddr})
 		return
 	}
 	pi.span.Event("intro-ack: punch order")
 	pi.span.End()
-	s.reply(pi.host, &Msg{Kind: kindPunchOrder, ID: pi.hostID, Peer: m.Rec})
+	s.send(pi.host, &Msg{Kind: KindPunchOrder, ID: pi.hostID, Peer: m.Rec})
 }
 
 // onGroupQuery runs the locality-sensitive grouping over the locator's
@@ -931,30 +907,30 @@ func (s *Server) onGroupQuery(src netsim.Addr, m *Msg) {
 	s.expire()
 	if m.Net == "" {
 		names, err = s.locator.GroupAmong(m.K, func(name string) bool {
-			ses, ok := s.sessions[name]
-			return !ok || ses.rec.Net == ""
+			ses := s.sessions.get(name)
+			return ses == nil || ses.rec.Net == ""
 		})
 	} else {
 		allowed := make(map[string]bool)
-		for name, ses := range s.sessions {
+		for ses := s.sessions.head; ses != nil; ses = ses.next {
 			if ses.rec.Net == m.Net {
-				allowed[name] = true
+				allowed[ses.key] = true
 			}
 		}
 		// Federated replicas are co-tenants too: their RTTs enter the
 		// locator whenever a local host reports a measurement to them.
-		for name, rep := range s.replicas {
+		for rep := s.replicas.head; rep != nil; rep = rep.next {
 			if rep.rec.Net == m.Net {
-				allowed[name] = true
+				allowed[rep.key] = true
 			}
 		}
 		names, err = s.locator.GroupAmong(m.K, func(name string) bool { return allowed[name] })
 	}
 	if err != nil {
-		s.reply(src, &Msg{Kind: kindError, ID: m.ID, Error: err.Error()})
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: err.Error()})
 		return
 	}
-	s.reply(src, &Msg{Kind: kindGroupReply, ID: m.ID, Group: names})
+	s.send(src, &Msg{Kind: KindGroupReply, ID: m.ID, Group: names})
 }
 
 // Locator is the distance locator: it accumulates pairwise RTT

@@ -12,6 +12,9 @@ func newServer(t *testing.T) (*sim.Engine, *netsim.Network, *Server) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
+	// Poison mode: a released buffer is scribbled over, and so is each
+	// broker's reused message after every handler.
+	nw.Pool().SetPoison(true)
 	site := nw.NewSite("hub")
 	host := nw.NewPublicHost("rdv", site, netsim.MustParseIP("50.0.0.1"), 0, time.Millisecond)
 	s, err := NewServer(host, netsim.MustParseIP("50.0.0.2"), Config{SessionTTL: 30 * time.Second})
@@ -22,7 +25,7 @@ func newServer(t *testing.T) (*sim.Engine, *netsim.Network, *Server) {
 	return eng, nw, s
 }
 
-// client is a minimal broker client speaking the JSON protocol.
+// client is a minimal broker client speaking the control protocol.
 type client struct {
 	sock *netsim.UDPSocket
 	got  []*Msg
@@ -47,7 +50,7 @@ func newClient(t *testing.T, nw *netsim.Network, ip string) *client {
 
 func (c *client) send(s *Server, m *Msg) { c.sock.SendTo(s.Addr(), Encode(m)) }
 
-func (c *client) last(kind string) *Msg {
+func (c *client) last(kind Kind) *Msg {
 	for i := len(c.got) - 1; i >= 0; i-- {
 		if c.got[i].Kind == kind {
 			return c.got[i]
@@ -59,9 +62,9 @@ func (c *client) last(kind string) *Msg {
 func TestJoinLookupAndExpiry(t *testing.T) {
 	eng, nw, s := newServer(t)
 	c := newClient(t, nw, "60.0.0.1")
-	c.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha"}})
+	c.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha"}})
 	eng.RunFor(2 * time.Second)
-	ack := c.last("join-ack")
+	ack := c.last(KindJoinAck)
 	if ack == nil || ack.Rec == nil {
 		t.Fatalf("no join ack: %+v", c.got)
 	}
@@ -72,9 +75,9 @@ func TestJoinLookupAndExpiry(t *testing.T) {
 		t.Fatalf("sessions %d", s.Sessions())
 	}
 	// Lookup by name.
-	c.send(s, &Msg{Kind: "lookup", ID: 2, Name: "alpha"})
+	c.send(s, &Msg{Kind: KindLookup, ID: 2, Name: "alpha"})
 	eng.RunFor(2 * time.Second)
-	lr := c.last("lookup-reply")
+	lr := c.last(KindLookupReply)
 	if lr == nil || len(lr.Records) != 1 || lr.Records[0].Name != "alpha" {
 		t.Fatalf("lookup reply %+v", lr)
 	}
@@ -88,11 +91,11 @@ func TestJoinLookupAndExpiry(t *testing.T) {
 func TestPulseKeepsSessionAlive(t *testing.T) {
 	eng, nw, s := newServer(t)
 	c := newClient(t, nw, "60.0.0.1")
-	c.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha"}})
+	c.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha"}})
 	eng.RunFor(time.Second)
 	for i := 0; i < 6; i++ {
 		eng.RunFor(10 * time.Second)
-		c.send(s, &Msg{Kind: "pulse", Name: "alpha"})
+		c.send(s, &Msg{Kind: KindPulse, Name: "alpha"})
 	}
 	eng.RunFor(time.Second)
 	if s.Sessions() != 1 {
@@ -104,12 +107,12 @@ func TestConnectOrdersPunchBothSides(t *testing.T) {
 	eng, nw, s := newServer(t)
 	a := newClient(t, nw, "60.0.0.1")
 	b := newClient(t, nw, "60.0.0.2")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha"}})
-	b.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha"}})
+	b.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "beta"}})
 	eng.RunFor(2 * time.Second)
-	oa, ob := a.last("punch-order"), b.last("punch-order")
+	oa, ob := a.last(KindPunchOrder), b.last(KindPunchOrder)
 	if oa == nil || ob == nil {
 		t.Fatalf("punch orders missing: a=%v b=%v", oa, ob)
 	}
@@ -124,11 +127,11 @@ func TestConnectOrdersPunchBothSides(t *testing.T) {
 func TestConnectUnknownTargetErrors(t *testing.T) {
 	eng, nw, s := newServer(t)
 	a := newClient(t, nw, "60.0.0.1")
-	a.send(s, &Msg{Kind: "join", ID: 1, Rec: &HostRecord{Name: "alpha"}})
+	a.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "alpha"}})
 	eng.RunFor(time.Second)
-	a.send(s, &Msg{Kind: "connect", ID: 2, Name: "alpha", Peer: &HostRecord{Name: "ghost"}})
+	a.send(s, &Msg{Kind: KindConnect, ID: 2, Name: "alpha", Peer: &HostRecord{Name: "ghost"}})
 	eng.RunFor(5 * time.Second)
-	if e := a.last("error"); e == nil {
+	if e := a.last(KindError); e == nil {
 		t.Fatal("no error for unknown target")
 	}
 }

@@ -26,34 +26,18 @@ const (
 
 // VIPRecord advertises one healthy backend of a tenant service.
 type VIPRecord struct {
-	Service string      `json:"service"`
-	Net     string      `json:"net"`
-	VIP     netsim.IP   `json:"vip"`
-	Backend string      `json:"backend"`       // backend name within the service
-	Host    string      `json:"host"`          // WAVNet host carrying the backend
-	Order   int         `json:"order"`         // failover-ordered rank
-	Policy  string      `json:"policy"`        // steering policy of the service
-	Server  netsim.Addr `json:"srv,omitempty"` // home broker of the record
+	Service string
+	Net     string
+	VIP     netsim.IP
+	Backend string      // backend name within the service
+	Host    string      // WAVNet host carrying the backend
+	Order   int         // failover-ordered rank
+	Policy  string      // steering policy of the service
+	Server  netsim.Addr // home broker of the record
 }
 
 // key identifies a record: one entry per (network, service, backend).
 func (r VIPRecord) key() string { return r.Net + "/" + r.Service + "/" + r.Backend }
-
-// VIP wire message kinds (host <-> broker, broker <-> broker).
-const (
-	kindVIPAnnounce  = "vip-announce"  // host -> its broker: healthy backend
-	kindVIPWithdraw  = "vip-withdraw"  // host -> its broker: backend died/evicted
-	kindVIPLookup    = "vip-lookup"    // host -> broker: who backs this service?
-	kindVIPReply     = "vip-reply"     //
-	kindVIPReplicate = "vip-replicate" // home broker -> federated broker: scoped copy
-	kindVIPRetract   = "vip-retract"   // home broker -> federated broker: record withdrawn
-)
-
-// vipEntry is one stored VIP record, locally announced or replicated.
-type vipEntry struct {
-	rec      VIPRecord
-	lastSeen sim.Time
-}
 
 // onVIPAnnounce stores (or refreshes) a VIP record announced by a host
 // homed here and replicates it within the network's broker set. The
@@ -64,18 +48,18 @@ func (s *Server) onVIPAnnounce(src netsim.Addr, m *Msg) {
 	if m.VIP == nil || m.VIP.Service == "" || m.VIP.Backend == "" {
 		return
 	}
-	ses, ok := s.sessions[m.Name]
-	if !ok || ses.rec.Net != m.VIP.Net || ses.rec.Mapped != src {
+	ses := s.sessions.get(m.Name)
+	if ses == nil || ses.rec.Net != m.VIP.Net || ses.rec.Mapped != src {
 		s.RejectedVIP++
 		return
 	}
 	s.VIPAnnouncesIn++
 	rec := *m.VIP
 	rec.Server = s.Addr()
-	s.vipRecs[rec.key()] = &vipEntry{rec: rec, lastSeen: s.eng.Now()}
+	s.putVIP(rec)
 	for _, peer := range s.netBrokers[rec.Net] {
 		s.VIPReplicationsOut++
-		s.sock.SendTo(peer, Encode(&Msg{Kind: kindVIPReplicate, VIP: &rec}))
+		s.send(peer, &Msg{Kind: KindVIPReplicate, VIP: &rec})
 	}
 }
 
@@ -87,19 +71,19 @@ func (s *Server) onVIPWithdraw(src netsim.Addr, m *Msg) {
 	if m.VIP == nil {
 		return
 	}
-	e, ok := s.vipRecs[m.VIP.key()]
-	if !ok {
+	e := s.vipRecs.get(m.VIP.key())
+	if e == nil {
 		return
 	}
-	if ses, live := s.sessions[m.Name]; live && ses.rec.Mapped != src {
+	if ses := s.sessions.get(m.Name); ses != nil && ses.rec.Mapped != src {
 		s.RejectedVIP++
 		return
 	}
 	s.VIPWithdrawalsIn++
-	delete(s.vipRecs, m.VIP.key())
+	s.vipRecs.drop(e)
 	for _, peer := range s.netBrokers[e.rec.Net] {
 		s.VIPRetractsOut++
-		s.sock.SendTo(peer, Encode(&Msg{Kind: kindVIPRetract, VIP: &e.rec}))
+		s.send(peer, &Msg{Kind: KindVIPRetract, VIP: &e.rec})
 	}
 }
 
@@ -107,13 +91,24 @@ func (s *Server) onVIPWithdraw(src netsim.Addr, m *Msg) {
 // the same scope check as host-record replication: only for networks
 // configured here, only from brokers of that network's own set.
 func (s *Server) onVIPReplicate(src netsim.Addr, m *Msg) {
-	if m.VIP == nil || !s.federated[src] ||
+	if m.VIP == nil || !s.Federated(src) ||
 		!s.ServesNet(m.VIP.Net) || !s.brokerOfNet(m.VIP.Net, src) {
 		s.RejectedFederation++
 		return
 	}
 	s.VIPReplicationsIn++
-	s.vipRecs[m.VIP.key()] = &vipEntry{rec: *m.VIP, lastSeen: s.eng.Now()}
+	s.putVIP(*m.VIP)
+}
+
+// putVIP stores a record as seen now, and notes what expiry must look at
+// again because of it: a local record whose host is unknown here, or a
+// replica homed on a peer already swept (homedOn).
+func (s *Server) putVIP(rec VIPRecord) {
+	s.vipRecs.put(rec.key(), rec, s.eng.Now())
+	if rec.Server == s.Addr() && !s.hostKnown(rec.Host, rec.Net) {
+		s.vipsUngrounded = true
+	}
+	s.homedOn(rec.Server)
 }
 
 // onVIPRetract drops a replicated record at its home broker's request.
@@ -121,16 +116,16 @@ func (s *Server) onVIPRetract(src netsim.Addr, m *Msg) {
 	if m.VIP == nil {
 		return
 	}
-	e, ok := s.vipRecs[m.VIP.key()]
-	if !ok {
+	e := s.vipRecs.get(m.VIP.key())
+	if e == nil {
 		return
 	}
-	if !s.federated[src] || !s.brokerOfNet(e.rec.Net, src) {
+	if !s.Federated(src) || !s.brokerOfNet(e.rec.Net, src) {
 		s.RejectedFederation++
 		return
 	}
 	s.VIPRetractsIn++
-	delete(s.vipRecs, m.VIP.key())
+	s.vipRecs.drop(e)
 }
 
 // onVIPLookup answers "who backs service S in network N" from the local
@@ -143,7 +138,7 @@ func (s *Server) onVIPLookup(src netsim.Addr, m *Msg) {
 	s.VIPLookups++
 	recs := s.VIPRecords(m.Net, m.Service)
 	if len(recs) == 0 {
-		s.reply(src, &Msg{Kind: kindError, ID: m.ID,
+		s.send(src, &Msg{Kind: KindError, ID: m.ID,
 			Error: "no such service: " + m.Service, Code: CodeNotFound})
 		return
 	}
@@ -165,21 +160,28 @@ func (s *Server) onVIPLookup(src netsim.Addr, m *Msg) {
 		}
 		return recs[i].Backend < recs[j].Backend
 	})
-	s.reply(src, &Msg{Kind: kindVIPReply, ID: m.ID, VIPs: recs})
+	s.send(src, &Msg{Kind: KindVIPReply, ID: m.ID, VIPs: recs})
 }
 
 // refreshVIPs re-replicates locally announced VIP records at the
 // refresh tick (records travel with sessions: half the TTL), so a
 // replica outlives its initial copy as long as the home broker lives.
 func (s *Server) refreshVIPs() {
-	for _, e := range s.vipRecs {
+	// Touching moves a record to the tail, so the walk ends at the
+	// record that was last when it began.
+	last := s.vipRecs.tail
+	for next := s.vipRecs.head; next != nil; {
+		e := next
+		if next = e.next; e == last {
+			next = nil
+		}
 		if e.rec.Server != s.Addr() {
 			continue
 		}
-		e.lastSeen = s.eng.Now()
+		s.vipRecs.touch(e, s.eng.Now())
 		for _, peer := range s.netBrokers[e.rec.Net] {
 			s.VIPReplicationsOut++
-			s.sock.SendTo(peer, Encode(&Msg{Kind: kindVIPReplicate, VIP: &e.rec}))
+			s.send(peer, &Msg{Kind: KindVIPReplicate, VIP: &e.rec})
 		}
 	}
 }
@@ -188,54 +190,60 @@ func (s *Server) refreshVIPs() {
 // longer refreshed (dead home broker), replicas homed on a federated
 // peer that went silent past the liveness TTL, and local records whose
 // backing host vanished from the network entirely (neither session nor
-// replica — the backend's host died without withdrawing).
-func (s *Server) expireVIPs(cutoff sim.Time) {
-	deadCutoff := s.eng.Now().Add(-s.cfg.BrokerTTL)
-	for key, e := range s.vipRecs {
-		if e.rec.Server != s.Addr() {
-			if e.lastSeen < cutoff {
-				delete(s.vipRecs, key)
-				s.VIPExpiries++
-				continue
-			}
-			if s.federated[e.rec.Server] && s.peerSeen[e.rec.Server] < deadCutoff {
-				delete(s.vipRecs, key)
-				s.DeadBrokerVIPDrops++
-			}
-			continue
-		}
-		if !s.hostKnown(e.rec.Host, e.rec.Net) {
-			delete(s.vipRecs, key)
+// replica — the backend's host died without withdrawing). The first is
+// the head of the table; the second is looked for only when sweepDead
+// says a dead peer has not been swept yet, the third only when a host
+// record went away since the last look.
+func (s *Server) expireVIPs(cutoff sim.Time, sweepDead bool) {
+	self := s.Addr()
+	for e := s.vipRecs.head; e != nil && e.lastSeen < cutoff; e = e.next {
+		// A local record is kept fresh by refreshVIPs and never ages out.
+		if e.rec.Server != self {
+			s.vipRecs.drop(e)
 			s.VIPExpiries++
 		}
 	}
+	if !sweepDead && !s.vipsUngrounded {
+		return
+	}
+	for e := s.vipRecs.head; e != nil; e = e.next {
+		switch {
+		case e.rec.Server != self:
+			if sweepDead && s.brokerDead(e.rec.Server) {
+				s.vipRecs.drop(e)
+				s.DeadBrokerVIPDrops++
+			}
+		case !s.hostKnown(e.rec.Host, e.rec.Net):
+			s.vipRecs.drop(e)
+			s.VIPExpiries++
+		}
+	}
+	s.vipsUngrounded = false
 }
 
 // hostKnown reports whether the named host is visible in the network
 // here, as a homed session or a federated replica.
 func (s *Server) hostKnown(name, net string) bool {
-	if ses, ok := s.sessions[name]; ok && ses.rec.Net == net {
+	if ses := s.sessions.get(name); ses != nil && ses.rec.Net == net {
 		return true
 	}
-	if rep, ok := s.replicas[name]; ok && rep.rec.Net == net {
-		return true
-	}
-	return false
+	rep := s.replicas.get(name)
+	return rep != nil && rep.rec.Net == net
 }
 
 // VIPRecords returns the stored records of one service (all services of
 // the network when service is empty), sorted by key for determinism.
 func (s *Server) VIPRecords(net, service string) []VIPRecord {
-	keys := make([]string, 0, len(s.vipRecs))
-	for key, e := range s.vipRecs {
+	var es []*entry[string, VIPRecord]
+	for e := s.vipRecs.head; e != nil; e = e.next {
 		if e.rec.Net == net && (service == "" || e.rec.Service == service) {
-			keys = append(keys, key)
+			es = append(es, e)
 		}
 	}
-	sort.Strings(keys)
-	out := make([]VIPRecord, 0, len(keys))
-	for _, key := range keys {
-		out = append(out, s.vipRecs[key].rec)
+	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+	out := make([]VIPRecord, len(es))
+	for i, e := range es {
+		out[i] = e.rec
 	}
 	return out
 }

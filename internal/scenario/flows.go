@@ -82,11 +82,8 @@ func DefaultAlertRules() []obs.AlertRule {
 func (w *World) flowLabels(host string, vni uint32) obs.Labels {
 	l := obs.Labels{Host: host, Broker: w.HomeBroker(host)}
 	if vni != 0 && w.vpcMgr != nil {
-		for _, n := range w.vpcMgr.Networks() {
-			if n.VNI == vni {
-				l.Tenant, l.Net = n.Tenant, n.Name
-				break
-			}
+		if n, ok := w.vpcMgr.ByVNI(vni); ok {
+			l.Tenant, l.Net = n.Tenant, n.Name
 		}
 	}
 	return l
@@ -110,7 +107,7 @@ func addFlowSeries(r *obs.Registry, l obs.Labels, bytes, frames uint64, drops *[
 // eviction removes a flow from the table as its record enters the log
 // — so summing them counts each frame once per accounting host.
 func (w *World) FlowScrape() *obs.Registry {
-	r := obs.NewRegistry()
+	r := obs.NewRegistrySized(w.flowScrapeLen)
 	for _, m := range w.Machines {
 		if m.WAV == nil {
 			continue
@@ -128,6 +125,7 @@ func (w *World) FlowScrape() *obs.Registry {
 		addFlowSeries(r, l, rec.Bytes, rec.Frames, &rec.Drops)
 		r.Counter("flow.closed_records", l).Inc()
 	}
+	w.flowScrapeLen = r.Len()
 	return r
 }
 

@@ -171,6 +171,10 @@ type World struct {
 	// vms are the world-booted (unmanaged) VMs by name; tenant-managed
 	// VMs live on the VPC manager and are found through ResolveVM.
 	vms map[string]*vm.VM
+
+	// scrapeLen and flowScrapeLen are the series counts of the last
+	// Scrape and FlowScrape: the next one sizes its registry by them.
+	scrapeLen, flowScrapeLen int
 }
 
 // M returns a machine by key, panicking on unknown keys (scenario wiring
@@ -1010,7 +1014,7 @@ func (w *World) PhysicalPair(a, b *Machine) (*ipstack.Stack, *ipstack.Stack, err
 // and placement-scheduler counters. Series with identical name+labels
 // sum, so scraping is safe at any point of a scenario.
 func (w *World) Scrape() *obs.Registry {
-	r := obs.NewRegistry()
+	r := obs.NewRegistrySized(w.scrapeLen)
 	for _, m := range w.Machines {
 		if m.WAV == nil {
 			continue
@@ -1046,6 +1050,7 @@ func (w *World) Scrape() *obs.Registry {
 	// ride along in the same snapshot.
 	w.Alerts.Eval(w.Eng.Now(), r)
 	w.Alerts.ScrapeInto(r)
+	w.scrapeLen = r.Len()
 	return r
 }
 

@@ -383,6 +383,12 @@ func (mg *Manager) Get(name string) (*Network, bool) {
 	return n, ok
 }
 
+// ByVNI resolves a network by its VNI.
+func (mg *Manager) ByVNI(vni uint32) (*Network, bool) {
+	n, ok := mg.byVNI[vni]
+	return n, ok
+}
+
 // Networks lists every network sorted by name.
 func (mg *Manager) Networks() []*Network {
 	out := make([]*Network, 0, len(mg.networks))
