@@ -397,7 +397,7 @@ func (h *Host) onTapFrame(seg *segment, f *ether.Frame) {
 	// The Packet Assembler's processing time (Config.PacketCost, never
 	// zero), then the switch.
 	f.Retain()
-	h.eng.Post(h.cfg.PacketCost, (*tapOut)(seg), f)
+	h.pa.Post((*tapOut)(seg), f)
 }
 
 // tapOut and tapIn are segment as the receiver of the Packet
@@ -425,7 +425,7 @@ func (s *tapIn) HandleEvent(arg any) {
 // Packet Assembler's processing time.
 func (h *Host) inject(seg *segment, f *ether.Frame) {
 	f.Retain()
-	h.eng.Post(h.cfg.PacketCost, (*tapIn)(seg), f)
+	h.pa.Post((*tapIn)(seg), f)
 }
 
 // switchFrame encapsulates one outbound frame and forwards it: known

@@ -258,6 +258,9 @@ type Host struct {
 	phys *netsim.Host
 	eng  *sim.Engine
 	cfg  Config
+	// pa holds the frames waiting out the Packet Assembler's
+	// processing time (cfg.PacketCost), outbound and inbound.
+	pa *sim.Lane
 
 	sock *netsim.UDPSocket
 	// pool is the world's buffer pool: batch buffers and control
@@ -411,6 +414,7 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		phys:        phys,
 		eng:         phys.Engine(),
 		cfg:         cfg,
+		pa:          phys.Engine().Lane(cfg.PacketCost),
 		pool:        phys.Network().Pool(),
 		segments:    make(map[uint32]*segment),
 		tunnels:     make(map[string]*Tunnel),

@@ -20,11 +20,10 @@ type NIC interface {
 // forwarding latency. It is the "dedicated virtual network bridge" of the
 // paper's Figure 5 that joins VM vifs, the host stack and the WAVNet tap.
 type Bridge struct {
-	eng     *sim.Engine
 	name    string
 	ports   []*BridgePort
 	fdb     *MACTable[*BridgePort]
-	fwdLat  sim.Duration
+	fwd     *sim.Lane // frames waiting out the forwarding latency
 	nextIdx int
 
 	// Stats.
@@ -38,10 +37,9 @@ type Bridge struct {
 // bridge).
 func NewBridge(eng *sim.Engine, name string, fwdLatency sim.Duration) *Bridge {
 	return &Bridge{
-		eng:    eng,
-		name:   name,
-		fdb:    NewMACTable[*BridgePort](eng, 0),
-		fwdLat: fwdLatency,
+		name: name,
+		fdb:  NewMACTable[*BridgePort](eng, 0),
+		fwd:  eng.Lane(fwdLatency),
 	}
 }
 
@@ -127,7 +125,7 @@ func (b *Bridge) input(in *BridgePort, f *Frame) {
 // reference for the wait.
 func (b *Bridge) deliver(out *BridgePort, f *Frame) {
 	f.Retain()
-	b.eng.Post(b.fwdLat, (*portRx)(out), f)
+	b.fwd.Post((*portRx)(out), f)
 }
 
 // portRx is BridgePort as the receiver of its delivery events.
@@ -160,15 +158,14 @@ type Pipe struct {
 }
 
 type pipeEnd struct {
-	eng  *sim.Engine
-	lat  sim.Duration
+	wire *sim.Lane // frames in flight, either way
 	peer *pipeEnd
 	recv func(*Frame)
 }
 
 func (e *pipeEnd) Send(f *Frame) {
 	f.Retain()
-	e.eng.Post(e.lat, e.peer, f)
+	e.wire.Post(e.peer, f)
 }
 
 // HandleEvent delivers a frame that crossed the pipe to this end.
@@ -177,8 +174,8 @@ func (e *pipeEnd) SetRecv(fn func(*Frame)) { e.recv = fn }
 
 // NewPipe returns two NICs wired back-to-back with the given latency.
 func NewPipe(eng *sim.Engine, latency sim.Duration) *Pipe {
-	a := &pipeEnd{eng: eng, lat: latency}
-	b := &pipeEnd{eng: eng, lat: latency}
+	wire := eng.Lane(latency)
+	a, b := &pipeEnd{wire: wire}, &pipeEnd{wire: wire}
 	a.peer, b.peer = b, a
 	return &Pipe{A: a, B: b}
 }

@@ -34,6 +34,13 @@ func (m MAC) IsBroadcast() bool { return m == Broadcast }
 // IsMulticast reports whether the group bit is set.
 func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 
+// key packs the address into the integer MACTable's maps are keyed by:
+// the runtime hashes a uint64 key inline, a six-byte array through the
+// general memory hash.
+func (m MAC) key() uint64 {
+	return uint64(binary.LittleEndian.Uint32(m[:])) | uint64(binary.LittleEndian.Uint16(m[4:]))<<32
+}
+
 // SeqMAC returns a locally-administered unicast MAC derived from a
 // sequence number, for deterministic address assignment.
 func SeqMAC(n uint32) MAC {
@@ -254,7 +261,7 @@ type MACTable[P comparable] struct {
 	eng     *sim.Engine
 	AgeTime sim.Duration
 	mu      sync.Mutex // serializes map rebuilds only
-	entries atomic.Pointer[map[MAC]*macEntry[P]]
+	entries atomic.Pointer[map[uint64]*macEntry[P]]
 }
 
 type macEntry[P comparable] struct {
@@ -269,7 +276,7 @@ func NewMACTable[P comparable](eng *sim.Engine, ageTime sim.Duration) *MACTable[
 		ageTime = 300 * sim.Second
 	}
 	t := &MACTable[P]{eng: eng, AgeTime: ageTime}
-	m := make(map[MAC]*macEntry[P])
+	m := make(map[uint64]*macEntry[P])
 	t.entries.Store(&m)
 	return t
 }
@@ -281,7 +288,8 @@ func (t *MACTable[P]) Learn(mac MAC, port P) {
 	if mac.IsMulticast() {
 		return
 	}
-	if e, ok := (*t.entries.Load())[mac]; ok {
+	k := mac.key()
+	if e, ok := (*t.entries.Load())[k]; ok {
 		if *e.port.Load() != port {
 			p := port
 			e.port.Store(&p)
@@ -291,7 +299,7 @@ func (t *MACTable[P]) Learn(mac MAC, port P) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := (*t.entries.Load())[mac]; ok { // raced with another learner
+	if e, ok := (*t.entries.Load())[k]; ok { // raced with another learner
 		p := port
 		e.port.Store(&p)
 		e.seen.Store(int64(t.eng.Now()))
@@ -301,20 +309,20 @@ func (t *MACTable[P]) Learn(mac MAC, port P) {
 	p := port
 	e.port.Store(&p)
 	e.seen.Store(int64(t.eng.Now()))
-	t.rebuild(func(m map[MAC]*macEntry[P]) { m[mac] = e })
+	t.rebuild(func(m map[uint64]*macEntry[P]) { m[k] = e })
 }
 
 // rebuild copies the published map, dropping aged-out entries along the
 // way, applies mutate to the copy, and publishes it. Caller holds mu.
-func (t *MACTable[P]) rebuild(mutate func(map[MAC]*macEntry[P])) {
+func (t *MACTable[P]) rebuild(mutate func(map[uint64]*macEntry[P])) {
 	old := *t.entries.Load()
 	now := t.eng.Now()
-	m := make(map[MAC]*macEntry[P], len(old)+1)
-	for mac, e := range old {
+	m := make(map[uint64]*macEntry[P], len(old)+1)
+	for k, e := range old {
 		if now.Sub(sim.Time(e.seen.Load())) > t.AgeTime {
 			continue
 		}
-		m[mac] = e
+		m[k] = e
 	}
 	if mutate != nil {
 		mutate(m)
@@ -325,7 +333,7 @@ func (t *MACTable[P]) rebuild(mutate func(map[MAC]*macEntry[P])) {
 // Lookup returns the port mac was last seen on, if the entry is fresh.
 // It is a pure lock-free read safe to call concurrently with Learn.
 func (t *MACTable[P]) Lookup(mac MAC) (P, bool) {
-	e, ok := (*t.entries.Load())[mac]
+	e, ok := (*t.entries.Load())[mac.key()]
 	if !ok || t.eng.Now().Sub(sim.Time(e.seen.Load())) > t.AgeTime {
 		var zero P
 		return zero, false
@@ -337,10 +345,11 @@ func (t *MACTable[P]) Lookup(mac MAC) (P, bool) {
 func (t *MACTable[P]) Forget(mac MAC) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := (*t.entries.Load())[mac]; !ok {
+	k := mac.key()
+	if _, ok := (*t.entries.Load())[k]; !ok {
 		return
 	}
-	t.rebuild(func(m map[MAC]*macEntry[P]) { delete(m, mac) })
+	t.rebuild(func(m map[uint64]*macEntry[P]) { delete(m, k) })
 }
 
 // ForgetPort drops every entry pointing at port (used when a tunnel or
@@ -348,10 +357,10 @@ func (t *MACTable[P]) Forget(mac MAC) {
 func (t *MACTable[P]) ForgetPort(port P) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rebuild(func(m map[MAC]*macEntry[P]) {
-		for mac, e := range m {
+	t.rebuild(func(m map[uint64]*macEntry[P]) {
+		for k, e := range m {
 			if *e.port.Load() == port {
-				delete(m, mac)
+				delete(m, k)
 			}
 		}
 	})

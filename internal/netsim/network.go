@@ -394,7 +394,7 @@ func (h *hop) HandleEvent(any) {
 			lat += sim.Duration(j)
 		}
 		pkt.stage = hopWanRx
-		n.eng.Post(lat, h, nil)
+		n.eng.PostAt(n.eng.Now().Add(lat), h, nil)
 		return
 	case hopWanRx:
 		next = to.down

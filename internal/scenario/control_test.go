@@ -147,6 +147,7 @@ func deliveryDigest(t *testing.T, seed int64) (digest uint64, delivered int) {
 // packets at the same instants.
 func TestSameSeedSameDeliveries(t *testing.T) {
 	want, n := deliveryDigest(t, 5)
+	t.Logf("digest %#x over %d deliveries", want, n)
 	for rep := 0; rep < 4; rep++ {
 		if got, m := deliveryDigest(t, 5); got != want || m != n {
 			t.Fatalf("repetition %d: digest %#x over %d deliveries, first run %#x over %d", rep, got, m, want, n)

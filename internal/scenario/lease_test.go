@@ -160,7 +160,12 @@ func TestLeaseWorldRepeatsExactly(t *testing.T) {
 	// 12 000 datagrams and ~1 500 MTU segments (plus their ACKs) crossed
 	// the mesh; with every buffer, packet, frame and hop event recycled
 	// what is left is the test's own 1 500 scheduled bursts and whatever
-	// the free lists' bounds could not absorb.
+	// the free lists' bounds could not absorb: 855 pool misses and 1 728
+	// fresh events (bridge, tap and wake-up events wait in lanes and need
+	// no event object; link completions draw on the engine's free list).
+	if a.misses != 855 || a.fresh != 1728 {
+		t.Fatalf("%d pool misses and %d fresh events, want 855 and 1728: a change that moves the event order moves these, and says so", a.misses, a.fresh)
+	}
 	perFrame := float64(a.misses+a.fresh) / float64(12000+1500)
 	t.Logf("%d pool misses, %d fresh events over %d events: %.2f objects per frame", a.misses, a.fresh, a.events, perFrame)
 	if perFrame > 0.5 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -166,6 +167,62 @@ func TestAtTimeEndRegistrationOrder(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("flushers out of registration order: %v", order)
+		}
+	}
+}
+
+// marker logs the name each handle-less event carries; the one named
+// "reg" registers a flusher, and posts one more event of the same
+// instant to the 0 s lane when it has one.
+type marker struct {
+	e     *Engine
+	order *[]string
+	zero  *Lane
+}
+
+func (m *marker) HandleEvent(arg any) {
+	*m.order = append(*m.order, arg.(string))
+	if arg == "reg" {
+		m.e.AtTimeEnd(func() { *m.order = append(*m.order, "flush@"+m.e.Now().String()) })
+		if m.zero != nil {
+			m.zero.Post(m, "zero")
+		}
+	}
+}
+
+// TestAtTimeEndSeesLanes: "is anything else due at this instant" looks
+// at the lanes' heads as well as the heap's top, wherever the flusher
+// was registered from — one flush, after the instant's last event.
+func TestAtTimeEndSeesLanes(t *testing.T) {
+	const d = 10 * time.Microsecond
+	at := Time(d).String()
+	for _, tc := range []struct {
+		name string
+		arm  func(e *Engine, l *Lane, m *marker)
+		want []string
+	}{
+		{"last event in a lane", func(e *Engine, l *Lane, m *marker) {
+			e.PostAt(Time(d), m, "reg")
+			l.Post(m, "lane")
+		}, []string{"reg", "lane", "flush@" + at, "later"}},
+		{"last event in the heap, flusher registered from a lane", func(e *Engine, l *Lane, m *marker) {
+			l.Post(m, "reg")
+			e.PostAt(Time(d), m, "heap")
+		}, []string{"reg", "heap", "flush@" + at, "later"}},
+		{"last event in another lane, posted during the instant", func(e *Engine, l *Lane, m *marker) {
+			m.zero = e.Lane(0)
+			l.Post(m, "reg")
+			l.Post(m, "lane")
+		}, []string{"reg", "lane", "zero", "flush@" + at, "later"}},
+	} {
+		e := NewEngine(1)
+		var order []string
+		m := &marker{e: e, order: &order}
+		tc.arm(e, e.Lane(d), m)
+		e.PostAt(Time(2*d), m, "later")
+		e.Run()
+		if !slices.Equal(order, tc.want) {
+			t.Errorf("%s: order = %v, want %v", tc.name, order, tc.want)
 		}
 	}
 }

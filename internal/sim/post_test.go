@@ -10,19 +10,28 @@ type recorder struct{ got []any }
 
 func (r *recorder) HandleEvent(arg any) { r.got = append(r.got, arg) }
 
-// TestPostKeepsScheduleOrder interleaves Post and Schedule at equal
-// times: a post takes its turn in (time, sequence) order exactly as the
-// closure it replaces would have.
+// TestPostKeepsScheduleOrder interleaves lane posts, PostAt and Schedule
+// at equal times: a handle-less event takes its turn in (time, sequence)
+// order exactly as the closure it replaces would have, whichever of the
+// lanes or the heap it waits in.
 func TestPostKeepsScheduleOrder(t *testing.T) {
 	e := NewEngine(1)
 	r := &recorder{}
-	e.Post(time.Millisecond, r, 1)
+	ms := e.Lane(time.Millisecond)
+	if e.Lane(time.Millisecond) != ms || e.Lane(-time.Second) != e.Lane(0) {
+		t.Fatal("lanes are shared by delay value, a negative delay clamped to zero")
+	}
+	ms.Post(r, 1)
 	e.Schedule(time.Millisecond, func() { r.got = append(r.got, 2) })
 	e.PostAt(Time(time.Millisecond), r, 3)
-	e.Post(0, r, 0)
-	e.Post(-time.Second, r, "clamped")
+	ms.Post(r, 4)
+	e.Lane(0).Post(r, 0)
+	e.PostAt(-5, r, "clamped")
+	if e.Pending() != 6 {
+		t.Fatalf("%d events pending, want 6", e.Pending())
+	}
 	e.Run()
-	want := []any{0, "clamped", 1, 2, 3}
+	want := []any{0, "clamped", 1, 2, 3, 4}
 	if len(r.got) != len(want) {
 		t.Fatalf("handled %v, want %v", r.got, want)
 	}
@@ -31,46 +40,67 @@ func TestPostKeepsScheduleOrder(t *testing.T) {
 			t.Fatalf("handled %v, want %v", r.got, want)
 		}
 	}
-	if e.Dispatched() != 5 {
-		t.Fatalf("dispatched %d events, want 5", e.Dispatched())
+	if e.Dispatched() != 6 || e.Pending() != 0 {
+		t.Fatalf("dispatched %d events with %d pending, want 6 and 0", e.Dispatched(), e.Pending())
 	}
 }
 
-// chain re-posts itself from inside its own handler.
+// chain re-posts itself from inside its own handler: to its lane, or to
+// the heap when it has none.
 type chain struct {
 	e    *Engine
+	lane *Lane
 	left int
+}
+
+func (c *chain) post() {
+	if c.lane != nil {
+		c.lane.Post(c, nil)
+		return
+	}
+	c.e.PostAt(c.e.Now().Add(time.Microsecond), c, nil)
 }
 
 func (c *chain) HandleEvent(any) {
 	if c.left--; c.left > 0 {
-		c.e.Post(time.Microsecond, c, nil)
+		c.post()
 	}
 }
 
-// TestPostRecyclesEvents: an event is back on the free list before its
-// handler runs, so a handler that posts again reuses the very same one
-// and steady-state posting allocates nothing.
+// TestPostRecyclesEvents: a heap post is back on the free list before
+// its handler runs, so a handler that posts again reuses the very same
+// one; a lane post needs no event at all. Either way steady-state
+// posting allocates nothing.
 func TestPostRecyclesEvents(t *testing.T) {
 	e := NewEngine(1)
-	c := &chain{e: e, left: 1000}
-	e.Post(0, c, nil)
-	e.Run()
-	if len(e.freePosts) != 1 {
-		t.Fatalf("a self-reposting chain used %d events, want 1", len(e.freePosts))
-	}
-	c.left = 1000
-	allocs := testing.AllocsPerRun(1, func() {
-		e.Post(0, c, nil)
+	for _, c := range []*chain{{e: e}, {e: e, lane: e.Lane(time.Microsecond)}} {
+		fresh, want := e.FreshEvents(), uint64(1)
+		if c.lane != nil {
+			want = 0
+		}
+		c.left = 1000
+		c.post()
 		e.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state posting allocates %.0f objects per 1000 events", allocs)
+		if got := e.FreshEvents() - fresh; got != want || len(e.freePosts) != 1 {
+			t.Fatalf("a self-reposting chain (lane %v) allocated %d events, want %d; free list holds %d, want 1",
+				c.lane != nil, got, want, len(e.freePosts))
+		}
+		c.left = 1000
+		allocs := testing.AllocsPerRun(1, func() {
+			c.post()
+			e.Run()
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state posting (lane %v) allocates %.0f objects per 1000 events", c.lane != nil, allocs)
+		}
+	}
+	if n := len(e.Lane(time.Microsecond).ring); n != minLaneRing {
+		t.Fatalf("a lane that never held two events grew its ring to %d", n)
 	}
 	// The free list is bounded: a burst leaves at most maxFreePosts idle.
 	r := &recorder{}
 	for i := 0; i < 2*maxFreePosts; i++ {
-		e.Post(0, r, nil)
+		e.PostAt(e.Now(), r, nil)
 	}
 	e.Run()
 	if len(e.freePosts) != maxFreePosts {

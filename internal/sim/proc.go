@@ -1,8 +1,15 @@
+//go:build go1.23
+
+// The constraint selects nothing — this is Proc's only implementation —
+// it states what package iter needs while go.mod says go 1.21 (see the
+// package comment), or go vet rejects the import.
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // ErrStopped is the panic value used to unwind a parked process when the
@@ -10,18 +17,20 @@ import (
 // wrapper does.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with the event loop so that at most one simulation goroutine runs at any
-// instant. Inside a Proc, code may call Sleep, Park and the blocking
+// Proc is a simulation process: a coroutine whose execution is interleaved
+// with the event loop so that at most one piece of simulation code runs at
+// any instant. Inside a Proc, code may call Sleep, Park and the blocking
 // helpers of higher-level packages (sockets, queues) as if they were
 // ordinary blocking calls.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan procSignal
-	yield  chan struct{}
-	parked bool
-	dead   bool
+	eng  *Engine
+	name string
+	body func(*Proc)
+	c    *carrier // runs body, from its first activation until it returns
+	// prev and next link the live procs in spawn order (Engine.procs).
+	prev, next *Proc
+	parked     bool
+	dead       bool
 
 	// wakeEv starts the process and ends each Sleep; it is re-armed in
 	// place, and cancelled when an interrupt cuts a sleep short.
@@ -37,82 +46,130 @@ type Proc struct {
 	interrupted bool
 }
 
-type procSignal int
+// carrier is a coroutine (iter.Pull) that runs proc bodies, one after
+// another: making one costs a dozen allocations and a goroutine, so a
+// carrier whose body has returned waits on the engine's bounded free
+// list for the next proc to start (life cycle: package comment).
+type carrier struct {
+	proc  *Proc                   // the body to run at the next resume
+	yield func(struct{}) bool     // suspends the coroutine; false once stopped
+	next  func() (struct{}, bool) // resumes it until it next suspends or ends
+	stop  func()                  // resumes it with yield reporting false
+}
 
-const (
-	sigRun procSignal = iota
-	sigStop
-	sigInterrupt
-)
+// carrierPool is the LIFO free list of idle carriers. A suspended
+// coroutine is a goroutine, which the collector never reclaims, so the
+// list is an object of its own that points at nothing else of the
+// engine's, and neither does an idle carrier: a world dropped without
+// Stop is still garbage once its procs have finished, and the list's
+// finalizer (NewEngine) then ends the coroutines it left.
+type carrierPool struct{ idle []*carrier }
+
+// maxIdleCarriers bounds the free list.
+const maxIdleCarriers = 64
+
+// drain ends every idle carrier.
+func (cp *carrierPool) drain() {
+	for _, c := range cp.idle {
+		c.stop()
+	}
+	cp.idle = nil
+}
+
+func (c *carrier) run(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		e := c.proc.eng
+		c.proc.run()
+		c.proc = nil
+		if e.stopped || len(e.carriers.idle) == maxIdleCarriers {
+			return
+		}
+		e.carriers.idle = append(e.carriers.idle, c)
+		// Suspended here the coroutine refers to nothing but c.
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// carrier takes an idle coroutine off the free list, or makes one.
+func (e *Engine) carrier() *carrier {
+	cp := e.carriers
+	if n := len(cp.idle); n > 0 {
+		c := cp.idle[n-1]
+		cp.idle[n-1] = nil
+		cp.idle = cp.idle[:n-1]
+		return c
+	}
+	c := &carrier{}
+	c.next, c.stop = iter.Pull(c.run)
+	return c
+}
 
 // Spawn starts fn as a new process immediately (at the current virtual
-// time, as a scheduled event). The name is used in diagnostics only.
+// time, as a scheduled event). The name is used in diagnostics only. A
+// panic in fn surfaces in whoever is running the engine (Run, RunUntil,
+// Step); ErrStopped is the only one the wrapper swallows. On a stopped
+// engine the process is dead on arrival.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan procSignal),
-		yield:  make(chan struct{}),
+	p := &Proc{eng: e, name: name, body: fn, dead: e.stopped}
+	p.wakeEv.fn, p.wakeEv.index = p.activate, -1
+	if !p.dead {
+		last := e.procs.prev
+		p.prev, p.next, last.next, e.procs.prev = last, &e.procs, p, p
+		e.arm(&p.wakeEv, e.now)
 	}
-	p.wakeEv.fn, p.wakeEv.index = func() { p.activate(sigRun) }, -1
-	e.procs[p] = struct{}{}
-	go func() {
-		sig := <-p.resume // wait for first activation
-		if sig != sigStop {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if err, ok := r.(error); !ok || !errors.Is(err, ErrStopped) {
-							panic(r) // real bug: re-panic
-						}
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.dead = true
-		delete(e.procs, p)
-		p.yield <- struct{}{} // give control back to the engine
-	}()
-	e.arm(&p.wakeEv, e.now)
 	return p
 }
 
-// activate transfers control to the process goroutine and blocks until it
-// parks or finishes. Must be called from engine (event) context.
-func (p *Proc) activate(sig procSignal) {
+// run is the body's frame on its carrier.
+func (p *Proc) run() {
+	defer func() {
+		p.finish()
+		if r := recover(); r != nil {
+			if err, ok := r.(error); !ok || !errors.Is(err, ErrStopped) {
+				panic(r) // real bug: on to whoever resumed the carrier
+			}
+		}
+	}()
+	p.body(p)
+}
+
+// finish marks the process dead and takes it off the engine's list.
+func (p *Proc) finish() {
+	p.prev.next, p.next.prev = p.next, p.prev
+	p.prev, p.next, p.c, p.body, p.dead = nil, nil, nil, nil, true
+}
+
+// activate transfers control to the process and returns when it parks or
+// finishes. Must be called from engine (event) context.
+func (p *Proc) activate() {
 	if p.dead {
 		return
 	}
-	prev := p.eng.current
-	p.eng.current = p
-	p.resume <- sig
-	<-p.yield
-	p.eng.current = prev
+	e := p.eng
+	if p.c == nil {
+		p.c = e.carrier()
+		p.c.proc = p
+	}
+	prev := e.current
+	e.current = p
+	p.c.next()
+	e.current = prev
 }
 
 // park suspends the process, returning control to the event loop. It
-// resumes when some event calls activate. Returns the signal used to
-// resume.
-func (p *Proc) park() procSignal {
+// resumes when some event calls activate, or — on a stopped engine —
+// unwinds with ErrStopped so that deferred functions run and the
+// carrier ends.
+func (p *Proc) park() {
 	p.parked = true
-	p.yield <- struct{}{}
-	sig := <-p.resume
+	ok := !p.eng.stopped && p.c.yield(struct{}{})
 	p.parked = false
-	if sig == sigStop {
+	if !ok {
 		panic(ErrStopped)
 	}
-	return sig
-}
-
-// unwind forces a parked process to panic with ErrStopped so that its
-// deferred functions run and the goroutine exits. Engine use only.
-func (p *Proc) unwind() {
-	if p.dead || !p.parked {
-		return
-	}
-	p.resume <- sigStop
-	<-p.yield
 }
 
 // Engine returns the engine this process belongs to.
@@ -163,7 +220,7 @@ func (p *Proc) Unpark() {
 	if p.dead || !p.parked {
 		return
 	}
-	p.eng.Post(0, (*procWake)(p), nil)
+	p.eng.wake.Post((*procWake)(p), nil)
 }
 
 // procWake is Proc as the receiver of the wake-up Unpark posts.
@@ -172,7 +229,7 @@ type procWake Proc
 func (pw *procWake) HandleEvent(any) {
 	p := (*Proc)(pw)
 	if !p.dead && p.parked {
-		p.activate(sigRun)
+		p.activate()
 	}
 }
 
@@ -185,7 +242,7 @@ func (pi *procInterrupt) HandleEvent(any) {
 	// (ClearInterrupt) after being woken by its real signal, this
 	// stale wake-up must not interrupt an unrelated later park.
 	if !p.dead && p.parked && p.interrupted {
-		p.activate(sigInterrupt)
+		p.activate()
 	}
 }
 
@@ -204,7 +261,7 @@ func (p *Proc) Interrupt() {
 	if !p.parked {
 		return // the flag is observed at the next Park/Sleep
 	}
-	p.eng.Post(0, (*procInterrupt)(p), nil)
+	p.eng.wake.Post((*procInterrupt)(p), nil)
 }
 
 // Interrupted reports whether an interrupt is pending on the process.

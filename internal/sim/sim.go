@@ -1,21 +1,46 @@
 // Package sim implements the discrete-event simulation (DES) engine that
 // every WAVNet substrate runs on.
 //
-// The engine maintains a virtual clock and an event queue ordered by
-// (time, sequence). Events are plain callbacks; a coroutine layer (Proc)
+// The engine maintains a virtual clock and dispatches events in (time,
+// sequence) order. Events are plain callbacks; a coroutine layer (Proc)
 // lets higher-level code — TCP sockets, MPI ranks, benchmark drivers —
 // be written in a blocking style while the whole simulation remains
 // single-threaded and bit-for-bit deterministic for a given seed.
 //
-// Only one goroutine ever executes simulation logic at a time: the engine
-// hands control to a process and waits for it to park or finish before
-// dispatching the next event. Determinism therefore depends only on the
-// event ordering, which is total.
+// An event waits in one of three places. A lane (Engine.Lane) is a FIFO
+// ring of handle-less events that all carry one delay: the clock never
+// runs backwards and the delay is fixed when the lane is made, so each
+// post is due no earlier than the one before it and has a larger
+// sequence number — the ring is sorted by (time, sequence) by
+// construction, posting appends and dispatch takes the head. Lanes go to
+// the objects whose delay is a constant of the model: a Bridge (its
+// forwarding latency), a Pipe (its latency), a core.Host (the Packet
+// Assembler's PacketCost, both ways) and the engine (the 0 s wake-ups
+// of Unpark and Interrupt). The heap, a 4-ary min-heap, holds whatever
+// has a computed due time (link completions, jittered WAN latency,
+// timers, sleeps) or can be cancelled. The time-end flushers (AtTimeEnd)
+// run when neither holds anything more for the current instant.
+// Dispatch takes the least of the heap's top and the lanes' heads;
+// sequence numbers are unique and handed out in arming order wherever
+// the event waits, so the order is total and is the one a single heap
+// holding every event would give.
+//
+// Only one piece of simulation code runs at a time: a Proc's body runs
+// on a coroutine (iter.Pull) that the engine resumes and that hands
+// control back when it parks or returns. A coroutine is dear to make,
+// so it is a carrier that outlives its proc: made by the first
+// activation that finds the engine's free list empty, it runs the body;
+// when the body returns it waits on the bounded list for the next
+// Spawn; Engine.Stop ends it. Package iter needs a go1.23 toolchain but
+// go.mod says go 1.21: benchmark/go.mod has to name the same version
+// and is frozen, so proc.go carries a go1.23 build constraint instead.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"time"
 	"unsafe"
 )
@@ -61,23 +86,28 @@ type Event struct {
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// entry is one queued event. The ordering key rides inline, so sifting
-// compares entries without touching the events they point at.
-type entry struct {
+// key is an event's place in the dispatch order. Sequence numbers are
+// unique, so the order is total.
+type key struct {
 	at  Time
 	seq uint64
-	ev  *Event
 }
 
-func (a entry) before(b entry) bool {
+func (a key) before(b key) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// queue is a 4-ary min-heap of entries on (at, seq): half the depth of a
-// binary heap and four children in adjacent cache lines. Sequence
-// numbers are unique, so the order is total and the pop order does not
-// depend on the heap's shape. Every placement goes through set, which
-// keeps Event.index current.
+// entry is one event in the heap. The ordering key rides inline, so
+// sifting compares entries without touching the events they point at.
+type entry struct {
+	key
+	ev *Event
+}
+
+// queue is a 4-ary min-heap of entries on their keys: half the depth of
+// a binary heap and four children in adjacent cache lines. The order is
+// total, so the pop order does not depend on the heap's shape. Every
+// placement goes through set, which keeps Event.index current.
 type queue []entry
 
 func (q queue) set(i int, x entry) {
@@ -89,7 +119,7 @@ func (q queue) set(i int, x entry) {
 func (q queue) up(i int, x entry) {
 	for i > 0 {
 		p := (i - 1) / 4
-		if !x.before(q[p]) {
+		if !x.before(q[p].key) {
 			break
 		}
 		q.set(i, q[p])
@@ -108,11 +138,11 @@ func (q queue) down(i int, x entry) {
 		kids := q[c:min(c+4, len(q))]
 		m, least := 0, kids[0]
 		for j := 1; j < len(kids); j++ {
-			if kids[j].before(least) {
+			if kids[j].before(least.key) {
 				m, least = j, kids[j]
 			}
 		}
-		if !least.before(x) {
+		if !least.before(x.key) {
 			break
 		}
 		q.set(i, least)
@@ -124,7 +154,7 @@ func (q queue) down(i int, x entry) {
 // fix puts x, whose key may lie either way of its neighbours', in the
 // place of the entry at i.
 func (q queue) fix(i int, x entry) {
-	if i > 0 && x.before(q[(i-1)/4]) {
+	if i > 0 && x.before(q[(i-1)/4].key) {
 		q.up(i, x)
 		return
 	}
@@ -149,6 +179,87 @@ func (q *queue) remove(i int) {
 	}
 }
 
+// Handler receives a handle-less event (see Lane.Post and
+// Engine.PostAt). Long-lived objects on the frame path — bridge ports,
+// in-flight packets, procs — implement it so that scheduling work for
+// them captures no closure.
+type Handler interface {
+	HandleEvent(arg any)
+}
+
+// Lane is a FIFO of handle-less events that all wait the same delay,
+// handed out by Engine.Lane to an object whose delay is a constant: no
+// heap, no event object, same dispatch order (see the package comment).
+type Lane struct {
+	eng  *Engine
+	d    Duration
+	fifo bool        // false: one lane too many, Post goes to the heap
+	ring []laneEvent // power-of-two length, grown on demand
+	head int
+	n    int
+}
+
+type laneEvent struct {
+	key
+	h   Handler
+	arg any
+}
+
+const (
+	// maxLanes bounds the lane heads a dispatch compares; a world with
+	// more distinct constant delays keeps the rest on the heap.
+	maxLanes    = 8
+	minLaneRing = 16 // a ring's first size (768 B)
+)
+
+// Lane returns the engine's lane for delay d (clamped to zero); lanes
+// are shared by delay value.
+func (e *Engine) Lane(d Duration) *Lane {
+	if d < 0 {
+		d = 0
+	}
+	for i := range e.lanes[:e.nlanes] {
+		if e.lanes[i].d == d {
+			return &e.lanes[i]
+		}
+	}
+	if e.nlanes == maxLanes {
+		return &Lane{eng: e, d: d}
+	}
+	l := &e.lanes[e.nlanes]
+	e.nlanes++
+	*l = Lane{eng: e, d: d, fifo: true}
+	return l
+}
+
+// Post queues h.HandleEvent(arg) to run after the lane's delay. The
+// event has no handle and cannot be cancelled; posting allocates nothing
+// once the ring has reached the lane's high-water mark (a pointer-shaped
+// arg is not boxed) and consumes one sequence number, as Schedule would.
+func (l *Lane) Post(h Handler, arg any) {
+	e := l.eng
+	at := e.now.Add(l.d)
+	if !l.fifo {
+		e.PostAt(at, h, arg)
+		return
+	}
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	e.seq++
+	x := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	x.at, x.seq, x.h, x.arg = at, e.seq, h, arg
+	l.n++
+	e.laned++
+}
+
+func (l *Lane) grow() {
+	ring := make([]laneEvent, max(minLaneRing, 2*len(l.ring)))
+	n := copy(ring, l.ring[l.head:])
+	copy(ring[n:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
 // Engine is a discrete-event simulator. Create one with NewEngine; it is
 // not safe for concurrent use from multiple OS threads (the coroutine
 // layer serializes everything internally).
@@ -158,36 +269,38 @@ type Engine struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
-	running bool
+
+	// lanes[:nlanes] are the fixed-delay FIFOs beside the heap; laned
+	// counts the events waiting in them, so that dispatch looks at them
+	// only when there is one.
+	lanes  [maxLanes]Lane
+	nlanes int
+	laned  int
+	wake   *Lane // the 0 s lane Unpark and Interrupt post to
 
 	// current proc executing, if any (used by the coroutine layer).
 	current *Proc
-	// live procs, for shutdown.
-	procs map[*Proc]struct{}
+	// procs heads the ring of live procs, in spawn order, for shutdown.
+	procs    Proc
+	carriers *carrierPool // coroutines between procs (see carrier)
 
 	// flushers run once after the last event of the current virtual
 	// timestamp, before the clock advances (see AtTimeEnd).
 	flushers []func()
 
-	// freePosts is the LIFO free list of handle-less events (see Post).
+	// freePosts is the LIFO free list of handle-less heap events (see
+	// PostAt).
 	freePosts []*post
 
 	dispatched uint64
 	fresh      uint64
 }
 
-// Handler receives a handle-less event (see Engine.Post). Long-lived
-// objects on the frame path — bridge ports, in-flight packets, procs —
-// implement it so that scheduling work for them captures no closure.
-type Handler interface {
-	HandleEvent(arg any)
-}
-
-// post is a handle-less event: the receiver and its argument ride in
-// the event itself, nobody outside the engine ever sees it, and so it
-// goes back to the engine's free list the moment it is dispatched. The
-// embedded Event's fn is bound to run once, when the post is first
-// allocated, and survives every reuse.
+// post is a handle-less event on the heap: the receiver and its
+// argument ride in the event itself, nobody outside the engine ever sees
+// it, and so it goes back to the engine's free list the moment it is
+// dispatched. The embedded Event's fn is bound to run once, when the
+// post is first allocated, and survives every reuse.
 type post struct {
 	Event
 	eng *Engine
@@ -211,10 +324,11 @@ func (p *post) run() {
 // NewEngine returns an engine with its virtual clock at zero and a
 // deterministic random source derived from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		procs: make(map[*Proc]struct{}),
-	}
+	e := &Engine{rng: rand.New(rand.NewSource(seed)), carriers: &carrierPool{}}
+	runtime.SetFinalizer(e.carriers, (*carrierPool).drain)
+	e.procs.prev, e.procs.next = &e.procs, &e.procs
+	e.wake = e.Lane(0)
+	return e
 }
 
 // Now returns the current virtual time.
@@ -227,8 +341,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Dispatched reports how many events have been executed so far.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports how many events are queued, in the heap or in a lane.
+func (e *Engine) Pending() int { return len(e.queue) + e.laned }
 
 // Schedule queues fn to run after delay d (clamped to zero) and returns a
 // handle that can be cancelled.
@@ -247,15 +361,12 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	return ev
 }
 
-// Post queues h.HandleEvent(arg) to run after delay d (clamped to zero)
-// without returning a handle: the event cannot be cancelled and is
-// recycled after dispatch, so steady-state posting allocates nothing.
-// A pointer-shaped arg is stored in the interface without boxing. Post
-// takes its place in the (time, sequence) order exactly as Schedule
-// would.
-func (e *Engine) Post(d Duration, h Handler, arg any) { e.PostAt(e.now.Add(d), h, arg) }
-
-// PostAt is Post at absolute time t (clamped to now).
+// PostAt queues h.HandleEvent(arg) to run at absolute time t (clamped
+// to now) without returning a handle: the event cannot be cancelled and
+// is recycled after dispatch, so steady-state posting allocates nothing.
+// It is for due times that are computed; a constant delay posts to its
+// Lane. PostAt takes its place in the (time, sequence) order exactly as
+// At would.
 func (e *Engine) PostAt(t Time, h Handler, arg any) {
 	var p *post
 	if n := len(e.freePosts); n > 0 {
@@ -271,13 +382,19 @@ func (e *Engine) PostAt(t Time, h Handler, arg any) {
 	e.arm(&p.Event, t)
 }
 
-// Retained reports the bytes of idle handle-less events the engine's
-// free list holds.
-func (e *Engine) Retained() int { return len(e.freePosts) * int(unsafe.Sizeof(post{})) }
+// Retained reports the bytes the engine keeps for handle-less events
+// while none is queued: its free list of heap events and the lane rings.
+func (e *Engine) Retained() int {
+	n := len(e.freePosts) * int(unsafe.Sizeof(post{}))
+	for i := range e.lanes[:e.nlanes] {
+		n += len(e.lanes[i].ring) * int(unsafe.Sizeof(laneEvent{}))
+	}
+	return n
+}
 
 // FreshEvents reports how many events the engine has allocated: one per
-// At or Schedule, and one per Post that found the free list empty. For
-// a given seed the count repeats exactly.
+// At or Schedule, and one per PostAt that found the free list empty (a
+// Lane.Post allocates none). For a given seed the count repeats exactly.
 func (e *Engine) FreshEvents() uint64 { return e.fresh }
 
 // arm (re)queues an event for time t (clamped to now), consuming one
@@ -288,7 +405,7 @@ func (e *Engine) arm(ev *Event, t Time) {
 	}
 	e.seq++
 	ev.at = t
-	x := entry{at: t, seq: e.seq, ev: ev}
+	x := entry{key{t, e.seq}, ev}
 	if ev.index >= 0 {
 		e.queue.fix(ev.index, x)
 		return
@@ -304,24 +421,64 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// Step executes the single next event. It reports false when the queue is
-// empty or the engine has been stopped.
-func (e *Engine) Step() bool {
-	if e.stopped || len(e.queue) == 0 {
+// firstLane returns the lane whose head is the least, nil when every
+// lane is empty — which costs one comparison to find out.
+func (e *Engine) firstLane() *Lane {
+	if e.laned == 0 {
+		return nil
+	}
+	var first *Lane
+	for i := range e.lanes[:e.nlanes] {
+		if l := &e.lanes[i]; l.n > 0 && (first == nil || l.ring[l.head].before(first.ring[first.head].key)) {
+			first = l
+		}
+	}
+	return first
+}
+
+// forever is a dispatch limit no event lies beyond.
+const forever = Time(math.MaxInt64)
+
+// dispatch executes the single next event — the least of the heap's top
+// and the lanes' heads — if it is due at or before limit. It is the one
+// dispatch loop body behind Step, Run and RunUntil.
+func (e *Engine) dispatch(limit Time) bool {
+	if e.stopped {
 		return false
 	}
-	ev := e.queue[0].ev
-	e.queue.remove(0)
-	if ev.at > e.now {
-		e.now = ev.at
+	l := e.firstLane()
+	switch {
+	case l != nil && (len(e.queue) == 0 || l.ring[l.head].before(e.queue[0].key)):
+		x := &l.ring[l.head]
+		if x.at > limit {
+			return false
+		}
+		h, arg := x.h, x.arg
+		x.h, x.arg = nil, nil
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		e.laned--
+		e.now = max(e.now, x.at)
+		e.dispatched++
+		h.HandleEvent(arg)
+	case len(e.queue) > 0 && e.queue[0].at <= limit:
+		ev := e.queue[0].ev
+		e.queue.remove(0)
+		e.now = max(e.now, ev.at)
+		e.dispatched++
+		ev.fn()
+	default:
+		return false
 	}
-	e.dispatched++
-	ev.fn()
 	if len(e.flushers) > 0 {
 		e.runTimeEndFlushers()
 	}
 	return true
 }
+
+// Step executes the single next event. It reports false when nothing is
+// queued or the engine has been stopped.
+func (e *Engine) Step() bool { return e.dispatch(forever) }
 
 // AtTimeEnd registers fn to run once after the last already-queued event
 // of the current virtual timestamp has executed, before the clock
@@ -335,11 +492,11 @@ func (e *Engine) AtTimeEnd(fn func()) {
 }
 
 // runTimeEndFlushers runs the pending AtTimeEnd hooks if no runnable
-// event remains at the current timestamp. A cancelled event has already
-// left the queue, so a dead same-instant head cannot defer the flush
-// past the timestamp boundary.
+// event remains at the current timestamp, in the heap or in a lane. A
+// cancelled event has already left the queue, so a dead same-instant
+// head cannot defer the flush past the timestamp boundary.
 func (e *Engine) runTimeEndFlushers() {
-	if len(e.queue) > 0 && e.queue[0].at <= e.now {
+	if l := e.firstLane(); len(e.queue) > 0 && e.queue[0].at <= e.now || l != nil && l.ring[l.head].at <= e.now {
 		return // more events still due at this instant
 	}
 	for i := 0; i < len(e.flushers); i++ {
@@ -350,21 +507,16 @@ func (e *Engine) runTimeEndFlushers() {
 	e.flushers = e.flushers[:0]
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until none is queued or Stop is called.
 func (e *Engine) Run() {
-	e.running = true
-	defer func() { e.running = false }()
-	for e.Step() {
+	for e.dispatch(forever) {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t. Events scheduled later remain queued.
 func (e *Engine) RunUntil(t Time) {
-	e.running = true
-	defer func() { e.running = false }()
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= t {
-		e.Step()
+	for e.dispatch(t) {
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
@@ -374,20 +526,29 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor executes events for virtual duration d from the current time.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Stop halts the engine: no further events run, and all parked processes
-// are unwound (their deferred functions execute). Safe to call from event
-// or process context.
+// Stop halts the engine: no further events run and every process that
+// has not finished is ended, in spawn order — a parked one is unwound
+// (its deferred functions execute), one that never started never will,
+// the one calling Stop unwinds at its next Park or Sleep — and the idle
+// coroutines exit, so no goroutine outlives the engine. Safe to call
+// from event or process context.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	// Unwind parked procs so their goroutines exit.
-	for p := range e.procs {
-		if p.parked && !p.dead {
-			p.unwind()
+	// Nothing joins the ring from here on (see Spawn), and ending p
+	// takes only p off it.
+	for p := e.procs.next; p != &e.procs; {
+		next := p.next
+		if p.c == nil {
+			p.finish()
+		} else if p.parked {
+			p.c.stop()
 		}
+		p = next
 	}
+	e.carriers.drain()
 }
 
 // Stopped reports whether Stop has been called.

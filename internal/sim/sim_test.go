@@ -322,3 +322,29 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// relay re-posts itself to its lane from its own handler.
+type relay struct {
+	lane *Lane
+	left int
+}
+
+func (r *relay) HandleEvent(any) {
+	if r.left--; r.left > 0 {
+		r.lane.Post(r, nil)
+	}
+}
+
+// BenchmarkLaneEvents is BenchmarkEngineEvents for fixed-delay events:
+// eight chains on two lanes over a heap that holds a timer per chain.
+func BenchmarkLaneEvents(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 8; i++ {
+		NewTimer(e, func() {}).Reset(time.Hour)
+		r := &relay{lane: e.Lane(Duration(10+5*(i%2)) * time.Microsecond), left: b.N/8 + 1}
+		r.lane.Post(r, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
