@@ -13,9 +13,12 @@ import (
 )
 
 // TestRingAgainstSlice drives a ring and a plain byte slice with the
-// same random writes, reads, peeks and discards.
+// same random writes, reads, peeks and discards, on a poisoned pool: a
+// ring that let go of a buffer it still reads from would see 0xDB.
 func TestRingAgainstSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	pool := netsim.NewPool()
+	pool.SetPoison(true)
 	var r ring
 	var ref []byte
 	next := byte(0)
@@ -27,7 +30,7 @@ func TestRingAgainstSlice(t *testing.T) {
 				p[i] = next
 				next++
 			}
-			r.write(p)
+			r.write(pool, p, 1<<20)
 			ref = append(ref, p...)
 		case 2:
 			p := make([]byte, rng.Intn(4000))
@@ -54,10 +57,16 @@ func TestRingAgainstSlice(t *testing.T) {
 			t.Fatalf("step %d: ring holds %d bytes, slice %d", step, r.Len(), len(ref))
 		}
 	}
-	// Sized to content: capacity is the next power of two over the most
-	// it ever held, not the sum of what went through.
-	if len(r.buf) > 32<<10 {
-		t.Fatalf("ring grew to %d bytes", len(r.buf))
+	// Sized to content: capacity is the class over the most it ever
+	// held, not the sum of what went through; one lease at a time, and
+	// what is left survives giving it back.
+	if len(r.buf) > 32<<10 || pool.Leased() != 1 {
+		t.Fatalf("ring grew to %d bytes, %d leases out", len(r.buf), pool.Leased())
+	}
+	r.detach()
+	got := make([]byte, len(ref))
+	if n := r.read(got); pool.Leased() != 0 || n != len(ref) || !bytes.Equal(got, ref) {
+		t.Fatalf("detached ring: %d leases out, %d of %d bytes read back, equal %v", pool.Leased(), n, len(ref), bytes.Equal(got, ref))
 	}
 }
 
@@ -149,8 +158,12 @@ func TestOOOStashMatchesCopyingModel(t *testing.T) {
 			t.Fatalf("round %d: drained %d bytes, want %d", round, len(got), len(want))
 		}
 		c.dropOOO()
+		c.rcv.free()
 		for _, l := range leases {
 			mustBeReleased(t, l)
+		}
+		if pool.Leased() != 0 {
+			t.Fatalf("round %d: %d leases still out", round, pool.Leased())
 		}
 	}
 }
@@ -240,6 +253,9 @@ func TestClosedConnDropsSendRing(t *testing.T) {
 	if cap(client.snd.buf) != 0 || cap(server.snd.buf) != 0 || client.ooo != nil || server.ooo != nil {
 		t.Fatalf("closed connections still hold %d + %d bytes of send ring", cap(client.snd.buf), cap(server.snd.buf))
 	}
+	if n := a.cfg.Pool.Leased() + b.cfg.Pool.Leased(); n != 0 || client.rcv.lease != nil || len(client.rcv.buf) != len("unread reply") {
+		t.Fatalf("closed connections hold %d leases; unread data sits in %d bytes", n, len(client.rcv.buf))
+	}
 	buf := make([]byte, 64)
 	var n int
 	eng.Spawn("late-read", func(p *sim.Proc) { n, _ = client.Read(p, buf) })
@@ -258,3 +274,104 @@ type procReader struct {
 func (r procReader) Read(b []byte) (int, error) { return r.c.Read(r.p, b) }
 
 func readerOf(p *sim.Proc, c *Conn) io.Reader { return procReader{p, c} }
+
+// TestAcceptRecyclesBacklog: a listener that keeps up with its clients
+// keeps one small backlog array for ever, and an accepted connection is
+// not left reachable from the slot it waited in.
+func TestAcceptRecyclesBacklog(t *testing.T) {
+	eng, a, b := twoStacks(1, 1e9, 100*time.Microsecond)
+	defer eng.Stop()
+	lis, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 1000
+	accepted, arrays := 0, 0
+	var array **Conn // the backlog's backing array, by its first slot
+	eng.Spawn("server", func(p *sim.Proc) {
+		for {
+			c, err := lis.Accept(p)
+			if err != nil {
+				return
+			}
+			accepted++
+			if first := &lis.backlog[:1][0]; first != array {
+				array = first
+				arrays++
+			}
+			c.Close()
+		}
+	})
+	for k := 0; k < 2; k++ { // two clients: the backlog is two deep at times
+		eng.Spawn("client", func(p *sim.Proc) {
+			for i := 0; i < cycles/2; i++ {
+				c, err := a.Dial(p, netsim.Addr{IP: b.IP(), Port: 80})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c.Close()
+				c.Read(p, make([]byte, 1)) // until the server has closed too
+			}
+		})
+	}
+	eng.RunFor(60 * time.Second)
+	if accepted != cycles || lis.head != 0 || len(lis.backlog) != 0 {
+		t.Fatalf("%d of %d accepted, backlog %d from %d", accepted, cycles, len(lis.backlog), lis.head)
+	}
+	if arrays > 2 || cap(lis.backlog) > 4 {
+		t.Fatalf("%d accept cycles went through %d backlog arrays, the last of %d slots", cycles, arrays, cap(lis.backlog))
+	}
+	for i, c := range lis.backlog[:cap(lis.backlog)] {
+		if c != nil {
+			t.Fatalf("slot %d still points at an accepted connection", i)
+		}
+	}
+}
+
+// TestListenerCloseResetsBacklog: connections nobody will ever accept —
+// established and queued, or still in the handshake — are reset when
+// their listener closes, instead of holding their buffers for ever.
+func TestListenerCloseResetsBacklog(t *testing.T) {
+	eng, a, b := twoStacks(1, 100e6, time.Millisecond)
+	defer eng.Stop()
+	lis, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 3)
+	client := func(i int) {
+		eng.Spawn("client", func(p *sim.Proc) {
+			c, err := a.Dial(p, netsim.Addr{IP: b.IP(), Port: 80})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			c.Write(p, bytes.Repeat([]byte{byte(i)}, 5000))
+			_, errs[i] = c.Read(p, make([]byte, 1))
+		})
+	}
+	client(0)
+	client(1)
+	eng.RunFor(time.Second)
+	if len(lis.backlog) != 2 || b.cfg.Pool.Leased() == 0 {
+		t.Fatalf("%d connections queued holding %d leases, want 2 holding their data", len(lis.backlog), b.cfg.Pool.Leased())
+	}
+	// A third is caught in the handshake: its SYN is in, its ACK is not.
+	client(2)
+	for len(b.conns) < 3 {
+		if !eng.Step() {
+			t.Fatal("the third SYN never arrived")
+		}
+	}
+	lis.Close()
+	eng.RunFor(time.Second)
+	for i, err := range errs {
+		if err != ErrConnReset {
+			t.Errorf("client %d saw %v, want %v", i, err, ErrConnReset)
+		}
+	}
+	if n := len(a.Conns()) + len(b.Conns()); n != 0 || a.cfg.Pool.Leased() != 0 || b.cfg.Pool.Leased() != 0 {
+		t.Fatalf("after Close: %d connections, %d + %d leases out", n, a.cfg.Pool.Leased(), b.cfg.Pool.Leased())
+	}
+}

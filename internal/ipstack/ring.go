@@ -1,39 +1,37 @@
 package ipstack
 
+import "wavnet/internal/netsim"
+
 // ring is a byte FIFO over a circular buffer that grows on demand, the
 // storage behind a connection's send and receive buffers: bytes leave
 // at the front by moving an index, so nothing is re-sliced or
-// re-allocated as the window slides, and the backing array is only as
-// large as the most the connection ever held at once.
+// re-allocated as the window slides. The buffer is a lease from the
+// stack's pool — the size class that fits the most the connection ever
+// held at once — and goes back there when the connection can no longer
+// use it (see netsim.Buf for who releases, and when).
 type ring struct {
-	buf  []byte
-	head int // index of the first held byte
-	n    int // bytes held
+	buf   []byte      // lease.Data, or after detach a plain copy
+	lease *netsim.Buf // nil when buf is not the pool's
+	head  int         // index of the first held byte
+	n     int         // bytes held
 }
-
-// minRing is the smallest allocation; growth doubles until the write
-// fits, so a short-lived connection that moves a few bytes pays for a
-// few hundred, not for a window.
-const minRing = 512
 
 // Len reports the bytes held.
 func (r *ring) Len() int { return r.n }
 
-// write appends p, growing the buffer as needed. The caller enforces
-// the connection's byte limit.
-func (r *ring) write(p []byte) {
+// write appends p, moving to a larger lease from pool when it does not
+// fit. A ring that has to grow is streaming, so it takes four times its
+// size at once (within limit, the connection's byte limit, which the
+// caller enforces): a window is five leases up from the first segment,
+// and the classes passed over are those few connections are in at any
+// one time, whose free lists are therefore short.
+func (r *ring) write(pool *netsim.Pool, p []byte, limit int) {
 	if need := r.n + len(p); need > len(r.buf) {
-		size := len(r.buf) * 2
-		if size < minRing {
-			size = minRing
-		}
-		for size < need {
-			size *= 2
-		}
-		grown := make([]byte, size)
-		a, b := r.slices(0, r.n)
-		copy(grown[copy(grown, a):], b)
-		r.buf, r.head = grown, 0
+		grown, held := pool.Get(max(need, min(4*len(r.buf), limit))), r.n
+		a, b := r.slices(0, held)
+		copy(grown.Data[copy(grown.Data, a):], b)
+		r.free()
+		r.buf, r.lease, r.n = grown.Data, grown, held
 	}
 	tail := r.head + r.n
 	if tail >= len(r.buf) {
@@ -84,5 +82,19 @@ func (r *ring) read(p []byte) int {
 	return n
 }
 
-// free drops the buffer along with whatever it held.
-func (r *ring) free() { *r = ring{} }
+// free gives the buffer back along with whatever it held.
+func (r *ring) free() {
+	if r.lease != nil {
+		r.lease.Release()
+	}
+	*r = ring{}
+}
+
+// detach gives the buffer back and keeps what the ring still holds
+// readable in a plain slice of exactly that size (none when empty).
+func (r *ring) detach() {
+	kept := make([]byte, r.n)
+	r.read(kept)
+	r.free()
+	r.buf, r.n = kept, len(kept)
+}

@@ -88,17 +88,18 @@ type Conn struct {
 	dupAcks        int
 	inRecovery     bool
 	recover        uint32
-	rtxTimer       *sim.Timer
+	rtxTimer       sim.Timer
 	rtxTries       int
 	backoff        int
-	tlpTimer       *sim.Timer
+	tlpTimer       sim.Timer
 	tlpOut         bool
 	srtt, rttvar   sim.Duration
 	rto            sim.Duration
 	rttPending     bool
 	rttSeq         uint32
 	rttTime        sim.Time
-	persistTimer   *sim.Timer
+	persistTimer   sim.Timer
+	timeWaitTimer  sim.Timer
 	// SACK scoreboard: sorted, disjoint [start,end) ranges the peer has
 	// acknowledged above sndUna.
 	sacked [][2]uint32
@@ -133,7 +134,6 @@ type Conn struct {
 	TailProbes        uint64
 	Timeouts          uint64
 	DupAcksSeen       uint64
-	timeWaitEv        *sim.Event
 }
 
 // oooRun is one contiguous range [seq, end) of out-of-order bytes, held
@@ -152,9 +152,13 @@ type oooPiece struct {
 
 // Listener accepts inbound TCP connections on a port.
 type Listener struct {
-	stack   *Stack
-	port    uint16
+	stack *Stack
+	port  uint16
+	// backlog[head:] are established and not yet accepted, oldest first;
+	// the slice starts over from its front whenever it runs empty, so a
+	// listener that keeps up keeps the one small backing array.
 	backlog []*Conn
+	head    int
 	wq      sim.WaitQueue
 	closed  bool
 }
@@ -183,7 +187,7 @@ func (l *Listener) Addr() netsim.Addr { return netsim.Addr{IP: l.stack.ip, Port:
 
 // Accept blocks until a connection completes the handshake.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
-	for len(l.backlog) == 0 {
+	for l.head == len(l.backlog) {
 		if l.closed {
 			return nil, ErrConnClosed
 		}
@@ -191,19 +195,28 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 			return nil, ErrConnClosed
 		}
 	}
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	c := l.backlog[l.head]
+	l.backlog[l.head] = nil
+	if l.head++; l.head == len(l.backlog) {
+		l.backlog, l.head = l.backlog[:0], 0
+	}
 	c.lis = nil
 	return c, nil
 }
 
-// Close stops the listener.
+// Close stops the listener and resets the connections still waiting to
+// be accepted: nobody can reach them any more, and they would hold their
+// buffers for ever.
 func (l *Listener) Close() {
 	if l.closed {
 		return
 	}
 	l.closed = true
 	delete(l.stack.listeners, l.port)
+	for _, c := range l.backlog[l.head:] {
+		c.Abort()
+	}
+	l.backlog, l.head = nil, 0
 	l.wq.Broadcast()
 }
 
@@ -244,11 +257,34 @@ func (s *Stack) newConn(key connKey, st connState) *Conn {
 		peerWnd:  uint32(s.cfg.RecvBuf),
 	}
 	c.cwnd = float64(10 * c.mss) // IW10
-	c.rtxTimer = sim.NewTimer(s.eng, c.onRTO)
-	c.tlpTimer = sim.NewTimer(s.eng, c.onTLP)
-	c.persistTimer = sim.NewTimer(s.eng, c.onPersist)
+	c.rtxTimer.Init(s.eng, (*connRTO)(c))
+	c.tlpTimer.Init(s.eng, (*connTLP)(c))
+	c.persistTimer.Init(s.eng, (*connPersist)(c))
+	c.timeWaitTimer.Init(s.eng, (*connTimeWait)(c))
 	s.conns[key] = c
 	return c
+}
+
+// Conn as the receiver of each of its timers: the timers are fields and
+// their handlers capture nothing, so a connection is one allocation.
+type (
+	connRTO      Conn
+	connTLP      Conn
+	connPersist  Conn
+	connTimeWait Conn
+)
+
+func (c *connRTO) HandleEvent(any)     { (*Conn)(c).onRTO() }
+func (c *connTLP) HandleEvent(any)     { (*Conn)(c).onTLP() }
+func (c *connPersist) HandleEvent(any) { (*Conn)(c).onPersist() }
+
+// remove leaves the TIME_WAIT timer to run out, as it always has — the
+// firing is one of the simulation's events — so it may find a connection
+// that was reset while it waited.
+func (c *connTimeWait) HandleEvent(any) {
+	if c.state == stateTimeWait {
+		(*Conn)(c).remove()
+	}
 }
 
 // LocalAddr returns the connection's local endpoint.
@@ -610,9 +646,13 @@ func (c *Conn) onSegment(seg *tcpSegment, lease *netsim.Buf) {
 			c.setState(stateEstablished)
 			c.backoff, c.rtxTries = 1, 0
 			c.rtxTimer.Stop()
-			if c.lis != nil {
-				c.lis.backlog = append(c.lis.backlog, c)
-				c.lis.wq.Signal()
+			if l := c.lis; l != nil {
+				if l.closed {
+					c.Abort() // nobody is left to accept it
+					return
+				}
+				l.backlog = append(l.backlog, c)
+				l.wq.Signal()
 			}
 			// Fall through to process any piggybacked data.
 		} else {
@@ -989,7 +1029,7 @@ func (c *Conn) admit(data []byte) {
 	if len(data) > free {
 		data = data[:free] // peer overran our advertised window
 	}
-	c.rcv.write(data)
+	c.rcv.write(c.stack.cfg.Pool, data, c.stack.cfg.RecvBuf)
 	c.rcvNxt += uint32(len(data))
 	c.BytesIn += uint64(len(data))
 }
@@ -1134,28 +1174,33 @@ func (c *Conn) maybeFinish() {
 	}
 }
 
+// enterTimeWait starts the wait for stray segments. Both FINs are
+// acknowledged, so nothing is sent or admitted any more: the send ring
+// goes back to the pool, and a receive ring already read empty with it.
 func (c *Conn) enterTimeWait() {
 	c.setState(stateTimeWait)
 	c.rtxTimer.Stop()
 	c.tlpTimer.Stop()
-	if c.timeWaitEv != nil {
-		c.stack.eng.Cancel(c.timeWaitEv)
+	c.snd.free()
+	if c.rcv.Len() == 0 {
+		c.rcv.free()
 	}
-	c.timeWaitEv = c.stack.eng.Schedule(timeWait, c.remove)
+	c.timeWaitTimer.Reset(timeWait)
 }
 
 func (c *Conn) setState(s connState) { c.state = s }
 
-// remove deletes the connection from the stack's demux table and lets
-// go of what only a live connection needs — the send ring and the
-// out-of-order stash — so a finished Conn someone still holds does not
-// pin megabytes. Unread received data stays readable.
+// remove deletes the connection from the stack's demux table and gives
+// back every lease it holds — both rings and the out-of-order stash —
+// so a finished Conn someone still holds pins no pool buffer. Unread
+// received data stays readable, in a plain slice of its own.
 func (c *Conn) remove() {
 	c.setState(stateClosed)
 	c.rtxTimer.Stop()
 	c.tlpTimer.Stop()
 	c.persistTimer.Stop()
 	c.snd.free()
+	c.rcv.detach()
 	c.dropOOO()
 	delete(c.stack.conns, c.key)
 	c.readWq.Broadcast()
@@ -1259,7 +1304,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if n > space {
 			n = space
 		}
-		c.snd.write(data[written : written+n])
+		c.snd.write(c.stack.cfg.Pool, data[written:written+n], c.stack.cfg.SendBuf)
 		written += n
 		c.pump()
 	}

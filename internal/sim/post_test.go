@@ -146,3 +146,37 @@ func TestTimerRearmsInPlace(t *testing.T) {
 		t.Fatalf("self-re-arming timer fired %d times (active %v), want 3", n, self.Active())
 	}
 }
+
+// twoTimers owns its timers as fields; each fires through a handler type
+// of its own over the one pointer.
+type twoTimers struct {
+	a, b  Timer
+	fired []string
+}
+
+type (
+	fireA twoTimers
+	fireB twoTimers
+)
+
+func (o *fireA) HandleEvent(any) { o.fired = append(o.fired, "a") }
+func (o *fireB) HandleEvent(any) { o.fired = append(o.fired, "b") }
+
+// TestTimerInitInPlace: timers that are fields of their owner cost no
+// allocation to set up, arm or fire, and dispatch in arming order like
+// any other.
+func TestTimerInitInPlace(t *testing.T) {
+	e := NewEngine(1)
+	o := &twoTimers{fired: make([]string, 0, 2)}
+	allocs := testing.AllocsPerRun(100, func() {
+		o.fired = o.fired[:0]
+		o.a.Init(e, (*fireA)(o))
+		o.b.Init(e, (*fireB)(o))
+		o.b.Reset(time.Millisecond)
+		o.a.Reset(time.Millisecond)
+		e.Run()
+	})
+	if allocs != 0 || len(o.fired) != 2 || o.fired[0] != "b" || o.fired[1] != "a" || o.a.Active() || o.b.Active() {
+		t.Fatalf("in-place timers: %.0f allocations, fired %v, want none and [b a]", allocs, o.fired)
+	}
+}

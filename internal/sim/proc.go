@@ -114,7 +114,7 @@ func (e *Engine) carrier() *carrier {
 // engine the process is dead on arrival.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, body: fn, dead: e.stopped}
-	p.wakeEv.fn, p.wakeEv.index = p.activate, -1
+	p.wakeEv = Event{h: (*procResume)(p), index: -1}
 	if !p.dead {
 		last := e.procs.prev
 		p.prev, p.next, last.next, e.procs.prev = last, &e.procs, p, p
@@ -223,6 +223,12 @@ func (p *Proc) Unpark() {
 	p.eng.wake.Post((*procWake)(p), nil)
 }
 
+// procResume is Proc as the receiver of wakeEv: its start and the end
+// of each Sleep.
+type procResume Proc
+
+func (pr *procResume) HandleEvent(any) { (*Proc)(pr).activate() }
+
 // procWake is Proc as the receiver of the wake-up Unpark posts.
 type procWake Proc
 
@@ -286,18 +292,24 @@ func (p *Proc) checkContext(op string) {
 
 // WaitQueue is a FIFO of parked processes, the building block for
 // condition-style blocking (socket buffers, channels, semaphores).
-// The zero value is ready to use. The oldest waiter leaves by advancing
-// head, and the slice starts over from its front whenever the queue
-// runs empty, so a queue that is waited on and signalled for ever keeps
-// the one small backing array.
+// The zero value is ready to use; it must not be copied once waited on.
+// The oldest waiter leaves by advancing head, and the slice starts over
+// from its front whenever the queue runs empty, so a queue that is
+// waited on and signalled for ever keeps the one small backing array —
+// which for a queue that never has two waiters at once (a connection's,
+// read by one proc) is the slot inside the queue itself.
 type WaitQueue struct {
 	waiters []*Proc
-	head    int // waiters[:head] have left
+	head    int      // waiters[:head] have left
+	inline  [1]*Proc // the first backing array
 }
 
 // Wait parks the calling process until Signal/Broadcast wakes it.
 // Returns false if the wait was interrupted.
 func (q *WaitQueue) Wait(p *Proc) bool {
+	if q.waiters == nil {
+		q.waiters = q.inline[:0]
+	}
 	if q.head > 0 && len(q.waiters) == cap(q.waiters) {
 		// Never empty at a Signal since it filled: close the gap
 		// instead of growing past it.
@@ -311,7 +323,9 @@ func (q *WaitQueue) Wait(p *Proc) bool {
 		// Remove ourselves if still queued (interrupt before signal).
 		for i := q.head; i < len(q.waiters); i++ {
 			if q.waiters[i] == p {
-				q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+				n := i + copy(q.waiters[i:], q.waiters[i+1:])
+				q.waiters[n] = nil // no stale pointer behind the last waiter
+				q.waiters = q.waiters[:n]
 				break
 			}
 		}

@@ -73,18 +73,22 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
-// Event is a scheduled callback. The zero value is invalid; events are
-// created by Engine.Schedule and friends. An Event returned by At or
-// Schedule is a handle: it is freshly allocated and never recycled, so
-// it stays valid to Cancel for as long as the caller keeps it.
+// Event is a scheduled call of a Handler. The zero value is invalid;
+// events are created by Engine.Schedule and friends, or sit inside a
+// Timer. An Event returned by At or Schedule is a handle: it is freshly
+// allocated and never recycled, so it stays valid to Cancel for as long
+// as the caller keeps it. Its due time lives in the heap entry alone,
+// which keeps the handle at three words.
 type Event struct {
-	at    Time
-	fn    func()
+	h     Handler
 	index int // position in the queue, -1 when not queued
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
+// funcHandler is a plain callback as a Handler. A func value is one
+// pointer, so the conversion allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(any) { f() }
 
 // key is an event's place in the dispatch order. Sequence numbers are
 // unique, so the order is total.
@@ -179,10 +183,11 @@ func (q *queue) remove(i int) {
 	}
 }
 
-// Handler receives a handle-less event (see Lane.Post and
-// Engine.PostAt). Long-lived objects on the frame path — bridge ports,
-// in-flight packets, procs — implement it so that scheduling work for
-// them captures no closure.
+// Handler receives an event. Long-lived objects — bridge ports,
+// in-flight packets, procs, connections — implement it so that
+// scheduling work for them captures no closure: through a pointer
+// receiver for an in-place Timer (arg is nil), with an argument for a
+// handle-less event (see Lane.Post and Engine.PostAt).
 type Handler interface {
 	HandleEvent(arg any)
 }
@@ -299,8 +304,8 @@ type Engine struct {
 // post is a handle-less event on the heap: the receiver and its
 // argument ride in the event itself, nobody outside the engine ever sees
 // it, and so it goes back to the engine's free list the moment it is
-// dispatched. The embedded Event's fn is bound to run once, when the
-// post is first allocated, and survives every reuse.
+// dispatched. The embedded Event's handler is the post itself, bound
+// once, when the post is first allocated, and survives every reuse.
 type post struct {
 	Event
 	eng *Engine
@@ -312,7 +317,7 @@ type post struct {
 // this many idle events (8 KB).
 const maxFreePosts = 128
 
-func (p *post) run() {
+func (p *post) HandleEvent(any) {
 	h, arg := p.h, p.arg
 	p.h, p.arg = nil, nil
 	if e := p.eng; len(e.freePosts) < maxFreePosts {
@@ -356,7 +361,7 @@ func (e *Engine) Schedule(d Duration, fn func()) *Event {
 // At queues fn to run at absolute time t (clamped to now).
 func (e *Engine) At(t Time, fn func()) *Event {
 	e.fresh++
-	ev := &Event{fn: fn, index: -1}
+	ev := &Event{h: funcHandler(fn), index: -1}
 	e.arm(ev, t)
 	return ev
 }
@@ -376,7 +381,7 @@ func (e *Engine) PostAt(t Time, h Handler, arg any) {
 	} else {
 		e.fresh++
 		p = &post{eng: e}
-		p.fn, p.index = p.run, -1
+		p.Event = Event{h: p, index: -1}
 	}
 	p.h, p.arg = h, arg
 	e.arm(&p.Event, t)
@@ -404,7 +409,6 @@ func (e *Engine) arm(ev *Event, t Time) {
 		t = e.now
 	}
 	e.seq++
-	ev.at = t
 	x := entry{key{t, e.seq}, ev}
 	if ev.index >= 0 {
 		e.queue.fix(ev.index, x)
@@ -462,11 +466,11 @@ func (e *Engine) dispatch(limit Time) bool {
 		e.dispatched++
 		h.HandleEvent(arg)
 	case len(e.queue) > 0 && e.queue[0].at <= limit:
-		ev := e.queue[0].ev
+		top := e.queue[0]
 		e.queue.remove(0)
-		e.now = max(e.now, ev.at)
+		e.now = max(e.now, top.at)
 		e.dispatched++
-		ev.fn()
+		top.ev.h.HandleEvent(nil)
 	default:
 		return false
 	}

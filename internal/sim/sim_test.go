@@ -181,6 +181,83 @@ func TestWaitQueueSignal(t *testing.T) {
 	}
 }
 
+// TestWaitQueueInterruptBeforeSignal interrupts each waiter of a queue
+// of one, two and three before any signal: it leaves, the others keep
+// their order, and the queue keeps no pointer to anyone who has left.
+func TestWaitQueueInterruptBeforeSignal(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		for victim := 0; victim < n; victim++ {
+			e := NewEngine(1)
+			var q WaitQueue
+			var woke []int
+			procs := make([]*Proc, n)
+			for i := range procs {
+				i := i
+				procs[i] = e.Spawn("w", func(p *Proc) {
+					if q.Wait(p) {
+						woke = append(woke, i)
+					} else if i != victim {
+						t.Errorf("%d waiters: %d was interrupted instead of %d", n, i, victim)
+					}
+				})
+			}
+			e.Run()
+			procs[victim].Interrupt()
+			e.Run()
+			if q.Len() != n-1 || !procs[victim].Dead() {
+				t.Fatalf("%d waiters, %d interrupted: %d still queued, victim dead %v", n, victim, q.Len(), procs[victim].Dead())
+			}
+			for i := 0; i < n; i++ { // one Signal too many must find nobody
+				q.Signal()
+				e.Run()
+			}
+			want := 0
+			for _, got := range woke {
+				if want == victim {
+					want++
+				}
+				if got != want {
+					t.Fatalf("%d waiters, %d interrupted: woke %v, want FIFO order without the victim", n, victim, woke)
+				}
+				want++
+			}
+			if len(woke) != n-1 || q.Len() != 0 {
+				t.Fatalf("%d waiters, %d interrupted: woke %v, %d left queued", n, victim, woke, q.Len())
+			}
+			for _, p := range q.waiters[:cap(q.waiters)] {
+				if p != nil {
+					t.Fatalf("%d waiters, %d interrupted: the queue still points at a proc that left", n, victim)
+				}
+			}
+			e.Stop()
+		}
+	}
+}
+
+// TestWaitQueueOneWaiterAllocatesNothing: the first waiter sits in the
+// queue itself, so a queue that only ever has one — a connection's —
+// never allocates.
+func TestWaitQueueOneWaiterAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Stop()
+	var q WaitQueue
+	woke := 0
+	e.Spawn("w", func(p *Proc) {
+		for q.Wait(p) {
+			woke++
+		}
+	})
+	e.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		q.Signal()
+		q = WaitQueue{} // empty again: the next Wait finds a fresh queue
+		e.Run()
+	})
+	if allocs != 0 || woke != 101 || q.Len() != 1 {
+		t.Fatalf("wait/signal on a fresh queue: %.0f allocations, %d wake-ups, %d waiting", allocs, woke, q.Len())
+	}
+}
+
 func TestSemaphore(t *testing.T) {
 	e := NewEngine(1)
 	s := NewSemaphore(2)

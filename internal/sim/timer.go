@@ -2,8 +2,9 @@ package sim
 
 // Timer is a restartable one-shot timer, the building block for protocol
 // retransmission and keepalive logic. The zero value is invalid; create
-// with NewTimer. A timer owns one embedded Event and re-arms it in
-// place, so Reset and Stop allocate nothing.
+// with NewTimer, or Init one that is a field of its owner. A timer owns
+// one embedded Event and re-arms it in place, so Reset and Stop allocate
+// nothing.
 type Timer struct {
 	eng *Engine
 	ev  Event
@@ -11,9 +12,16 @@ type Timer struct {
 
 // NewTimer returns a stopped timer that will run fn when it fires.
 func NewTimer(e *Engine, fn func()) *Timer {
-	t := &Timer{eng: e}
-	t.ev.fn, t.ev.index = fn, -1
+	t := &Timer{}
+	t.Init(e, funcHandler(fn))
 	return t
+}
+
+// Init makes t, in place, a stopped timer that calls h.HandleEvent(nil)
+// when it fires: an owner with several timers gives each a handler type
+// of its own over the one pointer, and allocates nothing for them.
+func (t *Timer) Init(e *Engine, h Handler) {
+	t.eng, t.ev = e, Event{h: h, index: -1}
 }
 
 // Reset (re)arms the timer to fire after d. Any previously pending firing
@@ -46,7 +54,7 @@ type Ticker struct {
 // NewTicker starts a ticker whose first tick is one period from now.
 func NewTicker(e *Engine, period Duration, fn func()) *Ticker {
 	t := &Ticker{eng: e, period: period, fn: fn}
-	t.ev.fn, t.ev.index = t.tick, -1
+	t.ev = Event{h: funcHandler(t.tick), index: -1}
 	t.schedule()
 	return t
 }
