@@ -342,22 +342,11 @@ func (h *Host) TunnelRTT(p *sim.Proc, peer string) (sim.Duration, error) {
 		p.Unpark()
 	}
 	h.tunnelSend(t, b)
-	timer := sim.NewTimer(h.eng, func() {
-		if _, live := h.echoWaiters[id]; live {
-			delete(h.echoWaiters, id)
-			done = true
-			p.Unpark()
-		}
-	})
-	timer.Reset(h.cfg.RPCTimeout)
-	for !done {
-		if !p.Park() {
-			delete(h.echoWaiters, id)
-			timer.Stop()
-			return 0, ErrInterrupted
-		}
+	ok = p.WaitUntil(h.eng.Now().Add(h.cfg.RPCTimeout), func() bool { return done })
+	delete(h.echoWaiters, id)
+	if !ok {
+		return 0, ErrInterrupted
 	}
-	timer.Stop()
 	if rtt == 0 {
 		return 0, ErrTimeout
 	}

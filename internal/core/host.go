@@ -667,32 +667,17 @@ func (h *Host) newWaiter(fn func(*rendezvous.Msg)) uint64 {
 // the RPC timeout.
 func (h *Host) rpc(p *sim.Proc, m *rendezvous.Msg) (*rendezvous.Msg, error) {
 	var resp *rendezvous.Msg
-	done := false
 	id := h.newWaiter(func(r *rendezvous.Msg) {
 		resp = r
-		done = true
 		p.Unpark()
 	})
 	m.ID = id
 	rendezvous.Send(h.sock, h.rdv, m)
-	timer := sim.NewTimer(h.eng, func() {
-		if _, live := h.waiters[id]; live {
-			delete(h.waiters, id)
-			done = true
-			p.Unpark()
-		}
-	})
-	timer.Reset(h.cfg.RPCTimeout)
-	for !done {
-		if !p.Park() {
-			// Interrupted: hand the stop request back to the caller
-			// instead of re-parking over it.
-			delete(h.waiters, id)
-			timer.Stop()
-			return nil, ErrInterrupted
-		}
+	ok := p.WaitUntil(h.eng.Now().Add(h.cfg.RPCTimeout), func() bool { return resp != nil })
+	delete(h.waiters, id)
+	if !ok {
+		return nil, ErrInterrupted
 	}
-	timer.Stop()
 	if resp == nil {
 		return nil, ErrTimeout
 	}
@@ -956,22 +941,11 @@ func (h *Host) bindingRequest(p *sim.Proc, server netsim.Addr) (netsim.Addr, err
 		req := &stun.Message{Type: stun.TypeBindingRequest}
 		req.TxID[0] = byte(try + 1)
 		h.sock.SendTo(server, req.Marshal())
-		timer := sim.NewTimer(h.eng, func() {
-			if !done {
-				done = true
-				p.Unpark()
-			}
-		})
-		timer.Reset(time500ms)
-		for !done {
-			if !p.Park() {
-				timer.Stop()
-				h.stunWait = nil
-				return netsim.Addr{}, ErrInterrupted
-			}
-		}
-		timer.Stop()
+		ok := p.WaitUntil(h.eng.Now().Add(time500ms), func() bool { return done })
 		h.stunWait = nil
+		if !ok {
+			return netsim.Addr{}, ErrInterrupted
+		}
 		if !got.IsZero() {
 			return got, nil
 		}
@@ -1071,22 +1045,9 @@ func (h *Host) ConnectTo(p *sim.Proc, peer string) (*Tunnel, error) {
 			Kind: rendezvous.KindConnect, ID: id, Name: h.name,
 			Peer: &rendezvous.HostRecord{Name: peer},
 		})
-		deadline := sim.NewTimer(h.eng, func() {
-			if !done {
-				p.Unpark()
-			}
-		})
-		deadline.Reset(attemptWindow)
-		interrupted := false
-		for !done && deadline.Active() {
-			if !p.Park() {
-				interrupted = true
-				break
-			}
-		}
-		deadline.Stop()
+		ok := p.WaitUntil(h.eng.Now().Add(attemptWindow), func() bool { return done })
 		delete(h.waiters, id)
-		if interrupted {
+		if !ok {
 			// A stop request (mesh-repair teardown, engine shutdown)
 			// must not be swallowed by another connect attempt.
 			sp.Event("interrupted")

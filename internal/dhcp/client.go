@@ -161,21 +161,8 @@ func (c *Client) retryUntil(p *sim.Proc, send func(), ok func() bool) bool {
 	wait := c.cfg.RetryBase
 	for try := 0; try < c.cfg.Tries; try++ {
 		send()
-		deadline := sim.NewTimer(c.eng, func() {
-			if c.waiter != nil {
-				c.waiter.Unpark()
-			}
-		})
-		deadline.Reset(wait)
-		for !ok() && deadline.Active() {
-			if !p.Park() {
-				deadline.Stop()
-				return ok()
-			}
-		}
-		deadline.Stop()
-		if ok() {
-			return true
+		if !p.WaitUntil(c.eng.Now().Add(wait), ok) || ok() {
+			return ok()
 		}
 		wait *= 2
 	}

@@ -317,10 +317,7 @@ func (n *Node) bindOwnMapping(p *sim.Proc, server netsim.Addr) {
 	req.TxID[0] = 0xAA
 	for try := 0; try < 3 && !got; try++ {
 		n.sock.SendTo(server, req.Marshal())
-		timer := sim.NewTimer(n.nw.eng, func() { p.Unpark() })
-		timer.Reset(500 * sim.Millisecond)
-		p.Park()
-		timer.Stop()
+		p.WaitUntil(n.nw.eng.Now().Add(500*sim.Millisecond), func() bool { return got })
 	}
 	n.stunWait = nil
 	if n.mapped.IsZero() {

@@ -167,27 +167,30 @@ func TestGratuitousARPUpdatesCache(t *testing.T) {
 	}
 }
 
+// TestUDPSendRecv: an echo over two handler sockets, and a socket bound
+// without a handler counts what reaches it and drops it.
 func TestUDPSendRecv(t *testing.T) {
 	eng, a, b := twoStacks(4, 0, 5*time.Millisecond)
-	srv, err := b.BindUDP(9000, nil)
+	var got, reply string
+	var srv *UDPSock
+	srv, err := b.BindUDP(9000, func(d Datagram) {
+		got = string(d.Payload)
+		srv.SendTo(d.From, append([]byte("re:"), d.Payload...))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Datagram
-	eng.Spawn("server", func(p *sim.Proc) {
-		got, _ = srv.Recv(p)
-		// Echo back.
-		srv.SendTo(got.From, append([]byte("re:"), got.Payload...))
-	})
-	var reply Datagram
-	eng.Spawn("client", func(p *sim.Proc) {
-		cli, _ := a.BindUDP(0, nil)
-		cli.SendTo(netsim.Addr{IP: b.IP(), Port: 9000}, []byte("hello"))
-		reply, _ = cli.Recv(p)
-	})
+	cli, _ := a.BindUDP(0, func(d Datagram) { reply = string(d.Payload) })
+	cli.SendTo(netsim.Addr{IP: b.IP(), Port: 9000}, []byte("hello"))
+	mute, _ := b.BindUDP(9001, nil)
+	cli.SendTo(mute.Addr(), []byte("unread"))
 	eng.Run()
-	if string(got.Payload) != "hello" || string(reply.Payload) != "re:hello" {
-		t.Fatalf("udp exchange: %q %q", got.Payload, reply.Payload)
+	if got != "hello" || reply != "re:hello" {
+		t.Fatalf("udp exchange: %q %q", got, reply)
+	}
+	if cli.In != 1 || srv.In != 1 || mute.In != 1 || b.Drops != 0 {
+		t.Fatalf("In: client %d, server %d, handler-less %d, stack drops %d; want 1, 1, 1, 0",
+			cli.In, srv.In, mute.In, b.Drops)
 	}
 }
 

@@ -308,26 +308,16 @@ func (s *Stack) Ping(p *sim.Proc, dst netsim.IP, payloadLen int, timeout sim.Dur
 	putICMP(l4, ICMPEchoRequest, id, seq)
 	clear(l4[ICMPHeaderLen:])
 	s.sendIP(s.ip, dst, ProtoICMP, b, len(l4))
-	timer := sim.NewTimer(s.eng, func() {
-		if _, still := s.pingWait[key]; still {
-			delete(s.pingWait, key)
-			p.Unpark()
-		}
-	})
-	timer.Reset(timeout)
-	for !w.ok {
-		if _, still := s.pingWait[key]; !still && !w.ok {
-			return 0, ErrTimeout
-		}
-		if !p.Park() {
-			// Interrupted (service Stop, engine teardown): abandon the
-			// wait instead of re-parking over the stop request.
-			delete(s.pingWait, key)
-			timer.Stop()
-			return 0, ErrInterrupted
-		}
+	ok := p.WaitUntil(s.eng.Now().Add(timeout), func() bool { return w.ok })
+	delete(s.pingWait, key)
+	if !ok {
+		// Interrupted (service Stop, engine teardown): a stop request,
+		// not a timeout.
+		return 0, ErrInterrupted
 	}
-	timer.Stop()
+	if !w.ok {
+		return 0, ErrTimeout
+	}
 	return w.rtt, nil
 }
 

@@ -236,79 +236,3 @@ func (s *UDPSocket) Close() {
 	s.closed = true
 	delete(s.host.udpPorts, s.port)
 }
-
-// UDPQueue wraps a UDP port with a FIFO so simulation processes can
-// receive datagrams in blocking style.
-type UDPQueue struct {
-	Sock  *UDPSocket
-	queue []Packet
-	wq    sim.WaitQueue
-	cap   int
-}
-
-// BindUDPQueue binds a port and returns a queue with the given capacity
-// (datagrams beyond it are dropped, like a kernel socket buffer).
-func (h *Host) BindUDPQueue(port uint16, capacity int) (*UDPQueue, error) {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	q := &UDPQueue{cap: capacity}
-	s, err := h.BindUDP(port, func(p Packet) {
-		if len(q.queue) >= q.cap {
-			return
-		}
-		q.queue = append(q.queue, p.Keep())
-		q.wq.Signal()
-	})
-	if err != nil {
-		return nil, err
-	}
-	q.Sock = s
-	return q, nil
-}
-
-// Recv blocks the process until a datagram arrives. Returns ok=false if
-// interrupted or the engine stops... the second return is false only on
-// interruption.
-func (q *UDPQueue) Recv(p *sim.Proc) (Packet, bool) {
-	for len(q.queue) == 0 {
-		if !q.wq.Wait(p) {
-			return Packet{}, false
-		}
-	}
-	pkt := q.queue[0]
-	q.queue = q.queue[1:]
-	return pkt, true
-}
-
-// RecvTimeout is Recv with a deadline; ok=false on timeout or interrupt.
-func (q *UDPQueue) RecvTimeout(p *sim.Proc, d sim.Duration) (Packet, bool) {
-	if len(q.queue) > 0 {
-		pkt := q.queue[0]
-		q.queue = q.queue[1:]
-		return pkt, true
-	}
-	deadline := p.Now().Add(d)
-	fired := false
-	timer := sim.NewTimer(p.Engine(), func() { fired = true; p.Interrupt() })
-	timer.Reset(d)
-	defer func() {
-		timer.Stop()
-		if fired {
-			// The interrupt was our own deadline, not an external stop
-			// request: consume it so it cannot leak into later waits.
-			p.ClearInterrupt()
-		}
-	}()
-	for len(q.queue) == 0 {
-		if !q.wq.Wait(p) {
-			return Packet{}, false
-		}
-		if p.Now() >= deadline && len(q.queue) == 0 {
-			return Packet{}, false
-		}
-	}
-	pkt := q.queue[0]
-	q.queue = q.queue[1:]
-	return pkt, true
-}

@@ -290,53 +290,6 @@ func TestSocketCloseReleasesPort(t *testing.T) {
 	}
 }
 
-func TestUDPQueueRecv(t *testing.T) {
-	eng, nw := newTestNet()
-	s := nw.NewSite("S")
-	a := nw.NewPublicHost("a", s, MustParseIP("1.0.0.1"), 0, 0)
-	b := nw.NewPublicHost("b", s, MustParseIP("1.0.0.2"), 0, 0)
-	q, err := b.BindUDPQueue(7, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got string
-	eng.Spawn("recv", func(p *sim.Proc) {
-		pkt, ok := q.Recv(p)
-		if ok {
-			got = string(pkt.Payload)
-		}
-	})
-	eng.Spawn("send", func(p *sim.Proc) {
-		p.Sleep(5 * time.Millisecond)
-		sa, _ := a.BindUDP(0, nil)
-		sa.SendTo(Addr{b.IP(), 7}, []byte("queued"))
-	})
-	eng.Run()
-	if got != "queued" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestUDPQueueRecvTimeout(t *testing.T) {
-	eng, nw := newTestNet()
-	s := nw.NewSite("S")
-	b := nw.NewPublicHost("b", s, MustParseIP("1.0.0.2"), 0, 0)
-	q, _ := b.BindUDPQueue(7, 16)
-	var ok bool
-	var elapsed sim.Time
-	eng.Spawn("recv", func(p *sim.Proc) {
-		_, ok = q.RecvTimeout(p, 30*time.Millisecond)
-		elapsed = p.Now()
-	})
-	eng.Run()
-	if ok {
-		t.Fatal("RecvTimeout returned ok with no traffic")
-	}
-	if elapsed != sim.Time(30*time.Millisecond) {
-		t.Fatalf("timed out at %v, want 30ms", elapsed)
-	}
-}
-
 func TestAliasDelivery(t *testing.T) {
 	eng, nw := newTestNet()
 	s := nw.NewSite("S")

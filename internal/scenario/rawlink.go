@@ -71,10 +71,7 @@ func (l *rawLink) punch(p *sim.Proc, stunServer netsim.Addr, peerMapped *netsim.
 	req.TxID[0] = 0x77
 	for try := 0; try < 3 && !got; try++ {
 		l.sock.SendTo(stunServer, req.Marshal())
-		timer := sim.NewTimer(p.Engine(), func() { p.Unpark() })
-		timer.Reset(500 * sim.Millisecond)
-		p.Park()
-		timer.Stop()
+		p.WaitUntil(p.Now().Add(500*sim.Millisecond), func() bool { return got })
 	}
 	l.stunWait = nil
 	if l.mapped.IsZero() {

@@ -7,8 +7,9 @@ import (
 )
 
 // The sticky-interrupt contract: Interrupt marks the proc, and every
-// Park/Sleep — current or future — returns false until ClearInterrupt,
-// so a stop request propagates out of arbitrarily nested wait loops.
+// Park, Sleep and WaitUntil — current or future — returns false for the
+// rest of its life, so a stop request propagates out of arbitrarily
+// nested wait loops.
 
 func TestInterruptStickyBeforePark(t *testing.T) {
 	e := NewEngine(1)
@@ -45,6 +46,9 @@ func TestInterruptPropagatesAcrossWaits(t *testing.T) {
 			if !p.Sleep(time.Minute) {
 				falses++
 			}
+			if !p.WaitUntil(p.Now().Add(time.Minute), func() bool { return false }) {
+				falses++
+			}
 		}
 	})
 	e.Spawn("i", func(q *Proc) {
@@ -52,34 +56,11 @@ func TestInterruptPropagatesAcrossWaits(t *testing.T) {
 		p.Interrupt()
 	})
 	e.Run()
-	if falses != 3 {
-		t.Fatalf("%d of 3 waits refused, want all (sticky flag lost)", falses)
+	if falses != 6 {
+		t.Fatalf("%d of 6 waits refused, want all (sticky flag lost)", falses)
 	}
 	if e.Now() > Time(2*time.Minute) {
 		t.Fatalf("later waits parked anyway: clock at %v", e.Now())
-	}
-}
-
-func TestClearInterruptRestoresWaiting(t *testing.T) {
-	e := NewEngine(1)
-	var afterClear bool
-	p := e.Spawn("s", func(p *Proc) {
-		if p.Sleep(time.Hour) {
-			t.Error("interrupted Sleep reported success")
-		}
-		p.ClearInterrupt()
-		if p.Interrupted() {
-			t.Error("flag survived ClearInterrupt")
-		}
-		afterClear = p.Sleep(10 * time.Millisecond)
-	})
-	e.Spawn("i", func(q *Proc) {
-		q.Sleep(time.Millisecond)
-		p.Interrupt()
-	})
-	e.Run()
-	if !afterClear {
-		t.Fatal("Sleep after ClearInterrupt did not complete")
 	}
 }
 

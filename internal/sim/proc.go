@@ -19,9 +19,11 @@ var ErrStopped = errors.New("sim: engine stopped")
 
 // Proc is a simulation process: a coroutine whose execution is interleaved
 // with the event loop so that at most one piece of simulation code runs at
-// any instant. Inside a Proc, code may call Sleep, Park and the blocking
-// helpers of higher-level packages (sockets, queues) as if they were
-// ordinary blocking calls.
+// any instant. Inside a Proc, code may call Sleep, Park, WaitUntil and the
+// blocking helpers of higher-level packages (sockets, queues) as if they
+// were ordinary blocking calls. Its interrupt flag can only be set: once
+// Interrupt has asked the process to wind down, every wait refuses until
+// the process exits, and no deadline ever sets or clears the flag.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -32,17 +34,17 @@ type Proc struct {
 	parked     bool
 	dead       bool
 
-	// wakeEv starts the process and ends each Sleep; it is re-armed in
-	// place, and cancelled when an interrupt cuts a sleep short.
+	// wakeEv starts the process, ends each Sleep and is the deadline of
+	// each WaitUntil; it is re-armed in place, and cancelled when an
+	// interrupt cuts a sleep short or a wait ends before its deadline.
 	wakeEv Event
 
 	// interrupted is the sticky interrupt flag: set by Interrupt, it
-	// makes every Park/Sleep return false — without blocking — until
-	// the process acknowledges it with ClearInterrupt (or dies). The
-	// stickiness is what lets an interrupt cross nested wait loops: a
-	// park buried three calls deep returns false, and so does every
-	// park above it as the stack unwinds, so no loop can accidentally
-	// swallow a stop request by re-parking.
+	// makes every Park, Sleep and WaitUntil return false — without
+	// blocking — until the process dies. The stickiness is what lets an
+	// interrupt cross nested wait loops: a park buried three calls deep
+	// returns false, and so does every park above it as the stack
+	// unwinds, so no loop can swallow a stop request by re-parking.
 	interrupted bool
 }
 
@@ -184,7 +186,9 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // Sleep suspends the process for virtual duration d. It returns true if
 // the sleep completed, false if an interrupt is pending — in which case
 // the sleep is skipped entirely (a pending interrupt means the process
-// has been asked to wind down; sleeping on would just delay it).
+// has been asked to wind down; sleeping on would just delay it). A wait
+// for a condition that gives up at a deadline is WaitUntil, not a Sleep
+// raced against a wake-up.
 func (p *Proc) Sleep(d Duration) bool {
 	p.checkContext("Sleep")
 	if p.interrupted {
@@ -212,6 +216,43 @@ func (p *Proc) Park() bool {
 	return !p.interrupted
 }
 
+// WaitUntil is the one way to wait with a deadline: it parks the process
+// until ready() holds, virtual time t passes or an interrupt is pending.
+// It returns false only on an interrupt; the caller tells a timeout by
+// !ready(), which every wake-up checks before the deadline, so a
+// condition met in the instant the deadline fires wins over it. The deadline
+// is armed once and wakes the process through the 0 s lane, as Unpark
+// does; a wake-up that finds neither condition nor deadline re-parks.
+func (p *Proc) WaitUntil(t Time, ready func() bool) bool {
+	p.checkContext("WaitUntil")
+	if p.interrupted {
+		return false
+	}
+	if ready() {
+		return true
+	}
+	// No Sleep runs meanwhile, so the deadline rides wakeEv.
+	p.wakeEv.h = (*procDeadline)(p)
+	p.eng.arm(&p.wakeEv, t)
+	defer p.disarm()
+	for {
+		p.park()
+		if p.interrupted {
+			return false
+		}
+		if ready() || p.wakeEv.index < 0 {
+			return true
+		}
+	}
+}
+
+// disarm cancels a WaitUntil deadline that has not fired and gives
+// wakeEv back to Sleep.
+func (p *Proc) disarm() {
+	p.eng.Cancel(&p.wakeEv)
+	p.wakeEv.h = (*procResume)(p)
+}
+
 // Unpark schedules the process to resume at the current virtual time.
 // It may be called from event context or from another process. Calling
 // Unpark on a process that is not parked is a no-op (the signal is not
@@ -229,7 +270,13 @@ type procResume Proc
 
 func (pr *procResume) HandleEvent(any) { (*Proc)(pr).activate() }
 
-// procWake is Proc as the receiver of the wake-up Unpark posts.
+// procDeadline is Proc as the receiver of wakeEv during a WaitUntil.
+type procDeadline Proc
+
+func (pd *procDeadline) HandleEvent(any) { (*Proc)(pd).Unpark() }
+
+// procWake is Proc as the receiver of the wake-up Unpark and Interrupt
+// post.
 type procWake Proc
 
 func (pw *procWake) HandleEvent(any) {
@@ -239,47 +286,28 @@ func (pw *procWake) HandleEvent(any) {
 	}
 }
 
-// procInterrupt is Proc as the receiver of the wake-up Interrupt posts.
-type procInterrupt Proc
-
-func (pi *procInterrupt) HandleEvent(any) {
-	p := (*Proc)(pi)
-	// Re-check the flag: if the process consumed the interrupt
-	// (ClearInterrupt) after being woken by its real signal, this
-	// stale wake-up must not interrupt an unrelated later park.
-	if !p.dead && p.parked && p.interrupted {
-		p.activate()
-	}
-}
-
 // Interrupt asks the process to wind down: the sticky interrupted flag
-// is set immediately, every subsequent Park/Sleep returns false without
-// blocking, and a currently parked process is woken at the current
-// virtual time. The flag persists until the process calls ClearInterrupt
-// (for interrupts it originated itself, e.g. its own receive deadline)
-// or exits — so an interrupt delivered while the process is parked deep
-// inside a helper still reaches the outermost loop.
+// is set immediately, every subsequent Park, Sleep and WaitUntil returns
+// false without blocking, and a currently parked process is woken at the
+// current virtual time. Nothing clears the flag — a deadline wakes a
+// process without touching it — so an interrupt delivered while the
+// process is parked deep inside a helper still reaches the outermost
+// loop.
 func (p *Proc) Interrupt() {
 	if p.dead {
 		return
 	}
 	p.interrupted = true
 	if !p.parked {
-		return // the flag is observed at the next Park/Sleep
+		return // the flag is observed at the next wait
 	}
-	p.eng.wake.Post((*procInterrupt)(p), nil)
+	p.eng.wake.Post((*procWake)(p), nil)
 }
 
 // Interrupted reports whether an interrupt is pending on the process.
 // Long-running loop bodies use it as a cheap cancellation check between
 // blocking calls.
 func (p *Proc) Interrupted() bool { return p.interrupted }
-
-// ClearInterrupt consumes a pending interrupt. Only the code that knows
-// the interrupt's origin should clear it — typically a deadline helper
-// that used Interrupt on its own process to bound a wait and must not
-// let its private wake-up look like an external stop request.
-func (p *Proc) ClearInterrupt() { p.interrupted = false }
 
 // Dead reports whether the process has finished.
 func (p *Proc) Dead() bool { return p.dead }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // goroutines counts the goroutines alive once those that engines dropped
@@ -203,5 +204,111 @@ func TestDroppedEngineEndsIdleCarriers(t *testing.T) {
 	}
 	if after != before {
 		t.Fatalf("%d goroutines before the engine, %d after it was collected", before, after)
+	}
+}
+
+// TestWaitUntil: what ends a wait, and what it leaves behind. A wait
+// ends with ok false only on an interrupt; otherwise the caller reads a
+// timeout as !ready(). When the condition and the deadline meet in one
+// instant, in either order, the condition wins: the proc checks it on
+// the wake-up, and every event of the instant armed before the deadline
+// fired runs before the wake-up that deadline posts. The deadline is
+// armed once — a stray wake-up re-parks without re-arming it — and
+// nothing stays queued after the wait, however it ended.
+func TestWaitUntil(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Proc{}) != 96 {
+		t.Fatalf("Proc is %d bytes, want 96: the deadline rides wakeEv", unsafe.Sizeof(Proc{}))
+	}
+	const deadline = 50 * time.Millisecond
+	deadlineFirst := false
+	for _, tc := range []struct {
+		name string
+		// before runs in the waiting proc just before its wait.
+		before    func(e *Engine, p *Proc, ready *bool)
+		ok, ready bool
+		at        Duration
+	}{
+		{"ready before the deadline", func(e *Engine, p *Proc, ready *bool) {
+			e.Schedule(10*time.Millisecond, func() { *ready = true; p.Unpark() })
+		}, true, true, 10 * time.Millisecond},
+		{"deadline with ready false", func(*Engine, *Proc, *bool) {}, true, false, deadline},
+		{"ready at the call", func(_ *Engine, _ *Proc, ready *bool) { *ready = true }, true, true, 0},
+		{"interrupt pending before the call", func(_ *Engine, p *Proc, ready *bool) {
+			*ready = true
+			p.Interrupt()
+		}, false, true, 0},
+		{"interrupt while parked", func(e *Engine, p *Proc, _ *bool) {
+			e.Schedule(10*time.Millisecond, p.Interrupt)
+		}, false, false, 10 * time.Millisecond},
+		{"Unpark, then the deadline, in one instant", func(e *Engine, p *Proc, ready *bool) {
+			e.Schedule(deadline, func() { *ready = true; p.Unpark() }) // armed before the deadline
+		}, true, true, deadline},
+		{"the deadline, then Unpark, in one instant", func(e *Engine, p *Proc, ready *bool) {
+			e.Schedule(10*time.Millisecond, func() {
+				e.Schedule(deadline-10*time.Millisecond, func() { *ready = true; p.Unpark() }) // after it
+			})
+		}, true, true, deadline},
+		{"stray Unpark re-parks", func(e *Engine, p *Proc, _ *bool) {
+			e.Schedule(10*time.Millisecond, func() {
+				// Armed after the deadline and before the stray wake-up:
+				// had the re-park re-armed the deadline, it would fire
+				// after this probe.
+				e.Schedule(deadline-10*time.Millisecond, func() { deadlineFirst = p.wakeEv.index < 0 })
+				p.Unpark()
+			})
+		}, true, false, deadline},
+	} {
+		e := NewEngine(1)
+		var ok, ready, readyAtEnd bool
+		var at Time
+		e.Spawn("waiter", func(p *Proc) {
+			tc.before(e, p, &ready)
+			ok = p.WaitUntil(Time(deadline), func() bool { return ready })
+			at, readyAtEnd = p.Now(), ready
+			if p.Interrupted() == ok {
+				t.Errorf("%s: WaitUntil returned %v with Interrupted() %v", tc.name, ok, p.Interrupted())
+			}
+		})
+		e.Run()
+		if ok != tc.ok || readyAtEnd != tc.ready || at != Time(tc.at) || e.Pending() != 0 {
+			t.Errorf("%s: ok %v ready %v at %v, %d pending; want %v %v at %v, 0 pending",
+				tc.name, ok, readyAtEnd, at, e.Pending(), tc.ok, tc.ready, Time(tc.at))
+		}
+	}
+	if !deadlineFirst {
+		t.Error("a stray wake-up re-armed the deadline behind a later event of its instant")
+	}
+
+	// Stop while parked unwinds the wait: defers run, nothing stays queued.
+	e := NewEngine(1)
+	unwound := false
+	e.Spawn("waiter", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.WaitUntil(Time(time.Hour), func() bool { return false })
+	})
+	e.RunFor(time.Second)
+	e.Stop()
+	if !unwound || e.Pending() != 0 {
+		t.Fatalf("Stop during a wait: unwound %v with %d pending, want true and 0", unwound, e.Pending())
+	}
+
+	// A wait allocates nothing, whether the condition or the deadline
+	// ends it.
+	e = NewEngine(1)
+	defer e.Stop()
+	fired := false
+	var p *Proc
+	tm := NewTimer(e, func() { fired = true; p.Unpark() })
+	p = e.Spawn("waiter", func(p *Proc) {
+		for {
+			fired = false
+			tm.Reset(time.Millisecond)
+			p.WaitUntil(p.Now().Add(2*time.Millisecond), func() bool { return fired })
+			p.WaitUntil(p.Now().Add(time.Millisecond), func() bool { return false })
+		}
+	})
+	e.RunFor(10 * time.Millisecond)
+	if allocs := testing.AllocsPerRun(100, func() { e.RunFor(2 * time.Millisecond) }); allocs != 0 {
+		t.Fatalf("a wait allocates %.1f objects", allocs/2)
 	}
 }

@@ -148,21 +148,29 @@ func Classify(p *sim.Proc, host *netsim.Host, server netsim.Addr, cfg Config) (R
 	return res, nil
 }
 
+// client runs the tests of one Classify on its own socket; the proc
+// parks only inside test, and the socket closes when Classify returns.
 type client struct {
 	p    *sim.Proc
-	host *netsim.Host
 	cfg  Config
 	sock *netsim.UDPSocket
-	inbx []netsim.Packet
-	wq   sim.WaitQueue
 	txid uint64
+	tx   [16]byte // the transaction the running test waits for
+	resp *Message // its response, once one has arrived
 }
 
 func newClient(p *sim.Proc, host *netsim.Host, cfg Config) (*client, error) {
-	c := &client{p: p, host: host, cfg: cfg}
+	c := &client{p: p, cfg: cfg}
 	sock, err := host.BindUDP(0, func(pkt netsim.Packet) {
-		c.inbx = append(c.inbx, pkt.Keep())
-		c.wq.Signal()
+		if c.resp != nil {
+			return
+		}
+		resp, err := Unmarshal(pkt.Payload)
+		if err != nil || resp.Type != TypeBindingResponse || resp.TxID != c.tx {
+			return
+		}
+		c.resp = resp
+		c.p.Unpark()
 	})
 	if err != nil {
 		return nil, err
@@ -174,51 +182,18 @@ func newClient(p *sim.Proc, host *netsim.Host, cfg Config) (*client, error) {
 func (c *client) local() netsim.Addr { return c.sock.LocalAddr() }
 func (c *client) close()             { c.sock.Close() }
 
-// test performs one STUN test with retransmission; ok=false on timeout.
+// test performs one STUN test with retransmission; ok=false on timeout,
+// and at once on an interrupt, so a stop request reaches the caller.
 func (c *client) test(dst netsim.Addr, change uint8) (*Message, bool) {
 	c.txid++
-	var tx [16]byte
-	tx[0] = byte(c.txid >> 8)
-	tx[1] = byte(c.txid)
-	req := &Message{Type: TypeBindingRequest, TxID: tx, Change: change}
-	wire := req.Marshal()
-
-	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
+	c.tx = [16]byte{byte(c.txid >> 8), byte(c.txid)}
+	c.resp = nil
+	wire := (&Message{Type: TypeBindingRequest, TxID: c.tx, Change: change}).Marshal()
+	for attempt := 0; attempt < c.cfg.Retries && c.resp == nil; attempt++ {
 		c.sock.SendTo(dst, wire)
-		deadline := c.p.Now().Add(c.cfg.Timeout)
-		for {
-			// Drain queued packets first.
-			for len(c.inbx) > 0 {
-				pkt := c.inbx[0]
-				c.inbx = c.inbx[1:]
-				resp, err := Unmarshal(pkt.Payload)
-				if err != nil || resp.Type != TypeBindingResponse || resp.TxID != tx {
-					continue
-				}
-				return resp, true
-			}
-			remain := deadline.Sub(c.p.Now())
-			if remain <= 0 {
-				break
-			}
-			fired := false
-			timer := sim.NewTimer(c.p.Engine(), func() { fired = true; c.p.Interrupt() })
-			timer.Reset(remain)
-			woke := c.wq.Wait(c.p)
-			timer.Stop()
-			if fired {
-				// Our own deadline interrupt: consume it.
-				c.p.ClearInterrupt()
-			}
-			if !woke {
-				if !fired {
-					// External interrupt: abandon the whole test so the
-					// stop request propagates to the caller promptly.
-					return nil, false
-				}
-				break // retransmit on the next attempt
-			}
+		if !c.p.WaitUntil(c.p.Now().Add(c.cfg.Timeout), func() bool { return c.resp != nil }) {
+			return nil, false
 		}
 	}
-	return nil, false
+	return c.resp, c.resp != nil
 }

@@ -157,6 +157,33 @@ func TestClassifyBlocked(t *testing.T) {
 	}
 }
 
+// TestClassifyKeepsStopAtDeadline: a stop request that lands in the
+// instant a retransmit deadline fires, after it, ends Classify then and
+// there and is still pending when it returns — no deadline consumes it.
+func TestClassifyKeepsStopAtDeadline(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	s := nw.NewSite("s")
+	client := nw.NewPublicHost("client", s, netsim.MustParseIP("9.9.9.9"), 0, 0)
+	var err error
+	var returned sim.Time
+	interrupted := false
+	p := eng.Spawn("classify", func(p *sim.Proc) {
+		_, err = Classify(p, client, netsim.Addr{IP: netsim.MustParseIP("3.3.3.3"), Port: 3478},
+			Config{Timeout: 100 * time.Millisecond, Retries: 3})
+		returned, interrupted = p.Now(), p.Interrupted()
+	})
+	eng.Spawn("stopper", func(q *sim.Proc) {
+		q.Sleep(100 * time.Millisecond) // armed after the first deadline
+		p.Interrupt()
+	})
+	eng.Run()
+	if err == nil || returned != sim.Time(100*time.Millisecond) || !interrupted {
+		t.Fatalf("Classify returned %v at %v with Interrupted() %v; want an error at 0.100s with the stop still pending",
+			err, returned, interrupted)
+	}
+}
+
 func TestClassifySurvivesLoss(t *testing.T) {
 	eng := sim.NewEngine(3)
 	nw := netsim.New(eng)

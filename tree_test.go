@@ -1,0 +1,143 @@
+package wavnet
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// periodicWakers are the functions, as "file func", allowed a ticker that
+// wakes a proc because it is no deadline of one wait.
+var periodicWakers = map[string]bool{
+	// The stall watchdog: it aborts the transfer when no byte has moved
+	// for StallTimeout, across every Write and round the migration makes.
+	filepath.Join("internal", "vm", "vm.go") + " Migrate": true,
+}
+
+// handBuiltDeadlines lists, as file:line:column, every func literal or
+// method value passed to sim.NewTimer, NewTicker, At or Schedule that
+// calls Unpark or Interrupt, in the non-test Go files under root (testdata
+// directories skipped, as the go tool skips them). Such a callback is a
+// proc's deadline built by hand; Proc.WaitUntil is the one that exists.
+func handBuiltDeadlines(t *testing.T, root string) []string {
+	t.Helper()
+	var found []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			ticks := ok && periodicWakers[path+" "+fn.Name.Name]
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && schedulesCallback(call.Fun, ticks) {
+					for _, arg := range call.Args {
+						if wakesProc(arg) {
+							found = append(found, fset.Position(arg.Pos()).String())
+						}
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+// schedulesCallback reports whether fun names a call that runs a callback
+// later: sim.NewTimer or sim.NewTicker (unqualified inside package sim),
+// or an At or Schedule method. With ticks set, NewTicker does not count.
+func schedulesCallback(fun ast.Expr, ticks bool) bool {
+	var name string
+	switch f := fun.(type) {
+	case *ast.Ident:
+		name = f.Name
+	case *ast.SelectorExpr:
+		if f.Sel.Name == "At" || f.Sel.Name == "Schedule" {
+			return true
+		}
+		if x, ok := f.X.(*ast.Ident); ok && x.Name == "sim" {
+			name = f.Sel.Name
+		}
+	}
+	return name == "NewTimer" || name == "NewTicker" && !ticks
+}
+
+// wakesProc reports whether arg is a method value x.Unpark or
+// x.Interrupt, or a func literal that calls one.
+func wakesProc(arg ast.Expr) bool {
+	isWake := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "Unpark" || sel.Sel.Name == "Interrupt")
+	}
+	lit, ok := arg.(*ast.FuncLit)
+	if !ok {
+		return isWake(arg)
+	}
+	wakes := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isWake(call.Fun) {
+			wakes = true
+		}
+		return !wakes
+	})
+	return wakes
+}
+
+// TestNoHandBuiltDeadlines: no proc deadline is a timer callback that
+// wakes the proc, and the check catches the planted ones — and only
+// those — in testdata/deadlines.
+func TestNoHandBuiltDeadlines(t *testing.T) {
+	if found := handBuiltDeadlines(t, "internal"); len(found) > 0 {
+		t.Errorf("hand-built proc deadlines (use Proc.WaitUntil):\n%s", strings.Join(found, "\n"))
+	}
+	planted := filepath.Join("testdata", "deadlines", "planted.go")
+	want := []string{planted + ":12:27", planted + ":16:25", planted + ":21:32", planted + ":22:31"}
+	if found := handBuiltDeadlines(t, filepath.Join("testdata", "deadlines")); !slices.Equal(found, want) {
+		t.Errorf("planted violations: found %v, want %v", found, want)
+	}
+}
+
+// TestBenchmarkModuleVets: benchmark/ is a module of its own that the
+// tree's go vet and go test do not build, so an exported name it imports
+// could vanish unnoticed; vetting it here catches that. It needs nothing
+// beyond the checkout.
+func TestBenchmarkModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the benchmark module")
+	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on PATH")
+	}
+	cmd := exec.Command(gobin, "vet", "-C", "benchmark", ".")
+	cmd.Env = append(os.Environ(), "GOFLAGS=", "GOPROXY=off", "GOWORK=off", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C benchmark .: %v\n%s", err, out)
+	}
+}
