@@ -372,12 +372,18 @@ func (s *flowSlot) stat() FlowStat {
 	return st
 }
 
-// Snapshot copies the live flows out of the table. Safe to call from
-// any goroutine while the simulation forwards: each slot is read under
-// its seqlock generation and skipped after a few conflicting retries
-// (the flow shows up in the next scrape).
+// Snapshot copies the live flows out of the table.
 func (ft *FlowTable) Snapshot() []FlowStat {
 	out := make([]FlowStat, 0, ft.active.Load())
+	ft.Each(func(st FlowStat) { out = append(out, st) })
+	return out
+}
+
+// Each calls f with every live flow, walking the table in place. Safe
+// to call from any goroutine while the simulation forwards: each slot
+// is read under its seqlock generation and skipped after a few
+// conflicting retries (the flow shows up in the next walk).
+func (ft *FlowTable) Each(f func(FlowStat)) {
 	slots := *ft.slots.Load()
 	for i := range slots {
 		s := &slots[i]
@@ -393,11 +399,10 @@ func (ft *FlowTable) Snapshot() []FlowStat {
 			if s.gen.Load() != g {
 				continue
 			}
-			out = append(out, st)
+			f(st)
 			break
 		}
 	}
-	return out
 }
 
 // Active reports the live flow count.

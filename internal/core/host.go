@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"wavnet/internal/can"
 	"wavnet/internal/ether"
@@ -247,10 +248,14 @@ type segment struct {
 	stat *vniStat
 }
 
-// vniStat is one virtual network's flood / suppression totals. The
-// record belongs to the host, not the segment: it outlives LeaveVNI and
-// a later JoinVNI of the same VNI resumes it.
-type vniStat struct{ flood, suppress uint64 }
+// vniStat is one virtual network's flood / suppression totals and the
+// series names ScrapeInto exports them under. The record belongs to the
+// host, not the segment: it outlives LeaveVNI and a later JoinVNI of
+// the same VNI resumes it.
+type vniStat struct {
+	flood, suppress         uint64
+	floodName, suppressName string
+}
 
 // Host is a WAVNet participant.
 type Host struct {
@@ -452,7 +457,8 @@ func (h *Host) addSegment(vni uint32) *segment {
 	}
 	st := h.vniStats[vni]
 	if st == nil {
-		st = new(vniStat)
+		n := strconv.FormatUint(uint64(vni), 10)
+		st = &vniStat{floodName: "flood.vni" + n, suppressName: "suppress.vni" + n}
 		h.vniStats[vni] = st
 	}
 	seg := &segment{host: h, vni: vni, stat: st}
@@ -549,6 +555,9 @@ func (h *Host) Tunnels() map[string]*Tunnel {
 	}
 	return out
 }
+
+// TunnelCount reports the size of the tunnel set without copying it.
+func (h *Host) TunnelCount() int { return len(h.tunnels) }
 
 // Tunnel returns the tunnel to a peer, if established.
 func (h *Host) Tunnel(peer string) (*Tunnel, bool) {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"wavnet/internal/ether"
@@ -198,7 +196,8 @@ func (h *Host) onVNISet(t *Tunnel, payload []byte) {
 // ScrapeInto copies the host's multi-tenant data-plane counters into r
 // under l: isolation drops, gateway decisions, quota drops, re-homing,
 // VIP steering, batching, flow-table totals, and the per-VNI flood /
-// suppression breakdown in VNI order for networks with activity.
+// suppression breakdown for networks with activity (in map order: the
+// series are counters, and every render sorts).
 func (h *Host) ScrapeInto(r *obs.Registry, l obs.Labels) {
 	add := func(name string, v uint64) { r.Counter(name, l).Add(v) }
 	add("cross_vni_drops", h.CrossVNIDrops)
@@ -221,18 +220,16 @@ func (h *Host) ScrapeInto(r *obs.Registry, l obs.Labels) {
 	add("flow_evictions", h.flows.Evictions())
 	add("flow_overflows", h.flows.Overflows())
 	for reason, n := range h.flows.DropTotals() {
-		add("flow_drops."+obs.FlowDropReason(reason).String(), n)
+		add(flowDropSeries[reason], n)
 	}
-	var vnis []uint32
-	for vni, st := range h.vniStats {
-		if atomic.LoadUint64(&st.flood) > 0 || atomic.LoadUint64(&st.suppress) > 0 {
-			vnis = append(vnis, vni)
+	for _, st := range h.vniStats {
+		flood, suppress := atomic.LoadUint64(&st.flood), atomic.LoadUint64(&st.suppress)
+		if flood > 0 || suppress > 0 {
+			add(st.floodName, flood)
+			add(st.suppressName, suppress)
 		}
 	}
-	sort.Slice(vnis, func(i, j int) bool { return vnis[i] < vnis[j] })
-	for _, vni := range vnis {
-		st, n := h.vniStats[vni], strconv.FormatUint(uint64(vni), 10)
-		add("flood.vni"+n, atomic.LoadUint64(&st.flood))
-		add("suppress.vni"+n, atomic.LoadUint64(&st.suppress))
-	}
 }
+
+// flowDropSeries names the per-reason drop counters ScrapeInto exports.
+var flowDropSeries = obs.FlowDropNames("flow_drops.")

@@ -11,7 +11,7 @@ import (
 // AlertRule is one declarative alerting condition: a metric selector, a
 // threshold, and how long the breach must hold before the alert fires —
 // `metric > threshold for N sim-seconds`, evaluated against each
-// registry snapshot the world scrapes.
+// registry pass the world scrapes.
 type AlertRule struct {
 	// Name identifies the alert; its span is named "alert.<Name>".
 	Name string
@@ -24,7 +24,8 @@ type AlertRule struct {
 	Labels Labels
 	// Rate evaluates counters as per-second rates over the interval
 	// since the previous Eval instead of cumulative totals. Rate rules
-	// need two snapshots, so they never fire on the first Eval.
+	// need two Evals at distinct instants, so they never fire on the
+	// first.
 	Rate bool
 	// Quantile picks the histogram statistic to compare (0 < q <= 1);
 	// zero reads the observed max. Ignored for counters and gauges.
@@ -47,20 +48,37 @@ type alertState struct {
 	value        float64
 	fired        uint64
 	resolved     uint64
+	// base is a rate rule's baseline: the value of every series it
+	// matched, stamped with the Eval that read it.
+	base map[seriesKey]baseline
+	// Series names of the engine's own export, built once.
+	firedName, resolvedName, firingName string
+}
+
+// baseline is one matched series' value at the Eval stamped beside it.
+type baseline struct {
+	eval uint64
+	kind Kind
+	bits uint64    // counter value
+	hist *histData // histogram series
+}
+
+func newAlertState(r AlertRule) *alertState {
+	p := "alert." + r.Name
+	return &alertState{rule: r, firedName: p + ".fired", resolvedName: p + ".resolved", firingName: p + ".firing"}
 }
 
 // AlertEngine evaluates a fixed rule set against successive registry
-// snapshots, driving each rule through Inactive → Pending → Firing →
+// states, driving each rule through Inactive → Pending → Firing →
 // Resolved and recording the firing window as a span ("alert.<name>")
-// on the world trace. Safe for concurrent use; snapshots are expected
-// in sim-time order.
+// on the world trace. Safe for concurrent use; Evals are expected in
+// sim-time order.
 type AlertEngine struct {
 	mu     sync.Mutex
 	trace  *Trace
 	states []*alertState
-	prev   *Registry
 	prevAt sim.Time
-	evals  uint64
+	evals  uint64 // Evals that moved the rate baselines
 }
 
 // NewAlertEngine builds an engine over a trace (nil disables spans but
@@ -68,7 +86,7 @@ type AlertEngine struct {
 func NewAlertEngine(trace *Trace, rules ...AlertRule) *AlertEngine {
 	e := &AlertEngine{trace: trace}
 	for _, r := range rules {
-		e.states = append(e.states, &alertState{rule: r})
+		e.states = append(e.states, newAlertState(r))
 	}
 	return e
 }
@@ -77,7 +95,7 @@ func NewAlertEngine(trace *Trace, rules ...AlertRule) *AlertEngine {
 func (e *AlertEngine) AddRule(r AlertRule) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.states = append(e.states, &alertState{rule: r})
+	e.states = append(e.states, newAlertState(r))
 }
 
 // Rules returns the catalogue in registration order.
@@ -111,66 +129,98 @@ func matchLabels(rule, have Labels) bool {
 		(rule.Host == "" || rule.Host == have.Host)
 }
 
-// Eval scores every rule against the snapshot taken at now and advances
-// lifecycles. The engine retains the snapshot as the baseline for the
-// next Eval's rate rules, so callers must hand over a registry they
-// will not keep mutating (World.Scrape builds a fresh one per call).
-func (e *AlertEngine) Eval(now sim.Time, snap *Registry) {
+// Eval scores every rule against the registry's visible series at now
+// and advances lifecycles. Rate rules keep their own per-series
+// baselines, so the engine retains nothing of r. An Eval at the instant
+// of the previous one (or earlier) leaves rate rules untouched — state,
+// value and baseline: a zero-length interval carries no rate.
+func (e *AlertEngine) Eval(now sim.Time, r *Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var view *RateView
-	if e.evals > 0 {
-		view = snap.Since(e.prev, now.Sub(e.prevAt))
+	interval := now.Sub(e.prevAt)
+	again := e.evals > 0 && interval <= 0
+	if !again {
+		e.evals++
+		e.prevAt = now
 	}
 	for _, st := range e.states {
-		value, ok := e.score(st.rule, snap, view)
+		if st.rule.Rate && again {
+			continue
+		}
+		value, ok := e.score(st, r, interval)
 		st.value = value
 		e.advance(st, now, value, ok && value > st.rule.Threshold)
 	}
-	e.prev, e.prevAt = snap, now
-	e.evals++
 }
 
-// score computes one rule's value over the snapshot: counters sum
-// across matched series (as rates over the interval when Rate is set),
-// gauges sum, histograms take the worst (largest) quantile. ok is false
-// when the rule cannot be evaluated yet (rate rule on the first Eval).
-func (e *AlertEngine) score(rule AlertRule, snap *Registry, view *RateView) (float64, bool) {
-	if rule.Rate && view == nil {
-		return 0, false
+// score computes one rule's value over r: counters sum across matched
+// series, gauges sum, histograms take the worst (largest) quantile. A
+// rate rule scores each series against its baseline — counters clamp
+// at zero across source restarts, histograms subtract bucket-wise,
+// gauges count as they are, a series absent at the previous Eval counts
+// in full — divides the counter and gauge sum by the interval, and
+// moves the baselines to now. Baselines are never pruned: like the
+// registry's series, they grow only with the series ever matched. ok
+// is false when the rule cannot be evaluated yet (rate rule on the
+// first Eval).
+func (e *AlertEngine) score(st *alertState, r *Registry, interval sim.Duration) (float64, bool) {
+	rule := st.rule
+	if rule.Rate && st.base == nil {
+		st.base = make(map[seriesKey]baseline)
 	}
-	src := snap
-	if rule.Rate {
-		src = view.Delta
-	}
-	var sum float64
-	var worst float64
-	for _, s := range src.all() {
+	var sum, worst float64
+	r.each(func(s *series, x sample) {
 		if !matchMetric(rule.Metric, s.key.name) || !matchLabels(rule.Labels, s.key.labels) {
-			continue
+			return
 		}
+		b, had := st.base[s.key]
+		had = had && b.eval == e.evals-1 && b.kind == s.kind
 		switch s.kind {
 		case KindCounter:
-			sum += float64(s.counter.Value())
+			d := x.bits
+			if had {
+				d = clampSub(x.bits, b.bits)
+			}
+			sum += float64(d)
+			b.bits = x.bits
 		case KindGauge:
-			sum += s.gauge.Value()
+			sum += x.gauge()
 		default:
-			var v float64
+			h := x.hist.data()
+			d := h
+			// A delta with no observations is empty, extrema and all.
+			if had {
+				if d = h.minus(b.hist); d.count == 0 {
+					d = histData{}
+				}
+			}
+			if rule.Rate {
+				if b.hist == nil {
+					b.hist = new(histData)
+				}
+				*b.hist = h
+			}
+			v := d.max
 			if rule.Quantile > 0 {
-				v = s.hist.Quantile(rule.Quantile)
-			} else {
-				v = s.hist.Max()
+				v = d.quantile(rule.Quantile)
 			}
 			if v > worst {
 				worst = v
 			}
 		}
+		if rule.Rate {
+			b.eval, b.kind = e.evals, s.kind
+			st.base[s.key] = b
+		}
+	})
+	if rule.Rate && e.evals == 1 {
+		return 0, false
 	}
 	if worst > 0 {
 		return worst, true
 	}
 	if rule.Rate {
-		sum /= view.seconds()
+		sum /= interval.Seconds()
 	}
 	return sum, true
 }
@@ -279,13 +329,13 @@ func (e *AlertEngine) ScrapeInto(r *Registry) {
 		if st.firing {
 			firing++
 		}
-		r.Counter("alert."+st.rule.Name+".fired", Labels{}).Add(st.fired)
-		r.Counter("alert."+st.rule.Name+".resolved", Labels{}).Add(st.resolved)
+		r.Counter(st.firedName, Labels{}).Add(st.fired)
+		r.Counter(st.resolvedName, Labels{}).Add(st.resolved)
 		g := 0.0
 		if st.firing {
 			g = 1
 		}
-		r.Gauge("alert."+st.rule.Name+".firing", Labels{}).Set(g)
+		r.Gauge(st.firingName, Labels{}).Set(g)
 	}
 	r.Gauge("alerts_firing", Labels{}).Set(float64(firing))
 }

@@ -53,6 +53,15 @@ func (r FlowDropReason) String() string {
 	}
 }
 
+// FlowDropNames names one series per reason: prefix + the reason's
+// String.
+func FlowDropNames(prefix string) (names [FlowDropReasons]string) {
+	for r := range names {
+		names[r] = prefix + FlowDropReason(r).String()
+	}
+	return names
+}
+
 // FlowRecord is one flow-log record: the 6-tuple key, what the flow
 // moved, why frames of it died, and its first/last-seen sim timestamps.
 // Host is the WAVNet host that accounted the flow (sender for egress
@@ -104,12 +113,11 @@ func (r *FlowRecord) String() string {
 // share one log across every host. Nil-safe and safe for concurrent
 // use (experiments read while the simulation appends).
 type FlowLog struct {
-	mu      sync.Mutex
-	recs    []FlowRecord
-	next    int
-	wrapped bool
-	limit   int
-	total   uint64
+	mu    sync.Mutex
+	recs  []FlowRecord
+	next  int // oldest record once the ring is full
+	limit int
+	total uint64
 }
 
 // DefaultFlowLogLimit bounds the log when NewFlowLog is given no limit.
@@ -138,23 +146,35 @@ func (l *FlowLog) Append(r FlowRecord) {
 	}
 	l.recs[l.next] = r
 	l.next = (l.next + 1) % l.limit
-	l.wrapped = true
 }
 
-// Records returns the retained records, oldest first.
+// Records returns a copy of the retained records, oldest first.
 func (l *FlowLog) Records() []FlowRecord {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.wrapped {
-		return append([]FlowRecord(nil), l.recs...)
-	}
-	out := make([]FlowRecord, 0, len(l.recs))
-	out = append(out, l.recs[l.next:]...)
-	out = append(out, l.recs[:l.next]...)
+	out := make([]FlowRecord, 0, l.Len())
+	l.Each(func(r FlowRecord) { out = append(out, r) })
 	return out
+}
+
+// Each calls f with every retained record, oldest first, without
+// copying the log: the lock is held only while one record is read, so
+// records appended during the walk may shift it by a few.
+func (l *FlowLog) Each(f func(FlowRecord)) {
+	if l == nil {
+		return
+	}
+	for i := 0; ; i++ {
+		l.mu.Lock()
+		if i >= len(l.recs) {
+			l.mu.Unlock()
+			return
+		}
+		r := l.recs[(l.next+i)%len(l.recs)]
+		l.mu.Unlock()
+		f(r)
+	}
 }
 
 // Len reports the retained record count.

@@ -17,7 +17,13 @@ const histBuckets = 64
 // quantile accessors. Safe for concurrent use; observations are
 // non-negative float64s in whatever unit the caller picks.
 type Histogram struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	histData
+}
+
+// histData is a histogram's state without its lock: the value that
+// snapshots, merges and rate baselines copy.
+type histData struct {
 	counts   [histBuckets]uint64
 	count    uint64
 	sum      float64
@@ -95,6 +101,10 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.quantile(q)
+}
+
+func (h *histData) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -149,20 +159,30 @@ func bucketBounds(i int) (lo, hi float64) {
 	return math.Exp2(float64(i - 1)), math.Exp2(float64(i))
 }
 
-// clone deep-copies the histogram.
-func (h *Histogram) clone() *Histogram {
+// data copies the histogram's state.
+func (h *Histogram) data() histData {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := &Histogram{count: h.count, sum: h.sum, min: h.min, max: h.max}
-	out.counts = h.counts
-	return out
+	return h.histData
+}
+
+// reset empties the histogram in place.
+func (h *Histogram) reset() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.histData = histData{}
 }
 
 // merge adds other's observations into h.
 func (h *Histogram) merge(other *Histogram) {
-	o := other.clone()
+	o := other.data()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.add(&o)
+}
+
+// add folds o's observations into h.
+func (h *histData) add(o *histData) {
 	if o.count == 0 {
 		return
 	}
@@ -179,21 +199,19 @@ func (h *Histogram) merge(other *Histogram) {
 	h.sum += o.sum
 }
 
-// delta returns h minus prev, bucket-wise and clamped at zero (a
+// minus returns h minus p, bucket-wise and clamped at zero (a
 // restarted source resets to empty; clamping keeps deltas sane). The
 // observed extrema cannot be subtracted, so the current min/max carry
 // over.
-func (h *Histogram) delta(prev *Histogram) *Histogram {
-	cur := h.clone()
-	p := prev.clone()
-	out := &Histogram{min: cur.min, max: cur.max}
-	for i := range cur.counts {
-		if cur.counts[i] > p.counts[i] {
-			out.counts[i] = cur.counts[i] - p.counts[i]
+func (h *histData) minus(p *histData) histData {
+	out := histData{min: h.min, max: h.max}
+	for i := range h.counts {
+		if h.counts[i] > p.counts[i] {
+			out.counts[i] = h.counts[i] - p.counts[i]
 			out.count += out.counts[i]
 		}
 	}
-	if s := cur.sum - p.sum; s > 0 {
+	if s := h.sum - p.sum; s > 0 {
 		out.sum = s
 	}
 	return out

@@ -10,6 +10,14 @@
 // whole registry, with a stable text and JSON render for experiment
 // tables and the BENCH_* trajectory files.
 //
+// A scraper keeps one standing registry and overwrites it by pass
+// (Registry.Reset): series are created once and zeroed in place, so a
+// scrape allocates nothing per series, and Snapshot hands out an
+// immutable copy that costs one value copy per series. The alert
+// engine scores rate rules against per-series baselines of its own and
+// keeps no registry; an Eval at the instant of the previous one leaves
+// rate rules alone.
+//
 // The tracer records spans stamped with sim.Time and threaded by a
 // causality (trace) ID through the fabric's multi-step flows — Apply
 // reconciliation, punch orchestration, broker re-home elections,

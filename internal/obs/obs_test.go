@@ -74,14 +74,13 @@ func TestHistogramDelta(t *testing.T) {
 	for v := 100; v <= 120; v++ {
 		cur.Observe(float64(v))
 	}
-	d := cur.delta(prev)
-	if d.Count() != 21 {
-		t.Fatalf("delta count = %d, want 21", d.Count())
+	c, p := cur.data(), prev.data()
+	if d := c.minus(&p); d.count != 21 {
+		t.Fatalf("delta count = %d, want 21", d.count)
 	}
 	// A source that reset (prev > cur) clamps instead of wrapping.
-	d2 := prev.delta(cur)
-	if d2.Count() != 0 {
-		t.Fatalf("reset delta count = %d, want 0", d2.Count())
+	if d := p.minus(&c); d.count != 0 {
+		t.Fatalf("reset delta count = %d, want 0", d.count)
 	}
 }
 
@@ -208,6 +207,62 @@ func TestRegistryDeltaClampsResets(t *testing.T) {
 	if v, _ := d.CounterValue("joins", l); v != 66 {
 		t.Fatalf("delta = %d, want 66", v)
 	}
+}
+
+// TestRegistryPassesAndSnapshots pins the standing-registry contract:
+// Reset hides every series until its first lookup of the pass zeroes
+// it, lookups within a pass sum, a snapshot never changes afterwards,
+// and writing to a snapshot panics.
+func TestRegistryPassesAndSnapshots(t *testing.T) {
+	r := NewRegistry()
+	a, b := Labels{Host: "pc00"}, Labels{Host: "pc01"}
+	r.Counter("frames", a).Add(5)
+	r.Counter("frames", b).Add(7)
+	r.Gauge("load", a).Set(1.5)
+	r.Histogram("lat", a).Observe(40)
+	first := r.Snapshot()
+	firstText := first.String()
+
+	r.Reset()
+	if r.Len() != 0 || r.Total("frames") != 0 {
+		t.Fatalf("after Reset: len %d, frames %d; want an empty pass", r.Len(), r.Total("frames"))
+	}
+	if _, ok := r.CounterValue("frames", a); ok {
+		t.Fatal("an untouched series is visible after Reset")
+	}
+	r.Counter("frames", a).Add(2)
+	r.Counter("frames", a).Add(3) // two sources on one name+labels sum
+	r.Histogram("lat", a).Observe(8)
+	r.Counter("drops", a).Inc() // new since the snapshot: the shared index is copied
+	if v, _ := r.CounterValue("frames", a); v != 5 {
+		t.Fatalf("frames after Reset = %d, want 5 (zeroed, then 2+3)", v)
+	}
+	if h := r.Histogram("lat", a); h.Count() != 1 || h.Max() != 8 {
+		t.Fatalf("histogram after Reset: count %d max %g, want 1/8", h.Count(), h.Max())
+	}
+	if r.Len() != 3 {
+		t.Fatalf("len = %d, want 3 (frames, lat, drops)", r.Len())
+	}
+
+	if first.String() != firstText || first.Len() != 4 {
+		t.Fatalf("snapshot changed after Reset and writes:\n%s\nwas\n%s", first, firstText)
+	}
+	if _, ok := first.CounterValue("drops", a); ok {
+		t.Fatal("snapshot sees a series created after it")
+	}
+	if v, _ := first.CounterValue("frames", b); v != 7 {
+		t.Fatalf("snapshot frames{pc01} = %d, want 7", v)
+	}
+	second := r.Snapshot()
+	if _, ok := second.CounterValue("frames", b); ok || second.Len() != 3 {
+		t.Fatalf("second snapshot: len %d, frames{pc01} present %v; want 3 and absent", second.Len(), ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("writing to a snapshot did not panic")
+		}
+	}()
+	first.Counter("frames", a).Inc()
 }
 
 // TestRegistryConcurrent hammers one registry from recorder and

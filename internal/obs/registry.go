@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -47,24 +48,25 @@ func (c *Counter) Set(n uint64) { c.v.Store(n) }
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is one instantaneous-value series of a Registry.
-type Gauge struct{ bits atomic.Uint64 }
+// Gauge is one instantaneous-value series of a Registry. It shares
+// Counter's layout, so a series holds either in one word.
+type Gauge struct{ v atomic.Uint64 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
 
 // Add shifts the gauge by d.
 func (g *Gauge) Add(d float64) {
 	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+		old := g.v.Load()
+		if g.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
 			return
 		}
 	}
 }
 
 // Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
 // seriesKey identifies one series: Labels is comparable, so the pair
 // works directly as a map key.
@@ -73,69 +75,113 @@ type seriesKey struct {
 	labels Labels
 }
 
-// series is one named, labeled instrument.
+// series is one named, labeled instrument. A registry never frees one:
+// pass records the pass that last zeroed it, and a series zeroed in an
+// older pass than its registry's current one is invisible to reads.
 type series struct {
-	key     seriesKey
-	kind    Kind
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
+	key  seriesKey
+	kind Kind
+	pos  int // index in Registry.order
+	pass uint64
+	val  Counter // counter value, or gauge float64 bits
+	hist *Histogram
 }
+
+// sample is one series' value as a read sees it.
+type sample struct {
+	live bool       // visible in this pass (or this snapshot)
+	bits uint64     // counter value, or gauge float64 bits
+	hist *Histogram // histogram series: the live one, or a snapshot's copy
+}
+
+func (x sample) gauge() float64 { return math.Float64frombits(x.bits) }
 
 // Registry is a collection of labeled series. Lookups create series on
 // first use; asking for an existing (name, labels) pair under a
 // different kind panics — that is a wiring error, not load-time state.
 // Safe for concurrent use (experiment drivers scrape from helper
 // goroutines while the simulation records).
+//
+// A registry is reused by pass: Reset hides every series, and the first
+// lookup of a series in the new pass zeroes it in place, so a scraper
+// overwrites one standing registry instead of building a fresh one and
+// series it no longer touches drop out of every read. Snapshot freezes
+// the current pass into an immutable registry: Reset must not race with
+// reads, so a reader on another goroutine reads a snapshot.
 type Registry struct {
 	mu    sync.Mutex
 	byKey map[seriesKey]*series
 	order []*series
+	// shared marks byKey as read by a snapshot: the next insert copies
+	// it first, so snapshots never see a map being written.
+	shared bool
+	pass   uint64
+	live   int // series visible in this pass
+	// frozen is non-nil only for a snapshot: the value of every series
+	// in order as of the Snapshot call.
+	frozen []sample
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return NewRegistrySized(0) }
+func NewRegistry() *Registry { return &Registry{byKey: make(map[seriesKey]*series)} }
 
-// NewRegistrySized returns an empty registry with room for n series, for
-// scrapers that know how many the last scrape produced.
-func NewRegistrySized(n int) *Registry {
-	return &Registry{byKey: make(map[seriesKey]*series, n), order: make([]*series, 0, n)}
-}
-
-// lookup finds or creates a series of the given kind.
+// lookup finds or creates a series of the given kind, zeroing it when
+// this is its first lookup of the pass.
 func (r *Registry) lookup(name string, labels Labels, kind Kind) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.frozen != nil {
+		panic("obs: write to a registry snapshot")
+	}
 	key := seriesKey{name, labels}
-	if s, ok := r.byKey[key]; ok {
-		if s.kind != kind {
-			panic(fmt.Sprintf("obs: series %s%s registered as %s, requested as %s",
-				name, labels, s.kind, kind))
+	s, ok := r.byKey[key]
+	switch {
+	case !ok:
+		if r.shared {
+			r.byKey, r.shared = maps.Clone(r.byKey), false
 		}
+		s = &series{key: key, kind: kind, pos: len(r.order)}
+		if kind == KindHistogram {
+			s.hist = NewHistogram()
+		}
+		r.byKey[key] = s
+		r.order = append(r.order, s)
+	case s.kind != kind:
+		panic(fmt.Sprintf("obs: series %s%s registered as %s, requested as %s",
+			name, labels, s.kind, kind))
+	case s.pass == r.pass:
 		return s
-	}
-	s := &series{key: key, kind: kind}
-	switch kind {
-	case KindCounter:
-		s.counter = &Counter{}
-	case KindGauge:
-		s.gauge = &Gauge{}
 	default:
-		s.hist = NewHistogram()
+		s.val.Set(0)
+		if s.hist != nil {
+			s.hist.reset()
+		}
 	}
-	r.byKey[key] = s
-	r.order = append(r.order, s)
+	s.pass = r.pass
+	r.live++
 	return s
+}
+
+// Reset starts a new pass: every series turns invisible, keeping its
+// storage, until its first lookup of the pass zeroes it.
+func (r *Registry) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.frozen != nil {
+		panic("obs: reset of a registry snapshot")
+	}
+	r.pass++
+	r.live = 0
 }
 
 // Counter returns the named labeled counter, creating it at zero.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
-	return r.lookup(name, labels, KindCounter).counter
+	return &r.lookup(name, labels, KindCounter).val
 }
 
 // Gauge returns the named labeled gauge, creating it at zero.
 func (r *Registry) Gauge(name string, labels Labels) *Gauge {
-	return r.lookup(name, labels, KindGauge).gauge
+	return (*Gauge)(&r.lookup(name, labels, KindGauge).val)
 }
 
 // Histogram returns the named labeled histogram, creating it empty.
@@ -153,101 +199,150 @@ func (r *Registry) AddHistogram(name string, labels Labels, h *Histogram) {
 	r.Histogram(name, labels).merge(h)
 }
 
-// Len reports the number of series.
+// at reads series s as r sees it. pass changes only in Reset and
+// frozen never, so reads need no lock.
+func (r *Registry) at(s *series) sample {
+	switch {
+	case r.frozen != nil:
+		return r.frozen[s.pos]
+	case s.pass != r.pass:
+		return sample{}
+	case s.kind == KindHistogram:
+		return sample{live: true, hist: s.hist}
+	}
+	return sample{live: true, bits: s.val.Value()}
+}
+
+// each calls f for every visible series in creation order. order is
+// append-only, so the prefix read under the lock stays valid.
+func (r *Registry) each(f func(*series, sample)) {
+	r.mu.Lock()
+	order := r.order
+	r.mu.Unlock()
+	for _, s := range order {
+		if x := r.at(s); x.live {
+			f(s, x)
+		}
+	}
+}
+
+// find reads one series by key (a zero sample when absent or invisible).
+func (r *Registry) find(name string, labels Labels) (*series, sample) {
+	r.mu.Lock()
+	s := r.byKey[seriesKey{name, labels}]
+	r.mu.Unlock()
+	if s == nil {
+		return nil, sample{}
+	}
+	return s, r.at(s)
+}
+
+// Len reports the number of visible series.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.order)
+	return r.live
 }
 
 // CounterValue reads one labeled counter (0, false when absent).
 func (r *Registry) CounterValue(name string, labels Labels) (uint64, bool) {
-	r.mu.Lock()
-	s, ok := r.byKey[seriesKey{name, labels}]
-	r.mu.Unlock()
-	if !ok || s.kind != KindCounter {
+	s, x := r.find(name, labels)
+	if !x.live || s.kind != KindCounter {
 		return 0, false
 	}
-	return s.counter.Value(), true
+	return x.bits, true
 }
 
 // GaugeValue reads one labeled gauge (0, false when absent).
 func (r *Registry) GaugeValue(name string, labels Labels) (float64, bool) {
-	r.mu.Lock()
-	s, ok := r.byKey[seriesKey{name, labels}]
-	r.mu.Unlock()
-	if !ok || s.kind != KindGauge {
+	s, x := r.find(name, labels)
+	if !x.live || s.kind != KindGauge {
 		return 0, false
 	}
-	return s.gauge.Value(), true
+	return x.gauge(), true
 }
 
 // Total sums a counter name across every label set (per-host or
 // per-broker series folded into one fabric-wide figure).
 func (r *Registry) Total(name string) uint64 {
 	var sum uint64
-	for _, s := range r.all() {
+	r.each(func(s *series, x sample) {
 		if s.key.name == name && s.kind == KindCounter {
-			sum += s.counter.Value()
+			sum += x.bits
 		}
-	}
+	})
 	return sum
 }
 
-// all returns the series in registration order for read paths that only
-// sum or look up. order is append-only, so the prefix handed out here
-// stays valid after the lock is released.
-func (r *Registry) all() []*series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.order
-}
-
-// rendered pairs a series with its label string for the renders.
+// rendered pairs a series and its value with its label string for the
+// renders.
 type rendered struct {
-	*series
+	s      *series
+	x      sample
 	labels string
 }
 
-// sorted snapshots the series ordered by (name, rendered labels) — the
-// stable render order, independent of registration order. Each label
-// string is built once per sort, not once per comparison.
+// sorted lists the visible series ordered by (name, rendered labels) —
+// the stable render order, independent of registration order. Each
+// label string is built once per sort, not once per comparison.
 func (r *Registry) sorted() []rendered {
-	all := r.all()
-	out := make([]rendered, len(all))
-	for i, s := range all {
-		out[i] = rendered{s, s.key.labels.String()}
-	}
+	out := make([]rendered, 0, r.Len())
+	r.each(func(s *series, x sample) {
+		out = append(out, rendered{s, x, s.key.labels.String()})
+	})
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.name != out[j].key.name {
-			return out[i].key.name < out[j].key.name
+		if out[i].s.key.name != out[j].s.key.name {
+			return out[i].s.key.name < out[j].s.key.name
 		}
 		return out[i].labels < out[j].labels
 	})
 	return out
 }
 
-// Snapshot deep-copies the registry: later recording into r leaves the
-// snapshot untouched.
+// Snapshot returns an immutable copy of the visible series: later
+// recording into r, or a Reset, leaves it untouched, and writing to it
+// panics. It shares r's key index until r next creates a series, so it
+// costs one value copy per series and a few objects, not a registry.
 func (r *Registry) Snapshot() *Registry {
-	out := NewRegistry()
-	out.Merge(r)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.frozen != nil {
+		return r
+	}
+	r.shared = true
+	n := len(r.order)
+	out := &Registry{byKey: r.byKey, order: r.order[:n:n], live: r.live, frozen: make([]sample, n)}
+	hists := 0
+	for i, s := range r.order {
+		if out.frozen[i] = r.at(s); out.frozen[i].hist != nil {
+			hists++
+		}
+	}
+	if hists > 0 {
+		copies := make([]Histogram, hists)
+		for i := range out.frozen {
+			if x := &out.frozen[i]; x.hist != nil {
+				copies[0].histData = x.hist.data()
+				x.hist, copies = &copies[0], copies[1:]
+			}
+		}
+	}
 	return out
 }
 
 // Merge folds other into r: counters and gauges sum, histograms merge
 // bucket-wise, series absent from r are created.
 func (r *Registry) Merge(other *Registry) {
-	for _, s := range other.all() {
+	other.each(func(s *series, x sample) {
 		switch s.kind {
 		case KindCounter:
-			r.Counter(s.key.name, s.key.labels).Add(s.counter.Value())
+			r.Counter(s.key.name, s.key.labels).Add(x.bits)
 		case KindGauge:
-			r.Gauge(s.key.name, s.key.labels).Add(s.gauge.Value())
+			r.Gauge(s.key.name, s.key.labels).Add(x.gauge())
 		default:
-			r.Histogram(s.key.name, s.key.labels).merge(s.hist)
+			r.Histogram(s.key.name, s.key.labels).merge(x.hist)
 		}
-	}
+	})
 }
 
 // Delta returns a new registry holding r minus prev per series:
@@ -257,31 +352,36 @@ func (r *Registry) Merge(other *Registry) {
 // (instantaneous) value.
 func (r *Registry) Delta(prev *Registry) *Registry {
 	out := NewRegistry()
-	for _, s := range r.all() {
+	r.each(func(s *series, x sample) {
+		ps, p := prev.find(s.key.name, s.key.labels)
+		had := p.live && ps.kind == s.kind
 		switch s.kind {
 		case KindCounter:
-			cur := s.counter.Value()
-			if p, ok := prev.CounterValue(s.key.name, s.key.labels); ok && p < cur {
-				out.Counter(s.key.name, s.key.labels).Set(cur - p)
-			} else if !ok {
-				out.Counter(s.key.name, s.key.labels).Set(cur)
-			} else {
-				out.Counter(s.key.name, s.key.labels).Set(0)
+			d := x.bits
+			if had {
+				d = clampSub(x.bits, p.bits)
 			}
+			out.Counter(s.key.name, s.key.labels).Set(d)
 		case KindGauge:
-			out.Gauge(s.key.name, s.key.labels).Set(s.gauge.Value())
+			out.Gauge(s.key.name, s.key.labels).Set(x.gauge())
 		default:
-			prev.mu.Lock()
-			ps, ok := prev.byKey[seriesKey{s.key.name, s.key.labels}]
-			prev.mu.Unlock()
-			if ok && ps.kind == KindHistogram {
-				out.Histogram(s.key.name, s.key.labels).merge(s.hist.delta(ps.hist))
-			} else {
-				out.Histogram(s.key.name, s.key.labels).merge(s.hist)
+			var prev histData
+			if had {
+				prev = p.hist.data()
 			}
+			cur := x.hist.data()
+			out.Histogram(s.key.name, s.key.labels).merge(&Histogram{histData: cur.minus(&prev)})
 		}
-	}
+	})
 	return out
+}
+
+// clampSub is cur - prev, or zero when the source restarted below prev.
+func clampSub(cur, prev uint64) uint64 {
+	if prev < cur {
+		return cur - prev
+	}
+	return 0
 }
 
 // String renders one line per series, sorted by (name, labels):
@@ -290,15 +390,15 @@ func (r *Registry) Delta(prev *Registry) *Registry {
 //	lookup_ms{broker=rdv} count=40 p50=2.1 p95=3.9 p99=4 max=4.2
 func (r *Registry) String() string {
 	var b strings.Builder
-	for _, s := range r.sorted() {
-		fmt.Fprintf(&b, "%s%s ", s.key.name, s.labels)
-		switch s.kind {
+	for _, e := range r.sorted() {
+		fmt.Fprintf(&b, "%s%s ", e.s.key.name, e.labels)
+		switch e.s.kind {
 		case KindCounter:
-			fmt.Fprintf(&b, "%d", s.counter.Value())
+			fmt.Fprintf(&b, "%d", e.x.bits)
 		case KindGauge:
-			fmt.Fprintf(&b, "%g", s.gauge.Value())
+			fmt.Fprintf(&b, "%g", e.x.gauge())
 		default:
-			b.WriteString(s.hist.String())
+			b.WriteString(e.x.hist.String())
 		}
 		b.WriteByte('\n')
 	}
@@ -343,21 +443,21 @@ func labelMap(l Labels) map[string]string {
 func (r *Registry) MarshalJSON() ([]byte, error) {
 	rows := make([]seriesJSON, 0, r.Len())
 	f := func(v float64) *float64 { return &v }
-	for _, s := range r.sorted() {
-		row := seriesJSON{Name: s.key.name, Labels: labelMap(s.key.labels), Kind: s.kind.String()}
-		switch s.kind {
+	for _, e := range r.sorted() {
+		row := seriesJSON{Name: e.s.key.name, Labels: labelMap(e.s.key.labels), Kind: e.s.kind.String()}
+		switch h := e.x.hist; e.s.kind {
 		case KindCounter:
-			row.Value = f(float64(s.counter.Value()))
+			row.Value = f(float64(e.x.bits))
 		case KindGauge:
-			row.Value = f(s.gauge.Value())
+			row.Value = f(e.x.gauge())
 		default:
-			n := s.hist.Count()
+			n := h.Count()
 			row.Count = &n
-			row.Sum = f(s.hist.Sum())
-			row.P50 = f(s.hist.P50())
-			row.P95 = f(s.hist.P95())
-			row.P99 = f(s.hist.P99())
-			row.Max = f(s.hist.Max())
+			row.Sum = f(h.Sum())
+			row.P50 = f(h.P50())
+			row.P95 = f(h.P95())
+			row.P99 = f(h.P99())
+			row.Max = f(h.Max())
 		}
 		rows = append(rows, row)
 	}

@@ -137,37 +137,33 @@ func TestAddHistogramFolds(t *testing.T) {
 	}
 }
 
-// TestSinceRates covers RateView: per-second rates, the restart clamp,
-// and the zero-interval floor.
-func TestSinceRates(t *testing.T) {
+// TestDeltaRates covers per-second rates read off a Delta over an
+// interval: a counter's rate, a series absent from prev counting in
+// full, an absent series, and the restart clamp.
+func TestDeltaRates(t *testing.T) {
 	l := Labels{Broker: "b0"}
 	prev, cur := NewRegistry(), NewRegistry()
 	prev.Counter("pulses", l).Add(100)
 	cur.Counter("pulses", l).Add(150)
 	cur.Counter("joins", l).Add(10) // absent in prev: whole value is new
 
-	view := cur.Since(prev, 10*sim.Second)
-	if got := view.Rate("pulses", l); got != 5 {
-		t.Fatalf("Rate(pulses) = %g, want 5/s", got)
+	const seconds = 10
+	d := cur.Delta(prev)
+	if v, _ := d.CounterValue("pulses", l); float64(v)/seconds != 5 {
+		t.Fatalf("pulses rate = %g, want 5/s", float64(v)/seconds)
 	}
-	if got := view.RateTotal("joins"); got != 1 {
-		t.Fatalf("RateTotal(joins) = %g, want 1/s", got)
+	if got := float64(d.Total("joins")) / seconds; got != 1 {
+		t.Fatalf("joins rate = %g, want 1/s", got)
 	}
-	if got := view.Rate("missing", l); got != 0 {
-		t.Fatalf("Rate(missing) = %g, want 0", got)
+	if _, ok := d.CounterValue("missing", l); ok {
+		t.Fatal("Delta invented a series absent from both registries")
 	}
 
 	// Restart: current below previous clamps the delta (and rate) to 0.
 	reset := NewRegistry()
 	reset.Counter("pulses", l).Add(3)
-	if got := reset.Since(prev, sim.Second).Rate("pulses", l); got != 0 {
-		t.Fatalf("post-restart Rate = %g, want 0 (clamped)", got)
-	}
-
-	// Nil prev treats everything as new; zero interval floors at a
-	// nanosecond instead of dividing by zero.
-	if got := cur.Since(nil, 0).Rate("pulses", l); math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Fatalf("zero-interval rate = %g, want finite", got)
+	if v, _ := reset.Delta(prev).CounterValue("pulses", l); v != 0 {
+		t.Fatalf("post-restart delta = %d, want 0 (clamped)", v)
 	}
 }
 
@@ -267,6 +263,76 @@ func TestAlertEngineRateRule(t *testing.T) {
 	e.Eval(at(30), snap(1100)) // back to 0/s: resolves (nil trace is fine)
 	if e.IsFiring("drops") || e.Resolved("drops") != 1 {
 		t.Fatalf("rate rule did not resolve")
+	}
+	// A series absent at the previous Eval counts in full, as Delta does.
+	e.Eval(at(40), NewRegistry())
+	e.Eval(at(50), snap(1100))
+	if e.Value("drops") != 110 {
+		t.Fatalf("returning series scored %g/s, want 1100 over 10 s = 110", e.Value("drops"))
+	}
+}
+
+// TestAlertEngineRateOverHistogramsAndGauges scores rate rules over
+// histograms (bucket-wise delta, quantile and max) and gauges (summed
+// as they are, per second) against the values Delta yields, checks that
+// an Eval at the previous instant leaves rate rules alone, and that
+// scoring one standing registry at advancing instants allocates nothing.
+func TestAlertEngineRateOverHistogramsAndGauges(t *testing.T) {
+	e := NewAlertEngine(nil,
+		AlertRule{Name: "p50", Metric: "lat", Rate: true, Quantile: 0.5, Threshold: 1e9},
+		AlertRule{Name: "max", Metric: "lat", Rate: true, Threshold: 1e9},
+		AlertRule{Name: "load", Metric: "load", Rate: true, Threshold: 1},
+	)
+	at := func(s int) sim.Time { return sim.Time(0).Add(sim.Duration(s) * sim.Second) }
+	a, b := Labels{Host: "pc00"}, Labels{Host: "pc01"}
+	r := NewRegistry()
+	fill := func(lat []float64, load float64) *Registry {
+		r.Reset()
+		for _, v := range lat {
+			r.Histogram("lat", a).Observe(v)
+		}
+		r.Gauge("load", a).Set(load)
+		r.Gauge("load", b).Set(load)
+		return r.Snapshot()
+	}
+	prev := fill([]float64{1, 2, 3}, 4)
+	e.Eval(at(0), r)
+	if e.Value("p50") != 0 || e.Value("load") != 0 {
+		t.Fatalf("rate rules scored on the first Eval: p50 %g load %g", e.Value("p50"), e.Value("load"))
+	}
+
+	// The histogram restarts each pass here, so the delta against the
+	// previous pass clamps bucket-wise: only buckets that grew count.
+	cur := fill([]float64{1, 2, 3, 100, 200, 300}, 4)
+	e.Eval(at(2), r)
+	d := cur.Delta(prev)
+	if want := d.Histogram("lat", a).Quantile(0.5); e.Value("p50") != want || want == 0 {
+		t.Fatalf("p50 rate value = %g, want %g from Delta", e.Value("p50"), want)
+	}
+	if want := d.Histogram("lat", a).Max(); e.Value("max") != want {
+		t.Fatalf("max rate value = %g, want %g from Delta", e.Value("max"), want)
+	}
+	if e.Value("load") != 4 || !e.IsFiring("load") {
+		t.Fatalf("gauge rate value = %g firing %v, want (4+4)/2s = 4 and firing", e.Value("load"), e.IsFiring("load"))
+	}
+
+	// Same instant again, even over different values: rate rules keep
+	// their state, value and baseline.
+	fill(nil, 0)
+	e.Eval(at(2), r)
+	if e.Value("load") != 4 || !e.IsFiring("load") || e.Value("p50") == 0 {
+		t.Fatalf("same-instant Eval moved rate rules: load %g firing %v p50 %g", e.Value("load"), e.IsFiring("load"), e.Value("p50"))
+	}
+	// An unchanged histogram has an empty delta: extrema do not carry.
+	fill([]float64{1, 2, 3, 100, 200, 300}, 0)
+	e.Eval(at(3), r)
+	if e.Value("p50") != 0 || e.Value("max") != 0 || e.IsFiring("load") {
+		t.Fatalf("unchanged series: p50 %g max %g load firing %v, want 0, 0, resolved", e.Value("p50"), e.Value("max"), e.IsFiring("load"))
+	}
+
+	s := 3
+	if n := testing.AllocsPerRun(20, func() { s++; e.Eval(at(s), r) }); n != 0 {
+		t.Fatalf("Eval allocates %.1f times per call on a standing registry, want 0", n)
 	}
 }
 

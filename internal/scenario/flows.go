@@ -4,6 +4,7 @@
 package scenario
 
 import (
+	"wavnet/internal/core"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/sim"
@@ -95,38 +96,51 @@ func addFlowSeries(r *obs.Registry, l obs.Labels, bytes, frames uint64, drops *[
 	r.Counter("flow.frames", l).Add(frames)
 	for reason, n := range drops {
 		if n > 0 {
-			r.Counter("flow.drops."+obs.FlowDropReason(reason).String(), l).Add(n)
+			r.Counter(flowDropSeries[reason], l).Add(n)
 		}
 	}
 }
+
+// flowDropSeries names the per-reason flow drop counters.
+var flowDropSeries = obs.FlowDropNames("flow.drops.")
 
 // FlowScrape aggregates flow accounting fabric-wide into one labeled
 // registry: every joined host's live flow table plus the shared flow
 // log's closed records, each flow filed under {tenant, net, broker,
 // host} by its own VNI. The two sides are disjoint by construction —
 // eviction removes a flow from the table as its record enters the log
-// — so summing them counts each frame once per accounting host.
+// — so summing them counts each frame once per accounting host. Like
+// Scrape it overwrites a standing registry, walks the tables and the
+// log in place and returns an immutable snapshot.
 func (w *World) FlowScrape() *obs.Registry {
-	r := obs.NewRegistrySized(w.flowScrapeLen)
+	if w.flowReg == nil {
+		w.flowReg = obs.NewRegistry()
+	}
+	r := w.flowReg
+	r.Reset()
+	w.flowScrapeInto(r)
+	return r.Snapshot()
+}
+
+// flowScrapeInto adds the flow series to r.
+func (w *World) flowScrapeInto(r *obs.Registry) {
 	for _, m := range w.Machines {
 		if m.WAV == nil {
 			continue
 		}
-		snap := m.WAV.Flows().Snapshot()
-		r.Gauge("flow.active", obs.Labels{Host: m.Key, Broker: w.HomeBroker(m.Key)}).
-			Set(float64(len(snap)))
-		for i := range snap {
-			st := &snap[i]
+		active := 0
+		m.WAV.Flows().Each(func(st core.FlowStat) {
+			active++
 			addFlowSeries(r, w.flowLabels(m.Key, st.Key.VNI), st.Bytes, st.Frames, &st.Drops)
-		}
+		})
+		r.Gauge("flow.active", obs.Labels{Host: m.Key, Broker: w.HomeBroker(m.Key)}).
+			Set(float64(active))
 	}
-	for _, rec := range w.FlowLog.Records() {
+	w.FlowLog.Each(func(rec obs.FlowRecord) {
 		l := w.flowLabels(rec.Host, rec.VNI)
 		addFlowSeries(r, l, rec.Bytes, rec.Frames, &rec.Drops)
 		r.Counter("flow.closed_records", l).Inc()
-	}
-	w.flowScrapeLen = r.Len()
-	return r
+	})
 }
 
 // TopTalkers ranks the k heaviest flows of a network by byte weight,
@@ -150,19 +164,17 @@ func (w *World) TopTalkers(network string, k int) []obs.Talker {
 		if m.WAV == nil {
 			continue
 		}
-		for _, st := range m.WAV.Flows().Snapshot() {
-			if st.Key.VNI != vni {
-				continue
+		m.WAV.Flows().Each(func(st core.FlowStat) {
+			if st.Key.VNI == vni {
+				rec := st.Record(m.Key)
+				t.Offer(rec.Key(), rec.Bytes)
 			}
-			rec := st.Record(m.Key)
+		})
+	}
+	w.FlowLog.Each(func(rec obs.FlowRecord) {
+		if rec.VNI == vni {
 			t.Offer(rec.Key(), rec.Bytes)
 		}
-	}
-	for _, rec := range w.FlowLog.Records() {
-		if rec.VNI != vni {
-			continue
-		}
-		t.Offer(rec.Key(), rec.Bytes)
-	}
+	})
 	return t.Top()
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,31 @@ func TestChaosPartitionAlertFiresAndResolves(t *testing.T) {
 	if !w.Alerts.IsFiring(alert) {
 		t.Fatalf("alert not firing mid-partition (value=%v)", w.Alerts.Value(alert))
 	}
+	// The ticker has just scraped at this instant. Looking again, twice,
+	// changes nothing: the same snapshot, no rule moved, the alert still
+	// firing, since a zero-length interval carries no rate.
+	type ruleState struct {
+		value           float64
+		fired, resolved uint64
+		firing          bool
+	}
+	states := func() (out []ruleState) {
+		for _, r := range w.Alerts.Rules() {
+			out = append(out, ruleState{w.Alerts.Value(r.Name), w.Alerts.Fired(r.Name), w.Alerts.Resolved(r.Name), w.Alerts.IsFiring(r.Name)})
+		}
+		return out
+	}
+	once := w.Scrape()
+	before := states()
+	if twice := w.Scrape(); twice.String() != once.String() {
+		t.Fatalf("second scrape at one instant differs:\n%s\nfirst\n%s", twice, once)
+	}
+	if after := states(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("second scrape at one instant moved the alert rules: %+v, was %+v", after, before)
+	}
+	if !w.Alerts.IsFiring(alert) {
+		t.Fatalf("scraping again at the ticker's instant resolved the alert (value=%v)", w.Alerts.Value(alert))
+	}
 	if fails == 0 {
 		t.Fatal("partition did not starve the ping traffic")
 	}
@@ -169,10 +195,10 @@ func TestChaosPartitionAlertFiresAndResolves(t *testing.T) {
 }
 
 // TestRestartBrokerCounterDeltaSinceRate is the registry-level restart
-// regression: rates derived through Registry.Since across a broker
-// crash-restart must clamp at zero instead of wrapping uint64 into
-// astronomical values, asserted through the Since view the alert
-// engine's rate rules use.
+// regression: rates derived from the Delta of two world scrapes across
+// a broker crash-restart must clamp at zero instead of wrapping uint64
+// into astronomical values. It also pins that the first scrape's
+// snapshot survives the second scrape untouched.
 func TestRestartBrokerCounterDeltaSinceRate(t *testing.T) {
 	w, err := Build(73, EmulatedWANSpecs(2, 100e6), nil)
 	if err != nil {
@@ -202,14 +228,15 @@ func TestRestartBrokerCounterDeltaSinceRate(t *testing.T) {
 	w.Eng.RunFor(5 * time.Second)
 
 	cur := w.Scrape()
-	view := cur.Since(prev, w.Eng.Now().Sub(prevAt))
-	if v := view.Rate("pulses", bl); v != 0 {
-		t.Fatalf("pulses rate across restart = %v, want 0 (clamped)", v)
+	seconds := w.Eng.Now().Sub(prevAt).Seconds()
+	d := cur.Delta(prev)
+	if v, _ := d.CounterValue("pulses", bl); v != 0 {
+		t.Fatalf("pulses delta across restart = %d, want 0 (clamped)", v)
 	}
-	// Nothing in the whole view wrapped: a wrapped uint64 divided by the
+	// Nothing in the whole delta wrapped: a wrapped uint64 divided by the
 	// interval would still be astronomically large.
 	for _, name := range []string{"pulses", "joins", "lookups", "connects"} {
-		if v := view.RateTotal(name); v < 0 || v > 1e12 {
+		if v := float64(d.Total(name)) / seconds; v < 0 || v > 1e12 {
 			t.Fatalf("%s rate across restart = %v: wraparound", name, v)
 		}
 	}

@@ -140,10 +140,12 @@ type World struct {
 	FlowLog *obs.FlowLog
 
 	// Alerts is the world's rule-driven alerting engine: every Scrape
-	// feeds it the fresh snapshot, advancing each rule's pending →
-	// firing → resolved lifecycle and recording firing windows as
-	// "alert.<name>" spans on Obs. Built with DefaultAlertRules; add
-	// scenario-specific rules before traffic starts.
+	// evaluates it over the scraped series, advancing each rule's
+	// pending → firing → resolved lifecycle and recording firing windows
+	// as "alert.<name>" spans on Obs. A second Scrape at the same sim
+	// instant leaves rate rules as they were. Built with
+	// DefaultAlertRules; add scenario-specific rules before traffic
+	// starts.
 	Alerts *obs.AlertEngine
 
 	// HostCfg is the template config for WAVNet hosts the world creates
@@ -172,9 +174,9 @@ type World struct {
 	// VMs live on the VPC manager and are found through ResolveVM.
 	vms map[string]*vm.VM
 
-	// scrapeLen and flowScrapeLen are the series counts of the last
-	// Scrape and FlowScrape: the next one sizes its registry by them.
-	scrapeLen, flowScrapeLen int
+	// scrapeReg and flowReg are the standing registries Scrape and
+	// FlowScrape overwrite by pass, created on first use.
+	scrapeReg, flowReg *obs.Registry
 }
 
 // M returns a machine by key, panicking on unknown keys (scenario wiring
@@ -1013,15 +1015,35 @@ func (w *World) PhysicalPair(a, b *Machine) (*ipstack.Stack, *ipstack.Stack, err
 // under {host} (prefixed "vm."); and the VPC manager its managed VMs
 // and placement-scheduler counters. Series with identical name+labels
 // sum, so scraping is safe at any point of a scenario.
+//
+// The world keeps one registry and overwrites it per call, so a scrape
+// allocates nothing per series; the returned snapshot is immutable and
+// costs one value copy per series. Series a scrape no longer fills — a
+// relabelled host's old labels, a dead broker, a removed VM or service
+// — are absent from it.
 func (w *World) Scrape() *obs.Registry {
-	r := obs.NewRegistrySized(w.scrapeLen)
+	if w.scrapeReg == nil {
+		w.scrapeReg = obs.NewRegistry()
+	}
+	r := w.scrapeReg
+	r.Reset()
+	w.scrapeInto(r)
+	// Every scrape advances the alert rules, then the engine's own
+	// lifecycle counters ride along in the same snapshot.
+	w.Alerts.Eval(w.Eng.Now(), r)
+	w.Alerts.ScrapeInto(r)
+	return r.Snapshot()
+}
+
+// scrapeInto adds every subsystem's series to r.
+func (w *World) scrapeInto(r *obs.Registry) {
 	for _, m := range w.Machines {
 		if m.WAV == nil {
 			continue
 		}
 		l := w.machineLabels(m)
 		m.WAV.ScrapeInto(r, l)
-		r.Gauge("tunnels", l).Set(float64(len(m.WAV.Tunnels())))
+		r.Gauge("tunnels", l).Set(float64(m.WAV.TunnelCount()))
 		r.AddHistogram("batch_frames", l, m.WAV.BatchSizes())
 	}
 	for _, s := range w.Brokers {
@@ -1044,14 +1066,6 @@ func (w *World) Scrape() *obs.Registry {
 	r.Counter("net.no_route", obs.Labels{}).Set(w.Net.NoRoute)
 	r.Counter("net.queue_drops", obs.Labels{}).Set(w.Net.QueueDrops)
 	r.Counter("net.partition_drops", obs.Labels{}).Set(w.Net.PartitionDrops)
-	// Every scrape advances the alert rules: Eval retains the snapshot
-	// as the next rate baseline (each Scrape builds a fresh registry, so
-	// handing it over is safe), then the engine's own lifecycle counters
-	// ride along in the same snapshot.
-	w.Alerts.Eval(w.Eng.Now(), r)
-	w.Alerts.ScrapeInto(r)
-	w.scrapeLen = r.Len()
-	return r
 }
 
 // machineLabels builds the label set a machine's series are filed

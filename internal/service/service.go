@@ -142,6 +142,9 @@ type Service struct {
 	// missed, backends withdrawn and recovered, and moves of the active
 	// choice.
 	ProbesSent, ProbesFailed, Withdrawals, Recoveries, Failovers uint64
+	// series names the "service.<name>.*" counters of the five
+	// statistics above, in order.
+	series [5]string
 }
 
 // New builds a service instance. anchor is the host that announces VIP
@@ -159,6 +162,9 @@ func New(eng *sim.Engine, cfg Config, anchor *core.Host, prober *ipstack.Stack, 
 		members:  append([]*core.Host(nil), members...),
 		backends: append([]Backend(nil), backends...),
 		state:    make(map[string]*backendState, len(backends)),
+	}
+	for i, stat := range [...]string{"probes_sent", "probes_failed", "withdrawals", "recoveries", "failovers"} {
+		s.series[i] = "service." + cfg.Name + "." + stat
 	}
 	sort.Slice(s.backends, func(i, j int) bool { return s.backends[i].Name < s.backends[j].Name })
 	sort.Slice(s.members, func(i, j int) bool { return s.members[i].Name() < s.members[j].Name() })
@@ -269,12 +275,9 @@ func (s *Service) Active() (string, bool) {
 // ScrapeInto copies the probe loop's statistics into r under l as
 // "service.<name>.*" counters.
 func (s *Service) ScrapeInto(r *obs.Registry, l obs.Labels) {
-	prefix := "service." + s.cfg.Name + "."
-	r.Counter(prefix+"probes_sent", l).Add(s.ProbesSent)
-	r.Counter(prefix+"probes_failed", l).Add(s.ProbesFailed)
-	r.Counter(prefix+"withdrawals", l).Add(s.Withdrawals)
-	r.Counter(prefix+"recoveries", l).Add(s.Recoveries)
-	r.Counter(prefix+"failovers", l).Add(s.Failovers)
+	for i, v := range [...]uint64{s.ProbesSent, s.ProbesFailed, s.Withdrawals, s.Recoveries, s.Failovers} {
+		r.Counter(s.series[i], l).Add(v)
+	}
 }
 
 // record builds the rendezvous-layer VIP record for one backend.

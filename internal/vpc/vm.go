@@ -310,29 +310,14 @@ func (mg *Manager) reconcileVMs(p *sim.Proc, spec *TenantSpec, ts *tenantState, 
 // the placement scheduler's decision counters under a "placement."
 // prefix when the scheduler has run.
 func (mg *Manager) ScrapeInto(r *obs.Registry) {
-	tenants := make([]string, 0, len(mg.tenants))
-	for t := range mg.tenants {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		ts := mg.tenants[t]
-		names := make([]string, 0, len(ts.vms))
-		for name := range ts.vms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			rec := ts.vms[name]
+	// Map order is fine here: the series are counters, which sum exactly
+	// under one name+labels, and every render sorts.
+	for t, ts := range mg.tenants {
+		for _, rec := range ts.vms {
 			rec.vm.ScrapeInto(r, obs.Labels{Tenant: t, Net: rec.spec.Network, Host: rec.host})
 		}
-		svcNames := make([]string, 0, len(ts.services))
-		for name := range ts.services {
-			svcNames = append(svcNames, name)
-		}
-		sort.Strings(svcNames)
-		for _, name := range svcNames {
-			if rec := ts.services[name]; rec.svc != nil {
+		for _, rec := range ts.services {
+			if rec.svc != nil {
 				rec.svc.ScrapeInto(r, obs.Labels{Tenant: t, Net: rec.spec.Network})
 			}
 		}
