@@ -146,7 +146,7 @@ func BenchmarkAblationRelayVsDirect(b *testing.B) {
 				if tun.Relayed != wantRelayed {
 					b.Fatalf("tunnel relayed=%v, want %v", tun.Relayed, wantRelayed)
 				}
-				if _, err := apps.StartSink(hosts[1].Dom0(), 5001); err != nil {
+				if err := apps.StartSink(hosts[1].Dom0(), 5001); err != nil {
 					b.Fatal(err)
 				}
 				var res *apps.TTCPResult
@@ -229,7 +229,7 @@ func BenchmarkAblationDataBypass(b *testing.B) {
 		eng, hosts, _ := ablationWorld(b, 5*time.Second, 120*time.Second)
 		rdvHost := hosts[0].Phys().Network().HostByIP(netsim.MustParseIP("50.0.0.1"))
 		before := rdvHost.RecvPackets
-		if _, err := apps.StartSink(hosts[1].Dom0(), 5001); err != nil {
+		if err := apps.StartSink(hosts[1].Dom0(), 5001); err != nil {
 			b.Fatal(err)
 		}
 		var moved int64

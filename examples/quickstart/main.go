@@ -36,7 +36,7 @@ func main() {
 		fmt.Printf("virtual LAN ping %s -> %s: %v\n", a.Key, b.Key, rtt)
 
 		// A TCP transfer through the same tunnel.
-		if _, err := wavnet.StartSink(b.Dom0(), 5001); err != nil {
+		if err := wavnet.StartSink(b.Dom0(), 5001); err != nil {
 			log.Fatal(err)
 		}
 		res, err := wavnet.TTCP(p, a.Dom0(), wavnet.Addr{IP: b.VIP, Port: 5001}, 8<<20, 16384)

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/sim"
 )
@@ -22,7 +21,7 @@ import (
 // PingRun is an in-progress or completed ICMP probe series.
 type PingRun struct {
 	// RTTms holds one sample per answered echo (value in milliseconds).
-	RTTms *metrics.Series
+	RTTms *Series
 	// Losses records the send times of unanswered echos.
 	Losses []sim.Time
 	Sent   int
@@ -41,7 +40,7 @@ func (r *PingRun) LossRate() float64 {
 // interval for the given duration (0 = until the run's Stop flag is
 // set by the caller via the returned cancel func).
 func StartPinger(st *ipstack.Stack, dst netsim.IP, interval, duration sim.Duration) (*PingRun, func()) {
-	run := &PingRun{RTTms: metrics.NewSeries("ping-rtt-ms")}
+	run := &PingRun{RTTms: newSeries("ping-rtt-ms")}
 	stop := false
 	st.Engine().Spawn("pinger", func(p *sim.Proc) {
 		deadline := p.Now().Add(duration)
@@ -52,7 +51,7 @@ func StartPinger(st *ipstack.Stack, dst netsim.IP, interval, duration sim.Durati
 			if err != nil {
 				run.Losses = append(run.Losses, sentAt)
 			} else {
-				run.RTTms.Add(sentAt, metrics.MsFloat(rtt))
+				run.RTTms.Add(sentAt, msFloat(rtt))
 			}
 			// Keep the cadence even when the reply was fast.
 			if wait := interval - p.Now().Sub(sentAt); wait > 0 {
@@ -67,14 +66,12 @@ func StartPinger(st *ipstack.Stack, dst netsim.IP, interval, duration sim.Durati
 // ---- sink servers ----
 
 // StartSink starts a TCP sink on port that reads and discards
-// everything from every connection (the netperf/ttcp server side). The
-// returned counter accumulates received bytes.
-func StartSink(st *ipstack.Stack, port uint16) (*metrics.Counter, error) {
+// everything from every connection (the netperf/ttcp server side).
+func StartSink(st *ipstack.Stack, port uint16) error {
 	lis, err := st.Listen(port)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ctr := &metrics.Counter{}
 	st.Engine().Spawn("sink-accept", func(p *sim.Proc) {
 		for {
 			conn, err := lis.Accept(p)
@@ -84,16 +81,14 @@ func StartSink(st *ipstack.Stack, port uint16) (*metrics.Counter, error) {
 			st.Engine().Spawn("sink-conn", func(cp *sim.Proc) {
 				buf := make([]byte, 64<<10)
 				for {
-					n, err := conn.Read(cp, buf)
-					ctr.Inc(float64(n))
-					if err != nil {
+					if _, err := conn.Read(cp, buf); err != nil {
 						return
 					}
 				}
 			})
 		}
 	})
-	return ctr, nil
+	return nil
 }
 
 // ---- ttcp ----
@@ -105,6 +100,9 @@ type TTCPResult struct {
 	// KBps is the transfer rate in kilobytes/second, as ttcp reports.
 	KBps float64
 }
+
+// Mbps is the transfer rate in megabits per second.
+func (r *TTCPResult) Mbps() float64 { return rate(r.Bytes, r.Elapsed) }
 
 // TTCP performs a bulk transfer of total bytes from st to dst (which
 // must run a sink), writing in bufSize chunks — the paper uses 16384.
@@ -148,7 +146,7 @@ func TTCP(p *sim.Proc, st *ipstack.Stack, dst netsim.Addr, total int64, bufSize 
 // every 500 ms during migration experiments).
 type NetperfRun struct {
 	// IntervalMbps holds one receiver-side throughput sample per interval.
-	IntervalMbps *metrics.Series
+	IntervalMbps *Series
 	TotalBytes   int64
 	Elapsed      sim.Duration
 	Done         bool
@@ -156,17 +154,12 @@ type NetperfRun struct {
 }
 
 // Mbps is the mean receiver-side throughput over the full run.
-func (r *NetperfRun) Mbps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return metrics.Rate(r.TotalBytes, r.Elapsed)
-}
+func (r *NetperfRun) Mbps() float64 { return rate(r.TotalBytes, r.Elapsed) }
 
 // StartNetperf launches a TCP_STREAM from src to a fresh sink on dst
 // port, streaming for duration with the given report interval.
 func StartNetperf(src, dst *ipstack.Stack, port uint16, duration, interval sim.Duration) (*NetperfRun, error) {
-	run := &NetperfRun{IntervalMbps: metrics.NewSeries("netperf-mbps")}
+	run := &NetperfRun{IntervalMbps: newSeries("netperf-mbps")}
 	lis, err := dst.Listen(port)
 	if err != nil {
 		return nil, err
@@ -188,7 +181,7 @@ func StartNetperf(src, dst *ipstack.Stack, port uint16, duration, interval sim.D
 			for !stop {
 				rp.Sleep(interval)
 				cur := rxBytes
-				run.IntervalMbps.Add(rp.Now(), metrics.Rate(cur-last, interval))
+				run.IntervalMbps.Add(rp.Now(), rate(cur-last, interval))
 				last = cur
 			}
 		})
@@ -332,12 +325,12 @@ type ABResult struct {
 	Requests int
 	Failures int
 	Elapsed  sim.Duration
-	ConnMs   metrics.Summary // per-request TCP connect time (ms)
-	TotalMs  metrics.Summary // per-request completion time (ms)
+	ConnMs   Summary // per-request TCP connect time (ms)
+	TotalMs  Summary // per-request completion time (ms)
 	Bytes    int64
 	// ThroughputSeries samples completed requests/second per interval
 	// (used by Figure 10's timeline).
-	ThroughputSeries *metrics.Series
+	ThroughputSeries *Series
 	Done             bool
 }
 
@@ -354,7 +347,7 @@ func (r *ABResult) ReqPerSec() float64 {
 // parameter sets the throughput sampling period (0 = no series).
 func StartAB(client *ipstack.Stack, server netsim.Addr, size, concurrency int,
 	duration, interval sim.Duration) *ABResult {
-	res := &ABResult{ThroughputSeries: metrics.NewSeries("ab-req-per-sec")}
+	res := &ABResult{ThroughputSeries: newSeries("ab-req-per-sec")}
 	eng := client.Engine()
 	var connMs, totalMs []float64
 	start := eng.Now()
@@ -378,8 +371,8 @@ func StartAB(client *ipstack.Stack, server netsim.Addr, size, concurrency int,
 				live--
 				if live == 0 {
 					res.Elapsed = p.Now().Sub(start)
-					res.ConnMs = metrics.Summarize(connMs)
-					res.TotalMs = metrics.Summarize(totalMs)
+					res.ConnMs = Summarize(connMs)
+					res.TotalMs = Summarize(totalMs)
 					res.Done = true
 				}
 			}()
@@ -391,7 +384,7 @@ func StartAB(client *ipstack.Stack, server netsim.Addr, size, concurrency int,
 					res.Failures++
 					continue
 				}
-				connMs = append(connMs, metrics.MsFloat(p.Now().Sub(t0)))
+				connMs = append(connMs, msFloat(p.Now().Sub(t0)))
 				if _, err := conn.Write(p, req); err != nil {
 					res.Failures++
 					conn.Close()
@@ -422,7 +415,7 @@ func StartAB(client *ipstack.Stack, server netsim.Addr, size, concurrency int,
 				res.Requests++
 				windowCount++
 				res.Bytes += int64(got)
-				totalMs = append(totalMs, metrics.MsFloat(p.Now().Sub(t0)))
+				totalMs = append(totalMs, msFloat(p.Now().Sub(t0)))
 			}
 		})
 	}

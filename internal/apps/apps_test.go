@@ -53,7 +53,7 @@ func TestPingerCountsLosses(t *testing.T) {
 
 func TestTTCP(t *testing.T) {
 	eng, a, b := pipeWorld(3, 10e6, 5*time.Millisecond)
-	if _, err := StartSink(b, 5001); err != nil {
+	if err := StartSink(b, 5001); err != nil {
 		t.Fatal(err)
 	}
 	var res *TTCPResult

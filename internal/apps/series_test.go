@@ -1,4 +1,4 @@
-package metrics
+package apps
 
 import (
 	"math"
@@ -13,8 +13,8 @@ func TestSummarize(t *testing.T) {
 	if s.Count != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
 		t.Fatalf("summary %+v", s)
 	}
-	if math.Abs(s.Stddev-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("stddev %v", s.Stddev)
+	if even := Summarize([]float64{4, 1, 3, 2}); even.P50 != 2.5 {
+		t.Fatalf("even-count median %v, want 2.5", even.P50)
 	}
 	if z := Summarize(nil); z.Count != 0 {
 		t.Fatal("empty summary should be zero")
@@ -44,7 +44,7 @@ func TestPropertySummaryBounds(t *testing.T) {
 }
 
 func TestSeriesBetween(t *testing.T) {
-	s := NewSeries("x")
+	s := newSeries("x")
 	for i := 0; i < 10; i++ {
 		s.Add(sim.Time(i)*sim.Time(sim.Second), float64(i))
 	}
@@ -58,22 +58,16 @@ func TestSeriesBetween(t *testing.T) {
 }
 
 func TestRateAndMs(t *testing.T) {
-	if r := Rate(1250000, sim.Second); r != 10 {
+	if r := rate(1250000, sim.Second); r != 10 {
 		t.Fatalf("rate %v, want 10 Mbps", r)
 	}
-	if Rate(100, 0) != 0 {
+	if rate(100, 0) != 0 {
 		t.Fatal("rate with zero duration")
 	}
-	if MsFloat(1500000) != 1.5 {
-		t.Fatal("MsFloat")
+	if msFloat(1500000) != 1.5 {
+		t.Fatal("msFloat")
 	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc(100)
-	c.Inc(50)
-	if c.N != 2 || c.Total != 150 {
-		t.Fatalf("counter %+v", c)
+	if r := (&TTCPResult{Bytes: 1250000, Elapsed: sim.Second}).Mbps(); r != 10 {
+		t.Fatalf("TTCPResult.Mbps %v, want 10", r)
 	}
 }

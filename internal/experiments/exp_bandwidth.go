@@ -38,75 +38,59 @@ func (r *Figure6Result) String() string {
 // paths (quick mode scales sizes by 1/8).
 func Figure6(o Options) (*Figure6Result, error) {
 	o = o.withDefaults()
-	w, err := scenario.Build(o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides())
-	if err != nil {
-		return nil, err
-	}
-	if err := w.WAVNetUp("HKU1", "SIAT"); err != nil {
-		return nil, err
-	}
-	if err := w.IPOPUp("HKU1", "SIAT"); err != nil {
-		return nil, err
-	}
-	hku, siat := w.M("HKU1"), w.M("SIAT")
-	pa, pb, err := w.PhysicalPair(hku, siat)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := apps.StartSink(pb, 5001); err != nil {
-		return nil, err
-	}
-	if _, err := apps.StartSink(siat.Dom0(), 5001); err != nil {
-		return nil, err
-	}
-	if _, err := apps.StartSink(siat.IPOP.Dom0(), 5001); err != nil {
-		return nil, err
-	}
+	return withWorld(o, o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(w *scenario.World) (*Figure6Result, error) {
+		if err := w.WAVNetUp("HKU1", "SIAT"); err != nil {
+			return nil, err
+		}
+		if err := w.IPOPUp("HKU1", "SIAT"); err != nil {
+			return nil, err
+		}
+		hku, siat := w.M("HKU1"), w.M("SIAT")
+		pa, pb, err := w.PhysicalPair(hku, siat)
+		if err != nil {
+			return nil, err
+		}
+		for _, sink := range []*ipstack.Stack{pb, siat.Dom0(), siat.IPOP.Dom0()} {
+			if err := apps.StartSink(sink, 5001); err != nil {
+				return nil, err
+			}
+		}
 
-	res := &Figure6Result{}
-	for _, sizeMB := range []int{64, 128, 256} {
-		bytes := o.scaledBytes(int64(sizeMB)<<20/8, int64(sizeMB)<<20)
-		row := Figure6Row{SizeMB: sizeMB}
 		runs := []struct {
 			name string
-			run  func() (float64, error)
+			src  *ipstack.Stack
+			dst  netsim.IP
 		}{
-			{"physical", func() (float64, error) { return ttcpOnce(w, pa, netsim.Addr{IP: pb.IP(), Port: 5001}, bytes) }},
-			{"wavnet", func() (float64, error) {
-				return ttcpOnce(w, hku.Dom0(), netsim.Addr{IP: siat.VIP, Port: 5001}, bytes)
-			}},
-			{"ipop", func() (float64, error) {
-				return ttcpOnce(w, hku.IPOP.Dom0(), netsim.Addr{IP: siat.IPOPVIP, Port: 5001}, bytes)
-			}},
+			{"physical", pa, pb.IP()},
+			{"wavnet", hku.Dom0(), siat.VIP},
+			{"ipop", hku.IPOP.Dom0(), siat.IPOPVIP},
 		}
-		vals := make([]float64, 3)
-		for i, r := range runs {
-			v, err := r.run()
-			if err != nil {
-				return nil, fmt.Errorf("figure6 %s %dMB: %w", r.name, sizeMB, err)
+		res := &Figure6Result{}
+		for _, sizeMB := range []int{64, 128, 256} {
+			bytes := scaled(o, int64(sizeMB)<<20/8, int64(sizeMB)<<20)
+			var vals [3]float64
+			for i, r := range runs {
+				v, err := ttcpOnce(w, r.src, netsim.Addr{IP: r.dst, Port: 5001}, bytes)
+				if err != nil {
+					return nil, fmt.Errorf("figure6 %s %dMB: %w", r.name, sizeMB, err)
+				}
+				vals[i] = v
 			}
-			vals[i] = v
+			res.Rows = append(res.Rows, Figure6Row{SizeMB: sizeMB, Physical: vals[0], WAVNet: vals[1], IPOP: vals[2]})
 		}
-		row.Physical, row.WAVNet, row.IPOP = vals[0], vals[1], vals[2]
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		return res, nil
+	})
 }
 
 func ttcpOnce(w *scenario.World, src *ipstack.Stack, dst netsim.Addr, bytes int64) (float64, error) {
 	var rate float64
 	var err error
-	done := false
-	w.Eng.Spawn("ttcp", func(p *sim.Proc) {
+	if !w.RunProc("ttcp", 60*time.Minute, 60*time.Minute, func(p *sim.Proc) {
 		var r *apps.TTCPResult
-		r, err = apps.TTCP(p, src, dst, bytes, 16384)
-		if r != nil {
+		if r, err = apps.TTCP(p, src, dst, bytes, 16384); r != nil {
 			rate = r.KBps
 		}
-		done = true
-	})
-	w.Eng.RunFor(60 * time.Minute)
-	if !done {
+	}) {
 		return 0, fmt.Errorf("ttcp did not finish")
 	}
 	return rate, err
@@ -140,48 +124,36 @@ func (r *Figure7Result) String() string {
 // TCP_STREAM on each path.
 func Figure7(o Options) (*Figure7Result, error) {
 	o = o.withDefaults()
-	duration := o.scaled(15*time.Second, 360*time.Second)
+	duration := scaled(o, 15*time.Second, 360*time.Second)
 	res := &Figure7Result{}
 	for _, wan := range []float64{6.25e6, 12.5e6, 25e6, 50e6, 100e6} {
-		w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(2, wan), nil)
+		row, err := withWorld(o, o.Seed, scenario.EmulatedWANSpecs(2, wan), nil, func(w *scenario.World) (*Figure7Row, error) {
+			if err := w.WAVNetUp(); err != nil {
+				return nil, err
+			}
+			if err := w.IPOPUp(); err != nil {
+				return nil, err
+			}
+			a, b := w.Machines[0], w.Machines[1]
+			pa, pb, err := w.PhysicalPair(a, b)
+			if err != nil {
+				return nil, err
+			}
+			runs, err := netperfPaths(w, 5001, duration, 2*time.Minute,
+				[][2]*ipstack.Stack{{pa, pb}, {a.Dom0(), b.Dom0()}, {a.IPOP.Dom0(), b.IPOP.Dom0()}})
+			if err != nil {
+				return nil, err
+			}
+			phys, wav, ipp := runs[0], runs[1], runs[2]
+			if phys.Err != nil || wav.Err != nil || ipp.Err != nil {
+				return nil, fmt.Errorf("figure7 %g: %v %v %v", wan, phys.Err, wav.Err, ipp.Err)
+			}
+			return &Figure7Row{WANMbps: wan / 1e6, Physical: phys.Mbps(), WAVNet: wav.Mbps(), IPOP: ipp.Mbps()}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := w.WAVNetUp(); err != nil {
-			return nil, err
-		}
-		if err := w.IPOPUp(); err != nil {
-			return nil, err
-		}
-		a, b := w.Machines[0], w.Machines[1]
-		pa, pb, err := w.PhysicalPair(a, b)
-		if err != nil {
-			return nil, err
-		}
-		// The paper measures each path in a separate netperf run; running
-		// the three flows concurrently would make them contend for the
-		// same shaped WAN link and skew every number.
-		row := Figure7Row{WANMbps: wan / 1e6}
-		phys, err := apps.StartNetperf(pa, pb, 5001, duration, duration)
-		if err != nil {
-			return nil, err
-		}
-		w.Eng.RunFor(duration + 2*time.Minute)
-		wav, err := apps.StartNetperf(a.Dom0(), b.Dom0(), 5002, duration, duration)
-		if err != nil {
-			return nil, err
-		}
-		w.Eng.RunFor(duration + 2*time.Minute)
-		ipp, err := apps.StartNetperf(a.IPOP.Dom0(), b.IPOP.Dom0(), 5003, duration, duration)
-		if err != nil {
-			return nil, err
-		}
-		w.Eng.RunFor(duration + 2*time.Minute)
-		if phys.Err != nil || wav.Err != nil || ipp.Err != nil {
-			return nil, fmt.Errorf("figure7 %g: %v %v %v", wan, phys.Err, wav.Err, ipp.Err)
-		}
-		row.Physical, row.WAVNet, row.IPOP = phys.Mbps(), wav.Mbps(), ipp.Mbps()
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, *row)
 	}
 	return res, nil
 }
@@ -210,6 +182,23 @@ func (r *Figure8Result) String() string {
 	return t.String()
 }
 
+// netperfPaths runs one netperf TCP_STREAM per path, one after another
+// on ports base, base+1, ..., each given duration plus slack to drain:
+// the paper measures each path in a separate run, since concurrent flows
+// would contend for the same shaped WAN link and skew every number.
+func netperfPaths(w *scenario.World, base uint16, duration, slack sim.Duration, paths [][2]*ipstack.Stack) ([]*apps.NetperfRun, error) {
+	runs := make([]*apps.NetperfRun, len(paths))
+	for i, path := range paths {
+		np, err := apps.StartNetperf(path[0], path[1], base+uint16(i), duration, duration)
+		if err != nil {
+			return nil, err
+		}
+		w.Eng.RunFor(duration + slack)
+		runs[i] = np
+	}
+	return runs, nil
+}
+
 // Figure8 builds clusters of 8..64 hosts with a full WAVNet mesh (5 s
 // CONNECT_PULSE keepalives on every tunnel), then measures sequential
 // netperf runs from one probe node to a sample of peers.
@@ -219,64 +208,54 @@ func Figure8(o Options) (*Figure8Result, error) {
 	if o.Quick {
 		sizes = []int{8, 16, 32, 64}
 	}
-	duration := o.scaled(3*time.Second, 10*time.Second)
+	duration := scaled(o, 3*time.Second, 10*time.Second)
 	res := &Figure8Result{}
 	for _, n := range sizes {
-		w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(n, 100e6), nil)
+		row, err := withWorld(o, o.Seed, scenario.EmulatedWANSpecs(n, 100e6), nil, func(w *scenario.World) (*Figure8Row, error) {
+			if err := w.WAVNetUp(); err != nil {
+				return nil, err
+			}
+			if err := w.IPOPUp(); err != nil {
+				return nil, err
+			}
+			probe := w.Machines[0]
+			// Sample peers to keep runtime bounded: every peer for small
+			// clusters, eight spread peers for big ones.
+			peers := w.Machines[1:]
+			if len(peers) > 8 {
+				step := len(peers) / 8
+				var sampled []*scenario.Machine
+				for i := 0; i < len(peers); i += step {
+					sampled = append(sampled, peers[i])
+				}
+				peers = sampled[:8]
+			}
+			var physSum, wavSum, ipopSum float64
+			for pi, peer := range peers {
+				pa, pb, err := w.PhysicalPair(probe, peer)
+				if err != nil {
+					return nil, err
+				}
+				runs, err := netperfPaths(w, uint16(6000+pi*4), duration, 20*time.Second,
+					[][2]*ipstack.Stack{{pa, pb}, {probe.Dom0(), peer.Dom0()}, {probe.IPOP.Dom0(), peer.IPOP.Dom0()}})
+				if err != nil {
+					return nil, err
+				}
+				phys, wav, ipp := runs[0], runs[1], runs[2]
+				if phys.Err != nil || wav.Err != nil || ipp.Err != nil {
+					return nil, fmt.Errorf("figure8 n=%d peer %s: %v %v %v", n, peer.Key, phys.Err, wav.Err, ipp.Err)
+				}
+				physSum += phys.Mbps()
+				wavSum += wav.Mbps()
+				ipopSum += ipp.Mbps()
+			}
+			k := float64(len(peers))
+			return &Figure8Row{Nodes: n, Physical: physSum / k, WAVNet: wavSum / k, IPOP: ipopSum / k}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := w.WAVNetUp(); err != nil {
-			return nil, err
-		}
-		if err := w.IPOPUp(); err != nil {
-			return nil, err
-		}
-		probe := w.Machines[0]
-		// Sample peers to keep runtime bounded: every peer for small
-		// clusters, eight spread peers for big ones.
-		peers := w.Machines[1:]
-		if len(peers) > 8 {
-			step := len(peers) / 8
-			var sampled []*scenario.Machine
-			for i := 0; i < len(peers); i += step {
-				sampled = append(sampled, peers[i])
-			}
-			peers = sampled[:8]
-		}
-		var physSum, wavSum, ipopSum float64
-		for pi, peer := range peers {
-			pa, pb, err := w.PhysicalPair(probe, peer)
-			if err != nil {
-				return nil, err
-			}
-			port := uint16(6000 + pi*4)
-			phys, err := apps.StartNetperf(pa, pb, port, duration, duration)
-			if err != nil {
-				return nil, err
-			}
-			w.Eng.RunFor(duration + 20*time.Second)
-			wav, err := apps.StartNetperf(probe.Dom0(), peer.Dom0(), port+1, duration, duration)
-			if err != nil {
-				return nil, err
-			}
-			w.Eng.RunFor(duration + 20*time.Second)
-			ipp, err := apps.StartNetperf(probe.IPOP.Dom0(), peer.IPOP.Dom0(), port+2, duration, duration)
-			if err != nil {
-				return nil, err
-			}
-			w.Eng.RunFor(duration + 20*time.Second)
-			if phys.Err != nil || wav.Err != nil || ipp.Err != nil {
-				return nil, fmt.Errorf("figure8 n=%d peer %s: %v %v %v", n, peer.Key, phys.Err, wav.Err, ipp.Err)
-			}
-			physSum += phys.Mbps()
-			wavSum += wav.Mbps()
-			ipopSum += ipp.Mbps()
-		}
-		k := float64(len(peers))
-		res.Rows = append(res.Rows, Figure8Row{
-			Nodes: n, Physical: physSum / k, WAVNet: wavSum / k, IPOP: ipopSum / k,
-		})
+		res.Rows = append(res.Rows, *row)
 	}
 	return res, nil
 }

@@ -54,12 +54,6 @@ func (r *FailoverResult) String() string {
 			"Re-home mean (s)", "Re-home max (s)", "TTL (s)",
 			"Baseline conn", "Post-failover conn", "Cleanup", "Stray"},
 	}
-	frac := func(ok, n int) string {
-		if n == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%d/%d", ok, n)
-	}
 	for _, row := range r.Rows {
 		t.addRow(
 			fmt.Sprintf("%d", row.Brokers),
@@ -95,15 +89,13 @@ func Failover(o Options) (*FailoverResult, error) {
 	if !o.Quick {
 		points = append(points, point{2, 20 * sim.Second}, point{2, 45 * sim.Second})
 	}
-	res := &FailoverResult{}
-	for _, pt := range points {
-		row, err := FailoverOnce(o, pt.brokers, pt.killAt)
-		if err != nil {
-			return nil, fmt.Errorf("failover %d brokers, kill at %v: %w", pt.brokers, pt.killAt, err)
-		}
-		res.Rows = append(res.Rows, *row)
+	rows, err := sweep(points, func(_ int, pt point) (*FailoverRow, error) {
+		return FailoverOnce(o, pt.brokers, pt.killAt)
+	}, func(pt point) string { return fmt.Sprintf("failover %d brokers, kill at %v", pt.brokers, pt.killAt) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &FailoverResult{Rows: rows}, nil
 }
 
 // FailoverOnce measures one (broker count, kill offset) point.
@@ -114,159 +106,138 @@ func FailoverOnce(o Options, brokers int, killAt sim.Duration) (*FailoverRow, er
 	}
 	hostsPer := 2
 	total := brokers * hostsPer
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(total, 100e6), nil)
-	if err != nil {
-		return nil, err
-	}
-	// Short keepalives keep the measured episode tractable; the ratios
-	// (detection at 3 pulses, TTL at 60 s) match the defaults.
-	w.HostCfg = core.Config{
-		RendezvousPulsePeriod: 5 * sim.Second,
-		BrokerTimeout:         15 * sim.Second,
-	}
-	bcfg := rendezvous.Config{SessionTTL: 60 * sim.Second}
-	names := make([]string, brokers)
-	servers := make([]*rendezvous.Server, brokers)
-	for i := range names {
-		names[i] = fmt.Sprintf("b%d", i)
-		s, err := w.AddBroker(names[i], bcfg)
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(total, 100e6), nil, func(w *scenario.World) (*FailoverRow, error) {
+		// Short keepalives keep the measured episode tractable; the ratios
+		// (detection at 3 pulses, TTL at 60 s) match the defaults.
+		w.HostCfg = core.Config{
+			RendezvousPulsePeriod: 5 * sim.Second,
+			BrokerTimeout:         15 * sim.Second,
+		}
+		bcfg := rendezvous.Config{SessionTTL: 60 * sim.Second}
+		members := pcs(total)
+		bs, err := addBrokers(w, brokers, bcfg, bcfg, members)
 		if err != nil {
 			return nil, err
 		}
-		servers[i] = s
-	}
-	witness, err := w.AddBroker("witness", bcfg)
-	if err != nil {
-		return nil, err
-	}
-	key := func(i int) string { return fmt.Sprintf("pc%02d", i) }
-	home := func(i int) int { return i % brokers }
-	members := make([]string, total)
-	for i := range members {
-		members[i] = key(i)
-		if err := w.SetHome(key(i), names[home(i)]); err != nil {
+		home := func(i int) int { return i % brokers }
+		spec := vpc.TenantSpec{
+			Tenant: "fo",
+			Networks: []vpc.NetworkSpec{{
+				Name: "fonet", CIDR: "10.90.0.0/24", StaticAddressing: true,
+				Members: members, Brokers: bs.names,
+			}},
+		}
+		if _, err := w.ApplySync(spec); err != nil {
 			return nil, err
 		}
-	}
-	spec := vpc.TenantSpec{
-		Tenant: "fo",
-		Networks: []vpc.NetworkSpec{{
-			Name: "fonet", CIDR: "10.90.0.0/24", StaticAddressing: true,
-			Members: members, Brokers: names,
-		}},
-	}
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	row := &FailoverRow{Brokers: brokers, KillAt: killAt, TTL: bcfg.SessionTTL}
+		row := &FailoverRow{Brokers: brokers, KillAt: killAt, TTL: bcfg.SessionTTL}
 
-	// connectSweep tears down and re-brokers every pair pick() admits.
-	connectSweep := func(name string, pick func(i, j int) bool) (ok, n int) {
-		done := false
-		w.Eng.Spawn(name, func(p *sim.Proc) {
-			defer func() { done = true }()
-			for i := 0; i < total; i++ {
-				for j := i + 1; j < total; j++ {
-					if !pick(i, j) {
-						continue
+		// connectSweep tears down and re-brokers every pair pick() admits.
+		connectSweep := func(name string, pick func(i, j int) bool) (ok, n int, err error) {
+			if !w.RunProc(name, 5*sim.Second, time.Hour, func(p *sim.Proc) {
+				for i := 0; i < total; i++ {
+					for j := i + 1; j < total; j++ {
+						if !pick(i, j) {
+							continue
+						}
+						a, b := w.M(pc(i)).WAV, w.M(pc(j)).WAV
+						a.Disconnect(pc(j))
+						b.Disconnect(pc(i))
+						n++
+						if _, err := a.ConnectTo(p, pc(j)); err == nil {
+							ok++
+						}
 					}
-					a, b := w.M(key(i)).WAV, w.M(key(j)).WAV
-					a.Disconnect(key(j))
-					b.Disconnect(key(i))
-					n++
-					if _, err := a.ConnectTo(p, key(j)); err == nil {
-						ok++
+				}
+			}) {
+				return 0, 0, fmt.Errorf("%s connect sweep still pending", name)
+			}
+			return ok, n, nil
+		}
+
+		// Baseline: same-broker pairs, before any fault.
+		if row.BaseOK, row.BaseN, err = connectSweep("baseline", func(i, j int) bool {
+			return home(i) == home(j)
+		}); err != nil {
+			return nil, err
+		}
+
+		// The fault: kill broker 0 at the configured offset; watch every
+		// affected host for its session appearing on a survivor.
+		w.Scrape() // alert rate baseline before the fault
+		fi := w.Inject(scenario.KillBrokerAt(killAt, bs.names[0]))
+		killTime := w.Eng.Now().Add(killAt)
+		affected := make([]string, 0, hostsPer)
+		for i := 0; i < total; i++ {
+			if home(i) == 0 {
+				affected = append(affected, pc(i))
+			}
+		}
+		row.Affected = len(affected)
+		rehomedAt := make(map[string]sim.Time, len(affected))
+		probe := sim.NewTicker(w.Eng, 50*time.Millisecond, func() {
+			for _, k := range affected {
+				if _, seen := rehomedAt[k]; seen {
+					continue
+				}
+				for _, s := range bs.servers[1:] {
+					if s.HasSession(k) {
+						rehomedAt[k] = w.Eng.Now()
+						break
 					}
 				}
 			}
 		})
-		for !done {
-			w.Eng.RunFor(5 * sim.Second)
+		budget := killAt + row.TTL + 30*sim.Second
+		for spent := sim.Duration(0); len(rehomedAt) < len(affected) && spent < budget; spent += sim.Second {
+			w.Eng.RunFor(sim.Second)
+			// The scrape cadence drives the alert engine: the window holding
+			// the re-home wave rates rehomes > 0 and fires broker-rehome.
+			w.Scrape()
 		}
-		return ok, n
-	}
-
-	// Baseline: same-broker pairs, before any fault.
-	row.BaseOK, row.BaseN = connectSweep("baseline", func(i, j int) bool {
-		return home(i) == home(j)
-	})
-
-	// The fault: kill broker 0 at the configured offset; watch every
-	// affected host for its session appearing on a survivor.
-	w.Scrape() // alert rate baseline before the fault
-	fi := w.Inject(scenario.KillBrokerAt(killAt, names[0]))
-	killTime := w.Eng.Now().Add(killAt)
-	affected := make([]string, 0, hostsPer)
-	for i := 0; i < total; i++ {
-		if home(i) == 0 {
-			affected = append(affected, key(i))
+		probe.Stop()
+		if w.Alerts.Fired("broker-rehome") == 0 {
+			return nil, fmt.Errorf("broker-rehome alert never fired across the re-home wave")
 		}
-	}
-	row.Affected = len(affected)
-	rehomedAt := make(map[string]sim.Time, len(affected))
-	probe := sim.NewTicker(w.Eng, 50*time.Millisecond, func() {
+		if fails := fi.Failures(); len(fails) != 0 {
+			return nil, fmt.Errorf("fault schedule: %v", fails)
+		}
+		var sum sim.Duration
 		for _, k := range affected {
-			if _, seen := rehomedAt[k]; seen {
+			at, ok := rehomedAt[k]
+			if !ok {
 				continue
 			}
-			for _, s := range servers[1:] {
-				if s.HasSession(k) {
-					rehomedAt[k] = w.Eng.Now()
-					break
-				}
+			row.Rehomed++
+			d := at.Sub(killTime)
+			sum += d
+			if d > row.Rehome {
+				row.Rehome = d
 			}
 		}
-	})
-	budget := killAt + row.TTL + 30*sim.Second
-	for spent := sim.Duration(0); len(rehomedAt) < len(affected) && spent < budget; spent += sim.Second {
+		if row.Rehomed > 0 {
+			row.RehomeMean = sum / sim.Duration(row.Rehomed)
+		}
+
+		// Post-failover: every pair re-brokers through the survivors.
+		if row.PostOK, row.PostN, err = connectSweep("post", func(i, j int) bool { return true }); err != nil {
+			return nil, err
+		}
+
+		for _, s := range bs.servers[1:] {
+			row.Cleanup += s.ReplicaAdoptions + s.DeadBrokerReplicaDrops + s.ReplicaExpiries
+		}
+		row.Stray = bs.witness.RecordsFor("fonet")
+		// One quiet window after the wave: the rehome rate falls back to
+		// zero and the alert must resolve, closing its span.
 		w.Eng.RunFor(sim.Second)
-		// The scrape cadence drives the alert engine: the window holding
-		// the re-home wave rates rehomes > 0 and fires broker-rehome.
 		w.Scrape()
-	}
-	probe.Stop()
-	if w.Alerts.Fired("broker-rehome") == 0 {
-		return nil, fmt.Errorf("broker-rehome alert never fired across the re-home wave")
-	}
-	if fails := fi.Failures(); len(fails) != 0 {
-		return nil, fmt.Errorf("fault schedule: %v", fails)
-	}
-	var sum sim.Duration
-	for _, k := range affected {
-		at, ok := rehomedAt[k]
-		if !ok {
-			continue
+		if w.Alerts.IsFiring("broker-rehome") {
+			return nil, fmt.Errorf("broker-rehome alert still firing after the wave settled")
 		}
-		row.Rehomed++
-		d := at.Sub(killTime)
-		sum += d
-		if d > row.Rehome {
-			row.Rehome = d
+		if w.Alerts.Resolved("broker-rehome") == 0 {
+			return nil, fmt.Errorf("broker-rehome alert never resolved")
 		}
-	}
-	if row.Rehomed > 0 {
-		row.RehomeMean = sum / sim.Duration(row.Rehomed)
-	}
-
-	// Post-failover: every pair re-brokers through the survivors.
-	row.PostOK, row.PostN = connectSweep("post", func(i, j int) bool { return true })
-
-	for _, s := range servers[1:] {
-		row.Cleanup += s.ReplicaAdoptions + s.DeadBrokerReplicaDrops + s.ReplicaExpiries
-	}
-	row.Stray = witness.RecordsFor("fonet")
-	// One quiet window after the wave: the rehome rate falls back to
-	// zero and the alert must resolve, closing its span.
-	w.Eng.RunFor(sim.Second)
-	w.Scrape()
-	if w.Alerts.IsFiring("broker-rehome") {
-		return nil, fmt.Errorf("broker-rehome alert still firing after the wave settled")
-	}
-	if w.Alerts.Resolved("broker-rehome") == 0 {
-		return nil, fmt.Errorf("broker-rehome alert never resolved")
-	}
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
+		return row, nil
+	})
 }

@@ -55,12 +55,6 @@ func (r *FederationResult) String() string {
 			"Same-broker conn", "Same (ms)", "Cross-broker conn", "Cross (ms)",
 			"Visibility (ms)", "Replications", "Forwards", "Stray"},
 	}
-	frac := func(ok, n int) string {
-		if n == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%d/%d", ok, n)
-	}
 	for _, row := range r.Rows {
 		t.addRow(
 			fmt.Sprintf("%d", row.Brokers),
@@ -97,15 +91,13 @@ func Federation(o Options) (*FederationResult, error) {
 	if !o.Quick {
 		points = []point{{1, 0}, {2, 0}, {3, 0}, {2, 1 * sim.Second}, {2, 5 * sim.Second}}
 	}
-	res := &FederationResult{}
-	for _, pt := range points {
-		row, err := FederationOnce(o, pt.brokers, pt.lag)
-		if err != nil {
-			return nil, fmt.Errorf("federation %d brokers, lag %v: %w", pt.brokers, pt.lag, err)
-		}
-		res.Rows = append(res.Rows, *row)
+	rows, err := sweep(points, func(_ int, pt point) (*FederationRow, error) {
+		return FederationOnce(o, pt.brokers, pt.lag)
+	}, func(pt point) string { return fmt.Sprintf("federation %d brokers, lag %v", pt.brokers, pt.lag) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &FederationResult{Rows: rows}, nil
 }
 
 // FederationOnce measures one (broker count, replication lag) point.
@@ -114,171 +106,145 @@ func FederationOnce(o Options, brokers int, lag sim.Duration) (*FederationRow, e
 	hostsPer := 2
 	total := brokers * hostsPer
 	// One spare machine for the visibility probe.
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(total+1, 100e6), nil)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, brokers)
-	servers := make([]*rendezvous.Server, brokers)
-	for i := range names {
-		names[i] = fmt.Sprintf("b%d", i)
-		s, err := w.AddBroker(names[i], rendezvous.Config{ReplicateInterval: lag})
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(total+1, 100e6), nil, func(w *scenario.World) (*FederationRow, error) {
+		members := pcs(total)
+		// The witness keeps the default config: no replication lag.
+		bs, err := addBrokers(w, brokers, rendezvous.Config{ReplicateInterval: lag}, rendezvous.Config{}, members)
 		if err != nil {
 			return nil, err
 		}
-		servers[i] = s
-	}
-	witness, err := w.AddBroker("witness", rendezvous.Config{})
-	if err != nil {
-		return nil, err
-	}
-	key := func(i int) string { return fmt.Sprintf("pc%02d", i) }
-	home := func(i int) int { return i % brokers }
-	members := make([]string, total)
-	for i := range members {
-		members[i] = key(i)
-		if err := w.SetHome(key(i), names[home(i)]); err != nil {
+		home := func(i int) int { return i % brokers }
+		spare := pc(total)
+		if err := w.SetHome(spare, bs.names[brokers-1]); err != nil {
 			return nil, err
 		}
-	}
-	spare := key(total)
-	if err := w.SetHome(spare, names[brokers-1]); err != nil {
-		return nil, err
-	}
 
-	spec := vpc.TenantSpec{
-		Tenant: "fed",
-		Networks: []vpc.NetworkSpec{{
-			Name: "fednet", CIDR: "10.60.0.0/24", StaticAddressing: true,
-			Members: members, Brokers: names,
-		}},
-	}
-	start := w.Eng.Now()
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	row := &FederationRow{Brokers: brokers, ReplLag: lag, Setup: w.Eng.Now().Sub(start)}
-
-	// Lookup sweep: every host resolves every co-tenant by name.
-	var lookupSum sim.Duration
-	done := false
-	var sweepErr error
-	w.Eng.Spawn("lookup-sweep", func(p *sim.Proc) {
-		defer func() { done = true }()
-		for i := 0; i < total; i++ {
-			h := w.M(key(i)).WAV
-			for j := 0; j < total; j++ {
-				if i == j {
-					continue
-				}
-				t0 := w.Eng.Now()
-				recs, err := h.Lookup(p, key(j))
-				if err != nil {
-					sweepErr = err
-					return
-				}
-				row.LookupN++
-				if len(recs) > 0 {
-					row.LookupOK++
-					lookupSum += w.Eng.Now().Sub(t0)
-				}
-			}
+		spec := vpc.TenantSpec{
+			Tenant: "fed",
+			Networks: []vpc.NetworkSpec{{
+				Name: "fednet", CIDR: "10.60.0.0/24", StaticAddressing: true,
+				Members: members, Brokers: bs.names,
+			}},
 		}
-	})
-	for !done {
-		w.Eng.RunFor(time.Second)
-	}
-	if sweepErr != nil {
-		return nil, fmt.Errorf("lookup sweep: %w", sweepErr)
-	}
-	if row.LookupOK > 0 {
-		row.LookupRTT = lookupSum / sim.Duration(row.LookupOK)
-	}
-
-	// Connect sweep: tear each pair's tunnel down and re-broker it,
-	// classifying by same- vs cross-broker homing. The forward count is
-	// the brokers' total, read around the phase.
-	fwdOut := func() (n uint64) {
-		for _, s := range servers {
-			n += s.FwdConnectsOut
+		start := w.Eng.Now()
+		if _, err := w.ApplySync(spec); err != nil {
+			return nil, err
 		}
-		return n
-	}
-	before := fwdOut()
-	var sameSum, crossSum sim.Duration
-	done = false
-	w.Eng.Spawn("connect-sweep", func(p *sim.Proc) {
-		defer func() { done = true }()
-		for i := 0; i < total; i++ {
-			for j := i + 1; j < total; j++ {
-				a, b := w.M(key(i)).WAV, w.M(key(j)).WAV
-				a.Disconnect(key(j))
-				b.Disconnect(key(i))
-				cross := home(i) != home(j)
-				t0 := w.Eng.Now()
-				_, err := a.ConnectTo(p, key(j))
-				d := w.Eng.Now().Sub(t0)
-				if cross {
-					row.CrossN++
-					if err == nil {
-						row.CrossOK++
-						crossSum += d
+		row := &FederationRow{Brokers: brokers, ReplLag: lag, Setup: w.Eng.Now().Sub(start)}
+
+		// Lookup sweep: every host resolves every co-tenant by name.
+		var lookupSum sim.Duration
+		var sweepErr error
+		done := w.RunProc("lookup-sweep", time.Second, time.Hour, func(p *sim.Proc) {
+			for i := 0; i < total; i++ {
+				h := w.M(pc(i)).WAV
+				for j := 0; j < total; j++ {
+					if i == j {
+						continue
 					}
-				} else {
-					row.SameN++
-					if err == nil {
-						row.SameOK++
-						sameSum += d
+					t0 := w.Eng.Now()
+					recs, err := h.Lookup(p, pc(j))
+					if err != nil {
+						sweepErr = err
+						return
+					}
+					row.LookupN++
+					if len(recs) > 0 {
+						row.LookupOK++
+						lookupSum += w.Eng.Now().Sub(t0)
 					}
 				}
-			}
-		}
-	})
-	for !done {
-		w.Eng.RunFor(5 * time.Second)
-	}
-	if row.SameOK > 0 {
-		row.SameLat = sameSum / sim.Duration(row.SameOK)
-	}
-	if row.CrossOK > 0 {
-		row.CrossLat = crossSum / sim.Duration(row.CrossOK)
-	}
-	row.Forwards = fwdOut() - before
-
-	// Visibility probe: admit the spare member on the last broker and
-	// watch for its session at home and its replica on broker 0.
-	if brokers > 1 {
-		var homed, replicated sim.Time
-		baseline := servers[brokers-1].RecordsFor("fednet")
-		probe := sim.NewTicker(w.Eng, 20*time.Millisecond, func() {
-			now := w.Eng.Now()
-			if homed == 0 && servers[brokers-1].RecordsFor("fednet") > baseline {
-				homed = now
-			}
-			if replicated == 0 && servers[0].HasReplica(spare) {
-				replicated = now
 			}
 		})
-		grow := spec
-		grow.Networks = append([]vpc.NetworkSpec(nil), spec.Networks...)
-		grow.Networks[0].Members = append(append([]string(nil), members...), spare)
-		if _, err := w.ApplySync(grow); err != nil {
-			return nil, fmt.Errorf("visibility probe apply: %w", err)
+		if sweepErr != nil {
+			return nil, fmt.Errorf("lookup sweep: %w", sweepErr)
 		}
-		w.Eng.RunFor(lag + 5*time.Second)
-		probe.Stop()
-		if homed == 0 || replicated == 0 {
-			return nil, fmt.Errorf("visibility probe never converged (homed=%v replicated=%v)", homed, replicated)
+		if !done {
+			return nil, fmt.Errorf("lookup sweep still pending")
 		}
-		row.Visibility = replicated.Sub(homed)
-	}
+		if row.LookupOK > 0 {
+			row.LookupRTT = lookupSum / sim.Duration(row.LookupOK)
+		}
 
-	for _, s := range servers {
-		row.Replications += s.ReplicationsOut
-	}
-	row.Stray = witness.RecordsFor("fednet")
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
+		// Connect sweep: tear each pair's tunnel down and re-broker it,
+		// classifying by same- vs cross-broker homing. The forward count is
+		// the brokers' total, read around the phase.
+		fwdOut := func() (n uint64) {
+			for _, s := range bs.servers {
+				n += s.FwdConnectsOut
+			}
+			return n
+		}
+		before := fwdOut()
+		var sameSum, crossSum sim.Duration
+		if !w.RunProc("connect-sweep", 5*time.Second, time.Hour, func(p *sim.Proc) {
+			for i := 0; i < total; i++ {
+				for j := i + 1; j < total; j++ {
+					a, b := w.M(pc(i)).WAV, w.M(pc(j)).WAV
+					a.Disconnect(pc(j))
+					b.Disconnect(pc(i))
+					cross := home(i) != home(j)
+					t0 := w.Eng.Now()
+					_, err := a.ConnectTo(p, pc(j))
+					d := w.Eng.Now().Sub(t0)
+					if cross {
+						row.CrossN++
+						if err == nil {
+							row.CrossOK++
+							crossSum += d
+						}
+					} else {
+						row.SameN++
+						if err == nil {
+							row.SameOK++
+							sameSum += d
+						}
+					}
+				}
+			}
+		}) {
+			return nil, fmt.Errorf("connect sweep still pending")
+		}
+		if row.SameOK > 0 {
+			row.SameLat = sameSum / sim.Duration(row.SameOK)
+		}
+		if row.CrossOK > 0 {
+			row.CrossLat = crossSum / sim.Duration(row.CrossOK)
+		}
+		row.Forwards = fwdOut() - before
+
+		// Visibility probe: admit the spare member on the last broker and
+		// watch for its session at home and its replica on broker 0.
+		if brokers > 1 {
+			var homed, replicated sim.Time
+			baseline := bs.servers[brokers-1].RecordsFor("fednet")
+			probe := sim.NewTicker(w.Eng, 20*time.Millisecond, func() {
+				now := w.Eng.Now()
+				if homed == 0 && bs.servers[brokers-1].RecordsFor("fednet") > baseline {
+					homed = now
+				}
+				if replicated == 0 && bs.servers[0].HasReplica(spare) {
+					replicated = now
+				}
+			})
+			grow := spec
+			grow.Networks = append([]vpc.NetworkSpec(nil), spec.Networks...)
+			grow.Networks[0].Members = append(append([]string(nil), members...), spare)
+			if _, err := w.ApplySync(grow); err != nil {
+				return nil, fmt.Errorf("visibility probe apply: %w", err)
+			}
+			w.Eng.RunFor(lag + 5*time.Second)
+			probe.Stop()
+			if homed == 0 || replicated == 0 {
+				return nil, fmt.Errorf("visibility probe never converged (homed=%v replicated=%v)", homed, replicated)
+			}
+			row.Visibility = replicated.Sub(homed)
+		}
+
+		for _, s := range bs.servers {
+			row.Replications += s.ReplicationsOut
+		}
+		row.Stray = bs.witness.RecordsFor("fednet")
+		return row, nil
+	})
 }

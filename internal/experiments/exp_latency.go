@@ -18,17 +18,16 @@ func (r *TableIResult) String() string { return r.tbl.String() }
 // verifies it builds.
 func TableI(o Options) (*TableIResult, error) {
 	o = o.withDefaults()
-	if _, err := scenario.Build(o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides()); err != nil {
-		return nil, err
-	}
-	res := &TableIResult{tbl: table{
-		title:  "Table I — host configuration in the (simulated) real WAN environment",
-		header: []string{"Site", "RTT to HKU (ms)", "Access (Mbps)", "NAT"},
-	}}
-	for _, sp := range scenario.RealWANSpecs() {
-		res.tbl.addRow(sp.Key, ms(sp.RTTToHub), mbps(sp.AccessBps/1e6), sp.NAT.String())
-	}
-	return res, nil
+	return withWorld(o, o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(*scenario.World) (*TableIResult, error) {
+		res := &TableIResult{tbl: table{
+			title:  "Table I — host configuration in the (simulated) real WAN environment",
+			header: []string{"Site", "RTT to HKU (ms)", "Access (Mbps)", "NAT"},
+		}}
+		for _, sp := range scenario.RealWANSpecs() {
+			res.tbl.addRow(sp.Key, ms(sp.RTTToHub), mbps(sp.AccessBps/1e6), sp.NAT.String())
+		}
+		return res, nil
+	})
 }
 
 // TableIIRow is one site pair's latency measurement.
@@ -60,50 +59,44 @@ func (r *TableIIResult) String() string {
 // IPOP overlay for the paper's three site pairs.
 func TableII(o Options) (*TableIIResult, error) {
 	o = o.withDefaults()
-	w, err := scenario.Build(o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides())
-	if err != nil {
-		return nil, err
-	}
-	keys := []string{"HKU1", "SIAT", "PU"}
-	if err := w.WAVNetUp(keys...); err != nil {
-		return nil, err
-	}
-	if err := w.IPOPUp(keys...); err != nil {
-		return nil, err
-	}
-	pairs := [][2]string{{"HKU1", "SIAT"}, {"HKU1", "PU"}, {"SIAT", "PU"}}
-	duration := o.scaled(30*time.Second, 10*time.Minute)
-	interval := time.Second
-
-	res := &TableIIResult{}
-	for _, pair := range pairs {
-		a, b := w.M(pair[0]), w.M(pair[1])
-		pa, pb, err := w.PhysicalPair(a, b)
-		if err != nil {
+	return withWorld(o, o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(w *scenario.World) (*TableIIResult, error) {
+		keys := []string{"HKU1", "SIAT", "PU"}
+		if err := w.WAVNetUp(keys...); err != nil {
 			return nil, err
 		}
-		_ = pb
-		// Warm every path's ARP before measuring.
-		warm := func(run func(p *sim.Proc)) {
-			w.Eng.Spawn("warm", func(p *sim.Proc) { run(p) })
-			w.Eng.RunFor(5 * time.Second)
+		if err := w.IPOPUp(keys...); err != nil {
+			return nil, err
 		}
-		warm(func(p *sim.Proc) { pa.Ping(p, pb.IP(), 56, 2*time.Second) })
-		warm(func(p *sim.Proc) { a.Dom0().Ping(p, b.VIP, 56, 2*time.Second) })
-		warm(func(p *sim.Proc) { a.IPOP.Dom0().Ping(p, b.IPOPVIP, 56, 2*time.Second) })
+		pairs := [][2]string{{"HKU1", "SIAT"}, {"HKU1", "PU"}, {"SIAT", "PU"}}
+		duration := scaled(o, 30*time.Second, 10*time.Minute)
+		interval := time.Second
 
-		phys, _ := apps.StartPinger(pa, pb.IP(), interval, duration)
-		wav, _ := apps.StartPinger(a.Dom0(), b.VIP, interval, duration)
-		ipp, _ := apps.StartPinger(a.IPOP.Dom0(), b.IPOPVIP, interval, duration)
-		w.Eng.RunFor(duration + 5*time.Second)
-		row := TableIIRow{
-			Pair:     fmt.Sprintf("%s-%s", pair[0], pair[1]),
-			Physical: sim.Duration(phys.RTTms.Summary().Mean * 1e6),
-			WAVNet:   sim.Duration(wav.RTTms.Summary().Mean * 1e6),
-			IPOP:     sim.Duration(ipp.RTTms.Summary().Mean * 1e6),
-			LossPct:  100 * (phys.LossRate() + wav.LossRate() + ipp.LossRate()),
+		res := &TableIIResult{}
+		for _, pair := range pairs {
+			a, b := w.M(pair[0]), w.M(pair[1])
+			pa, pb, err := w.PhysicalPair(a, b)
+			if err != nil {
+				return nil, err
+			}
+			// Warm every path's ARP before measuring.
+			warm := func(run func(p *sim.Proc)) { w.RunProc("warm", 5*time.Second, 5*time.Second, run) }
+			warm(func(p *sim.Proc) { pa.Ping(p, pb.IP(), 56, 2*time.Second) })
+			warm(func(p *sim.Proc) { a.Dom0().Ping(p, b.VIP, 56, 2*time.Second) })
+			warm(func(p *sim.Proc) { a.IPOP.Dom0().Ping(p, b.IPOPVIP, 56, 2*time.Second) })
+
+			phys, _ := apps.StartPinger(pa, pb.IP(), interval, duration)
+			wav, _ := apps.StartPinger(a.Dom0(), b.VIP, interval, duration)
+			ipp, _ := apps.StartPinger(a.IPOP.Dom0(), b.IPOPVIP, interval, duration)
+			w.Eng.RunFor(duration + 5*time.Second)
+			row := TableIIRow{
+				Pair:     fmt.Sprintf("%s-%s", pair[0], pair[1]),
+				Physical: sim.Duration(phys.RTTms.Summary().Mean * 1e6),
+				WAVNet:   sim.Duration(wav.RTTms.Summary().Mean * 1e6),
+				IPOP:     sim.Duration(ipp.RTTms.Summary().Mean * 1e6),
+				LossPct:  100 * (phys.LossRate() + wav.LossRate() + ipp.LossRate()),
+			}
+			res.Rows = append(res.Rows, row)
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		return res, nil
+	})
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 	"time"
 
 	"wavnet/internal/grouping"
@@ -60,19 +60,11 @@ func Figure12(o Options) (*Figure12Result, error) {
 		}
 	})
 	// Percentiles over the sorted pair latencies.
-	sortDurations(all)
+	slices.Sort(all)
 	for _, p := range []int{10, 50, 90, 99} {
 		res.Percentile[p] = all[len(all)*p/100]
 	}
 	return res, nil
-}
-
-func sortDurations(ds []sim.Duration) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
 }
 
 // Figure13Row is one cluster-size point of the grouping-quality curve.
@@ -172,12 +164,4 @@ func planetlabPool(seed int64, pool int) ([]scenario.Spec, map[[2]string]sim.Dur
 		}
 	}
 	return specs, overrides, rtts
-}
-
-func localityGroup(rtts [][]sim.Duration, k int) ([]int, error) {
-	return grouping.LocalitySensitive(rtts, k)
-}
-
-func randomGroup(rtts [][]sim.Duration, k int, seed int64) ([]int, error) {
-	return grouping.Random(rtts, k, rand.New(rand.NewSource(seed)))
 }

@@ -6,7 +6,6 @@ import (
 
 	"wavnet/internal/apps"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
@@ -16,7 +15,7 @@ import (
 // Figure9Series is one network's bandwidth timeline during migration.
 type Figure9Series struct {
 	Name          string
-	Interval      *metrics.Series // receiver Mbps every 500 ms
+	Interval      *apps.Series // receiver Mbps every 500 ms
 	MigrationTime sim.Duration
 	Downtime      sim.Duration
 	StalledAfter  bool // the IPOP symptom: stream dead after migration
@@ -53,114 +52,97 @@ func Figure9(o Options) (*Figure9Result, error) {
 	if o.Quick {
 		memMB = 64
 	}
-	streamFor := o.scaled(60*time.Second, 340*time.Second)
+	streamFor := scaled(o, 60*time.Second, 340*time.Second)
 	res := &Figure9Result{}
-
-	type hostPort = vm.HostPort
-	run := func(name string, w *scenario.World, vmHost, dstHost hostPort, observer *netsimStackPair) error {
-		v := vm.New(vmHost, "vm-"+name, netsim.MustParseIP("10.77.0.9"), vm.Config{MemoryMB: memMB})
-		dur := streamFor
-		if name == "ipop" {
-			w.IPOPNet.RegisterIP(v.IP(), w.Machines[0].IPOP)
-			// IPOP's migration itself crawls at the overlay's capped
-			// throughput; keep streaming long enough to observe the
-			// post-migration behaviour.
-			dur = streamFor * 8
-		}
-		np, err := apps.StartNetperf(observer.stack, v.Stack(), 5001, dur, 500*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		var rep *vm.MigrationReport
-		var migErr error
-		w.Eng.Spawn("migrate", func(p *sim.Proc) {
-			p.Sleep(o.scaled(10*time.Second, 40*time.Second))
-			rep, migErr = v.Migrate(p, dstHost)
-		})
-		w.Eng.RunFor(dur + 10*time.Minute)
-		if migErr != nil {
-			return fmt.Errorf("figure9 %s migrate: %w", name, migErr)
-		}
-		s := Figure9Series{Name: name, Interval: np.IntervalMbps, MeanMbps: np.Mbps()}
-		if rep != nil {
-			s.MigrationTime = rep.Total()
-			s.Downtime = rep.Downtime
-			// When the stream never finishes (the IPOP stall), report the
-			// pre-migration mean instead of zero.
-			if s.MeanMbps == 0 {
-				if pre := np.IntervalMbps.Between(0, rep.Start); pre.Len() > 0 {
-					s.MeanMbps = pre.Summary().Mean
+	// The VM migrates from machine 0 to machine 1 while machine 2 streams
+	// to it.
+	variants := []struct {
+		name   string
+		seed   int64
+		wanBps float64
+	}{
+		// LAN: the paper's LAN row is native bridged Ethernet at 100 Mbps;
+		// direct physical stacks would not carry a VM, so it is modelled
+		// with WAVNet over an unshaped LAN-latency fabric, which measures
+		// within a few percent of native at 100 Mbps.
+		{"lan", o.Seed, 95e6},
+		// WAVNet over the shaped emulated WAN.
+		{"wavnet", o.Seed + 1, 100e6},
+		// IPOP baseline.
+		{"ipop", o.Seed + 2, 100e6},
+	}
+	for _, vr := range variants {
+		name := vr.name
+		s, err := withWorld(o, vr.seed, scenario.EmulatedWANSpecs(3, vr.wanBps), nil, func(w *scenario.World) (*Figure9Series, error) {
+			m := w.Machines
+			var vmHost, dstHost vm.HostPort
+			var observer *ipstack.Stack
+			dur := streamFor
+			if name == "ipop" {
+				if err := w.IPOPUp(); err != nil {
+					return nil, err
+				}
+				vmHost, dstHost, observer = m[0].IPOP, m[1].IPOP, m[2].IPOP.Dom0()
+				// IPOP's migration itself crawls at the overlay's capped
+				// throughput; keep streaming long enough to observe the
+				// post-migration behaviour.
+				dur = streamFor * 8
+			} else {
+				if err := w.WAVNetUp(); err != nil {
+					return nil, err
+				}
+				vmHost, dstHost, observer = m[0].WAV, m[1].WAV, m[2].Dom0()
+			}
+			v := vm.New(vmHost, "vm-"+name, netsim.MustParseIP("10.77.0.9"), vm.Config{MemoryMB: memMB})
+			if name == "ipop" {
+				w.IPOPNet.RegisterIP(v.IP(), m[0].IPOP)
+			}
+			np, err := apps.StartNetperf(observer, v.Stack(), 5001, dur, 500*time.Millisecond)
+			if err != nil {
+				return nil, err
+			}
+			var rep *vm.MigrationReport
+			var migErr error
+			w.Eng.Spawn("migrate", func(p *sim.Proc) {
+				p.Sleep(scaled(o, 10*time.Second, 40*time.Second))
+				rep, migErr = v.Migrate(p, dstHost)
+			})
+			w.Eng.RunFor(dur + 10*time.Minute)
+			if migErr != nil {
+				return nil, fmt.Errorf("figure9 %s migrate: %w", name, migErr)
+			}
+			s := &Figure9Series{Name: name, Interval: np.IntervalMbps, MeanMbps: np.Mbps()}
+			if rep != nil {
+				s.MigrationTime = rep.Total()
+				s.Downtime = rep.Downtime
+				// When the stream never finishes (the IPOP stall), report the
+				// pre-migration mean instead of zero.
+				if s.MeanMbps == 0 {
+					if pre := np.IntervalMbps.Between(0, rep.Start); pre.Len() > 0 {
+						s.MeanMbps = pre.Summary().Mean
+					}
 				}
 			}
-		}
-		// Stalled if the last quarter of intervals carried (almost) no
-		// traffic.
-		samples := np.IntervalMbps.Samples
-		if len(samples) >= 8 {
-			tail := samples[len(samples)*3/4:]
-			var sum float64
-			for _, smp := range tail {
-				sum += smp.Value
+			// Stalled if the last quarter of intervals carried (almost) no
+			// traffic.
+			samples := np.IntervalMbps.Samples
+			if len(samples) >= 8 {
+				tail := samples[len(samples)*3/4:]
+				var sum float64
+				for _, smp := range tail {
+					sum += smp.Value
+				}
+				s.StalledAfter = sum/float64(len(tail)) < 0.5
 			}
-			s.StalledAfter = sum/float64(len(tail)) < 0.5
-		}
-		res.Series = append(res.Series, s)
-		return nil
-	}
-
-	// LAN: three machines on one unshaped gigabit... the paper's LAN is
-	// 100 Mbps Ethernet; use 100 Mbps access, sub-ms RTT, WAVNet used
-	// purely as the bridge fabric (its overhead at LAN scale is small).
-	{
-		w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(3, 95e6), nil)
+			return s, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		// LAN variant: direct physical stacks would not carry a VM; the
-		// paper's LAN row is native bridged Ethernet. We model it with
-		// WAVNet over an unshaped LAN-latency fabric, which measures
-		// within a few percent of native at 100 Mbps.
-		if err := w.WAVNetUp(); err != nil {
-			return nil, err
-		}
-		if err := run("lan", w, w.Machines[0].WAV, w.Machines[1].WAV,
-			&netsimStackPair{stack: w.Machines[2].Dom0()}); err != nil {
-			return nil, err
-		}
-	}
-	// WAVNet over the shaped emulated WAN.
-	{
-		w, err := scenario.Build(o.Seed+1, scenario.EmulatedWANSpecs(3, 100e6), nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.WAVNetUp(); err != nil {
-			return nil, err
-		}
-		if err := run("wavnet", w, w.Machines[0].WAV, w.Machines[1].WAV,
-			&netsimStackPair{stack: w.Machines[2].Dom0()}); err != nil {
-			return nil, err
-		}
-	}
-	// IPOP baseline.
-	{
-		w, err := scenario.Build(o.Seed+2, scenario.EmulatedWANSpecs(3, 100e6), nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.IPOPUp(); err != nil {
-			return nil, err
-		}
-		if err := run("ipop", w, w.Machines[0].IPOP, w.Machines[1].IPOP,
-			&netsimStackPair{stack: w.Machines[2].IPOP.Dom0()}); err != nil {
-			return nil, err
-		}
+		res.Series = append(res.Series, *s)
 	}
 	return res, nil
 }
-
-// netsimStackPair wraps the observer stack handed to figure9's runner.
-type netsimStackPair struct{ stack *ipstack.Stack }
 
 // TableIIIRow is one before/after HTTP connection-time measurement.
 type TableIIIRow struct {
@@ -215,83 +197,81 @@ func (r *TableIVResult) String() string {
 // server VM at SIAT serving clients at HKU1 and Sinica, migrated to HKU2.
 func tables34(o Options) (*TableIIIResult, *TableIVResult, error) {
 	o = o.withDefaults()
-	w, err := scenario.Build(o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides())
-	if err != nil {
-		return nil, nil, err
-	}
-	keys := []string{"HKU1", "HKU2", "Sinica", "SIAT"}
-	if err := w.WAVNetUp(keys...); err != nil {
-		return nil, nil, err
-	}
-	v := vm.New(w.M("SIAT").WAV, "httpd-vm", netsim.MustParseIP("10.77.0.10"), vm.Config{MemoryMB: 128})
-	if err := apps.StartHTTPServer(v.Stack(), 80); err != nil {
-		return nil, nil, err
-	}
-	res3 := &TableIIIResult{}
 	res4 := &TableIVResult{}
-	abFor := o.scaled(10*time.Second, 60*time.Second)
-
-	measure := func(clientKey, label string) error {
-		client := w.M(clientKey).Dom0()
-		// Ping RTT to the VM.
-		var rtt sim.Duration
-		w.Eng.Spawn("ping", func(p *sim.Proc) {
-			client.Ping(p, v.IP(), 56, 5*time.Second)
-			rtt, _ = client.Ping(p, v.IP(), 56, 5*time.Second)
-		})
-		w.Eng.RunFor(15 * time.Second)
-		// Netperf throughput to the VM.
-		np, err := apps.StartNetperf(client, v.Stack(), 5600, o.scaled(8*time.Second, 30*time.Second), time.Second)
-		if err != nil {
-			return err
+	res3, err := withWorld(o, o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(w *scenario.World) (*TableIIIResult, error) {
+		keys := []string{"HKU1", "HKU2", "Sinica", "SIAT"}
+		if err := w.WAVNetUp(keys...); err != nil {
+			return nil, err
 		}
-		w.Eng.RunFor(o.scaled(8*time.Second, 30*time.Second) + 30*time.Second)
-		row4 := TableIVRow{Label: label, NetperfMbps: np.Mbps()}
-		// AB with 1K/8K/64K files (concurrency 8 as a stand-in for the
-		// paper's unspecified AB settings in these tables).
-		var reqRates [3]float64
-		var connStats metrics.Summary
-		for i, size := range []int{1 << 10, 8 << 10, 64 << 10} {
-			ab := apps.StartAB(client, netsim.Addr{IP: v.IP(), Port: 80}, size, 50, abFor, 0)
-			w.Eng.RunFor(abFor + 30*time.Second)
-			if !ab.Done {
-				return fmt.Errorf("AB %s size %d did not finish", label, size)
-			}
-			reqRates[i] = ab.ReqPerSec()
-			if i == 0 {
-				connStats = ab.ConnMs
-			}
+		v := vm.New(w.M("SIAT").WAV, "httpd-vm", netsim.MustParseIP("10.77.0.10"), vm.Config{MemoryMB: 128})
+		if err := apps.StartHTTPServer(v.Stack(), 80); err != nil {
+			return nil, err
 		}
-		row4.Req1K, row4.Req8K, row4.Req64K = reqRates[0], reqRates[1], reqRates[2]
-		res4.Rows = append(res4.Rows, row4)
-		res3.Rows = append(res3.Rows, TableIIIRow{
-			Label: label, PingRTT: rtt,
-			Min: connStats.Min, Mean: connStats.Mean, Max: connStats.Max,
-		})
-		return nil
-	}
+		res3 := &TableIIIResult{}
+		abFor := scaled(o, 10*time.Second, 60*time.Second)
 
-	if err := measure("Sinica", "Sinica to VM@SIAT (before)"); err != nil {
-		return nil, nil, err
-	}
-	if err := measure("HKU1", "HKU1 to VM@SIAT (before)"); err != nil {
-		return nil, nil, err
-	}
-	// Migrate SIAT → HKU2.
-	var migErr error
-	migDone := false
-	w.Eng.Spawn("migrate", func(p *sim.Proc) {
-		_, migErr = v.Migrate(p, w.M("HKU2").WAV)
-		migDone = true
+		measure := func(clientKey, label string) error {
+			client := w.M(clientKey).Dom0()
+			// Ping RTT to the VM.
+			var rtt sim.Duration
+			w.RunProc("ping", 15*time.Second, 15*time.Second, func(p *sim.Proc) {
+				client.Ping(p, v.IP(), 56, 5*time.Second)
+				rtt, _ = client.Ping(p, v.IP(), 56, 5*time.Second)
+			})
+			// Netperf throughput to the VM.
+			np, err := apps.StartNetperf(client, v.Stack(), 5600, scaled(o, 8*time.Second, 30*time.Second), time.Second)
+			if err != nil {
+				return err
+			}
+			w.Eng.RunFor(scaled(o, 8*time.Second, 30*time.Second) + 30*time.Second)
+			row4 := TableIVRow{Label: label, NetperfMbps: np.Mbps()}
+			// AB with 1K/8K/64K files (concurrency 8 as a stand-in for the
+			// paper's unspecified AB settings in these tables).
+			var reqRates [3]float64
+			var connStats apps.Summary
+			for i, size := range []int{1 << 10, 8 << 10, 64 << 10} {
+				ab := apps.StartAB(client, netsim.Addr{IP: v.IP(), Port: 80}, size, 50, abFor, 0)
+				w.Eng.RunFor(abFor + 30*time.Second)
+				if !ab.Done {
+					return fmt.Errorf("AB %s size %d did not finish", label, size)
+				}
+				reqRates[i] = ab.ReqPerSec()
+				if i == 0 {
+					connStats = ab.ConnMs
+				}
+			}
+			row4.Req1K, row4.Req8K, row4.Req64K = reqRates[0], reqRates[1], reqRates[2]
+			res4.Rows = append(res4.Rows, row4)
+			res3.Rows = append(res3.Rows, TableIIIRow{
+				Label: label, PingRTT: rtt,
+				Min: connStats.Min, Mean: connStats.Mean, Max: connStats.Max,
+			})
+			return nil
+		}
+
+		if err := measure("Sinica", "Sinica to VM@SIAT (before)"); err != nil {
+			return nil, err
+		}
+		if err := measure("HKU1", "HKU1 to VM@SIAT (before)"); err != nil {
+			return nil, err
+		}
+		// Migrate SIAT → HKU2.
+		var migErr error
+		done := w.RunProc("migrate", 20*time.Minute, 20*time.Minute, func(p *sim.Proc) {
+			_, migErr = v.Migrate(p, w.M("HKU2").WAV)
+		})
+		if !done || migErr != nil {
+			return nil, fmt.Errorf("tables 3/4 migration: done=%v err=%v", done, migErr)
+		}
+		if err := measure("Sinica", "Sinica to VM@HKU2 (after)"); err != nil {
+			return nil, err
+		}
+		if err := measure("HKU1", "HKU1 to VM@HKU2 (after)"); err != nil {
+			return nil, err
+		}
+		return res3, nil
 	})
-	w.Eng.RunFor(20 * time.Minute)
-	if !migDone || migErr != nil {
-		return nil, nil, fmt.Errorf("tables 3/4 migration: done=%v err=%v", migDone, migErr)
-	}
-	if err := measure("Sinica", "Sinica to VM@HKU2 (after)"); err != nil {
-		return nil, nil, err
-	}
-	if err := measure("HKU1", "HKU1 to VM@HKU2 (after)"); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return res3, res4, nil
@@ -312,8 +292,8 @@ func TableIV(o Options) (*TableIVResult, error) {
 // Figure10Run is one site-pair migration timeline.
 type Figure10Run struct {
 	Pair      string
-	RTTms     *metrics.Series
-	ABSeries  *metrics.Series
+	RTTms     *apps.Series
+	ABSeries  *apps.Series
 	Losses    []sim.Time
 	Downtime  sim.Duration
 	Migration sim.Duration
@@ -345,55 +325,57 @@ func Figure10(o Options) (*Figure10Result, error) {
 	o = o.withDefaults()
 	res := &Figure10Result{}
 	for i, from := range []string{"AIST", "SIAT", "OffCam"} {
-		w, err := scenario.Build(o.Seed+int64(i), scenario.RealWANSpecs(), scenario.RealWANOverrides())
+		run, err := withWorld(o, o.Seed+int64(i), scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(w *scenario.World) (*Figure10Run, error) {
+			if err := w.WAVNetUp("HKU1", "HKU2", from); err != nil {
+				return nil, err
+			}
+			vmMem := 128
+			if o.Quick {
+				vmMem = 64
+			}
+			v := vm.New(w.M(from).WAV, "httpd-vm", netsim.MustParseIP("10.77.0.11"),
+				vm.Config{MemoryMB: vmMem, DirtyRate: 300})
+			if err := apps.StartHTTPServer(v.Stack(), 80); err != nil {
+				return nil, err
+			}
+			client := w.M("HKU1").Dom0()
+			total := scaled(o, 110*time.Second, 150*time.Second)
+			ping, _ := apps.StartPinger(client, v.IP(), 500*time.Millisecond, total)
+			ab := apps.StartAB(client, netsim.Addr{IP: v.IP(), Port: 80}, 1<<10, 50, total, time.Second)
+			var rep *vm.MigrationReport
+			var migErr error
+			w.Eng.Spawn("migrate", func(p *sim.Proc) {
+				p.Sleep(scaled(o, 10*time.Second, 30*time.Second))
+				rep, migErr = v.Migrate(p, w.M("HKU2").WAV)
+			})
+			w.Eng.RunFor(total + 10*time.Minute)
+			if migErr != nil {
+				return nil, fmt.Errorf("figure10 %s: %w", from, migErr)
+			}
+			run := &Figure10Run{
+				Pair: from + "-HKU", RTTms: ping.RTTms, ABSeries: ab.ThroughputSeries,
+				Losses: ping.Losses,
+			}
+			if rep != nil {
+				run.Downtime = rep.Downtime
+				run.Migration = rep.Total()
+				// Throughput before: AB windows fully before migration
+				// start; after: windows after it ends.
+				before := ab.ThroughputSeries.Between(0, rep.Start)
+				after := ab.ThroughputSeries.Between(rep.End.Add(2*time.Second), 1<<62)
+				if before.Len() > 0 {
+					run.ThpBefore = before.Summary().Mean
+				}
+				if after.Len() > 0 {
+					run.ThpAfter = after.Summary().Mean
+				}
+			}
+			return run, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := w.WAVNetUp("HKU1", "HKU2", from); err != nil {
-			return nil, err
-		}
-		vmMem := 128
-		if o.Quick {
-			vmMem = 64
-		}
-		v := vm.New(w.M(from).WAV, "httpd-vm", netsim.MustParseIP("10.77.0.11"),
-			vm.Config{MemoryMB: vmMem, DirtyRate: 300})
-		if err := apps.StartHTTPServer(v.Stack(), 80); err != nil {
-			return nil, err
-		}
-		client := w.M("HKU1").Dom0()
-		total := o.scaled(110*time.Second, 150*time.Second)
-		ping, _ := apps.StartPinger(client, v.IP(), 500*time.Millisecond, total)
-		ab := apps.StartAB(client, netsim.Addr{IP: v.IP(), Port: 80}, 1<<10, 50, total, time.Second)
-		var rep *vm.MigrationReport
-		var migErr error
-		w.Eng.Spawn("migrate", func(p *sim.Proc) {
-			p.Sleep(o.scaled(10*time.Second, 30*time.Second))
-			rep, migErr = v.Migrate(p, w.M("HKU2").WAV)
-		})
-		w.Eng.RunFor(total + 10*time.Minute)
-		if migErr != nil {
-			return nil, fmt.Errorf("figure10 %s: %w", from, migErr)
-		}
-		run := Figure10Run{
-			Pair: from + "-HKU", RTTms: ping.RTTms, ABSeries: ab.ThroughputSeries,
-			Losses: ping.Losses,
-		}
-		if rep != nil {
-			run.Downtime = rep.Downtime
-			run.Migration = rep.Total()
-			// Throughput before: AB windows fully before migration
-			// start; after: windows after it ends.
-			before := ab.ThroughputSeries.Between(0, rep.Start)
-			after := ab.ThroughputSeries.Between(rep.End.Add(2*time.Second), 1<<62)
-			if before.Len() > 0 {
-				run.ThpBefore = before.Summary().Mean
-			}
-			if after.Len() > 0 {
-				run.ThpAfter = after.Summary().Mean
-			}
-		}
-		res.Runs = append(res.Runs, run)
+		res.Runs = append(res.Runs, *run)
 	}
 	return res, nil
 }
@@ -434,46 +416,44 @@ func TableV(o Options) (*TableVResult, error) {
 	for i, from := range []string{"OffCam", "Sinica", "AIST", "SIAT", "SDSC"} {
 		row := TableVRow{Pair: from + "-HKU"}
 		for si, memMB := range sizes {
-			w, err := scenario.Build(o.Seed+int64(i), scenario.RealWANSpecs(), scenario.RealWANOverrides())
+			took, err := withWorld(o, o.Seed+int64(i), scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(w *scenario.World) (sim.Duration, error) {
+				if err := w.WAVNetUp("HKU2", from); err != nil {
+					return 0, err
+				}
+				if si == 0 {
+					// Measure path RTT and WAVNet bandwidth once.
+					var rtt sim.Duration
+					w.RunProc("rtt", 10*time.Second, 10*time.Second, func(p *sim.Proc) {
+						rtt, _ = w.M(from).WAV.TunnelRTT(p, "HKU2")
+					})
+					row.RTT = rtt
+					np, err := apps.StartNetperf(w.M(from).Dom0(), w.M("HKU2").Dom0(), 5700,
+						scaled(o, 8*time.Second, 30*time.Second), time.Second)
+					if err != nil {
+						return 0, err
+					}
+					w.Eng.RunFor(scaled(o, 8*time.Second, 30*time.Second) + 30*time.Second)
+					row.NetperfMbps = np.Mbps()
+				}
+				v := vm.New(w.M(from).WAV, "vm", netsim.MustParseIP("10.77.0.12"),
+					vm.Config{MemoryMB: memMB, DirtyRate: 1500})
+				var rep *vm.MigrationReport
+				var migErr error
+				done := w.RunProc("migrate", 4*time.Hour, 4*time.Hour, func(p *sim.Proc) {
+					rep, migErr = v.Migrate(p, w.M("HKU2").WAV)
+				})
+				if !done || migErr != nil {
+					return 0, fmt.Errorf("tableV %s %dMB: done=%v err=%v", from, memMB, done, migErr)
+				}
+				return rep.Total(), nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			if err := w.WAVNetUp("HKU2", from); err != nil {
-				return nil, err
-			}
 			if si == 0 {
-				// Measure path RTT and WAVNet bandwidth once.
-				var rtt sim.Duration
-				w.Eng.Spawn("rtt", func(p *sim.Proc) {
-					rtt, _ = w.M(from).WAV.TunnelRTT(p, "HKU2")
-				})
-				w.Eng.RunFor(10 * time.Second)
-				row.RTT = rtt
-				np, err := apps.StartNetperf(w.M(from).Dom0(), w.M("HKU2").Dom0(), 5700,
-					o.scaled(8*time.Second, 30*time.Second), time.Second)
-				if err != nil {
-					return nil, err
-				}
-				w.Eng.RunFor(o.scaled(8*time.Second, 30*time.Second) + 30*time.Second)
-				row.NetperfMbps = np.Mbps()
-			}
-			v := vm.New(w.M(from).WAV, "vm", netsim.MustParseIP("10.77.0.12"),
-				vm.Config{MemoryMB: memMB, DirtyRate: 1500})
-			var rep *vm.MigrationReport
-			var migErr error
-			done := false
-			w.Eng.Spawn("migrate", func(p *sim.Proc) {
-				rep, migErr = v.Migrate(p, w.M("HKU2").WAV)
-				done = true
-			})
-			w.Eng.RunFor(4 * time.Hour)
-			if !done || migErr != nil {
-				return nil, fmt.Errorf("tableV %s %dMB: done=%v err=%v", from, memMB, done, migErr)
-			}
-			if si == 0 {
-				row.T128 = rep.Total()
+				row.T128 = took
 			} else {
-				row.T512 = rep.Total()
+				row.T512 = took
 			}
 		}
 		res.Rows = append(res.Rows, row)

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
+	"wavnet/internal/grouping"
 	"wavnet/internal/ipstack"
 	"wavnet/internal/mpi"
 	"wavnet/internal/netsim"
@@ -64,54 +66,56 @@ func Figure11(o Options) (*Figure11Result, error) {
 		cal := heatCalibration[size]
 		iters := cal.iters
 		runOnce := func(migrate bool) (sim.Duration, sim.Duration, error) {
-			w, err := scenario.Build(o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides())
-			if err != nil {
-				return 0, 0, err
-			}
-			keys := []string{"HKU1", "HKU2", "HKU3", "SIAT"}
-			if err := w.WAVNetUp(keys...); err != nil {
-				return 0, 0, err
-			}
-			vmMem := 128
-			if o.Quick {
-				vmMem = 64
-			}
-			var stacks []*ipstack.Stack
-			var vms []*vm.VM
-			for i, k := range keys {
-				machine := w.M(k)
-				g := vm.New(machine.WAV, fmt.Sprintf("mpi-vm%d", i),
-					netsim.MakeIP(10, 77, 1, byte(i+1)), vm.Config{MemoryMB: vmMem, DirtyRate: 300})
-				vms = append(vms, g)
-				stacks = append(stacks, g.Stack())
-			}
-			world := mpi.NewWorld(w.Eng, stacks)
-			var elapsed, migTime sim.Duration
-			var runErr error
-			done := false
-			w.Eng.Spawn("job", func(p *sim.Proc) {
-				defer func() { done = true }()
-				if runErr = world.Connect(p); runErr != nil {
-					return
+			var migTime sim.Duration
+			elapsed, err := withWorld(o, o.Seed, scenario.RealWANSpecs(), scenario.RealWANOverrides(), func(w *scenario.World) (sim.Duration, error) {
+				keys := []string{"HKU1", "HKU2", "HKU3", "SIAT"}
+				if err := w.WAVNetUp(keys...); err != nil {
+					return 0, err
 				}
-				elapsed, runErr = mpi.RunHeat(p, world, mpi.HeatParams{
-					M: size, Iterations: iters, ComputePerIter: cal.compute,
-				})
-			})
-			if migrate {
-				w.Eng.Spawn("migrate", func(p *sim.Proc) {
-					p.Sleep(5 * time.Second) // after the program starts
-					rep, err := vms[3].Migrate(p, w.M("HKU1").WAV)
-					if err == nil && rep != nil {
-						migTime = rep.Total()
+				vmMem := 128
+				if o.Quick {
+					vmMem = 64
+				}
+				var stacks []*ipstack.Stack
+				var vms []*vm.VM
+				for i, k := range keys {
+					machine := w.M(k)
+					g := vm.New(machine.WAV, fmt.Sprintf("mpi-vm%d", i),
+						netsim.MakeIP(10, 77, 1, byte(i+1)), vm.Config{MemoryMB: vmMem, DirtyRate: 300})
+					vms = append(vms, g)
+					stacks = append(stacks, g.Stack())
+				}
+				world := mpi.NewWorld(w.Eng, stacks)
+				var elapsed sim.Duration
+				var runErr error
+				// Not World.RunProc: the migrate proc is spawned between the
+				// job's spawn and the run, and spawn order is event order.
+				done := false
+				w.Eng.Spawn("job", func(p *sim.Proc) {
+					defer func() { done = true }()
+					if runErr = world.Connect(p); runErr != nil {
+						return
 					}
+					elapsed, runErr = mpi.RunHeat(p, world, mpi.HeatParams{
+						M: size, Iterations: iters, ComputePerIter: cal.compute,
+					})
 				})
-			}
-			w.Eng.RunFor(4 * time.Hour)
-			if !done || runErr != nil {
-				return 0, 0, fmt.Errorf("figure11 %d migrate=%v: done=%v err=%v", size, migrate, done, runErr)
-			}
-			return elapsed, migTime, nil
+				if migrate {
+					w.Eng.Spawn("migrate", func(p *sim.Proc) {
+						p.Sleep(5 * time.Second) // after the program starts
+						rep, err := vms[3].Migrate(p, w.M("HKU1").WAV)
+						if err == nil && rep != nil {
+							migTime = rep.Total()
+						}
+					})
+				}
+				w.Eng.RunFor(4 * time.Hour)
+				if !done || runErr != nil {
+					return 0, fmt.Errorf("figure11 %d migrate=%v: done=%v err=%v", size, migrate, done, runErr)
+				}
+				return elapsed, nil
+			})
+			return elapsed, migTime, err
 		}
 		without, _, err := runOnce(false)
 		if err != nil {
@@ -162,11 +166,12 @@ func Figure14(o Options) (*Figure14Result, error) {
 	o = o.withDefaults()
 	pool := 20
 	res := &Figure14Result{}
-	cases := []struct {
+	type nasCase struct {
 		bench string
 		class mpi.NASClass
 		hosts int
-	}{
+	}
+	cases := []nasCase{
 		{"EP(A)", mpi.ClassA, 4},
 		{"EP(B)", mpi.ClassB, 4},
 		{"FT(A)", mpi.ClassA, 4},
@@ -177,11 +182,7 @@ func Figure14(o Options) (*Figure14Result, error) {
 		{"FT(B)", mpi.ClassB, 8},
 	}
 	if o.Quick {
-		cases = []struct {
-			bench string
-			class mpi.NASClass
-			hosts int
-		}{
+		cases = []nasCase{
 			{"EP(A)", mpi.ClassA, 4},
 			{"FT(A)", mpi.ClassA, 4},
 			{"EP(A)", mpi.ClassA, 8},
@@ -206,50 +207,46 @@ func Figure14(o Options) (*Figure14Result, error) {
 // with WAVNet and runs the kernel.
 func figure14Run(o Options, pool, k int, bench string, class mpi.NASClass, locality bool) (sim.Duration, error) {
 	specs, overrides, rtts := planetlabPool(o.Seed, pool)
-	w, err := scenario.Build(o.Seed, specs, overrides)
-	if err != nil {
-		return 0, err
-	}
-	// Select the cluster.
-	var idx []int
-	if locality {
-		idx, err = localityGroup(rtts, k)
-	} else {
-		idx, err = randomGroup(rtts, k, o.Seed+int64(len(bench)))
-	}
-	if err != nil {
-		return 0, err
-	}
-	keys := make([]string, len(idx))
-	for i, id := range idx {
-		keys[i] = specs[id].Key
-	}
-	if err := w.WAVNetUp(keys...); err != nil {
-		return 0, err
-	}
-	var stacks []*ipstack.Stack
-	for _, key := range keys {
-		stacks = append(stacks, w.M(key).Dom0())
-	}
-	world := mpi.NewWorld(w.Eng, stacks)
-	var elapsed sim.Duration
-	var runErr error
-	done := false
-	w.Eng.Spawn("nas", func(p *sim.Proc) {
-		defer func() { done = true }()
-		if runErr = world.Connect(p); runErr != nil {
-			return
+	return withWorld(o, o.Seed, specs, overrides, func(w *scenario.World) (sim.Duration, error) {
+		// Select the cluster.
+		var idx []int
+		var err error
+		if locality {
+			idx, err = grouping.LocalitySensitive(rtts, k)
+		} else {
+			idx, err = grouping.Random(rtts, k, rand.New(rand.NewSource(o.Seed+int64(len(bench)))))
 		}
-		switch bench[:2] {
-		case "EP":
-			elapsed, runErr = mpi.RunEP(p, world, mpi.EPParams{Class: class})
-		default:
-			elapsed, runErr = mpi.RunFT(p, world, mpi.FTParams{Class: class, ComputeRate: 60e6})
+		if err != nil {
+			return 0, err
 		}
+		keys := make([]string, len(idx))
+		for i, id := range idx {
+			keys[i] = specs[id].Key
+		}
+		if err := w.WAVNetUp(keys...); err != nil {
+			return 0, err
+		}
+		var stacks []*ipstack.Stack
+		for _, key := range keys {
+			stacks = append(stacks, w.M(key).Dom0())
+		}
+		world := mpi.NewWorld(w.Eng, stacks)
+		var elapsed sim.Duration
+		var runErr error
+		done := w.RunProc("nas", 12*time.Hour, 12*time.Hour, func(p *sim.Proc) {
+			if runErr = world.Connect(p); runErr != nil {
+				return
+			}
+			switch bench[:2] {
+			case "EP":
+				elapsed, runErr = mpi.RunEP(p, world, mpi.EPParams{Class: class})
+			default:
+				elapsed, runErr = mpi.RunFT(p, world, mpi.FTParams{Class: class, ComputeRate: 60e6})
+			}
+		})
+		if !done || runErr != nil {
+			return 0, fmt.Errorf("figure14 %s k=%d locality=%v: done=%v err=%v", bench, k, locality, done, runErr)
+		}
+		return elapsed, nil
 	})
-	w.Eng.RunFor(12 * time.Hour)
-	if !done || runErr != nil {
-		return 0, fmt.Errorf("figure14 %s k=%d locality=%v: done=%v err=%v", bench, k, locality, done, runErr)
-	}
-	return elapsed, nil
 }

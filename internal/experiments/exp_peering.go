@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wavnet/internal/apps"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
@@ -77,142 +76,129 @@ func (r *PeeringResult) String() string {
 // fairness sweep, all through the declarative Apply API.
 func PeeringQuota(o Options) (*PeeringResult, error) {
 	o = o.withDefaults()
-	res := &PeeringResult{}
-	cases := []struct {
+	type policyCase struct {
 		name    string
 		peering []vpc.PeeringSpec
-	}{
+	}
+	cases := []policyCase{
 		{"isolated", nil},
 		{"peered-full", []vpc.PeeringSpec{{A: "red", B: "blue"}}},
 		{"peered-partial", []vpc.PeeringSpec{{A: "red", B: "blue", AllowB: []string{"10.20.0.0/31"}}}},
 	}
-	for _, c := range cases {
-		row, err := peeringOnce(o, c.name, c.peering)
-		if err != nil {
-			return nil, fmt.Errorf("peering case %s: %w", c.name, err)
-		}
-		res.Policy = append(res.Policy, *row)
+	policy, err := sweep(cases, func(_ int, c policyCase) (*PeeringRow, error) {
+		return peeringOnce(o, c.name, c.peering)
+	}, func(c policyCase) string { return "peering case " + c.name })
+	if err != nil {
+		return nil, err
 	}
 	quotas := []float64{0, 4e6}
 	if !o.Quick {
 		quotas = []float64{0, 2e6, 8e6}
 	}
-	for _, q := range quotas {
-		row, err := quotaOnce(o, q)
-		if err != nil {
-			return nil, fmt.Errorf("quota sweep %.0f bps: %w", q, err)
-		}
-		res.Quota = append(res.Quota, *row)
+	quota, err := sweep(quotas, func(_ int, q float64) (*QuotaRow, error) {
+		return quotaOnce(o, q)
+	}, func(q float64) string { return fmt.Sprintf("quota sweep %.0f bps", q) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &PeeringResult{Policy: policy, Quota: quota}, nil
 }
 
 func peeringOnce(o Options, name string, peerings []vpc.PeeringSpec) (*PeeringRow, error) {
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil)
-	if err != nil {
-		return nil, err
-	}
-	spec := vpc.TenantSpec{
-		Tenant: "acme",
-		Networks: []vpc.NetworkSpec{
-			{Name: "red", CIDR: "10.10.0.0/24", Members: []string{"pc00", "pc01"}, StaticAddressing: true},
-			{Name: "blue", CIDR: "10.20.0.0/24", Members: []string{"pc02", "pc03"}, StaticAddressing: true},
-		},
-		Peerings: peerings,
-	}
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	red, _ := w.VPC().Get("red")
-	blue, _ := w.VPC().Get("blue")
-	sender := red.Members()[0]
-	row := &PeeringRow{Case: name}
-	ping := func(p *sim.Proc, ip netsim.IP) bool {
-		if _, err := sender.Stack.Ping(p, ip, 32, 4*time.Second); err == nil {
-			return true
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil, func(w *scenario.World) (*PeeringRow, error) {
+		spec := vpc.TenantSpec{
+			Tenant: "acme",
+			Networks: []vpc.NetworkSpec{
+				{Name: "red", CIDR: "10.10.0.0/24", Members: []string{"pc00", "pc01"}, StaticAddressing: true},
+				{Name: "blue", CIDR: "10.20.0.0/24", Members: []string{"pc02", "pc03"}, StaticAddressing: true},
+			},
+			Peerings: peerings,
 		}
-		_, err := sender.Stack.Ping(p, ip, 32, 4*time.Second)
-		return err == nil
-	}
-	w.Eng.Spawn("probe", func(p *sim.Proc) {
-		row.ToAnchorOK = ping(p, blue.Members()[0].IP)
-		row.ToMemberOK = ping(p, blue.Members()[1].IP)
+		if _, err := w.ApplySync(spec); err != nil {
+			return nil, err
+		}
+		red, _ := w.VPC().Get("red")
+		blue, _ := w.VPC().Get("blue")
+		sender := red.Members()[0]
+		row := &PeeringRow{Case: name}
+		ping := func(p *sim.Proc, ip netsim.IP) bool {
+			if _, err := sender.Stack.Ping(p, ip, 32, 4*time.Second); err == nil {
+				return true
+			}
+			_, err := sender.Stack.Ping(p, ip, 32, 4*time.Second)
+			return err == nil
+		}
+		w.RunProc("probe", time.Minute, time.Minute, func(p *sim.Proc) {
+			row.ToAnchorOK = ping(p, blue.Members()[0].IP)
+			row.ToMemberOK = ping(p, blue.Members()[1].IP)
+		})
+		for _, m := range blue.Members() {
+			row.Forwards += m.Host.PeeredForwards
+			row.PolicyDrops += m.Host.PeerPolicyDrops
+		}
+		return row, nil
 	})
-	w.Eng.RunFor(time.Minute)
-	for _, m := range blue.Members() {
-		row.Forwards += m.Host.PeeredForwards
-		row.PolicyDrops += m.Host.PeerPolicyDrops
-	}
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
 }
 
 func quotaOnce(o Options, quotaBps float64) (*QuotaRow, error) {
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil)
-	if err != nil {
-		return nil, err
-	}
-	limited := vpc.TenantSpec{
-		Tenant: "limited",
-		Networks: []vpc.NetworkSpec{
-			{Name: "lim", CIDR: "10.40.0.0/24", Members: []string{"pc00", "pc01"}, StaticAddressing: true},
-		},
-		Quota: vpc.QuotaSpec{RateBps: quotaBps},
-	}
-	open := vpc.TenantSpec{
-		Tenant: "open",
-		Networks: []vpc.NetworkSpec{
-			{Name: "opn", CIDR: "10.50.0.0/24", Members: []string{"pc02", "pc03"}, StaticAddressing: true},
-		},
-	}
-	if _, err := w.ApplySync(limited); err != nil {
-		return nil, err
-	}
-	if _, err := w.ApplySync(open); err != nil {
-		return nil, err
-	}
-	lim, _ := w.VPC().Get("lim")
-	opn, _ := w.VPC().Get("opn")
-	bytes := o.scaledBytes(1<<20, 4<<20)
-	row := &QuotaRow{QuotaMbps: quotaBps / 1e6}
-	run := func(n *vpc.Network, out *float64, errOut *error) {
-		src, dst := n.Members()[0], n.Members()[1]
-		if _, err := apps.StartSink(dst.Stack, 5001); err != nil {
-			*errOut = err
-			return
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil, func(w *scenario.World) (*QuotaRow, error) {
+		limited := vpc.TenantSpec{
+			Tenant: "limited",
+			Networks: []vpc.NetworkSpec{
+				{Name: "lim", CIDR: "10.40.0.0/24", Members: []string{"pc00", "pc01"}, StaticAddressing: true},
+			},
+			Quota: vpc.QuotaSpec{RateBps: quotaBps},
 		}
-		w.Eng.Spawn("ttcp-"+n.Name, func(p *sim.Proc) {
-			r, err := apps.TTCP(p, src.Stack, netsim.Addr{IP: dst.IP, Port: 5001}, bytes, 16384)
-			if err != nil {
+		open := vpc.TenantSpec{
+			Tenant: "open",
+			Networks: []vpc.NetworkSpec{
+				{Name: "opn", CIDR: "10.50.0.0/24", Members: []string{"pc02", "pc03"}, StaticAddressing: true},
+			},
+		}
+		if _, err := w.ApplySync(limited); err != nil {
+			return nil, err
+		}
+		if _, err := w.ApplySync(open); err != nil {
+			return nil, err
+		}
+		lim, _ := w.VPC().Get("lim")
+		opn, _ := w.VPC().Get("opn")
+		bytes := scaled(o, int64(1<<20), 4<<20)
+		row := &QuotaRow{QuotaMbps: quotaBps / 1e6}
+		run := func(n *vpc.Network, out *float64, errOut *error) {
+			src, dst := n.Members()[0], n.Members()[1]
+			if err := apps.StartSink(dst.Stack, 5001); err != nil {
 				*errOut = err
 				return
 			}
-			*out = metrics.Rate(r.Bytes, r.Elapsed)
-		})
-	}
-	var limErr, opnErr error
-	run(lim, &row.LimitedMbps, &limErr)
-	run(opn, &row.OpenMbps, &opnErr)
-	// Budget for the slowest case: the whole transfer at the quota rate,
-	// padded generously for TCP recovery after policer drops.
-	budget := 4 * time.Minute
-	if quotaBps > 0 {
-		budget += time.Duration(float64(bytes*8)/quotaBps*4) * time.Second
-	}
-	w.Eng.RunFor(budget)
-	if limErr != nil {
-		return nil, fmt.Errorf("limited tenant transfer: %w", limErr)
-	}
-	if opnErr != nil {
-		return nil, fmt.Errorf("open tenant transfer: %w", opnErr)
-	}
-	for _, m := range lim.Members() {
-		row.QuotaDrops += m.Host.QuotaDrops
-	}
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
+			w.Eng.Spawn("ttcp-"+n.Name, func(p *sim.Proc) {
+				r, err := apps.TTCP(p, src.Stack, netsim.Addr{IP: dst.IP, Port: 5001}, bytes, 16384)
+				if err != nil {
+					*errOut = err
+					return
+				}
+				*out = r.Mbps()
+			})
+		}
+		var limErr, opnErr error
+		run(lim, &row.LimitedMbps, &limErr)
+		run(opn, &row.OpenMbps, &opnErr)
+		// Budget for the slowest case: the whole transfer at the quota rate,
+		// padded generously for TCP recovery after policer drops.
+		budget := 4 * time.Minute
+		if quotaBps > 0 {
+			budget += time.Duration(float64(bytes*8)/quotaBps*4) * time.Second
+		}
+		w.Eng.RunFor(budget)
+		if limErr != nil {
+			return nil, fmt.Errorf("limited tenant transfer: %w", limErr)
+		}
+		if opnErr != nil {
+			return nil, fmt.Errorf("open tenant transfer: %w", opnErr)
+		}
+		for _, m := range lim.Members() {
+			row.QuotaDrops += m.Host.QuotaDrops
+		}
+		return row, nil
+	})
 }

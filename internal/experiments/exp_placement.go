@@ -53,12 +53,6 @@ func (r *PlacementResult) String() string {
 		header: []string{"Brokers", "Mem (MB)", "Spread", "Chosen", "In tight cluster",
 			"Migration (s)", "Downtime (s)", "Rounds", "Baseline conn", "Post-migration conn", "Stray"},
 	}
-	frac := func(ok, n int) string {
-		if n == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%d/%d", ok, n)
-	}
 	for _, row := range r.Rows {
 		t.addRow(
 			fmt.Sprintf("%d", row.Brokers),
@@ -95,17 +89,17 @@ func Placement(o Options) (*PlacementResult, error) {
 	if !o.Quick {
 		points = append(points, point{4, 128, "wide"})
 	}
-	res := &PlacementResult{}
-	for i, pt := range points {
-		row, err := PlacementOnce(Options{Seed: o.Seed + int64(i), Quick: o.Quick},
-			pt.brokers, pt.memMB, pt.spread)
-		if err != nil {
-			return nil, fmt.Errorf("placement %d brokers, %d MB, %s: %w",
-				pt.brokers, pt.memMB, pt.spread, err)
-		}
-		res.Rows = append(res.Rows, *row)
+	rows, err := sweep(points, func(i int, pt point) (*PlacementRow, error) {
+		po := o
+		po.Seed += int64(i)
+		return PlacementOnce(po, pt.brokers, pt.memMB, pt.spread)
+	}, func(pt point) string {
+		return fmt.Sprintf("placement %d brokers, %d MB, %s", pt.brokers, pt.memMB, pt.spread)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &PlacementResult{Rows: rows}, nil
 }
 
 // PlacementOnce measures one (broker count, memory, spread) point.
@@ -124,105 +118,89 @@ func PlacementOnce(o Options, brokers, memMB int, spread string) (*PlacementRow,
 	for _, k := range far {
 		specs = append(specs, scenario.Spec{Key: k, RTTToHub: farRTT, AccessBps: 100e6, NAT: nat.RestrictedCone})
 	}
-	w, err := scenario.Build(o.Seed, specs, nil)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, brokers)
-	for i := range names {
-		names[i] = fmt.Sprintf("b%d", i)
-		if _, err := w.AddBroker(names[i], rendezvous.Config{}); err != nil {
+	return withWorld(o, o.Seed, specs, nil, func(w *scenario.World) (*PlacementRow, error) {
+		members := append(append([]string(nil), tight...), far...)
+		bs, err := addBrokers(w, brokers, rendezvous.Config{}, rendezvous.Config{}, members)
+		if err != nil {
 			return nil, err
 		}
-	}
-	witness, err := w.AddBroker("witness", rendezvous.Config{})
-	if err != nil {
-		return nil, err
-	}
-	members := append(append([]string(nil), tight...), far...)
-	for i, key := range members {
-		if err := w.SetHome(key, names[i%brokers]); err != nil {
+		spec := vpc.TenantSpec{
+			Tenant: "pl",
+			Networks: []vpc.NetworkSpec{{
+				Name: "pnet", CIDR: "10.88.0.0/24", StaticAddressing: true,
+				Members: members, Brokers: bs.names,
+			}},
+		}
+		if _, err := w.ApplySync(spec); err != nil {
 			return nil, err
 		}
-	}
-	spec := vpc.TenantSpec{
-		Tenant: "pl",
-		Networks: []vpc.NetworkSpec{{
-			Name: "pnet", CIDR: "10.88.0.0/24", StaticAddressing: true,
-			Members: members, Brokers: names,
-		}},
-	}
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	if err := w.ReportNetRTTs("pnet"); err != nil {
-		return nil, err
-	}
-	row := &PlacementRow{Brokers: brokers, MemMB: memMB, Spread: spread}
-
-	// Scheduler placement: an unpinned VM.
-	spec.VMs = []vpc.VMSpec{{Name: "vm", Network: "pnet", IP: "10.88.0.200", MemoryMB: memMB}}
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	chosen, ok := w.VMHost("vm")
-	if !ok {
-		return nil, fmt.Errorf("placement: VM never placed")
-	}
-	row.Chosen = chosen
-	for _, k := range tight {
-		if chosen == k {
-			row.InTight = true
+		if err := w.ReportNetRTTs("pnet"); err != nil {
+			return nil, err
 		}
-	}
-	v, _ := w.ResolveVM("vm")
+		row := &PlacementRow{Brokers: brokers, MemMB: memMB, Spread: spread}
 
-	// pingSweep pings the VM from every other member on the tenant
-	// segment.
-	net, _ := w.VPC().Get("pnet")
-	pingSweep := func(name string) (ok, n int) {
-		done := false
-		w.Eng.Spawn(name, func(p *sim.Proc) {
-			defer func() { done = true }()
-			for _, m := range net.Members() {
-				if m.Host.Name() == v.Host().Name() {
-					continue
-				}
-				n++
-				if _, err := m.Stack.Ping(p, v.IP(), 56, 5*time.Second); err == nil {
-					ok++
-				}
+		// Scheduler placement: an unpinned VM.
+		spec.VMs = []vpc.VMSpec{{Name: "vm", Network: "pnet", IP: "10.88.0.200", MemoryMB: memMB}}
+		if _, err := w.ApplySync(spec); err != nil {
+			return nil, err
+		}
+		chosen, ok := w.VMHost("vm")
+		if !ok {
+			return nil, fmt.Errorf("placement: VM never placed")
+		}
+		row.Chosen = chosen
+		for _, k := range tight {
+			if chosen == k {
+				row.InTight = true
 			}
-		})
-		for !done {
-			w.Eng.RunFor(5 * time.Second)
 		}
-		return ok, n
-	}
-	row.BaseOK, row.BaseN = pingSweep("baseline")
+		v, _ := w.ResolveVM("vm")
 
-	// Pin the VM to the far end of the network and converge by live
-	// migration.
-	target := far[len(far)-1]
-	if target == chosen {
-		target = far[0]
-	}
-	spec.VMs[0].Host = target
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	if len(v.Migrations) == 0 {
-		return nil, fmt.Errorf("placement: no migration was recorded")
-	}
-	mrep := v.Migrations[len(v.Migrations)-1]
-	row.Migration = mrep.Total()
-	row.Downtime = mrep.Downtime
-	row.Rounds = v.Rounds
+		// pingSweep pings the VM from every other member on the tenant
+		// segment.
+		net, _ := w.VPC().Get("pnet")
+		pingSweep := func(name string) (ok, n int, err error) {
+			if !w.RunProc(name, 5*time.Second, time.Hour, func(p *sim.Proc) {
+				for _, m := range net.Members() {
+					if m.Host.Name() == v.Host().Name() {
+						continue
+					}
+					n++
+					if _, err := m.Stack.Ping(p, v.IP(), 56, 5*time.Second); err == nil {
+						ok++
+					}
+				}
+			}) {
+				return 0, 0, fmt.Errorf("placement: %s ping sweep still pending", name)
+			}
+			return ok, n, nil
+		}
+		if row.BaseOK, row.BaseN, err = pingSweep("baseline"); err != nil {
+			return nil, err
+		}
 
-	row.PostOK, row.PostN = pingSweep("post")
-	row.Stray = witness.RecordsFor("pnet")
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
+		// Pin the VM to the far end of the network and converge by live
+		// migration.
+		target := far[len(far)-1]
+		if target == chosen {
+			target = far[0]
+		}
+		spec.VMs[0].Host = target
+		if _, err := w.ApplySync(spec); err != nil {
+			return nil, err
+		}
+		if len(v.Migrations) == 0 {
+			return nil, fmt.Errorf("placement: no migration was recorded")
+		}
+		mrep := v.Migrations[len(v.Migrations)-1]
+		row.Migration = mrep.Total()
+		row.Downtime = mrep.Downtime
+		row.Rounds = v.Rounds
+
+		if row.PostOK, row.PostN, err = pingSweep("post"); err != nil {
+			return nil, err
+		}
+		row.Stray = bs.witness.RecordsFor("pnet")
+		return row, nil
+	})
 }

@@ -92,16 +92,15 @@ func ServiceFailover(o Options) (*ServiceResult, error) {
 	if !o.Quick {
 		points = append(points, point{4, 3, 2}, point{2, 8, 2}, point{3, 3, 4})
 	}
-	res := &ServiceResult{}
-	for _, pt := range points {
-		row, err := ServiceOnce(o, pt.backends, pt.fall, pt.brokers)
-		if err != nil {
-			return nil, fmt.Errorf("service %d backends, fall %d, %d brokers: %w",
-				pt.backends, pt.fall, pt.brokers, err)
-		}
-		res.Rows = append(res.Rows, *row)
+	rows, err := sweep(points, func(_ int, pt point) (*ServiceRow, error) {
+		return ServiceOnce(o, pt.backends, pt.fall, pt.brokers)
+	}, func(pt point) string {
+		return fmt.Sprintf("service %d backends, fall %d, %d brokers", pt.backends, pt.fall, pt.brokers)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &ServiceResult{Rows: rows}, nil
 }
 
 // ServiceOnce measures one (backend count, fall budget, broker count)
@@ -120,147 +119,129 @@ func ServiceOnce(o Options, backends, fall, brokers int) (*ServiceRow, error) {
 	// pc00 anchors (and probes), pc01..pcN back the VIP, the last
 	// machine is the client.
 	total := backends + 2
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(total, 100e6), nil)
-	if err != nil {
-		return nil, err
-	}
-	w.HostCfg = core.Config{
-		RendezvousPulsePeriod: 2 * sim.Second,
-		BrokerTimeout:         6 * sim.Second,
-	}
-	names := make([]string, brokers)
-	for i := range names {
-		names[i] = fmt.Sprintf("b%d", i)
-		if _, err := w.AddBroker(names[i], rendezvous.Config{SessionTTL: 30 * sim.Second}); err != nil {
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(total, 100e6), nil, func(w *scenario.World) (*ServiceRow, error) {
+		w.HostCfg = core.Config{
+			RendezvousPulsePeriod: 2 * sim.Second,
+			BrokerTimeout:         6 * sim.Second,
+		}
+		bcfg := rendezvous.Config{SessionTTL: 30 * sim.Second}
+		members := pcs(total)
+		bs, err := addBrokers(w, brokers, bcfg, bcfg, members)
+		if err != nil {
 			return nil, err
 		}
-	}
-	witness, err := w.AddBroker("witness", rendezvous.Config{SessionTTL: 30 * sim.Second})
-	if err != nil {
-		return nil, err
-	}
-	key := func(i int) string { return fmt.Sprintf("pc%02d", i) }
-	members := make([]string, total)
-	for i := range members {
-		members[i] = key(i)
-		if err := w.SetHome(key(i), names[i%brokers]); err != nil {
+		backendSpecs := make([]vpc.BackendSpec, backends)
+		for i := range backendSpecs {
+			backendSpecs[i] = vpc.BackendSpec{Member: pc(i + 1)}
+		}
+		spec := vpc.TenantSpec{
+			Tenant: "svc",
+			Networks: []vpc.NetworkSpec{{
+				Name: "snet", CIDR: "10.91.0.0/24", StaticAddressing: true,
+				ServicePool: "10.91.0.192/28",
+				Members:     members, Brokers: bs.names,
+			}},
+			Services: []vpc.ServiceSpec{{
+				Name: "vip", Network: "snet",
+				Policy:   rendezvous.PolicyFailoverOrdered,
+				Backends: backendSpecs,
+				Interval: interval, Timeout: timeout, Fall: fall, Rise: 2,
+			}},
+		}
+		if _, err := w.ApplySync(spec); err != nil {
 			return nil, err
 		}
-	}
-	backendSpecs := make([]vpc.BackendSpec, backends)
-	for i := range backendSpecs {
-		backendSpecs[i] = vpc.BackendSpec{Member: key(i + 1)}
-	}
-	spec := vpc.TenantSpec{
-		Tenant: "svc",
-		Networks: []vpc.NetworkSpec{{
-			Name: "snet", CIDR: "10.91.0.0/24", StaticAddressing: true,
-			ServicePool: "10.91.0.192/28",
-			Members:     members, Brokers: names,
-		}},
-		Services: []vpc.ServiceSpec{{
-			Name: "vip", Network: "snet",
-			Policy:   rendezvous.PolicyFailoverOrdered,
-			Backends: backendSpecs,
-			Interval: interval, Timeout: timeout, Fall: fall, Rise: 2,
-		}},
-	}
-	if _, err := w.ApplySync(spec); err != nil {
-		return nil, err
-	}
-	vip, ok := w.ServiceVIP("vip")
-	if !ok {
-		return nil, fmt.Errorf("service VIP unresolved")
-	}
-	svc, _ := w.ResolveService("vip")
-	row := &ServiceRow{
-		Backends: backends, Fall: fall, Brokers: brokers,
-		Budget: sim.Duration(fall)*interval + timeout,
-	}
+		vip, ok := w.ServiceVIP("vip")
+		if !ok {
+			return nil, fmt.Errorf("service VIP unresolved")
+		}
+		svc, _ := w.ResolveService("vip")
+		row := &ServiceRow{
+			Backends: backends, Fall: fall, Brokers: brokers,
+			Budget: sim.Duration(fall)*interval + timeout,
+		}
 
-	// The client pings the VIP every 200 ms for the whole episode.
-	n, _ := w.VPC().Get("snet")
-	client, _ := n.Member(key(total - 1))
-	type sample struct {
-		at sim.Time // completion time
-		ok bool
-	}
-	var samples []sample
-	stop := false
-	w.Eng.Spawn("client", func(p *sim.Proc) {
-		for !stop {
-			_, err := client.Stack.Ping(p, vip, 56, 500*sim.Millisecond)
-			samples = append(samples, sample{at: p.Now(), ok: err == nil})
-			if !p.Sleep(200 * sim.Millisecond) {
-				return
+		// The client pings the VIP every 200 ms for the whole episode.
+		n, _ := w.VPC().Get("snet")
+		client, _ := n.Member(pc(total - 1))
+		type sample struct {
+			at sim.Time // completion time
+			ok bool
+		}
+		var samples []sample
+		stop := false
+		w.Eng.Spawn("client", func(p *sim.Proc) {
+			for !stop {
+				_, err := client.Stack.Ping(p, vip, 56, 500*sim.Millisecond)
+				samples = append(samples, sample{at: p.Now(), ok: err == nil})
+				if !p.Sleep(200 * sim.Millisecond) {
+					return
+				}
+			}
+		})
+		w.Eng.RunFor(5 * sim.Second) // settle: tunnels, steering, first probes
+		w.Scrape()                   // rate baseline for the withdrawal alert
+
+		// Isolate the active backend (pc01, the first declared rank) from
+		// every machine and broker: a partial cut would let the fabric's
+		// relay fallback keep it reachable.
+		killTime := w.Eng.Now()
+		for i := 0; i < total; i++ {
+			if i == 1 {
+				continue
+			}
+			if err := w.Partition(pc(1), pc(i)); err != nil {
+				return nil, err
 			}
 		}
+		for _, b := range append(bs.names, "witness") {
+			if err := w.Partition(pc(1), b); err != nil {
+				return nil, err
+			}
+		}
+		w.Eng.RunFor(row.Budget + 10*sim.Second)
+		stop = true
+		w.Eng.RunFor(sim.Second)
+
+		if got, _ := svc.Active(); got != pc(2) {
+			return nil, fmt.Errorf("active backend %q after kill, want %s", got, pc(2))
+		}
+		firstOK := sim.Time(0)
+		for _, s := range samples {
+			row.Pings++
+			if s.ok {
+				row.OK++
+			}
+			if s.ok && s.at > killTime && firstOK == 0 {
+				firstOK = s.at
+			}
+		}
+		if firstOK == 0 {
+			return nil, fmt.Errorf("VIP never recovered after the kill (%d/%d pings ok)", row.OK, row.Pings)
+		}
+		row.Failover = firstOK.Sub(killTime)
+		row.Withdrawals = svc.Withdrawals
+		row.Failovers = svc.Failovers
+		row.Stray = bs.witness.VIPRecordsFor("snet")
+		// Flow telemetry: the client's accounting must carry the ICMP flow
+		// into the VIP itself (steering happens under the VIP's address, so
+		// the client-side key keeps it).
+		flowSeen := false
+		for _, st := range client.Host.Flows().Snapshot() {
+			if st.Key.Proto == 1 && st.Key.DstIP == vip && st.Frames > 0 {
+				flowSeen = true
+			}
+		}
+		if !flowSeen {
+			return nil, fmt.Errorf("client flow table lacks the ICMP flow to VIP %s", vip)
+		}
+		// And the withdrawal surfaced as an alert: this scrape rates the
+		// service withdrawal counter against the settle-time baseline.
+		w.Scrape()
+		if w.Alerts.Fired("vip-backend-withdrawn") == 0 {
+			return nil, fmt.Errorf("vip-backend-withdrawn alert never fired (withdrawals=%d)",
+				row.Withdrawals)
+		}
+		return row, nil
 	})
-	w.Eng.RunFor(5 * sim.Second) // settle: tunnels, steering, first probes
-	w.Scrape()                   // rate baseline for the withdrawal alert
-
-	// Isolate the active backend (pc01, the first declared rank) from
-	// every machine and broker: a partial cut would let the fabric's
-	// relay fallback keep it reachable.
-	killTime := w.Eng.Now()
-	for i := 0; i < total; i++ {
-		if key(i) == key(1) {
-			continue
-		}
-		if err := w.Partition(key(1), key(i)); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range append(names, "witness") {
-		if err := w.Partition(key(1), b); err != nil {
-			return nil, err
-		}
-	}
-	w.Eng.RunFor(row.Budget + 10*sim.Second)
-	stop = true
-	w.Eng.RunFor(sim.Second)
-
-	if got, _ := svc.Active(); got != key(2) {
-		return nil, fmt.Errorf("active backend %q after kill, want %s", got, key(2))
-	}
-	firstOK := sim.Time(0)
-	for _, s := range samples {
-		row.Pings++
-		if s.ok {
-			row.OK++
-		}
-		if s.ok && s.at > killTime && firstOK == 0 {
-			firstOK = s.at
-		}
-	}
-	if firstOK == 0 {
-		return nil, fmt.Errorf("VIP never recovered after the kill (%d/%d pings ok)", row.OK, row.Pings)
-	}
-	row.Failover = firstOK.Sub(killTime)
-	row.Withdrawals = svc.Withdrawals
-	row.Failovers = svc.Failovers
-	row.Stray = witness.VIPRecordsFor("snet")
-	// Flow telemetry: the client's accounting must carry the ICMP flow
-	// into the VIP itself (steering happens under the VIP's address, so
-	// the client-side key keeps it).
-	flowSeen := false
-	for _, st := range client.Host.Flows().Snapshot() {
-		if st.Key.Proto == 1 && st.Key.DstIP == vip && st.Frames > 0 {
-			flowSeen = true
-		}
-	}
-	if !flowSeen {
-		return nil, fmt.Errorf("client flow table lacks the ICMP flow to VIP %s", vip)
-	}
-	// And the withdrawal surfaced as an alert: this scrape rates the
-	// service withdrawal counter against the settle-time baseline.
-	w.Scrape()
-	if w.Alerts.Fired("vip-backend-withdrawn") == 0 {
-		return nil, fmt.Errorf("vip-backend-withdrawn alert never fired (withdrawals=%d)",
-			row.Withdrawals)
-	}
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
 }

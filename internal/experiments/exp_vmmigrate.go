@@ -81,17 +81,17 @@ func MigrationSweep(o Options) (*MigrationResult, error) {
 	if !o.Quick {
 		points = append(points, point{256, 2000, ""}, point{256, 2000, "partition"})
 	}
-	res := &MigrationResult{}
-	for i, pt := range points {
-		row, err := MigrationOnce(Options{Seed: o.Seed + int64(i), Quick: o.Quick},
-			pt.memMB, pt.dirty, pt.fault)
-		if err != nil {
-			return nil, fmt.Errorf("migration %d MB dirty %.0f fault %q: %w",
-				pt.memMB, pt.dirty, pt.fault, err)
-		}
-		res.Rows = append(res.Rows, *row)
+	rows, err := sweep(points, func(i int, pt point) (*MigrationRow, error) {
+		po := o
+		po.Seed += int64(i)
+		return MigrationOnce(po, pt.memMB, pt.dirty, pt.fault)
+	}, func(pt point) string {
+		return fmt.Sprintf("migration %d MB dirty %.0f fault %q", pt.memMB, pt.dirty, pt.fault)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &MigrationResult{Rows: rows}, nil
 }
 
 // MigrationOnce measures one (memory, dirty rate, fault) point on a
@@ -99,87 +99,72 @@ func MigrationSweep(o Options) (*MigrationResult, error) {
 // observes.
 func MigrationOnce(o Options, memMB int, dirtyRate float64, fault string) (*MigrationRow, error) {
 	o = o.withDefaults()
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(3, 100e6), nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.WAVNetUp(); err != nil {
-		return nil, err
-	}
-	stall := 5 * time.Second
-	v, err := w.AddVM("pc00", "vm-mig", netsim.MustParseIP("10.77.0.50"), vm.Config{
-		MemoryMB:     memMB,
-		DirtyRate:    dirtyRate,
-		StallTimeout: stall,
-	})
-	if err != nil {
-		return nil, err
-	}
-	row := &MigrationRow{MemMB: memMB, DirtyRate: dirtyRate, Fault: fault}
-
-	healAt := sim.Duration(0)
-	var fi *scenario.FaultInjector
-	if fault == "partition" {
-		// Cut the source-destination WAN path mid-copy and heal it well
-		// after the watchdog has fired.
-		healAt = 2*time.Second + 5*stall
-		fi = w.Inject(
-			scenario.PartitionAt(2*time.Second, "pc00", "pc01"),
-			scenario.HealAt(healAt, "pc00", "pc01"),
-		)
-	}
-
-	var migErr error
-	var mrep *vm.MigrationReport
-	done := false
-	start := w.Eng.Now()
-	var doneAt sim.Time
-	w.Eng.Spawn("migrate", func(p *sim.Proc) {
-		mrep, migErr = v.Migrate(p, w.M("pc01").WAV)
-		done = true
-		doneAt = p.Now()
-	})
-	budget := 20*time.Minute + healAt
-	for spent := time.Duration(0); !done && spent < budget; spent += 5 * time.Second {
-		w.Eng.RunFor(5 * time.Second)
-	}
-	if !done {
-		return nil, fmt.Errorf("migration never returned")
-	}
-	w.Eng.RunFor(healAt + 2*time.Second) // past any pending heal
-	if fi != nil {
-		if fails := fi.Failures(); len(fails) != 0 {
-			return nil, fmt.Errorf("fault schedule: %v", fails)
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(3, 100e6), nil, func(w *scenario.World) (*MigrationRow, error) {
+		if err := w.WAVNetUp(); err != nil {
+			return nil, err
 		}
-	}
+		stall := 5 * time.Second
+		v, err := w.AddVM("pc00", "vm-mig", netsim.MustParseIP("10.77.0.50"), vm.Config{
+			MemoryMB:     memMB,
+			DirtyRate:    dirtyRate,
+			StallTimeout: stall,
+		})
+		if err != nil {
+			return nil, err
+		}
+		row := &MigrationRow{MemMB: memMB, DirtyRate: dirtyRate, Fault: fault}
 
-	row.Rounds = v.Rounds
-	row.Pages = v.PagesCopied
-	row.Aborts = v.Aborts
-	switch {
-	case migErr == nil:
-		row.Outcome = "ok"
-		row.Time = mrep.Total()
-		row.Downtime = mrep.Downtime
-	case fault != "":
-		row.Outcome = "aborted"
-		row.Time = doneAt.Sub(start)
-	default:
-		return nil, fmt.Errorf("migration failed without a fault: %w", migErr)
-	}
+		healAt := sim.Duration(0)
+		var fi *scenario.FaultInjector
+		if fault == "partition" {
+			// Cut the source-destination WAN path mid-copy and heal it well
+			// after the watchdog has fired.
+			healAt = 2*time.Second + 5*stall
+			fi = w.Inject(
+				scenario.PartitionAt(2*time.Second, "pc00", "pc01"),
+				scenario.HealAt(healAt, "pc00", "pc01"),
+			)
+		}
 
-	// Whatever happened, the VM must answer a third party afterwards —
-	// at the destination on success, at the source after an abort.
-	var pingErr error
-	pinged := false
-	w.Eng.Spawn("ping", func(p *sim.Proc) {
-		_, pingErr = w.M("pc02").Dom0().Ping(p, v.IP(), 56, 5*time.Second)
-		pinged = true
+		var migErr error
+		var mrep *vm.MigrationReport
+		start := w.Eng.Now()
+		var doneAt sim.Time
+		if !w.RunProc("migrate", 5*time.Second, 20*time.Minute+healAt, func(p *sim.Proc) {
+			mrep, migErr = v.Migrate(p, w.M("pc01").WAV)
+			doneAt = p.Now()
+		}) {
+			return nil, fmt.Errorf("migration never returned")
+		}
+		w.Eng.RunFor(healAt + 2*time.Second) // past any pending heal
+		if fi != nil {
+			if fails := fi.Failures(); len(fails) != 0 {
+				return nil, fmt.Errorf("fault schedule: %v", fails)
+			}
+		}
+
+		row.Rounds = v.Rounds
+		row.Pages = v.PagesCopied
+		row.Aborts = v.Aborts
+		switch {
+		case migErr == nil:
+			row.Outcome = "ok"
+			row.Time = mrep.Total()
+			row.Downtime = mrep.Downtime
+		case fault != "":
+			row.Outcome = "aborted"
+			row.Time = doneAt.Sub(start)
+		default:
+			return nil, fmt.Errorf("migration failed without a fault: %w", migErr)
+		}
+
+		// Whatever happened, the VM must answer a third party afterwards —
+		// at the destination on success, at the source after an abort.
+		var pingErr error
+		pinged := w.RunProc("ping", 20*time.Second, 20*time.Second, func(p *sim.Proc) {
+			_, pingErr = w.M("pc02").Dom0().Ping(p, v.IP(), 56, 5*time.Second)
+		})
+		row.PingAfter = pinged && pingErr == nil
+		return row, nil
 	})
-	w.Eng.RunFor(20 * time.Second)
-	row.PingAfter = pinged && pingErr == nil
-	if err := o.finish(w); err != nil {
-		return nil, err
-	}
-	return row, nil
 }

@@ -1,16 +1,22 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section III). Each driver builds its scenario, runs the
-// measurement end-to-end on the simulated substrate, and returns a typed
+// evaluation (Section III) plus the sweeps beyond it. Each driver
+// measures end-to-end on the simulated substrate and returns a typed
 // result whose String() renders a paper-style table; cmd/wavnet-bench
 // and the repository-root benchmarks are thin wrappers around these
 // functions.
+//
+// Every world has one lifecycle, withWorld: it is built from a seed and
+// machine specs, measured, then finished — the Options.Observer, then
+// World.ScrapeCheck — exactly once, after its last measurement. Drivers
+// run a process to completion with World.RunProc, set up a broker
+// federation with addBrokers and walk sweep points with sweep.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"wavnet/internal/rendezvous"
 	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
 )
@@ -22,10 +28,11 @@ type Options struct {
 	Seed int64
 	// Quick selects reduced durations/sizes (default true).
 	Quick bool
-	// Observer, when set, is handed each built world after its
-	// measurement completes and before the final scrape check.
-	// cmd/wavnet-bench uses it to dump flow telemetry and alert state
-	// from the same worlds the experiments measured.
+	// Observer, when set, is handed every world an experiment or the
+	// trajectory builds, once, after its last measurement and before the
+	// final scrape check. cmd/wavnet-bench uses it to dump metrics, flow
+	// telemetry and alert state from the same worlds the experiments
+	// measured.
 	Observer func(*scenario.World)
 }
 
@@ -36,9 +43,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// withWorld is the one way an experiment world lives: built from seed,
+// specs and overrides, handed to measure, and — when measure succeeds —
+// finished before its result is returned.
+func withWorld[R any](o Options, seed int64, specs []scenario.Spec, overrides map[[2]string]sim.Duration,
+	measure func(w *scenario.World) (R, error)) (R, error) {
+	var zero R
+	w, err := scenario.Build(seed, specs, overrides)
+	if err != nil {
+		return zero, err
+	}
+	r, err := measure(w)
+	if err == nil {
+		err = o.finish(w)
+	}
+	if err != nil {
+		return zero, err
+	}
+	return r, nil
+}
+
 // finish runs the caller's observer (if any) over the measured world,
-// then asserts the world-wide scrape is intact — every driver's final
-// step before returning its row.
+// then asserts the world-wide scrape is intact. Only withWorld calls it.
 func (o Options) finish(w *scenario.World) error {
 	if o.Observer != nil {
 		o.Observer(w)
@@ -46,19 +72,72 @@ func (o Options) finish(w *scenario.World) error {
 	return w.ScrapeCheck()
 }
 
-// scaled returns q in quick mode, p otherwise.
-func (o Options) scaled(q, p sim.Duration) sim.Duration {
+// scaled returns q in quick mode, p otherwise (durations and byte
+// counts alike).
+func scaled[T any](o Options, q, p T) T {
 	if o.Quick {
 		return q
 	}
 	return p
 }
 
-func (o Options) scaledBytes(q, p int64) int64 {
-	if o.Quick {
-		return q
+// sweep measures every point in order and collects the rows; a failing
+// point's error is wrapped with its label.
+func sweep[P, R any](points []P, once func(i int, pt P) (*R, error), label func(pt P) string) ([]R, error) {
+	var rows []R
+	for i, pt := range points {
+		row, err := once(i, pt)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label(pt), err)
+		}
+		rows = append(rows, *row)
 	}
-	return p
+	return rows, nil
+}
+
+// pc names the emulated-WAN machine with index i.
+func pc(i int) string { return fmt.Sprintf("pc%02d", i) }
+
+// pcs names the first n emulated-WAN machines.
+func pcs(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = pc(i)
+	}
+	return keys
+}
+
+// brokerSet is the broker federation of the sweeps beyond the paper:
+// brokers b0..bN-1 and a witness broker no spec names.
+type brokerSet struct {
+	names   []string
+	servers []*rendezvous.Server
+	witness *rendezvous.Server
+}
+
+// addBrokers adds n brokers with cfg, then the witness with witnessCfg,
+// then homes members[i] on broker i mod n — in that order, since
+// creation order decides sequence numbers.
+func addBrokers(w *scenario.World, n int, cfg, witnessCfg rendezvous.Config, members []string) (*brokerSet, error) {
+	bs := &brokerSet{names: make([]string, n), servers: make([]*rendezvous.Server, n)}
+	for i := range bs.names {
+		bs.names[i] = fmt.Sprintf("b%d", i)
+		s, err := w.AddBroker(bs.names[i], cfg)
+		if err != nil {
+			return nil, err
+		}
+		bs.servers[i] = s
+	}
+	var err error
+	if bs.witness, err = w.AddBroker("witness", witnessCfg); err != nil {
+		return nil, err
+	}
+	for i, key := range members {
+		if err := w.SetHome(key, bs.names[i%n]); err != nil {
+			return nil, err
+		}
+	}
+	return bs, nil
 }
 
 // Runner is a registered experiment.
@@ -155,11 +234,11 @@ func ms(d sim.Duration) string   { return fmt.Sprintf("%.3f", float64(d)/1e6) }
 func msf(v float64) string       { return fmt.Sprintf("%.1f", v) }
 func mbps(v float64) string      { return fmt.Sprintf("%.2f", v) }
 func secs(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+
+// frac renders ok out of n, or "-" when nothing was attempted.
+func frac(ok, n int) string {
+	if n == 0 {
+		return "-"
 	}
-	sort.Strings(out)
-	return out
+	return fmt.Sprintf("%d/%d", ok, n)
 }

@@ -4,11 +4,20 @@ import (
 	"strings"
 	"testing"
 
+	"wavnet/internal/scenario"
 	"wavnet/internal/sim"
 )
 
 // quick returns quick-mode options with a fixed seed.
 func quick() Options { return Options{Seed: 7, Quick: true} }
+
+// observed returns quick options whose Observer counts the worlds it is
+// handed.
+func observed() (Options, *int) {
+	o, worlds := quick(), new(int)
+	o.Observer = func(*scenario.World) { *worlds++ }
+	return o, worlds
+}
 
 func TestRegistryComplete(t *testing.T) {
 	ids := map[string]bool{}
@@ -46,9 +55,13 @@ func TestTableI(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	r, err := TableII(quick())
+	o, worlds := observed()
+	r, err := TableII(o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if *worlds != 1 {
+		t.Errorf("observer saw %d worlds, want 1", *worlds)
 	}
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -95,9 +108,13 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	r, err := Figure7(quick())
+	o, worlds := observed()
+	r, err := Figure7(o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if *worlds != 5 {
+		t.Errorf("observer saw %d worlds, want one per WAN rate (5)", *worlds)
 	}
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))

@@ -12,10 +12,10 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"wavnet/internal/apps"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/rendezvous"
@@ -111,16 +111,14 @@ func (r *BenchResult) String() string {
 }
 
 // Trajectory runs the pinned macro-benchmark suite and returns one row
-// per metric, stamped with the trajectory point's PR number.
+// per metric. Each bench returns its metric, value and unit; the row is
+// stamped here with the bench name and the trajectory point's PR number.
 func Trajectory(o Options, pr int) (*BenchResult, error) {
 	o = o.withDefaults()
 	res := &BenchResult{}
-	add := func(bench, metric string, value float64, unit string) {
-		res.Rows = append(res.Rows, BenchRow{PR: pr, Bench: bench, Metric: metric, Value: value, Unit: unit})
-	}
 	steps := []struct {
 		name string
-		run  func(Options, func(string, string, float64, string)) error
+		run  func(Options) ([]BenchRow, error)
 	}{
 		{"forward_tagged", benchForwardTagged},
 		{"flood_suppress", benchFloodSuppress},
@@ -130,8 +128,13 @@ func Trajectory(o Options, pr int) (*BenchResult, error) {
 		{"service_failover", benchServiceFailover},
 	}
 	for _, s := range steps {
-		if err := s.run(o, add); err != nil {
+		rows, err := s.run(o)
+		if err != nil {
 			return nil, fmt.Errorf("trajectory %s: %w", s.name, err)
+		}
+		for _, r := range rows {
+			r.PR, r.Bench = pr, s.name
+			res.Rows = append(res.Rows, r)
 		}
 	}
 	return res, nil
@@ -140,318 +143,251 @@ func Trajectory(o Options, pr int) (*BenchResult, error) {
 // benchForwardTagged measures bulk TCP throughput across one tenant's
 // VNI-tagged tunnel — the core data path every other benchmark rides —
 // plus the declarative setup time to admit both members.
-func benchForwardTagged(o Options, add func(string, string, float64, string)) error {
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(2, 100e6), nil)
-	if err != nil {
-		return err
-	}
-	setupStart := w.Eng.Now()
-	spec := vpc.TenantSpec{
-		Tenant: "bench",
-		Networks: []vpc.NetworkSpec{{
-			Name: "fwd", CIDR: "10.60.0.0/24", StaticAddressing: true,
-			Members: []string{"pc00", "pc01"},
-		}},
-	}
-	if _, err := w.ApplySync(spec); err != nil {
-		return err
-	}
-	setup := w.Eng.Now().Sub(setupStart)
-	n, _ := w.VPC().Get("fwd")
-	src, dst := n.Members()[0], n.Members()[1]
-	if _, err := apps.StartSink(dst.Stack, 5001); err != nil {
-		return err
-	}
-	bytes := o.scaledBytes(2<<20, 32<<20)
-	var rate float64
-	var terr error
-	w.Eng.Spawn("ttcp", func(p *sim.Proc) {
-		r, err := apps.TTCP(p, src.Stack, netsim.Addr{IP: dst.IP, Port: 5001}, bytes, 16384)
-		if err != nil {
-			terr = err
-			return
+func benchForwardTagged(o Options) ([]BenchRow, error) {
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(2, 100e6), nil, func(w *scenario.World) ([]BenchRow, error) {
+		setupStart := w.Eng.Now()
+		spec := vpc.TenantSpec{
+			Tenant: "bench",
+			Networks: []vpc.NetworkSpec{{
+				Name: "fwd", CIDR: "10.60.0.0/24", StaticAddressing: true,
+				Members: []string{"pc00", "pc01"},
+			}},
 		}
-		rate = metrics.Rate(r.Bytes, r.Elapsed)
+		if _, err := w.ApplySync(spec); err != nil {
+			return nil, err
+		}
+		setup := w.Eng.Now().Sub(setupStart)
+		n, _ := w.VPC().Get("fwd")
+		src, dst := n.Members()[0], n.Members()[1]
+		if err := apps.StartSink(dst.Stack, 5001); err != nil {
+			return nil, err
+		}
+		bytes := scaled(o, int64(2<<20), 32<<20)
+		var rate float64
+		var terr error
+		w.RunProc("ttcp", 4*time.Minute, 4*time.Minute, func(p *sim.Proc) {
+			r, err := apps.TTCP(p, src.Stack, netsim.Addr{IP: dst.IP, Port: 5001}, bytes, 16384)
+			if err != nil {
+				terr = err
+				return
+			}
+			rate = r.Mbps()
+		})
+		if terr != nil {
+			return nil, terr
+		}
+		if rate == 0 {
+			return nil, fmt.Errorf("transfer never finished")
+		}
+		return []BenchRow{
+			{Metric: "throughput_mbps", Value: rate, Unit: "Mbps"},
+			{Metric: "setup_s", Value: setup.Seconds(), Unit: "s"},
+		}, nil
 	})
-	w.Eng.RunFor(4 * time.Minute)
-	if terr != nil {
-		return terr
-	}
-	if rate == 0 {
-		return fmt.Errorf("transfer never finished")
-	}
-	add("forward_tagged", "throughput_mbps", rate, "Mbps")
-	add("forward_tagged", "setup_s", setup.Seconds(), "s")
-	return nil
 }
 
 // benchFloodSuppress counts VNI-aware flood suppression across a forced
 // cross-tenant tunnel: tagged broadcasts for an unowned address must
 // die at the sender instead of burning WAN bandwidth.
-func benchFloodSuppress(o Options, add func(string, string, float64, string)) error {
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil)
-	if err != nil {
-		return err
-	}
-	// Force a shared-fabric tunnel between the two tenants' anchors
-	// before the split, so there is a cross-tenant path to suppress on.
-	if err := w.WAVNetUp("pc00", "pc02"); err != nil {
-		return err
-	}
-	tenants := []struct {
-		name string
-		keys []string
-	}{
-		{"t0", []string{"pc00", "pc01"}},
-		{"t1", []string{"pc02", "pc03"}},
-	}
-	for _, tnt := range tenants {
-		spec := vpc.TenantSpec{
-			Tenant: tnt.name,
-			Networks: []vpc.NetworkSpec{{
-				Name: "net-" + tnt.name, CIDR: "10.0.0.0/24", StaticAddressing: true,
-				Members: tnt.keys,
-			}},
+func benchFloodSuppress(o Options) ([]BenchRow, error) {
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil, func(w *scenario.World) ([]BenchRow, error) {
+		// Force a shared-fabric tunnel between the two tenants' anchors
+		// before the split, so there is a cross-tenant path to suppress on.
+		if err := w.WAVNetUp("pc00", "pc02"); err != nil {
+			return nil, err
 		}
-		if _, err := w.ApplySync(spec); err != nil {
-			return err
+		tenants := []struct {
+			name string
+			keys []string
+		}{
+			{"t0", []string{"pc00", "pc01"}},
+			{"t1", []string{"pc02", "pc03"}},
 		}
-	}
-	n, _ := w.VPC().Get("net-t0")
-	attacker := n.Members()[0]
-	suppressedBefore, floodedBefore := attacker.Host.SuppressedFloods, attacker.Host.FloodedFrames
-	w.Eng.Spawn("flood", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			// Inside the CIDR but owned by no one: every attempt floods
-			// ARP through all tunnels, including the forced one.
-			attacker.Stack.Ping(p, n.CIDR.Base+200, 56, time.Second)
+		for _, tnt := range tenants {
+			spec := vpc.TenantSpec{
+				Tenant: tnt.name,
+				Networks: []vpc.NetworkSpec{{
+					Name: "net-" + tnt.name, CIDR: "10.0.0.0/24", StaticAddressing: true,
+					Members: tnt.keys,
+				}},
+			}
+			if _, err := w.ApplySync(spec); err != nil {
+				return nil, err
+			}
 		}
+		n, _ := w.VPC().Get("net-t0")
+		attacker := n.Members()[0]
+		suppressedBefore, floodedBefore := attacker.Host.SuppressedFloods, attacker.Host.FloodedFrames
+		w.RunProc("flood", 30*time.Second, 30*time.Second, func(p *sim.Proc) {
+			for i := 0; i < 10; i++ {
+				// Inside the CIDR but owned by no one: every attempt floods
+				// ARP through all tunnels, including the forced one.
+				attacker.Stack.Ping(p, n.CIDR.Base+200, 56, time.Second)
+			}
+		})
+		suppressed := attacker.Host.SuppressedFloods - suppressedBefore
+		flooded := attacker.Host.FloodedFrames - floodedBefore
+		if suppressed == 0 {
+			return nil, fmt.Errorf("no floods were suppressed toward the forced tunnel")
+		}
+		return []BenchRow{
+			{Metric: "suppressed", Value: float64(suppressed), Unit: "frames"},
+			{Metric: "suppression_ratio", Value: float64(suppressed) / float64(suppressed+flooded), Unit: "ratio"},
+		}, nil
 	})
-	w.Eng.RunFor(30 * time.Second)
-	suppressed := attacker.Host.SuppressedFloods - suppressedBefore
-	flooded := attacker.Host.FloodedFrames - floodedBefore
-	if suppressed == 0 {
-		return fmt.Errorf("no floods were suppressed toward the forced tunnel")
-	}
-	add("flood_suppress", "suppressed", float64(suppressed), "frames")
-	add("flood_suppress", "suppression_ratio",
-		float64(suppressed)/float64(suppressed+flooded), "ratio")
-	return nil
 }
 
-// benchQuota measures the token-bucket policer's accuracy: a metered
-// tenant's transfer must land on its quota while an unmetered tenant
-// runs open on the same fabric.
-func benchQuota(o Options, add func(string, string, float64, string)) error {
+// benchQuota measures the token-bucket policer's accuracy on the quota
+// sweep's world: a metered tenant's transfer must land on its quota
+// while an unmetered tenant runs open on the same fabric.
+func benchQuota(o Options) ([]BenchRow, error) {
 	const quotaBps = 4e6
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(4, 100e6), nil)
+	row, err := quotaOnce(o, quotaBps)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	limited := vpc.TenantSpec{
-		Tenant: "limited",
-		Networks: []vpc.NetworkSpec{{
-			Name: "lim", CIDR: "10.40.0.0/24", StaticAddressing: true,
-			Members: []string{"pc00", "pc01"},
-		}},
-		Quota: vpc.QuotaSpec{RateBps: quotaBps},
+	if row.LimitedMbps == 0 || row.OpenMbps == 0 {
+		return nil, fmt.Errorf("a transfer never finished (limited %.2f, open %.2f Mbps)", row.LimitedMbps, row.OpenMbps)
 	}
-	open := vpc.TenantSpec{
-		Tenant: "open",
-		Networks: []vpc.NetworkSpec{{
-			Name: "opn", CIDR: "10.50.0.0/24", StaticAddressing: true,
-			Members: []string{"pc02", "pc03"},
-		}},
-	}
-	if _, err := w.ApplySync(limited); err != nil {
-		return err
-	}
-	if _, err := w.ApplySync(open); err != nil {
-		return err
-	}
-	bytes := o.scaledBytes(1<<20, 4<<20)
-	var limMbps, opnMbps float64
-	var limErr, opnErr error
-	run := func(netName string, out *float64, errOut *error) {
-		n, _ := w.VPC().Get(netName)
-		src, dst := n.Members()[0], n.Members()[1]
-		if _, err := apps.StartSink(dst.Stack, 5001); err != nil {
-			*errOut = err
-			return
-		}
-		w.Eng.Spawn("ttcp-"+netName, func(p *sim.Proc) {
-			r, err := apps.TTCP(p, src.Stack, netsim.Addr{IP: dst.IP, Port: 5001}, bytes, 16384)
-			if err != nil {
-				*errOut = err
-				return
-			}
-			*out = metrics.Rate(r.Bytes, r.Elapsed)
-		})
-	}
-	run("lim", &limMbps, &limErr)
-	run("opn", &opnMbps, &opnErr)
-	// Budget for the metered transfer: the whole image at the quota
-	// rate, padded for TCP recovery after policer drops.
-	budget := 4*time.Minute + time.Duration(float64(bytes*8)/quotaBps*4)*time.Second
-	w.Eng.RunFor(budget)
-	if limErr != nil {
-		return fmt.Errorf("limited transfer: %w", limErr)
-	}
-	if opnErr != nil {
-		return fmt.Errorf("open transfer: %w", opnErr)
-	}
-	if limMbps == 0 || opnMbps == 0 {
-		return fmt.Errorf("a transfer never finished (limited %.2f, open %.2f Mbps)", limMbps, opnMbps)
-	}
-	quotaMbps := quotaBps / 1e6
-	errPct := 100 * (limMbps - quotaMbps) / quotaMbps
-	if errPct < 0 {
-		errPct = -errPct
-	}
-	add("quota", "limited_mbps", limMbps, "Mbps")
-	add("quota", "open_mbps", opnMbps, "Mbps")
-	add("quota", "quota_error_pct", errPct, "%")
-	return nil
+	errPct := math.Abs(100 * (row.LimitedMbps - row.QuotaMbps) / row.QuotaMbps)
+	return []BenchRow{
+		{Metric: "limited_mbps", Value: row.LimitedMbps, Unit: "Mbps"},
+		{Metric: "open_mbps", Value: row.OpenMbps, Unit: "Mbps"},
+		{Metric: "quota_error_pct", Value: errPct, Unit: "%"},
+	}, nil
 }
 
 // benchRendezvousOps drives a federated two-broker control plane with a
 // lookup storm and reports the latency quantiles — straight out of the
 // obs histogram — plus sustained lookup throughput.
-func benchRendezvousOps(o Options, add func(string, string, float64, string)) error {
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(6, 100e6), nil)
-	if err != nil {
-		return err
-	}
-	if _, err := w.AddBroker("b1", rendezvous.Config{}); err != nil {
-		return err
-	}
-	keys := []string{"pc00", "pc01", "pc02", "pc03", "pc04", "pc05"}
-	for _, key := range keys[3:] {
-		if err := w.SetHome(key, "b1"); err != nil {
-			return err
+func benchRendezvousOps(o Options) ([]BenchRow, error) {
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(6, 100e6), nil, func(w *scenario.World) ([]BenchRow, error) {
+		if _, err := w.AddBroker("b1", rendezvous.Config{}); err != nil {
+			return nil, err
 		}
-	}
-	spec := vpc.TenantSpec{
-		Tenant: "bench",
-		Networks: []vpc.NetworkSpec{{
-			Name: "rdz", CIDR: "10.66.0.0/24", StaticAddressing: true,
-			Members: keys,
-			Brokers: []string{scenario.PrimaryBroker, "b1"},
-		}},
-	}
-	if _, err := w.ApplySync(spec); err != nil {
-		return err
-	}
-	// Let replication flush so cross-broker lookups resolve locally.
-	w.Eng.RunFor(15 * time.Second)
-
-	hist := obs.NewHistogram()
-	rounds := 5
-	if !o.Quick {
-		rounds = 20
-	}
-	lookups := 0
-	done := 0
-	var lookErr error
-	stormStart := w.Eng.Now()
-	for i, key := range keys {
-		i, key := i, key
-		// Always resolve a host homed on the other broker.
-		target := keys[(i+3)%len(keys)]
-		h := w.M(key).WAV
-		w.Eng.Spawn("lookup-"+key, func(p *sim.Proc) {
-			defer func() { done++ }()
-			for r := 0; r < rounds; r++ {
-				t0 := p.Now()
-				recs, err := h.Lookup(p, target)
-				if err != nil {
-					lookErr = err
-					return
-				}
-				if len(recs) == 0 {
-					lookErr = fmt.Errorf("%s resolved %s to nothing", key, target)
-					return
-				}
-				hist.Observe(p.Now().Sub(t0).Seconds() * 1e3)
-				lookups++
+		keys := pcs(6)
+		for _, key := range keys[3:] {
+			if err := w.SetHome(key, "b1"); err != nil {
+				return nil, err
 			}
-		})
-	}
-	for spent := 0; done < len(keys) && spent < 120; spent++ {
-		w.Eng.RunFor(time.Second)
-	}
-	if lookErr != nil {
-		return lookErr
-	}
-	if done < len(keys) {
-		return fmt.Errorf("lookup storm never finished (%d/%d workers)", done, len(keys))
-	}
-	elapsed := w.Eng.Now().Sub(stormStart).Seconds()
-	if elapsed <= 0 || hist.Count() == 0 {
-		return fmt.Errorf("lookup storm measured nothing")
-	}
-	add("rendezvous_ops", "lookup_p50_ms", hist.P50(), "ms")
-	add("rendezvous_ops", "lookup_p95_ms", hist.P95(), "ms")
-	add("rendezvous_ops", "lookups_per_sec", float64(lookups)/elapsed, "ops/s")
-	return nil
+		}
+		spec := vpc.TenantSpec{
+			Tenant: "bench",
+			Networks: []vpc.NetworkSpec{{
+				Name: "rdz", CIDR: "10.66.0.0/24", StaticAddressing: true,
+				Members: keys,
+				Brokers: []string{scenario.PrimaryBroker, "b1"},
+			}},
+		}
+		if _, err := w.ApplySync(spec); err != nil {
+			return nil, err
+		}
+		// Let replication flush so cross-broker lookups resolve locally.
+		w.Eng.RunFor(15 * time.Second)
+
+		hist := obs.NewHistogram()
+		rounds := 5
+		if !o.Quick {
+			rounds = 20
+		}
+		lookups := 0
+		done := 0
+		var lookErr error
+		stormStart := w.Eng.Now()
+		for i, key := range keys {
+			i, key := i, key
+			// Always resolve a host homed on the other broker.
+			target := keys[(i+3)%len(keys)]
+			h := w.M(key).WAV
+			w.Eng.Spawn("lookup-"+key, func(p *sim.Proc) {
+				defer func() { done++ }()
+				for r := 0; r < rounds; r++ {
+					t0 := p.Now()
+					recs, err := h.Lookup(p, target)
+					if err != nil {
+						lookErr = err
+						return
+					}
+					if len(recs) == 0 {
+						lookErr = fmt.Errorf("%s resolved %s to nothing", key, target)
+						return
+					}
+					hist.Observe(p.Now().Sub(t0).Seconds() * 1e3)
+					lookups++
+				}
+			})
+		}
+		for spent := 0; done < len(keys) && spent < 120; spent++ {
+			w.Eng.RunFor(time.Second)
+		}
+		if lookErr != nil {
+			return nil, lookErr
+		}
+		if done < len(keys) {
+			return nil, fmt.Errorf("lookup storm never finished (%d/%d workers)", done, len(keys))
+		}
+		elapsed := w.Eng.Now().Sub(stormStart).Seconds()
+		if elapsed <= 0 || hist.Count() == 0 {
+			return nil, fmt.Errorf("lookup storm measured nothing")
+		}
+		return []BenchRow{
+			{Metric: "lookup_p50_ms", Value: hist.P50(), Unit: "ms"},
+			{Metric: "lookup_p95_ms", Value: hist.P95(), Unit: "ms"},
+			{Metric: "lookups_per_sec", Value: float64(lookups) / elapsed, Unit: "ops/s"},
+		}, nil
+	})
 }
 
 // benchMigration live-migrates a VM between two machines and reports
 // total time, downtime, and effective image transfer rate.
-func benchMigration(o Options, add func(string, string, float64, string)) error {
-	w, err := scenario.Build(o.Seed, scenario.EmulatedWANSpecs(3, 100e6), nil)
-	if err != nil {
-		return err
-	}
-	if err := w.WAVNetUp(); err != nil {
-		return err
-	}
-	memMB := 32
-	if !o.Quick {
-		memMB = 256
-	}
-	v, err := w.AddVM("pc00", "vm-bench", netsim.MustParseIP("10.77.0.50"), vm.Config{
-		MemoryMB:  memMB,
-		DirtyRate: 2000,
+func benchMigration(o Options) ([]BenchRow, error) {
+	return withWorld(o, o.Seed, scenario.EmulatedWANSpecs(3, 100e6), nil, func(w *scenario.World) ([]BenchRow, error) {
+		if err := w.WAVNetUp(); err != nil {
+			return nil, err
+		}
+		memMB := 32
+		if !o.Quick {
+			memMB = 256
+		}
+		v, err := w.AddVM("pc00", "vm-bench", netsim.MustParseIP("10.77.0.50"), vm.Config{
+			MemoryMB:  memMB,
+			DirtyRate: 2000,
+		})
+		if err != nil {
+			return nil, err
+		}
+		var mrep *vm.MigrationReport
+		var migErr error
+		if !w.RunProc("migrate", 5*time.Second, 20*time.Minute, func(p *sim.Proc) {
+			mrep, migErr = v.Migrate(p, w.M("pc01").WAV)
+		}) {
+			return nil, fmt.Errorf("migration never returned")
+		}
+		if migErr != nil {
+			return nil, migErr
+		}
+		return []BenchRow{
+			{Metric: "migration_s", Value: mrep.Total().Seconds(), Unit: "s"},
+			{Metric: "downtime_ms", Value: mrep.Downtime.Seconds() * 1e3, Unit: "ms"},
+			{Metric: "migrate_mbps", Value: float64(mrep.BytesSent) * 8 / mrep.Total().Seconds() / 1e6, Unit: "Mbps"},
+		}, nil
 	})
-	if err != nil {
-		return err
-	}
-	var mrep *vm.MigrationReport
-	var migErr error
-	done := false
-	w.Eng.Spawn("migrate", func(p *sim.Proc) {
-		mrep, migErr = v.Migrate(p, w.M("pc01").WAV)
-		done = true
-	})
-	for spent := 0; !done && spent < 20*60; spent += 5 {
-		w.Eng.RunFor(5 * time.Second)
-	}
-	if !done {
-		return fmt.Errorf("migration never returned")
-	}
-	if migErr != nil {
-		return migErr
-	}
-	add("migration", "migration_s", mrep.Total().Seconds(), "s")
-	add("migration", "downtime_ms", mrep.Downtime.Seconds()*1e3, "ms")
-	add("migration", "migrate_mbps", metrics.Rate(mrep.BytesSent, mrep.Total()), "Mbps")
-	return nil
 }
 
 // benchServiceFailover isolates the active backend of a three-backend
 // failover-ordered VIP and reports the client-observed failover time
 // and the episode's request success ratio.
-func benchServiceFailover(o Options, add func(string, string, float64, string)) error {
+func benchServiceFailover(o Options) ([]BenchRow, error) {
 	row, err := ServiceOnce(o, 3, 3, 2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if row.Stray != 0 {
-		return fmt.Errorf("witness broker holds %d stray VIP records", row.Stray)
+		return nil, fmt.Errorf("witness broker holds %d stray VIP records", row.Stray)
 	}
-	add("service_failover", "failover_ms", row.Failover.Seconds()*1e3, "ms")
-	add("service_failover", "success_ratio", row.SuccessRatio(), "ratio")
-	add("service_failover", "budget_ms", row.Budget.Seconds()*1e3, "ms")
-	return nil
+	return []BenchRow{
+		{Metric: "failover_ms", Value: row.Failover.Seconds() * 1e3, Unit: "ms"},
+		{Metric: "success_ratio", Value: row.SuccessRatio(), Unit: "ratio"},
+		{Metric: "budget_ms", Value: row.Budget.Seconds() * 1e3, Unit: "ms"},
+	}, nil
 }

@@ -904,13 +904,6 @@ func (w *World) peeringOrigins(a, b string) []*rendezvous.Server {
 // slices until it converges, for callers outside simulation context
 // (tests, experiment drivers, and the legacy imperative shims).
 func (w *World) ApplySync(spec vpc.TenantSpec) (*vpc.ApplyReport, error) {
-	var rep *vpc.ApplyReport
-	var err error
-	done := false
-	w.Eng.Spawn("apply-"+spec.Tenant, func(p *sim.Proc) {
-		rep, err = w.Apply(p, spec)
-		done = true
-	})
 	members := 0
 	for _, ns := range spec.Networks {
 		members += len(ns.Members)
@@ -921,11 +914,13 @@ func (w *World) ApplySync(spec vpc.TenantSpec) (*vpc.ApplyReport, error) {
 	// runs for minutes of simulated time).
 	budget += time.Duration(len(spec.VMs)) * 5 * time.Minute
 	budget += time.Duration(len(spec.Services)) * 30 * time.Second
-	// Drive the engine in slices so the world's clock stops close to
-	// when convergence actually finishes (setup time is a measurement).
-	for spent := time.Duration(0); !done && spent < budget; spent += time.Second {
-		w.Eng.RunFor(time.Second)
-	}
+	// One-second slices stop the world's clock close to when convergence
+	// actually finishes (setup time is a measurement).
+	var rep *vpc.ApplyReport
+	var err error
+	done := w.RunProc("apply-"+spec.Tenant, time.Second, budget, func(p *sim.Proc) {
+		rep, err = w.Apply(p, spec)
+	})
 	if err != nil {
 		return rep, err
 	}
@@ -933,6 +928,19 @@ func (w *World) ApplySync(spec vpc.TenantSpec) (*vpc.ApplyReport, error) {
 		return rep, fmt.Errorf("scenario: apply for tenant %s still pending", spec.Tenant)
 	}
 	return rep, nil
+}
+
+// RunProc spawns fn as a process and drives the engine in step slices
+// until fn returns or budget is spent, reporting whether it returned.
+// The clock stops on the first step boundary after the return, so a
+// caller that measures what follows keeps its step; step == budget is a
+// single RunFor.
+func (w *World) RunProc(name string, step, budget sim.Duration, fn func(p *sim.Proc)) bool {
+	p := w.Eng.Spawn(name, fn)
+	for spent := sim.Duration(0); !p.Dead() && spent < budget; spent += step {
+		w.Eng.RunFor(step)
+	}
+	return p.Dead()
 }
 
 // IPOPUp brings the IPOP baseline up on the listed machines.
@@ -1085,8 +1093,8 @@ func (w *World) machineLabels(m *Machine) obs.Labels {
 	return l
 }
 
-// ScrapeCheck asserts the scrape is non-empty — every experiment driver
-// calls it at the end so the CI smoke job verifies the observability
+// ScrapeCheck asserts the scrape is non-empty — every experiment world
+// ends with it, so the CI experiments job verifies the observability
 // wiring survived whatever the experiment did to the world.
 func (w *World) ScrapeCheck() error {
 	r := w.Scrape()

@@ -61,3 +61,46 @@ func TestEmulatedWANBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProc drives one proc per case and checks the report and where
+// the clock stops: on the first step boundary after the proc returns, or
+// at the budget when it does not.
+func TestRunProc(t *testing.T) {
+	cases := []struct {
+		name                string
+		sleep, step, budget sim.Duration
+		want                bool
+		clock               sim.Duration // elapsed when RunProc returns
+	}{
+		{"finishes before the budget", 2500 * time.Millisecond, time.Second, 10 * time.Second, true, 3 * time.Second},
+		{"budget exhausted", 10 * time.Second, time.Second, 3 * time.Second, false, 3 * time.Second},
+		{"step equals budget", 2500 * time.Millisecond, 5 * time.Second, 5 * time.Second, true, 5 * time.Second},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := Build(1, EmulatedWANSpecs(1, 100e6), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := w.Eng.Now()
+			returned := false
+			got := w.RunProc("sleeper", c.step, c.budget, func(p *sim.Proc) {
+				p.Sleep(c.sleep)
+				returned = true
+			})
+			if got != c.want || returned != c.want {
+				t.Fatalf("RunProc = %v with body returned = %v, want %v", got, returned, c.want)
+			}
+			if el := w.Eng.Now().Sub(start); el != c.clock {
+				t.Fatalf("clock advanced %v, want %v", el, c.clock)
+			}
+			if !got {
+				// Still parked, not abandoned: more engine time finishes it.
+				w.Eng.RunFor(c.sleep)
+				if !returned {
+					t.Fatal("proc never resumed after the budget ran out")
+				}
+			}
+		})
+	}
+}
