@@ -106,7 +106,7 @@ func TestRelayWrapAllocs(t *testing.T) {
 
 func TestForwardTableAllocs(t *testing.T) {
 	// Steady-state switch work: refresh-learn of a known MAC plus the
-	// unicast lookup, both against the COW tables.
+	// unicast lookup, both in place in the per-VNI table.
 	f := allocTestFrame()
 	table := ether.NewVNITable[int](sim.NewEngine(1), 0)
 	table.Learn(42, f.Dst, 1)

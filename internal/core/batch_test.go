@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -215,62 +214,4 @@ func TestBatchCodecSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("batch codec round trip: %.1f allocs/op, want 0", allocs)
 	}
-}
-
-// TestBatchRaceEncodeVsLearning proves the batched encode path keeps
-// the COW-table contract: batch encoding plus forwarding lookups never
-// contend with concurrent learning (the CI race job's `./...` runs
-// it under the detector).
-func TestBatchRaceEncodeVsLearning(t *testing.T) {
-	eng := sim.NewEngine(1)
-	table := ether.NewVNITable[int](eng, 0)
-	const vnis = 4
-	const macs = 64
-	for v := 0; v < vnis; v++ {
-		for m := 0; m < macs; m++ {
-			table.Learn(uint32(v), ether.SeqMAC(uint32(m)), m)
-		}
-	}
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	// Batch encoders: look up the destination, then append the frame to
-	// a private egress batch — the switchFrame fast path.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			f := &ether.Frame{Src: ether.SeqMAC(1), Type: ether.TypeIPv4,
-				Payload: make([]byte, 200)}
-			buf := make([]byte, rendezvous.RelayHeaderLen+batchHeaderLen, 2048)
-			b := buf
-			for i := 0; i < 20000; i++ {
-				f.Dst = ether.SeqMAC(uint32((i + g) % macs))
-				if _, ok := table.Lookup(uint32(i%vnis), f.Dst); !ok {
-					continue
-				}
-				b = appendBatchFrame(b, uint32(i%vnis), f)
-				if len(b) > 1500 {
-					b = b[:len(buf)] // "flush": reset the private batch
-				}
-			}
-		}(g)
-	}
-	// Learners: refresh known MACs and invent new ones (the republish
-	// slow path).
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 10000; i++ {
-				table.Learn(uint32(i%vnis), ether.SeqMAC(uint32(i%macs)), g)
-				if i%100 == 0 {
-					table.Learn(uint32(i%vnis), ether.SeqMAC(uint32(macs+i)), g)
-				}
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
 }

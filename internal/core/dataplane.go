@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -450,7 +449,7 @@ func (h *Host) switchFrame(seg *segment, f *ether.Frame) {
 		}
 	}
 	h.FloodedFrames++
-	atomic.AddUint64(&seg.stat.flood, 1)
+	seg.stat.flood++
 	for _, t := range h.sortedTunnels() {
 		if !t.established {
 			continue
@@ -460,7 +459,7 @@ func (h *Host) switchFrame(seg *segment, f *ether.Frame) {
 		// frame could only die at their isolation check.
 		if !h.floodUseful(t, seg.vni) {
 			h.SuppressedFloods++
-			atomic.AddUint64(&seg.stat.suppress, 1)
+			seg.stat.suppress++
 			continue
 		}
 		send(t)

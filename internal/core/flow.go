@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -16,25 +15,10 @@ import (
 // The table is one cache-friendly slot array indexed by a mixed hash of
 // the packed flow key, probed linearly over a bounded window. It starts
 // small and doubles as flows arrive, up to Config.FlowSlots; between
-// doublings nothing allocates. All fields are accessed with atomic ops
-// only — no locks, nothing variable-cost — so the encap/decap/drop
-// sites can update it inline without disturbing the ALLOC_BUDGET gate,
-// and scrapers may read concurrently from test goroutines while the
-// simulation forwards.
-//
-// Concurrency model (the same split as ether.MACTable's fast path): the
-// sim event loop is the only writer — forwarding, drop attribution and
-// the eviction sweep all run there — while readers are arbitrary
-// goroutines. Counter updates are plain atomic adds; the only races
-// that would matter are a slot's identity changing under a reader
-// (evict + reinsert), so each slot carries a seqlock generation word:
-// the writer makes it odd around any key change, and readers retry when
-// the generation moved or was odd. Stats reads between generations may
-// be minutely torn (bytes updated, frames not yet) — fine for
-// telemetry, never for identity. Readers reach the slot array through
-// one atomic pointer: a doubling fills the new array before publishing
-// it and never touches the old one again, so a reader still walking the
-// old array sees a consistent, slightly stale table.
+// doublings nothing allocates, so the encap/decap/drop sites update it
+// inline without disturbing the ALLOC_BUDGET gate. Like everything in a
+// world it is touched by one goroutine at a time (see sim.Engine):
+// slots are plain fields, and a scrape walks them in place.
 //
 // Eviction is swept off the fast path on a self-arming sim-time timer:
 // flows idle past Config.FlowIdle are emitted to the configured
@@ -116,16 +100,15 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// flowSlot is one table entry. gen is the seqlock; the key words and
-// live flag only change while it is odd.
+// flowSlot is one table entry; its key words and counters mean
+// something only while live is set.
 type flowSlot struct {
-	gen            atomic.Uint64
-	live           atomic.Uint64
-	k0, k1, k2, k3 atomic.Uint64
+	live           bool
+	k0, k1, k2, k3 uint64
 
-	bytes, frames atomic.Uint64
-	drops         [obs.FlowDropReasons]atomic.Uint64
-	first, last   atomic.Int64
+	bytes, frames uint64
+	drops         [obs.FlowDropReasons]uint64
+	first, last   sim.Time
 }
 
 // FlowStat is one flow's accounted state, copied out of the table.
@@ -168,19 +151,17 @@ const (
 
 // FlowTable is the flow accounting table of one host.
 type FlowTable struct {
-	// slots is the current slot array, a power of two long. Only the
-	// writer replaces it (grow); readers load it once per walk.
-	slots atomic.Pointer[[]flowSlot]
-	max   int // bound on len(*slots)
+	slots []flowSlot // a power of two long; grow replaces it
+	max   int        // bound on len(slots)
 
-	active    atomic.Int64
-	overflows atomic.Uint64
-	evictions atomic.Uint64
+	active    int
+	overflows uint64
+	evictions uint64
 
 	// dropTotals aggregates drops by reason across every flow, including
 	// shed and evicted ones, so scrapers and alert rules read one counter
 	// per reason instead of summing a snapshot.
-	dropTotals [obs.FlowDropReasons]atomic.Uint64
+	dropTotals [obs.FlowDropReasons]uint64
 }
 
 // NewFlowTable returns a table that grows on demand up to the given
@@ -193,13 +174,7 @@ func NewFlowTable(slots int) *FlowTable {
 	for n < slots {
 		n <<= 1
 	}
-	ft := &FlowTable{max: n}
-	if n > initialFlowSlots {
-		n = initialFlowSlots
-	}
-	first := make([]flowSlot, n)
-	ft.slots.Store(&first)
-	return ft
+	return &FlowTable{max: n, slots: make([]flowSlot, min(n, initialFlowSlots))}
 }
 
 // probe walks the window of key (k0..k3) in slots and returns the live
@@ -210,13 +185,13 @@ func probe(slots []flowSlot, k0, k1, k2, k3 uint64) (hit, free *flowSlot) {
 	mask := uint64(len(slots) - 1)
 	for i := uint64(0); i < flowProbeLimit; i++ {
 		s := &slots[(idx+i)&mask]
-		if s.live.Load() == 0 {
+		if !s.live {
 			if free == nil {
 				free = s
 			}
 			continue
 		}
-		if s.k0.Load() == k0 && s.k1.Load() == k1 && s.k2.Load() == k2 && s.k3.Load() == k3 {
+		if s.k0 == k0 && s.k1 == k1 && s.k2 == k2 && s.k3 == k3 {
 			return s, free
 		}
 	}
@@ -225,11 +200,11 @@ func probe(slots []flowSlot, k0, k1, k2, k3 uint64) (hit, free *flowSlot) {
 
 // grow replaces slots with an array twice the size holding every live
 // flow, counters and all. It reports false when the table is at its
-// bound. Writer-side; the one place the table allocates.
-func (ft *FlowTable) grow(slots []flowSlot) bool {
-	for n := 2 * len(slots); n <= ft.max; n *= 2 {
-		if next := rehash(slots, n); next != nil {
-			ft.slots.Store(&next)
+// bound. The one place the table allocates.
+func (ft *FlowTable) grow() bool {
+	for n := 2 * len(ft.slots); n <= ft.max; n *= 2 {
+		if next := rehash(ft.slots, n); next != nil {
+			ft.slots = next
 			return true
 		}
 	}
@@ -243,27 +218,14 @@ func rehash(old []flowSlot, n int) []flowSlot {
 	next := make([]flowSlot, n)
 	for i := range old {
 		src := &old[i]
-		if src.live.Load() == 0 {
+		if !src.live {
 			continue
 		}
-		k0, k1, k2, k3 := src.k0.Load(), src.k1.Load(), src.k2.Load(), src.k3.Load()
-		_, dst := probe(next, k0, k1, k2, k3)
+		_, dst := probe(next, src.k0, src.k1, src.k2, src.k3)
 		if dst == nil {
 			return nil
 		}
-		// next is unpublished: no reader, so no seqlock dance.
-		dst.k0.Store(k0)
-		dst.k1.Store(k1)
-		dst.k2.Store(k2)
-		dst.k3.Store(k3)
-		dst.bytes.Store(src.bytes.Load())
-		dst.frames.Store(src.frames.Load())
-		for r := range dst.drops {
-			dst.drops[r].Store(src.drops[r].Load())
-		}
-		dst.first.Store(src.first.Load())
-		dst.last.Store(src.last.Load())
-		dst.live.Store(1)
+		*dst = *src
 	}
 	return next
 }
@@ -272,157 +234,102 @@ func rehash(old []flowSlot, n int) []flowSlot {
 // the probe window when absent — after doubling the table if the
 // window is saturated or the new flow would take the load past 1/2.
 // nil means the window is saturated in a table at its bound (counted
-// as an overflow; the sample is shed, never the latency). Writer-side
-// only: must run on the sim event loop.
+// as an overflow; the sample is shed, never the latency).
 func (ft *FlowTable) find(k *FlowKey, now sim.Time) *flowSlot {
 	k0, k1, k2, k3 := k.pack()
-	var free *flowSlot
+	var hit, free *flowSlot
 	for {
-		slots := *ft.slots.Load()
-		var hit *flowSlot
-		if hit, free = probe(slots, k0, k1, k2, k3); hit != nil {
+		if hit, free = probe(ft.slots, k0, k1, k2, k3); hit != nil {
 			return hit
 		}
-		roomy := free != nil && 2*(int(ft.active.Load())+1) <= len(slots)
-		if roomy || !ft.grow(slots) {
+		roomy := free != nil && 2*(ft.active+1) <= len(ft.slots)
+		if roomy || !ft.grow() {
 			break
 		}
 	}
 	if free == nil {
-		ft.overflows.Add(1)
+		ft.overflows++
 		return nil
 	}
-	free.gen.Add(1) // odd: identity changing
-	free.k0.Store(k0)
-	free.k1.Store(k1)
-	free.k2.Store(k2)
-	free.k3.Store(k3)
-	free.bytes.Store(0)
-	free.frames.Store(0)
-	for i := range free.drops {
-		free.drops[i].Store(0)
-	}
-	free.first.Store(int64(now))
-	free.last.Store(int64(now))
-	free.live.Store(1)
-	free.gen.Add(1) // even: slot readable again
-	ft.active.Add(1)
+	*free = flowSlot{live: true, k0: k0, k1: k1, k2: k2, k3: k3, first: now, last: now}
+	ft.active++
 	return free
 }
 
-// Add accounts one frame of the flow (writer-side).
+// Add accounts one frame of the flow.
 func (ft *FlowTable) Add(k *FlowKey, now sim.Time, bytes uint64) {
 	s := ft.find(k, now)
 	if s == nil {
 		return
 	}
-	s.bytes.Add(bytes)
-	s.frames.Add(1)
-	s.last.Store(int64(now))
+	s.bytes += bytes
+	s.frames++
+	s.last = now
 }
 
-// Drop accounts one dropped frame of the flow by reason (writer-side).
+// Drop accounts one dropped frame of the flow by reason.
 func (ft *FlowTable) Drop(k *FlowKey, now sim.Time, reason obs.FlowDropReason) {
-	ft.dropTotals[reason].Add(1)
+	ft.dropTotals[reason]++
 	s := ft.find(k, now)
 	if s == nil {
 		return
 	}
-	s.drops[reason].Add(1)
-	s.last.Store(int64(now))
+	s.drops[reason]++
+	s.last = now
 }
 
 // sweep evicts flows whose last activity is at least idle old, calling
 // emit with each evicted flow's final state, and reports how many stay
-// live. Writer-side: runs on the sim event loop, off the fast path.
+// live. It runs off the fast path.
 func (ft *FlowTable) sweep(now sim.Time, idle sim.Duration, emit func(FlowStat)) int {
-	slots := *ft.slots.Load()
-	for i := range slots {
-		s := &slots[i]
-		if s.live.Load() == 0 {
+	for i := range ft.slots {
+		s := &ft.slots[i]
+		if !s.live || now.Sub(s.last) < idle {
 			continue
 		}
-		if now.Sub(sim.Time(s.last.Load())) < idle {
-			continue
-		}
-		st := s.stat()
-		s.gen.Add(1)
-		s.live.Store(0)
-		s.gen.Add(1)
-		ft.active.Add(-1)
-		ft.evictions.Add(1)
-		if emit != nil {
-			emit(st)
-		}
+		s.live = false
+		ft.active--
+		ft.evictions++
+		emit(s.stat())
 	}
-	return int(ft.active.Load())
+	return ft.active
 }
 
-// stat copies the slot (writer-side; no seqlock dance needed).
+// stat copies the slot out.
 func (s *flowSlot) stat() FlowStat {
-	var st FlowStat
-	st.Key.unpack(s.k0.Load(), s.k1.Load(), s.k2.Load(), s.k3.Load())
-	st.Bytes = s.bytes.Load()
-	st.Frames = s.frames.Load()
-	for i := range st.Drops {
-		st.Drops[i] = s.drops[i].Load()
-	}
-	st.First = sim.Time(s.first.Load())
-	st.Last = sim.Time(s.last.Load())
+	st := FlowStat{Bytes: s.bytes, Frames: s.frames, Drops: s.drops, First: s.first, Last: s.last}
+	st.Key.unpack(s.k0, s.k1, s.k2, s.k3)
 	return st
 }
 
 // Snapshot copies the live flows out of the table.
 func (ft *FlowTable) Snapshot() []FlowStat {
-	out := make([]FlowStat, 0, ft.active.Load())
+	out := make([]FlowStat, 0, ft.active)
 	ft.Each(func(st FlowStat) { out = append(out, st) })
 	return out
 }
 
-// Each calls f with every live flow, walking the table in place. Safe
-// to call from any goroutine while the simulation forwards: each slot
-// is read under its seqlock generation and skipped after a few
-// conflicting retries (the flow shows up in the next walk).
+// Each calls f with every live flow, walking the table in place.
 func (ft *FlowTable) Each(f func(FlowStat)) {
-	slots := *ft.slots.Load()
-	for i := range slots {
-		s := &slots[i]
-		for attempt := 0; attempt < 4; attempt++ {
-			g := s.gen.Load()
-			if g&1 != 0 {
-				continue
-			}
-			if s.live.Load() == 0 {
-				break
-			}
-			st := s.stat()
-			if s.gen.Load() != g {
-				continue
-			}
-			f(st)
-			break
+	for i := range ft.slots {
+		if s := &ft.slots[i]; s.live {
+			f(s.stat())
 		}
 	}
 }
 
 // Active reports the live flow count.
-func (ft *FlowTable) Active() int { return int(ft.active.Load()) }
+func (ft *FlowTable) Active() int { return ft.active }
 
 // Overflows reports samples shed because the probe window was full.
-func (ft *FlowTable) Overflows() uint64 { return ft.overflows.Load() }
+func (ft *FlowTable) Overflows() uint64 { return ft.overflows }
 
 // Evictions reports flows swept out of the table.
-func (ft *FlowTable) Evictions() uint64 { return ft.evictions.Load() }
+func (ft *FlowTable) Evictions() uint64 { return ft.evictions }
 
 // DropTotals reports the table-wide drop counts by reason (survives
 // eviction and overflow shedding, unlike per-flow snapshots).
-func (ft *FlowTable) DropTotals() [obs.FlowDropReasons]uint64 {
-	var out [obs.FlowDropReasons]uint64
-	for i := range out {
-		out[i] = ft.dropTotals[i].Load()
-	}
-	return out
-}
+func (ft *FlowTable) DropTotals() [obs.FlowDropReasons]uint64 { return ft.dropTotals }
 
 // ---- host integration ----
 
@@ -496,8 +403,7 @@ func (h *Host) DrainFlows() {
 // and a reason; the host unwraps a relay envelope if present and walks
 // the encapsulated frame image — single, or every entry of a batch —
 // charging each frame's flow. Non-frame traffic (control, pulses,
-// punches) is ignored. Runs on the sim event loop via the drop hook,
-// so the single-writer invariant holds.
+// punches) is ignored.
 func (h *Host) AccountWireDrop(payload []byte, reason obs.FlowDropReason) {
 	if len(payload) == 0 {
 		return

@@ -244,7 +244,7 @@ type segment struct {
 	tap    *ether.BridgePort
 	dom0   *ipstack.Stack
 	// stat is the pre-resolved pointer to the host's record for this
-	// VNI, so the flood path bumps it with one atomic add.
+	// VNI, so the flood path bumps it with no name and no map lookup.
 	stat *vniStat
 }
 

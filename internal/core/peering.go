@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -223,10 +222,9 @@ func (h *Host) ScrapeInto(r *obs.Registry, l obs.Labels) {
 		add(flowDropSeries[reason], n)
 	}
 	for _, st := range h.vniStats {
-		flood, suppress := atomic.LoadUint64(&st.flood), atomic.LoadUint64(&st.suppress)
-		if flood > 0 || suppress > 0 {
-			add(st.floodName, flood)
-			add(st.suppressName, suppress)
+		if st.flood > 0 || st.suppress > 0 {
+			add(st.floodName, st.flood)
+			add(st.suppressName, st.suppress)
 		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"maps"
 	"unsafe"
 
 	"wavnet/internal/netsim"
@@ -247,26 +246,20 @@ func GratuitousARP(mac MAC, ip netsim.IP) *Frame {
 }
 
 // MACTable is a learning table with entry aging, generic over the port
-// type so both the software bridge and the WAV-Switch can use it.
-//
-// It is copy-on-write: the entry map is immutable once published, so
-// forwarding lookups and refresh-learns of known MACs are lock-free
-// atomic reads/writes and never contend with structural changes. Only
-// mutations that change the key set (a new MAC, Forget, ForgetPort)
-// take the mutex, rebuild the map — sweeping aged-out entries while
-// they are at it — and publish the copy. Lookup is a pure read: a stale
-// entry reports a miss and is reclaimed by the next rebuild or an
-// explicit Sweep, never on the fast path.
+// type so both the software bridge and the WAV-Switch can use it. Like
+// everything in a world it is touched by one goroutine at a time (see
+// sim.Engine), so it is a plain map updated in place: a refresh
+// overwrites the entry, a new MAC inserts one, and an entry older than
+// AgeTime misses and is deleted by the Lookup that finds it so.
 type MACTable[P comparable] struct {
 	eng     *sim.Engine
 	AgeTime sim.Duration
-	mu      sync.Mutex // serializes map rebuilds only
-	entries atomic.Pointer[map[uint64]*macEntry[P]]
+	entries map[uint64]macEntry[P]
 }
 
 type macEntry[P comparable] struct {
-	port atomic.Pointer[P]
-	seen atomic.Int64 // sim.Time of the last Learn
+	port P
+	seen sim.Time // the last Learn
 }
 
 // NewMACTable creates a table; ageTime <= 0 selects 300 s (the Linux
@@ -275,104 +268,37 @@ func NewMACTable[P comparable](eng *sim.Engine, ageTime sim.Duration) *MACTable[
 	if ageTime <= 0 {
 		ageTime = 300 * sim.Second
 	}
-	t := &MACTable[P]{eng: eng, AgeTime: ageTime}
-	m := make(map[uint64]*macEntry[P])
-	t.entries.Store(&m)
-	return t
+	return &MACTable[P]{eng: eng, AgeTime: ageTime, entries: make(map[uint64]macEntry[P])}
 }
 
-// Learn records that mac was seen on port. Refreshing a known MAC is
-// the data-path case and is allocation-free and lock-free; the first
-// sighting of a MAC rebuilds the map under the mutex.
+// Learn records that mac was seen on port. Refreshing a known MAC
+// allocates nothing.
 func (t *MACTable[P]) Learn(mac MAC, port P) {
 	if mac.IsMulticast() {
 		return
 	}
-	k := mac.key()
-	if e, ok := (*t.entries.Load())[k]; ok {
-		if *e.port.Load() != port {
-			p := port
-			e.port.Store(&p)
-		}
-		e.seen.Store(int64(t.eng.Now()))
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := (*t.entries.Load())[k]; ok { // raced with another learner
-		p := port
-		e.port.Store(&p)
-		e.seen.Store(int64(t.eng.Now()))
-		return
-	}
-	e := &macEntry[P]{}
-	p := port
-	e.port.Store(&p)
-	e.seen.Store(int64(t.eng.Now()))
-	t.rebuild(func(m map[uint64]*macEntry[P]) { m[k] = e })
-}
-
-// rebuild copies the published map, dropping aged-out entries along the
-// way, applies mutate to the copy, and publishes it. Caller holds mu.
-func (t *MACTable[P]) rebuild(mutate func(map[uint64]*macEntry[P])) {
-	old := *t.entries.Load()
-	now := t.eng.Now()
-	m := make(map[uint64]*macEntry[P], len(old)+1)
-	for k, e := range old {
-		if now.Sub(sim.Time(e.seen.Load())) > t.AgeTime {
-			continue
-		}
-		m[k] = e
-	}
-	if mutate != nil {
-		mutate(m)
-	}
-	t.entries.Store(&m)
+	t.entries[mac.key()] = macEntry[P]{port: port, seen: t.eng.Now()}
 }
 
 // Lookup returns the port mac was last seen on, if the entry is fresh.
-// It is a pure lock-free read safe to call concurrently with Learn.
 func (t *MACTable[P]) Lookup(mac MAC) (P, bool) {
-	e, ok := (*t.entries.Load())[mac.key()]
-	if !ok || t.eng.Now().Sub(sim.Time(e.seen.Load())) > t.AgeTime {
-		var zero P
-		return zero, false
-	}
-	return *e.port.Load(), true
-}
-
-// Forget drops the entry for mac.
-func (t *MACTable[P]) Forget(mac MAC) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	k := mac.key()
-	if _, ok := (*t.entries.Load())[k]; !ok {
-		return
+	if e, ok := t.entries[k]; ok {
+		if t.eng.Now().Sub(e.seen) <= t.AgeTime {
+			return e.port, true
+		}
+		delete(t.entries, k)
 	}
-	t.rebuild(func(m map[uint64]*macEntry[P]) { delete(m, k) })
+	var zero P
+	return zero, false
 }
 
 // ForgetPort drops every entry pointing at port (used when a tunnel or
 // bridge port goes away).
 func (t *MACTable[P]) ForgetPort(port P) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rebuild(func(m map[uint64]*macEntry[P]) {
-		for k, e := range m {
-			if *e.port.Load() == port {
-				delete(m, k)
-			}
-		}
-	})
+	maps.DeleteFunc(t.entries, func(_ uint64, e macEntry[P]) bool { return e.port == port })
 }
 
-// Sweep reclaims aged-out entries off the fast path.
-func (t *MACTable[P]) Sweep() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rebuild(nil)
-}
-
-// Len reports the number of entries still resident, fresh or not
-// (aged-out entries linger until the next rebuild or Sweep).
-func (t *MACTable[P]) Len() int { return len(*t.entries.Load()) }
+// Len reports the number of entries resident, fresh or not (an aged-out
+// entry stays until a Lookup or ForgetPort drops it).
+func (t *MACTable[P]) Len() int { return len(t.entries) }

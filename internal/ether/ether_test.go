@@ -97,8 +97,12 @@ func TestMACTableLearnLookupAge(t *testing.T) {
 		t.Fatalf("lookup = %v,%v", p, ok)
 	}
 	eng.RunUntil(sim.Time(11 * time.Second))
-	if _, ok := tbl.Lookup(SeqMAC(1)); ok {
-		t.Fatal("entry survived aging")
+	if _, ok := tbl.Lookup(SeqMAC(1)); ok || tbl.Len() != 0 {
+		t.Fatalf("aged entry: lookup hit %v, %d resident; want a miss that drops it", ok, tbl.Len())
+	}
+	tbl.Learn(SeqMAC(1), 43)
+	if p, ok := tbl.Lookup(SeqMAC(1)); !ok || p != 43 {
+		t.Fatalf("re-learn after aging: lookup = %v,%v", p, ok)
 	}
 	tbl.Learn(Broadcast, 1)
 	if _, ok := tbl.Lookup(Broadcast); ok {
@@ -118,6 +122,38 @@ func TestMACTableForgetPort(t *testing.T) {
 	}
 	if _, ok := tbl.Lookup(SeqMAC(3)); !ok {
 		t.Fatal("unrelated entry lost")
+	}
+
+	// Per VNI: ForgetPort flushes the port in every network, DropVNI one
+	// network, and both leave the MAC learnable again.
+	vt := NewVNITable[string](eng, 0)
+	for vni := uint32(1); vni <= 2; vni++ {
+		vt.Learn(vni, SeqMAC(1), "tun-a")
+		vt.Learn(vni, SeqMAC(2), "tun-b")
+	}
+	vt.ForgetPort("tun-a")
+	for vni := uint32(1); vni <= 2; vni++ {
+		if _, ok := vt.Lookup(vni, SeqMAC(1)); ok {
+			t.Fatalf("vni %d: entry on the forgotten port survived", vni)
+		}
+		if p, ok := vt.Lookup(vni, SeqMAC(2)); !ok || p != "tun-b" {
+			t.Fatalf("vni %d: unrelated entry = %q,%v", vni, p, ok)
+		}
+	}
+	vt.DropVNI(2)
+	if _, ok := vt.Lookup(2, SeqMAC(2)); ok {
+		t.Fatal("entry survived DropVNI")
+	}
+	if _, ok := vt.Lookup(1, SeqMAC(2)); !ok {
+		t.Fatal("DropVNI reached another network")
+	}
+	vt.Learn(1, SeqMAC(1), "tun-c")
+	vt.Learn(2, SeqMAC(1), "tun-d")
+	if p, ok := vt.Lookup(1, SeqMAC(1)); !ok || p != "tun-c" {
+		t.Fatalf("re-learn after ForgetPort = %q,%v", p, ok)
+	}
+	if p, ok := vt.Lookup(2, SeqMAC(1)); !ok || p != "tun-d" {
+		t.Fatalf("re-learn after DropVNI = %q,%v", p, ok)
 	}
 }
 

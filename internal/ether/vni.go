@@ -1,125 +1,52 @@
 package ether
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-
-	"wavnet/internal/sim"
-)
+import "wavnet/internal/sim"
 
 // VNITable is a set of MAC learning tables keyed by VNI (virtual
 // network identifier): one independent forwarding table per virtual
 // network, so tenants with overlapping MAC or IP address spaces never
 // share state. The WAV-Switch uses it to map (VNI, MAC) onto wide-area
-// tunnels; a plain MACTable is the degenerate single-tenant case.
-//
-// Like MACTable, the VNI index is copy-on-write: steady-state Lookup
-// and Learn resolve the per-VNI table through a lock-free atomic load,
-// and only the first frame of a new VNI (or DropVNI) rebuilds the index
-// under the mutex. Forwarding within a VNI then contends — or rather
-// doesn't — per MACTable's own COW discipline.
+// tunnels; a plain MACTable is the degenerate single-tenant case. Like
+// MACTable it is a plain map, touched by one goroutine at a time.
 type VNITable[P comparable] struct {
 	eng     *sim.Engine
 	ageTime sim.Duration
-	mu      sync.Mutex // serializes index rebuilds only
-	tables  atomic.Pointer[map[uint32]*MACTable[P]]
+	tables  map[uint32]*MACTable[P]
 }
 
 // NewVNITable creates an empty per-VNI table set; ageTime <= 0 selects
 // the MACTable default (300 s).
 func NewVNITable[P comparable](eng *sim.Engine, ageTime sim.Duration) *VNITable[P] {
-	t := &VNITable[P]{eng: eng, ageTime: ageTime}
-	m := make(map[uint32]*MACTable[P])
-	t.tables.Store(&m)
-	return t
+	return &VNITable[P]{eng: eng, ageTime: ageTime, tables: make(map[uint32]*MACTable[P])}
 }
 
-// table returns the VNI's MACTable, creating it on first use.
-func (t *VNITable[P]) table(vni uint32) *MACTable[P] {
-	if tbl, ok := (*t.tables.Load())[vni]; ok {
-		return tbl
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.tables.Load()
-	if tbl, ok := old[vni]; ok { // raced with another creator
-		return tbl
-	}
-	tbl := NewMACTable[P](t.eng, t.ageTime)
-	m := make(map[uint32]*MACTable[P], len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	m[vni] = tbl
-	t.tables.Store(&m)
-	return tbl
-}
-
-// Learn records that mac was seen on port within the given VNI.
+// Learn records that mac was seen on port within the given VNI, creating
+// the VNI's table on first use.
 func (t *VNITable[P]) Learn(vni uint32, mac MAC, port P) {
-	t.table(vni).Learn(mac, port)
+	tbl := t.tables[vni]
+	if tbl == nil {
+		tbl = NewMACTable[P](t.eng, t.ageTime)
+		t.tables[vni] = tbl
+	}
+	tbl.Learn(mac, port)
 }
 
 // Lookup returns the port mac was last seen on within the VNI.
 func (t *VNITable[P]) Lookup(vni uint32, mac MAC) (P, bool) {
-	if tbl, ok := (*t.tables.Load())[vni]; ok {
+	if tbl := t.tables[vni]; tbl != nil {
 		return tbl.Lookup(mac)
 	}
 	var zero P
 	return zero, false
 }
 
-// Forget drops the entry for mac within the VNI.
-func (t *VNITable[P]) Forget(vni uint32, mac MAC) {
-	if tbl, ok := (*t.tables.Load())[vni]; ok {
-		tbl.Forget(mac)
-	}
-}
-
 // ForgetPort drops every entry pointing at port across all VNIs (used
 // when a tunnel goes away).
 func (t *VNITable[P]) ForgetPort(port P) {
-	for _, tbl := range *t.tables.Load() {
+	for _, tbl := range t.tables {
 		tbl.ForgetPort(port)
 	}
 }
 
 // DropVNI discards the whole table of one VNI (network deletion).
-func (t *VNITable[P]) DropVNI(vni uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.tables.Load()
-	if _, ok := old[vni]; !ok {
-		return
-	}
-	m := make(map[uint32]*MACTable[P], len(old))
-	for k, v := range old {
-		if k != vni {
-			m[k] = v
-		}
-	}
-	t.tables.Store(&m)
-}
-
-// Len reports the total number of entries across all VNIs.
-func (t *VNITable[P]) Len() int {
-	n := 0
-	for _, tbl := range *t.tables.Load() {
-		n += tbl.Len()
-	}
-	return n
-}
-
-// VNIs returns the VNIs with at least one entry, sorted.
-func (t *VNITable[P]) VNIs() []uint32 {
-	tables := *t.tables.Load()
-	out := make([]uint32, 0, len(tables))
-	for vni, tbl := range tables {
-		if tbl.Len() > 0 {
-			out = append(out, vni)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (t *VNITable[P]) DropVNI(vni uint32) { delete(t.tables, vni) }

@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"wavnet/internal/sim"
 )
@@ -59,8 +58,8 @@ type alertState struct {
 type baseline struct {
 	eval uint64
 	kind Kind
-	bits uint64    // counter value
-	hist *histData // histogram series
+	bits uint64     // counter value
+	hist *Histogram // histogram series
 }
 
 func newAlertState(r AlertRule) *alertState {
@@ -71,10 +70,8 @@ func newAlertState(r AlertRule) *alertState {
 // AlertEngine evaluates a fixed rule set against successive registry
 // states, driving each rule through Inactive → Pending → Firing →
 // Resolved and recording the firing window as a span ("alert.<name>")
-// on the world trace. Safe for concurrent use; Evals are expected in
-// sim-time order.
+// on the world trace. Evals are expected in sim-time order.
 type AlertEngine struct {
-	mu     sync.Mutex
 	trace  *Trace
 	states []*alertState
 	prevAt sim.Time
@@ -93,15 +90,11 @@ func NewAlertEngine(trace *Trace, rules ...AlertRule) *AlertEngine {
 
 // AddRule appends a rule to a running engine (starts Inactive).
 func (e *AlertEngine) AddRule(r AlertRule) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.states = append(e.states, newAlertState(r))
 }
 
 // Rules returns the catalogue in registration order.
 func (e *AlertEngine) Rules() []AlertRule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]AlertRule, len(e.states))
 	for i, st := range e.states {
 		out[i] = st.rule
@@ -135,8 +128,6 @@ func matchLabels(rule, have Labels) bool {
 // of the previous one (or earlier) leaves rate rules untouched — state,
 // value and baseline: a zero-length interval carries no rate.
 func (e *AlertEngine) Eval(now sim.Time, r *Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	interval := now.Sub(e.prevAt)
 	again := e.evals > 0 && interval <= 0
 	if !again {
@@ -186,23 +177,22 @@ func (e *AlertEngine) score(st *alertState, r *Registry, interval sim.Duration) 
 		case KindGauge:
 			sum += x.gauge()
 		default:
-			h := x.hist.data()
-			d := h
+			d := *x.hist
 			// A delta with no observations is empty, extrema and all.
 			if had {
-				if d = h.minus(b.hist); d.count == 0 {
-					d = histData{}
+				if d = x.hist.minus(b.hist); d.count == 0 {
+					d = Histogram{}
 				}
 			}
 			if rule.Rate {
 				if b.hist == nil {
-					b.hist = new(histData)
+					b.hist = new(Histogram)
 				}
-				*b.hist = h
+				*b.hist = *x.hist
 			}
 			v := d.max
 			if rule.Quantile > 0 {
-				v = d.quantile(rule.Quantile)
+				v = d.Quantile(rule.Quantile)
 			}
 			if v > worst {
 				worst = v
@@ -258,8 +248,6 @@ func (e *AlertEngine) advance(st *alertState, now sim.Time, value float64, breac
 
 // Firing returns the names of currently firing alerts, sorted.
 func (e *AlertEngine) Firing() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out []string
 	for _, st := range e.states {
 		if st.firing {
@@ -272,8 +260,6 @@ func (e *AlertEngine) Firing() []string {
 
 // IsFiring reports whether the named alert is currently firing.
 func (e *AlertEngine) IsFiring(name string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name && st.firing {
 			return true
@@ -284,8 +270,6 @@ func (e *AlertEngine) IsFiring(name string) bool {
 
 // Fired reports how many times the named alert transitioned to firing.
 func (e *AlertEngine) Fired(name string) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name {
 			return st.fired
@@ -296,8 +280,6 @@ func (e *AlertEngine) Fired(name string) uint64 {
 
 // Resolved reports how many times the named alert resolved.
 func (e *AlertEngine) Resolved(name string) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name {
 			return st.resolved
@@ -308,8 +290,6 @@ func (e *AlertEngine) Resolved(name string) uint64 {
 
 // Value reports the named rule's value at the last Eval.
 func (e *AlertEngine) Value(name string) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name {
 			return st.value
@@ -322,8 +302,6 @@ func (e *AlertEngine) Value(name string) float64 {
 // per-rule fired/resolved counters plus a 0/1 firing gauge, named
 // "alert.<rule>.{fired,resolved,firing}".
 func (e *AlertEngine) ScrapeInto(r *Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var firing int
 	for _, st := range e.states {
 		if st.firing {

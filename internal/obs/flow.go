@@ -9,7 +9,6 @@ package obs
 import (
 	"container/heap"
 	"fmt"
-	"sync"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -110,10 +109,8 @@ func (r *FlowRecord) String() string {
 
 // FlowLog is a bounded ring of flow records. The core's eviction sweep
 // appends a record when a flow idles out of the table; scenario worlds
-// share one log across every host. Nil-safe and safe for concurrent
-// use (experiments read while the simulation appends).
+// share one log across every host. Nil-safe.
 type FlowLog struct {
-	mu    sync.Mutex
 	recs  []FlowRecord
 	next  int // oldest record once the ring is full
 	limit int
@@ -137,8 +134,6 @@ func (l *FlowLog) Append(r FlowRecord) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.total++
 	if len(l.recs) < l.limit {
 		l.recs = append(l.recs, r)
@@ -159,21 +154,13 @@ func (l *FlowLog) Records() []FlowRecord {
 }
 
 // Each calls f with every retained record, oldest first, without
-// copying the log: the lock is held only while one record is read, so
-// records appended during the walk may shift it by a few.
+// copying the log.
 func (l *FlowLog) Each(f func(FlowRecord)) {
 	if l == nil {
 		return
 	}
-	for i := 0; ; i++ {
-		l.mu.Lock()
-		if i >= len(l.recs) {
-			l.mu.Unlock()
-			return
-		}
-		r := l.recs[(l.next+i)%len(l.recs)]
-		l.mu.Unlock()
-		f(r)
+	for i := range l.recs {
+		f(l.recs[(l.next+i)%len(l.recs)])
 	}
 }
 
@@ -182,8 +169,6 @@ func (l *FlowLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.recs)
 }
 
@@ -192,8 +177,6 @@ func (l *FlowLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.total
 }
 

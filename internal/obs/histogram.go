@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // histBuckets is the fixed bucket count of every histogram: bucket 0
@@ -14,16 +13,10 @@ import (
 const histBuckets = 64
 
 // Histogram is a fixed log-scale (powers of two) histogram with
-// quantile accessors. Safe for concurrent use; observations are
-// non-negative float64s in whatever unit the caller picks.
+// quantile accessors; observations are non-negative float64s in
+// whatever unit the caller picks. It is a plain value: snapshots,
+// merges and rate baselines copy it.
 type Histogram struct {
-	mu sync.Mutex
-	histData
-}
-
-// histData is a histogram's state without its lock: the value that
-// snapshots, merges and rate baselines copy.
-type histData struct {
 	counts   [histBuckets]uint64
 	count    uint64
 	sum      float64
@@ -50,8 +43,6 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.counts[bucketOf(v)]++
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -64,30 +55,16 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum reports the running total of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return h.sum }
 
 // Max reports the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *Histogram) Max() float64 { return h.max }
 
 // Mean reports the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}
@@ -99,12 +76,6 @@ func (h *Histogram) Mean() float64 {
 // [min, max]. Log-scale buckets bound the error at a factor of two;
 // in practice interpolation lands much closer.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantile(q)
-}
-
-func (h *histData) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -159,30 +130,8 @@ func bucketBounds(i int) (lo, hi float64) {
 	return math.Exp2(float64(i - 1)), math.Exp2(float64(i))
 }
 
-// data copies the histogram's state.
-func (h *Histogram) data() histData {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.histData
-}
-
-// reset empties the histogram in place.
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.histData = histData{}
-}
-
-// merge adds other's observations into h.
-func (h *Histogram) merge(other *Histogram) {
-	o := other.data()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.add(&o)
-}
-
-// add folds o's observations into h.
-func (h *histData) add(o *histData) {
+// merge folds o's observations into h.
+func (h *Histogram) merge(o *Histogram) {
 	if o.count == 0 {
 		return
 	}
@@ -203,8 +152,8 @@ func (h *histData) add(o *histData) {
 // restarted source resets to empty; clamping keeps deltas sane). The
 // observed extrema cannot be subtracted, so the current min/max carry
 // over.
-func (h *histData) minus(p *histData) histData {
-	out := histData{min: h.min, max: h.max}
+func (h *Histogram) minus(p *Histogram) Histogram {
+	out := Histogram{min: h.min, max: h.max}
 	for i := range h.counts {
 		if h.counts[i] > p.counts[i] {
 			out.counts[i] = h.counts[i] - p.counts[i]

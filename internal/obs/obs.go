@@ -25,6 +25,11 @@
 // re-home closed within three pulse periods of the kill") instead of
 // terminal counters alone. All span methods are nil-receiver safe:
 // subsystems trace unconditionally and a nil *Trace disables it.
+//
+// Nothing here locks. A registry, trace, flow log or alert engine
+// belongs to one world and, like the rest of it, is touched by one
+// goroutine at a time (see package sim); a counter is a plain word and a
+// histogram a plain value.
 package obs
 
 import "strings"

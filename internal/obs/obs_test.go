@@ -2,12 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"wavnet/internal/sim"
@@ -74,12 +71,11 @@ func TestHistogramDelta(t *testing.T) {
 	for v := 100; v <= 120; v++ {
 		cur.Observe(float64(v))
 	}
-	c, p := cur.data(), prev.data()
-	if d := c.minus(&p); d.count != 21 {
+	if d := cur.minus(prev); d.count != 21 {
 		t.Fatalf("delta count = %d, want 21", d.count)
 	}
 	// A source that reset (prev > cur) clamps instead of wrapping.
-	if d := p.minus(&c); d.count != 0 {
+	if d := prev.minus(cur); d.count != 0 {
 		t.Fatalf("reset delta count = %d, want 0", d.count)
 	}
 }
@@ -107,6 +103,11 @@ func TestRegistryLabeledSeries(t *testing.T) {
 	r.Counter("quota_drops", acme).Add(5) // two sources on the same labels: sums
 	if v, _ := r.CounterValue("quota_drops", acme); v != 10 {
 		t.Fatalf("quota_drops = %d, want 10", v)
+	}
+	r.Gauge("tunnels", acme).Add(0.5)
+	r.Gauge("tunnels", acme).Add(0.5) // adds sum onto the set value
+	if v, _ := r.GaugeValue("tunnels", acme); v != 5 {
+		t.Fatalf("tunnels = %g, want 5", v)
 	}
 
 	out := r.String()
@@ -263,70 +264,6 @@ func TestRegistryPassesAndSnapshots(t *testing.T) {
 		}
 	}()
 	first.Counter("frames", a).Inc()
-}
-
-// TestRegistryConcurrent hammers one registry from recorder and
-// scraper goroutines; run under -race this is the experiment-driver
-// concurrency of World.Scrape.
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			l := Labels{Host: fmt.Sprintf("pc%02d", g%4)}
-			for i := 0; i < 2000; i++ {
-				r.Counter("frames", l).Inc()
-				r.Gauge("load", l).Add(0.5)
-				r.Histogram("lat_ms", l).Observe(float64(i % 100))
-			}
-		}(g)
-	}
-	var wgScrape sync.WaitGroup
-	for s := 0; s < 4; s++ {
-		wgScrape.Add(1)
-		go func() {
-			defer wgScrape.Done()
-			for i := 0; i < 50; i++ {
-				snap := r.Snapshot()
-				_ = snap.String()
-				_, _ = json.Marshal(snap)
-				_ = snap.Delta(r)
-			}
-		}()
-	}
-	wg.Wait()
-	wgScrape.Wait()
-	if got := r.Total("frames"); got != 8*2000 {
-		t.Fatalf("frames total = %d, want %d", got, 8*2000)
-	}
-	l0 := Labels{Host: "pc00"}
-	if v, _ := r.GaugeValue("load", l0); math.Abs(v-2*2000*0.5) > 1e-9 {
-		t.Fatalf("gauge = %g, want %g", v, 2*2000*0.5)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= 1000; i++ {
-				h.Observe(float64(i))
-				if i%100 == 0 {
-					_ = h.P95()
-					_ = h.String()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
-	}
 }
 
 func TestSpanNilSafety(t *testing.T) {

@@ -7,8 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind discriminates the series types a Registry holds.
@@ -34,39 +32,32 @@ func (k Kind) String() string {
 }
 
 // Counter is one monotonic series of a Registry.
-type Counter struct{ v atomic.Uint64 }
+type Counter struct{ v uint64 }
 
 // Add increments the counter.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) { c.v += n }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Set overwrites the counter (scrapers copy cumulative totals in).
-func (c *Counter) Set(n uint64) { c.v.Store(n) }
+func (c *Counter) Set(n uint64) { c.v = n }
 
 // Value reads the counter.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 { return c.v }
 
 // Gauge is one instantaneous-value series of a Registry. It shares
 // Counter's layout, so a series holds either in one word.
-type Gauge struct{ v atomic.Uint64 }
+type Gauge struct{ v uint64 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.v = math.Float64bits(v) }
 
 // Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.v.Load()
-		if g.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
+func (g *Gauge) Add(d float64) { g.Set(g.Value() + d) }
 
 // Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.v) }
 
 // seriesKey identifies one series: Labels is comparable, so the pair
 // works directly as a map key.
@@ -99,21 +90,18 @@ func (x sample) gauge() float64 { return math.Float64frombits(x.bits) }
 // Registry is a collection of labeled series. Lookups create series on
 // first use; asking for an existing (name, labels) pair under a
 // different kind panics — that is a wiring error, not load-time state.
-// Safe for concurrent use (experiment drivers scrape from helper
-// goroutines while the simulation records).
 //
 // A registry is reused by pass: Reset hides every series, and the first
 // lookup of a series in the new pass zeroes it in place, so a scraper
 // overwrites one standing registry instead of building a fresh one and
 // series it no longer touches drop out of every read. Snapshot freezes
-// the current pass into an immutable registry: Reset must not race with
-// reads, so a reader on another goroutine reads a snapshot.
+// the current pass into an immutable registry, which later passes leave
+// as it was.
 type Registry struct {
-	mu    sync.Mutex
 	byKey map[seriesKey]*series
 	order []*series
 	// shared marks byKey as read by a snapshot: the next insert copies
-	// it first, so snapshots never see a map being written.
+	// it first, so a snapshot never finds a series created after it.
 	shared bool
 	pass   uint64
 	live   int // series visible in this pass
@@ -128,8 +116,6 @@ func NewRegistry() *Registry { return &Registry{byKey: make(map[seriesKey]*serie
 // lookup finds or creates a series of the given kind, zeroing it when
 // this is its first lookup of the pass.
 func (r *Registry) lookup(name string, labels Labels, kind Kind) *series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.frozen != nil {
 		panic("obs: write to a registry snapshot")
 	}
@@ -154,7 +140,7 @@ func (r *Registry) lookup(name string, labels Labels, kind Kind) *series {
 	default:
 		s.val.Set(0)
 		if s.hist != nil {
-			s.hist.reset()
+			*s.hist = Histogram{}
 		}
 	}
 	s.pass = r.pass
@@ -165,8 +151,6 @@ func (r *Registry) lookup(name string, labels Labels, kind Kind) *series {
 // Reset starts a new pass: every series turns invisible, keeping its
 // storage, until its first lookup of the pass zeroes it.
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.frozen != nil {
 		panic("obs: reset of a registry snapshot")
 	}
@@ -199,8 +183,7 @@ func (r *Registry) AddHistogram(name string, labels Labels, h *Histogram) {
 	r.Histogram(name, labels).merge(h)
 }
 
-// at reads series s as r sees it. pass changes only in Reset and
-// frozen never, so reads need no lock.
+// at reads series s as r sees it.
 func (r *Registry) at(s *series) sample {
 	switch {
 	case r.frozen != nil:
@@ -213,13 +196,9 @@ func (r *Registry) at(s *series) sample {
 	return sample{live: true, bits: s.val.Value()}
 }
 
-// each calls f for every visible series in creation order. order is
-// append-only, so the prefix read under the lock stays valid.
+// each calls f for every visible series in creation order.
 func (r *Registry) each(f func(*series, sample)) {
-	r.mu.Lock()
-	order := r.order
-	r.mu.Unlock()
-	for _, s := range order {
+	for _, s := range r.order {
 		if x := r.at(s); x.live {
 			f(s, x)
 		}
@@ -228,9 +207,7 @@ func (r *Registry) each(f func(*series, sample)) {
 
 // find reads one series by key (a zero sample when absent or invisible).
 func (r *Registry) find(name string, labels Labels) (*series, sample) {
-	r.mu.Lock()
 	s := r.byKey[seriesKey{name, labels}]
-	r.mu.Unlock()
 	if s == nil {
 		return nil, sample{}
 	}
@@ -238,11 +215,7 @@ func (r *Registry) find(name string, labels Labels) (*series, sample) {
 }
 
 // Len reports the number of visible series.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.live
-}
+func (r *Registry) Len() int { return r.live }
 
 // CounterValue reads one labeled counter (0, false when absent).
 func (r *Registry) CounterValue(name string, labels Labels) (uint64, bool) {
@@ -304,8 +277,6 @@ func (r *Registry) sorted() []rendered {
 // panics. It shares r's key index until r next creates a series, so it
 // costs one value copy per series and a few objects, not a registry.
 func (r *Registry) Snapshot() *Registry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.frozen != nil {
 		return r
 	}
@@ -322,7 +293,7 @@ func (r *Registry) Snapshot() *Registry {
 		copies := make([]Histogram, hists)
 		for i := range out.frozen {
 			if x := &out.frozen[i]; x.hist != nil {
-				copies[0].histData = x.hist.data()
+				copies[0] = *x.hist
 				x.hist, copies = &copies[0], copies[1:]
 			}
 		}
@@ -365,12 +336,12 @@ func (r *Registry) Delta(prev *Registry) *Registry {
 		case KindGauge:
 			out.Gauge(s.key.name, s.key.labels).Set(x.gauge())
 		default:
-			var prev histData
+			var prev Histogram
 			if had {
-				prev = p.hist.data()
+				prev = *p.hist
 			}
-			cur := x.hist.data()
-			out.Histogram(s.key.name, s.key.labels).merge(&Histogram{histData: cur.minus(&prev)})
+			d := x.hist.minus(&prev)
+			out.Histogram(s.key.name, s.key.labels).merge(&d)
 		}
 	})
 	return out

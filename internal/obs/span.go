@@ -5,21 +5,18 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"wavnet/internal/sim"
 )
 
 // Trace is a bounded in-memory span recorder stamped with sim.Time.
-// Every method on Trace and Span is safe on a nil receiver — wiring a
+// Every method on Trace and Span is safe on a nil receiver: wiring a
 // nil *Trace through a Config disables tracing with no call-site
-// guards — and safe for concurrent use (chaos helpers inspect the
-// buffer from test goroutines while the simulation records).
+// guards.
 type Trace struct {
 	eng   *sim.Engine
 	limit int
 
-	mu        sync.Mutex
 	spans     []*Span
 	nextTrace uint64
 	nextSpan  uint64
@@ -69,8 +66,6 @@ func (tr *Trace) Start(parent *Span, name string, labels Labels) *Span {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	tr.nextSpan++
 	sp := &Span{tr: tr, name: name, labels: labels, id: tr.nextSpan, start: tr.eng.Now()}
 	if parent != nil {
@@ -97,8 +92,6 @@ func (sp *Span) Event(format string, args ...any) {
 	if len(args) > 0 {
 		msg = fmt.Sprintf(format, args...)
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	sp.events = append(sp.events, SpanEvent{At: sp.tr.eng.Now(), Msg: msg})
 }
 
@@ -107,8 +100,6 @@ func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	if !sp.ended {
 		sp.ended = true
 		sp.end = sp.tr.eng.Now()
@@ -160,8 +151,6 @@ func (sp *Span) StartTime() sim.Time {
 	if sp == nil {
 		return 0
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	return sp.start
 }
 
@@ -170,8 +159,6 @@ func (sp *Span) EndTime() sim.Time {
 	if sp == nil {
 		return 0
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	return sp.end
 }
 
@@ -180,8 +167,6 @@ func (sp *Span) Ended() bool {
 	if sp == nil {
 		return false
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	return sp.ended
 }
 
@@ -190,8 +175,6 @@ func (sp *Span) Duration() sim.Duration {
 	if sp == nil {
 		return 0
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	if !sp.ended {
 		return 0
 	}
@@ -203,8 +186,6 @@ func (sp *Span) Events() []SpanEvent {
 	if sp == nil {
 		return nil
 	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	return append([]SpanEvent(nil), sp.events...)
 }
 
@@ -224,8 +205,6 @@ func (tr *Trace) Spans() []*Span {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return append([]*Span(nil), tr.spans...)
 }
 
@@ -260,8 +239,6 @@ func (tr *Trace) Len() int {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return len(tr.spans)
 }
 
@@ -270,8 +247,6 @@ func (tr *Trace) Dropped() uint64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.dropped
 }
 
@@ -280,16 +255,12 @@ func (tr *Trace) Reset() {
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	tr.spans = nil
 	tr.dropped = 0
 }
 
 // line renders one span for the text dump.
 func (sp *Span) line() string {
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
 	var b strings.Builder
 	dur := "open"
 	if sp.ended {
@@ -348,7 +319,6 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 	spans := tr.Spans()
 	rows := make([]spanJSON, 0, len(spans))
 	for _, sp := range spans {
-		sp.tr.mu.Lock()
 		row := spanJSON{
 			Trace: sp.traceID, Span: sp.id, Parent: sp.parentID,
 			Name: sp.name, Labels: labelMap(sp.labels), Start: int64(sp.start),
@@ -359,7 +329,6 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 		for _, ev := range sp.events {
 			row.Events = append(row.Events, spanEventJSON{At: int64(ev.At), Msg: ev.Msg})
 		}
-		sp.tr.mu.Unlock()
 		rows = append(rows, row)
 	}
 	return json.Marshal(rows)

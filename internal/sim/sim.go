@@ -34,6 +34,13 @@
 // Spawn; Engine.Stop ends it. Package iter needs a go1.23 toolchain but
 // go.mod says go 1.21: benchmark/go.mod has to name the same version
 // and is frozen, so proc.go carries a go1.23 build constraint instead.
+//
+// Every package built on the engine relies on that: everything in a
+// world — the engine and every table, counter, registry and trace hung
+// off it — is touched by one goroutine at a time, the caller of Run,
+// RunFor, RunUntil or Step, or a proc it resumes. Nothing under
+// internal/ starts a goroutine, takes a lock or uses an atomic
+// (TestSingleGoroutine at the repository root holds it to that).
 package sim
 
 import (
@@ -265,9 +272,9 @@ func (l *Lane) grow() {
 	l.ring, l.head = ring, 0
 }
 
-// Engine is a discrete-event simulator. Create one with NewEngine; it is
-// not safe for concurrent use from multiple OS threads (the coroutine
-// layer serializes everything internally).
+// Engine is a discrete-event simulator. Create one with NewEngine; it,
+// and everything built on it, is touched by one goroutine at a time (see
+// the package comment).
 type Engine struct {
 	now     Time
 	queue   queue

@@ -21,14 +21,11 @@ var periodicWakers = map[string]bool{
 	filepath.Join("internal", "vm", "vm.go") + " Migrate": true,
 }
 
-// handBuiltDeadlines lists, as file:line:column, every func literal or
-// method value passed to sim.NewTimer, NewTicker, At or Schedule that
-// calls Unpark or Interrupt, in the non-test Go files under root (testdata
-// directories skipped, as the go tool skips them). Such a callback is a
-// proc's deadline built by hand; Proc.WaitUntil is the one that exists.
-func handBuiltDeadlines(t *testing.T, root string) []string {
+// eachSource parses every non-test Go file under root (testdata
+// directories skipped, as the go tool skips them) and hands it to visit
+// with its path and the file set its positions resolve in.
+func eachSource(t *testing.T, root string, visit func(fset *token.FileSet, path string, f *ast.File)) {
 	t.Helper()
-	var found []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -47,6 +44,23 @@ func handBuiltDeadlines(t *testing.T, root string) []string {
 		if err != nil {
 			return err
 		}
+		visit(fset, path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// handBuiltDeadlines lists, as file:line:column, every func literal or
+// method value passed to sim.NewTimer, NewTicker, At or Schedule that
+// calls Unpark or Interrupt, in the non-test Go files under root. Such a
+// callback is a proc's deadline built by hand; Proc.WaitUntil is the one
+// that exists.
+func handBuiltDeadlines(t *testing.T, root string) []string {
+	t.Helper()
+	var found []string
+	eachSource(t, root, func(fset *token.FileSet, path string, f *ast.File) {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			ticks := ok && periodicWakers[path+" "+fn.Name.Name]
@@ -61,11 +75,7 @@ func handBuiltDeadlines(t *testing.T, root string) []string {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return found
 }
 
@@ -119,6 +129,46 @@ func TestNoHandBuiltDeadlines(t *testing.T) {
 	planted := filepath.Join("testdata", "deadlines", "planted.go")
 	want := []string{planted + ":12:27", planted + ":16:25", planted + ":21:32", planted + ":22:31"}
 	if found := handBuiltDeadlines(t, filepath.Join("testdata", "deadlines")); !slices.Equal(found, want) {
+		t.Errorf("planted violations: found %v, want %v", found, want)
+	}
+}
+
+// concurrencyUses lists, as file:line:column, every import of sync or
+// sync/atomic and every go statement in the non-test Go files under
+// root. Everything in a world runs on one goroutine at a time — the
+// caller of Run/RunFor or a proc it resumes — so none of them belongs in
+// the simulator.
+func concurrencyUses(t *testing.T, root string) []string {
+	t.Helper()
+	var found []string
+	eachSource(t, root, func(fset *token.FileSet, _ string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
+				found = append(found, fset.Position(imp.Pos()).String())
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				found = append(found, fset.Position(g.Pos()).String())
+			}
+			return true
+		})
+	})
+	return found
+}
+
+// TestSingleGoroutine: nothing under internal/ or cmd/ locks, uses
+// atomics or starts a goroutine, and the check catches the planted
+// violations — and only those — in testdata/singlegoroutine.
+func TestSingleGoroutine(t *testing.T) {
+	for _, root := range []string{"internal", "cmd"} {
+		if found := concurrencyUses(t, root); len(found) > 0 {
+			t.Errorf("locks, atomics or goroutines under %s (a world is single-goroutine):\n%s", root, strings.Join(found, "\n"))
+		}
+	}
+	planted := filepath.Join("testdata", "singlegoroutine", "planted.go")
+	want := []string{planted + ":6:2", planted + ":7:2", planted + ":20:2"}
+	if found := concurrencyUses(t, filepath.Join("testdata", "singlegoroutine")); !slices.Equal(found, want) {
 		t.Errorf("planted violations: found %v, want %v", found, want)
 	}
 }
