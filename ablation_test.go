@@ -177,7 +177,7 @@ func BenchmarkAblationRelayVsDirect(b *testing.B) {
 // force is only feasible for toy k — and on those toy cases the
 // approximation's mean latency stays within a few percent of optimal.
 func BenchmarkAblationGroupingComplexity(b *testing.B) {
-	ds := planetlab.Generate(42, planetlab.Config{})
+	ds := planetlab.Generate(42, planetlab.Hosts)
 	for _, k := range []int{4, 8, 16, 32, 64} {
 		k := k
 		b.Run(fmt.Sprintf("locality/N=400/k=%d", k), func(b *testing.B) {

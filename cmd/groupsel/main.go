@@ -32,7 +32,7 @@ func main() {
 
 	var rtts [][]sim.Duration
 	if *usePL {
-		rtts = planetlab.Generate(*seed, planetlab.Config{}).RTT
+		rtts = planetlab.Generate(*seed, planetlab.Hosts).RTT
 	} else {
 		var err error
 		rtts, err = readMatrix(os.Stdin)

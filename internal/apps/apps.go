@@ -221,25 +221,14 @@ func StartNetperf(src, dst *ipstack.Stack, port uint16, duration, interval sim.D
 
 // ---- HTTP server and ApacheBench ----
 
-// HTTPConfig tunes the synthetic HTTP server.
-type HTTPConfig struct {
-	// ServiceTime is the serialized per-request CPU cost (a single-core
-	// Apache worker model); default 600 µs ≈ 1600 req/s peak.
-	ServiceTime sim.Duration
-}
+// httpServiceTime is the HTTP server's serialized per-request CPU cost
+// (a single-core Apache worker model): 600 µs ≈ 1600 req/s peak.
+const httpServiceTime = 600 * sim.Microsecond
 
 // StartHTTPServer serves synthetic files: a request line "GET /<size>"
 // is answered with that many bytes (e.g. "GET /8192"). This mirrors the
 // paper's AB tests with 1K/8K/64K files.
 func StartHTTPServer(st *ipstack.Stack, port uint16) error {
-	return StartHTTPServerCfg(st, port, HTTPConfig{})
-}
-
-// StartHTTPServerCfg is StartHTTPServer with explicit tuning.
-func StartHTTPServerCfg(st *ipstack.Stack, port uint16, cfg HTTPConfig) error {
-	if cfg.ServiceTime == 0 {
-		cfg.ServiceTime = 600 * sim.Microsecond
-	}
 	lis, err := st.Listen(port)
 	if err != nil {
 		return err
@@ -259,14 +248,12 @@ func StartHTTPServerCfg(st *ipstack.Stack, port uint16, cfg HTTPConfig) error {
 				if err != nil {
 					return
 				}
-				if cfg.ServiceTime > 0 {
-					now := cp.Now()
-					if busyUntil < now {
-						busyUntil = now
-					}
-					busyUntil = busyUntil.Add(cfg.ServiceTime)
-					cp.Sleep(busyUntil.Sub(now))
+				now := cp.Now()
+				if busyUntil < now {
+					busyUntil = now
 				}
+				busyUntil = busyUntil.Add(httpServiceTime)
+				cp.Sleep(busyUntil.Sub(now))
 				size := parseRequestSize(req)
 				if size < 0 {
 					conn.Write(cp, []byte("ERR bad request\n"))

@@ -104,14 +104,6 @@ type FetchResult struct {
 	Elapsed sim.Duration
 }
 
-// MBps is the transfer rate in megabytes per second.
-func (r *FetchResult) MBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / 1e6 / r.Elapsed.Seconds()
-}
-
 // ErrNoSuchFile is returned by Fetch for a name the server lacks.
 var ErrNoSuchFile = errors.New("apps: no such file")
 

@@ -50,8 +50,6 @@ const resultHeaderLen = 8 + 4
 // connections sequentially per accepted connection but accepts several
 // concurrent masters (or dispatcher lanes).
 type Worker struct {
-	stack *ipstack.Stack
-	lis   *ipstack.Listener
 	speed float64
 
 	// Stats.
@@ -71,7 +69,7 @@ func StartWorker(st *ipstack.Stack, port uint16, speed float64) (*Worker, error)
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{stack: st, lis: lis, speed: speed}
+	w := &Worker{speed: speed}
 	st.Engine().Spawn("bot-worker-accept", func(p *sim.Proc) {
 		for {
 			conn, err := lis.Accept(p)
@@ -86,9 +84,6 @@ func StartWorker(st *ipstack.Stack, port uint16, speed float64) (*Worker, error)
 	})
 	return w, nil
 }
-
-// Stop closes the worker's listener (in-flight connections finish).
-func (w *Worker) Stop() { w.lis.Close() }
 
 // serve executes tasks arriving on one connection until it closes.
 func (w *Worker) serve(p *sim.Proc, conn *ipstack.Conn) {
@@ -158,14 +153,14 @@ func (r *Run) PerWorker() map[netsim.Addr]int {
 	return m
 }
 
+// maxAttempts bounds per-task dispatch attempts across worker failures.
+const maxAttempts = 3
+
 // Options tunes Execute.
 type Options struct {
 	// LanesPerWorker is the number of concurrent task streams per worker
 	// (default 1; >1 overlaps a lane's transfer with another's compute).
 	LanesPerWorker int
-	// MaxAttempts bounds per-task dispatch attempts across worker
-	// failures (default 3).
-	MaxAttempts int
 	// TaskTimeout aborts a dispatch whose result has not arrived in time
 	// and requeues the task. Without it a worker that dies *after*
 	// acknowledging the request leaves a half-open connection that TCP
@@ -177,9 +172,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.LanesPerWorker <= 0 {
 		o.LanesPerWorker = 1
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
 	}
 	return o
 }
@@ -228,7 +220,7 @@ func Execute(p *sim.Proc, master *ipstack.Stack, workers []netsim.Addr, tasks []
 				Task: t.task, Worker: w, Started: started,
 				Finished: eng.Now(), Attempts: t.attempts + 1,
 			})
-		} else if t.attempts+1 < opts.MaxAttempts {
+		} else if t.attempts+1 < maxAttempts {
 			t.attempts++
 			run.Requeues++
 			queue = append(queue, t)

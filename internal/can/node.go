@@ -10,33 +10,16 @@ import (
 	"wavnet/internal/sim"
 )
 
-// Config tunes a CAN node.
-type Config struct {
-	Dims            int          // dimensionality of the space (default 2)
-	HeartbeatPeriod sim.Duration // neighbor hello interval (default 5s)
-	FailAfter       int          // heartbeats missed before takeover (default 3)
-	RPCTimeout      sim.Duration // client request timeout (default 3s)
-	MaxHops         int          // routing TTL (default 64)
-}
+// Dims is the dimensionality of the coordinate space.
+const Dims = 2
 
-func (c Config) withDefaults() Config {
-	if c.Dims <= 0 {
-		c.Dims = 2
-	}
-	if c.HeartbeatPeriod <= 0 {
-		c.HeartbeatPeriod = 5 * sim.Second
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 3
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 3 * sim.Second
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 64
-	}
-	return c
-}
+// Node timing and routing constants.
+const (
+	heartbeatPeriod = 5 * sim.Second // neighbor hello interval
+	failAfter       = 3              // heartbeats missed before takeover
+	rpcTimeout      = 3 * sim.Second // client request timeout
+	maxHops         = 64             // routing TTL
+)
 
 type neighborInfo struct {
 	addr     netsim.Addr
@@ -55,10 +38,8 @@ type pendingReq struct {
 // Node is one CAN participant (a WAVNet rendezvous server). All methods
 // must be called from simulation context.
 type Node struct {
-	host *netsim.Host
 	sock *netsim.UDPSocket
 	eng  *sim.Engine
-	cfg  Config
 
 	active    bool
 	zones     []Zone
@@ -80,11 +61,9 @@ type Node struct {
 
 // NewNode binds a CAN node to a UDP port on host. The node is inactive
 // until Bootstrap or Join.
-func NewNode(host *netsim.Host, port uint16, cfg Config) (*Node, error) {
+func NewNode(host *netsim.Host, port uint16) (*Node, error) {
 	n := &Node{
-		host:      host,
 		eng:       host.Engine(),
-		cfg:       cfg.withDefaults(),
 		resources: make(map[string]*Resource),
 		neighbors: make(map[netsim.Addr]*neighborInfo),
 		pending:   make(map[uint64]*pendingReq),
@@ -99,15 +78,6 @@ func NewNode(host *netsim.Host, port uint16, cfg Config) (*Node, error) {
 
 // Addr returns the node's overlay address.
 func (n *Node) Addr() netsim.Addr { return n.sock.LocalAddr() }
-
-// Zones returns the zones the node currently owns.
-func (n *Node) Zones() []Zone { return append([]Zone(nil), n.zones...) }
-
-// NeighborCount reports the size of the neighbor set.
-func (n *Node) NeighborCount() int { return len(n.neighbors) }
-
-// ResourceCount reports the number of stored resources.
-func (n *Node) ResourceCount() int { return len(n.resources) }
 
 // Active reports whether the node currently owns any zone.
 func (n *Node) Active() bool { return n.active }
@@ -130,14 +100,14 @@ func (n *Node) Close() {
 
 // Bootstrap makes this node the first member, owning the whole space.
 func (n *Node) Bootstrap() {
-	n.zones = []Zone{FullZone(n.cfg.Dims)}
+	n.zones = []Zone{FullZone(Dims)}
 	n.active = true
 	n.startHeartbeat()
 }
 
 // Join contacts a seed node and acquires a zone; cb runs with the outcome.
 func (n *Node) Join(seed netsim.Addr, cb func(error)) {
-	point := make(Point, n.cfg.Dims)
+	point := make(Point, Dims)
 	for i := range point {
 		point[i] = n.eng.Rand().Float64()
 	}
@@ -173,7 +143,7 @@ func (n *Node) Join(seed netsim.Addr, cb func(error)) {
 // Put stores (or refreshes) a resource at the owner of its key point.
 // ttl of zero means no expiry.
 func (n *Node) Put(res Resource, ttl sim.Duration, cb func(error)) {
-	if !res.Key.Valid() || len(res.Key) != n.cfg.Dims {
+	if !res.Key.Valid() || len(res.Key) != Dims {
 		cb(fmt.Errorf("can: invalid key %v", res.Key))
 		return
 	}
@@ -212,7 +182,7 @@ type LookupResult struct {
 
 // Lookup routes to the owner of point and returns its resource set.
 func (n *Node) Lookup(point Point, cb func(LookupResult, error)) {
-	if !point.Valid() || len(point) != n.cfg.Dims {
+	if !point.Valid() || len(point) != Dims {
 		cb(LookupResult{}, fmt.Errorf("can: invalid point %v", point))
 		return
 	}
@@ -327,7 +297,7 @@ func (n *Node) newRPC(cb func(*wireMsg, error)) uint64 {
 		delete(n.pending, id)
 		cb(nil, errors.New("can: request timed out"))
 	})
-	pr.timer.Reset(n.cfg.RPCTimeout)
+	pr.timer.Reset(rpcTimeout)
 	n.pending[id] = pr
 	return id
 }
@@ -380,7 +350,7 @@ func (n *Node) route(m *wireMsg) {
 		return
 	}
 	m.Hops++
-	if m.Hops > n.cfg.MaxHops {
+	if m.Hops > maxHops {
 		n.RouteFails++
 		n.replyError(m, "hop limit exceeded")
 		return
@@ -612,7 +582,7 @@ func (n *Node) startHeartbeat() {
 	var tick func()
 	schedule := func() {
 		j := 1 + (n.eng.Rand().Float64()*0.2 - 0.1)
-		d := sim.Duration(float64(n.cfg.HeartbeatPeriod) * j)
+		d := sim.Duration(float64(heartbeatPeriod) * j)
 		n.hbEv = n.eng.Schedule(d, tick)
 	}
 	tick = func() {
@@ -634,7 +604,7 @@ func (n *Node) sendHellos() {
 }
 
 func (n *Node) checkDead() {
-	cutoff := n.eng.Now().Add(-sim.Duration(n.cfg.FailAfter) * n.cfg.HeartbeatPeriod)
+	cutoff := n.eng.Now().Add(-failAfter * heartbeatPeriod)
 	for addr, nb := range n.neighbors {
 		if nb.lastSeen < cutoff {
 			// Takeover: adopt the dead neighbor's last known zones, then
@@ -654,60 +624,6 @@ func (n *Node) checkDead() {
 			n.sendHellos()
 		}
 	}
-}
-
-// ---- blocking wrappers for process-style callers ----
-
-// JoinSync joins via seed and blocks the process until the join resolves.
-func (n *Node) JoinSync(p *sim.Proc, seed netsim.Addr) error {
-	var err error
-	done := false
-	n.Join(seed, func(e error) {
-		err = e
-		done = true
-		p.Unpark()
-	})
-	for !done {
-		if !p.Park() {
-			return errors.New("can: join interrupted")
-		}
-	}
-	return err
-}
-
-// PutSync stores a resource, blocking until acknowledged.
-func (n *Node) PutSync(p *sim.Proc, res Resource, ttl sim.Duration) error {
-	var err error
-	done := false
-	n.Put(res, ttl, func(e error) {
-		err = e
-		done = true
-		p.Unpark()
-	})
-	for !done {
-		if !p.Park() {
-			return errors.New("can: put interrupted")
-		}
-	}
-	return err
-}
-
-// LookupSync queries the owner of a point, blocking until the reply.
-func (n *Node) LookupSync(p *sim.Proc, point Point) (LookupResult, error) {
-	var res LookupResult
-	var err error
-	done := false
-	n.Lookup(point, func(r LookupResult, e error) {
-		res, err = r, e
-		done = true
-		p.Unpark()
-	})
-	for !done {
-		if !p.Park() {
-			return res, errors.New("can: lookup interrupted")
-		}
-	}
-	return res, err
 }
 
 // MarshalValue is a helper to JSON-encode resource payloads.

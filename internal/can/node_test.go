@@ -1,6 +1,7 @@
 package can
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func buildOverlay(t *testing.T, n int, seed int64) *overlay {
 		}
 		ip := netsim.MakeIP(10+byte(i/200), byte(i%200)+1, 0, 1)
 		h := o.nw.NewPublicHost("rs", s, ip, 0, 0)
-		node, err := NewNode(h, 9000, Config{Dims: 2})
+		node, err := NewNode(h, 9000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +211,7 @@ func TestCrashTakeover(t *testing.T) {
 	}
 	victim.sock.Close()
 
-	// Wait for failure detection (FailAfter × heartbeat + slack).
+	// Wait for failure detection (failAfter × heartbeatPeriod + slack).
 	o.eng.RunFor(60 * time.Second)
 
 	if math.Abs(o.totalVolume()-1) > 1e-9 {
@@ -226,25 +227,30 @@ func TestCrashTakeover(t *testing.T) {
 	}
 }
 
-func TestJoinSyncAndLookupSync(t *testing.T) {
+// errPending marks a callback that never ran.
+var errPending = errors.New("callback never ran")
+
+func TestJoinPutLookup(t *testing.T) {
 	eng := sim.NewEngine(7)
 	nw := netsim.New(eng)
 	site := nw.NewSite("dc")
 	h1 := nw.NewPublicHost("a", site, netsim.MustParseIP("10.0.0.1"), 0, 0)
 	h2 := nw.NewPublicHost("b", site, netsim.MustParseIP("10.0.0.2"), 0, 0)
-	n1, _ := NewNode(h1, 9000, Config{Dims: 2})
-	n2, _ := NewNode(h2, 9000, Config{Dims: 2})
+	n1, _ := NewNode(h1, 9000)
+	n2, _ := NewNode(h2, 9000)
 	n1.Bootstrap()
-	var joinErr, putErr, lookErr error
+	joinErr, putErr, lookErr := errPending, errPending, errPending
 	var res LookupResult
-	eng.Spawn("driver", func(p *sim.Proc) {
-		joinErr = n2.JoinSync(p, n1.Addr())
-		putErr = n2.PutSync(p, Resource{ID: "x", Key: Point{0.5, 0.5}, Value: MarshalValue(9)}, 0)
-		res, lookErr = n1.LookupSync(p, Point{0.5, 0.5})
+	n2.Join(n1.Addr(), func(err error) {
+		joinErr = err
+		n2.Put(Resource{ID: "x", Key: Point{0.5, 0.5}, Value: MarshalValue(9)}, 0, func(err error) {
+			putErr = err
+			n1.Lookup(Point{0.5, 0.5}, func(r LookupResult, err error) { res, lookErr = r, err })
+		})
 	})
 	eng.RunFor(30 * time.Second)
 	if joinErr != nil || putErr != nil || lookErr != nil {
-		t.Fatalf("sync ops: %v %v %v", joinErr, putErr, lookErr)
+		t.Fatalf("join, put, lookup: %v %v %v", joinErr, putErr, lookErr)
 	}
 	if len(res.Resources) != 1 || res.Resources[0].ID != "x" {
 		t.Fatalf("lookup = %+v", res.Resources)
@@ -256,7 +262,7 @@ func TestLookupTimeoutWhenUnreachable(t *testing.T) {
 	nw := netsim.New(eng)
 	site := nw.NewSite("dc")
 	h1 := nw.NewPublicHost("a", site, netsim.MustParseIP("10.0.0.1"), 0, 0)
-	n1, _ := NewNode(h1, 9000, Config{Dims: 2, RPCTimeout: time.Second})
+	n1, _ := NewNode(h1, 9000)
 	// Not bootstrapped: inactive node must fail the RPC.
 	var err error
 	done := false

@@ -14,7 +14,7 @@ import (
 // destination can share a packet: switchFrame enqueues encoded frame
 // images into a per-Tunnel egress queue, and a flush — at the end of
 // the current sim timestamp (Engine.AtTimeEnd), or early when a queue
-// hits Config.BatchMaxBytes/BatchMaxFrames — emits one aggregated
+// hits batchMaxBytes/batchMaxFrames — emits one aggregated
 // paFrameBatch packet per destination:
 //
 //	[0x1A] ( [len:2 BE] [paFrame|paFrameVNI frame image] )*
@@ -43,6 +43,20 @@ const (
 	batchLenBytes = 2
 	// batchHeaderLen is the container overhead: the paFrameBatch byte.
 	batchHeaderLen = 1
+
+	// batchMaxBytes / batchMaxFrames cap one egress batch: a
+	// destination's queue is flushed early once its batched payload
+	// would exceed batchMaxBytes or holds batchMaxFrames frames.
+	// batchMaxBytes is the classic 1500-byte path-MTU budget: a UDP
+	// datagram above it would IP-fragment on a real path, and a
+	// fragmented batch dies whole when any fragment drops — measured
+	// here as multi-segment TCP holes that stall recovery into RTOs.
+	// Under the MTU budget a full-size data frame rides alone (legacy
+	// single-frame format, bit-identical to the unbatched wire), while
+	// same-instant small frames — ACK trains, ARP, control chatter —
+	// coalesce.
+	batchMaxBytes  = 1500
+	batchMaxFrames = 32
 )
 
 // appendBatchFrame appends one length-prefixed encapsulated frame image
@@ -62,14 +76,14 @@ func (h *Host) enqueueFrame(t *Tunnel, vni uint32, f *ether.Frame) {
 	const headroom = wireHeadroom
 	need := batchLenBytes + VNIEncapLen(vni) + f.WireLen()
 	if t.egressFrames > 0 &&
-		(len(t.egress)+need > headroom+batchHeaderLen+h.cfg.BatchMaxBytes ||
-			t.egressFrames >= h.cfg.BatchMaxFrames) {
+		(len(t.egress)+need > headroom+batchHeaderLen+batchMaxBytes ||
+			t.egressFrames >= batchMaxFrames) {
 		h.flushTunnel(t, true)
 	}
 	if t.egressFrames == 0 {
 		// Sized for the byte cap up front so appends within one batch
 		// never outgrow the lease.
-		capBytes := headroom + batchHeaderLen + h.cfg.BatchMaxBytes
+		capBytes := headroom + batchHeaderLen + batchMaxBytes
 		if capBytes < headroom+batchHeaderLen+need {
 			capBytes = headroom + batchHeaderLen + need // jumbo frame
 		}

@@ -96,11 +96,11 @@ func TestBatchCoalescesSameInstantFrames(t *testing.T) {
 func TestBatchFrameCapFlushesEarly(t *testing.T) {
 	w, got := batchPair(t, 22, []nat.Type{nat.FullCone, nat.FullCone})
 	h := w.hosts[0]
-	n := h.cfg.BatchMaxFrames + 8
+	n := batchMaxFrames + 8
 	injectBroadcasts(w, n)
 	wantOrder(t, *got, n)
 	if h.BatchCapFlushes == 0 {
-		t.Fatal("overflowing BatchMaxFrames never cap-flushed")
+		t.Fatal("overflowing batchMaxFrames never cap-flushed")
 	}
 	if h.BatchFlushes < 2 {
 		t.Fatalf("BatchFlushes = %d, want ≥2 (cap flush + final flush)", h.BatchFlushes)

@@ -225,13 +225,13 @@ func (h *Host) startPunch(rec rendezvous.HostRecord) {
 	tries := 0
 	var tick func()
 	tick = func() {
-		if t.established || tries >= h.cfg.PunchTries {
+		if t.established || tries >= punchTries {
 			return
 		}
 		tries++
 		h.PunchesSent++
 		h.sock.SendTo(t.Remote, probe)
-		h.eng.Schedule(h.cfg.PunchInterval, tick)
+		h.eng.Schedule(punchInterval, tick)
 	}
 	tick()
 }
@@ -341,7 +341,7 @@ func (h *Host) TunnelRTT(p *sim.Proc, peer string) (sim.Duration, error) {
 		p.Unpark()
 	}
 	h.tunnelSend(t, b)
-	ok = p.WaitUntil(h.eng.Now().Add(h.cfg.RPCTimeout), func() bool { return done })
+	ok = p.WaitUntil(h.eng.Now().Add(rpcTimeout), func() bool { return done })
 	delete(h.echoWaiters, id)
 	if !ok {
 		return 0, ErrInterrupted
@@ -382,8 +382,8 @@ func (h *Host) onTapFrame(seg *segment, f *ether.Frame) {
 	if f.WireLen() > h.SegmentMTU(seg.vni)+ether.HeaderLen {
 		return // oversized for the tunnel
 	}
-	// The Packet Assembler's processing time (Config.PacketCost, never
-	// zero), then the switch.
+	// The Packet Assembler's processing time (packetCost), then the
+	// switch.
 	f.Retain()
 	h.pa.Post((*tapOut)(seg), f)
 }

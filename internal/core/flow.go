@@ -14,14 +14,14 @@ import (
 //
 // The table is one cache-friendly slot array indexed by a mixed hash of
 // the packed flow key, probed linearly over a bounded window. It starts
-// small and doubles as flows arrive, up to Config.FlowSlots; between
+// small and doubles as flows arrive, up to defaultFlowSlots; between
 // doublings nothing allocates, so the encap/decap/drop sites update it
 // inline without disturbing the ALLOC_BUDGET gate. Like everything in a
 // world it is touched by one goroutine at a time (see sim.Engine):
 // slots are plain fields, and a scrape walks them in place.
 //
 // Eviction is swept off the fast path on a self-arming sim-time timer:
-// flows idle past Config.FlowIdle are emitted to the configured
+// flows idle past flowIdle are emitted to the configured
 // obs.FlowLog as closed flow-log records and their slots freed. A full
 // probe window in a table already at its bound counts an overflow and
 // drops the sample rather than evicting inline.
@@ -119,15 +119,6 @@ type FlowStat struct {
 	First, Last   sim.Time
 }
 
-// DropTotal sums the stat's drops across reasons.
-func (st *FlowStat) DropTotal() uint64 {
-	var n uint64
-	for _, d := range st.Drops {
-		n += d
-	}
-	return n
-}
-
 // Record converts the stat to its flow-log record shape.
 func (st *FlowStat) Record(host string) obs.FlowRecord {
 	return obs.FlowRecord{
@@ -140,6 +131,7 @@ func (st *FlowStat) Record(host string) obs.FlowRecord {
 }
 
 const (
+	// defaultFlowSlots bounds a host's table.
 	defaultFlowSlots = 1024
 	// initialFlowSlots is the size a table starts at (when its bound
 	// allows): most hosts carry a handful of flows.
@@ -147,6 +139,12 @@ const (
 	// flowProbeLimit bounds the linear probe: a lookup touches at most
 	// this many slots before declaring overflow.
 	flowProbeLimit = 16
+
+	// flowSweepPeriod and flowIdle drive the off-path eviction sweep: a
+	// flow with no activity for flowIdle is closed and emitted to the
+	// flow log on the next sweep tick.
+	flowSweepPeriod = 10 * sim.Second
+	flowIdle        = 30 * sim.Second
 )
 
 // FlowTable is the flow accounting table of one host.
@@ -372,14 +370,14 @@ func (h *Host) flowTouched() {
 		return
 	}
 	h.flowSweepOn = true
-	h.eng.Schedule(h.cfg.FlowSweepPeriod, h.flowSweepFn)
+	h.eng.Schedule(flowSweepPeriod, h.flowSweepFn)
 }
 
 // flowSweep evicts idle flows off the fast path, emitting each as a
 // closed flow-log record.
 func (h *Host) flowSweep() {
-	if h.flows.sweep(h.eng.Now(), h.cfg.FlowIdle, h.emitFlow) > 0 {
-		h.eng.Schedule(h.cfg.FlowSweepPeriod, h.flowSweepFn)
+	if h.flows.sweep(h.eng.Now(), flowIdle, h.emitFlow) > 0 {
+		h.eng.Schedule(flowSweepPeriod, h.flowSweepFn)
 		return
 	}
 	h.flowSweepOn = false

@@ -74,52 +74,33 @@ type Config struct {
 	// set (default 3 × RendezvousPulsePeriod).
 	BrokerTimeout sim.Duration
 
-	PunchTries    int
-	PunchInterval sim.Duration
-
-	// RPCTimeout bounds control-plane waits (join, lookup, connect).
-	RPCTimeout sim.Duration
-
 	// Attrs is the host's resource state vector for CAN-indexed queries.
 	Attrs can.Point
-
-	// BridgeLatency is the software bridge's per-frame forwarding cost.
-	BridgeLatency sim.Duration
-	// PacketCost is the Packet Assembler's per-packet processing time on
-	// both encapsulation and decapsulation (user-level tap handling).
-	PacketCost sim.Duration
-
-	// BatchMaxBytes / BatchMaxFrames cap one egress batch (batch.go): a
-	// destination's queue is flushed early once its batched payload
-	// would exceed BatchMaxBytes or holds BatchMaxFrames frames.
-	// BatchMaxBytes defaults to the classic 1500-byte path-MTU budget:
-	// a UDP datagram above it would IP-fragment on a real path, and a
-	// fragmented batch dies whole when any fragment drops — measured
-	// here as multi-segment TCP holes that stall recovery into RTOs.
-	// Under the MTU budget a full-size data frame rides alone (legacy
-	// single-frame format, bit-identical to the unbatched wire), while
-	// same-instant small frames — ACK trains, ARP, control chatter —
-	// coalesce. BatchMaxFrames = 1 disables coalescing entirely.
-	BatchMaxBytes  int
-	BatchMaxFrames int
 
 	// Tracer records sim-time spans for the host's multi-step control
 	// flows (tunnel establishment, broker re-home elections); nil
 	// disables tracing.
 	Tracer *obs.Trace
 
-	// FlowSlots bounds the flow accounting table (flow.go), which grows
-	// on demand up to it, rounded up to a power of two (default 1024).
-	// FlowSweepPeriod and FlowIdle drive the off-path eviction sweep: a
-	// flow with no activity for FlowIdle is closed and emitted to
-	// FlowLog on the next sweep tick. FlowLog is the shared flow-log
-	// sink (nil discards closed-flow records; live flows stay
-	// scrapeable either way).
-	FlowSlots       int
-	FlowSweepPeriod sim.Duration
-	FlowIdle        sim.Duration
-	FlowLog         *obs.FlowLog
+	// FlowLog is the shared sink of closed flow records (flow.go; nil
+	// discards them, live flows stay scrapeable either way).
+	FlowLog *obs.FlowLog
 }
+
+// Host timing constants.
+const (
+	// punchTries probes, punchInterval apart, make one hole-punching
+	// attempt.
+	punchTries    = 10
+	punchInterval = 200 * sim.Millisecond
+	// rpcTimeout bounds control-plane waits (join, lookup, connect).
+	rpcTimeout = 10 * sim.Second
+	// bridgeLatency is the software bridge's per-frame forwarding cost.
+	bridgeLatency = 10 * sim.Microsecond
+	// packetCost is the Packet Assembler's per-packet processing time on
+	// both encapsulation and decapsulation (user-level tap handling).
+	packetCost = 15 * sim.Microsecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.Port == 0 {
@@ -136,36 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BrokerTimeout <= 0 {
 		c.BrokerTimeout = 3 * c.RendezvousPulsePeriod
-	}
-	if c.PunchTries <= 0 {
-		c.PunchTries = 10
-	}
-	if c.PunchInterval <= 0 {
-		c.PunchInterval = 200 * sim.Millisecond
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 10 * sim.Second
-	}
-	if c.BridgeLatency <= 0 {
-		c.BridgeLatency = 10 * sim.Microsecond
-	}
-	if c.PacketCost <= 0 {
-		c.PacketCost = 15 * sim.Microsecond
-	}
-	if c.BatchMaxBytes <= 0 {
-		c.BatchMaxBytes = 1500
-	}
-	if c.BatchMaxFrames <= 0 {
-		c.BatchMaxFrames = 32
-	}
-	if c.FlowSlots <= 0 {
-		c.FlowSlots = defaultFlowSlots
-	}
-	if c.FlowSweepPeriod <= 0 {
-		c.FlowSweepPeriod = 10 * sim.Second
-	}
-	if c.FlowIdle <= 0 {
-		c.FlowIdle = 30 * sim.Second
 	}
 	return c
 }
@@ -225,10 +176,6 @@ type Tunnel struct {
 	BatchesOut, BatchesIn uint64
 }
 
-// CarriesVNI reports whether the far end announced a segment for vni
-// (false also when no announcement has arrived yet).
-func (t *Tunnel) CarriesVNI(vni uint32) bool { return t.vniKnown && t.remoteVNIs[vni] }
-
 // Established reports whether hole punching (or relay setup) completed.
 func (t *Tunnel) Established() bool { return t.established }
 
@@ -264,7 +211,7 @@ type Host struct {
 	eng  *sim.Engine
 	cfg  Config
 	// pa holds the frames waiting out the Packet Assembler's
-	// processing time (cfg.PacketCost), outbound and inbound.
+	// processing time (packetCost), outbound and inbound.
 	pa *sim.Lane
 
 	sock *netsim.UDPSocket
@@ -317,15 +264,12 @@ type Host struct {
 	mapped   netsim.Addr
 	rdvTick  *sim.Ticker
 
-	// Broker failover state: the candidate broker set kept from join
-	// time (JoinAny) or pushed by the reconciler (NetworkSpec.Brokers),
-	// the brokers the last JoinAny-style election actually attempted,
-	// when the home broker was last heard, and whether a re-home or
-	// re-register is already in flight.
-	candidates   []netsim.Addr
-	joinAttempts []netsim.Addr
-	brokerSeen   sim.Time
-	recovering   bool
+	// Broker failover state: the candidate broker set pushed by the
+	// reconciler (NetworkSpec.Brokers), when the home broker was last
+	// heard, and whether a re-home or re-register is already in flight.
+	candidates []netsim.Addr
+	brokerSeen sim.Time
+	recovering bool
 
 	nextID  uint64
 	waiters map[uint64]func(*rendezvous.Msg)
@@ -340,7 +284,6 @@ type Host struct {
 	echoWaiters map[uint64]func(sim.Duration)
 	nextEcho    uint64
 
-	vifSeq uint32
 	macSeq uint32
 
 	// Stats.
@@ -419,7 +362,7 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		phys:        phys,
 		eng:         phys.Engine(),
 		cfg:         cfg,
-		pa:          phys.Engine().Lane(cfg.PacketCost),
+		pa:          phys.Engine().Lane(packetCost),
 		pool:        phys.Network().Pool(),
 		segments:    make(map[uint32]*segment),
 		tunnels:     make(map[string]*Tunnel),
@@ -437,7 +380,7 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		batchSizes:  obs.NewHistogram(),
 	}
 	h.flushFn = h.flushEgress
-	h.flows = NewFlowTable(cfg.FlowSlots)
+	h.flows = NewFlowTable(defaultFlowSlots)
 	h.flowSweepFn = h.flowSweep
 	sock, err := phys.BindUDP(cfg.Port, h.onPacket)
 	if err != nil {
@@ -462,7 +405,7 @@ func (h *Host) addSegment(vni uint32) *segment {
 		h.vniStats[vni] = st
 	}
 	seg := &segment{host: h, vni: vni, stat: st}
-	seg.bridge = ether.NewBridge(h.eng, h.name+"-br0"+suffix, h.cfg.BridgeLatency)
+	seg.bridge = ether.NewBridge(h.eng, h.name+"-br0"+suffix, bridgeLatency)
 	seg.tap = seg.bridge.AddPort("wav0" + suffix)
 	seg.tap.SetRecv(func(f *ether.Frame) { h.onTapFrame(seg, f) })
 	h.segments[vni] = seg
@@ -533,12 +476,6 @@ func (h *Host) Network() (string, uint32) { return h.network, h.vni }
 
 // Joined reports whether the host currently holds a rendezvous session.
 func (h *Host) Joined() bool { return h.joined }
-
-// RendezvousAddr reports the home broker this host registered with. A
-// host homes on exactly one broker of a federation — its record is
-// replicated to the other brokers its network names, and connects to
-// hosts homed elsewhere are forwarded broker-to-broker.
-func (h *Host) RendezvousAddr() netsim.Addr { return h.rdv }
 
 // NATClass reports the STUN classification from Join.
 func (h *Host) NATClass() stun.NATClass { return h.natClass }
@@ -640,14 +577,6 @@ func (h *Host) CreateDom0On(vni uint32, ip netsim.IP) (*ipstack.Stack, error) {
 // CreateDom0).
 func (h *Host) Dom0() *ipstack.Stack { return h.segments[0].dom0 }
 
-// Dom0On returns the per-network management stack of one segment.
-func (h *Host) Dom0On(vni uint32) *ipstack.Stack {
-	if seg, ok := h.segments[vni]; ok {
-		return seg.dom0
-	}
-	return nil
-}
-
 // NewMAC hands out deterministic unique MACs for VMs on this host.
 func (h *Host) NewMAC() ether.MAC { return h.newMAC() }
 
@@ -682,7 +611,7 @@ func (h *Host) rpc(p *sim.Proc, m *rendezvous.Msg) (*rendezvous.Msg, error) {
 	})
 	m.ID = id
 	rendezvous.Send(h.sock, h.rdv, m)
-	ok := p.WaitUntil(h.eng.Now().Add(h.cfg.RPCTimeout), func() bool { return resp != nil })
+	ok := p.WaitUntil(h.eng.Now().Add(rpcTimeout), func() bool { return resp != nil })
 	delete(h.waiters, id)
 	if !ok {
 		return nil, ErrInterrupted
@@ -776,7 +705,7 @@ func (h *Host) survivors(dead netsim.Addr) []netsim.Addr {
 	return out
 }
 
-// rehome runs the failover election: a JoinAny-style pass over the
+// rehome runs the failover election: an in-order pass over the
 // surviving candidates — the broker just declared dead is excluded, not
 // retried — then re-registers under the host's current network scope.
 // The new home broker replicates the fresh record across the network's
@@ -882,29 +811,14 @@ func (h *Host) LeaveVPC(p *sim.Proc) error {
 	return h.JoinVPC(p, "", 0)
 }
 
-// JoinAny registers with the first reachable rendezvous server in the
-// list — the paper's "sending a joining message to at least one
-// rendezvous server". Servers are tried in order; a dead broker costs
-// one STUN/RPC timeout before the next is attempted. The list becomes
-// the host's standing candidate set for broker failover, and every
-// address actually attempted (in order, the winner last) is recorded in
-// JoinAttempts so a later re-home election can see — and skip — brokers
-// that were already found dead.
-func (h *Host) JoinAny(p *sim.Proc, rdvs []netsim.Addr) error {
-	h.candidates = append([]netsim.Addr(nil), rdvs...)
-	return h.electAndJoin(p, rdvs)
-}
-
-// electAndJoin is the election loop shared by JoinAny and rehome: it
-// records the attempted brokers but deliberately leaves the standing
-// candidate set alone, so a reconciler push (SetBrokerCandidates)
-// landing while an election is parked in simulated time is never
-// clobbered by a stale snapshot.
+// electAndJoin is rehome's election loop: it joins the first broker of
+// rdvs that answers, trying them in order. It deliberately leaves the
+// standing candidate set alone, so a reconciler push
+// (SetBrokerCandidates) landing while an election is parked in
+// simulated time is never clobbered by a stale snapshot.
 func (h *Host) electAndJoin(p *sim.Proc, rdvs []netsim.Addr) error {
-	h.joinAttempts = h.joinAttempts[:0]
 	var lastErr error = ErrUnreachable
 	for _, addr := range rdvs {
-		h.joinAttempts = append(h.joinAttempts, addr)
 		if err := h.Join(p, addr); err == nil {
 			return nil
 		} else {
@@ -912,13 +826,6 @@ func (h *Host) electAndJoin(p *sim.Proc, rdvs []netsim.Addr) error {
 		}
 	}
 	return lastErr
-}
-
-// JoinAttempts returns the brokers the last JoinAny election attempted,
-// in order; the final entry is the one that answered (or the last
-// failure when the whole election failed).
-func (h *Host) JoinAttempts() []netsim.Addr {
-	return append([]netsim.Addr(nil), h.joinAttempts...)
 }
 
 // SetBrokerCandidates installs the standing broker candidate set used
@@ -1039,7 +946,7 @@ func (h *Host) ConnectTo(p *sim.Proc, peer string) (*Tunnel, error) {
 		p.Unpark()
 	}})
 	defer h.dropConnWaiter(peer, waiterID)
-	attemptWindow := h.cfg.RPCTimeout/2 + sim.Duration(h.cfg.PunchTries)*h.cfg.PunchInterval
+	attemptWindow := rpcTimeout/2 + punchTries*punchInterval
 	for attempt := 0; attempt < 3 && !done; attempt++ {
 		transient := false
 		id := h.newWaiter(func(r *rendezvous.Msg) {

@@ -37,11 +37,6 @@ func (h *Host) RevokePeering(fromVNI, intoVNI uint32) {
 	h.peering.Revoke(fromVNI, intoVNI)
 }
 
-// PeeringRule reports the installed rule for (fromVNI, intoVNI).
-func (h *Host) PeeringRule(fromVNI, intoVNI uint32) ([]ether.Prefix, bool) {
-	return h.peering.Rule(fromVNI, intoVNI)
-}
-
 // DropPeeringsOf removes every gateway rule touching vni in either
 // direction (membership teardown).
 func (h *Host) DropPeeringsOf(vni uint32) { h.peering.DropVNI(vni) }

@@ -7,7 +7,6 @@ import (
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
 	"wavnet/internal/rendezvous"
-	"wavnet/internal/sim"
 )
 
 // Tenant service VIPs on the data plane. A VIP is an IP address with no
@@ -285,20 +284,4 @@ func (h *Host) reannounceVIPRecords() {
 		rec := h.vipRecords[k]
 		rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPAnnounce, Name: h.name, VIP: &rec})
 	}
-}
-
-// LookupVIP resolves a service name to its healthy backend records via
-// the rendezvous layer, sorted for this host (declared order for
-// failover-ordered services, locator distance for anycast-nearest).
-func (h *Host) LookupVIP(p *sim.Proc, service string) ([]rendezvous.VIPRecord, error) {
-	if !h.joined {
-		return nil, ErrNotJoined
-	}
-	resp, err := h.rpc(p, &rendezvous.Msg{
-		Kind: rendezvous.KindVIPLookup, Name: h.name, Net: h.network, Service: service,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.VIPs, nil
 }

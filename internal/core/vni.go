@@ -28,13 +28,6 @@ var (
 	ErrReservedVNI = errors.New("core: tagged frame carries reserved VNI 0")
 )
 
-// MarshalVNIFrame encodes a frame for tunneling within the given
-// virtual network: [paFrame][frame] for VNI 0 (backward compatible),
-// [paFrameVNI][vni:4][frame] otherwise.
-func MarshalVNIFrame(vni uint32, f *ether.Frame) []byte {
-	return AppendVNIFrame(nil, vni, f)
-}
-
 // AppendVNIFrame appends the frame's tunnel encapsulation to dst and
 // returns the extended slice. A dst with enough capacity (VNIEncapLen
 // beyond its length) makes the tag path allocation-free — the form the

@@ -21,7 +21,7 @@ func TestVNIFrameRoundTrip(t *testing.T) {
 	for _, vni := range []uint32{0, 1, 2, 4094, 1 << 24, ^uint32(0)} {
 		for _, plen := range []int{0, 1, 46, 1400} {
 			f := randFrame(rng, plen)
-			wire := MarshalVNIFrame(vni, f)
+			wire := AppendVNIFrame(nil, vni, f)
 			// Wire format invariants.
 			if vni == 0 {
 				if wire[0] != paFrame || len(wire) != 1+f.WireLen() {
@@ -52,7 +52,7 @@ func TestVNIFrameTruncated(t *testing.T) {
 	// Every strict prefix that cuts into the header must error, for
 	// both wire formats.
 	for _, vni := range []uint32{0, 9} {
-		wire := MarshalVNIFrame(vni, f)
+		wire := AppendVNIFrame(nil, vni, f)
 		minLen := 1 + ether.HeaderLen
 		if vni != 0 {
 			minLen += VNITagLen
@@ -76,7 +76,7 @@ func TestVNIFrameTruncated(t *testing.T) {
 		t.Fatalf("unknown type: %v", err)
 	}
 	// A tagged frame must not smuggle the reserved VNI 0.
-	zero := MarshalVNIFrame(3, f)
+	zero := AppendVNIFrame(nil, 3, f)
 	zero[1], zero[2], zero[3], zero[4] = 0, 0, 0, 0
 	if _, _, err := UnmarshalVNIFrame(zero); err != ErrReservedVNI {
 		t.Fatalf("reserved VNI: %v", err)

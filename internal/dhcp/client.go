@@ -23,17 +23,15 @@ const (
 type ClientConfig struct {
 	// Tries bounds DISCOVER and REQUEST retransmissions (default 4).
 	Tries int
-	// RetryBase is the first retransmission interval; it doubles per try
-	// (default 1 s, so 1+2+4+8 s for four tries).
-	RetryBase sim.Duration
 }
+
+// retryBase is the first retransmission interval; it doubles per try
+// (1+2+4+8 s for four tries).
+const retryBase = sim.Second
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Tries <= 0 {
 		c.Tries = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = sim.Second
 	}
 	return c
 }
@@ -81,18 +79,6 @@ func NewClient(stack *ipstack.Stack, cfg ClientConfig) (*Client, error) {
 	c.sock = sock
 	return c, nil
 }
-
-// Lease reports the bound address and the lease duration (zero before
-// Acquire succeeds).
-func (c *Client) Lease() (netsim.IP, sim.Duration) {
-	if !c.bound {
-		return 0, 0
-	}
-	return c.stack.IP(), c.leaseFor
-}
-
-// Bound reports whether the client currently holds a lease.
-func (c *Client) Bound() bool { return c.bound }
 
 // Acquire runs the DISCOVER/OFFER/REQUEST/ACK handshake, blocking the
 // process until the stack is configured or the retry budget is spent.
@@ -158,7 +144,7 @@ func (c *Client) Acquire(p *sim.Proc) (netsim.IP, error) {
 // retryUntil fires send, then waits with exponential backoff until ok()
 // or the try budget is exhausted.
 func (c *Client) retryUntil(p *sim.Proc, send func(), ok func() bool) bool {
-	wait := c.cfg.RetryBase
+	wait := retryBase
 	for try := 0; try < c.cfg.Tries; try++ {
 		send()
 		if !p.WaitUntil(c.eng.Now().Add(wait), ok) || ok() {

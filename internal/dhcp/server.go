@@ -19,10 +19,11 @@ type ServerConfig struct {
 	Lease sim.Duration
 	// SubnetMask and Router are handed to clients (both optional).
 	SubnetMask, Router netsim.IP
-	// OfferHold reserves an offered address against other clients until
-	// the offer is taken or abandoned (default 10 s).
-	OfferHold sim.Duration
 }
+
+// offerHold reserves an offered address against other clients until the
+// offer is taken or abandoned.
+const offerHold = 10 * sim.Second
 
 func (c ServerConfig) withDefaults() (ServerConfig, error) {
 	if c.PoolStart == 0 || c.PoolEnd == 0 || c.PoolEnd < c.PoolStart {
@@ -30,9 +31,6 @@ func (c ServerConfig) withDefaults() (ServerConfig, error) {
 	}
 	if c.Lease <= 0 {
 		c.Lease = 10 * sim.Minute
-	}
-	if c.OfferHold <= 0 {
-		c.OfferHold = 10 * sim.Second
 	}
 	return c, nil
 }
@@ -190,7 +188,7 @@ func (s *Server) onDiscover(m *Message) {
 	if err != nil {
 		return // RFC 2131: a server with nothing to offer stays silent
 	}
-	s.offers[m.CHAddr] = &Lease{IP: ip, MAC: m.CHAddr, Expires: s.eng.Now().Add(s.cfg.OfferHold)}
+	s.offers[m.CHAddr] = &Lease{IP: ip, MAC: m.CHAddr, Expires: s.eng.Now().Add(offerHold)}
 	s.Offers++
 	s.reply(m, Offer, ip)
 }

@@ -43,9 +43,6 @@ func NewBridge(eng *sim.Engine, name string, fwdLatency sim.Duration) *Bridge {
 	}
 }
 
-// Name returns the bridge name.
-func (b *Bridge) Name() string { return b.name }
-
 // BridgePort is one attachment to a bridge; it implements NIC.
 type BridgePort struct {
 	bridge *Bridge
@@ -77,12 +74,6 @@ func (b *Bridge) RemovePort(p *BridgePort) {
 		}
 	}
 }
-
-// Ports returns the current port list.
-func (b *Bridge) Ports() []*BridgePort { return append([]*BridgePort(nil), b.ports...) }
-
-// Name returns the port name.
-func (p *BridgePort) Name() string { return p.name }
 
 // Bridge returns the bridge this port is attached to.
 func (p *BridgePort) Bridge() *Bridge { return p.bridge }

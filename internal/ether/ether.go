@@ -298,7 +298,3 @@ func (t *MACTable[P]) Lookup(mac MAC) (P, bool) {
 func (t *MACTable[P]) ForgetPort(port P) {
 	maps.DeleteFunc(t.entries, func(_ uint64, e macEntry[P]) bool { return e.port == port })
 }
-
-// Len reports the number of entries resident, fresh or not (an aged-out
-// entry stays until a Lookup or ForgetPort drops it).
-func (t *MACTable[P]) Len() int { return len(t.entries) }

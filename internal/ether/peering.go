@@ -57,12 +57,6 @@ func (t *PeeringTable) Revoke(from, into uint32) {
 	t.peersCache = nil
 }
 
-// Rule returns the directed rule's prefixes and whether it exists.
-func (t *PeeringTable) Rule(from, into uint32) ([]Prefix, bool) {
-	ps, ok := t.rules[[2]uint32{from, into}]
-	return ps, ok
-}
-
 // Allows reports whether a frame tagged `from` with destination dst may
 // be injected into the segment of `into`.
 func (t *PeeringTable) Allows(from, into uint32, dst netsim.IP) bool {
@@ -92,18 +86,6 @@ func (t *PeeringTable) Routes(from uint32) []uint32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Peered reports whether any rule links a and b in either direction —
-// the sender-side test for whether flooding a's frames toward a tunnel
-// that only carries b can still be useful (the far end's gateway may
-// re-inject them).
-func (t *PeeringTable) Peered(a, b uint32) bool {
-	if _, ok := t.rules[[2]uint32{a, b}]; ok {
-		return true
-	}
-	_, ok := t.rules[[2]uint32{b, a}]
-	return ok
 }
 
 // PeersOf returns every VNI linked to v by a rule in either direction,
@@ -143,6 +125,3 @@ func (t *PeeringTable) DropVNI(v uint32) {
 	}
 	t.peersCache = nil
 }
-
-// Len reports the number of directed rules.
-func (t *PeeringTable) Len() int { return len(t.rules) }

@@ -44,7 +44,7 @@ func (r *Figure12Result) String() string {
 // Figure12 generates the 400-host dataset and reports its distribution.
 func Figure12(o Options) (*Figure12Result, error) {
 	o = o.withDefaults()
-	d := planetlab.Generate(o.Seed, planetlab.Config{Hosts: 400})
+	d := planetlab.Generate(o.Seed, planetlab.Hosts)
 	res := &Figure12Result{Hosts: d.N(), Percentile: make(map[int]sim.Duration)}
 	var all []sim.Duration
 	d.Pairs(func(i, j int, rtt sim.Duration) {
@@ -94,7 +94,7 @@ func (r *Figure13Result) String() string {
 // 400-host dataset.
 func Figure13(o Options) (*Figure13Result, error) {
 	o = o.withDefaults()
-	d := planetlab.Generate(o.Seed, planetlab.Config{Hosts: 400})
+	d := planetlab.Generate(o.Seed, planetlab.Hosts)
 	ks := []int{2, 4, 8, 12, 16, 24, 32, 48, 64, 75}
 	if o.Quick {
 		ks = []int{2, 8, 16, 32, 64}
@@ -121,7 +121,7 @@ func Figure13(o Options) (*Figure13Result, error) {
 // locality strategy (as the paper pre-selects 64 reasonable hosts from
 // the 400) so that even "random" clusters are connectable.
 func planetlabPool(seed int64, pool int) ([]scenario.Spec, map[[2]string]sim.Duration, [][]sim.Duration) {
-	d := planetlab.Generate(seed, planetlab.Config{Hosts: 400})
+	d := planetlab.Generate(seed, planetlab.Hosts)
 	// Pre-select connectable candidates the way the paper pre-filters 64
 	// of 400: drop overloaded nodes but keep the geographic spread, so
 	// random clusters still straddle continents while the

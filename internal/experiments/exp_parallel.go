@@ -239,9 +239,9 @@ func figure14Run(o Options, pool, k int, bench string, class mpi.NASClass, local
 			}
 			switch bench[:2] {
 			case "EP":
-				elapsed, runErr = mpi.RunEP(p, world, mpi.EPParams{Class: class})
+				elapsed, runErr = mpi.RunEP(p, world, class)
 			default:
-				elapsed, runErr = mpi.RunFT(p, world, mpi.FTParams{Class: class, ComputeRate: 60e6})
+				elapsed, runErr = mpi.RunFT(p, world, class)
 			}
 		})
 		if !done || runErr != nil {

@@ -43,16 +43,19 @@ const (
 // our compact 12-byte routing header.
 const overlayHeaderExtra = 30
 
+// procDelay is the fixed per-packet processing latency; bridgeLatency
+// matches core's software bridge cost.
+const (
+	procDelay     = 150 * sim.Microsecond
+	bridgeLatency = 10 * sim.Microsecond
+)
+
 // Config tunes an IPOP node.
 type Config struct {
 	Port uint16 // overlay UDP port (default 4600)
 	// ProcRate is the node's user-level forwarding capacity in
 	// packets/second (default 1800, calibrated to Figure 7's collapse).
 	ProcRate float64
-	// ProcDelay is the fixed per-packet processing latency (default 150µs).
-	ProcDelay sim.Duration
-	// BridgeLatency matches core's software bridge cost.
-	BridgeLatency sim.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -61,12 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProcRate <= 0 {
 		c.ProcRate = 1800
-	}
-	if c.ProcDelay <= 0 {
-		c.ProcDelay = 150 * sim.Microsecond
-	}
-	if c.BridgeLatency <= 0 {
-		c.BridgeLatency = 10 * sim.Microsecond
 	}
 	return c
 }
@@ -143,7 +140,7 @@ func (nw *Network) AddNode(phys *netsim.Host, name string) (*Node, error) {
 		return nil, err
 	}
 	n.sock = sock
-	n.bridge = ether.NewBridge(nw.eng, name+"-ipop-br", nw.cfg.BridgeLatency)
+	n.bridge = ether.NewBridge(nw.eng, name+"-ipop-br", bridgeLatency)
 	n.tap = n.bridge.AddPort("ipop0")
 	n.tap.SetRecv(n.onTapFrame)
 	nw.nodes = append(nw.nodes, n)
@@ -161,9 +158,6 @@ func fnv32(s string) uint32 {
 
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
-
-// Bridge returns the node's local bridge.
-func (n *Node) Bridge() *ether.Bridge { return n.bridge }
 
 // VirtualMTU reports the MTU usable above the IPOP encapsulation.
 func (n *Node) VirtualMTU() int {
@@ -383,7 +377,7 @@ func (n *Node) process(fn func()) bool {
 		return false
 	}
 	n.busyUntil = n.busyUntil.Add(service)
-	n.nw.eng.At(n.busyUntil.Add(n.nw.cfg.ProcDelay), fn)
+	n.nw.eng.At(n.busyUntil.Add(procDelay), fn)
 	return true
 }
 

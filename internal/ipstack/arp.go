@@ -56,7 +56,7 @@ func (a *arpCache) lookup(ip netsim.IP) (ether.MAC, bool) {
 	if !ok {
 		return ether.MAC{}, false
 	}
-	if a.stack.eng.Now().Sub(e.seen) > a.stack.cfg.ARPTimeout {
+	if a.stack.eng.Now().Sub(e.seen) > arpTimeout {
 		delete(a.entries, ip)
 		return ether.MAC{}, false
 	}

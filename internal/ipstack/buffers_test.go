@@ -109,7 +109,7 @@ func TestOOOStashMatchesCopyingModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pool := netsim.NewPool()
 	pool.SetPoison(true)
-	stack := &Stack{cfg: Config{RecvBuf: 1 << 20, Pool: pool}}
+	stack := &Stack{cfg: Config{Pool: pool}}
 	const base = uint32(0xFFFFF000) // the stream wraps 4 KB in
 	stream := make([]byte, 64<<10)
 	rng.Read(stream)

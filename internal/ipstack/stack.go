@@ -9,17 +9,19 @@ import (
 	"wavnet/internal/sim"
 )
 
+// recvBuf / sendBuf are the per-connection TCP buffer sizes: 1 MiB
+// exceeds the bandwidth-delay product of the paper's longest path
+// (≈ 271 ms × 27 Mbit/s ≈ 915 KiB).
+const recvBuf, sendBuf = 1 << 20, 1 << 20
+
+// arpTimeout ages resolution cache entries.
+const arpTimeout = 60 * sim.Second
+
 // Config tunes a stack instance.
 type Config struct {
 	// MTU is the link MTU in bytes; TCP MSS is MTU−40. WAVNet's virtual
 	// interfaces default to 1456 (1500 minus tunnel overhead).
 	MTU int
-	// RecvBuf / SendBuf are the per-connection TCP buffer sizes. The
-	// defaults (1 MiB) exceed the bandwidth-delay product of the paper's
-	// longest path (≈ 271 ms × 27 Mbit/s ≈ 915 KiB).
-	RecvBuf, SendBuf int
-	// ARPTimeout ages resolution cache entries (default 60 s).
-	ARPTimeout sim.Duration
 	// Pool is the world's buffer pool (netsim.Network.Pool) the stack
 	// leases its packet buffers from; nil gives the stack one of its own.
 	Pool *netsim.Pool
@@ -28,15 +30,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MTU <= 0 {
 		c.MTU = 1456
-	}
-	if c.RecvBuf <= 0 {
-		c.RecvBuf = 1 << 20
-	}
-	if c.SendBuf <= 0 {
-		c.SendBuf = 1 << 20
-	}
-	if c.ARPTimeout <= 0 {
-		c.ARPTimeout = 60 * sim.Second
 	}
 	if c.Pool == nil {
 		c.Pool = netsim.NewPool()
@@ -95,9 +88,6 @@ func New(eng *sim.Engine, name string, nic ether.NIC, mac ether.MAC, ip netsim.I
 	return s
 }
 
-// Name returns the stack's diagnostic name.
-func (s *Stack) Name() string { return s.name }
-
 // IP returns the stack's virtual address.
 func (s *Stack) IP() netsim.IP { return s.ip }
 
@@ -119,14 +109,8 @@ func (s *Stack) AddAlias(ip netsim.IP) { s.aliases[ip] = true }
 // keyed on the alias break, exactly like a withdrawn VIP should.
 func (s *Stack) RemoveAlias(ip netsim.IP) { delete(s.aliases, ip) }
 
-// HasAlias reports whether ip is a configured alias.
-func (s *Stack) HasAlias(ip netsim.IP) bool { return s.aliases[ip] }
-
 // Engine returns the simulation engine.
 func (s *Stack) Engine() *sim.Engine { return s.eng }
-
-// MTU returns the configured link MTU.
-func (s *Stack) MTU() int { return s.cfg.MTU }
 
 // SetNIC rebinds the stack to a different NIC (nil detaches it; frames
 // are then dropped in both directions — the VM-paused state).

@@ -179,12 +179,6 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	return l, nil
 }
 
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
-
-// Addr returns the listener's full address.
-func (l *Listener) Addr() netsim.Addr { return netsim.Addr{IP: l.stack.ip, Port: l.port} }
-
 // Accept blocks until a connection completes the handshake.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	for l.head == len(l.backlog) {
@@ -254,7 +248,7 @@ func (s *Stack) newConn(key connKey, st connState) *Conn {
 		ssthresh: 1 << 30,
 		rto:      initialRTO,
 		backoff:  1,
-		peerWnd:  uint32(s.cfg.RecvBuf),
+		peerWnd:  recvBuf,
 	}
 	c.cwnd = float64(10 * c.mss) // IW10
 	c.rtxTimer.Init(s.eng, (*connRTO)(c))
@@ -287,23 +281,11 @@ func (c *connTimeWait) HandleEvent(any) {
 	}
 }
 
-// LocalAddr returns the connection's local endpoint.
-func (c *Conn) LocalAddr() netsim.Addr { return c.local }
-
-// RemoteAddr returns the connection's remote endpoint.
-func (c *Conn) RemoteAddr() netsim.Addr { return c.remote }
-
 // State returns the current TCP state (for tests and diagnostics).
 func (c *Conn) State() string { return c.state.String() }
 
-// MSS returns the negotiated (configured) maximum segment size.
-func (c *Conn) MSS() int { return c.mss }
-
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
-
 func (c *Conn) advWnd() uint32 {
-	free := c.stack.cfg.RecvBuf - c.rcv.Len()
+	free := recvBuf - c.rcv.Len()
 	if free < 0 {
 		free = 0
 	}
@@ -1025,11 +1007,11 @@ func (c *Conn) processData(seg *tcpSegment, lease *netsim.Buf) {
 
 // admit appends in-order data to the receive buffer.
 func (c *Conn) admit(data []byte) {
-	free := c.stack.cfg.RecvBuf - c.rcv.Len()
+	free := recvBuf - c.rcv.Len()
 	if len(data) > free {
 		data = data[:free] // peer overran our advertised window
 	}
-	c.rcv.write(c.stack.cfg.Pool, data, c.stack.cfg.RecvBuf)
+	c.rcv.write(c.stack.cfg.Pool, data, recvBuf)
 	c.rcvNxt += uint32(len(data))
 	c.BytesIn += uint64(len(data))
 }
@@ -1238,9 +1220,6 @@ func (c *Conn) updateRTT(r sim.Duration) {
 	}
 }
 
-// SRTT exposes the smoothed RTT estimate.
-func (c *Conn) SRTT() sim.Duration { return c.srtt }
-
 // ---- application interface ----
 
 // Read copies received bytes into buf, blocking until data, EOF or error.
@@ -1293,7 +1272,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if c.sndClosed || c.state == stateClosed {
 			return written, ErrConnClosed
 		}
-		space := c.stack.cfg.SendBuf - c.snd.Len()
+		space := sendBuf - c.snd.Len()
 		if space <= 0 {
 			if !c.writeWq.Wait(p) {
 				return written, ErrConnClosed
@@ -1304,7 +1283,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if n > space {
 			n = space
 		}
-		c.snd.write(c.stack.cfg.Pool, data[written:written+n], c.stack.cfg.SendBuf)
+		c.snd.write(c.stack.cfg.Pool, data[written:written+n], sendBuf)
 		written += n
 		c.pump()
 	}
@@ -1335,14 +1314,5 @@ func (c *Conn) Err() error { return c.err }
 
 // Diagnostic accessors used by tests and the benchmark harness.
 
-// Ssthresh exposes the slow-start threshold.
-func (c *Conn) Ssthresh() float64 { return c.ssthresh }
-
-// Pipe exposes the estimated bytes in flight.
-func (c *Conn) Pipe() int { return c.pipe() }
-
 // Flight exposes sndNxt-sndUna.
 func (c *Conn) Flight() int { return int(c.flight()) }
-
-// InRecovery reports whether fast recovery is active.
-func (c *Conn) InRecovery() bool { return c.inRecovery }

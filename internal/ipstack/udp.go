@@ -42,12 +42,6 @@ func (s *Stack) BindUDP(port uint16, handler func(Datagram)) (*UDPSock, error) {
 	return u, nil
 }
 
-// Port returns the bound port.
-func (u *UDPSock) Port() uint16 { return u.port }
-
-// Addr returns the socket's full address.
-func (u *UDPSock) Addr() netsim.Addr { return netsim.Addr{IP: u.stack.ip, Port: u.port} }
-
 // SendTo emits a datagram. Payloads larger than MTU−28 return an error
 // (no fragmentation). The payload is copied into the packet's buffer —
 // the one copy this hop makes — so the caller may reuse it at once.

@@ -62,9 +62,6 @@ func NewWorld(eng *sim.Engine, stacks []*ipstack.Stack) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// Rank returns rank i.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
 // Connect builds the full TCP mesh. It must be called from a process and
 // blocks until every pairwise connection is up.
 func (w *World) Connect(p *sim.Proc) error {
@@ -179,12 +176,6 @@ func (r *Rank) startReceiver(peer int, conn *ipstack.Conn) {
 	})
 }
 
-// ID returns the rank number.
-func (r *Rank) ID() int { return r.id }
-
-// Stack returns the rank's protocol stack.
-func (r *Rank) Stack() *ipstack.Stack { return r.stack }
-
 // ErrNoPeer is returned for messages to unknown ranks.
 var ErrNoPeer = errors.New("mpi: no connection to peer")
 
@@ -249,32 +240,6 @@ const (
 	tagBcast   = 1 << 22
 	tagAll2All = 1 << 23
 )
-
-// Barrier synchronizes all ranks (gather to rank 0, then release).
-func (r *Rank) Barrier(p *sim.Proc) error {
-	n := r.world.Size()
-	if n == 1 {
-		return nil
-	}
-	if r.id == 0 {
-		for i := 1; i < n; i++ {
-			if _, err := r.Recv(p, i, tagBarrier); err != nil {
-				return err
-			}
-		}
-		for i := 1; i < n; i++ {
-			if err := r.Send(p, i, tagBarrier, 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := r.Send(p, 0, tagBarrier, 1); err != nil {
-		return err
-	}
-	_, err := r.Recv(p, 0, tagBarrier)
-	return err
-}
 
 // Allreduce models an allreduce of size bytes per rank: reduce to rank 0
 // then broadcast.

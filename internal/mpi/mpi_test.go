@@ -160,7 +160,7 @@ func TestEPComputeBound(t *testing.T) {
 		w := connectWorld(t, eng, stacks)
 		var elapsed sim.Duration
 		eng.Spawn("driver", func(p *sim.Proc) {
-			elapsed, _ = RunEP(p, w, EPParams{Class: ClassA})
+			elapsed, _ = RunEP(p, w, ClassA)
 		})
 		eng.RunFor(2 * time.Hour)
 		return elapsed
@@ -180,7 +180,7 @@ func TestFTCommunicationBound(t *testing.T) {
 		w := connectWorld(t, eng, stacks)
 		var elapsed sim.Duration
 		eng.Spawn("driver", func(p *sim.Proc) {
-			elapsed, _ = RunFT(p, w, FTParams{Class: ClassA})
+			elapsed, _ = RunFT(p, w, ClassA)
 		})
 		eng.RunFor(6 * time.Hour)
 		return elapsed

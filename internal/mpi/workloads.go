@@ -13,9 +13,6 @@ type HeatParams struct {
 	// ComputePerIter is the per-rank computation time for one iteration
 	// (calibrated; see EXPERIMENTS.md).
 	ComputePerIter sim.Duration
-	// ReduceEvery inserts a convergence allreduce every k iterations
-	// (0 disables).
-	ReduceEvery int
 }
 
 // RunHeat executes the stencil and returns the elapsed virtual time.
@@ -41,11 +38,6 @@ func RunHeat(p *sim.Proc, w *World, hp HeatParams) (sim.Duration, error) {
 					return err
 				}
 			}
-			if hp.ReduceEvery > 0 && (it+1)%hp.ReduceEvery == 0 {
-				if err := r.Allreduce(rp, 8); err != nil {
-					return err
-				}
-			}
 		}
 		return nil
 	})
@@ -61,14 +53,13 @@ const (
 	ClassB NASClass = "B"
 )
 
-// EPParams configures the embarrassingly-parallel kernel: pure
-// computation with a tiny final reduction.
-type EPParams struct {
-	Class NASClass
-	// ComputeRate is pair-generation throughput per rank (pairs/second);
-	// the default (25e6) makes serial class A ≈ 10.7 s of virtual time.
-	ComputeRate float64
-}
+// Per-rank compute rates of the NAS kernels, calibrated: epPairRate is
+// EP's pair-generation throughput (pairs/second; serial class A ≈ 10.7 s
+// of virtual time), ftOpRate FT's FFT throughput (point-operations/second).
+const (
+	epPairRate = 25e6
+	ftOpRate   = 60e6
+)
 
 // epPairs returns the sample count for the class (NPB 3).
 func epPairs(c NASClass) float64 {
@@ -80,28 +71,17 @@ func epPairs(c NASClass) float64 {
 	}
 }
 
-// RunEP executes the EP kernel and returns elapsed virtual time.
-func RunEP(p *sim.Proc, w *World, ep EPParams) (sim.Duration, error) {
-	if ep.ComputeRate <= 0 {
-		ep.ComputeRate = 25e6
-	}
+// RunEP executes the embarrassingly-parallel kernel — pure computation
+// with a tiny final reduction — and returns elapsed virtual time.
+func RunEP(p *sim.Proc, w *World, class NASClass) (sim.Duration, error) {
 	start := p.Now()
 	err := w.Run(p, func(rp *sim.Proc, r *Rank) error {
-		pairs := epPairs(ep.Class) / float64(w.Size())
-		rp.Sleep(sim.Duration(pairs / ep.ComputeRate * 1e9))
+		pairs := epPairs(class) / float64(w.Size())
+		rp.Sleep(sim.Duration(pairs / epPairRate * 1e9))
 		// Ten scalar sums reduced at the end (q[0..9] in NPB).
 		return r.Allreduce(rp, 80)
 	})
 	return p.Now().Sub(start), err
-}
-
-// FTParams configures the 3-D FFT kernel: compute plus a full alltoall
-// transpose per iteration — the communication-bound case of Figure 14.
-type FTParams struct {
-	Class NASClass
-	// ComputeRate is FFT throughput per rank in point-operations/second
-	// (default 60e6).
-	ComputeRate float64
 }
 
 // ftShape returns grid points and iteration count (NPB 3).
@@ -114,17 +94,16 @@ func ftShape(c NASClass) (points float64, iters int) {
 	}
 }
 
-// RunFT executes the FT kernel and returns elapsed virtual time.
-func RunFT(p *sim.Proc, w *World, ft FTParams) (sim.Duration, error) {
-	if ft.ComputeRate <= 0 {
-		ft.ComputeRate = 60e6
-	}
-	points, iters := ftShape(ft.Class)
+// RunFT executes the 3-D FFT kernel — compute plus a full alltoall
+// transpose per iteration, the communication-bound case of Figure 14 —
+// and returns elapsed virtual time.
+func RunFT(p *sim.Proc, w *World, class NASClass) (sim.Duration, error) {
+	points, iters := ftShape(class)
 	n := float64(w.Size())
 	// 16 bytes per complex point, partitioned across ranks; the
 	// transpose moves each rank's slab to every other rank.
 	perPair := int(points * 16 / n / n)
-	computePer := sim.Duration(points * 5 / n / ft.ComputeRate * 1e9) // ~5 ops/point/iter
+	computePer := sim.Duration(points * 5 / n / ftOpRate * 1e9) // ~5 ops/point/iter
 	start := p.Now()
 	err := w.Run(p, func(rp *sim.Proc, r *Rank) error {
 		for it := 0; it < iters; it++ {

@@ -131,17 +131,11 @@ func Attach(gw *netsim.Host, t Type) *Gateway {
 	return g
 }
 
-// Type returns the gateway's NAT behaviour.
-func (g *Gateway) Type() Type { return g.typ }
-
 // Host returns the underlying netsim host.
 func (g *Gateway) Host() *netsim.Host { return g.host }
 
 // PublicIP returns the gateway's WAN address.
 func (g *Gateway) PublicIP() netsim.IP { return g.host.IP() }
-
-// Mappings reports the number of live translation entries.
-func (g *Gateway) Mappings() int { return len(g.byExternal) }
 
 func (g *Gateway) now() sim.Time { return g.host.Engine().Now() }
 

@@ -41,26 +41,11 @@ type Host struct {
 	NoSocketDrops uint64
 }
 
-// Name returns the diagnostic name of the host.
-func (h *Host) Name() string { return h.name }
-
 // Site returns the site the host is located at.
 func (h *Host) Site() *Site { return h.site }
 
 // IP returns the host's primary address.
 func (h *Host) IP() IP { return h.ip }
-
-// LanIP returns the gateway's private-side address (zero for non-gateways;
-// equal to IP for plain LAN hosts).
-func (h *Host) LanIP() IP {
-	if h.lanIP != 0 {
-		return h.lanIP
-	}
-	if h.lan != nil {
-		return h.ip
-	}
-	return 0
-}
 
 // Lan returns the LAN this host is attached to, if any.
 func (h *Host) Lan() *Lan { return h.lan }
@@ -74,9 +59,6 @@ func (h *Host) Engine() *sim.Engine { return h.net.eng }
 // Uplink returns the WAN uplink for public hosts (nil otherwise); exposed
 // so scenarios can tune rates mid-run.
 func (h *Host) Uplink() *Link { return h.up }
-
-// Downlink returns the WAN downlink for public hosts (nil otherwise).
-func (h *Host) Downlink() *Link { return h.down }
 
 func (h *Host) isPublic() bool { return h.up != nil }
 

@@ -88,9 +88,6 @@ func New(eng *sim.Engine) *Network {
 // leases from it, so one bound covers what the whole world retains.
 func (n *Network) Pool() *Pool { return n.pool }
 
-// Engine returns the simulation engine this network runs on.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // NewSite registers a site and returns it. Latency to every existing site
 // defaults to zero until SetLatency is called.
 func (n *Network) NewSite(name string) *Site {
@@ -157,12 +154,6 @@ func (n *Network) Partition(a, b *Site) {
 
 // Heal restores the WAN path between two partitioned sites.
 func (n *Network) Heal(a, b *Site) { delete(n.partitions, sitePair(a, b)) }
-
-// Partitioned reports whether the WAN path between two sites is severed.
-func (n *Network) Partitioned(a, b *Site) bool { return n.partitions[sitePair(a, b)] }
-
-// Hosts returns all hosts in creation order.
-func (n *Network) Hosts() []*Host { return n.hosts }
 
 // HostByIP resolves a public IP to its host (nil if unknown).
 func (n *Network) HostByIP(ip IP) *Host { return n.byIP[ip] }
@@ -287,12 +278,6 @@ func (l *Lan) AttachGateway(gw *Host, privIP IP) {
 	l.byIP[privIP] = gw
 	l.gw = gw
 }
-
-// Gateway returns the LAN's default gateway, if any.
-func (l *Lan) Gateway() *Host { return l.gw }
-
-// Hosts returns all hosts attached to the LAN (excluding the gateway).
-func (l *Lan) Hosts() []*Host { return l.hosts }
 
 // route moves a packet from a sending host toward its destination,
 // applying LAN hops, gateway forwarding and the WAN path.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 
 	"wavnet/internal/sim"
@@ -86,11 +85,6 @@ func NewAlertEngine(trace *Trace, rules ...AlertRule) *AlertEngine {
 		e.states = append(e.states, newAlertState(r))
 	}
 	return e
-}
-
-// AddRule appends a rule to a running engine (starts Inactive).
-func (e *AlertEngine) AddRule(r AlertRule) {
-	e.states = append(e.states, newAlertState(r))
 }
 
 // Rules returns the catalogue in registration order.
@@ -244,18 +238,6 @@ func (e *AlertEngine) advance(st *alertState, now sim.Time, value float64, breac
 	st.span = e.trace.Start(nil, "alert."+st.rule.Name, st.rule.Labels)
 	st.span.Event("firing value=%.4g threshold=%.4g for=%v held=%v",
 		value, st.rule.Threshold, st.rule.For, now.Sub(st.pendingSince))
-}
-
-// Firing returns the names of currently firing alerts, sorted.
-func (e *AlertEngine) Firing() []string {
-	var out []string
-	for _, st := range e.states {
-		if st.firing {
-			out = append(out, st.rule.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IsFiring reports whether the named alert is currently firing.

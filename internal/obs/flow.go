@@ -278,20 +278,6 @@ func less(a, b Talker) bool {
 	return a.Key > b.Key
 }
 
-// Estimate reports the sketch's byte estimate for one key (an
-// overestimate by construction, tight for heavy hitters).
-func (t *TopK) Estimate(key string) uint64 {
-	est := ^uint64(0)
-	h := fnv64(key)
-	for row := 0; row < topkRows; row++ {
-		col := (h >> (row * 13)) & (topkCols - 1)
-		if v := t.cm[row][col]; v < est {
-			est = v
-		}
-	}
-	return est
-}
-
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -63,14 +63,6 @@ func (h *Histogram) Sum() float64 { return h.sum }
 // Max reports the largest observation (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
 
-// Mean reports the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) by geometric
 // interpolation within the covering bucket, clamped to the observed
 // [min, max]. Log-scale buckets bound the error at a factor of two;

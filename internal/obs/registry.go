@@ -53,9 +53,6 @@ type Gauge struct{ v uint64 }
 // Set overwrites the gauge.
 func (g *Gauge) Set(v float64) { g.v = math.Float64bits(v) }
 
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) { g.Set(g.Value() + d) }
-
 // Value reads the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v) }
 
@@ -299,21 +296,6 @@ func (r *Registry) Snapshot() *Registry {
 		}
 	}
 	return out
-}
-
-// Merge folds other into r: counters and gauges sum, histograms merge
-// bucket-wise, series absent from r are created.
-func (r *Registry) Merge(other *Registry) {
-	other.each(func(s *series, x sample) {
-		switch s.kind {
-		case KindCounter:
-			r.Counter(s.key.name, s.key.labels).Add(x.bits)
-		case KindGauge:
-			r.Gauge(s.key.name, s.key.labels).Add(x.gauge())
-		default:
-			r.Histogram(s.key.name, s.key.labels).merge(x.hist)
-		}
-	})
 }
 
 // Delta returns a new registry holding r minus prev per series:

@@ -234,31 +234,6 @@ func (tr *Trace) Children(parent *Span) []*Span {
 	return out
 }
 
-// Len reports the number of recorded spans.
-func (tr *Trace) Len() int {
-	if tr == nil {
-		return 0
-	}
-	return len(tr.spans)
-}
-
-// Dropped reports spans not recorded because the buffer was full.
-func (tr *Trace) Dropped() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.dropped
-}
-
-// Reset discards the buffer (IDs keep counting so spans stay unique).
-func (tr *Trace) Reset() {
-	if tr == nil {
-		return
-	}
-	tr.spans = nil
-	tr.dropped = 0
-}
-
 // line renders one span for the text dump.
 func (sp *Span) line() string {
 	var b strings.Builder

@@ -23,72 +23,42 @@ type Region struct {
 	Weight   float64 // share of hosts placed here
 }
 
-// DefaultRegions approximates the PlanetLab deployment of 2011:
-// concentrated in North America and Europe, with Asia-Pacific and
-// South-American sites.
-func DefaultRegions() []Region {
-	return []Region{
-		{"us-east", 40.7, -74.0, 0.22},
-		{"us-west", 37.4, -122.1, 0.16},
-		{"europe-west", 48.9, 2.3, 0.20},
-		{"europe-north", 59.3, 18.1, 0.08},
-		{"asia-east", 35.7, 139.7, 0.12},
-		{"asia-south", 22.3, 114.2, 0.08},
-		{"oceania", -33.9, 151.2, 0.04},
-		{"south-america", -23.5, -46.6, 0.05},
-		{"canada", 43.7, -79.4, 0.05},
-	}
+// regions approximates the PlanetLab deployment of 2011: concentrated
+// in North America and Europe, with Asia-Pacific and South-American
+// sites.
+var regions = []Region{
+	{"us-east", 40.7, -74.0, 0.22},
+	{"us-west", 37.4, -122.1, 0.16},
+	{"europe-west", 48.9, 2.3, 0.20},
+	{"europe-north", 59.3, 18.1, 0.08},
+	{"asia-east", 35.7, 139.7, 0.12},
+	{"asia-south", 22.3, 114.2, 0.08},
+	{"oceania", -33.9, 151.2, 0.04},
+	{"south-america", -23.5, -46.6, 0.05},
+	{"canada", 43.7, -79.4, 0.05},
 }
 
-// Config tunes the generator.
-type Config struct {
-	Hosts   int      // number of hosts (default 400)
-	Regions []Region // default DefaultRegions
-	// BaseMS is the fixed per-path overhead in milliseconds (default 4).
-	BaseMS float64
-	// MSPerKm converts great-circle distance to propagation delay;
-	// 0.015 ms/km ≈ 2/3 c in fiber with typical route stretch (default).
-	MSPerKm float64
-	// IntraRegionMS is the mean latency between hosts of one region
-	// (default 12).
-	IntraRegionMS float64
-	// OverloadFrac is the fraction of hosts that are overloaded and add
-	// large queueing delays to every path touching them (default 0.04,
-	// producing Figure 12(a)'s multi-second outliers).
-	OverloadFrac float64
-	// OverloadMaxMS bounds the overload delay (default 5000 ms).
-	OverloadMaxMS float64
-	// JitterFrac randomizes each pair by ±frac (default 0.2).
-	JitterFrac float64
-}
+// Hosts is the size of the paper's PlanetLab matrix.
+const Hosts = 400
 
-func (c Config) withDefaults() Config {
-	if c.Hosts <= 0 {
-		c.Hosts = 400
-	}
-	if c.Regions == nil {
-		c.Regions = DefaultRegions()
-	}
-	if c.BaseMS <= 0 {
-		c.BaseMS = 4
-	}
-	if c.MSPerKm <= 0 {
-		c.MSPerKm = 0.015
-	}
-	if c.IntraRegionMS <= 0 {
-		c.IntraRegionMS = 12
-	}
-	if c.OverloadFrac <= 0 {
-		c.OverloadFrac = 0.04
-	}
-	if c.OverloadMaxMS <= 0 {
-		c.OverloadMaxMS = 5000
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.2
-	}
-	return c
-}
+// Latency model, in milliseconds.
+const (
+	// baseMS is the fixed per-path overhead.
+	baseMS = 4
+	// msPerKm converts great-circle distance to propagation delay:
+	// 0.015 ms/km ≈ 2/3 c in fiber with typical route stretch.
+	msPerKm = 0.015
+	// intraRegionMS is the mean latency between hosts of one region.
+	intraRegionMS = 12
+	// overloadFrac is the fraction of hosts that are overloaded and add
+	// large queueing delays to every path touching them, producing
+	// Figure 12(a)'s multi-second outliers; overloadMaxMS bounds the
+	// overload delay.
+	overloadFrac  = 0.04
+	overloadMaxMS = 5000
+	// jitterFrac randomizes each pair by ±jitterFrac.
+	jitterFrac = 0.2
+)
 
 // HostInfo describes one generated host.
 type HostInfo struct {
@@ -119,15 +89,14 @@ func (d *Dataset) Pairs(fn func(i, j int, rtt sim.Duration)) {
 	}
 }
 
-// Generate builds a dataset from a seed.
-func Generate(seed int64, cfg Config) *Dataset {
-	cfg = cfg.withDefaults()
+// Generate builds a dataset of the given number of hosts from a seed.
+func Generate(seed int64, hosts int) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	d := &Dataset{}
 
 	// Place hosts.
-	for i := 0; i < cfg.Hosts; i++ {
-		r := pickRegion(rng, cfg.Regions)
+	for i := 0; i < hosts; i++ {
+		r := pickRegion(rng, regions)
 		// Scatter around the region center (~±3° ≈ metro+national span).
 		h := HostInfo{
 			Index:  i,
@@ -135,18 +104,18 @@ func Generate(seed int64, cfg Config) *Dataset {
 			Lat:    r.Lat + rng.NormFloat64()*1.5,
 			Lon:    r.Lon + rng.NormFloat64()*2.0,
 		}
-		if rng.Float64() < cfg.OverloadFrac {
+		if rng.Float64() < overloadFrac {
 			h.Overloaded = true
 			// Log-uniform overload severity between 100 ms and the cap:
 			// a saturated PlanetLab node delays every probe it answers.
-			lo, hi := math.Log(100), math.Log(cfg.OverloadMaxMS/2)
+			lo, hi := math.Log(100), math.Log(overloadMaxMS/2)
 			h.OverloadMS = math.Exp(lo + rng.Float64()*(hi-lo))
 		}
 		d.Hosts = append(d.Hosts, h)
 	}
 
 	// Pairwise RTTs.
-	n := cfg.Hosts
+	n := hosts
 	d.RTT = make([][]sim.Duration, n)
 	for i := range d.RTT {
 		d.RTT[i] = make([]sim.Duration, n)
@@ -156,12 +125,12 @@ func Generate(seed int64, cfg Config) *Dataset {
 			a, b := d.Hosts[i], d.Hosts[j]
 			var ms float64
 			if a.Region == b.Region {
-				ms = cfg.BaseMS + rng.ExpFloat64()*cfg.IntraRegionMS
+				ms = baseMS + rng.ExpFloat64()*intraRegionMS
 			} else {
 				km := greatCircleKm(a.Lat, a.Lon, b.Lat, b.Lon)
-				ms = cfg.BaseMS + km*cfg.MSPerKm
+				ms = baseMS + km*msPerKm
 			}
-			ms *= 1 + (rng.Float64()*2-1)*cfg.JitterFrac
+			ms *= 1 + (rng.Float64()*2-1)*jitterFrac
 			ms += a.OverloadMS + b.OverloadMS
 			if ms < 0.2 {
 				ms = 0.2

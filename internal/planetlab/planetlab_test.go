@@ -9,7 +9,7 @@ import (
 )
 
 func TestGenerateShape(t *testing.T) {
-	d := Generate(1, Config{Hosts: 400})
+	d := Generate(1, 400)
 	if d.N() != 400 {
 		t.Fatalf("hosts = %d", d.N())
 	}
@@ -32,7 +32,7 @@ func TestGenerateShape(t *testing.T) {
 func TestLatencyDistribution(t *testing.T) {
 	// The paper's Figure 12: most pairs below 1 s, a visible tail up to
 	// multiple seconds from overloaded nodes.
-	d := Generate(2, Config{Hosts: 400})
+	d := Generate(2, 400)
 	total, under1s, over1s, over10s := 0, 0, 0, 0
 	var min, max sim.Duration = 1 << 62, 0
 	d.Pairs(func(i, j int, rtt sim.Duration) {
@@ -73,7 +73,7 @@ func TestLatencyDistribution(t *testing.T) {
 }
 
 func TestRegionalLocality(t *testing.T) {
-	d := Generate(3, Config{Hosts: 300})
+	d := Generate(3, 300)
 	var intra, inter sim.Duration
 	var nIntra, nInter int
 	d.Pairs(func(i, j int, rtt sim.Duration) {
@@ -97,8 +97,8 @@ func TestRegionalLocality(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Generate(42, Config{Hosts: 100})
-	b := Generate(42, Config{Hosts: 100})
+	a := Generate(42, 100)
+	b := Generate(42, 100)
 	for i := range a.RTT {
 		for j := range a.RTT[i] {
 			if a.RTT[i][j] != b.RTT[i][j] {
@@ -106,7 +106,7 @@ func TestDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := Generate(43, Config{Hosts: 100})
+	c := Generate(43, 100)
 	same := true
 	for i := range a.RTT {
 		for j := range a.RTT[i] {
@@ -123,7 +123,7 @@ func TestDeterministic(t *testing.T) {
 func TestGroupingOnDataset(t *testing.T) {
 	// Figure 13's premise: locality-sensitive groups on this dataset
 	// must be far tighter than the global mean.
-	d := Generate(4, Config{Hosts: 400})
+	d := Generate(4, 400)
 	var sum sim.Duration
 	n := 0
 	d.Pairs(func(i, j int, rtt sim.Duration) { sum += rtt; n++ })

@@ -133,9 +133,6 @@ func (k Kind) String() string {
 	return kinds[k].name
 }
 
-// Encode serializes a message into a fresh slice.
-func Encode(m *Msg) []byte { return AppendMsg(nil, m) }
-
 // AppendMsg appends m's encoding to b. It panics when m carries a field
 // its kind's row of the table does not allow.
 func AppendMsg(b []byte, m *Msg) []byte {

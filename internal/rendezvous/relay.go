@@ -103,7 +103,7 @@ func (s *Server) onRelay(pkt netsim.Packet) {
 
 // expireRelays drops channels idle longer than the configured TTL.
 func (s *Server) expireRelays() {
-	cutoff := s.eng.Now().Add(-s.cfg.RelayIdle)
+	cutoff := s.eng.Now().Add(-relayIdle)
 	for id, ch := range s.relays {
 		if ch.lastUsed < cutoff {
 			delete(s.relays, id)

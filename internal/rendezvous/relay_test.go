@@ -137,7 +137,7 @@ func TestRelayChannelExpiresWhenIdle(t *testing.T) {
 	if s.RelayChannelCount() != 1 {
 		t.Fatalf("channels = %d, want 1", s.RelayChannelCount())
 	}
-	eng.RunFor(3 * time.Minute) // default RelayIdle is 120 s
+	eng.RunFor(3 * time.Minute) // relayIdle is 120 s
 	if s.RelayChannelCount() != 0 {
 		t.Fatalf("idle channel survived: %d", s.RelayChannelCount())
 	}

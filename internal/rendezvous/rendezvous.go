@@ -24,6 +24,9 @@ import (
 // DefaultPort is the well-known broker port.
 const DefaultPort = 4342
 
+// relayIdle expires relay channels with no traffic.
+const relayIdle = 120 * sim.Second
+
 // CodeNotFound marks an error reply whose cause may be transient in a
 // federation — the name may exist on a broker whose record replication
 // has not converged here yet — so clients may back off and retry.
@@ -115,13 +118,10 @@ type Config struct {
 	CANPort    uint16       // CAN overlay port (default 4343)
 	STUNPort   uint16       // primary STUN port (default 3478)
 	SessionTTL sim.Duration // host records expire without pulses (default 60 s)
-	CANDims    int          // CAN dimensionality (default 2)
 
 	// DisableRelay turns off the relay fallback for unpunchable NAT
 	// pairs, restoring the paper's connect-refused behaviour.
 	DisableRelay bool
-	// RelayIdle expires relay channels with no traffic (default 120 s).
-	RelayIdle sim.Duration
 
 	// ReplicateInterval batches federated record replication: joins mark
 	// the record dirty and a ticker flushes the batch every interval.
@@ -160,12 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 60 * sim.Second
-	}
-	if c.CANDims <= 0 {
-		c.CANDims = 2
-	}
-	if c.RelayIdle <= 0 {
-		c.RelayIdle = 120 * sim.Second
 	}
 	if c.BrokerPulseInterval <= 0 {
 		c.BrokerPulseInterval = c.SessionTTL / 4
@@ -300,7 +294,7 @@ func NewServer(host *netsim.Host, stunAltIP netsim.IP, cfg Config) (*Server, err
 		return nil, err
 	}
 	s.sock = sock
-	node, err := can.NewNode(host, cfg.CANPort, can.Config{Dims: cfg.CANDims})
+	node, err := can.NewNode(host, cfg.CANPort)
 	if err != nil {
 		return nil, err
 	}
@@ -536,10 +530,10 @@ func (s *Server) onJoin(src netsim.Addr, m *Msg) {
 // recordPoint maps a host record to its CAN key: the attribute vector,
 // or a name hash when no attributes are given.
 func (s *Server) recordPoint(rec HostRecord) can.Point {
-	if len(rec.Attrs) == s.cfg.CANDims && rec.Attrs.Valid() {
+	if len(rec.Attrs) == can.Dims && rec.Attrs.Valid() {
 		return rec.Attrs
 	}
-	return namePoint(rec.Name, s.cfg.CANDims)
+	return namePoint(rec.Name, can.Dims)
 }
 
 // namePoint hashes a name into a CAN point (FNV-1a per dimension).
@@ -607,7 +601,7 @@ func (s *Server) onLookup(src netsim.Addr, m *Msg) {
 		}
 		// Route through the CAN by name hash.
 		id, name, net := m.ID, m.Name, m.Net
-		s.can.Lookup(namePoint(name, s.cfg.CANDims), func(res can.LookupResult, err error) {
+		s.can.Lookup(namePoint(name, can.Dims), func(res can.LookupResult, err error) {
 			if err != nil {
 				s.send(src, &Msg{Kind: KindError, ID: id, Error: err.Error()})
 				return
@@ -759,7 +753,7 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 	}
 	// Find the target's record through the CAN, then ask its server.
 	id := m.ID
-	s.can.Lookup(namePoint(target, s.cfg.CANDims), func(res can.LookupResult, err error) {
+	s.can.Lookup(namePoint(target, can.Dims), func(res can.LookupResult, err error) {
 		if err != nil {
 			sp.Event("refused: CAN lookup failed: %v", err)
 			sp.End()
@@ -977,20 +971,6 @@ func (l *Locator) Hosts() []string { return append([]string(nil), l.order...) }
 
 // Matrix exposes the accumulated RTT matrix (rows indexed like Hosts).
 func (l *Locator) Matrix() [][]sim.Duration { return l.rtts }
-
-// Group selects k mutually-near hosts using the locality-sensitive
-// approximation and returns their names.
-func (l *Locator) Group(k int) ([]string, error) {
-	sel, err := grouping.LocalitySensitive(l.rtts, k)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(sel))
-	for i, idx := range sel {
-		names[i] = l.order[idx]
-	}
-	return names, nil
-}
 
 // GroupAmong is Group restricted to the hosts allowed() admits: the
 // grouping runs on the sub-matrix of permitted rows/columns, which is

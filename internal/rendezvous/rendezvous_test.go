@@ -145,7 +145,7 @@ func TestLocatorGroup(t *testing.T) {
 	l.Report("a", "d", 100*time.Millisecond)
 	l.Report("b", "c", 100*time.Millisecond)
 	l.Report("b", "d", 100*time.Millisecond)
-	g, err := l.Group(2)
+	g, err := l.GroupAmong(2, func(string) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,14 +89,6 @@ func (w *World) Inject(faults ...Fault) *FaultInjector {
 	return fi
 }
 
-// Done reports whether every scheduled fault has executed.
-func (fi *FaultInjector) Done() bool { return fi.pending == 0 }
-
-// Log returns the executed faults in execution order.
-func (fi *FaultInjector) Log() []FaultRecord {
-	return append([]FaultRecord(nil), fi.log...)
-}
-
 // Failures returns the faults whose operation returned an error — a
 // well-formed chaos test asserts this is empty.
 func (fi *FaultInjector) Failures() []FaultRecord {

@@ -257,7 +257,7 @@ func TestScrapeMatchesFreshRegistry(t *testing.T) {
 		t.Fatalf("the restarted broker's series did not return:\n%s", r)
 	}
 
-	w.Eng.RunFor(45 * time.Second) // past FlowIdle: the pings' flows close
+	w.Eng.RunFor(45 * time.Second) // past the 30 s flow idle time: the pings' flows close
 	if w.FlowLog.Len() == 0 {
 		t.Fatal("no flow evicted into the log")
 	}

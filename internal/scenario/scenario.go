@@ -397,26 +397,6 @@ func (w *World) RestartBroker(name string) (*rendezvous.Server, error) {
 	return s, nil
 }
 
-// BrokerDead reports whether a broker is currently killed.
-func (w *World) BrokerDead(name string) bool { return w.deadBrokers[name] }
-
-// CurrentHome scans the live brokers for the machine's session and
-// returns the broker actually holding it now — after a failover this
-// differs from the declared home (SetHome). Scan order follows broker
-// creation order for determinism.
-func (w *World) CurrentHome(key string) (string, bool) {
-	for _, s := range w.Brokers {
-		name := w.brokerName(s)
-		if name == "" || w.deadBrokers[name] {
-			continue
-		}
-		if s.HasSession(key) {
-			return name, true
-		}
-	}
-	return "", false
-}
-
 func (w *World) brokerName(s *rendezvous.Server) string {
 	for name, b := range w.brokerByName {
 		if b == s {
@@ -481,12 +461,6 @@ func (w *World) BrokerAddr(name string) (netsim.Addr, bool) {
 		return netsim.Addr{}, false
 	}
 	return s.Addr(), true
-}
-
-// Broker resolves a broker by name (PrimaryBroker is always present).
-func (w *World) Broker(name string) (*rendezvous.Server, bool) {
-	s, ok := w.brokerByName[name]
-	return s, ok
 }
 
 // SetHome homes a machine on a named broker: its WAVNet host registers

@@ -178,9 +178,6 @@ func New(eng *sim.Engine, cfg Config, anchor *core.Host, prober *ipstack.Stack, 
 	return s
 }
 
-// Config returns the normalized configuration.
-func (s *Service) Config() Config { return s.cfg }
-
 // Backends returns the resolved backend set, sorted by name.
 func (s *Service) Backends() []Backend { return append([]Backend(nil), s.backends...) }
 

@@ -177,9 +177,6 @@ func (p *Proc) park() {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the diagnostic name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
@@ -388,34 +385,4 @@ func (q *WaitQueue) Broadcast() {
 		}
 	}
 	q.waiters, q.head = q.waiters[:0], 0
-}
-
-// Len reports the number of parked waiters.
-func (q *WaitQueue) Len() int { return len(q.waiters) - q.head }
-
-// Semaphore is a counting semaphore for processes.
-type Semaphore struct {
-	n int
-	q WaitQueue
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{n: n} }
-
-// Acquire takes a permit, blocking the process until one is available.
-// Returns false if interrupted.
-func (s *Semaphore) Acquire(p *Proc) bool {
-	for s.n == 0 {
-		if !s.q.Wait(p) {
-			return false
-		}
-	}
-	s.n--
-	return true
-}
-
-// Release returns a permit and wakes one waiter.
-func (s *Semaphore) Release() {
-	s.n++
-	s.q.Signal()
 }

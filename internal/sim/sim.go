@@ -15,7 +15,7 @@
 // construction, posting appends and dispatch takes the head. Lanes go to
 // the objects whose delay is a constant of the model: a Bridge (its
 // forwarding latency), a Pipe (its latency), a core.Host (the Packet
-// Assembler's PacketCost, both ways) and the engine (the 0 s wake-ups
+// Assembler's per-packet cost, both ways) and the engine (the 0 s wake-ups
 // of Unpark and Interrupt). The heap, a 4-ary min-heap, holds whatever
 // has a computed due time (link completions, jittered WAN latency,
 // timers, sleeps) or can be cancelled. The time-end flushers (AtTimeEnd)
@@ -561,6 +561,3 @@ func (e *Engine) Stop() {
 	}
 	e.carriers.drain()
 }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }

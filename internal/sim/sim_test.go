@@ -258,28 +258,6 @@ func TestWaitQueueOneWaiterAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(2)
-	active, maxActive := 0, 0
-	for i := 0; i < 5; i++ {
-		e.Spawn("worker", func(p *Proc) {
-			s.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(10 * time.Millisecond)
-			active--
-			s.Release()
-		})
-	}
-	e.Run()
-	if maxActive != 2 {
-		t.Fatalf("max concurrency = %d, want 2", maxActive)
-	}
-}
-
 func TestTimerResetStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0

@@ -41,12 +41,6 @@ func (s *Server) Close() {
 	}
 }
 
-// PrimaryAddr returns the address clients should first contact.
-func (s *Server) PrimaryAddr() netsim.Addr { return netsim.Addr{IP: s.ip, Port: s.p1} }
-
-// AlternateAddr returns the fully-changed address (other IP, other port).
-func (s *Server) AlternateAddr() netsim.Addr { return netsim.Addr{IP: s.ip2, Port: s.p2} }
-
 func (s *Server) serve(pkt netsim.Packet) {
 	req, err := Unmarshal(pkt.Payload)
 	if err != nil || req.Type != TypeBindingRequest {

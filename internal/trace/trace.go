@@ -285,9 +285,6 @@ func (t *Tracer) SetFilter(f Filter) { t.filter = f }
 // frames still flow but are counted in Dropped.
 func (t *Tracer) SetLimit(n int) { t.limit = n }
 
-// Name returns the tracer's diagnostic name.
-func (t *Tracer) Name() string { return t.name }
-
 // Send implements ether.NIC: record, then forward outward.
 func (t *Tracer) Send(f *ether.Frame) {
 	t.record(Out, f)
@@ -323,12 +320,6 @@ func (t *Tracer) Records() []Record { return append([]Record(nil), t.records...)
 
 // Count reports the number of captured frames.
 func (t *Tracer) Count() int { return len(t.records) }
-
-// Reset discards the capture buffer.
-func (t *Tracer) Reset() {
-	t.records = nil
-	t.Dropped = 0
-}
 
 // Find returns the first captured record matching f, if any.
 func (t *Tracer) Find(f Filter) (Record, bool) {

@@ -37,7 +37,7 @@ func arpAnnounce() *ether.Frame {
 
 func TestSummarizeVNITaggedFrame(t *testing.T) {
 	inner := arpAnnounce()
-	r := trace.Record{Frame: udpFrame(core.MarshalVNIFrame(42, inner))}
+	r := trace.Record{Frame: udpFrame(core.AppendVNIFrame(nil, 42, inner))}
 	line := r.String()
 	if !strings.Contains(line, "WAVNet VNI 42 frame:") {
 		t.Errorf("tagged frame line lacks VNI: %s", line)
@@ -47,7 +47,7 @@ func TestSummarizeVNITaggedFrame(t *testing.T) {
 	}
 
 	// The untagged legacy encapsulation still summarizes, without a VNI.
-	r = trace.Record{Frame: udpFrame(core.MarshalVNIFrame(0, inner))}
+	r = trace.Record{Frame: udpFrame(core.AppendVNIFrame(nil, 0, inner))}
 	line = r.String()
 	if !strings.Contains(line, "WAVNet frame:") || strings.Contains(line, "VNI") {
 		t.Errorf("untagged frame line wrong: %s", line)

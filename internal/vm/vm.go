@@ -38,23 +38,27 @@ type HostPort interface {
 	Pool() *netsim.Pool
 }
 
+// Migration constants.
+const (
+	pageSize = 4096
+	// stopCopyPages: when a round's dirty set is at most this many pages,
+	// pause and do the final copy (64 pages = 256 KB).
+	stopCopyPages = 64
+	// handoffDelay models device re-attachment at the destination before
+	// the VM resumes.
+	handoffDelay = 50 * sim.Millisecond
+)
+
 // Config tunes a VM.
 type Config struct {
 	MemoryMB int // default 256
-	PageSize int // default 4096
 	// DirtyRate is the page-dirtying rate (pages/second) while the VM
 	// runs; it drives pre-copy convergence (default 2000 ≈ 8 MB/s).
 	DirtyRate float64
 	// MaxRounds bounds pre-copy iterations (Xen uses ~30).
 	MaxRounds int
-	// StopCopyPages: when a round's dirty set is at most this many
-	// pages, pause and do the final copy (default 64 pages = 256 KB).
-	StopCopyPages int
 	// MigrationPort is the Dom0 TCP port used for image transfer.
 	MigrationPort uint16
-	// HandoffDelay models device re-attachment at the destination before
-	// the VM resumes (default 50 ms).
-	HandoffDelay sim.Duration
 	// StallTimeout aborts a migration whose image transfer has made no
 	// progress for this long — the destination became unreachable
 	// mid-copy. The transfer channel is torn down, the abort is counted,
@@ -69,23 +73,14 @@ func (c Config) withDefaults() Config {
 	if c.MemoryMB <= 0 {
 		c.MemoryMB = 256
 	}
-	if c.PageSize <= 0 {
-		c.PageSize = 4096
-	}
 	if c.DirtyRate <= 0 {
 		c.DirtyRate = 2000
 	}
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 30
 	}
-	if c.StopCopyPages <= 0 {
-		c.StopCopyPages = 64
-	}
 	if c.MigrationPort == 0 {
 		c.MigrationPort = 8002
-	}
-	if c.HandoffDelay <= 0 {
-		c.HandoffDelay = 50 * sim.Millisecond
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 15 * sim.Second
@@ -171,9 +166,6 @@ func New(host HostPort, name string, ip netsim.IP, cfg Config) *VM {
 	return v
 }
 
-// Name returns the VM name.
-func (v *VM) Name() string { return v.name }
-
 // IP returns the VM's virtual address.
 func (v *VM) IP() netsim.IP { return v.ip }
 
@@ -185,9 +177,6 @@ func (v *VM) Stack() *ipstack.Stack { return v.stack }
 
 // Host returns the current physical host.
 func (v *VM) Host() HostPort { return v.host }
-
-// Running reports whether the VM is executing (false while paused).
-func (v *VM) Running() bool { return v.running }
 
 // Pause stops the VM: its NIC detaches and traffic in both directions is
 // dropped (timers inside the guest keep running — a documented
@@ -228,7 +217,7 @@ func (v *VM) ScrapeInto(r *obs.Registry, l obs.Labels) {
 func (v *VM) SetTraceParent(sp *obs.Span) { v.traceParent = sp }
 
 // totalPages is the VM image size in pages.
-func (v *VM) totalPages() int { return v.cfg.MemoryMB << 20 / v.cfg.PageSize }
+func (v *VM) totalPages() int { return v.cfg.MemoryMB << 20 / pageSize }
 
 // Migrate live-migrates the VM to dst using iterative pre-copy over a
 // TCP connection between the two hosts' Dom0 stacks. It blocks the
@@ -338,7 +327,6 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 	})
 	defer watchdog.Stop()
 
-	pageSize := int64(v.cfg.PageSize)
 	sendRound := func(pages int64) error {
 		bytes := pages * pageSize
 		hdr := make([]byte, 8)
@@ -399,7 +387,7 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 		if max := int64(v.totalPages()); dirtied > max {
 			dirtied = max
 		}
-		if dirtied <= int64(v.cfg.StopCopyPages) ||
+		if dirtied <= stopCopyPages ||
 			round+1 >= v.cfg.MaxRounds ||
 			dirtied >= prev {
 			prev = dirtied
@@ -437,7 +425,7 @@ func (v *VM) Migrate(p *sim.Proc, dst HostPort) (*MigrationReport, error) {
 	// The transfer is complete; the watchdog must not misread the quiet
 	// handoff as a stall.
 	watchdog.Stop()
-	p.Sleep(v.cfg.HandoffDelay)
+	p.Sleep(handoffDelay)
 	v.host = dst
 	v.Resume()
 	rep.Downtime = p.Now().Sub(pausedAt)

@@ -71,20 +71,6 @@ func (mg *Manager) ServiceVIP(name string) (netsim.IP, bool) {
 	return rec.vip, true
 }
 
-// ServiceNames lists a tenant's managed services, sorted.
-func (mg *Manager) ServiceNames(tenant string) []string {
-	ts, ok := mg.tenants[tenant]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(ts.services))
-	for name := range ts.services {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // evictService stops one service and drops its record: probe loop down,
 // VIP records retracted, steering tables cleared, the VIP reservation
 // released back to the network's pools.

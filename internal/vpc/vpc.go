@@ -213,17 +213,10 @@ func (n *Network) releaseIP(ip netsim.IP) {
 	}
 }
 
-// ServicePool reports the network's VIP carve-out (false when none is
-// declared).
-func (n *Network) ServicePool() (CIDR, bool) { return n.svcPool, n.hasPool }
-
 // inServicePool reports whether ip falls inside the VIP carve-out.
 func (n *Network) inServicePool(ip netsim.IP) bool {
 	return n.hasPool && n.svcPool.Contains(ip)
 }
-
-// Config returns the configuration the network was created with.
-func (n *Network) Config() NetworkConfig { return n.cfg }
 
 // Manager is the multi-tenant control plane.
 type Manager struct {
@@ -456,12 +449,6 @@ func (n *Network) stopMeshRepair() {
 		n.repair.Interrupt()
 	}
 	n.repair = nil
-}
-
-// MeshRepairAlive reports whether the network's repair loop is running;
-// teardown tests pin the loop's prompt exit on it.
-func (n *Network) MeshRepairAlive() bool {
-	return n.repair != nil && !n.repair.Dead()
 }
 
 // Admit brings a WAVNet host into a network end-to-end: VPC join

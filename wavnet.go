@@ -432,7 +432,7 @@ func GroupMaxLatency(rtts [][]Duration, group []int) Duration {
 // PlanetLabDataset generates the synthetic 400-host latency universe
 // used by Figures 12-14.
 func PlanetLabDataset(seed int64) *planetlab.Dataset {
-	return planetlab.Generate(seed, planetlab.Config{})
+	return planetlab.Generate(seed, planetlab.Hosts)
 }
 
 // ---- experiment harness ----
