@@ -647,12 +647,22 @@ func TestJoinAnyFailsOverToLiveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var joinErr error
+	var joinedAt sim.Time
 	eng.Spawn("join", func(p *sim.Proc) {
 		joinErr = h.JoinAny(p, []netsim.Addr{dead.Addr(), live.Addr()})
+		joinedAt = p.Now()
 	})
 	eng.RunFor(2 * time.Minute)
 	if joinErr != nil {
 		t.Fatalf("JoinAny with one live server: %v", joinErr)
+	}
+	// The election tried the dead broker first: its closed port dropped
+	// the join request, and the join waited out one RPC timeout there.
+	if deadHost.NoSocketDrops == 0 {
+		t.Fatal("the dead broker never saw a join request; the election skipped it")
+	}
+	if joinedAt < sim.Time(rpcTimeout) {
+		t.Fatalf("joined at %v, before the dead broker's %v RPC timeout ran out", joinedAt, rpcTimeout)
 	}
 	if live.Sessions() != 1 {
 		t.Fatalf("live server has %d sessions, want 1", live.Sessions())

@@ -235,7 +235,6 @@ func (r *Rank) SendRecv(p *sim.Proc, partner, tag, size int) error {
 
 // Collective tags (high bits to avoid app tags).
 const (
-	tagBarrier = 1 << 20
 	tagReduce  = 1 << 21
 	tagBcast   = 1 << 22
 	tagAll2All = 1 << 23

@@ -90,33 +90,6 @@ func TestTagDemux(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	eng, stacks := bridgeWorld(3, 4, 10*time.Microsecond)
-	w := connectWorld(t, eng, stacks)
-	var minAfter, maxBefore sim.Time
-	minAfter = 1 << 62
-	eng.Spawn("driver", func(p *sim.Proc) {
-		w.Run(p, func(rp *sim.Proc, r *Rank) error {
-			// Stagger arrival; nobody may pass before the last arrives.
-			rp.Sleep(time.Duration(r.ID()) * 100 * time.Millisecond)
-			if rp.Now() > maxBefore {
-				maxBefore = rp.Now()
-			}
-			if err := r.Barrier(rp); err != nil {
-				return err
-			}
-			if rp.Now() < minAfter {
-				minAfter = rp.Now()
-			}
-			return nil
-		})
-	})
-	eng.RunFor(60 * time.Second)
-	if minAfter < maxBefore {
-		t.Fatalf("a rank passed the barrier (%v) before the last arrived (%v)", minAfter, maxBefore)
-	}
-}
-
 func TestAlltoallVolume(t *testing.T) {
 	eng, stacks := bridgeWorld(4, 4, 10*time.Microsecond)
 	w := connectWorld(t, eng, stacks)

@@ -61,20 +61,5 @@ func (tr *Trace) Len() int {
 	return len(tr.spans)
 }
 
-// Merge folds other into r: counters and gauges sum, histograms merge
-// bucket-wise, series absent from r are created.
-func (r *Registry) Merge(other *Registry) {
-	other.each(func(s *series, x sample) {
-		switch s.kind {
-		case KindCounter:
-			r.Counter(s.key.name, s.key.labels).Add(x.bits)
-		case KindGauge:
-			r.Gauge(s.key.name, s.key.labels).Add(x.gauge())
-		default:
-			r.Histogram(s.key.name, s.key.labels).merge(x.hist)
-		}
-	})
-}
-
 // Add shifts the gauge by d.
 func (g *Gauge) Add(d float64) { g.Set(g.Value() + d) }

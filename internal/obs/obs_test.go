@@ -165,34 +165,6 @@ func TestRegistryLabeledSeries(t *testing.T) {
 	}
 }
 
-func TestRegistryMergeIdentity(t *testing.T) {
-	r := NewRegistry()
-	l := Labels{Host: "pc00"}
-	r.Counter("frames", l).Add(9)
-	r.Gauge("load", l).Set(1.5)
-	for v := 1; v <= 50; v++ {
-		r.Histogram("lat_ms", l).Observe(float64(v))
-	}
-	// Merging into an empty registry is the identity.
-	m := NewRegistry()
-	m.Merge(r)
-	if m.String() != r.String() {
-		t.Fatalf("merge-into-empty changed the registry:\n%s\nvs\n%s", m.String(), r.String())
-	}
-	// Merging an empty registry is also the identity.
-	before := r.String()
-	r.Merge(NewRegistry())
-	if r.String() != before {
-		t.Fatalf("merge-of-empty changed the registry")
-	}
-	// Snapshot isolates: recording after Snapshot must not leak in.
-	snap := r.Snapshot()
-	r.Counter("frames", l).Add(100)
-	if v, _ := snap.CounterValue("frames", l); v != 9 {
-		t.Fatalf("snapshot leaked: frames = %d, want 9", v)
-	}
-}
-
 func TestRegistryDeltaClampsResets(t *testing.T) {
 	prev := NewRegistry()
 	cur := NewRegistry()

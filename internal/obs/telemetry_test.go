@@ -69,54 +69,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 }
 
-// TestRegistryMergeCollisions pins what Merge does when both registries
-// carry the same (name, labels) series: counters and gauges add,
-// histograms merge bucket-wise, and distinct label sets stay distinct.
-func TestRegistryMergeCollisions(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	la := Labels{Tenant: "t0", Host: "pc00"}
-	lb := Labels{Tenant: "t0", Host: "pc01"}
-
-	a.Counter("frames", la).Add(10)
-	b.Counter("frames", la).Add(5) // collides with a's series
-	b.Counter("frames", lb).Add(7) // distinct labels, must not fold in
-
-	a.Gauge("active", la).Set(3)
-	b.Gauge("active", la).Set(4)
-
-	a.Histogram("lat", la).Observe(10)
-	b.Histogram("lat", la).Observe(1000)
-
-	a.Merge(b)
-	if v, _ := a.CounterValue("frames", la); v != 15 {
-		t.Fatalf("merged collided counter = %d, want 15", v)
-	}
-	if v, _ := a.CounterValue("frames", lb); v != 7 {
-		t.Fatalf("merged distinct-label counter = %d, want 7", v)
-	}
-	if a.Total("frames") != 22 {
-		t.Fatalf("Total(frames) = %d, want 22", a.Total("frames"))
-	}
-	if v, _ := a.GaugeValue("active", la); v != 7 {
-		t.Fatalf("merged gauge = %g, want 7 (gauges add under Merge)", v)
-	}
-	h := a.Histogram("lat", la)
-	if h.Count() != 2 || h.Max() != 1000 {
-		t.Fatalf("merged histogram count=%d max=%g, want 2/1000", h.Count(), h.Max())
-	}
-
-	// A kind collision (counter vs gauge under one name+labels) is a
-	// programming error and must panic rather than silently misread.
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("kind-mismatch Merge did not panic")
-		}
-	}()
-	c := NewRegistry()
-	c.Gauge("frames", la).Set(1)
-	a.Merge(c)
-}
-
 // TestAddHistogramFolds covers the external-histogram fold used by
 // World.Scrape for per-host batch-size distributions.
 func TestAddHistogramFolds(t *testing.T) {

@@ -560,7 +560,7 @@ func (w *World) Locality(net string) ([]string, [][]sim.Duration) {
 func (w *World) ReportNetRTTs(network string) error {
 	n, ok := w.VPC().Get(network)
 	if !ok {
-		return vpc.ErrNoSuchNetwork
+		return fmt.Errorf("scenario: no network %q", network)
 	}
 	members := n.Members()
 	type meas struct {
@@ -876,7 +876,7 @@ func (w *World) peeringOrigins(a, b string) []*rendezvous.Server {
 
 // ApplySync runs Apply in a fresh process and drives the engine in
 // slices until it converges, for callers outside simulation context
-// (tests, experiment drivers, and the legacy imperative shims).
+// (tests and experiment drivers).
 func (w *World) ApplySync(spec vpc.TenantSpec) (*vpc.ApplyReport, error) {
 	members := 0
 	for _, ns := range spec.Networks {

@@ -147,52 +147,6 @@ func TestApplyMovesMemberBetweenNetworks(t *testing.T) {
 	}
 }
 
-// TestJoinVPCAdoptsExistingMembers: a spec that joins a machine to an
-// imperatively created network adopts the network and keeps the member
-// that was already admitted outside the spec machinery.
-func TestJoinVPCAdoptsExistingMembers(t *testing.T) {
-	w, err := scenario.Build(17, scenario.EmulatedWANSpecs(2, 100e6), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.VPC().Create("legacy", "10.7.0.0/24", vpc.NetworkConfig{StaticAddressing: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Admit pc00 through the raw manager (no tenant ownership at all).
-	var admitErr error
-	w.Eng.Spawn("admit", func(p *sim.Proc) {
-		h, err := w.ResolveHost(p, "pc00")
-		if err != nil {
-			admitErr = err
-			return
-		}
-		_, admitErr = w.VPC().Admit(p, h, "legacy")
-	})
-	w.Eng.RunFor(time.Minute)
-	if admitErr != nil {
-		t.Fatal(admitErr)
-	}
-	rep, err := w.ApplySync(vpc.TenantSpec{Tenant: "legacy", Networks: []vpc.NetworkSpec{{
-		Name: "legacy", CIDR: "10.7.0.0/24", StaticAddressing: true, Members: []string{"pc00", "pc01"},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ops(rep); got != "adopt-network,admit" {
-		t.Fatalf("ops = %q, want adopt-network,admit", got)
-	}
-	n, _ := w.VPC().Get("legacy")
-	if len(n.Members()) != 2 {
-		t.Fatalf("members = %d, want 2 (adoption evicted the pre-existing member?)", len(n.Members()))
-	}
-	if _, in := n.Member("pc00"); !in {
-		t.Fatal("pc00 was evicted by the adoption")
-	}
-	if n.Tenant != "legacy" {
-		t.Fatalf("network not adopted: tenant %q", n.Tenant)
-	}
-}
-
 // TestUnpeerKeepsSharedFabric: removing a peering tears down only the
 // tunnels the peering created. A tunnel that predates it (the shared
 // default-network fabric) keeps carrying its other traffic.
@@ -318,8 +272,8 @@ func TestApplyRejects(t *testing.T) {
 // TestApplyVMFollowsMembership: when a VM's current host leaves its
 // network in the same apply, the VM cannot migrate (its source end is
 // leaving the tenant), so the pre-pass detaches it and the placement
-// pass boots it fresh on a surviving member. An imperative eviction of
-// a host still running a VM is refused outright.
+// pass boots it fresh on a surviving member. A spec that drops the host
+// a VM stays pinned to is refused before anything moves.
 func TestApplyVMFollowsMembership(t *testing.T) {
 	w, err := scenario.Build(14, scenario.EmulatedWANSpecs(3, 100e6), nil)
 	if err != nil {
@@ -337,24 +291,18 @@ func TestApplyVMFollowsMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Evicting pc02 imperatively while the VM runs there is refused.
-	n, _ := w.VPC().Get("vnet")
-	m, _ := n.Member("pc02")
-	evictErr := error(nil)
-	evicted := false
-	w.Eng.Spawn("evict", func(p *sim.Proc) {
-		evictErr = w.VPC().Evict(p, m.Host, "vnet")
-		evicted = true
-	})
-	w.Eng.RunFor(10 * time.Second)
-	if !evicted || evictErr == nil || !strings.Contains(evictErr.Error(), "still runs VM") {
-		t.Fatalf("evicting a VM's host: done=%v err=%v", evicted, evictErr)
+	// Dropping pc02 while the VM stays pinned there is refused.
+	spec.Networks[0].Members = []string{"pc00", "pc01"}
+	if _, err := apply(t, w, spec); err == nil || !strings.Contains(err.Error(), "does not list as a member") {
+		t.Fatalf("dropping a pinned VM's host: %v", err)
+	}
+	if host, _ := w.VPC().VMHost("job"); host != "pc02" {
+		t.Fatalf("refused apply moved the VM to %q", host)
 	}
 
-	// Declaratively dropping the host (with the VM unpinned) re-places
-	// the VM on a surviving member: evict before the membership change,
-	// place after it.
-	spec.Networks[0].Members = []string{"pc00", "pc01"}
+	// Dropping the host with the VM unpinned re-places the VM on a
+	// surviving member: evict before the membership change, place after
+	// it.
 	spec.VMs[0].Host = ""
 	rep, err := apply(t, w, spec)
 	if err != nil {

@@ -29,10 +29,10 @@ func (mg *Manager) SnapshotTenant(tenant string) TenantSpec {
 			Name:             n.Name,
 			CIDR:             n.CIDR.String(),
 			VNI:              n.VNI,
-			StaticAddressing: n.cfg.StaticAddressing,
-			Lease:            n.cfg.Lease,
+			StaticAddressing: n.static,
+			Lease:            n.lease,
 			Brokers:          append([]string(nil), n.Brokers...),
-			ServicePool:      n.cfg.ServicePool,
+			ServicePool:      n.pool,
 		}
 		for _, m := range n.Members() {
 			ns.Members = append(ns.Members, m.Host.Name())
@@ -81,4 +81,4 @@ func (n *Network) MeshRepairAlive() bool {
 
 // ServicePool reports the network's VIP carve-out (false when none is
 // declared).
-func (n *Network) ServicePool() (CIDR, bool) { return n.svcPool, n.hasPool }
+func (n *Network) ServicePool() (CIDR, bool) { return n.svcPool, n.pool != "" }

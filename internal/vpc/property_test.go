@@ -37,13 +37,6 @@ func TestCrossTenantTrafficNeverDelivered(t *testing.T) {
 	}
 
 	// Now the tenants split: a joins red (VNI 1), b joins blue (VNI 2).
-	mg := w.VPC()
-	if _, err := mg.Create("red", "10.0.0.0/24", vpc.NetworkConfig{VNI: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mg.Create("blue", "10.0.0.0/24", vpc.NetworkConfig{VNI: 2}); err != nil {
-		t.Fatal(err)
-	}
 	var joinErr error
 	w.Eng.Spawn("split", func(p *sim.Proc) {
 		if err := a.JoinVPC(p, "red", 1); err != nil {

@@ -105,7 +105,7 @@ func (mg *Manager) Reconcile(p *sim.Proc, spec TenantSpec, fab Fabric) (*ApplyRe
 	for i := range spec.Networks {
 		ns := &spec.Networks[i]
 		desired[ns.Name] = ns
-		if live, ok := mg.networks[ns.Name]; ok && live.Tenant != "" && live.Tenant != spec.Tenant {
+		if live, ok := mg.networks[ns.Name]; ok && live.Tenant != spec.Tenant {
 			return rep, fmt.Errorf("vpc: network %q belongs to tenant %q, not %q",
 				ns.Name, live.Tenant, spec.Tenant)
 		}
@@ -179,7 +179,7 @@ func (mg *Manager) Reconcile(p *sim.Proc, spec TenantSpec, fab Fabric) (*ApplyRe
 		members := live.Members()
 		for i := len(members) - 1; i >= 0; i-- {
 			m := members[i]
-			if err := mg.Evict(p, m.Host, live.Name); err != nil {
+			if err := mg.evict(p, m); err != nil {
 				return rep, fmt.Errorf("vpc: evict %s from %s: %w", m.Host.Name(), live.Name, err)
 			}
 			Action{Op: "evict", Network: live.Name, Host: m.Host.Name()}.record(rep)
@@ -192,13 +192,11 @@ func (mg *Manager) Reconcile(p *sim.Proc, spec TenantSpec, fab Fabric) (*ApplyRe
 			}
 			Action{Op: "defederate", Network: live.Name}.record(rep)
 		}
-		if err := mg.Delete(live.Name); err != nil {
-			return rep, fmt.Errorf("vpc: delete %s: %w", live.Name, err)
-		}
+		mg.delete(live)
 		Action{Op: "delete-network", Network: live.Name}.record(rep)
 	}
 
-	// 3. Create, adopt or recreate the declared networks, then converge
+	// 3. Create or recreate the declared networks, then converge
 	// each network's federation: the replication set is installed on
 	// exactly the named brokers BEFORE any member joins, so a record is
 	// never registered outside its network's broker set.
@@ -245,11 +243,12 @@ func (mg *Manager) Reconcile(p *sim.Proc, spec TenantSpec, fab Fabric) (*ApplyRe
 			if want[m.Host.Name()] {
 				continue
 			}
-			if err := mg.Evict(p, m.Host, ns.Name); err != nil {
-				if err == ErrAnchorPinned {
-					return rep, fmt.Errorf("vpc: %s anchors %s and cannot leave while members remain; drop the whole network or keep %s in the spec",
-						m.Host.Name(), ns.Name, m.Host.Name())
-				}
+			// The anchor hosts the DHCP server, so it can only leave last.
+			if m.Anchor() && len(live.members) > 1 {
+				return rep, fmt.Errorf("vpc: %s anchors %s and cannot leave while members remain; drop the whole network or keep %s in the spec",
+					m.Host.Name(), ns.Name, m.Host.Name())
+			}
+			if err := mg.evict(p, m); err != nil {
 				return rep, fmt.Errorf("vpc: evict %s from %s: %w", m.Host.Name(), ns.Name, err)
 			}
 			Action{Op: "evict", Network: ns.Name, Host: m.Host.Name()}.record(rep)
@@ -266,7 +265,7 @@ func (mg *Manager) Reconcile(p *sim.Proc, spec TenantSpec, fab Fabric) (*ApplyRe
 			if err != nil {
 				return rep, fmt.Errorf("vpc: resolve %s: %w", key, err)
 			}
-			m, err := mg.Admit(p, h, ns.Name)
+			m, err := mg.admit(p, h, live)
 			if err != nil {
 				return rep, fmt.Errorf("vpc: admit %s into %s: %w", key, ns.Name, err)
 			}
@@ -361,39 +360,21 @@ func (mg *Manager) Reconcile(p *sim.Proc, spec TenantSpec, fab Fabric) (*ApplyRe
 }
 
 // reconcileNetwork brings one declared network into existence: create
-// it, adopt an unowned live one, or — when an empty live network
-// disagrees on CIDR/VNI/addressing — recreate it from the spec. A
-// non-empty network that disagrees is an error: converging it would
-// disrupt members the spec wants kept.
+// it, or — when an empty live network disagrees on CIDR/VNI/addressing
+// — recreate it from the spec. A non-empty network that disagrees is an
+// error: converging it would disrupt members the spec wants kept.
 func (mg *Manager) reconcileNetwork(tenant string, ns *NetworkSpec, ts *tenantState, fab Fabric, rep *ApplyReport) error {
-	cfg := NetworkConfig{VNI: ns.VNI, StaticAddressing: ns.StaticAddressing,
-		Lease: ns.Lease, ServicePool: ns.ServicePool}
 	live, ok := mg.networks[ns.Name]
 	if !ok {
-		n, err := mg.Create(ns.Name, ns.CIDR, cfg)
+		n, err := mg.create(tenant, ns)
 		if err != nil {
 			return fmt.Errorf("vpc: create %s: %w", ns.Name, err)
 		}
-		n.Tenant = tenant
 		Action{Op: "create-network", Network: ns.Name,
 			Detail: fmt.Sprintf("%s vni %d", n.CIDR, n.VNI)}.record(rep)
 		return nil
 	}
-	if live.Tenant == "" {
-		live.Tenant = tenant
-		Action{Op: "adopt-network", Network: ns.Name}.record(rep)
-	}
-	prefix, _ := ParseCIDR(ns.CIDR) // validated earlier
-	effLease := ns.Lease
-	if effLease <= 0 {
-		effLease = 10 * sim.Minute
-	}
-	matches := live.CIDR == prefix &&
-		(ns.VNI == 0 || ns.VNI == live.VNI) &&
-		live.cfg.StaticAddressing == ns.StaticAddressing &&
-		live.cfg.Lease == effLease &&
-		live.cfg.ServicePool == ns.ServicePool
-	if matches {
+	if live.matches(ns) {
 		return nil
 	}
 	if len(live.members) > 0 {
@@ -416,9 +397,7 @@ func (mg *Manager) reconcileNetwork(tenant string, ns *NetworkSpec, ts *tenantSt
 			return fmt.Errorf("vpc: recreate %s: defederate: %w", ns.Name, err)
 		}
 	}
-	if err := mg.Delete(ns.Name); err != nil {
-		return fmt.Errorf("vpc: recreate %s: %w", ns.Name, err)
-	}
+	mg.delete(live)
 	if ns.VNI != 0 && ns.VNI == live.VNI {
 		// Recreating the same network of the same tenant with its VNI
 		// pinned: the delete-and-create is one reconcile step, so the
@@ -426,11 +405,10 @@ func (mg *Manager) reconcileNetwork(tenant string, ns *NetworkSpec, ts *tenantSt
 		// from a dead network's stale segments) does not apply.
 		delete(mg.retired, ns.VNI)
 	}
-	n, err := mg.Create(ns.Name, ns.CIDR, cfg)
+	n, err := mg.create(tenant, ns)
 	if err != nil {
 		return fmt.Errorf("vpc: recreate %s: %w", ns.Name, err)
 	}
-	n.Tenant = tenant
 	Action{Op: "recreate-network", Network: ns.Name,
 		Detail: fmt.Sprintf("%s vni %d", n.CIDR, n.VNI)}.record(rep)
 	return nil

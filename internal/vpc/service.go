@@ -279,7 +279,7 @@ func backendsEqual(a, b []service.Backend) bool {
 
 // allocVIP hands out the first free address of the service pool.
 func (n *Network) allocVIP() (netsim.IP, error) {
-	if !n.hasPool {
+	if n.pool == "" {
 		return 0, fmt.Errorf("network %q declares no service pool", n.Name)
 	}
 	for ip := n.svcPool.Base; ip <= n.svcPool.Broadcast(); ip++ {

@@ -1,13 +1,11 @@
 package vpc_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"wavnet/internal/scenario"
-	"wavnet/internal/sim"
 	"wavnet/internal/vpc"
 )
 
@@ -250,9 +248,9 @@ func TestApplyServiceRejects(t *testing.T) {
 	}
 }
 
-// TestServiceTeardownGuards: imperative teardown around a live service
-// is refused — the network cannot be deleted, a backend cannot be
-// evicted — while the spec-driven path converges deterministically.
+// TestServiceTeardownGuards: a spec that drops a live service's backend
+// member while the service still names it is refused before anything
+// moves, while the spec-driven teardown converges deterministically.
 func TestServiceTeardownGuards(t *testing.T) {
 	w, err := scenario.Build(31, scenario.EmulatedWANSpecs(2, 100e6), nil)
 	if err != nil {
@@ -274,21 +272,16 @@ func TestServiceTeardownGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := w.VPC().Delete("app"); !errors.Is(err, vpc.ErrNotEmpty) {
-		t.Fatalf("Delete of a populated network = %v, want ErrNotEmpty", err)
+	spec.Networks[0].Members = []string{"pc00"}
+	if _, err := apply(t, w, spec); err == nil || !strings.Contains(err.Error(), "is not a member of network") {
+		t.Fatalf("dropping a live backend = %v, want a validation refusal", err)
 	}
-	var evictErr error
-	done := false
-	w.Eng.Spawn("evict", func(p *sim.Proc) {
-		evictErr = w.VPC().Evict(p, w.M("pc01").WAV, "app")
-		done = true
-	})
-	w.Eng.RunFor(10 * time.Second)
-	if !done {
-		t.Fatal("evict never finished")
+	n, _ := w.VPC().Get("app")
+	if _, in := n.Member("pc01"); !in {
+		t.Fatal("refused apply evicted the backend")
 	}
-	if evictErr == nil || !strings.Contains(evictErr.Error(), "still backs service") {
-		t.Fatalf("evicting a live backend = %v, want a service guard", evictErr)
+	if _, ok := w.VPC().Service("web"); !ok {
+		t.Fatal("refused apply removed the service")
 	}
 
 	// The declarative path tears everything down in one deterministic

@@ -240,8 +240,7 @@ func ParsePrefix(s string) (ether.Prefix, error) {
 
 // Action is one state change the reconciler performed.
 type Action struct {
-	// Op identifies the change: create-network, adopt-network,
-	// recreate-network, delete-network, admit, evict, peer, repeer,
+	// Op identifies the change: create-network, recreate-network, delete-network, admit, evict, peer, repeer,
 	// unpeer, peer-connect, peer-disconnect, set-quota, clear-quota,
 	// federate, defederate, vm-place, vm-migrate, vm-evict,
 	// service-create, service-update, service-evict.

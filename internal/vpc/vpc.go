@@ -2,9 +2,10 @@
 // WAVNet virtual LAN into a Virtual Private Cloud: many isolated
 // virtual networks multiplexed over one shared tunnel fabric.
 //
-// A Manager creates and deletes networks — each with a name, a VNI
-// (virtual network identifier), a CIDR address space and an optional
-// default flag — and admits WAVNet hosts into them. Admission wires
+// A tenant declares its networks in a TenantSpec and Reconcile
+// (World.Apply) is the one way in: it creates and deletes networks —
+// each with a name, a VNI (virtual network identifier) and a CIDR
+// address space — and admits and evicts WAVNet hosts. Admission wires
 // three layers at once:
 //
 //   - data plane: the host joins the VNI's bridge segment, so its
@@ -41,22 +42,16 @@ import (
 	"wavnet/internal/sim"
 )
 
-// Errors returned by the manager.
+// Errors an Apply can wrap.
 var (
-	ErrNoSuchNetwork = errors.New("vpc: no such network")
-	ErrNetworkExists = errors.New("vpc: network name already in use")
 	ErrVNIInUse      = errors.New("vpc: VNI already in use")
 	ErrVNIRetired    = errors.New("vpc: VNI belonged to a deleted network and is never reused")
-	ErrPeered        = errors.New("vpc: network still has an applied peering; remove it from the tenant spec first")
-	ErrNotEmpty      = errors.New("vpc: network still has members")
-	ErrAnchorPinned  = errors.New("vpc: cannot evict the anchor while other members remain")
-	ErrNoDefault     = errors.New("vpc: no default network configured")
-	ErrDefaultExists = errors.New("vpc: a default network already exists")
 	ErrAlreadyMember = errors.New("vpc: host is already a member of another network")
 	ErrPoolExhausted = errors.New("vpc: address pool exhausted")
-	ErrNotMember     = errors.New("vpc: host is not a member")
-	ErrHasServices   = errors.New("vpc: network still has live services; remove them from the tenant spec first")
 )
+
+// defaultLease is the DHCP lease of a network whose spec sets none.
+const defaultLease = 10 * sim.Minute
 
 // CIDR is an IPv4 prefix.
 type CIDR struct {
@@ -99,47 +94,29 @@ func (c CIDR) Contains(ip netsim.IP) bool { return ip&c.Mask() == c.Base }
 // String renders "a.b.c.d/n".
 func (c CIDR) String() string { return fmt.Sprintf("%s/%d", c.Base, c.Bits) }
 
-// NetworkConfig tunes one virtual network at creation.
-type NetworkConfig struct {
-	// VNI pins the network's identifier; 0 auto-allocates the next
-	// free one (VNI 0 itself is reserved for the default flat LAN).
-	VNI uint32
-	// Default marks this network as the one hosts are admitted into
-	// when they name none.
-	Default bool
-	// StaticAddressing skips DHCP: members get sequential addresses
-	// from the pool at admission (cheaper for large-scale sweeps).
-	StaticAddressing bool
-	// Lease is the DHCP lease duration (default 10 minutes).
-	Lease sim.Duration
-	// ServicePool carves a sub-CIDR out of the network's address space
-	// for service VIPs: the DHCP server never leases it and static
-	// assignment skips it. Empty disables the carve-out.
-	ServicePool string
-}
-
 // Network is one isolated virtual network.
 type Network struct {
-	Name    string
-	VNI     uint32
-	CIDR    CIDR
-	Default bool
-	// Tenant is the owner that declared this network through a
-	// TenantSpec ("" for networks created imperatively).
+	Name string
+	VNI  uint32
+	CIDR CIDR
+	// Tenant is the owner that declared this network in its TenantSpec.
 	Tenant string
 	// Brokers is the applied federation: the rendezvous brokers that
 	// replicate this network's records among themselves (empty = the
 	// fabric's primary broker alone). Maintained by the reconciler.
 	Brokers []string
 
-	cfg     NetworkConfig
+	// static, lease and pool are the spec's StaticAddressing, Lease
+	// (defaulted) and ServicePool the network was created with.
+	static  bool
+	lease   sim.Duration
+	pool    string
 	members map[string]*Member
 	order   []string // admission order; order[0] is the anchor
 	dhcpSrv *dhcp.Server
 	nextIP  netsim.IP // static-addressing cursor
 	// svcPool is the parsed service VIP carve-out (zero when none).
 	svcPool CIDR
-	hasPool bool
 	// reserved pins addresses assigned outside the pools (VM spec IPs):
 	// static assignment skips them and the DHCP server never leases
 	// them.
@@ -215,14 +192,25 @@ func (n *Network) releaseIP(ip netsim.IP) {
 
 // inServicePool reports whether ip falls inside the VIP carve-out.
 func (n *Network) inServicePool(ip netsim.IP) bool {
-	return n.hasPool && n.svcPool.Contains(ip)
+	return n.pool != "" && n.svcPool.Contains(ip)
+}
+
+// matches reports whether the network already has the geometry and
+// addressing a (validated) spec declares, so it can be kept as it is.
+func (n *Network) matches(ns *NetworkSpec) bool {
+	prefix, _ := ParseCIDR(ns.CIDR)
+	lease := ns.Lease
+	if lease <= 0 {
+		lease = defaultLease
+	}
+	return n.CIDR == prefix && (ns.VNI == 0 || ns.VNI == n.VNI) &&
+		n.static == ns.StaticAddressing && n.lease == lease && n.pool == ns.ServicePool
 }
 
 // Manager is the multi-tenant control plane.
 type Manager struct {
 	networks map[string]*Network
 	byVNI    map[uint32]*Network
-	def      *Network
 	nextVNI  uint32
 	// retired holds VNIs of deleted networks: stale data-plane segments
 	// for them may linger on hosts, so they are never handed out again
@@ -258,120 +246,59 @@ func NewManager() *Manager {
 	}
 }
 
-// Create registers a new virtual network.
-func (mg *Manager) Create(name, cidr string, cfg NetworkConfig) (*Network, error) {
-	if name == "" {
-		return nil, errors.New("vpc: network needs a name")
-	}
-	if _, ok := mg.networks[name]; ok {
-		return nil, ErrNetworkExists
-	}
-	if cfg.Default && mg.def != nil {
-		return nil, ErrDefaultExists
-	}
-	prefix, err := ParseCIDR(cidr)
-	if err != nil {
-		return nil, err
-	}
-	var pool CIDR
-	hasPool := false
-	if cfg.ServicePool != "" {
-		pool, err = ParseCIDR(cfg.ServicePool)
-		if err != nil {
-			return nil, err
-		}
-		if !prefix.Contains(pool.Base) || !prefix.Contains(pool.Broadcast()) ||
-			pool.Base <= prefix.Base+1 || pool.Broadcast() >= prefix.Broadcast() {
-			return nil, fmt.Errorf("vpc: service pool %s must sit strictly inside %s (past the gateway, before broadcast)",
-				cfg.ServicePool, cidr)
-		}
-		hasPool = true
-	}
-	vni := cfg.VNI
-	if vni == 0 {
+// create registers the network a validated spec declares for tenant.
+func (mg *Manager) create(tenant string, ns *NetworkSpec) (*Network, error) {
+	vni := ns.VNI
+	switch {
+	case vni == 0:
 		vni = mg.nextVNI
 		mg.nextVNI++
-	} else if mg.byVNI[vni] != nil {
+	case mg.byVNI[vni] != nil:
 		return nil, ErrVNIInUse
-	} else if mg.retired[vni] {
+	case mg.retired[vni]:
 		return nil, ErrVNIRetired
-	} else if vni >= mg.nextVNI {
+	case vni >= mg.nextVNI:
 		// Never auto-allocate a VNI that was ever pinned: stale
 		// data-plane segments for a deleted network must not start
 		// matching a new tenant's tag.
 		mg.nextVNI = vni + 1
 	}
-	if cfg.Lease <= 0 {
-		cfg.Lease = 10 * sim.Minute
+	prefix, _ := ParseCIDR(ns.CIDR) // validated
+	lease := ns.Lease
+	if lease <= 0 {
+		lease = defaultLease
 	}
 	n := &Network{
-		Name:     name,
+		Name:     ns.Name,
 		VNI:      vni,
 		CIDR:     prefix,
-		Default:  cfg.Default,
-		cfg:      cfg,
+		Tenant:   tenant,
+		static:   ns.StaticAddressing,
+		lease:    lease,
+		pool:     ns.ServicePool,
 		members:  make(map[string]*Member),
 		nextIP:   prefix.Base + 2,
 		reserved: make(map[netsim.IP]bool),
-		svcPool:  pool,
-		hasPool:  hasPool,
 	}
-	mg.networks[name] = n
+	if ns.ServicePool != "" {
+		n.svcPool, _ = ParseCIDR(ns.ServicePool) // validated
+	}
+	mg.networks[ns.Name] = n
 	mg.byVNI[vni] = n
-	if cfg.Default {
-		mg.def = n
-	}
 	return n, nil
 }
 
-// Delete removes an empty network. Its VNI is never reused. A network
-// that still has an applied peering is refused: the manager alone
-// cannot revoke the broker allowance or the peer side's gateway rules,
-// and network names are reusable — a dangling allowance would link a
-// future stranger's network to this tenant. Drop the peering from the
-// tenant spec (and Apply) first; the reconciler's own teardown path
-// always unpeers before deleting.
-func (mg *Manager) Delete(name string) error {
-	n, ok := mg.networks[name]
-	if !ok {
-		return ErrNoSuchNetwork
-	}
-	if len(n.members) > 0 {
-		return ErrNotEmpty
-	}
-	if ts, ok := mg.tenants[n.Tenant]; ok {
-		for pair := range ts.peerings {
-			if pair[0] == name || pair[1] == name {
-				return ErrPeered
-			}
-		}
-		// A live service's VIP, aliases and probe loop all hang off this
-		// network; the reconciler's service pre-pass always evicts them
-		// before teardown reaches here.
-		for _, rec := range ts.services {
-			if rec.spec.Network == name {
-				return ErrHasServices
-			}
-		}
-	}
+// delete removes a network the reconciler has emptied, unpeered and
+// stripped of services. Its VNI is never reused.
+func (mg *Manager) delete(n *Network) {
 	n.stopMeshRepair()
-	delete(mg.networks, name)
+	delete(mg.networks, n.Name)
 	delete(mg.byVNI, n.VNI)
 	mg.retired[n.VNI] = true
-	if mg.def == n {
-		mg.def = nil
-	}
-	return nil
 }
 
-// Get resolves a network by name; the empty name resolves the default.
+// Get resolves a network by name.
 func (mg *Manager) Get(name string) (*Network, bool) {
-	if name == "" {
-		if mg.def == nil {
-			return nil, false
-		}
-		return mg.def, true
-	}
 	n, ok := mg.networks[name]
 	return n, ok
 }
@@ -451,23 +378,13 @@ func (n *Network) stopMeshRepair() {
 	n.repair = nil
 }
 
-// Admit brings a WAVNet host into a network end-to-end: VPC join
+// admit brings a WAVNet host into a network end-to-end: VPC join
 // (segment + scoped rendezvous registration), tunnels to every
 // existing co-tenant, and an address — static for the anchor (the
 // network's gateway, which also runs the DHCP server), leased over the
 // fresh virtual LAN for everyone else. It blocks the calling process
 // until the member's stack is configured and reachable.
-func (mg *Manager) Admit(p *sim.Proc, h *core.Host, network string) (*Member, error) {
-	n, ok := mg.Get(network)
-	if !ok {
-		if network == "" {
-			return nil, ErrNoDefault
-		}
-		return nil, ErrNoSuchNetwork
-	}
-	if m, ok := n.members[h.Name()]; ok {
-		return m, nil
-	}
+func (mg *Manager) admit(p *sim.Proc, h *core.Host, n *Network) (*Member, error) {
 	prevNet, prevVNI := h.Network()
 	if prevNet != "" && (prevNet != n.Name || prevVNI != n.VNI) {
 		return nil, ErrAlreadyMember
@@ -516,7 +433,7 @@ func (n *Network) anchor(m *Member) error {
 		return err
 	}
 	m.Stack, m.IP = st, n.GatewayIP()
-	if n.cfg.StaticAddressing {
+	if n.static {
 		return nil
 	}
 	// The pool is the CIDR's usable range minus the network address,
@@ -526,7 +443,7 @@ func (n *Network) anchor(m *Member) error {
 		PoolEnd:    n.CIDR.Broadcast() - 1,
 		SubnetMask: n.CIDR.Mask(),
 		Router:     n.GatewayIP(),
-		Lease:      n.cfg.Lease,
+		Lease:      n.lease,
 	})
 	if err != nil {
 		return err
@@ -535,7 +452,7 @@ func (n *Network) anchor(m *Member) error {
 	// addresses belong to services, never to leases. Individual VIPs are
 	// additionally pinned via reserveIP at service admission (so pinned
 	// VIPs outside any pool are protected too).
-	if n.hasPool {
+	if n.pool != "" {
 		for ip := n.svcPool.Base; ip <= n.svcPool.Broadcast(); ip++ {
 			srv.Reserve(ip)
 		}
@@ -554,7 +471,7 @@ func (n *Network) address(p *sim.Proc, m *Member) error {
 	}
 	m.vif = vif
 	stackName := fmt.Sprintf("%s-%s", h.Name(), n.Name)
-	if n.cfg.StaticAddressing {
+	if n.static {
 		for n.reserved[n.nextIP] || n.inServicePool(n.nextIP) {
 			n.nextIP++
 		}
@@ -588,49 +505,14 @@ func (n *Network) address(p *sim.Proc, m *Member) error {
 	return nil
 }
 
-// Evict removes a member from its network: the lease is released, the
+// evict removes a member from its network: the lease is released, the
 // vif detached, the host's segment dropped (after which the tag check
 // discards any traffic still addressed to it), and the host is
 // re-scoped to the default network so it can be admitted elsewhere.
-// The anchor can only leave last (it hosts the DHCP server).
-func (mg *Manager) Evict(p *sim.Proc, h *core.Host, network string) error {
-	n, ok := mg.Get(network)
-	if !ok {
-		return ErrNoSuchNetwork
-	}
-	m, ok := n.members[h.Name()]
-	if !ok {
-		return ErrNotMember
-	}
-	if m.Anchor() && len(n.members) > 1 {
-		return ErrAnchorPinned
-	}
-	// A member still running one of the tenant's VMs cannot leave: its
-	// departure would drop the segment out from under the vif. The
-	// reconciler's VM pre-pass detaches such VMs before any eviction;
-	// imperative callers must drop the VM from the tenant spec first.
-	if ts, ok := mg.tenants[n.Tenant]; ok {
-		for name, rec := range ts.vms {
-			if rec.host == h.Name() && rec.spec.Network == n.Name {
-				return fmt.Errorf("vpc: %s still runs VM %q; remove it from the tenant spec first",
-					h.Name(), name)
-			}
-		}
-		// Likewise a member still backing a LIVE service: its stack
-		// aliases the VIP and the probe loop pings it. The service
-		// pre-pass stops affected services before evictions run.
-		for name, rec := range ts.services {
-			if rec.svc == nil || rec.spec.Network != n.Name {
-				continue
-			}
-			for _, bs := range rec.spec.Backends {
-				if bs.Member == h.Name() {
-					return fmt.Errorf("vpc: %s still backs service %q; remove it from the tenant spec first",
-						h.Name(), name)
-				}
-			}
-		}
-	}
+// The reconciler evicts the anchor (which hosts the DHCP server) last,
+// and only after the VMs and services on the member are gone.
+func (mg *Manager) evict(p *sim.Proc, m *Member) error {
+	n, h := m.Net, m.Host
 	// Control-plane scope must not outlive the membership: co-tenants
 	// could otherwise still discover and broker-connect to the evicted
 	// host, and the host itself could join nothing else. Re-scope

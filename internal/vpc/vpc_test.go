@@ -1,6 +1,7 @@
 package vpc_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -44,38 +45,36 @@ func TestParseCIDR(t *testing.T) {
 	}
 }
 
+// TestManagerCRUD drives network creation and deletion through Apply:
+// auto-allocated VNIs count up in spec order, a pinned VNI another
+// network holds is refused, and a deleted network's VNI never returns.
 func TestManagerCRUD(t *testing.T) {
-	mg := vpc.NewManager()
-	red, err := mg.Create("red", "10.0.0.0/24", vpc.NetworkConfig{})
+	w, err := scenario.Build(2, scenario.EmulatedWANSpecs(1, 100e6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if red.VNI != 1 {
-		t.Fatalf("auto VNI = %d, want 1", red.VNI)
+	mg := w.VPC()
+	nets := func(tenant string, ns ...vpc.NetworkSpec) error {
+		_, err := w.ApplySync(vpc.TenantSpec{Tenant: tenant, Networks: ns})
+		return err
 	}
-	blue, err := mg.Create("blue", "10.0.0.0/24", vpc.NetworkConfig{Default: true})
-	if err != nil {
+	if err := nets("acme",
+		vpc.NetworkSpec{Name: "red", CIDR: "10.0.0.0/24"},
+		vpc.NetworkSpec{Name: "blue", CIDR: "10.0.0.0/24"}); err != nil {
 		t.Fatal(err)
 	}
-	if blue.VNI != 2 {
-		t.Fatalf("auto VNI = %d, want 2", blue.VNI)
-	}
-	if _, err := mg.Create("red", "10.1.0.0/24", vpc.NetworkConfig{}); err != vpc.ErrNetworkExists {
-		t.Fatalf("duplicate name: %v", err)
-	}
-	if _, err := mg.Create("green", "10.2.0.0/24", vpc.NetworkConfig{VNI: 2}); err != vpc.ErrVNIInUse {
-		t.Fatalf("duplicate VNI: %v", err)
-	}
-	if _, err := mg.Create("usurper", "10.3.0.0/24", vpc.NetworkConfig{Default: true}); err != vpc.ErrDefaultExists {
-		t.Fatalf("second default: %v", err)
-	}
-	if n, ok := mg.Get(""); !ok || n != blue {
-		t.Fatal("default network not resolved")
+	red, _ := mg.Get("red")
+	blue, _ := mg.Get("blue")
+	if red.VNI != 1 || blue.VNI != 2 {
+		t.Fatalf("auto VNIs = %d/%d, want 1/2", red.VNI, blue.VNI)
 	}
 	if got := mg.Networks(); len(got) != 2 || got[0].Name != "blue" || got[1].Name != "red" {
 		t.Fatalf("Networks() = %v", got)
 	}
-	if err := mg.Delete("red"); err != nil {
+	if err := nets("other", vpc.NetworkSpec{Name: "green", CIDR: "10.2.0.0/24", VNI: 2}); !errors.Is(err, vpc.ErrVNIInUse) {
+		t.Fatalf("duplicate VNI: %v", err)
+	}
+	if err := nets("acme", vpc.NetworkSpec{Name: "blue", CIDR: "10.0.0.0/24"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := mg.Get("red"); ok {
@@ -83,10 +82,10 @@ func TestManagerCRUD(t *testing.T) {
 	}
 	// A deleted network's VNI may not come back even by explicit
 	// pinning: stale segments for it could still pass the tag check.
-	if _, err := mg.Create("necro", "10.4.0.0/24", vpc.NetworkConfig{VNI: red.VNI}); err != vpc.ErrVNIRetired {
+	if err := nets("other", vpc.NetworkSpec{Name: "necro", CIDR: "10.4.0.0/24", VNI: red.VNI}); !errors.Is(err, vpc.ErrVNIRetired) {
 		t.Fatalf("pinned retired VNI: %v", err)
 	}
-	if _, err := mg.Create("green", "10.2.0.0/24", vpc.NetworkConfig{}); err != nil {
+	if err := nets("other", vpc.NetworkSpec{Name: "green", CIDR: "10.2.0.0/24"}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := mg.Get("green"); n.VNI == red.VNI || n.VNI == blue.VNI {
@@ -236,7 +235,9 @@ func TestTwoTenantsOverlappingCIDR(t *testing.T) {
 	}
 }
 
-// TestEvict checks membership teardown ordering.
+// TestEvict checks membership teardown ordering: the anchor cannot
+// leave while members remain, and an evicted host returns to the
+// default scope so it can be admitted elsewhere.
 func TestEvict(t *testing.T) {
 	w, err := scenario.Build(3, scenario.EmulatedWANSpecs(2, 100e6), nil)
 	if err != nil {
@@ -246,29 +247,20 @@ func TestEvict(t *testing.T) {
 	n, _ := w.VPC().Get("solo")
 	anchor := n.Members()[0]
 	other := n.Members()[1]
-	if err := w.VPC().Delete("solo"); err != vpc.ErrNotEmpty {
-		t.Fatalf("delete non-empty: %v", err)
+	if _, err := w.ApplySync(vpc.TenantSpec{Tenant: "solo", Networks: []vpc.NetworkSpec{{
+		Name: "solo", CIDR: "10.5.0.0/24", Members: []string{"pc01"},
+	}}}); err == nil || !strings.Contains(err.Error(), "anchors") {
+		t.Fatalf("anchor evict: %v", err)
 	}
-	var pinErr, evictOtherErr, evictAnchorErr error
-	w.Eng.Spawn("evict", func(p *sim.Proc) {
-		pinErr = w.VPC().Evict(p, anchor.Host, "solo")
-		evictOtherErr = w.VPC().Evict(p, other.Host, "solo")
-		evictAnchorErr = w.VPC().Evict(p, anchor.Host, "solo")
-	})
-	w.Eng.RunFor(time.Minute)
-	if pinErr != vpc.ErrAnchorPinned {
-		t.Fatalf("anchor evict: %v", pinErr)
+	applyNet(t, w, "solo", "10.5.0.0/24", "pc00")
+	applyNet(t, w, "solo", "10.5.0.0/24")
+	if len(n.Members()) != 0 {
+		t.Fatalf("%d members left", len(n.Members()))
 	}
-	if evictOtherErr != nil || evictAnchorErr != nil {
-		t.Fatalf("evict: %v / %v", evictOtherErr, evictAnchorErr)
-	}
-	// Eviction must restore the hosts' default scope so they can be
-	// admitted elsewhere.
-	if net, vni := other.Host.Network(); net != "" || vni != 0 {
-		t.Fatalf("evicted host still scoped to %q/%d", net, vni)
-	}
-	if err := w.VPC().Delete("solo"); err != nil {
-		t.Fatal(err)
+	for _, m := range []*vpc.Member{anchor, other} {
+		if net, vni := m.Host.Network(); net != "" || vni != 0 {
+			t.Fatalf("evicted host %s still scoped to %q/%d", m.Host.Name(), net, vni)
+		}
 	}
 	// And a fresh admission of an evicted host works end to end.
 	applyNet(t, w, "next", "10.6.0.0/24", "pc00", "pc01")

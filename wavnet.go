@@ -195,18 +195,14 @@ const BroadcastIP = netsim.BroadcastIP
 // ---- multi-tenant VPCs (isolated virtual networks over one fabric) ----
 
 type (
-	// VPCManager is the multi-tenant control plane: create/delete
-	// networks, admit and evict hosts. Worlds expose one via
-	// World.VPC(); World.Apply with a TenantSpec is the high-level
-	// path.
+	// VPCManager is the multi-tenant control plane. Worlds expose one
+	// via World.VPC() for lookups; World.Apply with a TenantSpec is the
+	// only way to change it.
 	VPCManager = vpc.Manager
 	// VPCNetwork is one isolated virtual network (name, VNI, CIDR).
 	VPCNetwork = vpc.Network
 	// VPCMember is one host's membership (its per-network stack and IP).
 	VPCMember = vpc.Member
-	// VPCConfig tunes a network at creation (pinned VNI, default flag,
-	// static addressing, lease time).
-	VPCConfig = vpc.NetworkConfig
 	// CIDR is an IPv4 prefix ("10.0.0.0/24").
 	CIDR = vpc.CIDR
 )
@@ -292,10 +288,6 @@ var (
 	// HealAt schedules the repair of a WAN partition.
 	HealAt = scenario.HealAt
 )
-
-// NewVPCManager creates a standalone multi-tenant control plane (for
-// custom setups outside a World).
-func NewVPCManager() *VPCManager { return vpc.NewManager() }
 
 // ---- tenant-aware VM placement (scheduler + migration-as-convergence) ----
 
