@@ -92,10 +92,12 @@ func TestRelayWrapAllocs(t *testing.T) {
 		t.Errorf("relay wrap: %.1f allocs/op, want 0", allocs)
 	}
 	// The envelope must decode back to the frame it wraps.
-	if wire[0] != rendezvous.RelayMagic || binary.BigEndian.Uint64(wire[1:]) != ch {
+	gotCh, inner, ok := rendezvous.OpenRelay(wire)
+	if !ok || gotCh != ch {
 		t.Fatal("bad relay header")
 	}
-	gotVNI, got, err := UnmarshalVNIFrame(wire[rendezvous.RelayHeaderLen:])
+	var got ether.Frame
+	gotVNI, err := UnmarshalVNIFrameInto(&got, inner)
 	if err != nil || gotVNI != vni {
 		t.Fatalf("inner decode: vni=%d err=%v", gotVNI, err)
 	}

@@ -155,21 +155,54 @@ func (t *Tunnel) takeEgress() (buf *netsim.Buf, wire []byte, frames int) {
 	return buf, wire, frames
 }
 
-// onTunnelBatch unbatches an aggregated paFrameBatch payload into the
-// per-frame receive path. Each entry runs through the same zero-alloc
-// decode, isolation check, learn and tap injection as a lone frame;
-// a malformed entry ends the walk (frames before it still count).
-func (h *Host) onTunnelBatch(t *Tunnel, payload []byte, lease *netsim.Buf) {
-	t.BatchesIn++
-	off := batchHeaderLen
-	for off+batchLenBytes <= len(payload) {
-		n := int(payload[off])<<8 | int(payload[off+1])
-		off += batchLenBytes
-		if n == 0 || off+n > len(payload) {
-			return
-		}
-		h.onTunnelFrame(t, payload[off:off+n], lease)
-		off += n
+// frameWalk reads a frame payload, the one place the batch layout is
+// read: a paFrameBatch yields its length-prefixed entries in order, and
+// anything else is one frame image (paFrame or paFrameVNI; whether an
+// image decodes is UnmarshalVNIFrameInto's call). A malformed entry — a
+// zero length, or one running past the payload — ends the walk; the
+// images before it still count.
+type frameWalk struct {
+	rest  []byte
+	batch bool
+}
+
+func walkFrames(payload []byte) frameWalk {
+	if len(payload) > 0 && payload[0] == paFrameBatch {
+		return frameWalk{rest: payload[batchHeaderLen:], batch: true}
+	}
+	return frameWalk{rest: payload}
+}
+
+// next returns the next frame image, or false once the walk is over.
+func (w *frameWalk) next() ([]byte, bool) {
+	img := w.rest
+	if !w.batch {
+		w.rest = nil
+		return img, len(img) > 0
+	}
+	if len(img) < batchLenBytes {
+		return nil, false
+	}
+	n := int(img[0])<<8 | int(img[1])
+	if n == 0 || batchLenBytes+n > len(img) {
+		w.rest = nil
+		return nil, false
+	}
+	w.rest = img[batchLenBytes+n:]
+	return img[batchLenBytes : batchLenBytes+n], true
+}
+
+// onTunnelFrames receives one frame payload over t: each image the walk
+// yields runs through the same zero-alloc decode, isolation check,
+// learn and tap injection (onTunnelFrame).
+func (h *Host) onTunnelFrames(t *Tunnel, payload []byte, lease *netsim.Buf) {
+	t.lastHeard = h.eng.Now()
+	w := walkFrames(payload)
+	if w.batch {
+		t.BatchesIn++
+	}
+	for img, ok := w.next(); ok; img, ok = w.next() {
+		h.onTunnelFrame(t, img, lease)
 	}
 }
 

@@ -194,17 +194,13 @@ func TestBatchCodecSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			b = appendBatchFrame(b, vni, f)
 		}
-		payload := b[headroom:]
-		off := batchHeaderLen
+		w := walkFrames(b[headroom:])
 		frames := 0
-		for off+batchLenBytes <= len(payload) {
-			n := int(payload[off])<<8 | int(payload[off+1])
-			off += batchLenBytes
-			gotVNI, err := UnmarshalVNIFrameInto(&got, payload[off:off+n])
+		for img, ok := w.next(); ok; img, ok = w.next() {
+			gotVNI, err := UnmarshalVNIFrameInto(&got, img)
 			if err != nil || gotVNI != vni {
 				t.Fatalf("entry decode: vni=%d err=%v", gotVNI, err)
 			}
-			off += n
 			frames++
 		}
 		if frames != 4 {

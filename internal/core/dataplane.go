@@ -11,80 +11,67 @@ import (
 	"wavnet/internal/stun"
 )
 
-// onPacket demultiplexes everything arriving on the WAVNet socket by the
-// first payload byte: rendezvous control (rendezvous.Magic), STUN
-// (0x00/0x01), or one of the Packet Assembler types.
+// onPacket demultiplexes everything arriving on the WAVNet socket. It
+// first resolves the tunnel: a relay envelope names it by channel (and
+// is dropped when the channel is unknown), any other packet by its
+// source address. One switch on the first byte of what remains then
+// picks the Packet Assembler type, or — for a direct packet only —
+// rendezvous control (rendezvous.Magic), STUN (0x00/0x01) or a punch.
 func (h *Host) onPacket(pkt netsim.Packet) {
-	if len(pkt.Payload) == 0 {
+	b := pkt.Payload
+	ch, inner, relayed := rendezvous.OpenRelay(b)
+	var t *Tunnel
+	if relayed {
+		if t = h.byChan[ch]; t == nil {
+			return
+		}
+		b = inner
+	} else {
+		t = h.byAddr[pkt.Src]
+	}
+	if len(b) == 0 {
 		return
 	}
-	switch pkt.Payload[0] {
+	switch b[0] {
 	case rendezvous.Magic:
-		h.onControl(pkt.Src, pkt.Payload)
+		if !relayed {
+			h.onControl(pkt.Src, b)
+		}
 	case 0x00, 0x01:
-		if m, err := stun.Unmarshal(pkt.Payload); err == nil &&
-			m.Type == stun.TypeBindingResponse && h.stunWait != nil {
-			h.stunWait(m)
-		}
-	case paPulse:
-		h.onPulse(pkt.Src)
-	case paFrame, paFrameVNI:
-		if t, ok := h.byAddr[pkt.Src]; ok {
-			h.onTunnelFrame(t, pkt.Payload, pkt.Lease())
-		}
-	case paFrameBatch:
-		if t, ok := h.byAddr[pkt.Src]; ok {
-			t.lastHeard = h.eng.Now()
-			h.onTunnelBatch(t, pkt.Payload, pkt.Lease())
+		if !relayed && h.stunWait != nil {
+			if m, err := stun.Unmarshal(b); err == nil && m.Type == stun.TypeBindingResponse {
+				h.stunWait(m)
+			}
 		}
 	case paPunch, paPunchAck:
-		h.onPunch(pkt)
-	case paEcho:
-		h.bounceEcho(nil, pkt.Src, pkt.Payload)
-	case paEchoResp:
-		h.onEchoResp(pkt.Payload)
-	case paVNISet:
-		if t, ok := h.byAddr[pkt.Src]; ok {
-			h.onVNISet(t, pkt.Payload)
+		if !relayed {
+			h.onPunch(pkt)
 		}
-	case paVIPAnnounce:
-		if _, ok := h.byAddr[pkt.Src]; ok {
-			h.onVIPAnnounce(pkt.Payload)
-		}
-	case rendezvous.RelayMagic:
-		h.onRelayEnvelope(pkt)
-	}
-}
-
-// onRelayEnvelope unwraps broker-relayed tunnel traffic and dispatches
-// the inner packet against the channel's tunnel.
-func (h *Host) onRelayEnvelope(pkt netsim.Packet) {
-	if len(pkt.Payload) < rendezvous.RelayHeaderLen+1 {
-		return
-	}
-	ch := binary.BigEndian.Uint64(pkt.Payload[1:])
-	t, ok := h.byChan[ch]
-	if !ok {
-		return
-	}
-	inner := pkt.Payload[rendezvous.RelayHeaderLen:]
-	switch inner[0] {
 	case paPulse:
-		t.PulsesIn++
-		t.lastHeard = h.eng.Now()
-	case paFrame, paFrameVNI:
-		h.onTunnelFrame(t, inner, pkt.Lease())
-	case paFrameBatch:
-		t.lastHeard = h.eng.Now()
-		h.onTunnelBatch(t, inner, pkt.Lease())
+		if t != nil {
+			t.PulsesIn++
+			t.lastHeard = h.eng.Now()
+		}
+	case paFrame, paFrameVNI, paFrameBatch:
+		if t != nil {
+			h.onTunnelFrames(t, b, pkt.Lease())
+		}
 	case paEcho:
-		h.bounceEcho(t, pkt.Src, inner)
+		if relayed {
+			h.bounceEcho(t, pkt.Src, b)
+		} else {
+			h.bounceEcho(nil, pkt.Src, b)
+		}
 	case paEchoResp:
-		h.onEchoResp(inner)
+		h.onEchoResp(b)
 	case paVNISet:
-		h.onVNISet(t, inner)
+		if t != nil {
+			h.onVNISet(t, b)
+		}
 	case paVIPAnnounce:
-		h.onVIPAnnounce(inner)
+		if t != nil {
+			h.onVIPAnnounce(b)
+		}
 	}
 }
 
@@ -312,13 +299,6 @@ func (h *Host) pulse(t *Tunnel) {
 	h.maybeAnnounceVNIs(t)
 }
 
-func (h *Host) onPulse(src netsim.Addr) {
-	if t, ok := h.byAddr[src]; ok {
-		t.PulsesIn++
-		t.lastHeard = h.eng.Now()
-	}
-}
-
 // ---- tunnel RTT probes ----
 
 // TunnelRTT measures the round-trip time over an established tunnel.
@@ -484,8 +464,8 @@ func (h *Host) sortedTunnels() []*Tunnel {
 	return out
 }
 
-// onTunnelFrame decapsulates a frame arriving over a tunnel (payload is
-// [paFrame][frame bytes] or [paFrameVNI][vni][frame bytes]), applies
+// onTunnelFrame decapsulates a frame image arriving over a tunnel
+// ([paFrame][frame bytes] or [paFrameVNI][vni][frame bytes]), applies
 // the tenant isolation check, teaches the VNI's WAV-Switch table where
 // the source MAC lives, and injects the frame into the matching
 // segment's bridge through its tap. lease backs payload (nil when the
@@ -493,7 +473,6 @@ func (h *Host) sortedTunnels() []*Tunnel {
 // on it — struct and payload both — that whoever keeps it past this
 // call retains.
 func (h *Host) onTunnelFrame(t *Tunnel, payload []byte, lease *netsim.Buf) {
-	t.lastHeard = h.eng.Now()
 	f := ether.NewFrame(lease)
 	vni, err := UnmarshalVNIFrameInto(f, payload)
 	if err != nil {

@@ -398,43 +398,18 @@ func (h *Host) DrainFlows() {
 // AccountWireDrop attributes one wire-level packet loss back to the
 // flow(s) it carried. The substrate's drop hook hands the host the
 // packet payload it originated (payload is only valid for the call)
-// and a reason; the host unwraps a relay envelope if present and walks
-// the encapsulated frame image — single, or every entry of a batch —
-// charging each frame's flow. Non-frame traffic (control, pulses,
-// punches) is ignored.
+// and a reason; the host opens a relay envelope if present and walks
+// the frame payload — single, or every entry of a batch — charging
+// each frame's flow. Non-frame traffic (control, pulses, punches)
+// decodes as no frame and is ignored.
 func (h *Host) AccountWireDrop(payload []byte, reason obs.FlowDropReason) {
-	if len(payload) == 0 {
-		return
+	if _, inner, ok := rendezvous.OpenRelay(payload); ok {
+		payload = inner
 	}
-	if payload[0] == rendezvous.RelayMagic {
-		if len(payload) <= rendezvous.RelayHeaderLen {
-			return
-		}
-		payload = payload[rendezvous.RelayHeaderLen:]
-	}
-	switch payload[0] {
-	case paFrame, paFrameVNI:
-		h.accountFrameDrop(payload, reason)
-	case paFrameBatch:
-		off := batchHeaderLen
-		for off+batchLenBytes <= len(payload) {
-			n := int(payload[off])<<8 | int(payload[off+1])
-			off += batchLenBytes
-			if n == 0 || off+n > len(payload) {
-				return
-			}
-			h.accountFrameDrop(payload[off:off+n], reason)
-			off += n
+	w := walkFrames(payload)
+	for img, ok := w.next(); ok; img, ok = w.next() {
+		if vni, err := UnmarshalVNIFrameInto(&h.dropScratch, img); err == nil {
+			h.flowDrop(vni, &h.dropScratch, reason)
 		}
 	}
-}
-
-// accountFrameDrop decodes one encapsulated frame image into the reused
-// scratch frame and charges its flow.
-func (h *Host) accountFrameDrop(image []byte, reason obs.FlowDropReason) {
-	vni, err := UnmarshalVNIFrameInto(&h.dropScratch, image)
-	if err != nil {
-		return
-	}
-	h.flowDrop(vni, &h.dropScratch, reason)
 }

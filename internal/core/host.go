@@ -32,7 +32,10 @@ import (
 // Packet Assembler type identifiers (first payload byte). STUN's first
 // byte is 0x00/0x01; 0x16 is rendezvous.RelayMagic and 0x1B
 // rendezvous.Magic, the control messages — the three protocols share
-// this number space so one socket can carry everything.
+// this number space so one socket can carry everything. This table is
+// the only declaration of the tunnel protocol: onPacket (dataplane.go)
+// is the one switch over it and frameWalk (batch.go) the one reader of
+// a frame payload.
 const (
 	paPulse       = 0x10 // CONNECT_PULSE: 2-byte keepalive
 	paFrame       = 0x11 // encapsulated Ethernet frame

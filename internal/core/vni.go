@@ -60,21 +60,9 @@ func VNIEncapLen(vni uint32) int {
 	return 1 + VNITagLen
 }
 
-// UnmarshalVNIFrame decodes a tunneled frame encapsulation (either
-// wire format), returning the VNI it is tagged with. The frame payload
-// aliases b.
-func UnmarshalVNIFrame(b []byte) (uint32, *ether.Frame, error) {
-	f := new(ether.Frame)
-	vni, err := UnmarshalVNIFrameInto(f, b)
-	if err != nil {
-		return 0, nil, err
-	}
-	return vni, f, nil
-}
-
-// UnmarshalVNIFrameInto decodes the encapsulation into a caller-owned
-// frame, returning the VNI. The untag path allocates nothing; the frame
-// payload aliases b.
+// UnmarshalVNIFrameInto decodes a tunneled frame encapsulation (either
+// wire format) into a caller-owned frame, returning the VNI it is tagged
+// with. It allocates nothing; the frame payload aliases b.
 func UnmarshalVNIFrameInto(f *ether.Frame, b []byte) (uint32, error) {
 	if len(b) == 0 {
 		return 0, ErrShortEncap

@@ -32,7 +32,8 @@ func TestVNIFrameRoundTrip(t *testing.T) {
 					t.Fatalf("vni %d: wrong wire %x len %d", vni, wire[0], len(wire))
 				}
 			}
-			gotVNI, got, err := UnmarshalVNIFrame(wire)
+			var got ether.Frame
+			gotVNI, err := UnmarshalVNIFrameInto(&got, wire)
 			if err != nil {
 				t.Fatalf("vni %d plen %d: %v", vni, plen, err)
 			}
@@ -58,27 +59,28 @@ func TestVNIFrameTruncated(t *testing.T) {
 			minLen += VNITagLen
 		}
 		for cut := 0; cut < minLen; cut++ {
-			if _, _, err := UnmarshalVNIFrame(wire[:cut]); err == nil {
+			if _, err := UnmarshalVNIFrameInto(new(ether.Frame), wire[:cut]); err == nil {
 				t.Fatalf("vni %d: accepted truncation to %d bytes", vni, cut)
 			}
 		}
 		// Cutting only payload is legal at the codec layer (the frame
 		// header is intact); the payload just shrinks.
-		if _, got, err := UnmarshalVNIFrame(wire[:minLen+10]); err != nil || len(got.Payload) != 10 {
+		var got ether.Frame
+		if _, err := UnmarshalVNIFrameInto(&got, wire[:minLen+10]); err != nil || len(got.Payload) != 10 {
 			t.Fatalf("vni %d: payload cut rejected: %v", vni, err)
 		}
 	}
-	if _, _, err := UnmarshalVNIFrame(nil); err == nil {
+	if _, err := UnmarshalVNIFrameInto(new(ether.Frame), nil); err == nil {
 		t.Fatal("accepted empty input")
 	}
 	// An unknown type byte is not a frame encapsulation.
-	if _, _, err := UnmarshalVNIFrame([]byte{0x42, 1, 2, 3}); err != ErrBadEncap {
+	if _, err := UnmarshalVNIFrameInto(new(ether.Frame), []byte{0x42, 1, 2, 3}); err != ErrBadEncap {
 		t.Fatalf("unknown type: %v", err)
 	}
 	// A tagged frame must not smuggle the reserved VNI 0.
 	zero := AppendVNIFrame(nil, 3, f)
 	zero[1], zero[2], zero[3], zero[4] = 0, 0, 0, 0
-	if _, _, err := UnmarshalVNIFrame(zero); err != ErrReservedVNI {
+	if _, err := UnmarshalVNIFrameInto(new(ether.Frame), zero); err != ErrReservedVNI {
 		t.Fatalf("reserved VNI: %v", err)
 	}
 }

@@ -50,20 +50,22 @@ const (
 	bridgeLatency = 10 * sim.Microsecond
 )
 
+// procRate is the node's user-level forwarding capacity in packets per
+// second, calibrated to Figure 7's collapse; each packet holds the node
+// for procService.
+const (
+	procRate    = 1800
+	procService = sim.Second / procRate
+)
+
 // Config tunes an IPOP node.
 type Config struct {
 	Port uint16 // overlay UDP port (default 4600)
-	// ProcRate is the node's user-level forwarding capacity in
-	// packets/second (default 1800, calibrated to Figure 7's collapse).
-	ProcRate float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Port == 0 {
 		c.Port = 4600
-	}
-	if c.ProcRate <= 0 {
-		c.ProcRate = 1800
 	}
 	return c
 }
@@ -370,13 +372,12 @@ func (n *Node) process(fn func()) bool {
 	if n.busyUntil < now {
 		n.busyUntil = now
 	}
-	service := sim.Duration(1e9 / n.nw.cfg.ProcRate)
 	if n.busyUntil.Sub(now) > sim.Second {
 		n.ProcDrops++
 		n.nw.Dropped++
 		return false
 	}
-	n.busyUntil = n.busyUntil.Add(service)
+	n.busyUntil = n.busyUntil.Add(procService)
 	n.nw.eng.At(n.busyUntil.Add(procDelay), fn)
 	return true
 }

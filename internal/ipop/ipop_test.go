@@ -110,9 +110,9 @@ func TestOverlayMultiHopCostsMore(t *testing.T) {
 }
 
 func TestProcessingRateCap(t *testing.T) {
-	// Offer far more packets than ProcRate allows: deliveries must be
-	// capped near ProcRate and the backlog guard must drop the excess.
-	r := buildRig(t, 3, 2, Config{ProcRate: 500})
+	// Offer four times the packets procRate allows: deliveries must be
+	// capped near procRate and the backlog guard must drop the excess.
+	r := buildRig(t, 3, 2, Config{})
 	n0, n1 := r.nodes[0], r.nodes[1]
 	got := 0
 	sock1, err := n1.Dom0().BindUDP(7000, func(ipstack.Datagram) { got++ })
@@ -120,22 +120,23 @@ func TestProcessingRateCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = sock1
+	const offered = 4 * procRate // pps
 	r.eng.Spawn("blast", func(p *sim.Proc) {
 		cli, _ := n0.Dom0().BindUDP(0, nil)
-		// 2000 pps for 4 s = 8000 datagrams against a 500 pps cap.
-		for i := 0; i < 8000; i++ {
+		// 4 s at four times the cap.
+		for i := 0; i < 4*offered; i++ {
 			cli.SendTo(netsim.Addr{IP: n1.Dom0().IP(), Port: 7000}, make([]byte, 100))
-			p.Sleep(500 * time.Microsecond)
+			p.Sleep(time.Second / offered)
 		}
 	})
 	r.eng.RunFor(20 * time.Second)
-	if got > 3000 {
-		t.Fatalf("rate cap leaked: %d datagrams delivered (cap 500 pps × ~5 s)", got)
+	if got > 6*procRate {
+		t.Fatalf("rate cap leaked: %d datagrams delivered (cap %d pps × ~5 s)", got, procRate)
 	}
 	if n0.ProcDrops == 0 {
 		t.Fatal("no processing drops recorded under overload")
 	}
-	if got < 1000 {
+	if got < 2*procRate {
 		t.Fatalf("cap too aggressive: only %d delivered", got)
 	}
 }

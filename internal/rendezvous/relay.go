@@ -23,6 +23,16 @@ const RelayMagic = 0x16
 // RelayHeaderLen is the relay envelope overhead: magic + channel id.
 const RelayHeaderLen = 1 + 8
 
+// OpenRelay splits a relay envelope into its channel id and the packet
+// it carries. ok is false unless b starts with RelayMagic and holds the
+// whole header; the inner packet may be empty.
+func OpenRelay(b []byte) (ch uint64, inner []byte, ok bool) {
+	if len(b) < RelayHeaderLen || b[0] != RelayMagic {
+		return 0, nil, false
+	}
+	return binary.BigEndian.Uint64(b[1:]), b[RelayHeaderLen:], true
+}
+
 // relayChannel is one brokered host pair. Endpoint addresses are
 // learned from traffic (a symmetric NAT maps the broker destination
 // differently from any punched path, so the broker can only observe,
@@ -55,16 +65,12 @@ func (s *Server) newRelayChannel(aName, bName string, aAddr, bAddr netsim.Addr) 
 	return ch
 }
 
-// onRelay forwards one relay envelope to the channel's other endpoint —
+// onRelay forwards one relay envelope on channel id to its other endpoint —
 // the same bytes in the same leased buffer, retained by the network for
 // the second flight, never copied. The source address refreshes (or
 // fills in) the sender's endpoint slot, which is how NAT rebinds and
 // initially-unknown mappings are absorbed.
-func (s *Server) onRelay(pkt netsim.Packet) {
-	if len(pkt.Payload) < RelayHeaderLen {
-		return
-	}
-	id := binary.BigEndian.Uint64(pkt.Payload[1:])
+func (s *Server) onRelay(id uint64, pkt netsim.Packet) {
 	ch, ok := s.relays[id]
 	if !ok {
 		return

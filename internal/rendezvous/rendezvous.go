@@ -428,8 +428,8 @@ func (s *Server) dropReplica(rep *entry[string, HostRecord]) {
 func (s *Server) send(to netsim.Addr, m *Msg) { Send(s.sock, to, m) }
 
 func (s *Server) onPacket(pkt netsim.Packet) {
-	if len(pkt.Payload) > 0 && pkt.Payload[0] == RelayMagic {
-		s.onRelay(pkt)
+	if id, _, ok := OpenRelay(pkt.Payload); ok {
+		s.onRelay(id, pkt)
 		return
 	}
 	// m is the server's one reused message, valid until this handler

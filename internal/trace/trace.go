@@ -12,7 +12,6 @@ import (
 	"io"
 	"strings"
 
-	"wavnet/internal/core"
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
 	"wavnet/internal/sim"
@@ -102,9 +101,6 @@ func summarizeIPv4(b []byte) string {
 		if len(body) >= 8 {
 			sp := binary.BigEndian.Uint16(body[0:])
 			dp := binary.BigEndian.Uint16(body[2:])
-			if s, ok := summarizeWAVNet(body[8:]); ok {
-				return fmt.Sprintf("IP %s.%d > %s.%d: %s", src, sp, dst, dp, s)
-			}
 			return fmt.Sprintf("IP %s.%d > %s.%d: UDP len %d", src, sp, dst, dp, len(body)-8)
 		}
 		return fmt.Sprintf("IP %s > %s: UDP malformed", src, dst)
@@ -119,86 +115,6 @@ func summarizeIPv4(b []byte) string {
 		return fmt.Sprintf("IP %s > %s: TCP malformed", src, dst)
 	default:
 		return fmt.Sprintf("IP %s > %s: proto %d", src, dst, proto)
-	}
-}
-
-// WAVNet Packet Assembler type bytes the summarizer understands (the
-// tunnel encapsulations a capture inside a tenant actually sees; the
-// full catalogue lives in internal/core).
-const (
-	paFrame       = 0x11 // untagged encapsulated Ethernet frame
-	paFrameVNI    = 0x17 // VNI-tagged frame: [0x17][vni:4][frame]
-	paVNISet      = 0x18 // VNI membership announcement: [0x18][n:2][vni:4]*n
-	paVIPAnnounce = 0x19 // VIP health: [0x19][flags:1][vni:4][vip:4][mac:6][nameLen:1][name]
-	paFrameBatch  = 0x1A // aggregated egress batch: [0x1A]([len:2][frame image])*
-)
-
-// summarizeWAVNet decodes the tunnel encapsulations of the WAVNet data
-// plane riding inside a UDP datagram: plain and VNI-tagged frames
-// (recursively summarizing the inner frame) and VNI-set announcements.
-// It reports false for anything it does not recognize, leaving the
-// generic UDP line to the caller.
-func summarizeWAVNet(b []byte) (string, bool) {
-	if len(b) == 0 {
-		return "", false
-	}
-	switch b[0] {
-	case paFrame, paFrameVNI:
-		vni, f, err := core.UnmarshalVNIFrame(b)
-		if err != nil {
-			return fmt.Sprintf("WAVNet frame malformed (%d bytes)", len(b)), true
-		}
-		if vni == 0 {
-			return "WAVNet frame: " + summarize(f), true
-		}
-		return fmt.Sprintf("WAVNet VNI %d frame: %s", vni, summarize(f)), true
-	case paFrameBatch:
-		var inner []string
-		off := 1
-		for off+2 <= len(b) {
-			n := int(b[off])<<8 | int(b[off+1])
-			off += 2
-			if n == 0 || off+n > len(b) {
-				return fmt.Sprintf("WAVNet batch malformed at +%d (%d bytes)", off, len(b)), true
-			}
-			s, ok := summarizeWAVNet(b[off : off+n])
-			if !ok {
-				s = fmt.Sprintf("unknown entry (%d bytes)", n)
-			}
-			inner = append(inner, s)
-			off += n
-		}
-		return fmt.Sprintf("WAVNet batch x%d {%s}", len(inner), strings.Join(inner, "; ")), true
-	case paVNISet:
-		if len(b) < 3 {
-			return fmt.Sprintf("WAVNet VNI-set malformed (%d bytes)", len(b)), true
-		}
-		n := int(binary.BigEndian.Uint16(b[1:]))
-		if len(b) < 3+4*n {
-			return fmt.Sprintf("WAVNet VNI-set malformed (%d bytes)", len(b)), true
-		}
-		vnis := make([]string, n)
-		for i := 0; i < n; i++ {
-			vnis[i] = fmt.Sprintf("%d", binary.BigEndian.Uint32(b[3+4*i:]))
-		}
-		return fmt.Sprintf("WAVNet VNI-set announce [%s]", strings.Join(vnis, " ")), true
-	case paVIPAnnounce:
-		if len(b) < 17 || len(b) < 17+int(b[16]) {
-			return fmt.Sprintf("WAVNet VIP-announce malformed (%d bytes)", len(b)), true
-		}
-		health := "down"
-		if b[1]&0x01 != 0 {
-			health = "up"
-		}
-		vni := binary.BigEndian.Uint32(b[2:])
-		vip := netsim.IP(binary.BigEndian.Uint32(b[6:]))
-		var mac ether.MAC
-		copy(mac[:], b[10:16])
-		backend := string(b[17 : 17+int(b[16])])
-		return fmt.Sprintf("WAVNet VNI %d VIP-announce %s backend %s (%s) %s",
-			vni, vip, backend, mac, health), true
-	default:
-		return "", false
 	}
 }
 
