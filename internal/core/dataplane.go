@@ -68,10 +68,6 @@ func (h *Host) onPacket(pkt netsim.Packet) {
 		if t != nil {
 			h.onVNISet(t, b)
 		}
-	case paVIPAnnounce:
-		if t != nil {
-			h.onVIPAnnounce(b)
-		}
 	}
 }
 

@@ -37,16 +37,15 @@ import (
 // is the one switch over it and frameWalk (batch.go) the one reader of
 // a frame payload.
 const (
-	paPulse       = 0x10 // CONNECT_PULSE: 2-byte keepalive
-	paFrame       = 0x11 // encapsulated Ethernet frame
-	paPunch       = 0x12 // hole punching probe
-	paPunchAck    = 0x13 // hole punching acknowledgement
-	paEcho        = 0x14 // tunnel RTT probe
-	paEchoResp    = 0x15 // tunnel RTT response
-	paFrameVNI    = 0x17 // VNI-tagged encapsulated Ethernet frame (multi-tenant; 0x16 is rendezvous.RelayMagic)
-	paVNISet      = 0x18 // VNI membership announcement (flood suppression)
-	paVIPAnnounce = 0x19 // service VIP backend health transition (vip.go)
-	paFrameBatch  = 0x1A // aggregated egress batch: [0x1A]([len:2][frame image])* (batch.go)
+	paPulse      = 0x10 // CONNECT_PULSE: 2-byte keepalive
+	paFrame      = 0x11 // encapsulated Ethernet frame
+	paPunch      = 0x12 // hole punching probe
+	paPunchAck   = 0x13 // hole punching acknowledgement
+	paEcho       = 0x14 // tunnel RTT probe
+	paEchoResp   = 0x15 // tunnel RTT response
+	paFrameVNI   = 0x17 // VNI-tagged encapsulated Ethernet frame (multi-tenant; 0x16 is rendezvous.RelayMagic)
+	paVNISet     = 0x18 // VNI membership announcement (flood suppression)
+	paFrameBatch = 0x1A // aggregated egress batch: [0x1A]([len:2][frame image])* (batch.go)
 )
 
 // Errors returned by Host operations.
@@ -255,11 +254,8 @@ type Host struct {
 
 	// vips is the per-VNI service steering table (vip.go): VIP →
 	// preference-ordered backend list, consulted by the proxy-ARP
-	// responder on the tap path. vipRecords remembers the rendezvous
-	// VIP records this host announced, re-asserted after re-home and
-	// re-registration.
-	vips       map[uint32]map[netsim.IP]*vipTableEntry
-	vipRecords map[string]rendezvous.VIPRecord
+	// responder on the tap path.
+	vips map[uint32]map[netsim.IP]*vipTableEntry
 
 	rdv      netsim.Addr
 	joined   bool
@@ -317,12 +313,9 @@ type Host struct {
 	RehomeFailures uint64
 	Reregisters    uint64
 	// Service-VIP stats (vip.go): ARP requests answered from the
-	// steering table, gratuitous ARPs injected on a choice change, and
-	// 0x19 health announcements flooded/applied.
-	VIPARPProxied   uint64
-	VIPSteers       uint64
-	VIPAnnouncesOut uint64
-	VIPAnnouncesIn  uint64
+	// steering table and gratuitous ARPs injected on a choice change.
+	VIPARPProxied uint64
+	VIPSteers     uint64
 	// vniStats breaks floods and suppressions down per virtual network
 	// (scraped as "flood.vni<N>" / "suppress.vni<N>"); the data path
 	// bumps the pointer cached on each segment (see segment).
@@ -379,7 +372,6 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		tenantQuota: make(map[string]QuotaConfig),
 		vniStats:    make(map[uint32]*vniStat),
 		vips:        make(map[uint32]map[netsim.IP]*vipTableEntry),
-		vipRecords:  make(map[string]rendezvous.VIPRecord),
 		batchSizes:  obs.NewHistogram(),
 	}
 	h.flushFn = h.flushEgress
@@ -740,9 +732,6 @@ func (h *Host) rehome(p *sim.Proc) error {
 	}
 	h.Rehomes++
 	sp.Event("rehomed to %v", h.rdv)
-	// The new home broker has never heard of our service VIPs; its
-	// replication then supersedes the stale records naming the dead one.
-	h.reannounceVIPRecords()
 	return nil
 }
 
@@ -761,8 +750,6 @@ func (h *Host) reregister() {
 		if err := h.Join(p, h.rdv); err == nil {
 			h.Reregisters++
 			sp.Event("re-registered with %v", h.rdv)
-			// The restarted broker lost our VIP records with its state.
-			h.reannounceVIPRecords()
 		} else {
 			sp.Event("re-register failed: %v", err)
 		}

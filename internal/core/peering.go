@@ -122,17 +122,37 @@ func (h *Host) floodUseful(t *Tunnel, vni uint32) bool {
 
 // ---- VNI membership announcements ----
 
-// vniSetPacket encodes [paVNISet][n:2][vni:4]*n over the host's current
-// segment set.
+// vniSetPacket encodes the host's current segment set.
 func (h *Host) vniSetPacket() []byte {
 	vnis := h.VNIs()
-	b := make([]byte, 3+4*len(vnis))
-	b[0] = paVNISet
-	binary.BigEndian.PutUint16(b[1:], uint16(len(vnis)))
-	for i, vni := range vnis {
-		binary.BigEndian.PutUint32(b[3+4*i:], vni)
+	return appendVNISet(make([]byte, 0, 3+4*len(vnis)), vnis)
+}
+
+// appendVNISet appends the announcement [paVNISet][n:2][vni:4]*n of
+// vnis to b.
+func appendVNISet(b []byte, vnis []uint32) []byte {
+	b = binary.BigEndian.AppendUint16(append(b, paVNISet), uint16(len(vnis)))
+	for _, vni := range vnis {
+		b = binary.BigEndian.AppendUint32(b, vni)
 	}
 	return b
+}
+
+// parseVNISet appends an announcement's VNIs to dst in wire order. It
+// refuses a payload that is not a VNI-set announcement or is shorter
+// than its count says; bytes past the last VNI are not read.
+func parseVNISet(dst []uint32, b []byte) ([]uint32, bool) {
+	if len(b) < 3 || b[0] != paVNISet {
+		return dst, false
+	}
+	n := int(binary.BigEndian.Uint16(b[1:]))
+	if len(b) < 3+4*n {
+		return dst, false
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, binary.BigEndian.Uint32(b[3+4*i:]))
+	}
+	return dst, true
 }
 
 // vniRefreshPulses is how many keepalive pulses may pass before a
@@ -169,17 +189,15 @@ func (h *Host) maybeAnnounceVNIs(t *Tunnel) {
 
 // onVNISet records the far end's announced segment set.
 func (h *Host) onVNISet(t *Tunnel, payload []byte) {
-	if len(payload) < 3 {
-		return
-	}
-	n := int(binary.BigEndian.Uint16(payload[1:]))
-	if len(payload) < 3+4*n {
+	var buf [8]uint32
+	vnis, ok := parseVNISet(buf[:0], payload)
+	if !ok {
 		return
 	}
 	t.lastHeard = h.eng.Now()
-	set := make(map[uint32]bool, n)
-	for i := 0; i < n; i++ {
-		set[binary.BigEndian.Uint32(payload[3+4*i:])] = true
+	set := make(map[uint32]bool, len(vnis))
+	for _, vni := range vnis {
+		set[vni] = true
 	}
 	t.remoteVNIs = set
 	t.vniKnown = true
@@ -205,8 +223,6 @@ func (h *Host) ScrapeInto(r *obs.Registry, l obs.Labels) {
 	add("reregisters", h.Reregisters)
 	add("vip_arp_proxied", h.VIPARPProxied)
 	add("vip_steers", h.VIPSteers)
-	add("vip_announces_out", h.VIPAnnouncesOut)
-	add("vip_announces_in", h.VIPAnnouncesIn)
 	add("batch_flushes", h.BatchFlushes)
 	add("batch_cap_flushes", h.BatchCapFlushes)
 	add("batched_frames", h.BatchedFrames)

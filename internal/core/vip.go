@@ -1,12 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
-	"sort"
-
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
-	"wavnet/internal/rendezvous"
 )
 
 // Tenant service VIPs on the data plane. A VIP is an IP address with no
@@ -23,9 +19,7 @@ import (
 //     first healthy backend's MAC (a proxy-ARP responder — the request
 //     never floods the WAN);
 //   - injects a local gratuitous ARP whenever its choice changes, so
-//     established client caches re-point without waiting for re-ARP;
-//   - applies paVIPAnnounce (0x19) health updates flooded over the
-//     tunnel mesh when probes withdraw or recover a backend.
+//     established client caches re-point without waiting for re-ARP.
 //
 // The synthesized ARP frames carry vipResponderMAC as their *frame*
 // source: the client learns the binding from the ARP payload, while the
@@ -95,31 +89,6 @@ func (h *Host) VIPChoice(vni uint32, vip netsim.IP) (ether.MAC, bool) {
 	return ether.MAC{}, false
 }
 
-// applyVIPHealth updates one backend's health bit (by name) in the VIP
-// table — the receive side of paVIPAnnounce and the local side of the
-// probe loop. Unknown VIPs and backends are ignored: the reconciler's
-// table push is authoritative for membership.
-func (h *Host) applyVIPHealth(vni uint32, vip netsim.IP, backend string, healthy bool) {
-	vips, ok := h.vips[vni]
-	if !ok {
-		return
-	}
-	e, ok := vips[vip]
-	if !ok {
-		return
-	}
-	changed := false
-	for i := range e.backends {
-		if e.backends[i].Name == backend && e.backends[i].Healthy != healthy {
-			e.backends[i].Healthy = healthy
-			changed = true
-		}
-	}
-	if changed {
-		h.refreshVIPChoice(vni, vip, e)
-	}
-}
-
 // refreshVIPChoice recomputes the first-healthy choice and, when it
 // changed to a live backend, injects a gratuitous ARP into the local
 // segment so established client caches re-point immediately.
@@ -183,105 +152,4 @@ func (h *Host) handleVIPARP(seg *segment, f *ether.Frame) bool {
 		Type: ether.TypeARP, Payload: reply.Marshal(),
 	})
 	return true
-}
-
-// ---- paVIPAnnounce (0x19): health transitions on the wire ----
-
-// marshalVIPAnnounce encodes a VIP health transition:
-// [0x19][flags:1][vni:4][vip:4][mac:6][nameLen:1][name], flags bit 0 =
-// healthy. It is flooded over the tunnel mesh so every member host's
-// steering table converges without a broker round trip.
-func marshalVIPAnnounce(vni uint32, vip netsim.IP, mac ether.MAC, backend string, healthy bool) []byte {
-	wire := make([]byte, 17+len(backend))
-	wire[0] = paVIPAnnounce
-	if healthy {
-		wire[1] = 0x01
-	}
-	binary.BigEndian.PutUint32(wire[2:], vni)
-	binary.BigEndian.PutUint32(wire[6:], uint32(vip))
-	copy(wire[10:16], mac[:])
-	wire[16] = byte(len(backend))
-	copy(wire[17:], backend)
-	return wire
-}
-
-// unmarshalVIPAnnounce decodes a 0x19 packet.
-func unmarshalVIPAnnounce(b []byte) (vni uint32, vip netsim.IP, mac ether.MAC, backend string, healthy bool, ok bool) {
-	if len(b) < 17 || b[0] != paVIPAnnounce {
-		return 0, 0, ether.MAC{}, "", false, false
-	}
-	n := int(b[16])
-	if len(b) < 17+n {
-		return 0, 0, ether.MAC{}, "", false, false
-	}
-	healthy = b[1]&0x01 != 0
-	vni = binary.BigEndian.Uint32(b[2:])
-	vip = netsim.IP(binary.BigEndian.Uint32(b[6:]))
-	copy(mac[:], b[10:16])
-	return vni, vip, mac, string(b[17 : 17+n]), healthy, true
-}
-
-// AnnounceVIP floods a backend health transition to every established
-// tunnel (suppressed, like data frames, toward far ends that carry
-// neither the VNI nor a peered one) and applies it locally.
-func (h *Host) AnnounceVIP(vni uint32, vip netsim.IP, mac ether.MAC, backend string, healthy bool) {
-	wire := marshalVIPAnnounce(vni, vip, mac, backend, healthy)
-	for _, t := range h.sortedTunnels() {
-		if !t.established || !h.floodUseful(t, vni) {
-			continue
-		}
-		h.VIPAnnouncesOut++
-		h.tunnelSend(t, wire)
-	}
-	h.applyVIPHealth(vni, vip, backend, healthy)
-}
-
-// onVIPAnnounce applies a 0x19 packet received from an established peer.
-func (h *Host) onVIPAnnounce(payload []byte) {
-	vni, vip, _, backend, healthy, ok := unmarshalVIPAnnounce(payload)
-	if !ok {
-		return
-	}
-	h.VIPAnnouncesIn++
-	h.applyVIPHealth(vni, vip, backend, healthy)
-}
-
-// ---- rendezvous-layer VIP records ----
-
-// AnnounceVIPRecord publishes a healthy-backend record through the home
-// broker (fire-and-forget, like RTT reports) and remembers it so broker
-// failover and restart can re-assert it — the broker-side record is
-// otherwise lost with the broker.
-func (h *Host) AnnounceVIPRecord(rec rendezvous.VIPRecord) {
-	if !h.joined {
-		return
-	}
-	h.vipRecords[rec.Net+"/"+rec.Service+"/"+rec.Backend] = rec
-	rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPAnnounce, Name: h.name, VIP: &rec})
-}
-
-// WithdrawVIPRecord retracts a previously announced record (probe
-// failure or service eviction).
-func (h *Host) WithdrawVIPRecord(rec rendezvous.VIPRecord) {
-	delete(h.vipRecords, rec.Net+"/"+rec.Service+"/"+rec.Backend)
-	if !h.joined {
-		return
-	}
-	rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPWithdraw, Name: h.name, VIP: &rec})
-}
-
-// reannounceVIPRecords re-asserts every announced VIP record with the
-// (new or restarted) home broker — called after a re-home election and
-// after a re-registration, mirroring how the join re-asserts the host's
-// own record.
-func (h *Host) reannounceVIPRecords() {
-	keys := make([]string, 0, len(h.vipRecords))
-	for k := range h.vipRecords {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rec := h.vipRecords[k]
-		rendezvous.Send(h.sock, h.rdv, &rendezvous.Msg{Kind: rendezvous.KindVIPAnnounce, Name: h.name, VIP: &rec})
-	}
 }

@@ -109,3 +109,32 @@ func wireSeeds() [][]byte {
 	}
 	return seeds
 }
+
+// FuzzVNISet holds the reader of VNI-set announcements (parseVNISet) —
+// the one Packet Assembler control payload that carries a count — to
+// the same properties: no panic, no read past the input, and an
+// accepted payload re-encodes through appendVNISet to the bytes it was
+// read from. A refused payload appends nothing.
+func FuzzVNISet(f *testing.F) {
+	for _, vnis := range [][]uint32{nil, {7}, {1, 9, 42, 1<<24 - 1}} {
+		wire := appendVNISet(nil, vnis)
+		f.Add(wire)
+		f.Add(wire[:len(wire)-1])
+		f.Add(append(wire, 0xff))
+	}
+	f.Add([]byte{paVNISet, 0xff, 0xff})
+	f.Add([]byte{paFrame, 0, 1, 0, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)] // a read past the input is a slice past its capacity: a panic
+		vnis, ok := parseVNISet(nil, b)
+		if !ok {
+			if len(vnis) != 0 {
+				t.Fatalf("refused % x but appended %v", b, vnis)
+			}
+			return
+		}
+		if again := appendVNISet(nil, vnis); !bytes.HasPrefix(b, again) {
+			t.Fatalf("accepted % x\nencodes as % x", b, again)
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"wavnet/internal/core"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/scenario"
+	"wavnet/internal/service"
 	"wavnet/internal/sim"
 	"wavnet/internal/vpc"
 )
@@ -32,7 +33,7 @@ type ServiceRow struct {
 
 	// Withdrawals and Failovers from the service controller's counters.
 	Withdrawals, Failovers uint64
-	// Stray is the VIP record count on the unnamed witness broker
+	// Stray is the tenant's record count on the unnamed witness broker
 	// (must stay 0).
 	Stray int
 }
@@ -75,7 +76,7 @@ func (r *ServiceResult) String() string {
 		"failover: active backend isolated -> first client request served by the next backend",
 		"budget: Fall probe intervals + one probe timeout (the detection window); the",
 		"  client-observed failover adds at most one request timeout + pacing on top of it",
-		"stray: VIP records on the unnamed witness broker (must be 0)")
+		"stray: tenant records on the unnamed witness broker (must be 0)")
 	return t.String()
 }
 
@@ -143,7 +144,7 @@ func ServiceOnce(o Options, backends, fall, brokers int) (*ServiceRow, error) {
 			}},
 			Services: []vpc.ServiceSpec{{
 				Name: "vip", Network: "snet",
-				Policy:   rendezvous.PolicyFailoverOrdered,
+				Policy:   service.PolicyFailoverOrdered,
 				Backends: backendSpecs,
 				Interval: interval, Timeout: timeout, Fall: fall, Rise: 2,
 			}},
@@ -222,7 +223,7 @@ func ServiceOnce(o Options, backends, fall, brokers int) (*ServiceRow, error) {
 		row.Failover = firstOK.Sub(killTime)
 		row.Withdrawals = svc.Withdrawals
 		row.Failovers = svc.Failovers
-		row.Stray = bs.witness.VIPRecordsFor("snet")
+		row.Stray = bs.witness.RecordsFor("snet")
 		// Flow telemetry: the client's accounting must carry the ICMP flow
 		// into the VIP itself (steering happens under the VIP's address, so
 		// the client-side key keeps it).

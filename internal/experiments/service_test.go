@@ -11,7 +11,7 @@ import (
 // the active backend's isolation, the client-observed failover stays
 // within the probe fall budget plus one request timeout and pacing
 // interval, exactly one withdrawal moved traffic, and the unnamed
-// witness broker held zero VIP records.
+// witness broker held zero tenant records.
 func TestServiceFailoverSmallScale(t *testing.T) {
 	row, err := ServiceOnce(quick(), 2, 2, 2)
 	if err != nil {
@@ -34,7 +34,7 @@ func TestServiceFailoverSmallScale(t *testing.T) {
 		t.Fatalf("request success %.3f, want >=0.9 for a %v outage", ratio, row.Failover)
 	}
 	if row.Stray != 0 {
-		t.Fatalf("witness broker holds %d VIP records, want 0", row.Stray)
+		t.Fatalf("witness broker holds %d tenant records, want 0", row.Stray)
 	}
 }
 

@@ -383,7 +383,7 @@ func benchServiceFailover(o Options) ([]BenchRow, error) {
 		return nil, err
 	}
 	if row.Stray != 0 {
-		return nil, fmt.Errorf("witness broker holds %d stray VIP records", row.Stray)
+		return nil, fmt.Errorf("witness broker holds %d tenant records", row.Stray)
 	}
 	return []BenchRow{
 		{Metric: "failover_ms", Value: row.Failover.Seconds() * 1e3, Unit: "ms"},

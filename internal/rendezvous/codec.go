@@ -54,14 +54,6 @@ const (
 	KindPeerAllow     // broker -> federated broker: peering allowance propagation
 	KindPeerRevoke
 	KindBrokerPulse // broker -> federated broker: liveness keepalive
-
-	// Tenant service VIPs (vip.go).
-	KindVIPAnnounce  // host -> its broker: healthy backend
-	KindVIPWithdraw  // host -> its broker: backend died/evicted
-	KindVIPLookup    // host -> broker: who backs this service?
-	KindVIPReply     //
-	KindVIPReplicate // home broker -> federated broker: scoped copy
-	KindVIPRetract   // home broker -> federated broker: record withdrawn
 )
 
 // Field bits of the header bitmap, in wire order.
@@ -80,9 +72,6 @@ const (
 	fRTTs
 	fRelayChan
 	fRelayAddr
-	fVIP
-	fVIPs
-	fService
 )
 
 // kinds is the one table of what exists on the wire: every kind's name
@@ -115,12 +104,6 @@ var kinds = [...]struct {
 	KindPeerAllow:     {"peer-allow", fNets},
 	KindPeerRevoke:    {"peer-revoke", fNets},
 	KindBrokerPulse:   {"broker-pulse", 0},
-	KindVIPAnnounce:   {"vip-announce", fName | fVIP},
-	KindVIPWithdraw:   {"vip-withdraw", fName | fVIP},
-	KindVIPLookup:     {"vip-lookup", fName | fNet | fService},
-	KindVIPReply:      {"vip-reply", fVIPs},
-	KindVIPReplicate:  {"vip-replicate", fVIP},
-	KindVIPRetract:    {"vip-retract", fVIP},
 }
 
 func (k Kind) valid() bool { return int(k) < len(kinds) && kinds[k].name != "" }
@@ -184,13 +167,12 @@ func Decode(b []byte) (*Msg, error) { return new(Decoder).Decode(b) }
 
 // Decoder decodes into one message it owns and reuses: each Decode
 // overwrites the one before it, slices refilled in place and Rec, Peer
-// and VIP pointing at records of the decoder's. Whoever is handed the
+// pointing at records of the decoder's. Whoever is handed the
 // message copies what it keeps before the next Decode — record Attrs
 // and every slice (strings are immutable and may be kept).
 type Decoder struct {
 	m         Msg
 	rec, peer *HostRecord // allocated when first needed
-	vip       *VIPRecord
 }
 
 // Decode rejects an unknown kind, a field outside the kind's mask, a
@@ -207,15 +189,12 @@ func (d *Decoder) Decode(b []byte) (*Msg, error) {
 	}
 	m := &d.m
 	*m = Msg{Kind: kind, ID: id, Records: m.Records[:0], Attrs: m.Attrs[:0],
-		Nets: m.Nets[:0], Group: m.Group[:0], VIPs: m.VIPs[:0]}
+		Nets: m.Nets[:0], Group: m.Group[:0]}
 	if set&fRec != 0 {
 		m.Rec = spare(&d.rec)
 	}
 	if set&fPeer != 0 {
 		m.Peer = spare(&d.peer)
-	}
-	if set&fVIP != 0 {
-		m.VIP = spare(&d.vip)
 	}
 	w := wire{b: b[headerLen:], mode: decoding}
 	w.fields(m, set)
@@ -248,8 +227,7 @@ func (d *Decoder) Poison() {
 func presence(m *Msg) (set uint32) {
 	for i, here := range [...]bool{m.Name != "", m.Net != "", m.Rec != nil, m.Peer != nil,
 		len(m.Records) > 0, m.Code != "", m.Error != "", len(m.Attrs) > 0, len(m.Nets) > 0, m.K != 0,
-		len(m.Group) > 0, len(m.RTTs) > 0, m.RelayChan != 0, !m.RelayAddr.IsZero(),
-		m.VIP != nil, len(m.VIPs) > 0, m.Service != ""} {
+		len(m.Group) > 0, len(m.RTTs) > 0, m.RelayChan != 0, !m.RelayAddr.IsZero()} {
 		if here {
 			set |= 1 << i
 		}
@@ -276,7 +254,7 @@ const (
 const junk = "\xdbpoisoned"
 
 func (w *wire) fields(m *Msg, set uint32) {
-	for bit := fName; bit <= fService; bit <<= 1 {
+	for bit := fName; bit <= fRelayAddr; bit <<= 1 {
 		switch set & bit {
 		case fName:
 			w.str(&m.Name)
@@ -315,24 +293,12 @@ func (w *wire) fields(m *Msg, set uint32) {
 			w.fixed(&m.RelayChan, 8)
 		case fRelayAddr:
 			w.addr(&m.RelayAddr)
-		case fVIP:
-			w.vip(m.VIP)
-		case fVIPs:
-			list(w, &m.VIPs, minVIPLen)
-			for i := range m.VIPs {
-				w.vip(&m.VIPs[i])
-			}
-		case fService:
-			w.str(&m.Service)
 		}
 	}
 }
 
-// The shortest encodings of a HostRecord and a VIPRecord.
-const (
-	minRecordLen = 1 + 6 + 1 + 1 + 6 + 1 + 1
-	minVIPLen    = 1 + 1 + 4 + 1 + 1 + 1 + 1 + 6
-)
+// The shortest encoding of a HostRecord.
+const minRecordLen = 1 + 6 + 1 + 1 + 6 + 1 + 1
 
 // A record is all of its fields in declaration order.
 func (w *wire) record(r *HostRecord) {
@@ -343,19 +309,6 @@ func (w *wire) record(r *HostRecord) {
 	w.addr(&r.Server)
 	w.str(&r.Net)
 	num(w, &r.VNI)
-}
-
-func (w *wire) vip(v *VIPRecord) {
-	w.str(&v.Service)
-	w.str(&v.Net)
-	ip := uint64(v.VIP)
-	w.fixed(&ip, 4)
-	v.VIP = netsim.IP(ip)
-	w.str(&v.Backend)
-	w.str(&v.Host)
-	num(w, &v.Order)
-	w.str(&v.Policy)
-	w.addr(&v.Server)
 }
 
 func (w *wire) take(n int) []byte {

@@ -22,7 +22,7 @@ func encodeUnchecked(m *Msg) []byte {
 func carrying(k Kind, mask uint32, rng *rand.Rand) *Msg {
 	for {
 		m := randMsg(rng)
-		if presence(m) != fService<<1-1 {
+		if presence(m) != fRelayAddr<<1-1 {
 			continue // randMsg left something zero or empty
 		}
 		m.Kind = k
@@ -32,11 +32,15 @@ func carrying(k Kind, mask uint32, rng *rand.Rand) *Msg {
 
 // FuzzDecode: whatever the bytes, Decode neither panics nor reads past
 // them, and what it accepts is exactly what Encode writes. The corpus
-// starts from one full message of every kind; plain `go test` runs it.
+// starts from one full message of every kind and a bare header of each
+// of the six kind numbers past the table; plain `go test` runs it.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for k := KindJoin; k.valid(); k++ {
 		f.Add(Encode(carrying(k, kinds[k].fields, rng)))
+	}
+	for k := len(kinds); k < len(kinds)+6; k++ {
+		f.Add(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64([]byte{Magic, byte(k)}, 0), 0))
 	}
 	f.Add([]byte{Magic})
 	f.Add([]byte("{\"kind\":\"join\"}"))
@@ -64,7 +68,7 @@ func TestEveryKindRejectsFieldsOutsideItsMask(t *testing.T) {
 		if _, err := Decode(Encode(carrying(k, kinds[k].fields, rng))); err != nil {
 			t.Fatalf("%v with its own fields: %v", k, err)
 		}
-		for bit := fName; bit <= fService; bit <<= 1 {
+		for bit := fName; bit <= fRelayAddr; bit <<= 1 {
 			if kinds[k].fields&bit != 0 {
 				continue
 			}

@@ -17,12 +17,10 @@ import (
 // walk to.
 type model struct {
 	sessions, replicas map[string]aging[HostRecord]
-	vips               map[string]aging[VIPRecord]
 	intros             map[uint64]sim.Time
 	peerSeen           map[netsim.Addr]sim.Time // the federated peers
 
-	sessionExpiries, replicaExpiries, deadBrokerReplicaDrops uint64
-	vipExpiries, deadBrokerVIPDrops, withdrawalsOut          uint64
+	sessionExpiries, replicaExpiries, deadBrokerReplicaDrops, withdrawalsOut uint64
 }
 
 type aging[V any] struct {
@@ -47,11 +45,10 @@ func tableOf[K comparable, V any](t *testing.T, a *aged[K, V]) map[K]aging[V] {
 
 func snapshot(t *testing.T, s *Server) *model {
 	m := &model{
-		sessions: tableOf(t, &s.sessions), replicas: tableOf(t, &s.replicas), vips: tableOf(t, &s.vipRecs),
+		sessions: tableOf(t, &s.sessions), replicas: tableOf(t, &s.replicas),
 		intros: make(map[uint64]sim.Time), peerSeen: make(map[netsim.Addr]sim.Time),
 		sessionExpiries: s.SessionExpiries, replicaExpiries: s.ReplicaExpiries,
-		deadBrokerReplicaDrops: s.DeadBrokerReplicaDrops, vipExpiries: s.VIPExpiries,
-		deadBrokerVIPDrops: s.DeadBrokerVIPDrops, withdrawalsOut: s.WithdrawalsOut,
+		deadBrokerReplicaDrops: s.DeadBrokerReplicaDrops, withdrawalsOut: s.WithdrawalsOut,
 	}
 	for id, pi := range tableOf(t, &s.pendingIntro) {
 		m.intros[id] = pi.lastSeen
@@ -62,16 +59,8 @@ func snapshot(t *testing.T, s *Server) *model {
 	return m
 }
 
-func (m *model) hostKnown(name, net string) bool {
-	if ses, ok := m.sessions[name]; ok && ses.rec.Net == net {
-		return true
-	}
-	rep, ok := m.replicas[name]
-	return ok && rep.rec.Net == net
-}
-
 func (m *model) expire(s *Server) {
-	now, self := s.eng.Now(), s.Addr()
+	now := s.eng.Now()
 	cutoff, deadCutoff := now.Add(-s.cfg.SessionTTL), now.Add(-s.cfg.BrokerTTL)
 	dead := func(server netsim.Addr) bool {
 		seen, federated := m.peerSeen[server]
@@ -96,24 +85,6 @@ func (m *model) expire(s *Server) {
 			m.deadBrokerReplicaDrops++
 		}
 	}
-	for key, e := range m.vips {
-		if e.rec.Server != self {
-			if e.lastSeen < cutoff {
-				delete(m.vips, key)
-				m.vipExpiries++
-				continue
-			}
-			if dead(e.rec.Server) {
-				delete(m.vips, key)
-				m.deadBrokerVIPDrops++
-			}
-			continue
-		}
-		if !m.hostKnown(e.rec.Host, e.rec.Net) {
-			delete(m.vips, key)
-			m.vipExpiries++
-		}
-	}
 	for id, created := range m.intros {
 		if created < cutoff {
 			delete(m.intros, id)
@@ -122,7 +93,7 @@ func (m *model) expire(s *Server) {
 }
 
 // TestExpireMatchesFullSweep drives a broker with random joins, pulses,
-// replications, withdrawals, VIP records, forwarded connects, peer
+// replications, withdrawals, forwarded connects, lookups, peer
 // keepalives and silences, re-federations and clock advances, and after
 // every step holds expire to the full-sweep model: the same tables and
 // the same counters.
@@ -137,8 +108,8 @@ func expireModelRun(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng, nw, s := newServer(t)
 	if seed%2 == 0 {
-		// Without the refresh tick nothing keeps local VIP records fresh:
-		// they age at the head of their table and must be walked past.
+		// Without the refresh tick only the test's own calls expire:
+		// due entries pile up at the heads of their tables.
 		s.refreshTick.Stop()
 	}
 	peers := []netsim.Addr{newBroker(t, eng, nw, 1, Config{}).Addr(), newBroker(t, eng, nw, 2, Config{}).Addr(),
@@ -166,13 +137,10 @@ func expireModelRun(t *testing.T, seed int64) {
 		return peers[rng.Intn(2)]
 	}
 	deliver := func(src netsim.Addr, m *Msg) { s.onPacket(netsim.Packet{Src: src, Dst: s.Addr(), Payload: Encode(m)}) }
-	vip := func() *VIPRecord {
-		return &VIPRecord{Service: "svc", Net: pick(nets), Backend: pick([]string{"b0", "b1", "b2"}), Host: pick(names)}
-	}
 
 	for step := 0; step < 600; step++ {
 		name, peer := pick(names), peers[rng.Intn(len(peers))]
-		switch op := rng.Intn(14); op {
+		switch op := rng.Intn(11); op {
 		case 0, 1:
 			deliver(hostAddr(name), &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: name, Net: pick(nets)}})
 		case 2, 3:
@@ -182,28 +150,16 @@ func expireModelRun(t *testing.T, seed int64) {
 		case 6:
 			deliver(peer, &Msg{Kind: KindWithdraw, Name: name, Net: pick(nets)})
 		case 7:
-			deliver(hostAddr(name), &Msg{Kind: KindVIPAnnounce, Name: name, VIP: vip()})
-		case 8:
-			v := vip()
-			v.Server = server()
-			deliver(peer, &Msg{Kind: KindVIPReplicate, VIP: v})
-		case 9:
-			if rng.Intn(2) == 0 {
-				deliver(hostAddr(name), &Msg{Kind: KindVIPWithdraw, Name: name, VIP: vip()})
-			} else {
-				deliver(peer, &Msg{Kind: KindVIPRetract, VIP: vip()})
-			}
-		case 10:
 			deliver(hostAddr(name), &Msg{Kind: KindConnect, ID: 2, Name: name, Peer: &HostRecord{Name: pick(names)}})
-		case 11:
+		case 8:
 			deliver(peer, &Msg{Kind: KindBrokerPulse})
-		case 12:
+		case 9:
 			if rng.Intn(4) == 0 {
 				s.Federate(peer)
 			} else {
 				deliver(hostAddr(name), &Msg{Kind: KindLookup, ID: 3, Name: pick(names), Net: pick(nets)})
 			}
-		case 13:
+		case 10:
 			// Up to 1.2 TTL at once, so whole tables and peers time out.
 			eng.RunFor(time.Duration(rng.Int63n(int64(s.cfg.SessionTTL) * 6 / 5)))
 		}
@@ -214,9 +170,8 @@ func expireModelRun(t *testing.T, seed int64) {
 			t.Fatalf("step %d at %v: expire left\n %+v\nthe full sweep\n %+v", step, eng.Now(), got, want)
 		}
 	}
-	if s.SessionExpiries == 0 || s.ReplicaExpiries == 0 || s.DeadBrokerReplicaDrops == 0 ||
-		s.VIPExpiries == 0 || s.DeadBrokerVIPDrops == 0 {
-		t.Logf("seed %d left a path unvisited: %d session, %d replica, %d dead-broker, %d vip, %d dead-broker vip expiries",
-			seed, s.SessionExpiries, s.ReplicaExpiries, s.DeadBrokerReplicaDrops, s.VIPExpiries, s.DeadBrokerVIPDrops)
+	if s.SessionExpiries == 0 || s.ReplicaExpiries == 0 || s.DeadBrokerReplicaDrops == 0 {
+		t.Logf("seed %d left a path unvisited: %d session, %d replica, %d dead-broker expiries",
+			seed, s.SessionExpiries, s.ReplicaExpiries, s.DeadBrokerReplicaDrops)
 	}
 }

@@ -21,9 +21,8 @@ import (
 
 // fedPeer is the state kept per trusted peer broker beside its liveness
 // clock (the entry's lastSeen). swept says the peer was found dead, the
-// replicas and VIP records homed on it were dropped, and none naming it
-// has been stored since (homedOn): nothing to look for when it is found
-// dead again.
+// replicas homed on it were dropped, and none naming it has been stored
+// since (homedOn): nothing to look for when it is found dead again.
 type fedPeer struct{ swept bool }
 
 // Federate registers a trusted peer broker. Broker-to-broker messages
@@ -81,7 +80,7 @@ func (s *Server) ClearNetBrokers(net string) {
 	delete(s.netBrokers, net)
 	for rep := s.replicas.head; rep != nil; rep = rep.next {
 		if rep.rec.Net == net {
-			s.dropReplica(rep)
+			s.replicas.drop(rep)
 		}
 	}
 }
@@ -189,7 +188,7 @@ func (s *Server) onReplicate(src netsim.Addr, m *Msg) {
 	if ses := s.sessions.get(m.Rec.Name); ses != nil && ses.rec.Net == m.Rec.Net &&
 		m.Rec.Server != s.Addr() &&
 		ses.lastSeen < s.eng.Now().Add(-s.cfg.SessionTTL/2) {
-		s.dropSession(ses)
+		s.sessions.drop(ses)
 		s.SessionsSuperseded++
 	}
 	s.ReplicationsIn++
@@ -216,7 +215,7 @@ func (s *Server) onWithdraw(src netsim.Addr, m *Msg) {
 		return
 	}
 	s.WithdrawalsIn++
-	s.dropReplica(rep)
+	s.replicas.drop(rep)
 }
 
 // expireReplicas drops replicas that stopped being refreshed — the
@@ -224,7 +223,7 @@ func (s *Server) onWithdraw(src netsim.Addr, m *Msg) {
 // older than a full TTL belongs to a dead host or a dead broker.
 func (s *Server) expireReplicas(cutoff sim.Time) {
 	for rep := s.replicas.head; rep != nil && rep.lastSeen < cutoff; rep = rep.next {
-		s.dropReplica(rep)
+		s.replicas.drop(rep)
 		s.ReplicaExpiries++
 	}
 }
@@ -265,9 +264,9 @@ func (s *Server) brokerDead(peer netsim.Addr) bool {
 // forwarded connects into a black hole. The peer stays federated — if
 // it restarts at the same address it is trusted (and pulsing) again.
 // Dead peers are the head of the peer table; the replicas are walked
-// only when one of them has not been swept since it died, and sweep
-// tells expireVIPs to do the same for its records.
-func (s *Server) expireDeadBrokers() (sweep bool) {
+// only when one of them has not been swept since it died.
+func (s *Server) expireDeadBrokers() {
+	sweep := false
 	cutoff := s.eng.Now().Add(-s.cfg.BrokerTTL)
 	for p := s.peers.head; p != nil && p.lastSeen < cutoff; p = p.next {
 		if !p.rec.swept {
@@ -275,15 +274,14 @@ func (s *Server) expireDeadBrokers() (sweep bool) {
 		}
 	}
 	if !sweep {
-		return false
+		return
 	}
 	for rep := s.replicas.head; rep != nil; rep = rep.next {
 		if s.brokerDead(rep.rec.Server) {
-			s.dropReplica(rep)
+			s.replicas.drop(rep)
 			s.DeadBrokerReplicaDrops++
 		}
 	}
-	return true
 }
 
 // onFwdConnect serves a forwarded connect at the target's home broker:
@@ -417,16 +415,6 @@ func (s *Server) ScrapeInto(r *obs.Registry, l obs.Labels) {
 	add("replica_adopted", s.ReplicaAdoptions)
 	add("session_superseded", s.SessionsSuperseded)
 	add("stale_fwd_rejects", s.StaleFwdRejects)
-	add("vip_announces_in", s.VIPAnnouncesIn)
-	add("vip_withdrawals_in", s.VIPWithdrawalsIn)
-	add("vip_replications_out", s.VIPReplicationsOut)
-	add("vip_replications_in", s.VIPReplicationsIn)
-	add("vip_retracts_out", s.VIPRetractsOut)
-	add("vip_retracts_in", s.VIPRetractsIn)
-	add("vip_lookups", s.VIPLookups)
-	add("vip_expiries", s.VIPExpiries)
-	add("vip_dead_broker", s.DeadBrokerVIPDrops)
-	add("vip_rejected", s.RejectedVIP)
 }
 
 // PeerDead reports whether a federated peer broker has been silent past

@@ -39,10 +39,6 @@ func randMsg(rng *rand.Rand) *Msg {
 		return HostRecord{Name: str(), Mapped: addr(), NAT: nat.Type(rng.Intn(7) - 1), Attrs: point(),
 			Server: addr(), Net: str(), VNI: rng.Uint32() >> uint(rng.Intn(32))}
 	}
-	vip := func() VIPRecord {
-		return VIPRecord{Service: str(), Net: str(), VIP: netsim.IP(rng.Uint32()), Backend: str(), Host: str(),
-			Order: rng.Intn(200) - 100, Policy: str(), Server: addr()}
-	}
 	strs := func() []string {
 		ss := make([]string, rng.Intn(4))
 		for i := range ss {
@@ -50,14 +46,12 @@ func randMsg(rng *rand.Rand) *Msg {
 		}
 		return ss
 	}
-	r, peer, v := rec(), rec(), vip()
+	r, peer := rec(), rec()
 	m := &Msg{ID: rng.Uint64(), Name: str(), Error: str(), Code: str(), Rec: &r, Peer: &peer, Net: str(),
 		Nets: strs(), Attrs: point(), K: int(rng.Int63()>>uint(rng.Intn(64))) - 5, Group: strs(),
-		RelayChan: rng.Uint64() >> uint(rng.Intn(65)), RelayAddr: addr(),
-		VIP: &v, Service: str()}
+		RelayChan: rng.Uint64() >> uint(rng.Intn(65)), RelayAddr: addr()}
 	for n := rng.Intn(4); n > 0; n-- {
 		m.Records = append(m.Records, rec())
-		m.VIPs = append(m.VIPs, vip())
 		// Ascending by construction: each peer extends the one before.
 		m.RTTs = append(m.RTTs, PeerRTT{Peer: str() + "x", NS: rng.Int63() - rng.Int63()})
 		if n := len(m.RTTs); n > 1 {
@@ -75,7 +69,6 @@ func restrict(m *Msg, mask uint32) *Msg {
 		fError: func() { m.Error = "" }, fAttrs: func() { m.Attrs = nil }, fNets: func() { m.Nets = nil },
 		fK: func() { m.K = 0 }, fGroup: func() { m.Group = nil }, fRTTs: func() { m.RTTs = nil },
 		fRelayChan: func() { m.RelayChan = 0 }, fRelayAddr: func() { m.RelayAddr = netsim.Addr{} },
-		fVIP: func() { m.VIP = nil }, fVIPs: func() { m.VIPs = nil }, fService: func() { m.Service = "" },
 	} {
 		if mask&bit == 0 {
 			zero()
@@ -101,8 +94,8 @@ func normalize(m *Msg) *Msg {
 }
 
 // TestPropertyMsgRoundTrips: for every kind, a message carrying any
-// subset of the fields its mask allows — Records, Group, RTTs, Peer,
-// VIP, VIPs, Service and Code among them — decodes to what was encoded,
+// subset of the fields its mask allows — Records, Group, RTTs, Peer
+// and Code among them — decodes to what was encoded,
 // from a fresh decoder and from a reused one alike.
 func TestPropertyMsgRoundTrips(t *testing.T) {
 	var reused Decoder

@@ -103,13 +103,6 @@ type Msg struct {
 	// Relay fallback (unpunchable NAT pairs).
 	RelayChan uint64
 	RelayAddr netsim.Addr
-
-	// Tenant service VIPs (vip.go): one record on announce/withdraw/
-	// replicate, the sorted backend list on a vip-lookup reply, and the
-	// service name a lookup asks for.
-	VIP     *VIPRecord
-	VIPs    []VIPRecord
-	Service string
 }
 
 // Config tunes a rendezvous server.
@@ -216,14 +209,6 @@ type Server struct {
 	netBrokers map[string][]netsim.Addr
 	replicas   aged[string, HostRecord]
 	dirty      map[string]bool
-	// vipRecs holds the tenant-service VIP records (vip.go), locally
-	// announced and federated replicas alike, keyed net/service/backend.
-	// vipsUngrounded is set by whatever can take a local record's host
-	// away (a session or replica dropped or rescoped, a record announced
-	// for a host unknown here); expireVIPs re-checks the local records
-	// only then.
-	vipRecs        aged[string, VIPRecord]
-	vipsUngrounded bool
 
 	// Tickers, kept so Close can stop them (a closed broker must not
 	// keep publishing or pulsing from beyond the grave).
@@ -261,15 +246,6 @@ type Server struct {
 	// the source is not a federated peer or the record's network is not
 	// served here (the scope check).
 	RejectedFederation uint64
-	// Tenant-service VIP stats (vip.go): announcement/withdrawal traffic
-	// from hosts, replication within the network's broker set, lookups
-	// answered, records expired or dropped with their dead home broker,
-	// and announcements refused by the session/scope check.
-	VIPAnnouncesIn, VIPWithdrawalsIn      uint64
-	VIPReplicationsOut, VIPReplicationsIn uint64
-	VIPRetractsOut, VIPRetractsIn         uint64
-	VIPLookups, VIPExpiries               uint64
-	DeadBrokerVIPDrops, RejectedVIP       uint64
 }
 
 // NewServer starts a rendezvous server on a public host. stunAltIP must
@@ -313,7 +289,6 @@ func NewServer(host *netsim.Host, stunAltIP netsim.IP, cfg Config) (*Server, err
 			s.publish(ses.rec)
 			s.replicate(ses.rec)
 		}
-		s.refreshVIPs()
 	})
 	if cfg.ReplicateInterval > 0 {
 		s.replTick = sim.NewTicker(s.eng, cfg.ReplicateInterval, func() { s.flushReplication() })
@@ -398,31 +373,18 @@ func (s *Server) Sessions() int {
 func (s *Server) expire() {
 	cutoff := s.eng.Now().Add(-s.cfg.SessionTTL)
 	for ses := s.sessions.head; ses != nil && ses.lastSeen < cutoff; ses = ses.next {
-		s.dropSession(ses)
+		s.sessions.drop(ses)
 		s.SessionExpiries++
 		// The federation must not keep advertising a dead host.
 		s.withdraw(ses.rec)
 	}
 	s.expireReplicas(cutoff)
-	sweep := s.expireDeadBrokers()
-	s.expireVIPs(cutoff, sweep)
+	s.expireDeadBrokers()
 	for pi := s.pendingIntro.head; pi != nil && pi.lastSeen < cutoff; pi = pi.next {
 		pi.rec.span.Event("expired: intro never acked")
 		pi.rec.span.End()
 		s.pendingIntro.drop(pi)
 	}
-}
-
-// dropSession and dropReplica remove a host record; either may leave a
-// local VIP record without its host.
-func (s *Server) dropSession(ses *entry[string, HostRecord]) {
-	s.sessions.drop(ses)
-	s.vipsUngrounded = true
-}
-
-func (s *Server) dropReplica(rep *entry[string, HostRecord]) {
-	s.replicas.drop(rep)
-	s.vipsUngrounded = true
 }
 
 func (s *Server) send(to netsim.Addr, m *Msg) { Send(s.sock, to, m) }
@@ -473,16 +435,6 @@ func (s *Server) onPacket(pkt netsim.Packet) {
 		s.onPeerPropagation(pkt.Src, m)
 	case KindBrokerPulse:
 		s.onBrokerPulse(pkt.Src)
-	case KindVIPAnnounce:
-		s.onVIPAnnounce(pkt.Src, m)
-	case KindVIPWithdraw:
-		s.onVIPWithdraw(pkt.Src, m)
-	case KindVIPLookup:
-		s.onVIPLookup(pkt.Src, m)
-	case KindVIPReplicate:
-		s.onVIPReplicate(pkt.Src, m)
-	case KindVIPRetract:
-		s.onVIPRetract(pkt.Src, m)
 	case KindError:
 		// A broker-to-broker failure (introduce or fwd-connect refused at
 		// the remote end): resolve the pending introduction so the
@@ -511,14 +463,13 @@ func (s *Server) onJoin(src netsim.Addr, m *Msg) {
 	// pull the stale record out of the old network's federation.
 	if prev := s.sessions.get(rec.Name); prev != nil && prev.rec.Net != rec.Net {
 		s.withdraw(prev.rec)
-		s.vipsUngrounded = true
 	}
 	// A host re-homing HERE supersedes the replica its old broker pushed:
 	// the live session is authoritative, and keeping the replica would
 	// leave a record naming the (likely dead) old home as forwarding
 	// target.
 	if rep := s.replicas.get(rec.Name); rep != nil && rep.rec.Net == rec.Net {
-		s.dropReplica(rep)
+		s.replicas.drop(rep)
 		s.ReplicaAdoptions++
 	}
 	s.sessions.put(rec.Name, rec, s.eng.Now())

@@ -102,8 +102,7 @@ func deliveryDigest(t *testing.T, seed int64) (digest uint64, delivered int) {
 			ServicePool: fmt.Sprintf("10.%d.0.192/28", 80+t2),
 			Members:     members, Brokers: []string{PrimaryBroker, "b1"},
 		}}, Services: []vpc.ServiceSpec{{
-			// Three VIP records on the anchor's broker: its refresh tick
-			// re-replicates them one packet each.
+			// Three backends probed from the anchor each second.
 			Name: tenant + "-web", Network: tenant + "-net", VIP: fmt.Sprintf("10.%d.0.200", 80+t2),
 			Policy:   "failover-ordered",
 			Backends: []vpc.BackendSpec{{Member: members[2]}, {Member: members[3]}, {Member: members[4]}},
@@ -125,9 +124,8 @@ func deliveryDigest(t *testing.T, seed int64) (digest uint64, delivered int) {
 	w.Machines[9].WAV.JoinVNI(4002)
 	refreshed := w.Rdv.ReplicationsOut + b1.ReplicationsOut
 	w.Eng.RunFor(40 * time.Second) // past the brokers' first refresh tick
-	if got := w.Rdv.ReplicationsOut + b1.ReplicationsOut; got < refreshed+12 || w.Rdv.VIPReplicationsOut+b1.VIPReplicationsOut < 12 {
-		t.Fatalf("no refresh tick: %d replications before, %d after, %d VIP replications", refreshed, got,
-			w.Rdv.VIPReplicationsOut+b1.VIPReplicationsOut)
+	if got := w.Rdv.ReplicationsOut + b1.ReplicationsOut; got < refreshed+12 {
+		t.Fatalf("no refresh tick: %d replications before, %d after", refreshed, got)
 	}
 	// Two hosts of each tenant, one per broker, vanish without a word.
 	for _, i := range []int{0, 1, 6, 7} {
@@ -141,9 +139,9 @@ func deliveryDigest(t *testing.T, seed int64) (digest uint64, delivered int) {
 }
 
 // TestSameSeedSameDeliveries: no walk that sends follows Go's map order
-// — the refresh tick, expiry's withdrawals, SetNetBrokers, the VIP
-// refresh and the hosts' VNI announcements all go in the order of the
-// structure they walk — so two worlds of one seed deliver the same
+// — the refresh tick, expiry's withdrawals, SetNetBrokers, the service
+// probe loops and the hosts' VNI announcements all go in the order of
+// the structure they walk — so two worlds of one seed deliver the same
 // packets at the same instants.
 func TestSameSeedSameDeliveries(t *testing.T) {
 	want, n := deliveryDigest(t, 5)

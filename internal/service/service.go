@@ -13,12 +13,11 @@
 // Health is probed actively from the network's anchor: a spawned
 // simulation process pings every backend's real address each Interval,
 // with a per-probe Timeout. Fall consecutive failures withdraw the
-// backend — a 0x19 announcement floods the tunnel mesh, every member's
-// steering table flips, the rendezvous-layer VIP record is retracted
-// from the network's broker set, and (for failover-ordered services)
-// the new active backend floods a gratuitous ARP for the VIP so
-// established client caches re-point. Rise consecutive successes
-// re-announce it. Each withdrawal that moves traffic is recorded as a
+// backend — the service rewrites every member's steering table, the one
+// path by which health reaches hosts, and (for failover-ordered
+// services) the new active backend floods a gratuitous ARP for the VIP
+// so established client caches re-point. Rise consecutive successes
+// restore it. Each withdrawal that moves traffic is recorded as a
 // "service.failover" span whose duration covers first missed probe to
 // steering flip — the observable failover budget.
 package service
@@ -31,8 +30,13 @@ import (
 	"wavnet/internal/ipstack"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
-	"wavnet/internal/rendezvous"
 	"wavnet/internal/sim"
+)
+
+// Steering policies a service may declare.
+const (
+	PolicyAnycastNearest  = "anycast-nearest"
+	PolicyFailoverOrdered = "failover-ordered"
 )
 
 // Probe loop defaults.
@@ -47,21 +51,20 @@ const (
 type Config struct {
 	// Name is the service's unique name within its tenant.
 	Name string
-	// Tenant and Net scope the service (span labels, VIP records).
+	// Tenant and Net scope the service (span labels).
 	Tenant string
 	Net    string
 	// VNI is the network segment the VIP lives on.
 	VNI uint32
 	// VIP is the service's virtual address.
 	VIP netsim.IP
-	// Policy is rendezvous.PolicyAnycastNearest (default) or
-	// rendezvous.PolicyFailoverOrdered.
+	// Policy is PolicyAnycastNearest (default) or PolicyFailoverOrdered.
 	Policy string
 	// Interval is the probe period; Timeout bounds one probe.
 	Interval sim.Duration
 	Timeout  sim.Duration
 	// Fall consecutive probe failures withdraw a backend; Rise
-	// consecutive successes re-announce it.
+	// consecutive successes restore it.
 	Fall int
 	Rise int
 	// Distance reports the fabric's measured RTT between two named
@@ -71,15 +74,15 @@ type Config struct {
 	// Tracer records service.failover spans (nil disables tracing).
 	Tracer *obs.Trace
 	// InitialHealth seeds per-backend health (by backend name) so a
-	// rebuilt service — a reconcile that changed its backend set —
-	// inherits observed state instead of re-announcing dead backends.
+	// rebuilt service — a reconcile that changed its backend or member
+	// set — inherits observed state instead of steering to dead backends.
 	// Absent backends start healthy.
 	InitialHealth map[string]bool
 }
 
 func (c Config) normalized() Config {
 	if c.Policy == "" {
-		c.Policy = rendezvous.PolicyAnycastNearest
+		c.Policy = PolicyAnycastNearest
 	}
 	if c.Interval <= 0 {
 		c.Interval = DefaultInterval
@@ -125,8 +128,8 @@ type backendState struct {
 	failSpan *obs.Span
 }
 
-// Service is one running VIP: steering tables programmed, records
-// announced, probe loop live.
+// Service is one running VIP: steering tables programmed, probe loop
+// live.
 type Service struct {
 	cfg      Config
 	eng      *sim.Engine
@@ -147,11 +150,11 @@ type Service struct {
 	series [5]string
 }
 
-// New builds a service instance. anchor is the host that announces VIP
-// records through its home broker and floods 0x19 health transitions;
-// prober is the stack probes originate from (the anchor member's);
-// members are every member host of the network, whose steering tables
-// the service programs. Call Start to go live.
+// New builds a service instance. anchor is the member host whose
+// steering choice Active reports and failover is judged by; prober is
+// the stack probes originate from (the anchor member's); members are
+// every member host of the network, whose steering tables the service
+// programs. Call Start to go live.
 func New(eng *sim.Engine, cfg Config, anchor *core.Host, prober *ipstack.Stack, members []*core.Host, backends []Backend) *Service {
 	cfg = cfg.normalized()
 	s := &Service{
@@ -181,9 +184,12 @@ func New(eng *sim.Engine, cfg Config, anchor *core.Host, prober *ipstack.Stack, 
 // Backends returns the resolved backend set, sorted by name.
 func (s *Service) Backends() []Backend { return append([]Backend(nil), s.backends...) }
 
+// Members returns the hosts whose steering tables the service programs,
+// sorted by name.
+func (s *Service) Members() []*core.Host { return append([]*core.Host(nil), s.members...) }
+
 // Start aliases the VIP onto every backend stack, programs every member
-// host's steering table, announces a VIP record per healthy backend and
-// spawns the probe loop. Idempotent.
+// host's steering table and spawns the probe loop. Idempotent.
 func (s *Service) Start() {
 	if s.running {
 		return
@@ -193,11 +199,6 @@ func (s *Service) Start() {
 		b.Stack.AddAlias(s.cfg.VIP)
 	}
 	s.programHosts()
-	for _, b := range s.backends {
-		if s.state[b.Name].healthy {
-			s.anchor.AnnounceVIPRecord(s.record(b))
-		}
-	}
 	// Stop's Interrupt is sticky: even a probe parked deep inside Ping
 	// returns promptly, and the Sleep here observes the pending flag
 	// without waiting out another interval.
@@ -208,9 +209,9 @@ func (s *Service) Start() {
 	})
 }
 
-// Stop withdraws the service: probe loop down, records retracted,
-// steering tables cleared, aliases removed. In-flight connections die
-// with their ARP entries, exactly like an evicted service should.
+// Stop withdraws the service: probe loop down, steering tables cleared,
+// aliases removed. In-flight connections die with their ARP entries,
+// exactly like an evicted service should.
 func (s *Service) Stop() {
 	if !s.running {
 		return
@@ -220,9 +221,6 @@ func (s *Service) Stop() {
 		s.proc.Interrupt()
 	}
 	for _, b := range s.backends {
-		if s.state[b.Name].healthy {
-			s.anchor.WithdrawVIPRecord(s.record(b))
-		}
 		b.Stack.RemoveAlias(s.cfg.VIP)
 	}
 	for _, h := range s.members {
@@ -277,14 +275,6 @@ func (s *Service) ScrapeInto(r *obs.Registry, l obs.Labels) {
 	}
 }
 
-// record builds the rendezvous-layer VIP record for one backend.
-func (s *Service) record(b Backend) rendezvous.VIPRecord {
-	return rendezvous.VIPRecord{
-		Service: s.cfg.Name, Net: s.cfg.Net, VIP: s.cfg.VIP,
-		Backend: b.Name, Host: b.Host, Order: b.Order, Policy: s.cfg.Policy,
-	}
-}
-
 // prefsFor computes one member host's preference-ordered steering list:
 // declared rank for failover-ordered services; for anycast-nearest the
 // host's own backends first, then measured distance, unmeasured last,
@@ -294,7 +284,7 @@ func (s *Service) prefsFor(h *core.Host) []core.VIPBackend {
 	for i := range idx {
 		idx[i] = i
 	}
-	if s.cfg.Policy == rendezvous.PolicyFailoverOrdered {
+	if s.cfg.Policy == PolicyFailoverOrdered {
 		sort.Slice(idx, func(a, b int) bool {
 			x, y := s.backends[idx[a]], s.backends[idx[b]]
 			if x.Order != y.Order {
@@ -335,7 +325,7 @@ func (s *Service) prefsFor(h *core.Host) []core.VIPBackend {
 
 // programHosts pushes the current steering state to every member host
 // (hosts whose effective choice changes inject a local gratuitous ARP
-// on their own).
+// on their own). It is the only way backend health reaches a host.
 func (s *Service) programHosts() {
 	for _, h := range s.members {
 		h.SetVIPBackends(s.cfg.VNI, s.cfg.VIP, s.prefsFor(h))
@@ -386,8 +376,7 @@ func (s *Service) probeRound(p *sim.Proc) {
 }
 
 // transition applies one health flip end to end: steering tables on
-// every member, a 0x19 flood over the tunnel mesh, the rendezvous-layer
-// record, and — when a failover-ordered service's active backend moved
+// every member and — when a failover-ordered service's active backend moved
 // — a fabric-wide gratuitous ARP from the new active so established
 // client caches re-point without waiting for re-ARP.
 func (s *Service) transition(b Backend, st *backendState, healthy bool) {
@@ -395,19 +384,16 @@ func (s *Service) transition(b Backend, st *backendState, healthy bool) {
 	st.healthy = healthy
 	st.fails, st.oks = 0, 0
 	s.programHosts()
-	s.anchor.AnnounceVIP(s.cfg.VNI, s.cfg.VIP, b.MAC, b.Name, healthy)
 	if healthy {
 		s.Recoveries++
-		s.anchor.AnnounceVIPRecord(s.record(b))
 	} else {
 		s.Withdrawals++
-		s.anchor.WithdrawVIPRecord(s.record(b))
 	}
 	newMAC, newOK := s.anchor.VIPChoice(s.cfg.VNI, s.cfg.VIP)
 	moved := prevOK != newOK || prevMAC != newMAC
 	if moved && newOK {
 		s.Failovers++
-		if next, ok := s.backendByMAC(newMAC); ok && s.cfg.Policy == rendezvous.PolicyFailoverOrdered {
+		if next, ok := s.backendByMAC(newMAC); ok && s.cfg.Policy == PolicyFailoverOrdered {
 			next.Stack.AnnounceGratuitousARPFor(s.cfg.VIP)
 		}
 	}

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"wavnet/internal/netsim"
-	"wavnet/internal/rendezvous"
 	"wavnet/internal/sim"
 )
 
 func TestConfigNormalized(t *testing.T) {
 	c := Config{}.normalized()
-	if c.Policy != rendezvous.PolicyAnycastNearest {
+	if c.Policy != PolicyAnycastNearest {
 		t.Fatalf("default policy %q", c.Policy)
 	}
 	if c.Interval != DefaultInterval || c.Timeout != DefaultTimeout ||
@@ -18,9 +17,9 @@ func TestConfigNormalized(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	c = Config{Interval: 2 * sim.Second, Timeout: sim.Second, Fall: 5, Rise: 1,
-		Policy: rendezvous.PolicyFailoverOrdered}.normalized()
+		Policy: PolicyFailoverOrdered}.normalized()
 	if c.Interval != 2*sim.Second || c.Timeout != sim.Second || c.Fall != 5 || c.Rise != 1 ||
-		c.Policy != rendezvous.PolicyFailoverOrdered {
+		c.Policy != PolicyFailoverOrdered {
 		t.Fatalf("explicit values clobbered: %+v", c)
 	}
 }

@@ -4,9 +4,8 @@
 // policy; this file diffs desired against live services and converges
 // them through the service controller (internal/service) — reserving
 // the VIP against the network's address pools exactly like a VM
-// address, programming every member host's steering table, announcing
-// rendezvous-layer VIP records through the anchor's home broker, and
-// running the health-probe loop that withdraws dead backends.
+// address, programming every member host's steering table, and running
+// the health-probe loop that withdraws dead backends.
 //
 // The pass is split like the VM pass: a pre-pass (before any network or
 // membership change) stops every service the spec dropped or changed —
@@ -72,8 +71,8 @@ func (mg *Manager) ServiceVIP(name string) (netsim.IP, bool) {
 }
 
 // evictService stops one service and drops its record: probe loop down,
-// VIP records retracted, steering tables cleared, the VIP reservation
-// released back to the network's pools.
+// steering tables cleared, the VIP reservation released back to the
+// network's pools.
 func (mg *Manager) evictService(ts *tenantState, name string, rep *ApplyReport) {
 	rec := ts.services[name]
 	if rec.svc != nil {
@@ -139,9 +138,10 @@ func (mg *Manager) reconcileServicesPre(spec *TenantSpec, ts *tenantState, rep *
 // reconcileServices is the main service pass, run LAST — after
 // memberships converged and the VM pass placed or migrated every
 // backend VM — so backends resolve to their final host, address and
-// stack. Unchanged live services are left untouched (re-apply is a
-// no-op); everything else is built, reported as service-create for new
-// names and service-update for rebuilt ones.
+// stack. Unchanged live services — same spec, backends and member set —
+// are left untouched (re-apply is a no-op); everything else is built,
+// reported as service-create for new names and service-update for
+// rebuilt ones.
 func (mg *Manager) reconcileServices(spec *TenantSpec, ts *tenantState, fab Fabric, rep *ApplyReport) error {
 	for i := range spec.Services {
 		want := spec.Services[i].normalized()
@@ -163,8 +163,12 @@ func (mg *Manager) reconcileServices(spec *TenantSpec, ts *tenantState, fab Fabr
 				return fmt.Errorf("vpc: service %q: %w", want.Name, err)
 			}
 		}
-		if rec != nil && rec.svc != nil && rec.vip == vip &&
-			serviceSpecEqual(rec.spec, want) && backendsEqual(rec.svc.Backends(), backends) {
+		members := make([]*core.Host, 0, len(n.order))
+		for _, m := range n.Members() {
+			members = append(members, m.Host)
+		}
+		if rec != nil && rec.svc != nil && rec.vip == vip && serviceSpecEqual(rec.spec, want) &&
+			backendsEqual(rec.svc.Backends(), backends) && sameHosts(rec.svc.Members(), members) {
 			continue // in sync
 		}
 		existed := rec != nil
@@ -173,7 +177,8 @@ func (mg *Manager) reconcileServices(spec *TenantSpec, ts *tenantState, fab Fabr
 			health = rec.health
 			if rec.svc != nil {
 				// Live but drifted (a backend VM migrated, a member's
-				// stack changed): rebuild in place with observed health.
+				// stack changed, a member came or went): rebuild in
+				// place with observed health.
 				health = rec.svc.HealthSnapshot()
 				rec.svc.Stop()
 			}
@@ -187,10 +192,6 @@ func (mg *Manager) reconcileServices(spec *TenantSpec, ts *tenantState, fab Fabr
 			}
 		}
 		anchorM := n.Members()[0]
-		members := make([]*core.Host, 0, len(n.order))
-		for _, m := range n.Members() {
-			members = append(members, m.Host)
-		}
 		netName := want.Network
 		dist := func(from, to string) (sim.Duration, bool) {
 			names, rtts := fab.Locality(netName)
@@ -271,6 +272,23 @@ func backendsEqual(a, b []service.Backend) bool {
 	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
 	for i := range as {
 		if as[i] != bs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameHosts reports whether two host lists hold the same hosts.
+func sameHosts(a, b []*core.Host) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := make(map[*core.Host]bool, len(a))
+	for _, h := range a {
+		in[h] = true
+	}
+	for _, h := range b {
+		if !in[h] {
 			return false
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
+	"wavnet/internal/service"
 	"wavnet/internal/sim"
 )
 
@@ -144,7 +145,7 @@ type ServiceSpec struct {
 	Interval sim.Duration
 	Timeout  sim.Duration
 	// Fall consecutive probe failures withdraw a backend (default 3);
-	// Rise consecutive successes re-announce it (default 2).
+	// Rise consecutive successes restore it (default 2).
 	Fall int
 	Rise int
 }
@@ -169,7 +170,7 @@ func (b BackendSpec) name() string {
 // be compared against the spec field by field.
 func (s ServiceSpec) normalized() ServiceSpec {
 	if s.Policy == "" {
-		s.Policy = "anycast-nearest"
+		s.Policy = service.PolicyAnycastNearest
 	}
 	if s.Interval <= 0 {
 		s.Interval = 1 * sim.Second
@@ -481,7 +482,7 @@ func (spec *TenantSpec) validate() error {
 				spec.Tenant, ss.Name, ss.Network)
 		}
 		switch ss.Policy {
-		case "", "anycast-nearest", "failover-ordered":
+		case "", service.PolicyAnycastNearest, service.PolicyFailoverOrdered:
 		default:
 			return fmt.Errorf("vpc: tenant %s: service %q: unknown policy %q", spec.Tenant, ss.Name, ss.Policy)
 		}

@@ -44,6 +44,7 @@ import (
 	"wavnet/internal/planetlab"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/scenario"
+	"wavnet/internal/service"
 	"wavnet/internal/sim"
 	"wavnet/internal/trace"
 	"wavnet/internal/vm"
@@ -246,10 +247,10 @@ type (
 const (
 	// PolicyAnycastNearest steers each client to the nearest healthy
 	// backend by the distance locator's RTT matrix.
-	PolicyAnycastNearest = rendezvous.PolicyAnycastNearest
+	PolicyAnycastNearest = service.PolicyAnycastNearest
 	// PolicyFailoverOrdered keeps all traffic on the first healthy
 	// backend in declared order.
-	PolicyFailoverOrdered = rendezvous.PolicyFailoverOrdered
+	PolicyFailoverOrdered = service.PolicyFailoverOrdered
 )
 
 // Federated rendezvous: a network's records replicate only among the
