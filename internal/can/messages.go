@@ -8,10 +8,12 @@ import (
 
 // Resource is a soft-state item stored in the CAN: WAVNet rendezvous
 // servers store host records keyed by their normalized attribute vectors.
+// Value is opaque to the overlay; brokers store a record in their own
+// control codec's layout.
 type Resource struct {
-	ID    string          `json:"id"`
-	Key   Point           `json:"key"`
-	Value json.RawMessage `json:"value"`
+	ID    string `json:"id"`
+	Key   Point  `json:"key"`
+	Value []byte `json:"value"`
 	// Expires is the absolute sim time (ns) past which the record is
 	// dropped; zero means no expiry.
 	Expires int64 `json:"expires,omitempty"`
@@ -22,13 +24,10 @@ const (
 	kindJoinRoute   = "join-route"
 	kindJoinReply   = "join-reply"
 	kindHello       = "hello"
-	kindBye         = "bye"
-	kindTakeover    = "takeover"
 	kindPut         = "put"
 	kindPutAck      = "put-ack"
 	kindLookup      = "lookup"
 	kindLookupReply = "lookup-reply"
-	kindRemove      = "remove"
 	kindError       = "error"
 )
 
@@ -51,7 +50,6 @@ type wireMsg struct {
 	Neighbors []neighborWire `json:"neighbors,omitempty"`
 	Resources []Resource     `json:"resources,omitempty"`
 	Resource  *Resource      `json:"resource,omitempty"`
-	ResID     string         `json:"res_id,omitempty"`
 	Err       string         `json:"err,omitempty"`
 }
 

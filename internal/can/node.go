@@ -1,7 +1,6 @@
 package can
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -30,9 +29,19 @@ type neighborInfo struct {
 	neighborAddrs []netsim.Addr
 }
 
+// pendingReq is one request awaiting its reply; its timer, armed in
+// place, times it out.
 type pendingReq struct {
+	n     *Node
+	id    uint64
 	cb    func(*wireMsg, error)
-	timer *sim.Timer
+	timer sim.Timer
+}
+
+// HandleEvent fails the request: no reply came within rpcTimeout.
+func (pr *pendingReq) HandleEvent(any) {
+	delete(pr.n.pending, pr.id)
+	pr.cb(nil, errors.New("can: request timed out"))
 }
 
 // Node is one CAN participant (a WAVNet rendezvous server). All methods
@@ -82,10 +91,10 @@ func (n *Node) Addr() netsim.Addr { return n.sock.LocalAddr() }
 // Active reports whether the node currently owns any zone.
 func (n *Node) Active() bool { return n.active }
 
-// Close tears the node down abruptly (a crash, not a graceful Leave):
-// the socket is released, the heartbeat stops, and all zone and
-// resource state is discarded. Neighbors discover the death through
-// their own missed-hello detection. A fresh node may rebind the port.
+// Close tears the node down abruptly, a crash: the socket is released,
+// the heartbeat stops, and all zone and resource state is discarded.
+// Neighbors discover the death through their own missed-hello
+// detection and take its zones over. A fresh node may rebind the port.
 func (n *Node) Close() {
 	n.active = false
 	n.zones = nil
@@ -160,18 +169,6 @@ func (n *Node) Put(res Resource, ttl sim.Duration, cb func(error)) {
 	})
 }
 
-// Remove deletes a resource by ID from the owner of its key point.
-func (n *Node) Remove(key Point, resID string, cb func(error)) {
-	id := n.newRPC(func(m *wireMsg, err error) { cb(err) })
-	n.route(&wireMsg{
-		Kind:   kindRemove,
-		ID:     id,
-		Origin: n.Addr(),
-		Target: key,
-		ResID:  resID,
-	})
-}
-
 // LookupResult is the answer to a Lookup: the owner of the queried point
 // and every live resource it stores.
 type LookupResult struct {
@@ -199,63 +196,6 @@ func (n *Node) Lookup(point Point, cb func(LookupResult, error)) {
 		Origin: n.Addr(),
 		Target: point,
 	})
-}
-
-// Leave gracefully hands the node's zones and resources to a neighbor and
-// deactivates the node.
-func (n *Node) Leave() {
-	if !n.active {
-		return
-	}
-	succ := n.chooseSuccessor()
-	if succ != nil {
-		msg := &wireMsg{
-			Kind:      kindTakeover,
-			Origin:    n.Addr(),
-			Zones:     n.zones,
-			Neighbors: n.neighborWires(),
-		}
-		for _, r := range n.resources {
-			msg.Resources = append(msg.Resources, *r)
-		}
-		sort.Slice(msg.Resources, func(i, j int) bool { return msg.Resources[i].ID < msg.Resources[j].ID })
-		n.send(succ.addr, msg)
-		for addr := range n.neighbors {
-			if addr != succ.addr {
-				n.send(addr, &wireMsg{Kind: kindBye, Origin: n.Addr()})
-			}
-		}
-	}
-	n.active = false
-	n.zones = nil
-	n.resources = make(map[string]*Resource)
-	n.neighbors = make(map[netsim.Addr]*neighborInfo)
-	if n.hbEv != nil {
-		n.eng.Cancel(n.hbEv)
-		n.hbEv = nil
-	}
-}
-
-// chooseSuccessor prefers a neighbor whose zone merges with ours into a
-// rectangle; otherwise the neighbor with the smallest total volume.
-func (n *Node) chooseSuccessor() *neighborInfo {
-	var best *neighborInfo
-	bestVol := 0.0
-	for _, nb := range n.sortedNeighbors() {
-		if len(n.zones) == 1 && len(nb.zones) == 1 {
-			if _, ok := n.zones[0].MergeableWith(nb.zones[0]); ok {
-				return nb
-			}
-		}
-		v := 0.0
-		for _, z := range nb.zones {
-			v += z.Volume()
-		}
-		if best == nil || v < bestVol {
-			best, bestVol = nb, v
-		}
-	}
-	return best
 }
 
 func (n *Node) sortedNeighbors() []*neighborInfo {
@@ -292,11 +232,8 @@ func (n *Node) send(to netsim.Addr, m *wireMsg) {
 func (n *Node) newRPC(cb func(*wireMsg, error)) uint64 {
 	n.nextID++
 	id := n.nextID
-	pr := &pendingReq{cb: cb}
-	pr.timer = sim.NewTimer(n.eng, func() {
-		delete(n.pending, id)
-		cb(nil, errors.New("can: request timed out"))
-	})
+	pr := &pendingReq{n: n, id: id, cb: cb}
+	pr.timer.Init(n.eng, pr)
 	pr.timer.Reset(rpcTimeout)
 	n.pending[id] = pr
 	return id
@@ -325,16 +262,12 @@ func (n *Node) onPacket(pkt netsim.Packet) {
 	switch m.Kind {
 	case kindJoinRoute:
 		n.route(m)
-	case kindPut, kindLookup, kindRemove:
+	case kindPut, kindLookup:
 		n.route(m)
 	case kindJoinReply, kindPutAck, kindLookupReply, kindError:
 		n.resolveRPC(m.ID, m)
 	case kindHello:
 		n.onHello(pkt.Src, m)
-	case kindBye:
-		delete(n.neighbors, m.Origin)
-	case kindTakeover:
-		n.onTakeover(m)
 	}
 }
 
@@ -411,9 +344,6 @@ func (n *Node) handleLocal(m *wireMsg) {
 	case kindPut:
 		r := *m.Resource
 		n.resources[r.ID] = &r
-		n.send(m.Origin, &wireMsg{Kind: kindPutAck, ID: m.ID})
-	case kindRemove:
-		delete(n.resources, m.ResID)
 		n.send(m.Origin, &wireMsg{Kind: kindPutAck, ID: m.ID})
 	case kindLookup:
 		n.expireResources()
@@ -519,34 +449,6 @@ func (n *Node) onHello(src netsim.Addr, m *wireMsg) {
 	}
 }
 
-// onTakeover adopts zones and resources from a departing (or claimed-dead)
-// neighbor.
-func (n *Node) onTakeover(m *wireMsg) {
-	if !n.active {
-		return
-	}
-	n.Takeovers++
-	n.adoptZones(m.Zones)
-	for _, r := range m.Resources {
-		r := r
-		n.resources[r.ID] = &r
-	}
-	delete(n.neighbors, m.Origin)
-	// Greet the leaver's neighbors so they learn the new owner.
-	now := n.eng.Now()
-	for _, nb := range m.Neighbors {
-		if nb.Addr == n.Addr() {
-			continue
-		}
-		if n.adjacentToMe(nb.Zones) {
-			if _, ok := n.neighbors[nb.Addr]; !ok {
-				n.neighbors[nb.Addr] = &neighborInfo{addr: nb.Addr, zones: nb.Zones, lastSeen: now}
-			}
-		}
-	}
-	n.sendHellos()
-}
-
 // adoptZones merges new zones into our set, coalescing rectangles where
 // possible.
 func (n *Node) adoptZones(zones []Zone) {
@@ -624,13 +526,4 @@ func (n *Node) checkDead() {
 			n.sendHellos()
 		}
 	}
-}
-
-// MarshalValue is a helper to JSON-encode resource payloads.
-func MarshalValue(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic("can: value marshal: " + err.Error())
-	}
-	return b
 }

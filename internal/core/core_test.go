@@ -454,8 +454,10 @@ func TestLookupByName(t *testing.T) {
 }
 
 func TestMultiServerIntroduction(t *testing.T) {
-	// Two rendezvous servers in a CAN; hosts registered on different
-	// servers must still connect (brokered via introduce/intro-ack).
+	// Two federated rendezvous servers in a CAN; hosts registered on
+	// different servers must still connect: the requester's server finds
+	// the target's record in the CAN and forwards the connect to the
+	// target's server (fwd-connect/fwd-connect-ack).
 	eng := sim.NewEngine(10)
 	nw := netsim.New(eng)
 	s1 := nw.NewSite("s1")
@@ -475,6 +477,8 @@ func TestMultiServerIntroduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1.Federate(r2.Addr())
+	r2.Federate(r1.Addr())
 	r1.Bootstrap()
 	joined := false
 	r2.JoinOverlay(r1.OverlayAddr(), func(e error) {
@@ -525,6 +529,9 @@ func TestMultiServerIntroduction(t *testing.T) {
 	if tun == nil || !tun.Established() {
 		t.Fatal("tunnel not established across servers")
 	}
+	if r1.FwdConnectsOut != 1 || r2.FwdConnectsIn != 1 {
+		t.Fatalf("fwd-connects out of r1 %d, into r2 %d: want 1 and 1", r1.FwdConnectsOut, r2.FwdConnectsIn)
+	}
 }
 
 func TestMultiServerRelayForSymmetricPair(t *testing.T) {
@@ -550,6 +557,8 @@ func TestMultiServerRelayForSymmetricPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1.Federate(r2.Addr())
+	r2.Federate(r1.Addr())
 	r1.Bootstrap()
 	r2.JoinOverlay(r1.OverlayAddr(), func(e error) {
 		if e != nil {
@@ -608,6 +617,9 @@ func TestMultiServerRelayForSymmetricPair(t *testing.T) {
 	}
 	if r1.RelayFrames != 0 {
 		t.Fatal("requester broker should not carry relay traffic")
+	}
+	if r1.FwdConnectsOut != 1 || r2.FwdConnectsIn != 1 {
+		t.Fatalf("fwd-connects out of r1 %d, into r2 %d: want 1 and 1", r1.FwdConnectsOut, r2.FwdConnectsIn)
 	}
 	// Path: alpha(s3) -> r2(s2) -> beta(s3): 50+50 ms plus processing.
 	if rtt < 90*time.Millisecond {

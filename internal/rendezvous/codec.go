@@ -35,8 +35,8 @@ const (
 	KindLookup
 	KindLookupReply
 	KindConnect    // host -> its broker: connect me to <name>
-	KindIntroduce  // broker -> broker: introduce my host to yours
-	KindIntroAck   // broker -> broker: here is my host's record
+	_              // 8 and 9, retired (introduce, intro-ack), stay holes
+	_              // so every later kind keeps its number on the wire
 	KindPunchOrder // broker -> host: punch to this record
 	KindError      // any -> requester
 	KindGroupQuery // host -> broker: pick k mutually-near hosts
@@ -89,8 +89,6 @@ var kinds = [...]struct {
 	KindLookup:        {"lookup", fName | fNet | fAttrs},
 	KindLookupReply:   {"lookup-reply", fRecords},
 	KindConnect:       {"connect", fName | fPeer},
-	KindIntroduce:     {"introduce", fName | fRec},
-	KindIntroAck:      {"intro-ack", fRec | fRelayChan | fRelayAddr},
 	KindPunchOrder:    {"punch-order", fPeer},
 	KindError:         {"error", fError | fCode},
 	KindGroupQuery:    {"group-query", fName | fNet | fK},
@@ -299,6 +297,22 @@ func (w *wire) fields(m *Msg, set uint32) {
 
 // The shortest encoding of a HostRecord.
 const minRecordLen = 1 + 6 + 1 + 1 + 6 + 1 + 1
+
+// appendRecord appends rec alone, laid out as in a message: the form
+// brokers store host records in the CAN.
+func appendRecord(b []byte, rec *HostRecord) []byte {
+	w := wire{b: b}
+	w.record(rec)
+	return w.b
+}
+
+// readRecord fills rec from what appendRecord wrote, into storage of
+// its own, and reports whether b was exactly one record.
+func readRecord(b []byte, rec *HostRecord) bool {
+	w := wire{b: b, mode: decoding}
+	w.record(rec)
+	return !w.bad && len(w.b) == 0
+}
 
 // A record is all of its fields in declaration order.
 func (w *wire) record(r *HostRecord) {

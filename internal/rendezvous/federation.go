@@ -1,8 +1,10 @@
 package rendezvous
 
 import (
+	"fmt"
 	"sort"
 
+	"wavnet/internal/nat"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/sim"
@@ -284,27 +286,63 @@ func (s *Server) expireDeadBrokers() {
 	}
 }
 
-// onFwdConnect serves a forwarded connect at the target's home broker:
-// a federated peer holds the requester's session, we hold the target's.
-// Validation and punch/relay orchestration are shared with the CAN
-// introduction path. The forwarding broker must be in the replication
-// set of the requester's network or the target's — any other federated
-// broker has no business brokering between these tenants.
+// mayForward reports whether src may forward connects for network net:
+// a federated peer, and for a tenant network one of its brokers. The
+// default network declares no broker set, so any federated peer may.
+func (s *Server) mayForward(net string, src netsim.Addr) bool {
+	return s.Federated(src) && (net == "" || s.brokerOfNet(net, src))
+}
+
+// onFwdConnect serves a forwarded connect at the target's home broker,
+// the one way brokers introduce hosts to each other: the forwarding
+// broker holds the requester's session, we hold the target's. It must
+// be trusted with the requester's network or the target's — any other
+// broker has no business brokering between these tenants. We notify
+// our host and ack with its record. Unpunchable pairs get a relay
+// channel hosted *here*, because only this server has a live NAT
+// session to the target; the requester reaches any public address on
+// its own.
 func (s *Server) onFwdConnect(src netsim.Addr, m *Msg) {
-	reqNet := ""
-	if m.Rec != nil {
-		reqNet = m.Rec.Net
-	}
+	ses := s.sessions.get(m.Name)
 	targetNet := ""
-	if ses := s.sessions.get(m.Name); ses != nil {
+	if ses != nil {
 		targetNet = ses.rec.Net
 	}
-	if !s.Federated(src) || !(s.brokerOfNet(reqNet, src) || s.brokerOfNet(targetNet, src)) {
+	if m.Rec == nil || !(s.mayForward(m.Rec.Net, src) || s.mayForward(targetNet, src)) {
 		s.RejectedFederation++
 		return
 	}
 	s.FwdConnectsIn++
-	s.introduceLocal(src, m, KindFwdConnectAck)
+	if ses == nil {
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Code: CodeNotFound,
+			Error: "unknown host " + m.Name})
+		return
+	}
+	if !s.netsLinked(m.Rec.Net, ses.rec.Net) {
+		// The requester's broker should have refused already; enforce
+		// tenant isolation here too in case records were stale.
+		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
+		return
+	}
+	if !nat.Punchable(m.Rec.NAT, ses.rec.NAT) {
+		if s.cfg.DisableRelay {
+			s.send(src, &Msg{Kind: KindError, ID: m.ID,
+				Error: fmt.Sprintf("unpunchable NAT pair %v/%v", m.Rec.NAT, ses.rec.NAT)})
+			return
+		}
+		// The requester's relay endpoint cannot be predicted (it may sit
+		// behind a symmetric NAT); it is learned from its first envelope.
+		ch := s.newRelayChannel(ses.rec.Name, m.Rec.Name, ses.rec.Mapped, netsim.Addr{})
+		s.send(ses.rec.Mapped, &Msg{Kind: KindRelayOrder, Peer: m.Rec,
+			RelayChan: ch.id, RelayAddr: s.Addr()})
+		s.send(src, &Msg{Kind: KindFwdConnectAck, ID: m.ID, Rec: &ses.rec,
+			RelayChan: ch.id, RelayAddr: s.Addr()})
+		return
+	}
+	// Tell our host to punch toward the requester, and hand its record
+	// back to the requester's server.
+	s.send(ses.rec.Mapped, &Msg{Kind: KindPunchOrder, Peer: m.Rec})
+	s.send(src, &Msg{Kind: KindFwdConnectAck, ID: m.ID, Rec: &ses.rec})
 }
 
 // propagatePeering pushes a peering allowance (or revocation) to every
@@ -393,7 +431,6 @@ func (s *Server) ScrapeInto(r *obs.Registry, l obs.Labels) {
 	add("pulses", s.Pulses)
 	add("lookups", s.Lookups)
 	add("connects", s.Connects)
-	add("relayed_introductions", s.RelayedIntroductions)
 	add("relay_channels", s.RelayChannels)
 	add("relay_frames", s.RelayFrames)
 	add("replications_out", s.ReplicationsOut)

@@ -8,7 +8,6 @@
 package rendezvous
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -38,23 +37,23 @@ const CodeNotFound = "not-found"
 const CodeUnknownSession = "unknown-session"
 
 // HostRecord is what the rendezvous layer knows about a registered host.
-// The JSON tags are for the CAN index, which stores records as JSON
-// resource values (publish); control messages do not use them.
+// It has one encoding, the control codec's, in messages and in the CAN
+// index alike (publish).
 type HostRecord struct {
-	Name   string      `json:"name"`
-	Mapped netsim.Addr `json:"mapped"` // NAT external address of the host's WAVNet socket
-	NAT    nat.Type    `json:"nat"`
+	Name   string
+	Mapped netsim.Addr // NAT external address of the host's WAVNet socket
+	NAT    nat.Type
 	// Attrs is the host's resource state (e.g. normalized CPU, memory),
 	// mapped to a CAN point for attribute queries.
-	Attrs can.Point `json:"attrs"`
+	Attrs can.Point
 	// Server is the broker responsible for this host (where connection
 	// requests must be relayed through).
-	Server netsim.Addr `json:"server"`
+	Server netsim.Addr
 	// Net and VNI scope the host to one virtual network (tenant).
 	// Discovery and brokered connects never cross networks; the empty
 	// name is the default network every legacy host lives in.
-	Net string `json:"net,omitempty"`
-	VNI uint32 `json:"vni,omitempty"`
+	Net string
+	VNI uint32
 }
 
 // PeerRTT is one measured round trip in an rtt-report.
@@ -163,15 +162,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pendingIntro is one in-flight cross-broker introduction. Entries are
-// swept a session TTL after they were made: a remote broker that died
-// mid-introduction must not leak them forever (the requesting host gave
-// up long before).
+// pendingIntro is one connect forwarded to the target's home broker
+// (fwd-connect), awaiting its ack. Entries are swept a session TTL after
+// they were made: a remote broker that died mid-introduction must not
+// leak them forever (the requesting host gave up long before).
 type pendingIntro struct {
 	host   netsim.Addr // requesting host
 	hostID uint64      // the host's connect request ID
-	remote netsim.Addr // the broker the intro was forwarded to; only it may resolve
-	span   *obs.Span   // the punch span, closed when the intro resolves
+	remote netsim.Addr // the broker the connect was forwarded to; only it may resolve
+	span   *obs.Span   // the punch span, closed when the forward resolves
 }
 
 // Server is one rendezvous server.
@@ -190,9 +189,9 @@ type Server struct {
 	locator  *Locator
 	relays   map[uint64]*relayChannel
 
-	// pendingIntro correlates broker-to-broker introductions (CAN and
-	// federated alike) back to the requesting host: the reply must go to
-	// its address carrying its original request ID, not the intro's.
+	// pendingIntro correlates forwarded connects back to the requesting
+	// host: the reply must go to its address carrying its original
+	// request ID, not the forward's.
 	pendingIntro aged[uint64, pendingIntro]
 
 	// peered holds the network pairs the control plane may introduce
@@ -221,7 +220,6 @@ type Server struct {
 
 	// Stats.
 	Joins, Pulses, Connects, Lookups uint64
-	RelayedIntroductions             uint64
 	RelayChannels                    uint64 // channels ever created
 	RelayFrames, RelayBytes          uint64 // data-plane relay traffic
 	// Federation stats.
@@ -307,7 +305,7 @@ func (s *Server) publish(rec HostRecord) {
 	res := can.Resource{
 		ID:    rec.Name,
 		Key:   s.recordPoint(rec),
-		Value: can.MarshalValue(rec),
+		Value: appendRecord(nil, &rec),
 	}
 	s.can.Put(res, 2*s.cfg.SessionTTL, func(error) {})
 }
@@ -381,7 +379,7 @@ func (s *Server) expire() {
 	s.expireReplicas(cutoff)
 	s.expireDeadBrokers()
 	for pi := s.pendingIntro.head; pi != nil && pi.lastSeen < cutoff; pi = pi.next {
-		pi.rec.span.Event("expired: intro never acked")
+		pi.rec.span.Event("expired: fwd-connect never acked")
 		pi.rec.span.End()
 		s.pendingIntro.drop(pi)
 	}
@@ -415,10 +413,6 @@ func (s *Server) onPacket(pkt netsim.Packet) {
 		s.onLookup(pkt.Src, m)
 	case KindConnect:
 		s.onConnect(pkt.Src, m)
-	case KindIntroduce:
-		s.onIntroduce(pkt.Src, m)
-	case KindIntroAck:
-		s.onIntroAck(pkt.Src, m)
 	case KindGroupQuery:
 		s.onGroupQuery(pkt.Src, m)
 	case KindRTTReport:
@@ -430,17 +424,17 @@ func (s *Server) onPacket(pkt netsim.Packet) {
 	case KindFwdConnect:
 		s.onFwdConnect(pkt.Src, m)
 	case KindFwdConnectAck:
-		s.onIntroAck(pkt.Src, m) // same resolution path as a CAN introduction
+		s.onFwdConnectAck(pkt.Src, m)
 	case KindPeerAllow, KindPeerRevoke:
 		s.onPeerPropagation(pkt.Src, m)
 	case KindBrokerPulse:
 		s.onBrokerPulse(pkt.Src)
 	case KindError:
-		// A broker-to-broker failure (introduce or fwd-connect refused at
-		// the remote end): resolve the pending introduction so the
-		// requesting host fails fast instead of waiting out its timeout.
-		// Hosts never send errors to brokers; stray IDs are ignored.
-		s.onIntroAck(pkt.Src, m)
+		// A fwd-connect refused at the target's home broker: resolve it so
+		// the requesting host fails fast instead of waiting out its
+		// timeout. Hosts never send errors to brokers; stray IDs are
+		// ignored.
+		s.onFwdConnectAck(pkt.Src, m)
 	}
 	if s.host.Network().Pool().Poisoned() {
 		s.dec.Poison()
@@ -526,49 +520,71 @@ func (s *Server) onRTTReport(m *Msg) {
 	}
 }
 
-// onLookup serves resource queries: by name (local, then CAN), or by
-// attribute point (CAN owner's records). Every path is scoped to the
-// requester's virtual network: records from other tenants are simply
-// invisible, so a lookup that only matches foreign hosts returns an
-// empty record set rather than an error.
+// locate finds the record of the host called name and hands it, with
+// q, to then: its session here, else a federated replica, both at once,
+// else the copy its home broker put in the CAN. A CAN copy naming this
+// broker is skipped: it outlived its session, since the CAN keeps
+// records for two session TTLs. then gets nil when no one knows the
+// name, or the CAN lookup's error. The caller's state travels as q to a
+// method rather than in a closure, so answering from a session or a
+// replica allocates nothing: lookups by name are a hot path.
+func locate[Q any](s *Server, name string, q Q, then func(*Server, Q, *HostRecord, error)) {
+	if ses := s.sessions.get(name); ses != nil {
+		then(s, q, &ses.rec, nil)
+		return
+	}
+	if rep := s.replicas.get(name); rep != nil {
+		then(s, q, &rep.rec, nil)
+		return
+	}
+	s.can.Lookup(namePoint(name, can.Dims), func(res can.LookupResult, err error) {
+		if err != nil {
+			then(s, q, nil, err)
+			return
+		}
+		for _, r := range res.Resources {
+			var rec HostRecord
+			if r.ID == name && readRecord(r.Value, &rec) && rec.Server != s.Addr() {
+				then(s, q, &rec, nil)
+				return
+			}
+		}
+		then(s, q, nil, nil)
+	})
+}
+
+// lookupQuery is a lookup by name waiting on locate.
+type lookupQuery struct {
+	src netsim.Addr
+	id  uint64
+	net string
+}
+
+// answerLookup replies with the record locate found when it is in the
+// requester's network: a record of another network is invisible, not
+// an error.
+func (s *Server) answerLookup(q lookupQuery, rec *HostRecord, err error) {
+	if err != nil {
+		s.send(q.src, &Msg{Kind: KindError, ID: q.id, Error: err.Error()})
+		return
+	}
+	reply := Msg{Kind: KindLookupReply, ID: q.id}
+	if rec != nil && rec.Net == q.net {
+		reply.Records = []HostRecord{*rec}
+	}
+	s.send(q.src, &reply)
+}
+
+// onLookup serves resource queries: by name (locate), or by attribute
+// point (CAN owner's records). Every path is scoped to the requester's
+// virtual network: records from other tenants are simply invisible, so
+// a lookup that only matches foreign hosts returns an empty record set
+// rather than an error.
 func (s *Server) onLookup(src netsim.Addr, m *Msg) {
 	s.Lookups++
 	s.expire()
 	if m.Name != "" {
-		// A session answers, else a federated replica does, locally:
-		// cross-broker names resolve without an extra hop. Both are scoped
-		// alike — a record from another network is invisible, not an error.
-		held := s.sessions.get(m.Name)
-		if held == nil {
-			held = s.replicas.get(m.Name)
-		}
-		if held != nil {
-			reply := Msg{Kind: KindLookupReply, ID: m.ID}
-			if held.rec.Net == m.Net {
-				reply.Records = []HostRecord{held.rec}
-			}
-			s.send(src, &reply)
-			return
-		}
-		// Route through the CAN by name hash.
-		id, name, net := m.ID, m.Name, m.Net
-		s.can.Lookup(namePoint(name, can.Dims), func(res can.LookupResult, err error) {
-			if err != nil {
-				s.send(src, &Msg{Kind: KindError, ID: id, Error: err.Error()})
-				return
-			}
-			var recs []HostRecord
-			for _, r := range res.Resources {
-				if r.ID != name {
-					continue
-				}
-				var rec HostRecord
-				if json.Unmarshal(r.Value, &rec) == nil && rec.Net == net {
-					recs = append(recs, rec)
-				}
-			}
-			s.send(src, &Msg{Kind: KindLookupReply, ID: id, Records: recs})
-		})
+		locate(s, m.Name, lookupQuery{src: src, id: m.ID, net: m.Net}, (*Server).answerLookup)
 		return
 	}
 	if len(m.Attrs) > 0 {
@@ -581,7 +597,7 @@ func (s *Server) onLookup(src netsim.Addr, m *Msg) {
 			var recs []HostRecord
 			for _, r := range res.Resources {
 				var rec HostRecord
-				if json.Unmarshal(r.Value, &rec) == nil && rec.Net == net {
+				if readRecord(r.Value, &rec) && rec.Net == net {
 					recs = append(recs, rec)
 				}
 			}
@@ -638,8 +654,18 @@ func (s *Server) netsLinked(a, b string) bool {
 	return a == b || s.peered[peerKey(a, b)]
 }
 
-// onConnect brokers a connection: find the target (locally or via its
-// own server), have both sides told to punch simultaneously.
+// connectQuery is a connect waiting on locate: the requester's address,
+// request ID and record, the target's name and the punch span.
+type connectQuery struct {
+	src    netsim.Addr
+	id     uint64
+	req    HostRecord
+	target string
+	span   *obs.Span
+}
+
+// onConnect brokers a connection: locate the target, then have both
+// hosts told to punch simultaneously (answerConnect).
 func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 	s.Connects++
 	requester := s.sessions.get(m.Name)
@@ -651,96 +677,57 @@ func (s *Server) onConnect(src netsim.Addr, m *Msg) {
 		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "bad connect"})
 		return
 	}
-	reqRec := requester.rec
-	target := m.Peer.Name
-	sp := s.cfg.Tracer.Start(nil, "punch", obs.Labels{Broker: s.cfg.Name, Net: reqRec.Net})
-	sp.Event("connect %s -> %s", m.Name, target)
+	q := connectQuery{src: src, id: m.ID, req: requester.rec, target: m.Peer.Name,
+		span: s.cfg.Tracer.Start(nil, "punch", obs.Labels{Broker: s.cfg.Name, Net: requester.rec.Net})}
+	q.span.Event("connect %s -> %s", m.Name, q.target)
+	locate(s, q.target, q, (*Server).answerConnect)
+}
 
-	if ses := s.sessions.get(target); ses != nil {
-		if !s.netsLinked(ses.rec.Net, reqRec.Net) {
-			// Tenant isolation: the broker never introduces hosts across
-			// virtual networks unless an explicit peering allows it.
-			sp.Event("refused: cross-tenant")
-			sp.End()
-			s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
-			return
-		}
+// answerConnect brokers a connect to the record locate found: this
+// broker orders both hosts to punch when the target is homed here too,
+// else the target's home broker does (fwd-connect), which holds the
+// live NAT session to it.
+func (s *Server) answerConnect(q connectQuery, rec *HostRecord, err error) {
+	sp := q.span
+	switch {
+	case err != nil:
+		sp.Event("refused: CAN lookup failed: %v", err)
+		sp.End()
+		s.send(q.src, &Msg{Kind: KindError, ID: q.id, Error: "target lookup: " + err.Error()})
+	case rec == nil:
+		sp.Event("refused: target not found")
+		sp.End()
+		s.send(q.src, &Msg{Kind: KindError, ID: q.id, Code: CodeNotFound,
+			Error: "target not found: " + q.target})
+	case !s.netsLinked(rec.Net, q.req.Net):
+		// Tenant isolation: the broker never introduces hosts across
+		// virtual networks unless an explicit peering allows it.
+		sp.Event("refused: cross-tenant")
+		sp.End()
+		s.send(q.src, &Msg{Kind: KindError, ID: q.id, Error: "cross-tenant connect refused"})
+	case rec.Server == s.Addr():
 		// Both hosts are ours: order both to punch.
 		sp.Event("local punch order")
 		sp.End()
-		s.orderPunch(reqRec, ses.rec, m.ID, src)
-		return
-	}
-	// A federated replica names the target's home broker directly:
-	// forward the punch orchestration there (the home broker holds the
-	// live NAT session to the target).
-	if rep := s.replicas.get(target); rep != nil {
-		if !s.netsLinked(rep.rec.Net, reqRec.Net) {
-			sp.Event("refused: cross-tenant")
-			sp.End()
-			s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
-			return
-		}
-		if s.brokerDead(rep.rec.Server) {
-			// The replica is stale: its home broker stopped answering.
-			// Refuse rather than forward into a black hole — as a
-			// transient not-found, because the target re-homes onto a
-			// surviving broker and the retry will find the fresh record.
-			s.StaleFwdRejects++
-			sp.Event("refused: stale replica, home broker %v dead", rep.rec.Server)
-			sp.End()
-			s.send(src, &Msg{Kind: KindError, ID: m.ID, Code: CodeNotFound,
-				Error: "home broker of " + target + " unresponsive"})
-			return
-		}
+		s.orderPunch(q.req, *rec, q.id, q.src)
+	case s.brokerDead(rec.Server):
+		// The record is stale: its home broker stopped answering.
+		// Refuse rather than forward into a black hole — as a
+		// transient not-found, because the target re-homes onto a
+		// surviving broker and the retry will find the fresh record.
+		s.StaleFwdRejects++
+		sp.Event("refused: stale record, home broker %v dead", rec.Server)
+		sp.End()
+		s.send(q.src, &Msg{Kind: KindError, ID: q.id, Code: CodeNotFound,
+			Error: "home broker of " + q.target + " unresponsive"})
+	default:
 		s.FwdConnectsOut++
 		s.nextID++
-		introID := s.nextID
-		sp.Event("fwd-connect to home broker %v", rep.rec.Server)
-		s.pendingIntro.put(introID, pendingIntro{host: src, hostID: m.ID,
-			remote: rep.rec.Server, span: sp}, s.eng.Now())
-		s.send(rep.rec.Server, &Msg{Kind: KindFwdConnect, ID: introID, Name: target, Rec: &reqRec})
-		return
+		sp.Event("fwd-connect to home broker %v", rec.Server)
+		s.pendingIntro.put(s.nextID, pendingIntro{host: q.src, hostID: q.id,
+			remote: rec.Server, span: sp}, s.eng.Now())
+		s.send(rec.Server, &Msg{Kind: KindFwdConnect, ID: s.nextID, Name: q.target, Rec: &q.req})
 	}
-	// Find the target's record through the CAN, then ask its server.
-	id := m.ID
-	s.can.Lookup(namePoint(target, can.Dims), func(res can.LookupResult, err error) {
-		if err != nil {
-			sp.Event("refused: CAN lookup failed: %v", err)
-			sp.End()
-			s.send(src, &Msg{Kind: KindError, ID: id, Error: "target lookup: " + err.Error()})
-			return
-		}
-		for _, r := range res.Resources {
-			if r.ID != target {
-				continue
-			}
-			var rec HostRecord
-			if json.Unmarshal(r.Value, &rec) != nil {
-				continue
-			}
-			if !s.netsLinked(rec.Net, reqRec.Net) {
-				sp.Event("refused: cross-tenant")
-				sp.End()
-				s.send(src, &Msg{Kind: KindError, ID: id, Error: "cross-tenant connect refused"})
-				return
-			}
-			// Relay through the target's own broker so it can notify the
-			// target over the maintained NAT session.
-			s.RelayedIntroductions++
-			s.nextID++
-			introID := s.nextID
-			sp.Event("CAN introduce via broker %v", rec.Server)
-			s.pendingIntro.put(introID, pendingIntro{host: src, hostID: id,
-				remote: rec.Server, span: sp}, s.eng.Now())
-			s.send(rec.Server, &Msg{Kind: KindIntroduce, ID: introID, Name: target, Rec: &reqRec})
-			return
-		}
-		sp.Event("refused: target not found")
-		sp.End()
-		s.send(src, &Msg{Kind: KindError, ID: id, Code: CodeNotFound,
-			Error: "target not found: " + target})
-	})
 }
 
 // orderPunch tells both hosts about each other; pairs hole punching
@@ -759,59 +746,14 @@ func (s *Server) orderPunch(a, b HostRecord, id uint64, requester netsim.Addr) {
 	s.send(b.Mapped, &Msg{Kind: KindPunchOrder, Peer: &a})
 }
 
-// onIntroduce (at the target's server): notify our host and ack with its
-// record.
-func (s *Server) onIntroduce(src netsim.Addr, m *Msg) {
-	s.introduceLocal(src, m, KindIntroAck)
-}
-
-// introduceLocal brokers a connect whose requester lives on another
-// server (a CAN introduction or a federated forwarded connect): notify
-// our host and ack with its record. Unpunchable pairs get a relay
-// channel hosted *here* (the target's broker), because only this server
-// has a live NAT session to the target; the requester reaches any
-// public address on its own.
-func (s *Server) introduceLocal(src netsim.Addr, m *Msg, ackKind Kind) {
-	ses := s.sessions.get(m.Name)
-	if ses == nil {
-		s.send(src, &Msg{Kind: KindError, ID: m.ID, Code: CodeNotFound,
-			Error: "unknown host " + m.Name})
-		return
-	}
-	if m.Rec != nil && !s.netsLinked(m.Rec.Net, ses.rec.Net) {
-		// The requester's broker should have refused already; enforce
-		// tenant isolation here too in case records were stale.
-		s.send(src, &Msg{Kind: KindError, ID: m.ID, Error: "cross-tenant connect refused"})
-		return
-	}
-	if m.Rec != nil && !nat.Punchable(m.Rec.NAT, ses.rec.NAT) {
-		if s.cfg.DisableRelay {
-			s.send(src, &Msg{Kind: KindError, ID: m.ID,
-				Error: fmt.Sprintf("unpunchable NAT pair %v/%v", m.Rec.NAT, ses.rec.NAT)})
-			return
-		}
-		// The requester's relay endpoint cannot be predicted (it may sit
-		// behind a symmetric NAT); it is learned from its first envelope.
-		ch := s.newRelayChannel(ses.rec.Name, m.Rec.Name, ses.rec.Mapped, netsim.Addr{})
-		s.send(ses.rec.Mapped, &Msg{Kind: KindRelayOrder, Peer: m.Rec,
-			RelayChan: ch.id, RelayAddr: s.Addr()})
-		s.send(src, &Msg{Kind: ackKind, ID: m.ID, Rec: &ses.rec,
-			RelayChan: ch.id, RelayAddr: s.Addr()})
-		return
-	}
-	// Tell our host to punch toward the requester.
-	s.send(ses.rec.Mapped, &Msg{Kind: KindPunchOrder, Peer: m.Rec})
-	// Hand the record back to the requester's server.
-	s.send(src, &Msg{Kind: ackKind, ID: m.ID, Rec: &ses.rec})
-}
-
-// onIntroAck (back at the requester's server): order our host to punch,
-// or to use the relay channel the target's server allocated. Replies
-// carry the host's own request ID so its RPC waiters correlate. Only
-// the broker the introduction was forwarded to may resolve it — intro
+// onFwdConnectAck (back at the requester's server) resolves a forwarded
+// connect with the ack or error of the target's home broker: order our
+// host to punch, or to use the relay channel that broker allocated.
+// Replies carry the host's own request ID so its RPC waiters correlate.
+// Only the broker the connect was forwarded to may resolve it — forward
 // IDs are sequential and guessable, so an unauthenticated ack could
 // otherwise steer the requester toward an attacker-chosen address.
-func (s *Server) onIntroAck(src netsim.Addr, m *Msg) {
+func (s *Server) onFwdConnectAck(src netsim.Addr, m *Msg) {
 	e := s.pendingIntro.get(m.ID)
 	if e == nil {
 		return
@@ -823,19 +765,19 @@ func (s *Server) onIntroAck(src netsim.Addr, m *Msg) {
 	}
 	s.pendingIntro.drop(e)
 	if m.Error != "" || m.Rec == nil {
-		pi.span.Event("intro-ack error: %s", m.Error)
+		pi.span.Event("fwd-connect error: %s", m.Error)
 		pi.span.End()
 		s.send(pi.host, &Msg{Kind: KindError, ID: pi.hostID, Error: m.Error, Code: m.Code})
 		return
 	}
 	if m.RelayChan != 0 {
-		pi.span.Event("intro-ack: relay order")
+		pi.span.Event("fwd-connect-ack: relay order")
 		pi.span.End()
 		s.send(pi.host, &Msg{Kind: KindRelayOrder, ID: pi.hostID, Peer: m.Rec,
 			RelayChan: m.RelayChan, RelayAddr: m.RelayAddr})
 		return
 	}
-	pi.span.Event("intro-ack: punch order")
+	pi.span.Event("fwd-connect-ack: punch order")
 	pi.span.End()
 	s.send(pi.host, &Msg{Kind: KindPunchOrder, ID: pi.hostID, Peer: m.Rec})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"wavnet/internal/can"
 	"wavnet/internal/netsim"
 	"wavnet/internal/sim"
 )
@@ -158,5 +159,84 @@ func TestLocatorGroup(t *testing.T) {
 	}
 	if len(l.Hosts()) != 4 || len(l.Matrix()) != 4 {
 		t.Fatal("locator bookkeeping wrong")
+	}
+}
+
+// TestStrangerCannotIntroduce: brokers introduce hosts to each other
+// only with fwd-connect, and only from a federated peer. A stranger that
+// sends kind 8 (the retired introduce, laid out like a fwd-connect) or
+// a fwd-connect naming a registered tenant host learns nothing, and the
+// host is ordered nowhere.
+func TestStrangerCannotIntroduce(t *testing.T) {
+	eng, nw, s := newServer(t)
+	victim := newClient(t, nw, "60.0.0.1")
+	victim.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "victim", Net: "red", VNI: 3}})
+	eng.RunFor(time.Second)
+	if !s.HasSession("victim") {
+		t.Fatal("victim did not register")
+	}
+	stranger := newClient(t, nw, "66.0.0.1")
+	fwd := Encode(&Msg{Kind: KindFwdConnect, ID: 1, Name: "victim",
+		Rec: &HostRecord{Name: "stranger", Net: "red", VNI: 3}})
+	introduce := append([]byte(nil), fwd...)
+	introduce[1] = 8
+	heard, rejected := len(victim.got), s.RejectedFederation
+	stranger.sock.SendTo(s.Addr(), introduce)
+	stranger.sock.SendTo(s.Addr(), fwd)
+	eng.RunFor(2 * time.Second)
+	if len(stranger.got) != 0 {
+		t.Fatalf("the stranger was answered: %+v", stranger.got[0])
+	}
+	if len(victim.got) != heard {
+		t.Fatalf("the victim was sent %+v", victim.got[heard])
+	}
+	if s.RejectedFederation != rejected+1 || s.FwdConnectsIn != 0 {
+		t.Fatalf("fwd-connect from a stranger: rejected %d (want %d), served %d",
+			s.RejectedFederation, rejected+1, s.FwdConnectsIn)
+	}
+}
+
+// TestExpiredHostIsNotFound: a host that stopped pulsing is gone once
+// its session expires, although the CAN keeps its copy for twice the
+// session TTL: that copy names the broker that just dropped the host,
+// so a lookup by name finds no record and a connect is not-found
+// without the broker forwarding it to itself.
+func TestExpiredHostIsNotFound(t *testing.T) {
+	eng, nw, s := newServer(t)
+	gone := newClient(t, nw, "60.0.0.1")
+	asker := newClient(t, nw, "60.0.0.2")
+	gone.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "gone"}})
+	asker.send(s, &Msg{Kind: KindJoin, ID: 1, Rec: &HostRecord{Name: "asker"}})
+	eng.RunFor(time.Second)
+	for i := 0; i < 4; i++ {
+		eng.RunFor(10 * time.Second)
+		asker.send(s, &Msg{Kind: KindPulse, Name: "asker"})
+	}
+	eng.RunFor(time.Second)
+	if s.Sessions() != 1 || s.HasSession("gone") {
+		t.Fatalf("%d sessions: gone's did not expire", s.Sessions())
+	}
+	inCAN := false
+	s.can.Lookup(namePoint("gone", can.Dims), func(res can.LookupResult, err error) {
+		for _, r := range res.Resources {
+			inCAN = inCAN || r.ID == "gone"
+		}
+	})
+	eng.RunFor(time.Second)
+	if !inCAN {
+		t.Fatal("the CAN no longer holds gone's copy: nothing left to skip")
+	}
+
+	asker.send(s, &Msg{Kind: KindLookup, ID: 2, Name: "gone"})
+	asker.send(s, &Msg{Kind: KindConnect, ID: 3, Name: "asker", Peer: &HostRecord{Name: "gone"}})
+	eng.RunFor(2 * time.Second)
+	if lr := asker.last(KindLookupReply); lr == nil || lr.ID != 2 || len(lr.Records) != 0 {
+		t.Fatalf("lookup of an expired host: %+v", lr)
+	}
+	if e := asker.last(KindError); e == nil || e.ID != 3 || e.Code != CodeNotFound {
+		t.Fatalf("connect to an expired host: %+v", e)
+	}
+	if s.FwdConnectsOut != 0 || s.FwdConnectsIn != 0 {
+		t.Fatalf("the broker forwarded the connect to itself: out %d, in %d", s.FwdConnectsOut, s.FwdConnectsIn)
 	}
 }

@@ -173,6 +173,29 @@ func TestSingleGoroutine(t *testing.T) {
 	}
 }
 
+// jsonAllowed are the places under internal/ that may import
+// encoding/json: a package directory, or one file.
+var jsonAllowed = []string{
+	filepath.Join("internal", "obs"),                          // renders registries and spans
+	filepath.Join("internal", "experiments", "trajectory.go"), // reads and writes the BENCH file
+	filepath.Join("internal", "can"),                          // the overlay's message envelope
+}
+
+// TestJSONOnlyWhereAllowed: nothing under internal/ but jsonAllowed
+// imports encoding/json. A host record has one encoding, the control
+// codec's, in messages and in the CAN alike; JSON is for output, the
+// BENCH file and the overlay's own envelope.
+func TestJSONOnlyWhereAllowed(t *testing.T) {
+	eachSource(t, "internal", func(fset *token.FileSet, path string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/json"` &&
+				!slices.Contains(jsonAllowed, path) && !slices.Contains(jsonAllowed, filepath.Dir(path)) {
+				t.Errorf("%s imports encoding/json", fset.Position(imp.Pos()))
+			}
+		}
+	})
+}
+
 // TestBenchmarkModuleVets: benchmark/ is a module of its own that the
 // tree's go vet and go test do not build, so an exported name it imports
 // could vanish unnoticed; vetting it here catches that. It needs nothing
